@@ -36,7 +36,7 @@ use std::sync::Arc;
 use tytra_codegen::{check, emit_design, emit_maxj_wrapper};
 use tytra_cost::{estimate, EstimatorSession};
 use tytra_device::TargetDevice;
-use tytra_dse::{lane_sweep_session, search, tune_session, ExplorationConfig, SearchConfig};
+use tytra_dse::{lane_sweep_with, search_with, tune_with, ExplorationConfig, SearchConfig};
 use tytra_ir::{ErrorCategory, IrError, TybecError};
 use tytra_kernels::{EvalKernel, Hotspot, LavaMd, Sor};
 use tytra_sim::{run_application, synthesize};
@@ -673,13 +673,22 @@ fn cmd_dse(args: &[String]) -> Result<(), CliError> {
         _ => None,
     };
 
-    // One estimator session serves the sweep and the later tuning run,
-    // so tuning starts with the sweep's memo tables already warm.
+    // One variant factory serves the sweep, the search and the tuning run,
+    // so each design is lowered and validated once; one estimator session
+    // serves the sweep and the later tuning run, so tuning starts with the
+    // sweep's memo tables already warm.
+    let factory = kernel.variant_factory();
     let mut session = EstimatorSession::new(dev.clone());
 
     println!("== lane sweep (Fig 15 style) ==");
-    let rows = lane_sweep_session(kernel.as_ref(), &mut session, &lanes, &Variant::baseline());
-    print!("{}", tytra_dse::report::render_table(&rows));
+    let rows = {
+        let _sp = tytra_trace::span("dse.lane_sweep");
+        lane_sweep_with(&factory, &mut session, &lanes, &Variant::baseline())
+    };
+    {
+        let _sp = tytra_trace::span("cli.render");
+        print!("{}", tytra_dse::report::render_table(&rows));
+    }
 
     println!("\n== full exploration ==");
     // Branch-and-bound by default; `--exhaustive` estimates every point.
@@ -689,24 +698,37 @@ fn cmd_dse(args: &[String]) -> Result<(), CliError> {
     let cfg =
         if exhaustive { SearchConfig::exhaustive(space) } else { SearchConfig::pruned(space) };
     let cfg = SearchConfig { live: live.clone(), ..cfg };
-    let outcome = search(kernel.as_ref(), &dev, &cfg);
+    let outcome = {
+        let _sp = tytra_trace::span("dse.search");
+        search_with(&factory, &dev, &cfg)
+    };
     if let Some(s) = sampler {
         let lines = s.stop();
         // stream_path is Some whenever sampler is.
         let path = stream_path.unwrap_or_default();
         eprintln!("metrics stream: {lines} sample(s) written to {path}");
     }
-    print!("{}", tytra_dse::render_search_leaderboard(&outcome, 10));
+    {
+        let _sp = tytra_trace::span("cli.render");
+        print!("{}", tytra_dse::render_search_leaderboard(&outcome, 10));
+    }
 
     println!("\n== guided tuning from baseline ==");
-    for step in tune_session(kernel.as_ref(), &mut session, Variant::baseline(), 12) {
-        println!(
-            "  {:<18} EKIT {:>12.1}  {} {}",
-            step.variant.tag(),
-            step.ekit,
-            step.limiter,
-            step.action.map(|a| format!("→ {a}")).unwrap_or_default()
-        );
+    let steps = {
+        let _sp = tytra_trace::span("dse.tuning");
+        tune_with(&factory, &mut session, Variant::baseline(), 12)
+    };
+    {
+        let _sp = tytra_trace::span("cli.render");
+        for step in steps {
+            println!(
+                "  {:<18} EKIT {:>12.1}  {} {}",
+                step.variant.tag(),
+                step.ekit,
+                step.limiter,
+                step.action.map(|a| format!("→ {a}")).unwrap_or_default()
+            );
+        }
     }
 
     // The CLI session (sweep + tuning) and every search worker session

@@ -243,11 +243,18 @@ fn dse_exhaustive_flag_does_not_change_the_output() {
     // The branch-and-bound default and the --exhaustive escape hatch
     // must print byte-identical reports (the admissibility contract);
     // only the --stats counters may differ, so compare without them.
-    let pruned = tybec(&["dse", "sor", "--target", "eval-small"]);
-    let exhaustive = tybec(&["dse", "sor", "--target", "eval-small", "--exhaustive"]);
-    assert!(pruned.status.success(), "{}", stderr(&pruned));
-    assert!(exhaustive.status.success(), "{}", stderr(&exhaustive));
-    assert_eq!(stdout(&pruned), stdout(&exhaustive), "--exhaustive changed the report");
+    // The lavamd case sweeps the widest space, lanes 1..=64, over one
+    // variant factory shared by the sweep, the search and the tuning.
+    let wide: String = (1..=64).map(|l: u64| l.to_string()).collect::<Vec<_>>().join(",");
+    for base in
+        [vec!["dse", "sor", "--target", "eval-small"], vec!["dse", "lavamd", "--lanes", &wide]]
+    {
+        let pruned = tybec(&base);
+        let exhaustive = tybec(&[&base[..], &["--exhaustive"]].concat());
+        assert!(pruned.status.success(), "{}", stderr(&pruned));
+        assert!(exhaustive.status.success(), "{}", stderr(&exhaustive));
+        assert_eq!(stdout(&pruned), stdout(&exhaustive), "--exhaustive changed {base:?}");
+    }
 }
 
 #[test]

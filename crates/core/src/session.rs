@@ -147,12 +147,6 @@ pub struct EstimatorSession {
     curves: CurveCache,
     /// Whole-module fingerprints that already passed validation.
     validated: BoundedSet<u64>,
-    /// Arena base fingerprints whose *base tree* passed validation. The
-    /// validator never reads the three patched cells (it only touches
-    /// `meta.ndrange`/`nki`/`freq_mhz`, plus the module name for its
-    /// trace span), so one base validation covers every
-    /// [`PatchedModule`] of that arena.
-    validated_bases: BoundedSet<u64>,
     /// Per-function resource costs, keyed `(function fingerprint, DV)`.
     node_costs: BoundedMap<(u64, u64), ResourceBreakdown>,
     /// Per-function worst stage delays, keyed on function fingerprint.
@@ -204,7 +198,6 @@ impl EstimatorSession {
             opts,
             curves: CurveCache::with_registry(&metrics),
             validated: BoundedSet::new(capacity),
-            validated_bases: BoundedSet::new(capacity),
             node_costs: BoundedMap::new(capacity),
             worst_stage: BoundedMap::new(capacity),
             schedules: BoundedMap::new(capacity),
@@ -257,7 +250,6 @@ impl EstimatorSession {
     pub fn invalidate(&mut self) {
         self.curves.clear();
         self.validated.clear();
-        self.validated_bases.clear();
         self.node_costs.clear();
         self.worst_stage.clear();
         self.schedules.clear();
@@ -404,8 +396,7 @@ impl EstimatorSession {
     /// session (pinned by the `arena_equivalence` suite and a fuzz
     /// oracle). Trace streams carry the same spans with the same
     /// fingerprints; only the validate pass's `memo_hit` flag can differ,
-    /// because sibling variants of one arena share a single base
-    /// validation.
+    /// because all variants of one arena share a single base validation.
     pub fn estimate_design(&mut self, d: &PatchedModule<'_>) -> Result<CostReport, TybecError> {
         let Some(plan) = d.arena.config() else {
             // Configuration extraction failed at arena build time; the
@@ -532,30 +523,29 @@ impl EstimatorSession {
 
     /// Pass 0 over an arena-backed design. The patched fingerprint is
     /// checked first (so repeat visits count hits exactly as the tree
-    /// path does); on a miss, one validation of the *base* tree stands in
-    /// for every variant of the arena (see `validated_bases`).
+    /// path does); on a miss, the arena's base verdict stands in for
+    /// every variant of the arena. It is computed once per arena and
+    /// shared by every patch and every session (see
+    /// [`ArenaModule::validate_base`]), so only the call that actually
+    /// runs the validator counts a miss.
     fn validate_design(&mut self, d: &PatchedModule<'_>) -> Result<(), IrError> {
         let module_fp = d.fingerprint();
         let mut sp = trace::span("estimator.validate").with("fp", module_fp);
         if self.validated.contains(&module_fp) {
             self.hits.incr();
             sp.record("memo_hit", true);
-        } else if self.validated_bases.contains(&d.arena.base_fp()) {
+            return Ok(());
+        }
+        let hit = d.arena.base_validated();
+        if hit {
             self.hits.incr();
-            sp.record("memo_hit", true);
-            if self.validated.insert(module_fp) {
-                self.evictions.incr();
-            }
         } else {
             self.misses.incr();
-            sp.record("memo_hit", false);
-            validate::validate(d.arena.tree())?;
-            if self.validated_bases.insert(d.arena.base_fp()) {
-                self.evictions.incr();
-            }
-            if self.validated.insert(module_fp) {
-                self.evictions.incr();
-            }
+        }
+        sp.record("memo_hit", hit);
+        d.arena.validate_base()?;
+        if self.validated.insert(module_fp) {
+            self.evictions.incr();
         }
         Ok(())
     }
@@ -717,7 +707,6 @@ impl EstimatorSession {
     /// `session.memo.entries` gauge).
     fn memo_len(&self) -> usize {
         self.validated.len()
-            + self.validated_bases.len()
             + self.node_costs.len()
             + self.worst_stage.len()
             + self.schedules.len()

@@ -17,6 +17,7 @@ use tytra_cost::EstimatorSession;
 use tytra_device::{eval_small, stratix_v_gsd8};
 use tytra_ir::{
     fingerprint_module, ArenaModule, IrModule, MemForm, ModuleBuilder, Opcode, ParKind, ScalarType,
+    TybecError,
 };
 
 /// A small stencil-shaped pipeline: `lanes` lanes over an `ngs`-point
@@ -150,5 +151,45 @@ proptest! {
         // Sibling patches share schedule/resource memos through the
         // arena fingerprints, so the design path must have hit them.
         prop_assert!(via_arena.stats().hits > 0, "design path never hit its memo tables");
+    }
+}
+
+/// A module the validator rejects (a duplicated input array) whose shape
+/// is otherwise ordinary, so the arena still builds a configuration plan.
+fn invalid_module() -> IrModule {
+    let t = ScalarType::UInt(18);
+    let mut b = ModuleBuilder::new("dup_input");
+    b.global_input("x", t, 64);
+    b.global_input("x", t, 64);
+    b.global_output("y", t, 64);
+    {
+        let f = b.function("lane", ParKind::Pipe);
+        f.input("x", t);
+        f.output("y", t);
+        let x = f.arg("x");
+        let out = f.instr(Opcode::Add, t, vec![x, f.imm(1)]);
+        f.write_out("y", out);
+    }
+    b.main_calls("lane");
+    b.ndrange(&[64]).nki(1).form(MemForm::B);
+    b.finish_unchecked()
+}
+
+#[test]
+fn an_invalid_base_errors_identically_on_every_path() {
+    let m = invalid_module();
+    let arena = ArenaModule::build(m.clone());
+    assert!(arena.config().is_some(), "the arena path, not its tree fallback, must validate");
+    let tree_err = EstimatorSession::new(stratix_v_gsd8()).estimate(&m).unwrap_err();
+    assert_eq!(tree_err, TybecError::from(tytra_ir::validate(&m).unwrap_err()));
+    // The first pass computes the arena's cached verdict; the second, in
+    // fresh sessions again, must read back the very same error.
+    for _ in 0..2 {
+        for d in [arena.identity(), arena.patched("dup_input_v2", MemForm::A, 2)] {
+            let e = EstimatorSession::new(stratix_v_gsd8()).estimate_design(&d).unwrap_err();
+            let b = EstimatorSession::new(stratix_v_gsd8()).bound_design(&d).unwrap_err();
+            assert_eq!(e, tree_err, "estimate_design on {}", d.name);
+            assert_eq!(b, tree_err, "bound_design on {}", d.name);
+        }
     }
 }

@@ -21,6 +21,11 @@
 //!   throughput and wall identification as lanes scale;
 //! * [`tune`] — the feedback loop the paper's bottleneck output enables:
 //!   repeatedly relax the binding wall until no move helps.
+//!
+//! The sweep, the search and the tuning loop each have a `…_with` form
+//! ([`lane_sweep_with`], [`search_with`], [`tune_with`]) taking a shared
+//! [`VariantFactory`][tytra_transform::VariantFactory], so a driver that
+//! runs all three (`tybec dse`) lowers and validates each design once.
 
 pub mod explore;
 pub mod report;
@@ -33,9 +38,12 @@ pub use explore::{
     ExplorationConfig,
 };
 pub use report::{
-    lane_sweep, lane_sweep_session, render_latency_stats_line, render_prefilter_stats_line,
-    render_search_leaderboard, render_search_stats_line, render_stats_line, LaneSweepRow,
+    lane_sweep, lane_sweep_session, lane_sweep_with, render_latency_stats_line,
+    render_prefilter_stats_line, render_search_leaderboard, render_search_stats_line,
+    render_stats_line, LaneSweepRow,
 };
 pub use roofline::{roofline, RooflinePoint};
-pub use search::{search, InvalidVariant, SearchConfig, SearchMode, SearchOutcome, SearchStats};
-pub use tuning::{tune, tune_session, TuningStep};
+pub use search::{
+    search, search_with, InvalidVariant, SearchConfig, SearchMode, SearchOutcome, SearchStats,
+};
+pub use tuning::{tune, tune_session, tune_with, TuningStep};

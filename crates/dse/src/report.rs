@@ -8,7 +8,7 @@ use tytra_cost::{EstimatorSession, Limiter};
 use tytra_device::TargetDevice;
 use tytra_kernels::EvalKernel;
 use tytra_trace::metrics::{MetricValue, Snapshot};
-use tytra_transform::Variant;
+use tytra_transform::{Variant, VariantFactory};
 
 /// One row of the Fig 15 table.
 #[derive(Debug, Clone)]
@@ -48,19 +48,30 @@ pub fn lane_sweep(
 }
 
 /// [`lane_sweep`] through an existing estimator session, so the sweep
-/// shares memoized sub-results with other passes over the same kernel
-/// (the CLI reuses one session for sweep + tuning).
+/// shares memoized sub-results with other passes over the same kernel.
 pub fn lane_sweep_session(
     kernel: &dyn EvalKernel,
     session: &mut EstimatorSession,
     lanes: &[u64],
     base: &Variant,
 ) -> Vec<LaneSweepRow> {
+    lane_sweep_with(&kernel.variant_factory(), session, lanes, base)
+}
+
+/// [`lane_sweep_session`] over an existing variant factory: each lane
+/// count is costed as a patch of the factory's shared lowered base, so a
+/// caller that also searches and tunes (`tybec dse`) lowers each design
+/// once.
+pub fn lane_sweep_with(
+    factory: &VariantFactory,
+    session: &mut EstimatorSession,
+    lanes: &[u64],
+    base: &Variant,
+) -> Vec<LaneSweepRow> {
     let mut rows = Vec::new();
     for &l in lanes {
-        let v = Variant { lanes: l, ..*base };
-        let Ok(module) = kernel.lower_variant(&v) else { continue };
-        let Ok(r) = session.estimate(&module) else { continue };
+        let Ok(design) = factory.design(&Variant { lanes: l, ..*base }) else { continue };
+        let Ok(r) = session.estimate_design(&design.patched()) else { continue };
         rows.push(row_from(l, &r));
     }
     rows

@@ -631,7 +631,19 @@ fn worker_loop(
 /// across [`SearchMode`]s and worker counts; only [`SearchStats`] and
 /// wall-time differ.
 pub fn search(kernel: &dyn EvalKernel, dev: &TargetDevice, cfg: &SearchConfig) -> SearchOutcome {
-    let ngs = kernel.geometry().size();
+    search_with(&kernel.variant_factory(), dev, cfg)
+}
+
+/// [`search`] over an existing variant factory. Workers share the
+/// factory's lowered arena bases (the first worker to touch a structural
+/// class lowers it for everyone, unless an earlier sweep over the same
+/// factory already did) and cost each variant as a copy-on-write patch.
+pub fn search_with(
+    factory: &VariantFactory,
+    dev: &TargetDevice,
+    cfg: &SearchConfig,
+) -> SearchOutcome {
+    let ngs = factory.geometry().size();
     let sp = &cfg.space;
     let gen = VariantIter::new(ngs, &sp.lanes, &sp.vects, &sp.forms, sp.include_seq);
     let space_cap = gen.space_size();
@@ -649,10 +661,6 @@ pub fn search(kernel: &dyn EvalKernel, dev: &TargetDevice, cfg: &SearchConfig) -
     let incumbent = Incumbent::new(cfg.top_k.max(1));
     let classes = ClassCache::new();
     let dispenser = Dispenser { gen: Mutex::new(gen) };
-    // One factory per sweep: workers share the lowered arena bases (the
-    // first worker to touch a structural class lowers it for everyone)
-    // and cost each variant as a copy-on-write patch.
-    let factory = kernel.variant_factory();
 
     // Prove the filtered space non-empty before spawning anything: a
     // space whose every candidate is an illegal reshape short-circuits
@@ -682,7 +690,7 @@ pub fn search(kernel: &dyn EvalKernel, dev: &TargetDevice, cfg: &SearchConfig) -
             queue.push(item);
         }
         let (out, stats, snap) =
-            worker_loop(&factory, dev, cfg, &dispenser, &incumbent, &classes, &queue, &[], 0);
+            worker_loop(factory, dev, cfg, &dispenser, &incumbent, &classes, &queue, &[], 0);
         merged = out;
         session_stats = stats;
         metrics = snap;
@@ -713,8 +721,8 @@ pub fn search(kernel: &dyn EvalKernel, dev: &TargetDevice, cfg: &SearchConfig) -
                 .iter()
                 .enumerate()
                 .map(|(w, queue)| {
-                    let (factory, dispenser, incumbent, classes, stealers) =
-                        (&factory, &dispenser, &incumbent, &classes, &stealers[..]);
+                    let (dispenser, incumbent, classes, stealers) =
+                        (&dispenser, &incumbent, &classes, &stealers[..]);
                     scope.spawn(move || {
                         worker_loop(
                             factory, dev, cfg, dispenser, incumbent, classes, queue, stealers, w,

@@ -18,7 +18,7 @@ use tytra_cost::{CostReport, EstimatorSession, Limiter};
 use tytra_device::TargetDevice;
 use tytra_ir::MemForm;
 use tytra_kernels::EvalKernel;
-use tytra_transform::Variant;
+use tytra_transform::{Variant, VariantFactory};
 
 /// One step of the tuning trajectory.
 #[derive(Debug, Clone)]
@@ -53,16 +53,28 @@ pub fn tune_session(
     start: Variant,
     max_steps: usize,
 ) -> Vec<TuningStep> {
+    tune_with(&kernel.variant_factory(), session, start, max_steps)
+}
+
+/// [`tune_session`] over an existing variant factory: every step is
+/// costed as a patch of the factory's shared lowered bases, so a caller
+/// that also sweeps and searches (`tybec dse`) lowers each design once.
+pub fn tune_with(
+    factory: &VariantFactory,
+    session: &mut EstimatorSession,
+    start: Variant,
+    max_steps: usize,
+) -> Vec<TuningStep> {
     let mut trajectory = Vec::new();
     let mut current = start;
-    let Some(mut report) = cost_of(kernel, session, &current) else {
+    let Some(mut report) = cost_of(factory, session, &current) else {
         return trajectory;
     };
 
     for _ in 0..max_steps {
         let limiter = report.limiter;
         let dev = session.device();
-        let Some((next, action)) = next_move(kernel, dev, &current, limiter, &report) else {
+        let Some((next, action)) = next_move(factory, dev, &current, limiter, &report) else {
             trajectory.push(TuningStep {
                 variant: current,
                 ekit: report.throughput.ekit,
@@ -71,7 +83,7 @@ pub fn tune_session(
             });
             return trajectory;
         };
-        let Some(next_report) = cost_of(kernel, session, &next) else {
+        let Some(next_report) = cost_of(factory, session, &next) else {
             trajectory.push(TuningStep {
                 variant: current,
                 ekit: report.throughput.ekit,
@@ -104,22 +116,22 @@ pub fn tune_session(
 }
 
 fn cost_of(
-    kernel: &dyn EvalKernel,
+    factory: &VariantFactory,
     session: &mut EstimatorSession,
     v: &Variant,
 ) -> Option<CostReport> {
-    let m = kernel.lower_variant(v).ok()?;
-    session.estimate(&m).ok()
+    let design = factory.design(v).ok()?;
+    session.estimate_design(&design.patched()).ok()
 }
 
 fn next_move(
-    kernel: &dyn EvalKernel,
+    factory: &VariantFactory,
     dev: &TargetDevice,
     v: &Variant,
     limiter: Limiter,
     report: &CostReport,
 ) -> Option<(Variant, &'static str)> {
-    let ngs = kernel.geometry().size();
+    let ngs = factory.geometry().size();
     match limiter {
         Limiter::Compute => {
             let next = Variant { lanes: v.lanes * 2, ..*v };

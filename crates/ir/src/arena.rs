@@ -45,6 +45,7 @@
 
 use crate::config_tree::{self, ConfigNode, ConfigTree};
 use crate::diag::SrcLoc;
+use crate::error::IrError;
 use crate::fingerprint::{
     self, fingerprint_function, fingerprint_module, fingerprint_streams, fingerprint_subtree,
     StableHasher,
@@ -55,7 +56,9 @@ use crate::intern::{Symbol, SymbolTable};
 use crate::module::{IrModule, MemForm};
 use crate::stream::{AccessPattern, AddrSpace, StreamDir};
 use crate::types::ScalarType;
+use crate::validate;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 macro_rules! dense_id {
     ($(#[$doc:meta])* $name:ident) => {
@@ -237,13 +240,18 @@ pub struct ArenaModule {
     noff_bytes: u64,
 
     config: Option<ConfigPlan>,
+
+    /// The base tree's validation verdict, computed on first request and
+    /// shared by every patch of the arena (see
+    /// [`validate_base`][ArenaModule::validate_base]).
+    base_verdict: OnceLock<Result<(), IrError>>,
 }
 
 impl ArenaModule {
-    /// Flatten a module. The module should already be validated (arenas
-    /// are built at parse/validate time — e.g. once per lowered base in a
-    /// DSE sweep); an unvalidated tree still builds, and the estimator's
-    /// arena path revalidates the base before first use.
+    /// Flatten a module. The tree need not be validated: an invalid tree
+    /// still builds, and [`validate_base`][ArenaModule::validate_base]
+    /// (which the estimator's arena path calls before first use) reports
+    /// its error.
     pub fn build(tree: IrModule) -> ArenaModule {
         let mut symbols = SymbolTable::new();
         let n_fns = tree.functions.len();
@@ -300,6 +308,7 @@ impl ArenaModule {
             noff: 0,
             noff_bytes: 0,
             config: None,
+            base_verdict: OnceLock::new(),
             symbols,
             tree,
         };
@@ -493,8 +502,23 @@ impl ArenaModule {
 
     // ---- precomputed digests & geometry ----
 
-    /// [`fingerprint_module`] of the base tree (identifies the arena for
-    /// base-level memoization such as once-per-arena validation).
+    /// Validate the base tree, once per arena: the first call runs
+    /// [`validate::validate`] and caches its verdict, later calls (from any
+    /// thread, any estimator session) return the cached copy. The
+    /// validator never reads the three patched cells — only
+    /// `meta.ndrange`/`nki`/`freq_mhz` and the module name for its trace
+    /// span — so the base verdict is every [`PatchedModule`]'s verdict.
+    pub fn validate_base(&self) -> Result<(), IrError> {
+        self.base_verdict.get_or_init(|| validate::validate(&self.tree)).clone()
+    }
+
+    /// Whether [`validate_base`][ArenaModule::validate_base] has already
+    /// run, so a further call only reads the cached verdict.
+    pub fn base_validated(&self) -> bool {
+        self.base_verdict.get().is_some()
+    }
+
+    /// [`fingerprint_module`] of the base tree.
     pub fn base_fp(&self) -> u64 {
         self.base_fp
     }

@@ -23,7 +23,7 @@
 //! by construction; at worst a dump misses the slot being overwritten
 //! at that instant.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Once};
 
 /// Events retained per thread lane (a power of two).
@@ -133,15 +133,21 @@ impl Lane {
             words[i / 8] |= u64::from(b) << ((i % 8) * 8);
         }
         let seq0 = slot.seq.load(Ordering::Relaxed);
-        slot.seq.store(seq0 | 1, Ordering::Release);
+        slot.seq.store(seq0 | 1, Ordering::Relaxed);
+        // Pairs with the reader's Acquire fence in `read_slot`: a reader
+        // that sees any of the data stores below also sees the odd `seq`.
+        fence(Ordering::Release);
         slot.meta.store(kind.code() | ((len as u64) << 8), Ordering::Relaxed);
         slot.order.store(cur, Ordering::Relaxed);
         slot.detail.store(detail, Ordering::Relaxed);
         for (w, v) in slot.name.iter().zip(words) {
             w.store(v, Ordering::Relaxed);
         }
-        slot.seq.store((seq0 | 1).wrapping_add(1), Ordering::Release);
+        // The cursor is published before the slot closes, so a dump that
+        // reads this record (Acquire on the even `seq`) and then loads the
+        // cursor sees `written > order`.
         self.cursor.store(cur + 1, Ordering::Release);
+        slot.seq.store((seq0 | 1).wrapping_add(1), Ordering::Release);
     }
 
     fn read_slot(&self, index: usize) -> Option<FlightEvent> {
@@ -157,7 +163,10 @@ impl Lane {
         for (w, v) in words.iter_mut().zip(slot.name.iter()) {
             *w = v.load(Ordering::Relaxed);
         }
-        if slot.seq.load(Ordering::Acquire) != s1 {
+        // Pairs with the writer's Release fence in `write`: if any load
+        // above saw a newer write's data, the re-check sees its odd `seq`.
+        fence(Ordering::Acquire);
+        if slot.seq.load(Ordering::Relaxed) != s1 {
             return None; // overwritten while reading
         }
         let kind = EventKind::from_code(meta & 0xFF)?;
@@ -178,6 +187,19 @@ impl Lane {
             (0..RING_CAPACITY).filter_map(|i| self.read_slot(i)).collect();
         events.sort_by_key(|e| e.order);
         events
+    }
+
+    /// Scan the slots first, then load the cursor: every recovered
+    /// event's `order` is then below `written`, however the owning thread
+    /// races the dump.
+    fn dump(&self, labels: &[(u64, String)]) -> LaneDump {
+        let events = self.snapshot();
+        LaneDump {
+            tid: self.tid,
+            label: labels.iter().find(|(t, _)| *t == self.tid).map(|(_, l)| l.clone()),
+            written: self.cursor.load(Ordering::Acquire),
+            events,
+        }
     }
 }
 
@@ -279,28 +301,14 @@ pub fn dump() -> Vec<LaneDump> {
         Err(_) => return Vec::new(),
     };
     let labels = crate::thread_labels();
-    lanes
-        .iter()
-        .map(|lane| LaneDump {
-            tid: lane.tid,
-            label: labels.iter().find(|(t, _)| *t == lane.tid).map(|(_, l)| l.clone()),
-            written: lane.cursor.load(Ordering::Acquire),
-            events: lane.snapshot(),
-        })
-        .collect()
+    lanes.iter().map(|lane| lane.dump(&labels)).collect()
 }
 
 /// [`dump`], restricted to the calling thread's lane. `None` if this
 /// thread never recorded anything.
 pub fn dump_current_thread() -> Option<LaneDump> {
     let lane = MY_LANE.try_with(|cell| cell.borrow().clone()).ok().flatten()?;
-    let labels = crate::thread_labels();
-    Some(LaneDump {
-        tid: lane.tid,
-        label: labels.iter().find(|(t, _)| *t == lane.tid).map(|(_, l)| l.clone()),
-        written: lane.cursor.load(Ordering::Acquire),
-        events: lane.snapshot(),
-    })
+    Some(lane.dump(&crate::thread_labels()))
 }
 
 /// Render lane dumps as the post-mortem text format: one header line

@@ -20,11 +20,12 @@
 //! the first worker to touch a structural class lowers it for everyone.
 
 use crate::expr::KernelDef;
-use crate::lower::{lower, Geometry};
+use crate::lower::{lower_unvalidated, Geometry};
 use crate::typetrans::{InnerKind, Variant};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use tytra_ir::{ArenaModule, IrError, MemForm, PatchedModule};
+use tytra_trace as trace;
 
 /// One design variant as a copy-on-write delta over a shared arena base:
 /// the owned module name plus the patched form/DV cells.
@@ -93,9 +94,9 @@ impl VariantFactory {
         self.bases.lock().map(|b| b.len()).unwrap_or(0)
     }
 
-    /// The design for `variant`: lowers the variant's structural class on
-    /// first sight, then patches the shared base. Errors exactly as
-    /// [`lower`] does on an illegal reshape.
+    /// The design for `variant`: lowers and validates the variant's
+    /// structural class on first sight (a `transform.lower` span), then
+    /// patches the shared base. Errors exactly as [`lower`] does.
     pub fn design(&self, variant: &Variant) -> Result<VariantDesign, IrError> {
         if !variant.is_legal(self.geom.size()) {
             // Same error text as `lower` for the same illegal variant.
@@ -111,8 +112,14 @@ impl VariantFactory {
             match bases.get(&key) {
                 Some(b) => Arc::clone(b),
                 None => {
-                    let m = lower(&self.kernel, &self.geom, variant)?;
-                    let a = Arc::new(ArenaModule::build(m));
+                    let _sp = trace::span("transform.lower");
+                    let a =
+                        ArenaModule::build(lower_unvalidated(&self.kernel, &self.geom, variant)?);
+                    // The one validation this base gets in the process: the
+                    // verdict is cached on the arena, where every estimator
+                    // session that costs one of its patches reads it.
+                    a.validate_base()?;
+                    let a = Arc::new(a);
                     bases.insert(key, Arc::clone(&a));
                     a
                 }
@@ -130,6 +137,7 @@ impl VariantFactory {
 mod tests {
     use super::*;
     use crate::expr::Expr;
+    use crate::lower::lower;
     use crate::typetrans::enumerate_variants;
     use tytra_ir::{fingerprint_module, ScalarType};
 

@@ -11,7 +11,7 @@ use crate::expr::{Expr, KernelDef};
 use crate::typetrans::{InnerKind, Variant};
 use std::collections::HashMap;
 use tytra_ir::{
-    FunctionBuilder, IrError, IrModule, MemForm, ModuleBuilder, Opcode, Operand, ParKind,
+    validate, FunctionBuilder, IrError, IrModule, MemForm, ModuleBuilder, Opcode, Operand, ParKind,
     ScalarType, StreamDir,
 };
 
@@ -38,6 +38,18 @@ impl Geometry {
 
 /// Lower `kernel` under `variant` to a validated TyTra-IR module.
 pub fn lower(kernel: &KernelDef, geom: &Geometry, variant: &Variant) -> Result<IrModule, IrError> {
+    let m = lower_unvalidated(kernel, geom, variant)?;
+    validate(&m)?;
+    Ok(m)
+}
+
+/// [`lower`] without the final validation: the variant factory validates
+/// each lowered base once, through its arena's cached verdict.
+pub(crate) fn lower_unvalidated(
+    kernel: &KernelDef,
+    geom: &Geometry,
+    variant: &Variant,
+) -> Result<IrModule, IrError> {
     let ngs = geom.size();
     if !variant.is_legal(ngs) {
         return Err(IrError::Validate(format!(
@@ -110,7 +122,7 @@ pub fn lower(kernel: &KernelDef, geom: &Geometry, variant: &Variant) -> Result<I
     }
 
     b.ndrange(&geom.ndrange).nki(geom.nki).form(variant.form).vect(variant.vect);
-    b.finish()
+    Ok(b.finish_unchecked())
 }
 
 fn declare_array(
