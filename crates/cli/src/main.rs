@@ -260,6 +260,9 @@ fn run(args: &[String]) -> Result<(), CliError> {
         tytra_trace::set_enabled(true);
         tytra_trace::set_thread_label("main");
     }
+    if cmd != "serve" {
+        exit_quietly_on_closed_stdout();
+    }
     let rest = &args[1..];
     let result = {
         // Root span covering the whole subcommand (`tybec.cost`, …).
@@ -291,6 +294,29 @@ fn run(args: &[String]) -> Result<(), CliError> {
         result.and(wrote)
     } else {
         result
+    }
+}
+
+/// Restore the default `SIGPIPE` action, so a one-shot command whose
+/// reader hangs up (`tybec dse sor | head -1`) ends quietly, as Unix
+/// filters do, instead of panicking in `println!`. The Rust runtime
+/// ignores `SIGPIPE`; `serve` keeps it ignored, so a client that hangs up
+/// costs the daemon a write error, not its life.
+fn exit_quietly_on_closed_stdout() {
+    #[cfg(unix)]
+    {
+        extern "C" {
+            fn signal(signum: i32, handler: usize) -> usize;
+        }
+        const SIGPIPE: i32 = 13;
+        const SIG_DFL: usize = 0;
+        // SAFETY: the declaration matches C's `signal(int, sighandler_t)`,
+        // whose handler argument is pointer-sized; SIGPIPE is 13 and
+        // SIG_DFL is 0 on every Unix target, and installing the default
+        // action runs no handler code in this process.
+        unsafe {
+            signal(SIGPIPE, SIG_DFL);
+        }
     }
 }
 

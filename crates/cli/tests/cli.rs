@@ -177,6 +177,31 @@ fn dse_runs_a_small_sweep() {
 }
 
 #[test]
+fn a_closed_stdout_ends_a_one_shot_command_quietly() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tybec"))
+        .args(["dse", "lavamd", "--lanes", "1,2,4,8,16,32,64"])
+        .current_dir(workspace_root())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("tybec runs");
+    // Take the first line and hang up, as `| head -1` does; the sweep
+    // rows, the leaderboard and the tuning trajectory are still unwritten.
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("first line");
+    let mut err = String::new();
+    child.stderr.take().expect("piped stderr").read_to_string(&mut err).expect("stderr");
+    let status = child.wait().expect("tybec exits");
+    assert!(first.contains("lane sweep"), "{first}");
+    assert!(!err.contains("panicked"), "a hang-up is not a crash:\n{err}");
+    assert_ne!(status.code(), Some(101), "{err}");
+}
+
+#[test]
 fn roofline_places_variants() {
     let o = tybec(&["roofline", "hotspot", "--lanes", "1,8"]);
     assert!(o.status.success(), "{}", stderr(&o));

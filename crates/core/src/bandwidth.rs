@@ -95,8 +95,9 @@ pub(crate) fn assess_impl(
     // Slowest per-element rate across co-required streams, items/s.
     let mut min_item_rate = f64::INFINITY;
     let mut bytes_per_item_all_lanes = 0.0f64;
-    for s in &m.streams {
-        let Some(mem) = m.mem(&s.mem) else { continue };
+    let links = m.manage_links();
+    for (i, s) in m.streams.iter().enumerate() {
+        let Some(mem) = links.stream_mem(i) else { continue };
         if !mem.space.is_offchip() {
             continue;
         }
@@ -131,10 +132,8 @@ pub(crate) fn assess_impl(
 
     // Host DMA moves whole arrays contiguously regardless of the kernel's
     // access pattern; its sustained figure depends on transfer size.
-    let total_elems: u64 = m
-        .streams
-        .iter()
-        .filter_map(|s| m.mem(&s.mem))
+    let total_elems: u64 = (0..m.streams.len())
+        .filter_map(|i| links.stream_mem(i))
         .filter(|mem| mem.space.is_offchip())
         .map(|mem| mem.len)
         .sum();

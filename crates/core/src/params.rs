@@ -129,13 +129,9 @@ impl RawGeometry {
                 local_bytes += mem.bytes();
             }
         }
-        for p in &m.ports {
-            let offchip = m
-                .stream(&p.stream)
-                .and_then(|s| m.mem(&s.mem))
-                .map(|mem| mem.space.is_offchip())
-                .unwrap_or(true);
-            if offchip {
+        let links = m.manage_links();
+        for (i, p) in m.ports.iter().enumerate() {
+            if links.port_offchip(i) {
                 n_streams += 1;
                 offchip_ports += 1;
                 bytes += u64::from(p.ty.bytes());
@@ -362,6 +358,72 @@ mod tests {
         let m = b.finish_unchecked();
         let (p, _) = CostParams::extract(&m, &stratix_v_gsd8()).unwrap();
         assert_eq!(p.noff, 0, "pure look-behind needs no priming");
+    }
+
+    /// [`stencil_module`] plus Manage-IR names declared twice (the copies
+    /// differ in space, type and length) and dangling references.
+    fn shadowed_module() -> IrModule {
+        use tytra_ir::{AccessPattern, AddrSpace, MemObject, PortDecl, SrcLoc, StreamObject};
+        let mem = |name: &str, space, elem_ty, len| MemObject {
+            name: name.into(),
+            space,
+            elem_ty,
+            len,
+            span: SrcLoc::none(),
+        };
+        let stream = |name: &str, mem: &str| StreamObject {
+            name: name.into(),
+            mem: mem.into(),
+            dir: StreamDir::Read,
+            pattern: AccessPattern::Contiguous,
+            span: SrcLoc::none(),
+        };
+        let port = |name: &str, stream: &str| PortDecl {
+            name: name.into(),
+            space: AddrSpace::Other(12),
+            ty: T,
+            dir: StreamDir::Read,
+            pattern: AccessPattern::Contiguous,
+            base_offset: 0,
+            stream: stream.into(),
+            span: SrcLoc::none(),
+        };
+        let mut m = stencil_module(1);
+        let u32_ty = ScalarType::UInt(32);
+        m.mems.extend([
+            mem("mem_p", AddrSpace::Global, u32_ty, 7),
+            mem("mem_s", AddrSpace::Local, T, 64),
+            mem("mem_s", AddrSpace::Global, u32_ty, 64),
+        ]);
+        m.streams.extend([
+            stream("strobj_q", "mem_p"),
+            stream("strobj_s", "mem_s"),
+            stream("strobj_g", "ghost"),
+        ]);
+        m.ports.extend([
+            port("main.r", "strobj_q"),
+            port("main.s", "strobj_s"),
+            port("main.g", "nosuch"),
+            port("main.h", "strobj_g"),
+        ]);
+        m
+    }
+
+    #[test]
+    fn shadowed_manage_ir_names_resolve_to_the_first_declaration() {
+        let m = shadowed_module();
+        let tree = config_tree::extract(&m).unwrap();
+        // Off chip: p, q, r (through the first `strobj_q`) and the
+        // dangling g and h; `main.s` is on chip through the first `mem_s`.
+        let g = RawGeometry::extract(&m, &tree);
+        assert_eq!(g.n_streams, 5);
+        assert_eq!(g.bytes_per_item, 5 * 3);
+        // The bandwidth pass sees the off-chip streams with the first
+        // `mem_p`'s length; neither `mem_s` nor a dangling name counts.
+        let bw = crate::bandwidth::assess(&m, &stratix_v_gsd8());
+        let streams: Vec<(&str, u64)> =
+            bw.streams.iter().map(|s| (s.name.as_str(), s.elems)).collect();
+        assert_eq!(streams, [("strobj_p", 27_000), ("strobj_q", 27_000), ("strobj_q", 27_000)]);
     }
 
     #[test]

@@ -256,17 +256,13 @@ fn estimate_resources_impl(
     }
 
     // Module-level: stream control per off-chip stream.
+    let links = m.manage_links();
+    let offchip_streams = (0..m.ports.len()).filter(|&p| links.port_offchip(p)).count() as u64;
     if opts.structural_resources {
-        for p in &m.ports {
-            let offchip = m
-                .stream(&p.stream)
-                .and_then(|s| m.mem(&s.mem))
-                .map(|mem| mem.space.is_offchip())
-                .unwrap_or(true);
-            if offchip {
-                acc.control += ResourceVector::new(STREAM_CTRL_ALUTS, STREAM_CTRL_REGS, 0, 0);
-            }
-        }
+        // `u64` addition is exact, so one multiply equals a per-port
+        // accumulation.
+        acc.control +=
+            ResourceVector::new(STREAM_CTRL_ALUTS, STREAM_CTRL_REGS, 0, 0) * offchip_streams;
     }
     // Local memory objects are BRAM-resident.
     for mem in &m.mems {
@@ -282,16 +278,6 @@ fn estimate_resources_impl(
     let mut lane_acc = ResourceBreakdown::default();
     walk.node_cost(lane, &mut lane_acc)?;
     let lanes = if tree.kind == ParKind::Par { tree.children.len() as u64 } else { 1 };
-    let offchip_streams = m
-        .ports
-        .iter()
-        .filter(|p| {
-            m.stream(&p.stream)
-                .and_then(|s| m.mem(&s.mem))
-                .map(|mem| mem.space.is_offchip())
-                .unwrap_or(true)
-        })
-        .count() as u64;
     let ctrl_per_lane = offchip_streams.div_ceil(lanes.max(1));
     let per_lane = lane_acc.total()
         + ResourceVector::new(STREAM_CTRL_ALUTS, STREAM_CTRL_REGS, 0, 0) * ctrl_per_lane;

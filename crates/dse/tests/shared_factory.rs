@@ -6,7 +6,9 @@
 //! has already warmed, must rank exactly as a search on its own factory.
 //!
 //! Covers all three kernels over lanes 1..=64 (illegal reshapes
-//! included — both paths must skip the same points).
+//! included — both paths must skip the same points). Underneath, every
+//! factory design must *be* the lowered module: the factory lowers the
+//! lane body once per inner kind and reuses it for every base.
 
 use tytra_cost::{CostReport, EstimatorSession, Limiter};
 use tytra_device::{stratix_v_gsd8, TargetDevice};
@@ -14,9 +16,9 @@ use tytra_dse::{
     lane_sweep_with, search, search_with, tune_with, ExplorationConfig, LaneSweepRow, SearchConfig,
     SearchOutcome, TuningStep,
 };
-use tytra_ir::MemForm;
+use tytra_ir::{fingerprint_module, MemForm};
 use tytra_kernels::{all_kernels, EvalKernel};
-use tytra_transform::{Variant, VariantFactory};
+use tytra_transform::{InnerKind, Variant, VariantFactory};
 
 fn lanes() -> Vec<u64> {
     (1..=64).collect()
@@ -202,5 +204,35 @@ fn illegal_variants_error_like_lower_on_every_kernel() {
         let from_lower = kernel.lower_variant(&v).unwrap_err();
         assert_eq!(from_factory.to_string(), from_lower.to_string(), "{}", kernel.name());
         assert_eq!(factory.bases_built(), 0, "{}: illegal variants lower nothing", kernel.name());
+    }
+}
+
+#[test]
+fn factory_designs_are_the_lowered_modules_on_every_kernel() {
+    let forms = [MemForm::A, MemForm::B, MemForm::C, MemForm::Tiled { tiles: 4 }];
+    for kernel in all_kernels() {
+        let factory = kernel.variant_factory();
+        let ngs = kernel.geometry().size();
+        let mut checked = 0;
+        for lanes in lanes().into_iter().filter(|l| ngs % l == 0) {
+            for inner in [InnerKind::Pipe, InnerKind::Seq] {
+                for form in forms {
+                    let v = Variant { lanes, vect: 1, inner, form };
+                    let direct = kernel.lower_variant(&v).expect("legal variant lowers");
+                    let design = factory.design(&v).expect("legal variant has a design");
+                    let tag = format!("{} {}", kernel.name(), v.tag());
+                    assert_eq!(
+                        design.patched().fingerprint(),
+                        fingerprint_module(&direct),
+                        "{tag}"
+                    );
+                    assert_eq!(design.patched().materialize(), direct, "{tag}");
+                    let base = design.arena();
+                    assert_eq!(base.base_fp(), fingerprint_module(base.tree()), "{tag}");
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked >= 8 * forms.len(), "{}: too few legal lane counts", kernel.name());
     }
 }

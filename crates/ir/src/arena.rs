@@ -47,8 +47,7 @@ use crate::config_tree::{self, ConfigNode, ConfigTree};
 use crate::diag::SrcLoc;
 use crate::error::IrError;
 use crate::fingerprint::{
-    self, fingerprint_function, fingerprint_module, fingerprint_streams, fingerprint_subtree,
-    StableHasher,
+    self, fingerprint_function, fingerprint_streams, fingerprint_subtree, StableHasher,
 };
 use crate::function::{ParKind, PortDir, Stmt};
 use crate::instr::{Dest, Opcode, Operand};
@@ -253,8 +252,12 @@ impl ArenaModule {
     /// (which the estimator's arena path calls before first use) reports
     /// its error.
     pub fn build(tree: IrModule) -> ArenaModule {
-        let mut symbols = SymbolTable::new();
         let n_fns = tree.functions.len();
+        // A generous estimate of the distinct names, so interning seldom
+        // regrows (and rehashes) the symbol index.
+        let n_names = 2 * (tree.mems.len() + tree.streams.len() + tree.ports.len())
+            + tree.functions.iter().map(|f| 1 + f.params.len() + 2 * f.body.len()).sum::<usize>();
+        let mut symbols = SymbolTable::with_capacity(n_names);
 
         let mut a = ArenaModule {
             fn_name: Vec::with_capacity(n_fns),
@@ -396,15 +399,11 @@ impl ArenaModule {
             a.stream_dir.push(s.dir);
             a.stream_pattern.push(s.pattern);
         }
-        for p in &a.tree.ports {
+        let links = a.tree.manage_links();
+        for (i, p) in a.tree.ports.iter().enumerate() {
             a.port_name.push(symbols.intern(&p.name));
             a.port_ty.push(p.ty);
-            let offchip = a
-                .tree
-                .stream(&p.stream)
-                .and_then(|s| a.tree.mem(&s.mem))
-                .map(|mem| mem.space.is_offchip())
-                .unwrap_or(true);
+            let offchip = links.port_offchip(i);
             a.port_offchip.push(offchip);
             if offchip {
                 a.offchip_ports += 1;
@@ -426,7 +425,6 @@ impl ArenaModule {
             }
         }
 
-        a.base_fp = fingerprint_module(&a.tree);
         a.streams_fp = fingerprint_streams(&a.tree);
         a.bw_key = {
             let mut h = StableHasher::new();
@@ -436,6 +434,9 @@ impl ArenaModule {
         };
 
         a.symbols = symbols;
+        // The identity patch replays `fingerprint_module` from the columns
+        // and the streams digest above, without hashing the tree again.
+        a.base_fp = a.fingerprint_patched(&a.tree.name, a.tree.meta.form, a.tree.meta.vect);
         a.config = config_tree::extract(&a.tree).ok().map(|t| build_plan(&a, t));
         a
     }
@@ -518,7 +519,8 @@ impl ArenaModule {
         self.base_verdict.get().is_some()
     }
 
-    /// [`fingerprint_module`] of the base tree.
+    /// [`fingerprint_module`][fingerprint::fingerprint_module] of the base
+    /// tree.
     pub fn base_fp(&self) -> u64 {
         self.base_fp
     }
@@ -593,9 +595,9 @@ impl ArenaModule {
         self.patched(&self.tree.name, self.tree.meta.form, self.tree.meta.vect)
     }
 
-    /// [`fingerprint_module`] of the patched module, computed from the
-    /// columns without materializing a tree. Byte-identical to hashing
-    /// the patched tree.
+    /// [`fingerprint_module`][fingerprint::fingerprint_module] of the
+    /// patched module, computed from the columns without materializing a
+    /// tree. Byte-identical to hashing the patched tree.
     pub fn fingerprint_patched(&self, name: &str, form: MemForm, vect: u32) -> u64 {
         let mut h = StableHasher::new();
         h.write_str(name);
@@ -771,7 +773,8 @@ pub struct PatchedModule<'a> {
 }
 
 impl PatchedModule<'_> {
-    /// [`fingerprint_module`] of this variant, allocation-free.
+    /// [`fingerprint_module`][fingerprint::fingerprint_module] of this
+    /// variant, allocation-free.
     pub fn fingerprint(&self) -> u64 {
         self.arena.fingerprint_patched(self.name, self.form, self.vect)
     }
@@ -793,6 +796,7 @@ impl PatchedModule<'_> {
 mod tests {
     use super::*;
     use crate::builder::ModuleBuilder;
+    use crate::fingerprint::fingerprint_module;
     use crate::module::MemForm;
     use crate::types::ScalarType;
     use crate::Opcode;

@@ -43,8 +43,15 @@ pub struct FunctionBuilder {
 }
 
 impl FunctionBuilder {
-    fn new(name: &str, kind: ParKind) -> FunctionBuilder {
+    /// A builder for a function outside any module; add the result to a
+    /// module with [`ModuleBuilder::add_function`].
+    pub fn new(name: &str, kind: ParKind) -> FunctionBuilder {
         FunctionBuilder { func: IrFunction::new(name, kind), next_tmp: 0 }
+    }
+
+    /// The finished function.
+    pub fn finish(self) -> IrFunction {
+        self.func
     }
 
     /// Declare an input streaming port.
@@ -271,6 +278,13 @@ impl ModuleBuilder {
         self.commit_functions();
         self.pending_fb = Some(FunctionBuilder::new(name, kind));
         self.pending_fb.as_mut().expect("just set")
+    }
+
+    /// Append an already-built function (see [`FunctionBuilder::new`]).
+    pub fn add_function(&mut self, f: IrFunction) -> &mut Self {
+        self.commit_functions();
+        self.pending.push(f);
+        self
     }
 
     /// Add a `main` that calls `callee` once, forwarding every declared

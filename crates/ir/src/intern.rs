@@ -79,7 +79,18 @@ impl Default for SymbolTable {
 impl SymbolTable {
     /// Fresh table holding only the empty string as [`Symbol::EMPTY`].
     pub fn new() -> SymbolTable {
-        let mut t = SymbolTable { bytes: String::new(), spans: Vec::new(), slots: vec![0; 16] };
+        SymbolTable::with_capacity(0)
+    }
+
+    /// [`new`][SymbolTable::new], with room for `n` symbols before the
+    /// index grows (and rehashes every symbol interned so far).
+    pub(crate) fn with_capacity(n: usize) -> SymbolTable {
+        let slots = (2 * n + 2).next_power_of_two().max(16);
+        let mut t = SymbolTable {
+            bytes: String::new(),
+            spans: Vec::with_capacity(n + 1),
+            slots: vec![0; slots],
+        };
         let e = t.intern("");
         debug_assert_eq!(e, Symbol::EMPTY);
         t

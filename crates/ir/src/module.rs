@@ -2,6 +2,7 @@
 
 use crate::function::{IrFunction, ParKind};
 use crate::stream::{MemObject, PortDecl, StreamObject};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Memory-execution form (section III-5, Fig 6): how the memory hierarchy
@@ -148,6 +149,34 @@ impl IrModule {
         self.ports.iter().find(|p| p.name == name)
     }
 
+    /// Resolve every Manage-IR name link at once: each stream's memory
+    /// object and each port's stream, through name indexes built once
+    /// (linear in the Manage-IR, where per-item [`mem`][IrModule::mem]/
+    /// [`stream`][IrModule::stream] scans are quadratic). Resolves
+    /// exactly as those lookups do: the first declaration of a name wins.
+    pub fn manage_links(&self) -> ManageLinks<'_> {
+        fn first_index<'a>(
+            names: impl ExactSizeIterator<Item = &'a str>,
+        ) -> HashMap<&'a str, usize> {
+            let mut index = HashMap::with_capacity(names.len());
+            for (i, n) in names.enumerate() {
+                index.entry(n).or_insert(i);
+            }
+            index
+        }
+        let mems = first_index(self.mems.iter().map(|m| m.name.as_str()));
+        let streams = first_index(self.streams.iter().map(|s| s.name.as_str()));
+        ManageLinks {
+            m: self,
+            stream_mem: self.streams.iter().map(|s| mems.get(s.mem.as_str()).copied()).collect(),
+            port_stream: self
+                .ports
+                .iter()
+                .map(|p| streams.get(p.stream.as_str()).copied())
+                .collect(),
+        }
+    }
+
     /// Total SSA instruction count over every function (static count; the
     /// per-PE `NI` of the throughput model is computed per configuration by
     /// the cost crate).
@@ -200,6 +229,39 @@ impl IrModule {
             }
         }
         out
+    }
+}
+
+/// A module's Manage-IR name links, resolved once by
+/// [`IrModule::manage_links`]. Indices are positions in the module's
+/// `streams` and `ports`.
+#[derive(Debug, Clone)]
+pub struct ManageLinks<'m> {
+    m: &'m IrModule,
+    stream_mem: Vec<Option<usize>>,
+    port_stream: Vec<Option<usize>>,
+}
+
+impl<'m> ManageLinks<'m> {
+    /// The memory object stream `s` reads or writes, if declared.
+    pub fn stream_mem(&self, s: usize) -> Option<&'m MemObject> {
+        self.stream_mem[s].map(|i| &self.m.mems[i])
+    }
+
+    /// The stream object port `p` binds, if declared.
+    pub fn port_stream(&self, p: usize) -> Option<&'m StreamObject> {
+        self.port_stream[p].map(|i| &self.m.streams[i])
+    }
+
+    /// The memory object behind port `p`'s stream, if both resolve.
+    pub fn port_mem(&self, p: usize) -> Option<&'m MemObject> {
+        self.port_stream[p].and_then(|s| self.stream_mem(s))
+    }
+
+    /// Whether port `p` moves data over the off-chip link. A port whose
+    /// stream or memory object does not resolve counts as off-chip.
+    pub fn port_offchip(&self, p: usize) -> bool {
+        self.port_mem(p).map(|mem| mem.space.is_offchip()).unwrap_or(true)
     }
 }
 

@@ -107,7 +107,7 @@ impl Ctx<'_> {
 }
 
 fn dup_check<'a, I: Iterator<Item = (&'a str, SrcLoc)>>(what: &str, names: I, ctx: &mut Ctx<'_>) {
-    let mut seen = HashSet::new();
+    let mut seen = HashSet::with_capacity(names.size_hint().0);
     for (n, loc) in names {
         if !seen.insert(n) {
             ctx.invalid("TL0001", loc, format!("duplicate {what} name `{n}`"));
@@ -123,13 +123,14 @@ fn check_unique_names(m: &IrModule, ctx: &mut Ctx<'_>) {
 }
 
 fn check_manage_ir(m: &IrModule, ctx: &mut Ctx<'_>) {
-    for s in &m.streams {
-        if m.mem(&s.mem).is_none() {
+    let links = m.manage_links();
+    for (i, s) in m.streams.iter().enumerate() {
+        if links.stream_mem(i).is_none() {
             ctx.unknown(s.span, "memory object", &s.mem);
         }
     }
-    for p in &m.ports {
-        let Some(s) = m.stream(&p.stream) else {
+    for (i, p) in m.ports.iter().enumerate() {
+        let Some(s) = links.port_stream(i) else {
             ctx.unknown(p.span, "stream object", &p.stream);
             continue;
         };
@@ -140,7 +141,7 @@ fn check_manage_ir(m: &IrModule, ctx: &mut Ctx<'_>) {
                 format!("port `{}` direction disagrees with stream `{}`", p.name, s.name),
             );
         }
-        let Some(mem) = m.mem(&s.mem) else {
+        let Some(mem) = links.port_mem(i) else {
             continue; // dangling stream already reported above
         };
         if mem.elem_ty != p.ty {
@@ -212,7 +213,8 @@ fn check_function(m: &IrModule, f: &IrFunction, ctx: &mut Ctx<'_>) {
     }
 
     // SSA + def-before-use.
-    let mut defined: HashSet<&str> = f.params.iter().map(|p| p.name.as_str()).collect();
+    let mut defined: HashSet<&str> = HashSet::with_capacity(f.params.len() + f.body.len());
+    defined.extend(f.params.iter().map(|p| p.name.as_str()));
     for s in &f.body {
         match s {
             Stmt::Offset(o) => {
@@ -660,6 +662,106 @@ mod tests {
             IrError::Unknown { kind: "memory object", name: "ghost".into() }
         );
         assert!(codes_of(&m).contains(&"TL0002"));
+    }
+
+    /// [`valid_module`] plus Manage-IR whose names are declared twice,
+    /// the copies differing in space, type, length and direction, plus
+    /// dangling references. Read first-declaration-wins, every port agrees
+    /// with its stream and memory; read last-wins, `main.p` would disagree
+    /// in type, `main.q` in direction, and `main.s` would move off chip.
+    fn shadowed_module() -> IrModule {
+        use crate::stream::{
+            AccessPattern, AddrSpace, MemObject, PortDecl, StreamDir, StreamObject,
+        };
+        let mem = |name: &str, space, elem_ty, len| MemObject {
+            name: name.into(),
+            space,
+            elem_ty,
+            len,
+            span: SrcLoc::none(),
+        };
+        let stream = |name: &str, mem: &str, dir| StreamObject {
+            name: name.into(),
+            mem: mem.into(),
+            dir,
+            pattern: AccessPattern::Contiguous,
+            span: SrcLoc::none(),
+        };
+        let port = |name: &str, stream: &str, dir| PortDecl {
+            name: name.into(),
+            space: AddrSpace::Other(12),
+            ty: T,
+            dir,
+            pattern: AccessPattern::Contiguous,
+            base_offset: 0,
+            stream: stream.into(),
+            span: SrcLoc::none(),
+        };
+        let mut m = valid_module();
+        let u32_ty = ScalarType::UInt(32);
+        m.mems.extend([
+            mem("mem_p", AddrSpace::Global, u32_ty, 7),
+            mem("mem_s", AddrSpace::Local, T, 64),
+            mem("mem_s", AddrSpace::Global, u32_ty, 64),
+        ]);
+        m.streams.extend([
+            stream("strobj_q", "mem_p", StreamDir::Read),
+            stream("strobj_s", "mem_s", StreamDir::Read),
+            stream("strobj_g1", "ghost1", StreamDir::Read),
+            stream("strobj_g2", "ghost2", StreamDir::Write),
+        ]);
+        m.ports.extend([
+            port("main.r", "strobj_q", StreamDir::Write),
+            port("main.s", "strobj_s", StreamDir::Read),
+            port("main.g", "nosuch", StreamDir::Read),
+            port("main.h", "strobj_g1", StreamDir::Read),
+        ]);
+        m
+    }
+
+    #[test]
+    fn shadowed_manage_ir_names_resolve_to_the_first_declaration() {
+        let m = shadowed_module();
+        let links = m.manage_links();
+        for (i, s) in m.streams.iter().enumerate() {
+            assert_eq!(
+                links.stream_mem(i).map(|x| x as *const _),
+                m.mem(&s.mem).map(|x| x as *const _)
+            );
+        }
+        for (i, p) in m.ports.iter().enumerate() {
+            let scanned = m.stream(&p.stream);
+            assert_eq!(links.port_stream(i).map(|x| x as *const _), scanned.map(|x| x as *const _));
+            let mem = scanned.and_then(|s| m.mem(&s.mem));
+            assert_eq!(links.port_mem(i).map(|x| x as *const _), mem.map(|x| x as *const _));
+        }
+        // `main.s` is on chip through the first `mem_s`; the dangling
+        // `main.g` and `main.h` count as off chip.
+        let offchip: Vec<bool> = (0..m.ports.len()).map(|i| links.port_offchip(i)).collect();
+        assert_eq!(offchip, [true, true, true, false, true, true]);
+        let arena = crate::arena::ArenaModule::build(m);
+        assert_eq!(arena.offchip_ports(), 5);
+        assert_eq!(arena.offchip_port_bytes(), 5 * 3, "ui18 ports round to 3 bytes");
+    }
+
+    #[test]
+    fn shadowed_manage_ir_diagnostics_keep_their_order_and_text() {
+        let mut sink = DiagSink::new();
+        let first = validate_into(&shadowed_module(), &mut sink);
+        let got: Vec<(&str, &str)> =
+            sink.diagnostics().iter().map(|d| (d.code, d.message.as_str())).collect();
+        assert_eq!(
+            got,
+            [
+                ("TL0001", "duplicate memory object name `mem_p`"),
+                ("TL0001", "duplicate memory object name `mem_s`"),
+                ("TL0001", "duplicate stream object name `strobj_q`"),
+                ("TL0002", "unknown memory object `ghost1`"),
+                ("TL0002", "unknown memory object `ghost2`"),
+                ("TL0002", "unknown stream object `nosuch`"),
+            ]
+        );
+        assert_eq!(first, Some(IrError::Validate("duplicate memory object name `mem_p`".into())));
     }
 
     #[test]

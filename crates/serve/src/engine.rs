@@ -20,7 +20,7 @@ use crate::protocol::{
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex};
 use tytra_cost::EstimatorSession;
 use tytra_device::TargetDevice;
 use tytra_dse::{render_search_leaderboard, search, ExplorationConfig, SearchConfig};
@@ -167,11 +167,51 @@ pub fn fast_key(kind: &RequestKind) -> Option<FastKey> {
     }
 }
 
+/// What a guarded computation answers: the payload, or the error plus
+/// the flight-recorder dump of a panic.
+pub type Outcome = Result<String, (TybecError, Option<String>)>;
+
+/// One cacheable computation in progress. Its leader publishes the
+/// outcome once; workers that missed the cache on the same key meanwhile
+/// wait for it instead of computing again.
+#[derive(Default)]
+pub(crate) struct Flight {
+    outcome: Mutex<Option<Outcome>>,
+    landed: Condvar,
+}
+
+impl Flight {
+    /// Block until the leader publishes, then return its outcome.
+    pub(crate) fn wait(&self) -> Outcome {
+        let mut slot = self.outcome.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            if let Some(o) = slot.as_ref() {
+                return o.clone();
+            }
+            slot = self.landed.wait(slot).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+}
+
+/// How a worker that missed the cache on a key proceeds.
+pub(crate) enum Claim {
+    /// The payload landed in the cache meanwhile.
+    Hit(String),
+    /// Another worker is computing it: wait on its flight.
+    Follow(Arc<Flight>),
+    /// Compute it, then [`land`][Shared::land] this flight.
+    Lead(Arc<Flight>),
+}
+
 /// Daemon-wide state: the bounded cross-request response cache, the
 /// shutdown flag, and the live metrics registry (`serve.*` names; see
 /// `docs/serve.md` for the catalogue).
 pub struct Shared {
     cache: Mutex<BoundedMap<CacheKey, String>>,
+    /// Cacheable computations in progress, keyed like the cache: the
+    /// single-flight table that keeps concurrent misses on one key from
+    /// all computing it.
+    inflight: Mutex<HashMap<CacheKey, Arc<Flight>>>,
     /// Raw request text → structural cache key, so a repeat of the exact
     /// same request bytes skips TIRL parsing and fingerprinting
     /// entirely: the reader thread answers from [`Shared::cache`]
@@ -187,8 +227,9 @@ pub struct Shared {
     pub requests: Counter,
     /// Requests answered with `ok:false`.
     pub errors: Counter,
-    /// Requests answered from the cross-request cache or coalesced onto
-    /// a same-class computation in the same batch.
+    /// Requests answered from the cross-request cache, coalesced onto a
+    /// same-class computation in the same batch, or answered by another
+    /// worker's in-flight computation of the same key.
     pub cache_hits: Counter,
     /// Cacheable computations actually performed.
     pub cache_misses: Counter,
@@ -212,6 +253,7 @@ impl Shared {
         let registry = Registry::new();
         Shared {
             cache: Mutex::new(BoundedMap::new(cache_capacity)),
+            inflight: Mutex::new(HashMap::new()),
             fast: Mutex::new(BoundedMap::new(cache_capacity)),
             shutdown: AtomicBool::new(false),
             requests: registry.counter("serve.requests"),
@@ -255,6 +297,32 @@ impl Shared {
         if self.cache.lock().unwrap_or_else(|e| e.into_inner()).insert(key, payload) {
             self.cache_evictions.incr();
         }
+    }
+
+    /// Single-flight admission after a cache miss on `key`: follow the
+    /// flight already computing it, or take the payload if it landed in
+    /// the cache since the miss, or lead a new flight.
+    pub(crate) fn claim(&self, key: &CacheKey) -> Claim {
+        let mut inflight = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(flight) = inflight.get(key) {
+            return Claim::Follow(Arc::clone(flight));
+        }
+        // A leader caches its payload before it leaves the table, so under
+        // the table lock a missing flight means the cache is current.
+        if let Some(hit) = self.cache_get(key) {
+            return Claim::Hit(hit);
+        }
+        let flight = Arc::new(Flight::default());
+        inflight.insert(key.clone(), Arc::clone(&flight));
+        Claim::Lead(flight)
+    }
+
+    /// Publish a led flight's outcome to its followers and retire it. A
+    /// successful payload must already be in the cache.
+    pub(crate) fn land(&self, key: &CacheKey, flight: &Flight, outcome: &Outcome) {
+        *flight.outcome.lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome.clone());
+        flight.landed.notify_all();
+        self.inflight.lock().unwrap_or_else(|e| e.into_inner()).remove(key);
     }
 
     /// Fast-path probe: the cached payload for this exact request text,
@@ -369,12 +437,7 @@ impl Engine {
     /// request — injected via `fault` or a genuine bug — becomes a
     /// categorized internal error plus this thread's flight-recorder
     /// breadcrumbs; the worker (and the daemon) live on.
-    pub fn compute_guarded(
-        &mut self,
-        work: &Work,
-        shared: &Shared,
-        fault: bool,
-    ) -> Result<String, (TybecError, Option<String>)> {
+    pub fn compute_guarded(&mut self, work: &Work, shared: &Shared, fault: bool) -> Outcome {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if fault {
                 recorder::mark("serve.fault_inject", 1);

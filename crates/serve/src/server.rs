@@ -21,7 +21,7 @@
 //! rendered under its own request id. Responses may leave a connection
 //! out of order; ids correlate.
 
-use crate::engine::{fast_key, prepare, CacheKey, Engine, Shared, Work};
+use crate::engine::{fast_key, prepare, CacheKey, Claim, Engine, Outcome, Shared, Work};
 use crate::protocol::{parse_request, render_err, render_ok, Request, RequestError};
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use std::io::{BufRead, BufReader, Write};
@@ -373,34 +373,11 @@ fn dispatch_loop(
 fn run_group(engine: &mut Engine, group: Group, shared: &Shared, endpoint: &Endpoint) {
     let Group { jobs, fault } = group;
     let leader = jobs.first().expect("groups are non-empty");
-    let key = leader.key.clone();
-
-    // Cross-request cache probe (skipped for injected faults so the
-    // fault actually fires).
-    let cached = match (&key, fault) {
-        (Some(k), false) => shared.cache_get(k),
-        _ => None,
-    };
-
-    let (payload, was_shutdown) = match cached {
-        Some(hit) => {
-            shared.cache_hits.add(jobs.len() as u64);
-            (Ok(hit), false)
-        }
-        None => {
-            let was_shutdown = matches!(leader.work, Work::Shutdown);
-            let computed = engine.compute_guarded(&leader.work, shared, fault);
-            if let (Some(k), Ok(payload)) = (&key, &computed) {
-                shared.cache_misses.incr();
-                if jobs.len() > 1 {
-                    // Coalesced members were served without their own
-                    // computation — cache-equivalent hits.
-                    shared.cache_hits.add(jobs.len() as u64 - 1);
-                }
-                shared.cache_put(k.clone(), payload.clone());
-            }
-            (computed, was_shutdown)
-        }
+    // Injected faults skip the cache and the single-flight table, so the
+    // fault actually fires and nobody waits on it.
+    let payload = match (&leader.key, fault) {
+        (Some(key), false) => cached_or_computed(engine, &leader.work, key, jobs.len(), shared),
+        _ => engine.compute_guarded(&leader.work, shared, fault),
     };
 
     match &payload {
@@ -419,8 +396,48 @@ fn run_group(engine: &mut Engine, group: Group, shared: &Shared, endpoint: &Endp
         }
     }
 
-    if was_shutdown {
+    if matches!(leader.work, Work::Shutdown) {
         // `compute` set the flag; unblock the accept loop.
         endpoint.poke();
+    }
+}
+
+/// The payload for a cacheable group of `members` jobs: from the cache,
+/// from another worker's computation of the same key (single flight), or
+/// computed here and cached. Members served without a computation of
+/// their own count as cache hits.
+fn cached_or_computed(
+    engine: &mut Engine,
+    work: &Work,
+    key: &CacheKey,
+    members: usize,
+    shared: &Shared,
+) -> Outcome {
+    let claim = match shared.cache_get(key) {
+        Some(hit) => Claim::Hit(hit),
+        None => shared.claim(key),
+    };
+    match claim {
+        Claim::Hit(hit) => {
+            shared.cache_hits.add(members as u64);
+            Ok(hit)
+        }
+        Claim::Follow(flight) => {
+            let outcome = flight.wait();
+            if outcome.is_ok() {
+                shared.cache_hits.add(members as u64);
+            }
+            outcome
+        }
+        Claim::Lead(flight) => {
+            let outcome = engine.compute_guarded(work, shared, false);
+            if let Ok(payload) = &outcome {
+                shared.cache_misses.incr();
+                shared.cache_hits.add(members as u64 - 1);
+                shared.cache_put(key.clone(), payload.clone());
+            }
+            shared.land(key, &flight, &outcome);
+            outcome
+        }
     }
 }

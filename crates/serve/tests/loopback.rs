@@ -148,6 +148,56 @@ fn warm_replay_is_bit_identical_to_cold() {
 }
 
 #[test]
+fn concurrent_identical_requests_compute_once() {
+    // One dispatcher wake-up per request and several workers: identical
+    // requests land in different batches on different workers, so only
+    // the single-flight table keeps them from all computing.
+    let cfg = ServeConfig { workers: 4, batch_max: 1, ..ServeConfig::default() };
+    let handle = serve_tcp("127.0.0.1:0", cfg).expect("bind");
+    let addr = handle.addr();
+    // Wide enough that a cold estimate outlasts the other readers' parse
+    // of the same request: without single flight this stampedes.
+    let src = design("hotspot", 16);
+
+    const CONNS: u64 = 8;
+    const PER_CONN: u64 = 8;
+    let start = std::sync::Barrier::new(CONNS as usize);
+    let reports: Vec<String> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CONNS)
+            .map(|c| {
+                let (start, src) = (&start, &src);
+                scope.spawn(move || {
+                    let lines: Vec<String> = (0..PER_CONN)
+                        .map(|i| request(c * PER_CONN + i, "estimate", src, "eval-small"))
+                        .collect();
+                    let mut stream = TcpStream::connect(addr).expect("connect");
+                    start.wait();
+                    stream.write_all(lines.concat().as_bytes()).expect("send");
+                    let mut reader = BufReader::new(stream);
+                    (0..PER_CONN)
+                        .map(|_| {
+                            let mut resp = String::new();
+                            reader.read_line(&mut resp).expect("read response");
+                            let v = json::parse(resp.trim_end()).expect("valid JSON");
+                            report_of(&v).to_string()
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        clients.into_iter().flat_map(|c| c.join().expect("client thread")).collect()
+    });
+
+    assert_eq!(reports.len() as u64, CONNS * PER_CONN);
+    let expected = offline("estimate", &src, "eval-small");
+    assert!(reports.iter().all(|r| *r == expected), "every answer is the offline bytes");
+    let snap = handle.shared().snapshot();
+    assert_eq!(snap.counter("serve.cache.misses"), 1, "one computation for 64 requests");
+    assert_eq!(snap.counter("serve.cache.hits"), CONNS * PER_CONN - 1);
+    handle.stop();
+}
+
+#[test]
 fn injected_fault_is_answered_and_isolated() {
     let cfg = ServeConfig { fault_inject: Some(|req| req.id == 666), ..ServeConfig::default() };
     let handle = serve_tcp("127.0.0.1:0", cfg).expect("bind");

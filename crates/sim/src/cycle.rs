@@ -71,8 +71,9 @@ pub fn simulate_with_params(
     let mut aggregate = 0.0f64;
     let mut min_item_rate = f64::INFINITY;
     let mut bytes_per_item_all_lanes = 0.0f64;
-    for s in &m.streams {
-        let Some(mem) = m.mem(&s.mem) else { continue };
+    let links = m.manage_links();
+    for (i, s) in m.streams.iter().enumerate() {
+        let Some(mem) = links.stream_mem(i) else { continue };
         if !mem.space.is_offchip() {
             continue;
         }

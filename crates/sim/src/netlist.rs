@@ -90,13 +90,9 @@ impl Netlist {
 
         // Module-level stream controllers (one per off-chip stream) and
         // local memories.
-        for p in &m.ports {
-            let offchip = m
-                .stream(&p.stream)
-                .and_then(|s| m.mem(&s.mem))
-                .map(|mem| mem.space.is_offchip())
-                .unwrap_or(true);
-            if offchip {
+        let links = m.manage_links();
+        for p in 0..m.ports.len() {
+            if links.port_offchip(p) {
                 components.push(Component {
                     function: "main".into(),
                     kind: ComponentKind::StreamController,

@@ -16,15 +16,19 @@
 //! [`PatchedModule::materialize`] reproduces the lowered tree exactly
 //! (same fingerprint) for the few memo-miss paths that still need one.
 //!
+//! The lane function `f0` is the same in every class of one inner kind,
+//! so the factory lowers it once per [`InnerKind`] and assembles each
+//! base (Manage-IR arrays, the `par` dispatcher, `main`) around a copy.
+//!
 //! The factory is `Sync`: DSE workers request designs concurrently and
 //! the first worker to touch a structural class lowers it for everyone.
 
 use crate::expr::KernelDef;
-use crate::lower::{lower_unvalidated, Geometry};
+use crate::lower::{assemble, check_legal, lower_lane, Geometry};
 use crate::typetrans::{InnerKind, Variant};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use tytra_ir::{ArenaModule, IrError, MemForm, PatchedModule};
+use tytra_ir::{ArenaModule, IrError, IrFunction, MemForm, PatchedModule};
 use tytra_trace as trace;
 
 /// One design variant as a copy-on-write delta over a shared arena base:
@@ -70,13 +74,21 @@ impl VariantDesign {
 pub struct VariantFactory {
     kernel: KernelDef,
     geom: Geometry,
-    bases: Mutex<HashMap<(u64, InnerKind, bool), Arc<ArenaModule>>>,
+    lowered: Mutex<Lowered>,
+}
+
+/// What the factory has lowered so far: the lane function per inner kind
+/// and the arena base per structural class.
+#[derive(Default)]
+struct Lowered {
+    lanes: HashMap<InnerKind, IrFunction>,
+    bases: HashMap<(u64, InnerKind, bool), Arc<ArenaModule>>,
 }
 
 impl VariantFactory {
     /// A factory for one kernel + workload geometry.
     pub fn new(kernel: KernelDef, geom: Geometry) -> VariantFactory {
-        VariantFactory { kernel, geom, bases: Mutex::new(HashMap::new()) }
+        VariantFactory { kernel, geom, lowered: Mutex::new(Lowered::default()) }
     }
 
     /// The kernel definition the factory lowers.
@@ -91,30 +103,31 @@ impl VariantFactory {
 
     /// Number of structural classes lowered so far.
     pub fn bases_built(&self) -> usize {
-        self.bases.lock().map(|b| b.len()).unwrap_or(0)
+        self.lowered.lock().map(|l| l.bases.len()).unwrap_or(0)
     }
 
     /// The design for `variant`: lowers and validates the variant's
     /// structural class on first sight (a `transform.lower` span), then
     /// patches the shared base. Errors exactly as [`lower`] does.
     pub fn design(&self, variant: &Variant) -> Result<VariantDesign, IrError> {
-        if !variant.is_legal(self.geom.size()) {
-            // Same error text as `lower` for the same illegal variant.
-            return Err(IrError::Validate(format!(
-                "variant {} is not an order-preserving reshape of {} work-items",
-                variant.tag(),
-                self.geom.size()
-            )));
-        }
+        check_legal(&self.geom, variant)?;
         let key = (variant.lanes, variant.inner, matches!(variant.form, MemForm::C));
         let base = {
-            let mut bases = self.bases.lock().expect("factory lock");
+            let mut lowered = self.lowered.lock().expect("factory lock");
+            let Lowered { lanes, bases } = &mut *lowered;
             match bases.get(&key) {
                 Some(b) => Arc::clone(b),
                 None => {
                     let _sp = trace::span("transform.lower");
-                    let a =
-                        ArenaModule::build(lower_unvalidated(&self.kernel, &self.geom, variant)?);
+                    let lane = lanes
+                        .entry(variant.inner)
+                        .or_insert_with(|| lower_lane(&self.kernel, variant.inner));
+                    let a = ArenaModule::build(assemble(
+                        &self.kernel,
+                        &self.geom,
+                        variant,
+                        lane.clone(),
+                    ));
                     // The one validation this base gets in the process: the
                     // verdict is cached on the arena, where every estimator
                     // session that costs one of its patches reads it.

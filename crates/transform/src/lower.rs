@@ -11,8 +11,8 @@ use crate::expr::{Expr, KernelDef};
 use crate::typetrans::{InnerKind, Variant};
 use std::collections::HashMap;
 use tytra_ir::{
-    validate, FunctionBuilder, IrError, IrModule, MemForm, ModuleBuilder, Opcode, Operand, ParKind,
-    ScalarType, StreamDir,
+    validate, FunctionBuilder, IrError, IrFunction, IrModule, MemForm, ModuleBuilder, Opcode,
+    Operand, ParKind, ScalarType, StreamDir,
 };
 
 /// NDRange + iteration count for the lowered program.
@@ -38,27 +38,71 @@ impl Geometry {
 
 /// Lower `kernel` under `variant` to a validated TyTra-IR module.
 pub fn lower(kernel: &KernelDef, geom: &Geometry, variant: &Variant) -> Result<IrModule, IrError> {
-    let m = lower_unvalidated(kernel, geom, variant)?;
+    check_legal(geom, variant)?;
+    let m = assemble(kernel, geom, variant, lower_lane(kernel, variant.inner));
     validate(&m)?;
     Ok(m)
 }
 
-/// [`lower`] without the final validation: the variant factory validates
-/// each lowered base once, through its arena's cached verdict.
-pub(crate) fn lower_unvalidated(
+/// The error [`lower`] fails with for a variant that does not reshape the
+/// NDRange legally.
+pub(crate) fn check_legal(geom: &Geometry, variant: &Variant) -> Result<(), IrError> {
+    let ngs = geom.size();
+    if variant.is_legal(ngs) {
+        return Ok(());
+    }
+    Err(IrError::Validate(format!(
+        "variant {} is not an order-preserving reshape of {ngs} work-items",
+        variant.tag()
+    )))
+}
+
+/// The lane function `f0`: ports, offset streams and the CSE'd datapath.
+/// It depends only on the kernel and the inner map kind — never on the
+/// lane count, the form or the vector degree — so the variant factory
+/// lowers it once per [`InnerKind`].
+pub(crate) fn lower_lane(kernel: &KernelDef, inner: InnerKind) -> IrFunction {
+    let ty = kernel.elem_ty;
+    let mut f = FunctionBuilder::new("f0", par_kind(inner));
+    for name in &kernel.inputs {
+        f.input(name.clone(), ty);
+    }
+    for (name, _) in &kernel.outputs {
+        f.output(name.clone(), ty);
+    }
+    // Offset streams first (Fig 12 lines 6–9).
+    let mut offsets = HashMap::new();
+    for (src, off) in kernel.offsets() {
+        let op = f.offset(&src, ty, off);
+        offsets.insert((src, off), op);
+    }
+    // Datapath with structural CSE.
+    let mut cse = Cse { ty, offsets, ids: HashMap::new(), operands: Vec::new() };
+    let mut emitted: Vec<(String, Operand)> = Vec::new();
+    for (name, e) in &kernel.outputs {
+        emitted.push((name.clone(), cse.operand(&mut f, e)));
+    }
+    for r in &kernel.reductions {
+        let v = cse.operand(&mut f, &r.value);
+        f.reduce(&r.acc, r.op, ty, v);
+    }
+    for (name, v) in emitted {
+        f.write_out(&name, v);
+    }
+    f.finish()
+}
+
+/// The module for `variant` around an already-lowered lane function
+/// `lane`: Manage-IR, the `par` dispatcher, `main` and the execution
+/// metadata. Unvalidated; the caller checks legality first.
+pub(crate) fn assemble(
     kernel: &KernelDef,
     geom: &Geometry,
     variant: &Variant,
-) -> Result<IrModule, IrError> {
-    let ngs = geom.size();
-    if !variant.is_legal(ngs) {
-        return Err(IrError::Validate(format!(
-            "variant {} is not an order-preserving reshape of {ngs} work-items",
-            variant.tag()
-        )));
-    }
+    lane: IrFunction,
+) -> IrModule {
     let lanes = variant.lanes;
-    let per_lane = ngs / lanes;
+    let per_lane = geom.size() / lanes;
     let ty = kernel.elem_ty;
 
     let mut b = ModuleBuilder::new(format!("{}_{}", kernel.name, variant.tag()));
@@ -76,42 +120,10 @@ pub(crate) fn lower_unvalidated(
         }
     }
 
-    // Compute-IR: the lane function.
-    let kind = match variant.inner {
-        InnerKind::Pipe => ParKind::Pipe,
-        InnerKind::Seq => ParKind::Seq,
-    };
-    {
-        let f = b.function("f0", kind);
-        for name in &kernel.inputs {
-            f.input(name.clone(), ty);
-        }
-        for (name, _) in &kernel.outputs {
-            f.output(name.clone(), ty);
-        }
-        // Offset streams first (Fig 12 lines 6–9).
-        let mut offset_ops: HashMap<(String, i64), Operand> = HashMap::new();
-        for (src, off) in kernel.offsets() {
-            let op = f.offset(&src, ty, off);
-            offset_ops.insert((src, off), op);
-        }
-        // Datapath with structural CSE.
-        let mut memo: HashMap<String, Operand> = HashMap::new();
-        let mut emitted: Vec<(String, Operand)> = Vec::new();
-        for (name, e) in &kernel.outputs {
-            let v = emit(f, e, ty, &offset_ops, &mut memo);
-            emitted.push((name.clone(), v));
-        }
-        for r in &kernel.reductions {
-            let v = emit(f, &r.value, ty, &offset_ops, &mut memo);
-            f.reduce(&r.acc, r.op, ty, v);
-        }
-        for (name, v) in emitted {
-            f.write_out(&name, v);
-        }
-    }
-
+    // Compute-IR: the lane function, then the dispatcher.
+    b.add_function(lane);
     if lanes > 1 {
+        let kind = par_kind(variant.inner);
         let f = b.function("f1", ParKind::Par);
         for _ in 0..lanes {
             f.call("f0", vec![], kind);
@@ -122,7 +134,14 @@ pub(crate) fn lower_unvalidated(
     }
 
     b.ndrange(&geom.ndrange).nki(geom.nki).form(variant.form).vect(variant.vect);
-    Ok(b.finish_unchecked())
+    b.finish_unchecked()
+}
+
+fn par_kind(inner: InnerKind) -> ParKind {
+    match inner {
+        InnerKind::Pipe => ParKind::Pipe,
+        InnerKind::Seq => ParKind::Seq,
+    }
 }
 
 fn declare_array(
@@ -148,49 +167,72 @@ fn declare_array(
     }
 }
 
-/// Emit `e` into the function, sharing structurally identical
-/// subexpressions.
-fn emit(
-    f: &mut FunctionBuilder,
-    e: &Expr,
+/// The CSE key of one expression node, with its children replaced by the
+/// ids the memo gave them. Two expressions get the same id exactly when
+/// they are equal as trees with `f64` constants compared by bits:
+/// `Arg(p)` and `OffsetArg(p, 0)` stay distinct though both read `%p`,
+/// and so do `0.0` and `-0.0`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Node<'k> {
+    Arg(&'k str),
+    Off(&'k str, i64),
+    ConstI(i64),
+    ConstF(u64),
+    Bin(Opcode, usize, usize),
+    Un(Opcode, usize),
+    Sel(usize, usize, usize),
+}
+
+/// Structural common-subexpression elimination over one lane function:
+/// an id per distinct expression, and the operand each id was emitted as.
+struct Cse<'k> {
     ty: ScalarType,
-    offsets: &HashMap<(String, i64), Operand>,
-    memo: &mut HashMap<String, Operand>,
-) -> Operand {
-    match e {
-        Expr::Arg(n) => Operand::Local(n.clone()),
-        Expr::OffsetArg(n, 0) => Operand::Local(n.clone()),
-        Expr::OffsetArg(n, off) => {
-            offsets.get(&(n.clone(), *off)).cloned().unwrap_or_else(|| Operand::Local(n.clone()))
+    offsets: HashMap<(String, i64), Operand>,
+    ids: HashMap<Node<'k>, usize>,
+    operands: Vec<Operand>,
+}
+
+impl<'k> Cse<'k> {
+    /// Emit `e` into `f`, sharing structurally identical subexpressions,
+    /// and return its operand. Children are emitted before the parent's
+    /// memo probe, so a repeated subtree costs one probe per node and
+    /// emits nothing.
+    fn operand(&mut self, f: &mut FunctionBuilder, e: &'k Expr) -> Operand {
+        let id = self.emit(f, e);
+        self.operands[id].clone()
+    }
+
+    fn emit(&mut self, f: &mut FunctionBuilder, e: &'k Expr) -> usize {
+        let node = match e {
+            Expr::Arg(n) => Node::Arg(n),
+            Expr::OffsetArg(n, off) => Node::Off(n, *off),
+            Expr::ConstI(v) => Node::ConstI(*v),
+            Expr::ConstF(v) => Node::ConstF(v.to_bits()),
+            Expr::Bin(op, a, b) => Node::Bin(*op, self.emit(f, a), self.emit(f, b)),
+            Expr::Un(op, a) => Node::Un(*op, self.emit(f, a)),
+            Expr::Sel(c, a, b) => Node::Sel(self.emit(f, c), self.emit(f, a), self.emit(f, b)),
+        };
+        if let Some(&id) = self.ids.get(&node) {
+            return id;
         }
-        Expr::ConstI(v) => Operand::Imm(*v),
-        Expr::ConstF(v) => Operand::ImmF(*v),
-        Expr::Bin(..) | Expr::Un(..) | Expr::Sel(..) => {
-            let key = format!("{e:?}");
-            if let Some(v) = memo.get(&key) {
-                return v.clone();
-            }
-            let v = match e {
-                Expr::Bin(op, a, bx) => {
-                    let va = emit(f, a, ty, offsets, memo);
-                    let vb = emit(f, bx, ty, offsets, memo);
-                    f.instr(*op, ty, vec![va, vb])
-                }
-                Expr::Un(op, a) => {
-                    let va = emit(f, a, ty, offsets, memo);
-                    f.instr(*op, ty, vec![va])
-                }
-                Expr::Sel(c, a, bx) => {
-                    let vc = emit(f, c, ty, offsets, memo);
-                    let va = emit(f, a, ty, offsets, memo);
-                    let vb = emit(f, bx, ty, offsets, memo);
-                    f.instr(Opcode::Select, ty, vec![vc, va, vb])
-                }
-                _ => unreachable!("leaf handled above"),
-            };
-            memo.insert(key, v.clone());
-            v
-        }
+        let arg = |id: usize| self.operands[id].clone();
+        let v = match node {
+            Node::Arg(n) | Node::Off(n, 0) => Operand::local(n),
+            Node::Off(n, off) => self
+                .offsets
+                .get(&(n.to_string(), off))
+                .cloned()
+                .unwrap_or_else(|| Operand::local(n)),
+            Node::ConstI(v) => Operand::Imm(v),
+            Node::ConstF(bits) => Operand::ImmF(f64::from_bits(bits)),
+            Node::Bin(op, a, b) => f.instr(op, self.ty, vec![arg(a), arg(b)]),
+            Node::Un(op, a) => f.instr(op, self.ty, vec![arg(a)]),
+            Node::Sel(c, a, b) => f.instr(Opcode::Select, self.ty, vec![arg(c), arg(a), arg(b)]),
+        };
+        let id = self.operands.len();
+        self.operands.push(v);
+        self.ids.insert(node, id);
+        id
     }
 }
 
@@ -254,6 +296,98 @@ mod tests {
         let adds = f0.instrs().filter(|i| i.op == Opcode::Add && !i.is_reduction()).count();
         assert_eq!(muls, 1);
         assert_eq!(adds, 1);
+    }
+
+    /// Datapath instructions of a baseline lowering (the output-routing
+    /// `or`s and reduction folds excluded).
+    fn datapath_instrs(k: &KernelDef) -> usize {
+        let m = lower(k, &Geometry::flat(64, 1), &Variant::baseline()).unwrap();
+        let f0 = m.function("f0").unwrap();
+        let routing = k.outputs.len() + k.reductions.len();
+        f0.instrs().count() - routing
+    }
+
+    /// The number of distinct operation subexpressions by `Debug` text —
+    /// what a memo keyed on `format!("{e:?}")` shares.
+    fn distinct_ops_by_debug_text(k: &KernelDef) -> usize {
+        fn walk(e: &Expr, seen: &mut std::collections::HashSet<String>) {
+            match e {
+                Expr::Bin(_, a, b) => {
+                    walk(a, seen);
+                    walk(b, seen);
+                }
+                Expr::Un(_, a) => walk(a, seen),
+                Expr::Sel(c, a, b) => {
+                    walk(c, seen);
+                    walk(a, seen);
+                    walk(b, seen);
+                }
+                _ => return,
+            }
+            seen.insert(format!("{e:?}"));
+        }
+        let mut seen = std::collections::HashSet::new();
+        k.outputs.iter().for_each(|(_, e)| walk(e, &mut seen));
+        k.reductions.iter().for_each(|r| walk(&r.value, &mut seen));
+        seen.len()
+    }
+
+    #[test]
+    fn cse_keeps_distinct_leaves_distinct() {
+        // `Arg(p)` and `OffsetArg(p, 0)` read the same value, and `0.0`
+        // and `-0.0` compare equal as floats, yet each pair names two
+        // different expressions: two adds, two muls.
+        let add1 = |leaf: Expr| Expr::add(leaf, Expr::ConstI(1));
+        let args = KernelDef {
+            name: "args".into(),
+            elem_ty: T,
+            inputs: vec!["p".into()],
+            outputs: vec![
+                ("q".into(), add1(Expr::arg("p"))),
+                ("r".into(), add1(Expr::off("p", 0))),
+                ("s".into(), add1(Expr::arg("p"))),
+            ],
+            reductions: vec![],
+        };
+        let scale = |c: f64| Expr::mul(Expr::arg("x"), Expr::ConstF(c));
+        let zeros = KernelDef {
+            name: "zeros".into(),
+            elem_ty: ScalarType::Float(32),
+            inputs: vec!["x".into()],
+            outputs: vec![("y".into(), scale(0.0)), ("z".into(), scale(-0.0))],
+            reductions: vec![Reduction { acc: "acc".into(), op: Opcode::Add, value: scale(0.0) }],
+        };
+        for (k, want) in [(args, 2), (zeros, 2)] {
+            assert_eq!(datapath_instrs(&k), want, "{}", k.name);
+            assert_eq!(datapath_instrs(&k), distinct_ops_by_debug_text(&k), "{}", k.name);
+        }
+    }
+
+    #[test]
+    fn cse_shares_exactly_what_debug_text_shares() {
+        let long = (0..6).fold(Expr::arg("p"), |e, i| {
+            Expr::add(Expr::mul(e.clone(), Expr::off("p", i - 3)), Expr::sub(e, Expr::ConstI(i)))
+        });
+        let k = KernelDef {
+            name: "chain".into(),
+            elem_ty: T,
+            inputs: vec!["p".into()],
+            outputs: vec![("q".into(), long.clone())],
+            reductions: vec![Reduction {
+                acc: "acc".into(),
+                op: Opcode::Max,
+                value: Expr::Sel(
+                    Box::new(Expr::bin(Opcode::CmpGt, long.clone(), Expr::off("p", 0))),
+                    Box::new(long),
+                    Box::new(Expr::Un(Opcode::Neg, Box::new(Expr::arg("p")))),
+                ),
+            }],
+        };
+        assert_eq!(datapath_instrs(&k), distinct_ops_by_debug_text(&k));
+        assert_eq!(
+            datapath_instrs(&stencil_kernel()),
+            distinct_ops_by_debug_text(&stencil_kernel())
+        );
     }
 
     #[test]
