@@ -49,16 +49,12 @@ pub struct BandwidthBreakdown {
 /// sustain the controller-efficiency fraction of peak, regardless of
 /// pattern or size. This is the naive model the paper's section V-C
 /// argues against; the ablation bench quantifies the damage.
-pub fn assess_naive(m: &IrModule, dev: &TargetDevice) -> BandwidthBreakdown {
-    assess_naive_impl(m, dev, None)
-}
-
-pub(crate) fn assess_naive_impl(
+pub(crate) fn assess_naive(
     m: &IrModule,
     dev: &TargetDevice,
-    cache: Option<&CurveCache>,
+    cache: &CurveCache,
 ) -> BandwidthBreakdown {
-    let mut full = assess_impl(m, dev, cache);
+    let mut full = assess(m, dev, cache);
     let dram = dev.dram_link.peak_bytes_per_s * CONTROLLER_EFFICIENCY;
     let host = dev.host_link.peak_bytes_per_s * CONTROLLER_EFFICIENCY;
     for s in &mut full.streams {
@@ -79,17 +75,9 @@ pub(crate) fn assess_naive_impl(
 /// masked by a fast contiguous output. The aggregate is therefore
 /// `min(Σ sustained capped at controller efficiency,
 ///      lanes × min_i(sustained_i / elem_bytes_i) × bytes_per_item)`.
-pub fn assess(m: &IrModule, dev: &TargetDevice) -> BandwidthBreakdown {
-    assess_impl(m, dev, None)
-}
-
-/// [`assess`] with sustained-bandwidth interpolations routed through a
-/// session curve cache when one is present.
-pub(crate) fn assess_impl(
-    m: &IrModule,
-    dev: &TargetDevice,
-    cache: Option<&CurveCache>,
-) -> BandwidthBreakdown {
+///
+/// Sustained-bandwidth interpolations go through a session curve cache.
+pub(crate) fn assess(m: &IrModule, dev: &TargetDevice, cache: &CurveCache) -> BandwidthBreakdown {
     let mut streams = Vec::new();
     let mut dram_sum = 0.0;
     // Slowest per-element rate across co-required streams, items/s.
@@ -101,12 +89,8 @@ pub(crate) fn assess_impl(
         if !mem.space.is_offchip() {
             continue;
         }
-        let sustained = match cache {
-            Some(c) => {
-                c.sustained_bytes_per_s(LinkKind::Dram, &dev.dram_link.bw, s.pattern, mem.len)
-            }
-            None => dev.dram_link.bw.sustained_bytes_per_s(s.pattern, mem.len),
-        };
+        let sustained =
+            cache.sustained_bytes_per_s(LinkKind::Dram, &dev.dram_link.bw, s.pattern, mem.len);
         dram_sum += sustained;
         let eb = f64::from(mem.elem_ty.bytes());
         min_item_rate = min_item_rate.min(sustained / eb);
@@ -140,15 +124,12 @@ pub(crate) fn assess_impl(
     let host_sum = if total_elems == 0 {
         0.0
     } else {
-        match cache {
-            Some(c) => c.sustained_bytes_per_s(
-                LinkKind::Host,
-                &dev.host_link.bw,
-                AccessPattern::Contiguous,
-                total_elems,
-            ),
-            None => dev.host_link.bw.sustained_bytes_per_s(AccessPattern::Contiguous, total_elems),
-        }
+        cache.sustained_bytes_per_s(
+            LinkKind::Host,
+            &dev.host_link.bw,
+            AccessPattern::Contiguous,
+            total_elems,
+        )
     };
     let (host_effective, rho_h) = aggregate(&dev.host_link, host_sum, total_elems == 0);
 
@@ -209,7 +190,7 @@ mod tests {
     fn contiguous_streams_aggregate() {
         let dev = virtex7_adm7v3();
         let m = module_with_streams(3, false, 2000 * 2000);
-        let bw = assess(&m, &dev);
+        let bw = assess(&m, &dev, &CurveCache::new());
         assert_eq!(bw.streams.len(), 4);
         // Each contiguous 2000-side stream sustains 5.2 Gbps = 0.65 GB/s.
         let per = 5.2e9 / 8.0;
@@ -223,7 +204,7 @@ mod tests {
         let dev = virtex7_adm7v3();
         // 20 streams would nominally exceed the 10.7 GB/s link.
         let m = module_with_streams(19, false, 6000 * 6000);
-        let bw = assess(&m, &dev);
+        let bw = assess(&m, &dev, &CurveCache::new());
         assert!((bw.rho_g - CONTROLLER_EFFICIENCY).abs() < 1e-9);
         assert!(
             (bw.dram_effective - dev.dram_link.peak_bytes_per_s * CONTROLLER_EFFICIENCY).abs()
@@ -234,8 +215,8 @@ mod tests {
     #[test]
     fn strided_streams_collapse_rho() {
         let dev = virtex7_adm7v3();
-        let cont = assess(&module_with_streams(1, false, 2000 * 2000), &dev);
-        let strided = assess(&module_with_streams(1, true, 2000 * 2000), &dev);
+        let cont = assess(&module_with_streams(1, false, 2000 * 2000), &dev, &CurveCache::new());
+        let strided = assess(&module_with_streams(1, true, 2000 * 2000), &dev, &CurveCache::new());
         // One stream of each direction; the strided input drags the
         // aggregate down by an order of magnitude or more.
         assert!(cont.dram_effective / strided.dram_effective > 1.8);
@@ -247,8 +228,8 @@ mod tests {
     #[test]
     fn small_arrays_sustain_less() {
         let dev = virtex7_adm7v3();
-        let small = assess(&module_with_streams(1, false, 100 * 100), &dev);
-        let large = assess(&module_with_streams(1, false, 4000 * 4000), &dev);
+        let small = assess(&module_with_streams(1, false, 100 * 100), &dev, &CurveCache::new());
+        let large = assess(&module_with_streams(1, false, 4000 * 4000), &dev, &CurveCache::new());
         assert!(small.dram_effective < large.dram_effective);
     }
 
@@ -269,7 +250,7 @@ mod tests {
         b.main_calls("f0");
         b.ndrange(&[64]);
         let m = b.finish_unchecked();
-        let bw = assess(&m, &dev);
+        let bw = assess(&m, &dev, &CurveCache::new());
         assert!(bw.streams.is_empty());
         assert_eq!(bw.rho_g, CONTROLLER_EFFICIENCY);
     }
@@ -277,8 +258,8 @@ mod tests {
     #[test]
     fn host_rho_depends_on_transfer_size() {
         let dev = stratix_v_gsd8();
-        let small = assess(&module_with_streams(1, false, 64 * 64), &dev);
-        let large = assess(&module_with_streams(1, false, 4000 * 4000), &dev);
+        let small = assess(&module_with_streams(1, false, 64 * 64), &dev, &CurveCache::new());
+        let large = assess(&module_with_streams(1, false, 4000 * 4000), &dev, &CurveCache::new());
         assert!(small.rho_h < large.rho_h);
         assert!(large.rho_h <= CONTROLLER_EFFICIENCY + 1e-12);
     }

@@ -8,7 +8,7 @@
 //! linear derating of the fabric's base Fmax.
 
 use tytra_device::{CurveCache, ResourceVector, TargetDevice};
-use tytra_ir::{ConfigNode, Dfg, IrError, IrFunction, IrModule, ParKind};
+use tytra_ir::{Dfg, IrFunction, IrModule, ParKind};
 
 /// Estimated clock and its contributors.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,21 +21,8 @@ pub struct ClockEstimate {
     pub limiting_function: String,
 }
 
-/// Estimate the design's clock.
-pub fn estimate_clock(
-    m: &IrModule,
-    dev: &TargetDevice,
-    tree: &ConfigNode,
-    used: &ResourceVector,
-) -> Result<ClockEstimate, IrError> {
-    let mut worst = (0.0f64, String::new());
-    visit(m, dev, tree, &mut worst)?;
-    Ok(finish_clock(m, dev, worst, used))
-}
-
 /// Derate the worst stage delay by fabric utilisation and apply any
-/// explicit frequency constraint — the tail shared by [`estimate_clock`]
-/// and the session clock pass.
+/// explicit frequency constraint — the tail of the session clock pass.
 pub(crate) fn finish_clock(
     m: &IrModule,
     dev: &TargetDevice,
@@ -51,12 +38,11 @@ pub(crate) fn finish_clock(
 /// session memoizes under the function's structural fingerprint.
 ///
 /// Combining per-function results across a preorder walk with a strict
-/// `>` reproduces the legacy instruction-level walk exactly: the maximum
-/// is the same value, and the strict comparison keeps the earliest
-/// function on ties, as before.
+/// `>` gives the instruction-level maximum: the same value, and the
+/// strict comparison keeps the earliest function on ties.
 pub(crate) fn function_worst_stage(
     dev: &TargetDevice,
-    curves: Option<&CurveCache>,
+    curves: &CurveCache,
     f: &IrFunction,
     kind: ParKind,
 ) -> Option<(f64, String)> {
@@ -64,10 +50,7 @@ pub(crate) fn function_worst_stage(
         ParKind::Pipe | ParKind::Seq => {
             let mut worst: Option<f64> = None;
             for i in f.instrs() {
-                let d = match curves {
-                    Some(c) => c.stage_delay_ns(&dev.ops, i.op, i.ty),
-                    None => dev.ops.stage_delay_ns(i.op, i.ty),
-                };
+                let d = curves.stage_delay_ns(&dev.ops, i.op, i.ty);
                 if worst.is_none_or(|w| d > w) {
                     worst = Some(d);
                 }
@@ -92,33 +75,21 @@ pub(crate) fn function_worst_stage(
     }
 }
 
-fn visit(
-    m: &IrModule,
-    dev: &TargetDevice,
-    node: &ConfigNode,
-    worst: &mut (f64, String),
-) -> Result<(), IrError> {
-    let f = m
-        .function(&node.function)
-        .ok_or_else(|| IrError::Unknown { kind: "function", name: node.function.clone() })?;
-    if let Some(own) = function_worst_stage(dev, None, f, node.kind) {
-        if own.0 > worst.0 {
-            *worst = own;
-        }
-    }
-    for c in &node.children {
-        visit(m, dev, c, worst)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tytra_device::stratix_v_gsd8;
-    use tytra_ir::{config_tree, ModuleBuilder, Opcode, ParKind, ScalarType};
+    use tytra_ir::{ModuleBuilder, Opcode, ParKind, ScalarType};
 
     const T: ScalarType = ScalarType::UInt(32);
+
+    /// The clock of `m` at a given fabric use: the session's worst stage,
+    /// derated by `used` instead of the design's own resources.
+    fn clock_at(m: &IrModule, used: &ResourceVector) -> ClockEstimate {
+        let dev = stratix_v_gsd8();
+        let c = crate::estimate(m, &dev).expect("module costs").clock;
+        finish_clock(m, &dev, (c.max_stage_delay_ns, c.limiting_function), used)
+    }
 
     fn clock_of(build: impl FnOnce(&mut ModuleBuilder)) -> ClockEstimate {
         let mut b = ModuleBuilder::new("m");
@@ -126,10 +97,7 @@ mod tests {
         b.global_output("y", T, 1024);
         build(&mut b);
         b.ndrange(&[1024]);
-        let m = b.finish_unchecked();
-        let dev = stratix_v_gsd8();
-        let tree = config_tree::extract(&m).unwrap();
-        estimate_clock(&m, &dev, &tree.root, &ResourceVector::ZERO).unwrap()
+        clock_at(&b.finish_unchecked(), &ResourceVector::ZERO)
     }
 
     #[test]
@@ -229,11 +197,9 @@ mod tests {
         b.main_calls("f0");
         b.ndrange(&[64]);
         let m = b.finish_unchecked();
-        let dev = stratix_v_gsd8();
-        let tree = config_tree::extract(&m).unwrap();
-        let lo = estimate_clock(&m, &dev, &tree.root, &ResourceVector::ZERO).unwrap();
-        let nearly_full = ResourceVector::new(dev.capacity.aluts * 9 / 10, 0, 0, 0);
-        let hi = estimate_clock(&m, &dev, &tree.root, &nearly_full).unwrap();
+        let lo = clock_at(&m, &ResourceVector::ZERO);
+        let nearly_full = ResourceVector::new(stratix_v_gsd8().capacity.aluts * 9 / 10, 0, 0, 0);
+        let hi = clock_at(&m, &nearly_full);
         assert!(hi.freq_mhz < lo.freq_mhz);
     }
 
@@ -252,10 +218,7 @@ mod tests {
         }
         b.main_calls("f0");
         b.ndrange(&[64]).freq_mhz(100.0);
-        let m = b.finish_unchecked();
-        let dev = stratix_v_gsd8();
-        let tree = config_tree::extract(&m).unwrap();
-        let c = estimate_clock(&m, &dev, &tree.root, &ResourceVector::ZERO).unwrap();
+        let c = clock_at(&b.finish_unchecked(), &ResourceVector::ZERO);
         assert_eq!(c.freq_mhz, 100.0);
     }
 }

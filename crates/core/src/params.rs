@@ -19,8 +19,8 @@
 //! the empirical bandwidth model (see [`crate::bandwidth`]).
 
 use crate::schedule::{self, PipelineSchedule};
-use tytra_device::TargetDevice;
-use tytra_ir::{config_tree, ConfigTree, IrModule, MemForm, TybecError};
+use tytra_device::{CurveCache, TargetDevice};
+use tytra_ir::{ArenaModule, IrModule, MemForm, TybecError};
 
 /// All design-and-program-dependent parameters of the throughput model.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,26 +54,14 @@ pub struct CostParams {
 }
 
 impl CostParams {
-    /// Extract every parameter from the module against a target.
-    /// Also returns the extracted configuration tree for reuse.
-    pub fn extract(
-        m: &IrModule,
-        dev: &TargetDevice,
-    ) -> Result<(CostParams, ConfigTree), TybecError> {
-        let tree = config_tree::extract(m)?;
-        let sched = schedule::schedule(m, dev, &tree.root)?;
-        Ok((CostParams::from_parts(m, &tree, sched), tree))
-    }
-
-    /// Assemble the parameters from an already-extracted configuration
-    /// tree and schedule — the infallible geometry half of [`extract`],
-    /// used by the session pipeline after its schedule pass.
-    pub(crate) fn from_parts(
-        m: &IrModule,
-        tree: &ConfigTree,
-        sched: PipelineSchedule,
-    ) -> CostParams {
-        RawGeometry::extract(m, tree).finish(sched)
+    /// Extract every parameter from the module against a target: the
+    /// geometry of an arena built over a copy of `m`, plus the schedule
+    /// of its lane subtree — the session's parameters pass, run cold.
+    pub fn extract(m: &IrModule, dev: &TargetDevice) -> Result<CostParams, TybecError> {
+        let a = ArenaModule::build(m.clone());
+        let plan = a.config()?;
+        let sched = schedule::schedule(a.tree(), dev, &CurveCache::new(), &plan.tree.root)?;
+        Ok(RawGeometry::extract_design(&a.identity(), plan.tree.lanes).finish(sched))
     }
 
     /// Work-items each lane processes per kernel instance.
@@ -107,86 +95,17 @@ pub(crate) struct RawGeometry {
 }
 
 impl RawGeometry {
-    /// Extract the Table I geometry from a module and its configuration
-    /// tree (the exact computation [`CostParams::from_parts`] performs
-    /// before attaching the schedule).
-    pub(crate) fn extract(m: &IrModule, tree: &ConfigTree) -> RawGeometry {
-        let ngs = m.meta.global_size();
-        let nki = m.meta.nki;
-
+    /// Extract the Table I geometry of an arena-backed design with `knl`
+    /// lanes, from the arena's precomputed scalars plus the variant's
+    /// patched `form`/`vect` cells.
+    pub(crate) fn extract_design(d: &tytra_ir::PatchedModule<'_>, knl: u64) -> RawGeometry {
+        let a = d.arena;
         // Off-chip traffic: every port whose backing memory object lives
         // in an off-chip space moves one element per work-item. With KNL
         // lanes the ports are replicated (p0..p3 in the paper's Fig 14)
         // but each lane serves NGS/KNL items, so per-work-item traffic is
         // the *distinct arrays'* element count: ports ÷ lanes when the
         // module declares per-lane ports.
-        let mut offchip_ports = 0u64;
-        let mut bytes = 0u64;
-        let mut n_streams = 0u64;
-        let mut local_bytes = 0u64;
-        for mem in &m.mems {
-            if !mem.space.is_offchip() {
-                local_bytes += mem.bytes();
-            }
-        }
-        let links = m.manage_links();
-        for (i, p) in m.ports.iter().enumerate() {
-            if links.port_offchip(i) {
-                n_streams += 1;
-                offchip_ports += 1;
-                bytes += u64::from(p.ty.bytes());
-            }
-        }
-        let knl = tree.lanes;
-        // Per-lane port sets: a KNL-lane design declares KNL× the ports of
-        // the distinct arrays; normalise to per-work-item traffic.
-        let lanes_div = knl.max(1);
-        let (nwpt_words, bytes_per_item) =
-            if offchip_ports.is_multiple_of(lanes_div) && offchip_ports > 0 {
-                (offchip_ports / lanes_div, bytes / lanes_div)
-            } else {
-                (offchip_ports, bytes)
-            };
-
-        // Noff: the largest forward look-ahead over all reachable pipes.
-        let mut noff = 0u64;
-        let mut noff_bytes = 0u64;
-        for f in m.reachable_functions() {
-            for o in f.offsets() {
-                if o.offset > 0 {
-                    let lookahead = o.offset as u64;
-                    if lookahead > noff {
-                        noff = lookahead;
-                        noff_bytes = lookahead * u64::from(o.ty.bytes());
-                    }
-                }
-            }
-        }
-
-        RawGeometry {
-            ngs,
-            nki,
-            nwpt_words,
-            bytes_per_item,
-            noff,
-            noff_bytes,
-            knl,
-            dv: m.meta.vect,
-            form: m.meta.form,
-            n_streams,
-            local_bytes,
-        }
-    }
-
-    /// [`extract`][RawGeometry::extract] over an arena-backed design:
-    /// the same Table I geometry, read from the arena's precomputed
-    /// scalars plus the variant's patched `form`/`vect` cells instead of
-    /// walking the tree. Bit-identical to running `extract` on the
-    /// materialized module (every scalar is the same `u64` the tree walk
-    /// accumulates; the `NWPT` normalisation repeats the exact
-    /// divisibility branch).
-    pub(crate) fn extract_design(d: &tytra_ir::PatchedModule<'_>, knl: u64) -> RawGeometry {
-        let a = d.arena;
         let offchip_ports = a.offchip_ports();
         let bytes = a.offchip_port_bytes();
         let lanes_div = knl.max(1);
@@ -291,11 +210,11 @@ mod tests {
     fn extracts_basic_geometry() {
         let m = stencil_module(1);
         let dev = stratix_v_gsd8();
-        let (p, tree) = CostParams::extract(&m, &dev).unwrap();
+        let p = CostParams::extract(&m, &dev).unwrap();
         assert_eq!(p.ngs, 27_000);
         assert_eq!(p.nki, 1000);
         assert_eq!(p.knl, 1);
-        assert_eq!(tree.lanes, 1);
+        assert_eq!(tytra_ir::config_tree::extract(&m).unwrap().lanes, 1);
         assert_eq!(p.nwpt_words, 2);
         assert_eq!(p.bytes_per_item, 6); // two ui18 ports, 3 bytes each
         assert_eq!(p.noff, 900);
@@ -309,7 +228,7 @@ mod tests {
     fn per_lane_ports_normalise_nwpt() {
         let m = stencil_module(4);
         let dev = stratix_v_gsd8();
-        let (p, _) = CostParams::extract(&m, &dev).unwrap();
+        let p = CostParams::extract(&m, &dev).unwrap();
         assert_eq!(p.knl, 4);
         assert_eq!(p.n_streams, 8, "8 physical streams");
         assert_eq!(p.nwpt_words, 2, "but still 2 words per work-item");
@@ -333,7 +252,7 @@ mod tests {
         b.ndrange(&[4096]).form(MemForm::C);
         let m = b.finish_unchecked();
         let dev = stratix_v_gsd8();
-        let (p, _) = CostParams::extract(&m, &dev).unwrap();
+        let p = CostParams::extract(&m, &dev).unwrap();
         assert_eq!(p.nwpt_words, 0, "no off-chip traffic");
         assert_eq!(p.n_streams, 0);
         assert_eq!(p.local_bytes, 2 * 4096 * 3);
@@ -356,7 +275,7 @@ mod tests {
         b.main_calls("f0");
         b.ndrange(&[64]);
         let m = b.finish_unchecked();
-        let (p, _) = CostParams::extract(&m, &stratix_v_gsd8()).unwrap();
+        let p = CostParams::extract(&m, &stratix_v_gsd8()).unwrap();
         assert_eq!(p.noff, 0, "pure look-behind needs no priming");
     }
 
@@ -412,15 +331,15 @@ mod tests {
     #[test]
     fn shadowed_manage_ir_names_resolve_to_the_first_declaration() {
         let m = shadowed_module();
-        let tree = config_tree::extract(&m).unwrap();
+        let a = ArenaModule::build(m.clone());
         // Off chip: p, q, r (through the first `strobj_q`) and the
         // dangling g and h; `main.s` is on chip through the first `mem_s`.
-        let g = RawGeometry::extract(&m, &tree);
+        let g = RawGeometry::extract_design(&a.identity(), a.config().unwrap().tree.lanes);
         assert_eq!(g.n_streams, 5);
         assert_eq!(g.bytes_per_item, 5 * 3);
         // The bandwidth pass sees the off-chip streams with the first
         // `mem_p`'s length; neither `mem_s` nor a dangling name counts.
-        let bw = crate::bandwidth::assess(&m, &stratix_v_gsd8());
+        let bw = crate::bandwidth::assess(&m, &stratix_v_gsd8(), &CurveCache::new());
         let streams: Vec<(&str, u64)> =
             bw.streams.iter().map(|s| (s.name.as_str(), s.elems)).collect();
         assert_eq!(streams, [("strobj_p", 27_000), ("strobj_q", 27_000), ("strobj_q", 27_000)]);
@@ -429,7 +348,7 @@ mod tests {
     #[test]
     fn total_bytes_product() {
         let m = stencil_module(1);
-        let (p, _) = CostParams::extract(&m, &stratix_v_gsd8()).unwrap();
+        let p = CostParams::extract(&m, &stratix_v_gsd8()).unwrap();
         assert!((p.total_bytes() - 27_000.0 * 6.0).abs() < 1e-9);
     }
 }

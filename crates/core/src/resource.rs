@@ -27,10 +27,7 @@
 //! element. Our synthesis emulator reproduces that behaviour.
 
 use tytra_device::{CachedLatency, CurveCache, ResourceVector, TargetDevice};
-use tytra_ir::{
-    fingerprint_function, ArenaModule, ConfigNode, ConfigPlan, Dfg, IrError, IrFunction, IrModule,
-    Opcode, ParKind, PlanNode, ScalarType,
-};
+use tytra_ir::{ArenaModule, ConfigPlan, Dfg, IrFunction, Opcode, ParKind, PlanNode, ScalarType};
 use tytra_trace::bounded::BoundedMap;
 use tytra_trace::metrics::Counter;
 
@@ -95,60 +92,14 @@ pub struct ResourceEstimate {
     pub per_lane: ResourceVector,
 }
 
-/// Estimate the resources of a design variant (full model).
-pub fn estimate_resources(
-    m: &IrModule,
-    dev: &TargetDevice,
-    tree: &ConfigNode,
-) -> Result<ResourceEstimate, IrError> {
-    estimate_resources_with(m, dev, tree, &crate::CostOptions::default())
-}
-
-/// Estimate with ablatable options (see [`crate::CostOptions`]).
-pub fn estimate_resources_with(
-    m: &IrModule,
-    dev: &TargetDevice,
-    tree: &ConfigNode,
-    opts: &crate::CostOptions,
-) -> Result<ResourceEstimate, IrError> {
-    let mut walk =
-        Walk { m, dev, dv: u64::from(m.meta.vect.max(1)), opts, curves: None, memo: None };
-    estimate_resources_impl(&mut walk, tree)
-}
-
-/// Session entry point: identical arithmetic to
-/// [`estimate_resources_with`], but per-function costs are served from
-/// `memo.table` (keyed on the function's structural fingerprint and
-/// `DV`) and calibration lookups go through `curves`.
-pub(crate) fn estimate_resources_session(
-    m: &IrModule,
-    dev: &TargetDevice,
-    tree: &ConfigNode,
-    opts: &crate::CostOptions,
-    curves: &CurveCache,
-    memo: NodeMemo<'_>,
-) -> Result<ResourceEstimate, IrError> {
-    let mut walk = Walk {
-        m,
-        dev,
-        dv: u64::from(m.meta.vect.max(1)),
-        opts,
-        curves: Some(curves),
-        memo: Some(memo),
-    };
-    estimate_resources_impl(&mut walk, tree)
-}
-
-/// Arena entry point: the session resource pass over a flattened
-/// [`ConfigPlan`] — identical arithmetic to
-/// [`estimate_resources_session`], but the recursive tree walk becomes a
-/// linear scan over the plan's preorder slice and the module-level terms
-/// read the arena's precomputed geometry. Memo misses still price the
-/// function body through [`function_cost`] on the retained base tree
-/// (the cost depends only on the body, `DV` and the options, all of
-/// which are patch-independent). Infallible: the plan only exists when
-/// every configuration node's function resolved at arena build time.
-pub(crate) fn estimate_resources_arena(
+/// The session resource pass over a flattened [`ConfigPlan`]: a linear
+/// scan over the plan's preorder slice, with the module-level terms read
+/// from the arena's precomputed geometry. Memo misses price the function
+/// body through [`function_cost`] on the retained base tree (the cost
+/// depends only on the body, `DV` and the options, all of which are
+/// patch-independent). Infallible: the plan only exists when every
+/// configuration node's function resolved at arena build time.
+pub(crate) fn estimate_plan(
     a: &ArenaModule,
     plan: &ConfigPlan,
     dev: &TargetDevice,
@@ -166,17 +117,20 @@ pub(crate) fn estimate_resources_arena(
         acc.control = ResourceVector::ZERO;
     }
     if opts.structural_resources {
-        // `u64` addition is exact, so one multiply equals the tree
-        // path's per-port accumulation.
+        // Stream control per off-chip stream; `u64` addition is exact,
+        // so one multiply equals a per-port accumulation.
         acc.control +=
             ResourceVector::new(STREAM_CTRL_ALUTS, STREAM_CTRL_REGS, 0, 0) * a.offchip_ports();
     }
+    // Local memory objects are BRAM-resident.
     for &bits in a.local_mem_bits() {
         acc.local_memory += ResourceVector::new(2, 0, bits, 0);
     }
 
-    // Per-lane figure: the lane slice re-walks the memo with live
-    // counters, exactly as the tree path's second `node_cost` pass does.
+    // Per-lane figure: one lane subtree, including its share of stream
+    // control (off-chip streams split evenly across lanes when the design
+    // declares per-lane ports). The lane slice re-walks the memo with
+    // live counters.
     let mut lane_acc = ResourceBreakdown::default();
     plan_nodes_cost(a, plan.lane_nodes(), dev, dv, opts, curves, &mut memo, &mut lane_acc);
     let ctrl_per_lane = a.offchip_ports().div_ceil(plan.par_lanes.max(1));
@@ -186,9 +140,16 @@ pub(crate) fn estimate_resources_arena(
     ResourceEstimate { total: acc.total(), breakdown: acc, per_lane }
 }
 
-/// Linear-scan equivalent of [`Walk::node_cost`] over a preorder plan
-/// slice: `par` nodes price lane glue per child (no memo traffic), every
-/// other node goes through the `(fingerprint, DV)` memo.
+/// Accumulate the cost of a preorder plan slice: `par` nodes price lane
+/// glue per child (no memo traffic), every other node goes through the
+/// `(fingerprint, DV)` memo.
+///
+/// A node's *own* contribution (everything [`function_cost`] computes)
+/// depends only on the function body, `DV` and the options, so it is
+/// memoized under `(fingerprint, dv)`; `par` glue depends on the tree
+/// shape and stays outside the memo. Addition over [`ResourceVector`]s
+/// is exact (`u64`), so replaying a cached sub-total is bit-identical to
+/// recomputing it.
 #[allow(clippy::too_many_arguments)]
 fn plan_nodes_cost(
     a: &ArenaModule,
@@ -213,7 +174,7 @@ fn plan_nodes_cost(
         } else {
             memo.misses.incr();
             let f = &a.tree().functions[node.func.index()];
-            let own = function_cost(a.tree(), dev, f, node.kind, dv, opts, Some(curves));
+            let own = function_cost(dev, f, node.kind, dv, opts, curves);
             *acc += &own;
             if memo.table.insert(key, own) {
                 memo.evictions.incr();
@@ -222,7 +183,7 @@ fn plan_nodes_cost(
     }
 }
 
-/// Memo handles threaded through a session-backed resource walk. The
+/// Memo handles threaded through the session resource pass. The
 /// counters are the session's registry-backed `session.memo.*` set.
 pub(crate) struct NodeMemo<'a> {
     pub(crate) table: &'a mut BoundedMap<(u64, u64), ResourceBreakdown>,
@@ -231,121 +192,19 @@ pub(crate) struct NodeMemo<'a> {
     pub(crate) evictions: &'a Counter,
 }
 
-/// One resource-accumulation walk over a configuration tree.
-struct Walk<'a> {
-    m: &'a IrModule,
-    dev: &'a TargetDevice,
-    dv: u64,
-    opts: &'a crate::CostOptions,
-    curves: Option<&'a CurveCache>,
-    memo: Option<NodeMemo<'a>>,
-}
-
-fn estimate_resources_impl(
-    walk: &mut Walk<'_>,
-    tree: &ConfigNode,
-) -> Result<ResourceEstimate, IrError> {
-    let (m, opts) = (walk.m, walk.opts);
-    let mut acc = ResourceBreakdown::default();
-    walk.node_cost(tree, &mut acc)?;
-    if !opts.structural_resources {
-        // Naive per-instruction model: keep only functional units.
-        acc.delay_lines = ResourceVector::ZERO;
-        acc.offset_buffers = ResourceVector::ZERO;
-        acc.control = ResourceVector::ZERO;
-    }
-
-    // Module-level: stream control per off-chip stream.
-    let links = m.manage_links();
-    let offchip_streams = (0..m.ports.len()).filter(|&p| links.port_offchip(p)).count() as u64;
-    if opts.structural_resources {
-        // `u64` addition is exact, so one multiply equals a per-port
-        // accumulation.
-        acc.control +=
-            ResourceVector::new(STREAM_CTRL_ALUTS, STREAM_CTRL_REGS, 0, 0) * offchip_streams;
-    }
-    // Local memory objects are BRAM-resident.
-    for mem in &m.mems {
-        if !mem.space.is_offchip() {
-            acc.local_memory += ResourceVector::new(2, 0, mem.bits(), 0);
-        }
-    }
-
-    // Per-lane figure: one lane subtree, including its share of stream
-    // control (off-chip streams split evenly across lanes when the design
-    // declares per-lane ports).
-    let lane = crate::schedule::lane_subtree(tree);
-    let mut lane_acc = ResourceBreakdown::default();
-    walk.node_cost(lane, &mut lane_acc)?;
-    let lanes = if tree.kind == ParKind::Par { tree.children.len() as u64 } else { 1 };
-    let ctrl_per_lane = offchip_streams.div_ceil(lanes.max(1));
-    let per_lane = lane_acc.total()
-        + ResourceVector::new(STREAM_CTRL_ALUTS, STREAM_CTRL_REGS, 0, 0) * ctrl_per_lane;
-
-    Ok(ResourceEstimate { total: acc.total(), breakdown: acc, per_lane })
-}
-
-impl Walk<'_> {
-    /// Accumulate the cost of a configuration node and its children.
-    ///
-    /// The node's *own* contribution (everything [`function_cost`]
-    /// computes) depends only on the function body, `DV` and the options,
-    /// so a session memoizes it under `(fingerprint, dv)`; `par` glue and
-    /// child recursion stay outside the memo because they depend on the
-    /// tree shape. Addition over [`ResourceVector`]s is exact (`u64`), so
-    /// replaying a cached sub-total is bit-identical to recomputing it.
-    fn node_cost(&mut self, node: &ConfigNode, acc: &mut ResourceBreakdown) -> Result<(), IrError> {
-        let f = self
-            .m
-            .function(&node.function)
-            .ok_or_else(|| IrError::Unknown { kind: "function", name: node.function.clone() })?;
-        if node.kind == ParKind::Par {
-            for _ in &node.children {
-                acc.control += ResourceVector::new(LANE_GLUE_ALUTS, 0, 0, 0);
-            }
-        } else if let Some(memo) = self.memo.as_mut() {
-            let key = (fingerprint_function(f), self.dv);
-            if let Some(hit) = memo.table.get(&key) {
-                memo.hits.incr();
-                *acc += hit;
-            } else {
-                memo.misses.incr();
-                let own =
-                    function_cost(self.m, self.dev, f, node.kind, self.dv, self.opts, self.curves);
-                *acc += &own;
-                if memo.table.insert(key, own) {
-                    memo.evictions.incr();
-                }
-            }
-        } else {
-            let own =
-                function_cost(self.m, self.dev, f, node.kind, self.dv, self.opts, self.curves);
-            *acc += &own;
-        }
-        // Validator guarantees comb has no children.
-        if node.kind != ParKind::Comb {
-            for c in &node.children {
-                self.node_cost(c, acc)?;
-            }
-        }
-        Ok(())
-    }
-}
-
 /// The cost a single function contributes by itself — no children, no
 /// lane glue. This is the unit of memoization for a session.
 fn function_cost(
-    m: &IrModule,
     dev: &TargetDevice,
     f: &IrFunction,
     kind: ParKind,
     dv: u64,
     opts: &crate::CostOptions,
-    curves: Option<&CurveCache>,
+    curves: &CurveCache,
 ) -> ResourceBreakdown {
     let mut acc = ResourceBreakdown::default();
     match kind {
-        ParKind::Pipe => pipe_cost(m, dev, f, dv, opts, curves, &mut acc),
+        ParKind::Pipe => pipe_cost(dev, f, dv, opts, curves, &mut acc),
         ParKind::Comb => comb_cost(dev, f, dv, opts, curves, &mut acc),
         ParKind::Seq => seq_cost(dev, f, curves, &mut acc),
         ParKind::Par => {}
@@ -353,35 +212,20 @@ fn function_cost(
     acc
 }
 
-/// One calibration-curve lookup, through the session cache when present.
-fn op_cost(
-    dev: &TargetDevice,
-    curves: Option<&CurveCache>,
-    op: Opcode,
-    ty: ScalarType,
-) -> ResourceVector {
-    match curves {
-        Some(c) => c.cost(&dev.ops, op, ty),
-        None => dev.ops.cost(op, ty),
-    }
-}
-
 fn pipe_cost(
-    m: &IrModule,
     dev: &TargetDevice,
     f: &IrFunction,
     dv: u64,
     opts: &crate::CostOptions,
-    curves: Option<&CurveCache>,
+    curves: &CurveCache,
     acc: &mut ResourceBreakdown,
 ) {
-    let _ = m;
     // Functional units, one per instruction per vector slot.
     for i in f.instrs() {
         let fu = if opts.strength_reduction {
-            fu_estimate_with(dev, curves, i)
+            fu_estimate(dev, curves, i)
         } else {
-            op_cost(dev, curves, i.op, i.ty)
+            curves.cost(&dev.ops, i.op, i.ty)
         };
         acc.datapath += fu * dv;
     }
@@ -389,10 +233,7 @@ fn pipe_cost(
     // LUT-based shift registers (the calibration toolchain's SRL
     // extraction), trading ~3/4 of the flip-flops for a small LUT cost;
     // short chains stay in registers.
-    let dfg = match curves {
-        Some(c) => Dfg::build(f, &CachedLatency { ops: &dev.ops, cache: c }),
-        None => Dfg::build(f, &dev.ops),
-    };
+    let dfg = Dfg::build(f, &CachedLatency { ops: &dev.ops, cache: curves });
     let dl_bits = dfg.delay_line_bits * dv;
     if dl_bits > OFFSET_REG_SPILL_BITS * 2 {
         acc.delay_lines += ResourceVector::new(dl_bits / 8 + 2, dl_bits / 4, 0, 0);
@@ -422,7 +263,7 @@ fn comb_cost(
     f: &IrFunction,
     dv: u64,
     opts: &crate::CostOptions,
-    curves: Option<&CurveCache>,
+    curves: &CurveCache,
     acc: &mut ResourceBreakdown,
 ) {
     let mut out_width = 0u64;
@@ -430,9 +271,9 @@ fn comb_cost(
         // Combinational block: LUT cost only, no internal pipeline
         // registers.
         let c = if opts.strength_reduction {
-            fu_estimate_with(dev, curves, i)
+            fu_estimate(dev, curves, i)
         } else {
-            op_cost(dev, curves, i.op, i.ty)
+            curves.cost(&dev.ops, i.op, i.ty)
         };
         acc.datapath += ResourceVector::new(c.aluts, 0, 0, c.dsps) * dv;
         out_width = out_width.max(u64::from(i.ty.bits()));
@@ -448,19 +289,13 @@ fn comb_cost(
 /// constant's set bits (no DSP), constant shifts become wiring, and
 /// or/xor/and with zero folds away. This is how Table II's integer SOR
 /// estimates zero DSPs.
-pub fn fu_estimate(dev: &TargetDevice, i: &tytra_ir::Instruction) -> ResourceVector {
-    fu_estimate_with(dev, None, i)
-}
-
-/// [`fu_estimate`] with calibration lookups routed through a session
-/// cache when one is present.
-fn fu_estimate_with(
+fn fu_estimate(
     dev: &TargetDevice,
-    curves: Option<&CurveCache>,
+    curves: &CurveCache,
     i: &tytra_ir::Instruction,
 ) -> ResourceVector {
     use tytra_ir::Operand;
-    let base = op_cost(dev, curves, i.op, i.ty);
+    let base = curves.cost(&dev.ops, i.op, i.ty);
     if !i.ty.is_int() {
         return base;
     }
@@ -482,12 +317,7 @@ fn fu_estimate_with(
     }
 }
 
-fn seq_cost(
-    dev: &TargetDevice,
-    f: &IrFunction,
-    curves: Option<&CurveCache>,
-    acc: &mut ResourceBreakdown,
-) {
+fn seq_cost(dev: &TargetDevice, f: &IrFunction, curves: &CurveCache, acc: &mut ResourceBreakdown) {
     // One functional unit per opcode family: the widest instance wins.
     let mut families: Vec<(Opcode, ScalarType)> = Vec::new();
     for i in f.instrs() {
@@ -501,7 +331,7 @@ fn seq_cost(
         }
     }
     for (op, ty) in families {
-        acc.datapath += op_cost(dev, curves, op, ty);
+        acc.datapath += curves.cost(&dev.ops, op, ty);
     }
     // (seq PEs time-share full-width units; constant folding does not
     // apply because the shared unit must serve variable operands too.)
@@ -514,7 +344,8 @@ fn seq_cost(
 mod tests {
     use super::*;
     use tytra_device::stratix_v_gsd8;
-    use tytra_ir::{config_tree, ModuleBuilder, Opcode, ParKind};
+    use tytra_ir::{IrModule, ModuleBuilder, Opcode, ParKind};
+    use tytra_trace::metrics::Counter;
 
     const T: ScalarType = ScalarType::UInt(18);
 
@@ -552,10 +383,20 @@ mod tests {
         b.finish_unchecked()
     }
 
+    /// The resource pass over an arena built from `m`, on a cold memo.
     fn estimate(m: &IrModule) -> ResourceEstimate {
-        let dev = stratix_v_gsd8();
-        let tree = config_tree::extract(m).unwrap();
-        estimate_resources(m, &dev, &tree.root).unwrap()
+        let a = ArenaModule::build(m.clone());
+        let plan = a.config().expect("plan extracts");
+        let counter = Counter::new();
+        let memo = NodeMemo {
+            table: &mut BoundedMap::new(64),
+            hits: &counter,
+            misses: &counter,
+            evictions: &counter,
+        };
+        let opts = crate::CostOptions::default();
+        let curves = CurveCache::new();
+        estimate_plan(&a, plan, &stratix_v_gsd8(), m.meta.vect, &opts, &curves, memo)
     }
 
     #[test]
@@ -684,8 +525,7 @@ mod tests {
         b.ndrange(&[64]);
         let m = b.finish_unchecked();
         let dev = stratix_v_gsd8();
-        let tree = config_tree::extract(&m).unwrap();
-        let e = estimate_resources(&m, &dev, &tree.root).unwrap();
+        let e = estimate(&m);
         // One adder (20) + one or (9, from write_out) — far less than 4
         // separate units.
         let adder = dev.ops.cost(Opcode::Add, T).aluts;

@@ -24,23 +24,13 @@ pub struct PipelineSchedule {
 }
 
 /// Schedule the module's configuration tree with the device's latency
-/// calibration.
-pub fn schedule(
+/// calibration, looked up through a session curve cache. The schedule
+/// depends only on the lane subtree (not on `DV` or lane count), which is
+/// why a session memoizes it under the subtree fingerprint.
+pub(crate) fn schedule(
     m: &IrModule,
     dev: &TargetDevice,
-    tree: &ConfigNode,
-) -> Result<PipelineSchedule, IrError> {
-    schedule_with(m, dev, None, tree)
-}
-
-/// [`schedule`] with latency lookups routed through a session curve
-/// cache when one is present. The schedule depends only on the lane
-/// subtree (not on `DV` or lane count), which is why a session memoizes
-/// it under the subtree fingerprint.
-pub(crate) fn schedule_with(
-    m: &IrModule,
-    dev: &TargetDevice,
-    curves: Option<&CurveCache>,
+    curves: &CurveCache,
     tree: &ConfigNode,
 ) -> Result<PipelineSchedule, IrError> {
     let lane = lane_subtree(tree);
@@ -71,7 +61,7 @@ pub fn lane_subtree(tree: &ConfigNode) -> &ConfigNode {
 fn depth_of(
     m: &IrModule,
     dev: &TargetDevice,
-    curves: Option<&CurveCache>,
+    curves: &CurveCache,
     node: &ConfigNode,
 ) -> Result<(u32, u64), IrError> {
     let f = m
@@ -79,10 +69,7 @@ fn depth_of(
         .ok_or_else(|| IrError::Unknown { kind: "function", name: node.function.clone() })?;
     match node.kind {
         ParKind::Pipe => {
-            let dfg = match curves {
-                Some(c) => Dfg::build(f, &CachedLatency { ops: &dev.ops, cache: c }),
-                None => Dfg::build(f, &dev.ops),
-            };
+            let dfg = Dfg::build(f, &CachedLatency { ops: &dev.ops, cache: curves });
             let mut depth = dfg.depth;
             let mut bits = dfg.delay_line_bits;
             for c in &node.children {
@@ -156,7 +143,7 @@ mod tests {
         let m = chain_module(1);
         let dev = stratix_v_gsd8();
         let tree = config_tree::extract(&m).unwrap();
-        let s = schedule(&m, &dev, &tree.root).unwrap();
+        let s = schedule(&m, &dev, &CurveCache::new(), &tree.root).unwrap();
         // mul(2) → add(1) → or(1): depth 4.
         assert_eq!(s.kpd, 4);
         assert_eq!(s.ii, 1.0);
@@ -172,8 +159,8 @@ mod tests {
         let m4 = chain_module(4);
         let t1 = config_tree::extract(&m1).unwrap();
         let t4 = config_tree::extract(&m4).unwrap();
-        let s1 = schedule(&m1, &dev, &t1.root).unwrap();
-        let s4 = schedule(&m4, &dev, &t4.root).unwrap();
+        let s1 = schedule(&m1, &dev, &CurveCache::new(), &t1.root).unwrap();
+        let s4 = schedule(&m4, &dev, &CurveCache::new(), &t4.root).unwrap();
         assert_eq!(s1.kpd, s4.kpd, "KPD is per lane, not per design");
         assert_eq!(s4.ni, s1.ni, "NI is per PE");
     }
@@ -211,7 +198,7 @@ mod tests {
         let m = b.finish_unchecked();
         let dev = stratix_v_gsd8();
         let tree = config_tree::extract(&m).unwrap();
-        let s = schedule(&m, &dev, &tree.root).unwrap();
+        let s = schedule(&m, &dev, &CurveCache::new(), &tree.root).unwrap();
         // stageA: add+or = 2; stageB: mul(2)+or = 3; top itself: 0.
         assert_eq!(s.kpd, 5);
         assert_eq!(s.ni, 4);
@@ -236,7 +223,7 @@ mod tests {
         let m = b.finish_unchecked();
         let dev = stratix_v_gsd8();
         let tree = config_tree::extract(&m).unwrap();
-        let s = schedule(&m, &dev, &tree.root).unwrap();
+        let s = schedule(&m, &dev, &CurveCache::new(), &tree.root).unwrap();
         assert_eq!(s.ni, 3);
         assert_eq!(s.ii, 3.0);
         assert_eq!(s.kpd, 3);

@@ -13,46 +13,45 @@
 //! repeated 32 times; a lane sweep re-uses the same lane body at every
 //! width), so warm-session sweeps run mostly out of the memo tables.
 //!
-//! The pass pipeline, with each pass's memo key:
+//! The passes run over an [`ArenaModule`] design
+//! ([`estimate_design`][EstimatorSession::estimate_design],
+//! [`bound_design`][EstimatorSession::bound_design]); the tree entry
+//! points [`estimate`][EstimatorSession::estimate] and
+//! [`bound`][EstimatorSession::bound] build an arena over the module and
+//! call them. The pass pipeline, with each pass's memo key:
 //!
 //! | pass | input | memo key | cached value |
 //! |---|---|---|---|
-//! | validate | module | [`fingerprint_module`] | (validity) |
-//! | configure | module | — (cheap, always runs) | `ConfigTree` |
-//! | schedule | lane subtree | [`fingerprint_subtree`] | `PipelineSchedule` |
-//! | parameters | tree + schedule | — (infallible arithmetic) | `CostParams` |
-//! | resources | per function | [`fingerprint_function`] + `DV` | `ResourceBreakdown` |
-//! | clock | per function | [`fingerprint_function`] | worst stage (ns, name) |
-//! | bandwidth | stream set | [`fingerprint_streams`] + lanes | `BandwidthBreakdown` |
+//! | validate | module | patched [`fingerprint_module`][tytra_ir::fingerprint_module] | (validity) |
+//! | configure | module | — (extracted at arena build) | `ConfigPlan` |
+//! | schedule | lane subtree | [`fingerprint_subtree`][tytra_ir::fingerprint_subtree] | `PipelineSchedule` |
+//! | parameters | geometry + schedule | — (infallible arithmetic) | `CostParams` |
+//! | resources | per function | [`fingerprint_function`][tytra_ir::fingerprint_function] + `DV` | `ResourceBreakdown` |
+//! | clock | per function | [`fingerprint_function`][tytra_ir::fingerprint_function] | worst stage (ns, name) |
+//! | bandwidth | stream set | [`fingerprint_streams`][tytra_ir::fingerprint_streams] + lanes | `BandwidthBreakdown` |
 //! | throughput / power | scalars | — (pure arithmetic) | — |
 //!
 //! Below those, every calibration-fit and sustained-bandwidth curve
 //! evaluation in `tytra-device` is interned in a session-scoped
 //! [`CurveCache`].
 //!
-//! **Bit-identity.** Cached values are the exact values the uncached
-//! code produced — resource sums are `u64` (addition commutes exactly),
-//! `f64`s are stored and replayed bit-for-bit, and the per-function
-//! worst-stage combine uses the same strict `>` preorder as the legacy
-//! instruction walk — so a warm [`estimate`][EstimatorSession::estimate]
-//! returns a [`CostReport`] bit-identical to a cold one. The
-//! `session_equivalence` property test and the byte-identical
-//! `tybec dse sor` leaderboard pin this down.
+//! **Bit-identity.** A cached value is the exact value its pass computed
+//! cold — resource sums are `u64` (addition commutes exactly), `f64`s
+//! are stored and replayed bit-for-bit, and the per-function worst-stage
+//! combine uses a strict `>` preorder — so a warm
+//! [`estimate`][EstimatorSession::estimate] returns a [`CostReport`]
+//! bit-identical to a cold one. The `session_equivalence` property test
+//! and the byte-identical `tybec dse sor` leaderboard pin this down.
 
 use crate::bandwidth::{self, BandwidthBreakdown};
 use crate::bound::CostBound;
 use crate::frequency;
-use crate::params::CostParams;
 use crate::report::{assemble, CostReport};
 use crate::resource::{self, ResourceBreakdown};
 use crate::schedule::{self, PipelineSchedule};
 use crate::{bottleneck, throughput, CostOptions};
 use tytra_device::{CurveCache, TargetDevice};
-use tytra_ir::{
-    config_tree, fingerprint_function, fingerprint_module, fingerprint_streams,
-    fingerprint_subtree, validate, ArenaModule, ConfigNode, ConfigPlan, IrError, IrModule,
-    PatchedModule, StableHasher, TybecError,
-};
+use tytra_ir::{ArenaModule, ConfigPlan, IrError, IrModule, PatchedModule, TybecError};
 use tytra_trace as trace;
 use tytra_trace::bounded::{BoundedMap, BoundedSet};
 use tytra_trace::metrics::{Counter, Gauge, Histogram, Registry, Snapshot};
@@ -260,166 +259,49 @@ impl EstimatorSession {
     /// Run the full cost pipeline over a design variant, serving every
     /// sub-result the session has already computed from its memo tables.
     ///
-    /// Reports are bit-identical to [`crate::estimate()`] on the same
-    /// module and device — with or without tracing enabled, since spans
+    /// Builds an [`ArenaModule`] over a copy of `m` and runs
+    /// [`estimate_design`][EstimatorSession::estimate_design] on its
+    /// identity patch: one pipeline serves trees and arena designs.
+    /// Reports are the same with or without tracing enabled, since spans
     /// only observe. Each pass opens an `estimator.*` span carrying its
     /// memo fingerprint and hit/miss verdict (see
     /// `docs/observability.md`).
     pub fn estimate(&mut self, m: &IrModule) -> Result<CostReport, TybecError> {
-        let t0 = std::time::Instant::now();
-        let _root = trace::span("estimator.estimate").with("module", m.name.as_str());
-
-        // Pass 0: validation, once per distinct module.
-        self.validate_pass(m)?;
-
-        // Pass 1: configuration extraction (cheap tree walk, not worth a
-        // clone-heavy memo entry).
-        let tree = {
-            let _sp = trace::span("estimator.configure");
-            config_tree::extract(m)?
-        };
-
-        // Pass 2: schedule, shared by every variant with the same lane
-        // subtree (lane count and DV do not enter the schedule).
-        let lane = schedule::lane_subtree(&tree.root);
-        let lane_fp = fingerprint_subtree(m, lane);
-        let sched = {
-            let mut sp = trace::span("estimator.schedule").with("fp", lane_fp);
-            match self.schedules.get(&lane_fp) {
-                Some(s) => {
-                    self.hits.incr();
-                    sp.record("memo_hit", true);
-                    s.clone()
-                }
-                None => {
-                    let s = schedule::schedule_with(m, &self.dev, Some(&self.curves), &tree.root)?;
-                    self.misses.incr();
-                    sp.record("memo_hit", false);
-                    if self.schedules.insert(lane_fp, s.clone()) {
-                        self.evictions.incr();
-                    }
-                    s
-                }
-            }
-        };
-
-        // Pass 3: parameter extraction (pure arithmetic over pass 1+2).
-        let params = {
-            let _sp = trace::span("estimator.parameters");
-            CostParams::from_parts(m, &tree, sched)
-        };
-
-        // Pass 4: resources, memoized per function.
-        let resources = self.resources_pass(m, &tree)?;
-        let utilization = resources.total.utilization(&self.dev.capacity);
-        let fits = resources.total.fits_within(&self.dev.capacity);
-
-        // Pass 5: clock, worst stage memoized per function.
-        let clock = {
-            let _sp = trace::span("estimator.clock");
-            let mut worst = (0.0f64, String::new());
-            self.clock_walk(m, &tree.root, &mut worst)?;
-            frequency::finish_clock(m, &self.dev, worst, &resources.total)
-        };
-
-        // Pass 6: bandwidth, memoized per stream set + lane count.
-        let bw = self.bandwidth_pass(m);
-
-        // Pass 7: throughput, limiter, power — pure arithmetic.
-        let report = {
-            let _sp = trace::span("estimator.throughput");
-            let tput = throughput::estimate_throughput(&params, &self.dev, &bw, clock.freq_mhz);
-            let limiter = bottleneck::limiter(&tput);
-            let exercised_gbytes =
-                crate::estimate::exercised_gbytes(params.total_bytes(), tput.t_instance);
-            let power_w =
-                self.dev.power.delta_watts(&resources.total, clock.freq_mhz, exercised_gbytes);
-            assemble(
-                m.name.clone(),
-                self.dev.name.clone(),
-                params,
-                &tree,
-                resources,
-                utilization,
-                fits,
-                clock,
-                bw,
-                tput,
-                limiter,
-                power_w,
-            )
-        };
-
-        self.memo_entries.set(self.memo_len() as f64);
-        self.estimate_ns.record(t0.elapsed().as_nanos() as u64);
-        Ok(report)
+        self.estimate_design(&ArenaModule::build(m.clone()).identity())
     }
 
-    /// The cheap branch-and-bound pass: an exact resource/fit verdict
-    /// plus an admissible upper bound on EKIT, from the memoized
-    /// validate, resource and bandwidth passes alone — no schedule or
-    /// clock walk over the datapath (see [`crate::bound`]).
-    ///
-    /// Shares memo tables with [`estimate`][EstimatorSession::estimate]:
-    /// a bound followed by an estimate of the same variant replays the
-    /// resource and bandwidth sub-results, and vice versa, so
-    /// interleaving bounds never perturbs estimate results.
+    /// The cheap branch-and-bound pass over a module:
+    /// [`bound_design`][EstimatorSession::bound_design] on the identity
+    /// patch of an arena built over a copy of `m`.
     pub fn bound(&mut self, m: &IrModule) -> Result<CostBound, TybecError> {
-        let t0 = std::time::Instant::now();
-        let _root = trace::span("estimator.bound").with("module", m.name.as_str());
-        self.validate_pass(m)?;
-        let tree = config_tree::extract(m)?;
-        let resources = self.resources_pass(m, &tree)?;
-        let fits = resources.total.fits_within(&self.dev.capacity);
-        let bw = self.bandwidth_pass(m);
-        let g = crate::params::RawGeometry::extract(m, &tree);
-        // The initiation interval depends only on the lane subtree's
-        // kind and instruction count — recompute it exactly as the
-        // schedule pass would, without building the datapath graph.
-        let lane = schedule::lane_subtree(&tree.root);
-        let ii = match lane.kind {
-            tytra_ir::ParKind::Seq => lane.subtree_instrs().max(1) as f64,
-            _ => 1.0,
-        };
-        let b = crate::bound::assemble(&g, &self.dev, &bw, ii, resources.total, fits);
-        self.memo_entries.set(self.memo_len() as f64);
-        self.bound_ns.record(t0.elapsed().as_nanos() as u64);
-        Ok(b)
+        self.bound_design(&ArenaModule::build(m.clone()).identity())
     }
 
-    /// [`estimate`][EstimatorSession::estimate] over an arena-backed
-    /// design variant: the same eight-pass pipeline, but configuration,
-    /// geometry and all memo keys come from the arena's precomputed
-    /// columns, so a warm call never materializes or clones the module.
-    /// Reports are bit-identical to estimating
-    /// [`materialize`][PatchedModule::materialize]d tree through the same
-    /// session (pinned by the `arena_equivalence` suite and a fuzz
-    /// oracle). Trace streams carry the same spans with the same
-    /// fingerprints; only the validate pass's `memo_hit` flag can differ,
-    /// because all variants of one arena share a single base validation.
+    /// The eight-pass pipeline over an arena-backed design variant.
+    /// Configuration, geometry and all memo keys come from the arena's
+    /// precomputed columns, so a warm call never materializes or clones
+    /// the module. The report equals that of a fresh arena built over the
+    /// [`materialize`][PatchedModule::materialize]d tree (pinned by the
+    /// `arena_equivalence` suite and a fuzz oracle, which check the
+    /// copy-on-write patch). A design that fails validation returns that
+    /// error; a valid one without a supported configuration returns the
+    /// extraction error the arena kept.
     pub fn estimate_design(&mut self, d: &PatchedModule<'_>) -> Result<CostReport, TybecError> {
-        let Some(plan) = d.arena.config() else {
-            // Configuration extraction failed at arena build time; the
-            // tree pipeline reproduces the same error (or handles the
-            // exotic shape the plan cannot express).
-            return self.estimate(&d.materialize());
-        };
         let t0 = std::time::Instant::now();
         let _root = trace::span("estimator.estimate").with("module", d.name);
 
         // Pass 0: validation, shared across the arena's variants.
         self.validate_design(d)?;
 
-        // Pass 1 ran at arena build time; keep the span so the trace
-        // stream shape matches the tree pipeline.
-        {
+        // Pass 1 ran at arena build time.
+        let plan = {
             let _sp = trace::span("estimator.configure");
-        }
+            d.arena.config()?
+        };
 
-        // Pass 2: schedule. Same memo key as the tree path (the lane
-        // subtree's fingerprint — patch-independent); a miss schedules
-        // the base tree, which the memo key already asserts is
-        // equivalent (lane count and DV do not enter the schedule).
+        // Pass 2: schedule, keyed on the lane subtree's fingerprint
+        // (patch-independent: lane count and DV do not enter the
+        // schedule), so a miss schedules the base tree.
         let sched = {
             let mut sp = trace::span("estimator.schedule").with("fp", plan.lane_fp);
             match self.schedules.get(&plan.lane_fp) {
@@ -429,10 +311,10 @@ impl EstimatorSession {
                     s.clone()
                 }
                 None => {
-                    let s = schedule::schedule_with(
+                    let s = schedule::schedule(
                         d.arena.tree(),
                         &self.dev,
-                        Some(&self.curves),
+                        &self.curves,
                         &plan.tree.root,
                     )?;
                     self.misses.incr();
@@ -498,18 +380,23 @@ impl EstimatorSession {
         Ok(report)
     }
 
-    /// [`bound`][EstimatorSession::bound] over an arena-backed design:
-    /// the branch-and-bound hot path. Steady-state (all memos warm) this
-    /// performs no heap allocation at all — fingerprints and geometry are
-    /// precomputed, the initiation interval is the plan's `lane_ii`, and
-    /// the bandwidth breakdown is read by reference from the memo table.
+    /// The cheap branch-and-bound pass over an arena-backed design: an
+    /// exact resource/fit verdict plus an admissible upper bound on EKIT,
+    /// from the memoized validate, resource and bandwidth passes alone —
+    /// no schedule or clock walk over the datapath (see [`crate::bound`]).
+    ///
+    /// Shares memo tables with
+    /// [`estimate_design`][EstimatorSession::estimate_design], so
+    /// interleaving bounds never perturbs estimate results. Steady-state
+    /// (all memos warm) this performs no heap allocation at all —
+    /// fingerprints and geometry are precomputed, the initiation interval
+    /// is the plan's `lane_ii`, and the bandwidth breakdown is read by
+    /// reference from the memo table.
     pub fn bound_design(&mut self, d: &PatchedModule<'_>) -> Result<CostBound, TybecError> {
-        let Some(plan) = d.arena.config() else {
-            return self.bound(&d.materialize());
-        };
         let t0 = std::time::Instant::now();
         let _root = trace::span("estimator.bound").with("module", d.name);
         self.validate_design(d)?;
+        let plan = d.arena.config()?;
         let resources = self.resources_design(d, plan);
         let fits = resources.total.fits_within(&self.dev.capacity);
         self.ensure_bandwidth_design(d.arena);
@@ -521,13 +408,11 @@ impl EstimatorSession {
         Ok(b)
     }
 
-    /// Pass 0 over an arena-backed design. The patched fingerprint is
-    /// checked first (so repeat visits count hits exactly as the tree
-    /// path does); on a miss, the arena's base verdict stands in for
-    /// every variant of the arena. It is computed once per arena and
-    /// shared by every patch and every session (see
-    /// [`ArenaModule::validate_base`]), so only the call that actually
-    /// runs the validator counts a miss.
+    /// Pass 0, memoized per patched-module fingerprint. On a miss, the
+    /// arena's base verdict stands in for every variant of the arena. It
+    /// is computed once per arena and shared by every patch and every
+    /// session (see [`ArenaModule::validate_base`]), so only the call
+    /// that actually runs the validator counts a miss.
     fn validate_design(&mut self, d: &PatchedModule<'_>) -> Result<(), IrError> {
         let module_fp = d.fingerprint();
         let mut sp = trace::span("estimator.validate").with("fp", module_fp);
@@ -550,15 +435,15 @@ impl EstimatorSession {
         Ok(())
     }
 
-    /// Pass 4 over the flattened plan (same span and memo traffic as
-    /// [`resources_pass`][EstimatorSession::resources_pass]).
+    /// Pass 4: resource accumulation over the flattened plan, memoized
+    /// per function.
     fn resources_design(
         &mut self,
         d: &PatchedModule<'_>,
         plan: &ConfigPlan,
     ) -> crate::resource::ResourceEstimate {
         let _sp = trace::span("estimator.resources");
-        resource::estimate_resources_arena(
+        resource::estimate_plan(
             d.arena,
             plan,
             &self.dev,
@@ -575,10 +460,10 @@ impl EstimatorSession {
     }
 
     /// Pass 5 over the flattened plan, in two phases: fill the
-    /// worst-stage memo for every plan node (same per-visit hit/miss
-    /// accounting as [`clock_walk`][EstimatorSession::clock_walk]), then
-    /// a read-only strict-`>` preorder combine that borrows the memoized
-    /// stage names and pays a single `String` copy at the end.
+    /// worst-stage memo for every plan node (one hit or miss per node
+    /// visit), then a read-only preorder combine that borrows the
+    /// memoized stage names and pays a single `String` copy at the end.
+    /// The strict `>` keeps the earliest function on ties.
     fn clock_design(&mut self, a: &ArenaModule, plan: &ConfigPlan) -> (f64, String) {
         for node in &plan.nodes {
             let key = a.fn_fp(node.func);
@@ -586,8 +471,7 @@ impl EstimatorSession {
                 self.hits.incr();
             } else {
                 let f = &a.tree().functions[node.func.index()];
-                let v =
-                    frequency::function_worst_stage(&self.dev, Some(&self.curves), f, node.kind);
+                let v = frequency::function_worst_stage(&self.dev, &self.curves, f, node.kind);
                 self.misses.incr();
                 if self.worst_stage.insert(key, v) {
                     self.evictions.incr();
@@ -607,9 +491,7 @@ impl EstimatorSession {
 
     /// Pass 6 over an arena: ensure the bandwidth breakdown for the
     /// arena's (patch-independent) key is memoized, without handing out a
-    /// clone — the bound path reads it by reference afterwards. Same span
-    /// and counter traffic as
-    /// [`bandwidth_pass`][EstimatorSession::bandwidth_pass]; the miss
+    /// clone — the bound path reads it by reference afterwards. The miss
     /// path assesses the *base* tree, exact because the bandwidth pass
     /// reads only the Manage-IR, which the patch never touches.
     fn ensure_bandwidth_design(&mut self, a: &ArenaModule) {
@@ -620,85 +502,14 @@ impl EstimatorSession {
             sp.record("memo_hit", true);
         } else {
             let b = if self.opts.sustained_bandwidth {
-                bandwidth::assess_impl(a.tree(), &self.dev, Some(&self.curves))
+                bandwidth::assess(a.tree(), &self.dev, &self.curves)
             } else {
-                bandwidth::assess_naive_impl(a.tree(), &self.dev, Some(&self.curves))
+                bandwidth::assess_naive(a.tree(), &self.dev, &self.curves)
             };
             self.misses.incr();
             sp.record("memo_hit", false);
             if self.bandwidths.insert(bw_key, b) {
                 self.evictions.incr();
-            }
-        }
-    }
-
-    /// Pass 0: validation, memoized per whole-module fingerprint.
-    fn validate_pass(&mut self, m: &IrModule) -> Result<(), IrError> {
-        let module_fp = fingerprint_module(m);
-        let mut sp = trace::span("estimator.validate").with("fp", module_fp);
-        if self.validated.contains(&module_fp) {
-            self.hits.incr();
-            sp.record("memo_hit", true);
-        } else {
-            self.misses.incr();
-            sp.record("memo_hit", false);
-            validate::validate(m)?;
-            if self.validated.insert(module_fp) {
-                self.evictions.incr();
-            }
-        }
-        Ok(())
-    }
-
-    /// Pass 4: resource accumulation, memoized per function.
-    fn resources_pass(
-        &mut self,
-        m: &IrModule,
-        tree: &tytra_ir::ConfigTree,
-    ) -> Result<crate::resource::ResourceEstimate, IrError> {
-        let _sp = trace::span("estimator.resources");
-        resource::estimate_resources_session(
-            m,
-            &self.dev,
-            &tree.root,
-            &self.opts,
-            &self.curves,
-            resource::NodeMemo {
-                table: &mut self.node_costs,
-                hits: &self.hits,
-                misses: &self.misses,
-                evictions: &self.evictions,
-            },
-        )
-    }
-
-    /// Pass 6: bandwidth assessment, memoized per stream set + lanes.
-    fn bandwidth_pass(&mut self, m: &IrModule) -> BandwidthBreakdown {
-        let bw_key = {
-            let mut h = StableHasher::new();
-            h.write_u64(fingerprint_streams(m));
-            h.write_u64(m.kernel_lanes());
-            h.finish()
-        };
-        let mut sp = trace::span("estimator.bandwidth").with("fp", bw_key);
-        match self.bandwidths.get(&bw_key) {
-            Some(b) => {
-                self.hits.incr();
-                sp.record("memo_hit", true);
-                b.clone()
-            }
-            None => {
-                let b = if self.opts.sustained_bandwidth {
-                    bandwidth::assess_impl(m, &self.dev, Some(&self.curves))
-                } else {
-                    bandwidth::assess_naive_impl(m, &self.dev, Some(&self.curves))
-                };
-                self.misses.incr();
-                sp.record("memo_hit", false);
-                if self.bandwidths.insert(bw_key, b.clone()) {
-                    self.evictions.incr();
-                }
-                b
             }
         }
     }
@@ -711,44 +522,6 @@ impl EstimatorSession {
             + self.worst_stage.len()
             + self.schedules.len()
             + self.bandwidths.len()
-    }
-
-    /// Preorder clock walk, replaying per-function worst stages from the
-    /// memo table. Strict `>` combine matches the legacy visit exactly.
-    fn clock_walk(
-        &mut self,
-        m: &IrModule,
-        node: &ConfigNode,
-        worst: &mut (f64, String),
-    ) -> Result<(), IrError> {
-        let f = m
-            .function(&node.function)
-            .ok_or_else(|| IrError::Unknown { kind: "function", name: node.function.clone() })?;
-        let key = fingerprint_function(f);
-        let own = match self.worst_stage.get(&key) {
-            Some(hit) => {
-                self.hits.incr();
-                hit.clone()
-            }
-            None => {
-                let v =
-                    frequency::function_worst_stage(&self.dev, Some(&self.curves), f, node.kind);
-                self.misses.incr();
-                if self.worst_stage.insert(key, v.clone()) {
-                    self.evictions.incr();
-                }
-                v
-            }
-        };
-        if let Some(own) = own {
-            if own.0 > worst.0 {
-                *worst = own;
-            }
-        }
-        for c in &node.children {
-            self.clock_walk(m, c, worst)?;
-        }
-        Ok(())
     }
 }
 
@@ -899,6 +672,8 @@ mod tests {
         assert!(session.bound(&m).is_err());
     }
 
+    /// The tree entry points build a fresh arena over the materialized
+    /// module, so this pins each copy-on-write patch to a rebuild.
     #[test]
     fn design_estimates_are_bit_identical_to_tree() {
         let dev = eval_small();
@@ -963,14 +738,14 @@ mod tests {
     }
 
     #[test]
-    fn design_path_falls_back_without_a_plan() {
+    fn design_path_reports_errors_without_a_plan() {
         // A module whose configuration tree cannot be extracted (no
-        // `main`) has no plan; the design path must reproduce the tree
-        // path's error through the fallback.
+        // `main`) has no plan; the design passes still report the
+        // validation error first.
         let mut m = laned_module(1, MemForm::B);
         m.functions.retain(|f| f.name != "main");
         let a = tytra_ir::ArenaModule::build(m);
-        assert!(a.config().is_none());
+        assert!(a.config().is_err());
         let mut session = EstimatorSession::new(stratix_v_gsd8());
         assert!(session.estimate_design(&a.identity()).is_err());
         assert!(session.bound_design(&a.identity()).is_err());

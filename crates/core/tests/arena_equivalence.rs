@@ -1,9 +1,11 @@
-//! Bit-identity of the arena path: for any module the builder can
-//! produce and any copy-on-write patch over it, the estimator's
+//! Bit-identity of copy-on-write patches: for any module the builder can
+//! produce and any patch over it, the estimator's
 //! `estimate_design`/`bound_design` passes must return exactly what the
-//! tree path returns for the materialized patch — not approximately,
-//! but to the last mantissa bit. The arena is a layout change, never a
-//! second cost model.
+//! tree entry points return for the materialized patch — not
+//! approximately, but to the last mantissa bit. The tree entry points
+//! build a fresh arena over the module they are given, so this pins a
+//! patched design to a rebuild of its own tree: the one property the
+//! three-cell patch can break.
 //!
 //! The strategies deliberately drive one pair of warm sessions through
 //! a whole batch of sibling patches over a shared arena base, so later
@@ -179,7 +181,7 @@ fn invalid_module() -> IrModule {
 fn an_invalid_base_errors_identically_on_every_path() {
     let m = invalid_module();
     let arena = ArenaModule::build(m.clone());
-    assert!(arena.config().is_some(), "the arena path, not its tree fallback, must validate");
+    assert!(arena.config().is_ok(), "the base has a plan, so validation must reject it");
     let tree_err = EstimatorSession::new(stratix_v_gsd8()).estimate(&m).unwrap_err();
     assert_eq!(tree_err, TybecError::from(tytra_ir::validate(&m).unwrap_err()));
     // The first pass computes the arena's cached verdict; the second, in

@@ -31,17 +31,17 @@
 //!   flattened configuration plan ([`ConfigPlan`]) with the lane
 //!   subtree's schedule fingerprint. These are the only values the
 //!   estimator's bound/estimate passes need per variant, so costing a
-//!   [`PatchedModule`] is pure arithmetic over this struct — the tree is
-//!   only rematerialized on a memo *miss*.
+//!   [`PatchedModule`] is pure arithmetic over this struct — the base
+//!   tree is read only on a memo *miss*.
 //!
 //! **Bit-identity.** [`ArenaModule::fingerprint_patched`] reproduces
 //! [`crate::fingerprint::fingerprint_module`] on the equivalent patched
 //! tree byte-for-byte: it replays the exact same FNV-1a write sequence
 //! from the columns (locked by unit tests here, the
 //! `arena_equivalence` property suite and a fuzz oracle). The base tree
-//! is retained behind [`ArenaModule::tree`] as the migration façade —
-//! anything not yet rewritten against the columns keeps working on the
-//! tree, and memo-miss paths materialize a patched clone on demand.
+//! is retained behind [`ArenaModule::tree`]: memo-miss passes read
+//! function bodies and Manage-IR from it (cells no patch touches), and
+//! [`PatchedModule::materialize`] clones it for callers that need a tree.
 
 use crate::config_tree::{self, ConfigNode, ConfigTree};
 use crate::diag::SrcLoc;
@@ -127,9 +127,8 @@ pub struct PlanNode {
 
 /// The configuration tree of the base module, flattened to a preorder
 /// slice plus the precomputed scalars the schedule/bound passes read.
-/// `None` on [`ArenaModule`] when configuration extraction fails (the
-/// estimator then falls back to the tree path, reproducing the same
-/// error).
+/// [`ArenaModule::config`] returns the extraction error instead when the
+/// base has no supported configuration.
 #[derive(Debug, Clone)]
 pub struct ConfigPlan {
     /// The extracted tree, kept for report assembly and memo-miss
@@ -163,8 +162,7 @@ impl ConfigPlan {
 /// precomputed. Built once per lowered base design; see the module docs.
 #[derive(Debug, Clone)]
 pub struct ArenaModule {
-    /// The retained base tree (the thin façade for not-yet-migrated
-    /// consumers and memo-miss materialization).
+    /// The retained base tree, read by memo-miss passes.
     tree: IrModule,
     symbols: SymbolTable,
 
@@ -238,7 +236,7 @@ pub struct ArenaModule {
     noff: u64,
     noff_bytes: u64,
 
-    config: Option<ConfigPlan>,
+    config: Result<ConfigPlan, IrError>,
 
     /// The base tree's validation verdict, computed on first request and
     /// shared by every patch of the arena (see
@@ -252,6 +250,7 @@ impl ArenaModule {
     /// (which the estimator's arena path calls before first use) reports
     /// its error.
     pub fn build(tree: IrModule) -> ArenaModule {
+        let _sp = tytra_trace::span("ir.arena_build").with("module", tree.name.as_str());
         let n_fns = tree.functions.len();
         // A generous estimate of the distinct names, so interning seldom
         // regrows (and rehashes) the symbol index.
@@ -310,7 +309,8 @@ impl ArenaModule {
             local_mem_bits: Vec::new(),
             noff: 0,
             noff_bytes: 0,
-            config: None,
+            // Placeholder, replaced once the columns below exist.
+            config: Err(IrError::UnsupportedConfig(String::new())),
             base_verdict: OnceLock::new(),
             symbols,
             tree,
@@ -437,7 +437,7 @@ impl ArenaModule {
         // The identity patch replays `fingerprint_module` from the columns
         // and the streams digest above, without hashing the tree again.
         a.base_fp = a.fingerprint_patched(&a.tree.name, a.tree.meta.form, a.tree.meta.vect);
-        a.config = config_tree::extract(&a.tree).ok().map(|t| build_plan(&a, t));
+        a.config = config_tree::extract(&a.tree).map(|t| build_plan(&a, t));
         a
     }
 
@@ -496,9 +496,10 @@ impl ArenaModule {
         })
     }
 
-    /// The flattened configuration plan, when extraction succeeded.
-    pub fn config(&self) -> Option<&ConfigPlan> {
-        self.config.as_ref()
+    /// The flattened configuration plan, or the error
+    /// [`config_tree::extract`] gave on the base tree.
+    pub fn config(&self) -> Result<&ConfigPlan, IrError> {
+        self.config.as_ref().map_err(Clone::clone)
     }
 
     // ---- precomputed digests & geometry ----
@@ -759,7 +760,7 @@ fn build_plan(a: &ArenaModule, tree: ConfigTree) -> ConfigPlan {
 /// form, DV). Costing a `PatchedModule` through the session's
 /// `estimate_design`/`bound_design` touches only the arena's precomputed
 /// columns in the steady state; [`materialize`][PatchedModule::materialize]
-/// produces the equivalent tree for memo-miss paths.
+/// produces the equivalent tree.
 #[derive(Debug, Clone, Copy)]
 pub struct PatchedModule<'a> {
     /// The shared base.
@@ -781,7 +782,7 @@ impl PatchedModule<'_> {
 
     /// Clone the base tree and apply the patch — the module this variant
     /// stands for. Equal (field-for-field) to lowering the variant from
-    /// scratch; only memo-miss paths pay this.
+    /// scratch.
     pub fn materialize(&self) -> IrModule {
         let mut m = self.arena.tree.clone();
         m.name.clear();

@@ -45,7 +45,7 @@ pub fn simulate_instance(
     dev: &TargetDevice,
     freq_mhz: f64,
 ) -> Result<CycleStats, TybecError> {
-    let (p, _tree) = CostParams::extract(m, dev)?;
+    let p = CostParams::extract(m, dev)?;
     simulate_with_params(m, dev, &p, freq_mhz)
 }
 

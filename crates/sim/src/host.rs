@@ -45,7 +45,7 @@ impl RunResult {
 /// Synthesize, simulate and orchestrate a validated module end to end.
 pub fn run_application(m: &IrModule, dev: &TargetDevice) -> Result<RunResult, TybecError> {
     let synth = synthesize(m, dev)?;
-    let (params, _tree) = CostParams::extract(m, dev)?;
+    let params = CostParams::extract(m, dev)?;
     let cycles = simulate_with_params(m, dev, &params, synth.fmax_mhz)?;
 
     let f_hz = synth.fmax_mhz * 1e6;
