@@ -4,19 +4,14 @@
 //! automatically creates and evaluates design variants for an HPC
 //! kernel". This crate drives it:
 //!
-//! * [`search()`][search::search] — the branch-and-bound engine: a lazy
-//!   variant generator feeding work-stealing worker deques, with an
-//!   admissible analytic bound pruning variants that cannot fit the
-//!   device or beat the incumbent before the full estimate runs
-//!   (bit-identical leaderboards to exhaustive mode);
-//! * [`explore()`][explore::explore] — the exhaustive legacy engine:
-//!   generate every legal variant of a kernel by type transformation,
-//!   lower each to TyTra-IR and cost it, in parallel across worker
-//!   threads, each holding its own warm `EstimatorSession`
-//!   ([`explore_with_stats`] also reports the summed memo hit rates);
-//! * [`select_best`] — the guided-optimisation choice: fastest EKIT
-//!   among variants that fit the device and saturate no illegal
-//!   constraint;
+//! * [`search()`][search::search] — the DSE engine: generate the legal
+//!   variants of a kernel by type transformation, lazily, and feed them
+//!   to work-stealing worker deques, with an admissible analytic bound
+//!   pruning variants that cannot fit the device or beat the incumbent
+//!   before the full estimate runs (bit-identical leaderboards to
+//!   exhaustive mode). The leaderboard's first entry is the
+//!   guided-optimisation choice: the fastest EKIT among variants that
+//!   fit the device;
 //! * [`lane_sweep`] — the Fig 15 experiment: utilisation per resource,
 //!   throughput and wall identification as lanes scale;
 //! * [`tune`] — the feedback loop the paper's bottleneck output enables:
@@ -27,16 +22,11 @@
 //! [`VariantFactory`][tytra_transform::VariantFactory], so a driver that
 //! runs all three (`tybec dse`) lowers and validates each design once.
 
-pub mod explore;
 pub mod report;
 pub mod roofline;
 pub mod search;
 pub mod tuning;
 
-pub use explore::{
-    explore, explore_with_metrics, explore_with_stats, select_best, EvaluatedVariant,
-    ExplorationConfig,
-};
 pub use report::{
     lane_sweep, lane_sweep_session, lane_sweep_with, render_latency_stats_line,
     render_prefilter_stats_line, render_search_leaderboard, render_search_stats_line,
@@ -44,6 +34,7 @@ pub use report::{
 };
 pub use roofline::{roofline, RooflinePoint};
 pub use search::{
-    search, search_with, InvalidVariant, SearchConfig, SearchMode, SearchOutcome, SearchStats,
+    search, search_with, EvaluatedVariant, ExplorationConfig, InvalidVariant, SearchConfig,
+    SearchMode, SearchOutcome, SearchStats,
 };
 pub use tuning::{tune, tune_session, tune_with, TuningStep};

@@ -2,8 +2,7 @@
 //! pressure, throughput and wall identification as the number of kernel
 //! pipeline lanes grows.
 
-use crate::explore::EvaluatedVariant;
-use crate::search::{SearchOutcome, SearchStats};
+use crate::search::{EvaluatedVariant, SearchOutcome, SearchStats};
 use tytra_cost::{EstimatorSession, Limiter};
 use tytra_device::TargetDevice;
 use tytra_kernels::EvalKernel;
@@ -154,37 +153,18 @@ pub fn first_wall(rows: &[LaneSweepRow], pred: impl Fn(&LaneSweepRow) -> bool) -
     rows.iter().find(|r| pred(r)).map(|r| r.lanes)
 }
 
-/// The one shared leaderboard header (the summary used to be recomputed
-/// per call site; [`render_leaderboard`] and [`render_search_leaderboard`]
-/// now share these formatters so the two views cannot drift).
-fn leaderboard_header() -> String {
-    format!("{:>4} {:<18} {:>12} {:>7}  wall\n", "#", "variant", "EKIT/s", "fits")
-}
-
-/// One leaderboard row, shared by the legacy and search renderers.
-fn leaderboard_row(rank: usize, e: &EvaluatedVariant) -> String {
-    let note = match &e.reconfig {
-        Some(r) => {
-            format!("{} (reconfig x{}: {:.1}/s)", e.report.limiter, r.personalities, r.ekit)
-        }
-        None => e.report.limiter.to_string(),
-    };
-    format!(
-        "{:>4} {:<18} {:>12.1} {:>7}  {}\n",
-        rank,
-        e.variant.tag(),
-        e.report.throughput.ekit,
-        if e.report.fits { "yes" } else { "NO" },
-        note
-    )
-}
-
-/// Summarise a set of evaluated variants (from [`crate::explore()`][crate::explore::explore]) as a
-/// compact leaderboard.
-pub fn render_leaderboard(evaluated: &[EvaluatedVariant], top: usize) -> String {
-    let mut s = leaderboard_header();
+/// A compact leaderboard of the first `top` evaluated variants.
+fn render_leaderboard(evaluated: &[EvaluatedVariant], top: usize) -> String {
+    let mut s = format!("{:>4} {:<18} {:>12} {:>7}  wall\n", "#", "variant", "EKIT/s", "fits");
     for (i, e) in evaluated.iter().take(top).enumerate() {
-        s.push_str(&leaderboard_row(i + 1, e));
+        s.push_str(&format!(
+            "{:>4} {:<18} {:>12.1} {:>7}  {}\n",
+            i + 1,
+            e.variant.tag(),
+            e.report.throughput.ekit,
+            if e.report.fits { "yes" } else { "NO" },
+            e.report.limiter
+        ));
     }
     s
 }
@@ -416,7 +396,7 @@ mod tests {
         };
         let outcome = search(&sor, &dev, &SearchConfig::pruned(space));
         let text = render_search_leaderboard(&outcome, 10);
-        // Rows come from the same formatter as the legacy leaderboard.
+        // The board opens with the leaderboard header.
         assert_eq!(
             text.lines().next().unwrap(),
             render_leaderboard(&outcome.leaderboard, 10).lines().next().unwrap()

@@ -1,12 +1,12 @@
-//! Branch-and-bound design-space search with work stealing.
+//! Branch-and-bound design-space search with work stealing: the DSE
+//! engine.
 //!
-//! [`explore()`][crate::explore::explore] materialises the whole variant
-//! cross-product and pays the full 8-pass estimate for every point.
-//! [`search()`] replaces that with the Fig-15 insight the paper builds
-//! towards: the wall terms of Eqs 1–3 (bandwidth, overheads, the
-//! clock-ceiling compute floor) plus the exact memoized resource sums
-//! are enough to *prove* most variants out of contention before any
-//! schedule or clock pass runs. The engine:
+//! Costing a kernel's design space need not pay the full 8-pass
+//! estimate for every point. [`search()`] applies the Fig-15 insight the
+//! paper builds towards: the wall terms of Eqs 1–3 (bandwidth,
+//! overheads, the clock-ceiling compute floor) plus the exact memoized
+//! resource sums are enough to *prove* most variants out of contention
+//! before any schedule or clock pass runs. The engine:
 //!
 //! * generates variants lazily ([`VariantIter`]) and deals them out in
 //!   chunks to per-worker deques, with idle workers stealing from
@@ -49,13 +49,48 @@ use std::time::Instant;
 use tytra_analyze::cost_class_key_design;
 use tytra_cost::{CostReport, EstimatorSession, SessionStats};
 use tytra_device::TargetDevice;
+use tytra_ir::MemForm;
 use tytra_kernels::EvalKernel;
 use tytra_trace::metrics::{Counter, Gauge, Histogram, Registry, Snapshot};
 use tytra_trace::recorder;
 use tytra_trace::{self as trace};
 use tytra_transform::{IndexedVariant, Variant, VariantFactory, VariantIter};
 
-use crate::explore::{EvaluatedVariant, ExplorationConfig};
+/// What to sweep.
+#[derive(Debug, Clone)]
+pub struct ExplorationConfig {
+    /// Lane counts to try (filtered for reshape legality).
+    pub lanes: Vec<u64>,
+    /// Vectorization degrees to try.
+    pub vects: Vec<u32>,
+    /// Memory-execution forms to try.
+    pub forms: Vec<MemForm>,
+    /// Include `seq` inner maps (off by default: HPC kernels pipeline).
+    pub include_seq: bool,
+    /// Worker threads (0 = available parallelism).
+    pub workers: usize,
+}
+
+impl Default for ExplorationConfig {
+    fn default() -> ExplorationConfig {
+        ExplorationConfig {
+            lanes: vec![1, 2, 4, 8, 16, 32],
+            vects: vec![1, 2],
+            forms: vec![MemForm::A, MemForm::B],
+            include_seq: false,
+            workers: 0,
+        }
+    }
+}
+
+/// One costed point of the design space.
+#[derive(Debug, Clone)]
+pub struct EvaluatedVariant {
+    /// The variant.
+    pub variant: Variant,
+    /// The cost model's full report.
+    pub report: CostReport,
+}
 
 /// Whether the search may prune on analytic bounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,8 +106,7 @@ pub enum SearchMode {
 /// Search configuration: the space to sweep plus search-specific knobs.
 #[derive(Debug, Clone)]
 pub struct SearchConfig {
-    /// The design space and worker count (as for
-    /// [`explore()`][crate::explore::explore]).
+    /// The design space and worker count.
     pub space: ExplorationConfig,
     /// Prune on bounds or estimate everything.
     pub mode: SearchMode,
@@ -436,10 +470,7 @@ fn process_item(
             report.params.form = design.form();
             if report.fits {
                 incumbent.record(report.throughput.ekit, item.index);
-                out.valid.push((
-                    item.index,
-                    EvaluatedVariant { variant: item.variant, report, reconfig: None },
-                ));
+                out.valid.push((item.index, EvaluatedVariant { variant: item.variant, report }));
             } else {
                 out.invalid.push(InvalidVariant { index: item.index, variant: item.variant });
             }
@@ -521,8 +552,7 @@ fn process_item(
     }
     if report.fits {
         incumbent.record(report.throughput.ekit, item.index);
-        out.valid
-            .push((item.index, EvaluatedVariant { variant: item.variant, report, reconfig: None }));
+        out.valid.push((item.index, EvaluatedVariant { variant: item.variant, report }));
     } else {
         // Exhaustive mode discovers infeasibility the expensive way; the
         // verdict is the same fits_within the bound pass evaluates.
@@ -774,8 +804,8 @@ pub fn search_with(
 mod tests {
     use super::*;
     use tytra_device::{eval_small, stratix_v_gsd8};
-    use tytra_ir::MemForm;
     use tytra_kernels::Sor;
+    use tytra_transform::{enumerate_variants, InnerKind};
 
     fn space() -> ExplorationConfig {
         ExplorationConfig {
@@ -830,25 +860,38 @@ mod tests {
     }
 
     #[test]
-    fn matches_explore_ranking_on_valid_variants() {
-        // The search leaderboard must agree with the legacy engine's
-        // ranking of device-fitting variants (bit-equal EKITs).
+    fn matches_per_point_ranking_on_valid_variants() {
+        // The search leaderboard must agree with lowering every variant
+        // and estimating it in a fresh session: the same device-fitting
+        // variants, ranked by EKIT, with bit-equal EKITs.
         let sor = Sor::cubic(16, 10);
         let dev = stratix_v_gsd8();
         let outcome = search(&sor, &dev, &SearchConfig::exhaustive(space()));
-        let legacy = crate::explore::explore(&sor, &dev, &space());
-        let legacy_valid: Vec<(String, u64)> = legacy
+        let sp = space();
+        let mut reference: Vec<(Variant, CostReport)> =
+            enumerate_variants(sor.geometry().size(), &sp.lanes, &sp.vects, &sp.forms)
+                .into_iter()
+                .filter(|v| v.inner == InnerKind::Pipe)
+                .map(|v| {
+                    let m = sor.lower_variant(&v).expect("legal variant lowers");
+                    (v, EstimatorSession::new(dev.clone()).estimate(&m).expect("variant costs"))
+                })
+                .filter(|(_, r)| r.fits)
+                .collect();
+        reference.sort_by(|(va, a), (vb, b)| {
+            b.throughput.ekit.total_cmp(&a.throughput.ekit).then_with(|| va.tag_cmp(vb))
+        });
+        let expected: Vec<(String, u64)> = reference
             .iter()
-            .filter(|e| e.is_valid())
             .take(outcome.leaderboard.len())
-            .map(|e| (e.variant.tag(), e.report.throughput.ekit.to_bits()))
+            .map(|(v, r)| (v.tag(), r.throughput.ekit.to_bits()))
             .collect();
         let ours: Vec<(String, u64)> = outcome
             .leaderboard
             .iter()
             .map(|e| (e.variant.tag(), e.report.throughput.ekit.to_bits()))
             .collect();
-        assert_eq!(ours, legacy_valid);
+        assert_eq!(ours, expected);
     }
 
     #[test]
@@ -989,6 +1032,28 @@ mod tests {
         // via the per-worker registries.
         let local = search(&sor, &dev, &SearchConfig::pruned(space()));
         assert_eq!(local.metrics.counter("dse.points"), local.stats.generated);
+    }
+
+    #[test]
+    fn metrics_snapshot_agrees_with_summed_stats() {
+        // `--stats` and `--metrics` read the same registry counters, so
+        // the merged snapshot must reproduce the summed SessionStats.
+        let sor = Sor::cubic(16, 10);
+        let dev = stratix_v_gsd8();
+        let outcome = search(&sor, &dev, &SearchConfig::exhaustive(space()));
+        let (stats, metrics) = (outcome.session, &outcome.metrics);
+        assert_eq!(
+            stats.hits,
+            metrics.counter("session.memo.hits") + metrics.counter("curves.hits")
+        );
+        assert_eq!(
+            stats.misses,
+            metrics.counter("session.memo.misses") + metrics.counter("curves.misses")
+        );
+        assert_eq!(stats.invalidations, metrics.counter("session.invalidations"));
+        let table = metrics.render_table();
+        assert!(table.contains("session.memo.hits"), "{table}");
+        assert!(table.contains("estimator.estimate_ns"), "{table}");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::gen::TirlGen;
 use tytra_cost::EstimatorSession;
 use tytra_device::TargetDevice;
-use tytra_dse::explore::ExplorationConfig;
+use tytra_dse::ExplorationConfig;
 use tytra_dse::{search, SearchConfig, SearchOutcome};
 use tytra_ir::{ArenaModule, IrModule, MemForm};
 use tytra_kernels::{EvalKernel, Sor, StreamTriad};
@@ -439,7 +439,9 @@ pub fn analyze_congruence(m: &IrModule, dev: &TargetDevice) -> Verdict {
 /// as the tree; (b) for a sweep of copy-on-write patches over the three
 /// patched cells (name, form, DV), `estimate_design`/`bound_design` are
 /// `Debug`-bit-identical to a tree session estimating the materialized
-/// patch. Float `Debug` is round-trip exact, so string equality is bit
+/// patch. The tree entry points build a fresh arena over the module they
+/// are given, so (b) checks each patch against a rebuild of its own
+/// tree. Float `Debug` is round-trip exact, so string equality is bit
 /// equality.
 pub fn arena_equivalence(m: &IrModule, dev: &TargetDevice) -> Verdict {
     let arena = ArenaModule::build(m.clone());

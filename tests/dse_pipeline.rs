@@ -3,20 +3,31 @@
 //! the virtual substrate (the decision the cost model made must survive
 //! contact with the simulator).
 
-use tytra::device::{eval_small, stratix_v_gsd8};
-use tytra::dse::{explore, select_best, tune, ExplorationConfig};
+use tytra::cost::{estimate, CostReport};
+use tytra::device::{eval_small, stratix_v_gsd8, TargetDevice};
+use tytra::dse::{search, tune, ExplorationConfig, SearchConfig, SearchOutcome};
 use tytra::ir::MemForm;
 use tytra::kernels::{EvalKernel, Hotspot, LavaMd, Sor};
 use tytra::sim::run_application;
 use tytra::transform::Variant;
 
-fn cfg() -> ExplorationConfig {
-    ExplorationConfig {
+fn cfg() -> SearchConfig {
+    SearchConfig::pruned(ExplorationConfig {
         lanes: vec![1, 2, 4, 8],
         vects: vec![1],
         forms: vec![MemForm::A, MemForm::B],
         ..ExplorationConfig::default()
-    }
+    })
+}
+
+fn search_space(kernel: &dyn EvalKernel, dev: &TargetDevice) -> SearchOutcome {
+    search(kernel, dev, &cfg())
+}
+
+/// The baseline variant's report, estimated directly.
+fn baseline(kernel: &dyn EvalKernel, dev: &TargetDevice) -> CostReport {
+    let m = kernel.lower_variant(&Variant::baseline()).expect("baseline lowers");
+    estimate(&m, dev).expect("baseline costs")
 }
 
 #[test]
@@ -26,13 +37,12 @@ fn cost_model_choice_wins_on_the_simulator_too() {
     // baseline).
     let sor = Sor::cubic(48, 100);
     let dev = stratix_v_gsd8();
-    let evaluated = explore(&sor, &dev, &cfg());
-    let best = select_best(&evaluated).expect("fits");
-    let baseline =
-        evaluated.iter().find(|e| e.variant == Variant::baseline()).expect("baseline evaluated");
+    let outcome = search_space(&sor, &dev);
+    let best = outcome.leaderboard.first().expect("fits");
 
     let best_run = run_application(&sor.lower_variant(&best.variant).unwrap(), &dev).unwrap();
-    let base_run = run_application(&sor.lower_variant(&baseline.variant).unwrap(), &dev).unwrap();
+    let base_run =
+        run_application(&sor.lower_variant(&Variant::baseline()).unwrap(), &dev).unwrap();
     assert!(
         best_run.t_total_s <= base_run.t_total_s,
         "cost model picked {} but the simulator disagrees ({} vs {} s)",
@@ -51,13 +61,12 @@ fn exploration_covers_every_kernel() {
         Box::new(LavaMd { n_particles: 16_384, nki: 10 }),
     ];
     for k in &kernels {
-        let evaluated = explore(k.as_ref(), &dev, &cfg());
-        assert!(!evaluated.is_empty(), "{}", k.name());
-        let best = select_best(&evaluated).unwrap_or_else(|| panic!("{} has no fit", k.name()));
+        let outcome = search_space(k.as_ref(), &dev);
+        let best = outcome.leaderboard.first().unwrap_or_else(|| panic!("{} has no fit", k.name()));
         assert!(best.report.fits);
         // Exploration beats (or at worst matches) the baseline estimate.
-        let baseline = evaluated.iter().find(|e| e.variant == Variant::baseline()).unwrap();
-        assert!(best.report.throughput.ekit >= baseline.report.throughput.ekit);
+        let baseline = baseline(k.as_ref(), &dev);
+        assert!(best.report.throughput.ekit >= baseline.throughput.ekit);
     }
 }
 
@@ -65,8 +74,8 @@ fn exploration_covers_every_kernel() {
 fn tuner_and_explorer_agree_on_the_winning_region() {
     let sor = Sor::cubic(48, 100);
     let dev = stratix_v_gsd8();
-    let evaluated = explore(&sor, &dev, &cfg());
-    let best = select_best(&evaluated).expect("fits");
+    let outcome = search_space(&sor, &dev);
+    let best = outcome.leaderboard.first().expect("fits");
     let steps = tune(&sor, &dev, Variant::baseline(), 12);
     let tuned = steps.last().expect("at least one step");
     // Both approaches should settle within 2× EKIT of each other.
@@ -84,10 +93,10 @@ fn tuner_and_explorer_agree_on_the_winning_region() {
 fn resource_walls_invalidate_big_variants_on_small_devices() {
     let sor = Sor::cubic(48, 10);
     let dev = eval_small();
-    let evaluated = explore(&sor, &dev, &cfg());
-    let invalid: Vec<_> = evaluated.iter().filter(|e| !e.is_valid()).collect();
-    assert!(!invalid.is_empty(), "8 SOR lanes must blow the eval target");
+    let outcome = search_space(&sor, &dev);
+    assert!(!outcome.invalid.is_empty(), "8 SOR lanes must blow the eval target");
+    assert!(outcome.invalid.iter().any(|iv| iv.variant.lanes == 8));
     // And the selection never picks one.
-    let best = select_best(&evaluated).expect("some variant fits");
-    assert!(best.is_valid());
+    let best = outcome.leaderboard.first().expect("some variant fits");
+    assert!(best.report.fits);
 }
