@@ -61,4 +61,4 @@ pub use deadlock::{analyze_deadlock, CycleFinding, DeadlockAnalysis};
 pub use lattice::{Interval, Lattice};
 pub use range::{analyze_ranges, ClampFinding, FnRanges, RangeAnalysis, WIDEN_AFTER};
 pub use report::{analyze_module, AnalysisReport};
-pub use solver::{reachable, reachable_arena, solve, summaries, FnSummary, SolverStats};
+pub use solver::{reachable, solve, summaries, FnSummary, SolverStats};

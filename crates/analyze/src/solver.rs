@@ -16,7 +16,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use tytra_ir::{ArenaModule, Dest, IrFunction, IrModule, Stmt};
+use tytra_ir::{Dest, IrFunction, IrModule, Stmt};
 
 use crate::lattice::Lattice;
 
@@ -194,32 +194,6 @@ pub fn reachable(m: &IrModule) -> (BTreeSet<String>, SolverStats) {
     (set, stats)
 }
 
-/// [`reachable`] over a flattened arena: the call graph comes from the
-/// arena's pre-resolved dense callee indices ([`ArenaModule::callees`]),
-/// so building the dependence graph does no string hashing or cloning.
-/// Returns the same set and stats as `reachable(a.tree())`.
-pub fn reachable_arena(a: &ArenaModule) -> (BTreeSet<String>, SolverStats) {
-    let n = a.fn_count();
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for i in 0..n {
-        for callee in a.callees(tytra_ir::FnId(i as u32)).flatten() {
-            preds[callee.index()].push(i);
-            succs[i].push(callee.index());
-        }
-    }
-    let main = a.fn_by_name("main").map(tytra_ir::FnId::index);
-    let (vals, stats) = solve(&succs, |node, vals: &[bool]| {
-        main == Some(node) || preds[node].iter().any(|&p| vals[p])
-    });
-    let set = (0..n)
-        .zip(&vals)
-        .filter(|(_, &r)| r)
-        .map(|(i, _)| a.resolve(a.fn_name(tytra_ir::FnId(i as u32))).to_string())
-        .collect();
-    (set, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,18 +231,6 @@ mod tests {
         assert_eq!(set, BTreeSet::from(["main".into(), "f1".into(), "f0".into()]));
         assert_eq!(stats.nodes, 6);
         assert!(stats.iterations >= 6, "every node visited at least once");
-    }
-
-    #[test]
-    fn arena_reachability_matches_tree_reachability() {
-        // Same graph, same seeding order — the arena path must reproduce
-        // the tree path's set *and* its solver stats exactly.
-        let m = sample_module();
-        let (tree_set, tree_stats) = reachable(&m);
-        let a = tytra_ir::ArenaModule::build(m);
-        let (arena_set, arena_stats) = reachable_arena(&a);
-        assert_eq!(arena_set, tree_set);
-        assert_eq!(arena_stats, tree_stats);
     }
 
     #[test]
