@@ -211,13 +211,14 @@ fn bench_dse(out: &str) {
     // point of the acceptance space, over the pruned sweep's wall time.
     let design_points_per_sec = pr_stats.generated as f64 / (pruned_us / 1e6);
 
-    // Costing-loop A/B on the same space: the legacy tree path (a fresh
-    // lowering plus tree-walk bound per point — how every point was
-    // costed before the arena) against the arena path (copy-on-write
-    // patch plus SoA bound). Steady state on both sides: warm sessions,
-    // and the arena's factory bases already lowered. The arena must be
-    // at least 5x the tree path — the point of the whole layout change —
-    // and the ratio is gated here like the leaderboard contracts above.
+    // Costing-loop A/B on the same space: the tree path (a fresh
+    // lowering per point, which `bound` then builds an arena over) against
+    // the factory path (copy-on-write patch plus SoA bound over a shared
+    // base). Steady state on both sides: warm sessions, and the factory
+    // bases already lowered. The factory path must be at least 5x the
+    // per-point lowering plus arena build — the point of the whole layout
+    // change — and the ratio is gated here like the leaderboard contracts
+    // above.
     const COST_REPS: usize = 40;
     let mut tree_session = EstimatorSession::new(dev.clone());
     // The filter pass doubles as the tree session's warm-up: keep the
