@@ -215,7 +215,7 @@ mod tests {
             a.write_tag(&mut s);
             assert_eq!(s, format!("sor_{}", a.tag()));
             for b in &vs {
-                // The explore tie-break sorts by tag *string*; tag_cmp
+                // Tie-breaks by tag sort by the tag *string*; tag_cmp
                 // must preserve that byte order exactly (note "l16..."
                 // sorts before "l2...").
                 assert_eq!(a.tag_cmp(b), a.tag().cmp(&b.tag()));
