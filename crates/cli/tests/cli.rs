@@ -282,6 +282,52 @@ fn dse_exhaustive_flag_does_not_change_the_output() {
     }
 }
 
+const DSE_GOLDEN: &str = include_str!("golden/dse_lanes_1_64.txt");
+
+/// `tybec dse <kernel> --lanes 1,…,64` stdout, pinned byte for byte for
+/// sor, hotspot and lavamd, both at the default settings and with
+/// `--exhaustive`. The fixture holds one `== tybec dse <kernel> --lanes
+/// 1,...,64` header line per kernel, followed by that run's stdout.
+///
+/// Regenerating: when a change moves the model on purpose, run
+/// `cargo test -p tytra-cli --test cli dse_stdout`. On a mismatch the
+/// test writes the new image to `dse_lanes_1_64.txt` under Cargo's
+/// per-target test scratch directory (`target/tmp`; the panic message
+/// names the path). Review its diff against
+/// `crates/cli/tests/golden/dse_lanes_1_64.txt`, copy it over the
+/// fixture, and list the moved rows in CHANGES.md.
+#[test]
+fn dse_stdout_over_lanes_1_to_64_matches_the_golden_fixture() {
+    let wide: String = (1..=64).map(|l: u64| l.to_string()).collect::<Vec<_>>().join(",");
+    for extra in [&[][..], &["--exhaustive"][..]] {
+        let mut actual = String::new();
+        for kernel in ["sor", "hotspot", "lavamd"] {
+            let o = tybec(&[&["dse", kernel, "--lanes", &wide][..], extra].concat());
+            assert!(o.status.success(), "{kernel} {extra:?}: {}", stderr(&o));
+            actual.push_str(&format!("== tybec dse {kernel} --lanes 1,...,64\n"));
+            actual.push_str(&stdout(&o));
+        }
+        if actual == DSE_GOLDEN {
+            continue;
+        }
+        let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("dse_lanes_1_64.txt");
+        std::fs::write(&out, &actual).expect("write the new image");
+        let first = actual
+            .lines()
+            .zip(DSE_GOLDEN.lines())
+            .position(|(a, b)| a != b)
+            .unwrap_or_else(|| actual.lines().count().min(DSE_GOLDEN.lines().count()));
+        panic!(
+            "`tybec dse` {extra:?} stdout differs from tests/golden/dse_lanes_1_64.txt from \
+             line {}: fixture {:?}, now {:?}; the new image is at {}",
+            first + 1,
+            DSE_GOLDEN.lines().nth(first),
+            actual.lines().nth(first),
+            out.display()
+        );
+    }
+}
+
 #[test]
 fn dse_stats_shows_pruning_counters() {
     let o = tybec(&["dse", "sor", "--target", "eval-small", "--stats"]);

@@ -236,3 +236,50 @@ fn factory_designs_are_the_lowered_modules_on_every_kernel() {
         assert!(checked >= 8 * forms.len(), "{}: too few legal lane counts", kernel.name());
     }
 }
+
+/// Full-report parity: every legal variant of every kernel over lanes
+/// 1..=64 × Pipe/Seq × forms A/B/C/Tiled{4} × vect {1, 2}. The factory
+/// side costs each patch in one warm session per kernel; the reference
+/// lowers the variant to a tree and costs it in fresh sessions. The
+/// `Debug` images of the two `Result`s, estimate and bound, must be
+/// equal: every field of every report, the per-stream bandwidth list and
+/// the resource breakdown included, unrounded.
+#[test]
+fn factory_reports_equal_fresh_tree_reports_on_every_kernel() {
+    let dev = stratix_v_gsd8();
+    let forms = [MemForm::A, MemForm::B, MemForm::C, MemForm::Tiled { tiles: 4 }];
+    for kernel in all_kernels() {
+        let factory = kernel.variant_factory();
+        let ngs = kernel.geometry().size();
+        let mut warm = EstimatorSession::new(dev.clone());
+        let mut checked = 0;
+        for lanes in lanes() {
+            for inner in [InnerKind::Pipe, InnerKind::Seq] {
+                for form in forms {
+                    for vect in [1, 2] {
+                        let v = Variant { lanes, vect, inner, form };
+                        if !v.is_legal(ngs) {
+                            continue;
+                        }
+                        let tag = format!("{} {}", kernel.name(), v.tag());
+                        let m = kernel.lower_variant(&v).expect("legal variant lowers");
+                        let design = factory.design(&v).expect("legal variant has a design");
+                        let d = design.patched();
+                        assert_eq!(
+                            format!("{:?}", warm.estimate_design(&d)),
+                            format!("{:?}", EstimatorSession::new(dev.clone()).estimate(&m)),
+                            "estimate of {tag}"
+                        );
+                        assert_eq!(
+                            format!("{:?}", warm.bound_design(&d)),
+                            format!("{:?}", EstimatorSession::new(dev.clone()).bound(&m)),
+                            "bound of {tag}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked >= 7 * 2 * forms.len(), "{}: too few legal variants", kernel.name());
+    }
+}
