@@ -572,14 +572,19 @@ fn kernel_by_name(args: &[String]) -> Result<Box<dyn EvalKernel>, String> {
     }
 }
 
+/// The `--lanes` list in the order given, keeping the first occurrence of
+/// each value: a repeated lane count would print its sweep row (and
+/// roofline point) twice and duplicate its variants on the leaderboard.
 fn lanes_flag(args: &[String]) -> Result<Vec<u64>, String> {
-    match flag_value(args, "--lanes") {
-        Some(list) => list
-            .split(',')
-            .map(|s| s.trim().parse::<u64>().map_err(|e| format!("bad lane `{s}`: {e}")))
-            .collect(),
-        None => Ok(vec![1, 2, 4, 8, 16, 32]),
+    let Some(list) = flag_value(args, "--lanes") else { return Ok(vec![1, 2, 4, 8, 16, 32]) };
+    let mut lanes = Vec::new();
+    for s in list.split(',') {
+        let l = s.trim().parse::<u64>().map_err(|e| format!("bad lane `{s}`: {e}"))?;
+        if !lanes.contains(&l) {
+            lanes.push(l);
+        }
     }
+    Ok(lanes)
 }
 
 fn cmd_roofline(args: &[String]) -> Result<(), CliError> {

@@ -282,6 +282,24 @@ fn dse_exhaustive_flag_does_not_change_the_output() {
     }
 }
 
+#[test]
+fn repeated_lane_values_print_each_point_once() {
+    // A repeated `--lanes` value keeps its first occurrence only: no
+    // duplicated sweep rows, leaderboard entries or roofline points.
+    for (repeated, distinct) in [
+        (vec!["dse", "sor", "--target", "eval-small", "--lanes", "2,2"], "2"),
+        (vec!["dse", "sor", "--target", "eval-small", "--lanes", "4,2,4,1,2"], "4,2,1"),
+        (vec!["roofline", "sor", "--lanes", "2,2,4"], "2,4"),
+    ] {
+        let once: Vec<&str> =
+            repeated[..repeated.len() - 1].iter().copied().chain([distinct]).collect();
+        let (a, b) = (tybec(&repeated), tybec(&once));
+        assert!(a.status.success(), "{repeated:?}: {}", stderr(&a));
+        assert!(b.status.success(), "{once:?}: {}", stderr(&b));
+        assert_eq!(stdout(&a), stdout(&b), "{repeated:?} vs {once:?}");
+    }
+}
+
 const DSE_GOLDEN: &str = include_str!("golden/dse_lanes_1_64.txt");
 
 /// `tybec dse <kernel> --lanes 1,…,64` stdout, pinned byte for byte for

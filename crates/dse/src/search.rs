@@ -443,10 +443,17 @@ fn process_item(
 ) {
     obs.points.incr();
     // The factory serves the variant as a three-cell patch over a shared
-    // arena base (lowered once per structural class). Erroring is only
-    // possible for illegal reshapes, which the generator already
-    // filtered.
-    let Ok(design) = factory.design(&item.variant) else { return };
+    // arena base (lowered once per structural class). The generator
+    // already filtered illegal reshapes, but a base can still fail
+    // validation (two lanes' generated names colliding, say): that
+    // variant is a fault like any other.
+    let design = match factory.design(&item.variant) {
+        Ok(design) => design,
+        Err(e) => {
+            record_fault(out, obs, &item, worker, &e.to_string());
+            return;
+        }
+    };
     let d = design.patched();
 
     // Congruence prefilter: the cheapest tier, ahead even of the bound
@@ -1122,5 +1129,41 @@ mod tests {
         let dev = eval_small();
         let pruned = search(&sor, &dev, &SearchConfig::pruned(space()));
         assert_eq!(pruned.stats.collapsed, 0, "{:?}", pruned.stats);
+    }
+
+    /// Inputs `p` and `p1` generate colliding Manage-IR names at 11
+    /// lanes: lane 10 of `p` and lane 0 of `p1` are both `mem_p10`.
+    fn colliding_kernel() -> tytra_transform::KernelDef {
+        use tytra_transform::Expr;
+        tytra_transform::KernelDef {
+            name: "clash".into(),
+            elem_ty: tytra_ir::ScalarType::UInt(18),
+            inputs: vec!["p".into(), "p1".into()],
+            outputs: vec![("q".into(), Expr::add(Expr::off("p", 1), Expr::arg("p1")))],
+            reductions: vec![],
+        }
+    }
+
+    #[test]
+    fn factory_design_errors_are_counted_as_faults() {
+        use tytra_transform::lower::{lower, Geometry};
+        let geom = Geometry::flat(22 * 64, 10);
+        let factory = || VariantFactory::new(colliding_kernel(), geom.clone());
+        let v = Variant { lanes: 11, ..Variant::baseline() };
+        let err = factory().design(&v).unwrap_err().to_string();
+        assert_eq!(err, lower(&colliding_kernel(), &geom, &v).unwrap_err().to_string());
+        assert!(err.contains("duplicate memory object name `mem_p10`"), "{err}");
+
+        let dev = stratix_v_gsd8();
+        let over = |lanes: Vec<u64>| ExplorationConfig { lanes, ..space() };
+        for make in [SearchConfig::pruned, SearchConfig::exhaustive] {
+            let (cfg, healthy) = (make(over(vec![1, 2, 11])), make(over(vec![1, 2])));
+            let all = search_with(&factory(), &dev, &cfg);
+            let s = all.stats;
+            assert_eq!((s.generated, s.faulted), (12, 4), "{:?}: {s:?}", cfg.mode);
+            assert_eq!(s.estimated + s.collapsed + s.pruned() + s.faulted, s.generated, "{s:?}");
+            let healthy = search_with(&factory(), &dev, &healthy);
+            assert_eq!(fingerprint(&all), fingerprint(&healthy), "{:?}", cfg.mode);
+        }
     }
 }
