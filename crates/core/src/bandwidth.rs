@@ -9,7 +9,7 @@
 //! ρ_H for the host link).
 
 use tytra_device::{CurveCache, LinkKind, LinkSpec, TargetDevice};
-use tytra_ir::{AccessPattern, IrModule, StreamDir};
+use tytra_ir::{lane_name, AccessPattern, ArenaModule, StreamDir};
 
 /// Fraction of link peak a real controller sustains with many concurrent
 /// well-formed streams.
@@ -50,11 +50,11 @@ pub struct BandwidthBreakdown {
 /// pattern or size. This is the naive model the paper's section V-C
 /// argues against; the ablation bench quantifies the damage.
 pub(crate) fn assess_naive(
-    m: &IrModule,
+    a: &ArenaModule,
     dev: &TargetDevice,
     cache: &CurveCache,
 ) -> BandwidthBreakdown {
-    let mut full = assess(m, dev, cache);
+    let mut full = assess(a, dev, cache);
     let dram = dev.dram_link.peak_bytes_per_s * CONTROLLER_EFFICIENCY;
     let host = dev.host_link.peak_bytes_per_s * CONTROLLER_EFFICIENCY;
     for s in &mut full.streams {
@@ -77,33 +77,58 @@ pub(crate) fn assess_naive(
 ///      lanes × min_i(sustained_i / elem_bytes_i) × bytes_per_item)`.
 ///
 /// Sustained-bandwidth interpolations go through a session curve cache.
-pub(crate) fn assess(m: &IrModule, dev: &TargetDevice, cache: &CurveCache) -> BandwidthBreakdown {
-    let mut streams = Vec::new();
+///
+/// A lane-template arena stands for [`replicas`][ArenaModule::replicas]
+/// copies of its Manage-IR. Every copy of a stream has the template's
+/// pattern and length, so the curve is looked up once per template
+/// stream; the sums still run over the expanded streams in lane-major
+/// order, which keeps every `f64` rounding that of the expanded module.
+pub(crate) fn assess(
+    a: &ArenaModule,
+    dev: &TargetDevice,
+    cache: &CurveCache,
+) -> BandwidthBreakdown {
+    let m = a.template();
+    let replicas = a.replicas();
+    let links = m.manage_links();
+    // One lane's off-chip streams, with their backing memory objects.
+    let offchip = || {
+        m.streams.iter().enumerate().filter_map(|(i, s)| {
+            let mem = links.stream_mem(i)?;
+            mem.space.is_offchip().then_some((s, mem))
+        })
+    };
+    let mut streams: Vec<StreamBandwidth> =
+        Vec::with_capacity(offchip().count() * replicas as usize);
     let mut dram_sum = 0.0;
     // Slowest per-element rate across co-required streams, items/s.
     let mut min_item_rate = f64::INFINITY;
     let mut bytes_per_item_all_lanes = 0.0f64;
-    let links = m.manage_links();
-    for (i, s) in m.streams.iter().enumerate() {
-        let Some(mem) = links.stream_mem(i) else { continue };
-        if !mem.space.is_offchip() {
-            continue;
+    for lane in 0..replicas {
+        for (k, (s, mem)) in offchip().enumerate() {
+            let sustained = match lane {
+                0 => cache.sustained_bytes_per_s(
+                    LinkKind::Dram,
+                    &dev.dram_link.bw,
+                    s.pattern,
+                    mem.len,
+                ),
+                _ => streams[k].sustained_bytes_per_s,
+            };
+            dram_sum += sustained;
+            let eb = f64::from(mem.elem_ty.bytes());
+            min_item_rate = min_item_rate.min(sustained / eb);
+            bytes_per_item_all_lanes += eb;
+            streams.push(StreamBandwidth {
+                name: lane_name(&s.name, lane, replicas),
+                dir: s.dir,
+                pattern: s.pattern,
+                elems: mem.len,
+                sustained_bytes_per_s: sustained,
+            });
         }
-        let sustained =
-            cache.sustained_bytes_per_s(LinkKind::Dram, &dev.dram_link.bw, s.pattern, mem.len);
-        dram_sum += sustained;
-        let eb = f64::from(mem.elem_ty.bytes());
-        min_item_rate = min_item_rate.min(sustained / eb);
-        bytes_per_item_all_lanes += eb;
-        streams.push(StreamBandwidth {
-            name: s.name.clone(),
-            dir: s.dir,
-            pattern: s.pattern,
-            elems: mem.len,
-            sustained_bytes_per_s: sustained,
-        });
     }
-    let lanes = m.kernel_lanes().max(1) as f64;
+    let lanes = a.kernel_lanes().max(1) as f64;
     // Per-work-item bytes (per-lane stream sets are parallel replicas).
     let bytes_per_item = bytes_per_item_all_lanes / lanes;
     let gated = if min_item_rate.is_finite() {
@@ -116,11 +141,7 @@ pub(crate) fn assess(m: &IrModule, dev: &TargetDevice, cache: &CurveCache) -> Ba
 
     // Host DMA moves whole arrays contiguously regardless of the kernel's
     // access pattern; its sustained figure depends on transfer size.
-    let total_elems: u64 = (0..m.streams.len())
-        .filter_map(|i| links.stream_mem(i))
-        .filter(|mem| mem.space.is_offchip())
-        .map(|mem| mem.len)
-        .sum();
+    let total_elems: u64 = offchip().map(|(_, mem)| mem.len).sum::<u64>() * replicas;
     let host_sum = if total_elems == 0 {
         0.0
     } else {
@@ -151,9 +172,13 @@ fn aggregate(link: &LinkSpec, sum: f64, empty: bool) -> (f64, f64) {
 mod tests {
     use super::*;
     use tytra_device::{stratix_v_gsd8, virtex7_adm7v3};
-    use tytra_ir::{ModuleBuilder, Opcode, ParKind, ScalarType};
+    use tytra_ir::{IrModule, ModuleBuilder, Opcode, ParKind, ScalarType};
 
     const T: ScalarType = ScalarType::UInt(32);
+
+    fn assess_tree(m: IrModule, dev: &TargetDevice) -> BandwidthBreakdown {
+        assess(&ArenaModule::build(m), dev, &CurveCache::new())
+    }
 
     fn module_with_streams(n_in: usize, strided: bool, elems: u64) -> IrModule {
         let mut b = ModuleBuilder::new("m");
@@ -190,7 +215,7 @@ mod tests {
     fn contiguous_streams_aggregate() {
         let dev = virtex7_adm7v3();
         let m = module_with_streams(3, false, 2000 * 2000);
-        let bw = assess(&m, &dev, &CurveCache::new());
+        let bw = assess_tree(m, &dev);
         assert_eq!(bw.streams.len(), 4);
         // Each contiguous 2000-side stream sustains 5.2 Gbps = 0.65 GB/s.
         let per = 5.2e9 / 8.0;
@@ -204,7 +229,7 @@ mod tests {
         let dev = virtex7_adm7v3();
         // 20 streams would nominally exceed the 10.7 GB/s link.
         let m = module_with_streams(19, false, 6000 * 6000);
-        let bw = assess(&m, &dev, &CurveCache::new());
+        let bw = assess_tree(m, &dev);
         assert!((bw.rho_g - CONTROLLER_EFFICIENCY).abs() < 1e-9);
         assert!(
             (bw.dram_effective - dev.dram_link.peak_bytes_per_s * CONTROLLER_EFFICIENCY).abs()
@@ -215,8 +240,8 @@ mod tests {
     #[test]
     fn strided_streams_collapse_rho() {
         let dev = virtex7_adm7v3();
-        let cont = assess(&module_with_streams(1, false, 2000 * 2000), &dev, &CurveCache::new());
-        let strided = assess(&module_with_streams(1, true, 2000 * 2000), &dev, &CurveCache::new());
+        let cont = assess_tree(module_with_streams(1, false, 2000 * 2000), &dev);
+        let strided = assess_tree(module_with_streams(1, true, 2000 * 2000), &dev);
         // One stream of each direction; the strided input drags the
         // aggregate down by an order of magnitude or more.
         assert!(cont.dram_effective / strided.dram_effective > 1.8);
@@ -228,8 +253,8 @@ mod tests {
     #[test]
     fn small_arrays_sustain_less() {
         let dev = virtex7_adm7v3();
-        let small = assess(&module_with_streams(1, false, 100 * 100), &dev, &CurveCache::new());
-        let large = assess(&module_with_streams(1, false, 4000 * 4000), &dev, &CurveCache::new());
+        let small = assess_tree(module_with_streams(1, false, 100 * 100), &dev);
+        let large = assess_tree(module_with_streams(1, false, 4000 * 4000), &dev);
         assert!(small.dram_effective < large.dram_effective);
     }
 
@@ -250,7 +275,7 @@ mod tests {
         b.main_calls("f0");
         b.ndrange(&[64]);
         let m = b.finish_unchecked();
-        let bw = assess(&m, &dev, &CurveCache::new());
+        let bw = assess_tree(m, &dev);
         assert!(bw.streams.is_empty());
         assert_eq!(bw.rho_g, CONTROLLER_EFFICIENCY);
     }
@@ -258,9 +283,33 @@ mod tests {
     #[test]
     fn host_rho_depends_on_transfer_size() {
         let dev = stratix_v_gsd8();
-        let small = assess(&module_with_streams(1, false, 64 * 64), &dev, &CurveCache::new());
-        let large = assess(&module_with_streams(1, false, 4000 * 4000), &dev, &CurveCache::new());
+        let small = assess_tree(module_with_streams(1, false, 64 * 64), &dev);
+        let large = assess_tree(module_with_streams(1, false, 4000 * 4000), &dev);
         assert!(small.rho_h < large.rho_h);
         assert!(large.rho_h <= CONTROLLER_EFFICIENCY + 1e-12);
+    }
+
+    #[test]
+    fn lane_template_assesses_like_its_expansion() {
+        // Strided and contiguous inputs of different lengths, one output:
+        // the per-stream list, every sum and both ρ must match the
+        // expanded module bit for bit.
+        let dev = virtex7_adm7v3();
+        for lanes in [1u64, 2, 3, 16, 64] {
+            let mut b = ModuleBuilder::new("tpl");
+            let n = 4096 * 64 / lanes;
+            b.global_array("x", T, n, StreamDir::Read, AccessPattern::Strided { stride: 64 });
+            b.global_input("w", ScalarType::UInt(18), n / 2);
+            b.global_output("y", T, n);
+            let template = b.finish_unchecked();
+            let replicated = assess(
+                &ArenaModule::build_lanes(template.clone(), lanes),
+                &dev,
+                &CurveCache::new(),
+            );
+            let expanded = assess_tree(template.expand_lanes(lanes), &dev);
+            assert_eq!(replicated.streams.len(), 3 * lanes as usize);
+            assert_eq!(format!("{replicated:?}"), format!("{expanded:?}"), "{lanes} lanes");
+        }
     }
 }

@@ -60,7 +60,7 @@ impl CostParams {
     pub fn extract(m: &IrModule, dev: &TargetDevice) -> Result<CostParams, TybecError> {
         let a = ArenaModule::build(m.clone());
         let plan = a.config()?;
-        let sched = schedule::schedule(a.tree(), dev, &CurveCache::new(), &plan.tree.root)?;
+        let sched = schedule::schedule(a.template(), dev, &CurveCache::new(), &plan.tree.root)?;
         Ok(RawGeometry::extract_design(&a.identity(), plan.tree.lanes).finish(sched))
     }
 
@@ -330,8 +330,7 @@ mod tests {
 
     #[test]
     fn shadowed_manage_ir_names_resolve_to_the_first_declaration() {
-        let m = shadowed_module();
-        let a = ArenaModule::build(m.clone());
+        let a = ArenaModule::build(shadowed_module());
         // Off chip: p, q, r (through the first `strobj_q`) and the
         // dangling g and h; `main.s` is on chip through the first `mem_s`.
         let g = RawGeometry::extract_design(&a.identity(), a.config().unwrap().tree.lanes);
@@ -339,7 +338,7 @@ mod tests {
         assert_eq!(g.bytes_per_item, 5 * 3);
         // The bandwidth pass sees the off-chip streams with the first
         // `mem_p`'s length; neither `mem_s` nor a dangling name counts.
-        let bw = crate::bandwidth::assess(&m, &stratix_v_gsd8(), &CurveCache::new());
+        let bw = crate::bandwidth::assess(&a, &stratix_v_gsd8(), &CurveCache::new());
         let streams: Vec<(&str, u64)> =
             bw.streams.iter().map(|s| (s.name.as_str(), s.elems)).collect();
         assert_eq!(streams, [("strobj_p", 27_000), ("strobj_q", 27_000), ("strobj_q", 27_000)]);

@@ -95,7 +95,7 @@ pub struct ResourceEstimate {
 /// The session resource pass over a flattened [`ConfigPlan`]: a linear
 /// scan over the plan's preorder slice, with the module-level terms read
 /// from the arena's precomputed geometry. Memo misses price the function
-/// body through [`function_cost`] on the retained base tree (the cost
+/// body through [`function_cost`] on the retained template (the cost
 /// depends only on the body, `DV` and the options, all of which are
 /// patch-independent). Infallible: the plan only exists when every
 /// configuration node's function resolved at arena build time.
@@ -122,9 +122,10 @@ pub(crate) fn estimate_plan(
         acc.control +=
             ResourceVector::new(STREAM_CTRL_ALUTS, STREAM_CTRL_REGS, 0, 0) * a.offchip_ports();
     }
-    // Local memory objects are BRAM-resident.
+    // Local memory objects are BRAM-resident; each of one lane's objects
+    // stands for one per lane (`u64`, so the multiply is exact).
     for &bits in a.local_mem_bits() {
-        acc.local_memory += ResourceVector::new(2, 0, bits, 0);
+        acc.local_memory += ResourceVector::new(2, 0, bits, 0) * a.replicas();
     }
 
     // Per-lane figure: one lane subtree, including its share of stream
@@ -173,7 +174,7 @@ fn plan_nodes_cost(
             *acc += hit;
         } else {
             memo.misses.incr();
-            let f = &a.tree().functions[node.func.index()];
+            let f = &a.template().functions[node.func.index()];
             let own = function_cost(dev, f, node.kind, dv, opts, curves);
             *acc += &own;
             if memo.table.insert(key, own) {

@@ -301,7 +301,7 @@ impl EstimatorSession {
 
         // Pass 2: schedule, keyed on the lane subtree's fingerprint
         // (patch-independent: lane count and DV do not enter the
-        // schedule), so a miss schedules the base tree.
+        // schedule), so a miss schedules the template.
         let sched = {
             let mut sp = trace::span("estimator.schedule").with("fp", plan.lane_fp);
             match self.schedules.get(&plan.lane_fp) {
@@ -312,7 +312,7 @@ impl EstimatorSession {
                 }
                 None => {
                     let s = schedule::schedule(
-                        d.arena.tree(),
+                        d.arena.template(),
                         &self.dev,
                         &self.curves,
                         &plan.tree.root,
@@ -343,7 +343,7 @@ impl EstimatorSession {
         let clock = {
             let _sp = trace::span("estimator.clock");
             let worst = self.clock_design(d.arena, plan);
-            frequency::finish_clock(d.arena.tree(), &self.dev, worst, &resources.total)
+            frequency::finish_clock(d.arena.template(), &self.dev, worst, &resources.total)
         };
 
         // Pass 6: bandwidth (Manage-IR only — patch-independent).
@@ -470,7 +470,7 @@ impl EstimatorSession {
             if self.worst_stage.contains_key(&key) {
                 self.hits.incr();
             } else {
-                let f = &a.tree().functions[node.func.index()];
+                let f = &a.template().functions[node.func.index()];
                 let v = frequency::function_worst_stage(&self.dev, &self.curves, f, node.kind);
                 self.misses.incr();
                 if self.worst_stage.insert(key, v) {
@@ -492,8 +492,8 @@ impl EstimatorSession {
     /// Pass 6 over an arena: ensure the bandwidth breakdown for the
     /// arena's (patch-independent) key is memoized, without handing out a
     /// clone — the bound path reads it by reference afterwards. The miss
-    /// path assesses the *base* tree, exact because the bandwidth pass
-    /// reads only the Manage-IR, which the patch never touches.
+    /// path assesses the *base*, exact because the bandwidth pass reads
+    /// only the Manage-IR, which the patch never touches.
     fn ensure_bandwidth_design(&mut self, a: &ArenaModule) {
         let bw_key = a.bw_key();
         let mut sp = trace::span("estimator.bandwidth").with("fp", bw_key);
@@ -502,9 +502,9 @@ impl EstimatorSession {
             sp.record("memo_hit", true);
         } else {
             let b = if self.opts.sustained_bandwidth {
-                bandwidth::assess(a.tree(), &self.dev, &self.curves)
+                bandwidth::assess(a, &self.dev, &self.curves)
             } else {
-                bandwidth::assess_naive(a.tree(), &self.dev, &self.curves)
+                bandwidth::assess_naive(a, &self.dev, &self.curves)
             };
             self.misses.incr();
             sp.record("memo_hit", false);

@@ -33,30 +33,38 @@
 //!   estimator's bound/estimate passes need per variant, so costing a
 //!   [`PatchedModule`] is pure arithmetic over this struct — the base
 //!   tree is read only on a memo *miss*.
+//! * **One lane of Manage-IR** — a C1 design's lanes carry identical
+//!   memory objects, streams and ports that differ only in a lane-index
+//!   name suffix, so [`ArenaModule::build_lanes`] keeps a *template*
+//!   holding one lane's Manage-IR plus the replica count KNL
+//!   ([`IrModule::expand_lanes`] spells out the module it stands for).
+//!   The geometry scalars are scaled by the count, the digests stream
+//!   the expanded names, and the bandwidth pass scales per template
+//!   stream, so building, validating and assessing a 64-lane base costs
+//!   about what a 1-lane base costs. [`ArenaModule::build`] is the
+//!   one-replica case: the template is the module.
 //!
 //! **Bit-identity.** [`ArenaModule::fingerprint_patched`] reproduces
 //! [`crate::fingerprint::fingerprint_module`] on the equivalent patched
 //! tree byte-for-byte: it replays the exact same FNV-1a write sequence
 //! from the columns (locked by unit tests here, the
-//! `arena_equivalence` property suite and a fuzz oracle). The base tree
-//! is retained behind [`ArenaModule::tree`]: memo-miss passes read
+//! `arena_equivalence` property suite and a fuzz oracle). The template
+//! is retained behind [`ArenaModule::template`]: memo-miss passes read
 //! function bodies and Manage-IR from it (cells no patch touches), and
-//! [`PatchedModule::materialize`] clones it for callers that need a tree.
+//! [`PatchedModule::materialize`] expands a copy for callers that need a
+//! tree.
 
 use crate::config_tree::{self, ConfigNode, ConfigTree};
 use crate::diag::SrcLoc;
 use crate::error::IrError;
-use crate::fingerprint::{
-    self, fingerprint_function, fingerprint_streams, fingerprint_subtree, StableHasher,
-};
+use crate::fingerprint::{self, fingerprint_function, fingerprint_subtree, StableHasher};
 use crate::function::{ParKind, PortDir, Stmt};
 use crate::instr::{Dest, Opcode, Operand};
 use crate::intern::{Symbol, SymbolTable};
 use crate::module::{IrModule, MemForm};
-use crate::stream::{AccessPattern, AddrSpace, StreamDir};
 use crate::types::ScalarType;
 use crate::validate;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 
 macro_rules! dense_id {
@@ -162,8 +170,11 @@ impl ConfigPlan {
 /// precomputed. Built once per lowered base design; see the module docs.
 #[derive(Debug, Clone)]
 pub struct ArenaModule {
-    /// The retained base tree, read by memo-miss passes.
-    tree: IrModule,
+    /// The retained lane template, read by memo-miss passes: the full
+    /// Compute-IR and metadata, and one lane's Manage-IR.
+    template: IrModule,
+    /// How many lanes the template's Manage-IR stands for.
+    replicas: u64,
     symbols: SymbolTable,
 
     // ---- function columns ----
@@ -208,19 +219,6 @@ pub struct ArenaModule {
     opnd_tag: Vec<u8>,
     opnd_bits: Vec<u64>,
 
-    // ---- Manage-IR columns ----
-    mem_name: Vec<Symbol>,
-    mem_space: Vec<AddrSpace>,
-    mem_ty: Vec<ScalarType>,
-    mem_len: Vec<u64>,
-    stream_name: Vec<Symbol>,
-    stream_mem: Vec<Symbol>,
-    stream_dir: Vec<StreamDir>,
-    stream_pattern: Vec<AccessPattern>,
-    port_name: Vec<Symbol>,
-    port_ty: Vec<ScalarType>,
-    port_offchip: Vec<bool>,
-
     // ---- precomputed digests ----
     base_fp: u64,
     streams_fp: u64,
@@ -238,24 +236,35 @@ pub struct ArenaModule {
 
     config: Result<ConfigPlan, IrError>,
 
-    /// The base tree's validation verdict, computed on first request and
-    /// shared by every patch of the arena (see
+    /// The expanded module's validation verdict, computed on first
+    /// request and shared by every patch of the arena (see
     /// [`validate_base`][ArenaModule::validate_base]).
     base_verdict: OnceLock<Result<(), IrError>>,
 }
 
 impl ArenaModule {
-    /// Flatten a module. The tree need not be validated: an invalid tree
+    /// Flatten a module: the one-replica case of
+    /// [`build_lanes`][ArenaModule::build_lanes], where the template is
+    /// the module itself. The tree need not be validated: an invalid tree
     /// still builds, and [`validate_base`][ArenaModule::validate_base]
     /// (which the estimator's arena path calls before first use) reports
     /// its error.
     pub fn build(tree: IrModule) -> ArenaModule {
-        let _sp = tytra_trace::span("ir.arena_build").with("module", tree.name.as_str());
-        let n_fns = tree.functions.len();
+        ArenaModule::build_lanes(tree, 1)
+    }
+
+    /// Flatten a lane template standing for `template.expand_lanes(replicas)`
+    /// ([`IrModule::expand_lanes`]) without expanding it: the Manage-IR
+    /// stays one lane long, and every digest, geometry scalar and pass
+    /// over the arena equals what a [`build`][ArenaModule::build] of the
+    /// expanded module gives. A `replicas` of 0 counts as 1.
+    pub fn build_lanes(template: IrModule, replicas: u64) -> ArenaModule {
+        let _sp = tytra_trace::span("ir.arena_build").with("module", template.name.as_str());
+        let n_fns = template.functions.len();
         // A generous estimate of the distinct names, so interning seldom
         // regrows (and rehashes) the symbol index.
-        let n_names = 2 * (tree.mems.len() + tree.streams.len() + tree.ports.len())
-            + tree.functions.iter().map(|f| 1 + f.params.len() + 2 * f.body.len()).sum::<usize>();
+        let n_names =
+            template.functions.iter().map(|f| 1 + f.params.len() + 2 * f.body.len()).sum::<usize>();
         let mut symbols = SymbolTable::with_capacity(n_names);
 
         let mut a = ArenaModule {
@@ -287,17 +296,6 @@ impl ArenaModule {
             call_args: Vec::new(),
             opnd_tag: Vec::new(),
             opnd_bits: Vec::new(),
-            mem_name: Vec::new(),
-            mem_space: Vec::new(),
-            mem_ty: Vec::new(),
-            mem_len: Vec::new(),
-            stream_name: Vec::new(),
-            stream_mem: Vec::new(),
-            stream_dir: Vec::new(),
-            stream_pattern: Vec::new(),
-            port_name: Vec::new(),
-            port_ty: Vec::new(),
-            port_offchip: Vec::new(),
             base_fp: 0,
             streams_fp: 0,
             bw_key: 0,
@@ -313,12 +311,13 @@ impl ArenaModule {
             config: Err(IrError::UnsupportedConfig(String::new())),
             base_verdict: OnceLock::new(),
             symbols,
-            tree,
+            template,
+            replicas: replicas.max(1),
         };
         symbols = std::mem::take(&mut a.symbols);
 
         // Compute-IR columns.
-        for (idx, f) in a.tree.functions.iter().enumerate() {
+        for (idx, f) in a.template.functions.iter().enumerate() {
             let name = symbols.intern(&f.name);
             a.fn_by_sym.entry(name).or_insert(FnId(idx as u32));
             a.fn_name.push(name);
@@ -382,38 +381,30 @@ impl ArenaModule {
         // in `IrModule::function`).
         a.call_callee_fn = a.call_callee.iter().map(|sym| a.fn_by_sym.get(sym).copied()).collect();
 
-        // Manage-IR columns + geometry.
-        for mem in &a.tree.mems {
-            a.mem_name.push(symbols.intern(&mem.name));
-            a.mem_space.push(mem.space);
-            a.mem_ty.push(mem.elem_ty);
-            a.mem_len.push(mem.len);
+        // Manage-IR geometry: one lane's terms, times the lanes. Every lane
+        // resolves its links as the template does once the names are
+        // unique, which `validate_base` establishes before any pass reads
+        // these; `u64` scaling is exact.
+        for mem in &a.template.mems {
             if !mem.space.is_offchip() {
                 a.local_bytes += mem.bytes();
                 a.local_mem_bits.push(mem.bits());
             }
         }
-        for s in &a.tree.streams {
-            a.stream_name.push(symbols.intern(&s.name));
-            a.stream_mem.push(symbols.intern(&s.mem));
-            a.stream_dir.push(s.dir);
-            a.stream_pattern.push(s.pattern);
-        }
-        let links = a.tree.manage_links();
-        for (i, p) in a.tree.ports.iter().enumerate() {
-            a.port_name.push(symbols.intern(&p.name));
-            a.port_ty.push(p.ty);
-            let offchip = links.port_offchip(i);
-            a.port_offchip.push(offchip);
-            if offchip {
+        let links = a.template.manage_links();
+        for (i, p) in a.template.ports.iter().enumerate() {
+            if links.port_offchip(i) {
                 a.offchip_ports += 1;
                 a.offchip_port_bytes += u64::from(p.ty.bytes());
             }
         }
+        a.local_bytes *= a.replicas;
+        a.offchip_ports *= a.replicas;
+        a.offchip_port_bytes *= a.replicas;
 
-        a.ngs = a.tree.meta.global_size();
-        a.kernel_lanes = a.tree.kernel_lanes();
-        for f in a.tree.reachable_functions() {
+        a.ngs = a.template.meta.global_size();
+        a.kernel_lanes = a.template.kernel_lanes();
+        for f in a.template.reachable_functions() {
             for o in f.offsets() {
                 if o.offset > 0 {
                     let lookahead = o.offset as u64;
@@ -425,7 +416,7 @@ impl ArenaModule {
             }
         }
 
-        a.streams_fp = fingerprint_streams(&a.tree);
+        a.streams_fp = fingerprint::fingerprint_lane_streams(&a.template, a.replicas);
         a.bw_key = {
             let mut h = StableHasher::new();
             h.write_u64(a.streams_fp);
@@ -436,16 +427,25 @@ impl ArenaModule {
         a.symbols = symbols;
         // The identity patch replays `fingerprint_module` from the columns
         // and the streams digest above, without hashing the tree again.
-        a.base_fp = a.fingerprint_patched(&a.tree.name, a.tree.meta.form, a.tree.meta.vect);
-        a.config = config_tree::extract(&a.tree).map(|t| build_plan(&a, t));
+        a.base_fp =
+            a.fingerprint_patched(&a.template.name, a.template.meta.form, a.template.meta.vect);
+        a.config = config_tree::extract(&a.template).map(|t| build_plan(&a, t));
         a
     }
 
     // ---- façade & columns ----
 
-    /// The retained base tree.
-    pub fn tree(&self) -> &IrModule {
-        &self.tree
+    /// The retained lane template: the base module's Compute-IR and
+    /// metadata, and one lane's Manage-IR (all of it when
+    /// [`replicas`][ArenaModule::replicas] is 1).
+    pub fn template(&self) -> &IrModule {
+        &self.template
+    }
+
+    /// How many lanes the template's Manage-IR stands for: KNL for a
+    /// lane-template base, 1 for a plain module.
+    pub fn replicas(&self) -> u64 {
+        self.replicas
     }
 
     /// The shared symbol table.
@@ -504,14 +504,34 @@ impl ArenaModule {
 
     // ---- precomputed digests & geometry ----
 
-    /// Validate the base tree, once per arena: the first call runs
-    /// [`validate::validate`] and caches its verdict, later calls (from any
-    /// thread, any estimator session) return the cached copy. The
-    /// validator never reads the three patched cells — only
-    /// `meta.ndrange`/`nki`/`freq_mhz` and the module name for its trace
-    /// span — so the base verdict is every [`PatchedModule`]'s verdict.
+    /// Validate the base module, once per arena: the first call computes
+    /// the verdict of [`validate::validate`] on the expanded module and
+    /// caches it, later calls (from any thread, any estimator session)
+    /// return the cached copy. The validator never reads the three
+    /// patched cells — only `meta.ndrange`/`nki`/`freq_mhz` and the module
+    /// name for its trace span — so the base verdict is every
+    /// [`PatchedModule`]'s verdict.
+    ///
+    /// A lane template is validated as it stands, one lane long. That
+    /// verdict is the expanded module's whenever it passes and no two
+    /// lanes can generate the same name: the Compute-IR and metadata
+    /// checks never read the Manage-IR, and with unique names every lane
+    /// resolves its links and agrees on directions, types and patterns
+    /// exactly as the template does. Otherwise the expanded module is
+    /// validated, so the verdict and the first error's text are always
+    /// those of validating `materialize()`.
     pub fn validate_base(&self) -> Result<(), IrError> {
-        self.base_verdict.get_or_init(|| validate::validate(&self.tree)).clone()
+        self.base_verdict
+            .get_or_init(|| {
+                let verdict = validate::validate(&self.template);
+                if self.replicas == 1
+                    || (verdict.is_ok() && !lane_names_may_collide(&self.template))
+                {
+                    return verdict;
+                }
+                validate::validate(&self.template.clone().expand_lanes(self.replicas))
+            })
+            .clone()
     }
 
     /// Whether [`validate_base`][ArenaModule::validate_base] has already
@@ -520,13 +540,14 @@ impl ArenaModule {
         self.base_verdict.get().is_some()
     }
 
-    /// [`fingerprint_module`][fingerprint::fingerprint_module] of the base
-    /// tree.
+    /// [`fingerprint_module`][fingerprint::fingerprint_module] of the
+    /// expanded base module.
     pub fn base_fp(&self) -> u64 {
         self.base_fp
     }
 
-    /// [`fingerprint_streams`] of the base tree (patch-independent).
+    /// [`fingerprint_streams`][fingerprint::fingerprint_streams] of the
+    /// expanded base module (patch-independent).
     pub fn streams_fp(&self) -> u64 {
         self.streams_fp
     }
@@ -544,10 +565,10 @@ impl ArenaModule {
 
     /// `NKI` of the base design (patch-independent).
     pub fn nki(&self) -> u64 {
-        self.tree.meta.nki
+        self.template.meta.nki
     }
 
-    /// [`IrModule::kernel_lanes`] of the base tree.
+    /// [`IrModule::kernel_lanes`] of the base module.
     pub fn kernel_lanes(&self) -> u64 {
         self.kernel_lanes
     }
@@ -567,8 +588,9 @@ impl ArenaModule {
         self.local_bytes
     }
 
-    /// Bit sizes of the on-chip memory objects, in declaration order
-    /// (the module-level BRAM terms of the resource pass).
+    /// Bit sizes of one lane's on-chip memory objects, in declaration
+    /// order (the module-level BRAM terms of the resource pass); each
+    /// stands for [`replicas`][ArenaModule::replicas] objects.
     pub fn local_mem_bits(&self) -> &[u64] {
         &self.local_mem_bits
     }
@@ -593,7 +615,7 @@ impl ArenaModule {
 
     /// The identity patch: the base module itself as a [`PatchedModule`].
     pub fn identity(&self) -> PatchedModule<'_> {
-        self.patched(&self.tree.name, self.tree.meta.form, self.tree.meta.vect)
+        self.patched(&self.template.name, self.template.meta.form, self.template.meta.vect)
     }
 
     /// [`fingerprint_module`][fingerprint::fingerprint_module] of the
@@ -604,10 +626,10 @@ impl ArenaModule {
         h.write_str(name);
         fingerprint::write_meta_parts(
             &mut h,
-            &self.tree.meta.ndrange,
-            self.tree.meta.nki,
+            &self.template.meta.ndrange,
+            self.template.meta.nki,
             form,
-            self.tree.meta.freq_mhz,
+            self.template.meta.freq_mhz,
             vect,
         );
         h.write_u64(self.streams_fp);
@@ -693,6 +715,24 @@ impl ArenaModule {
     }
 }
 
+/// Whether two lanes of a template can generate the same Manage-IR name.
+/// Lane suffixes are decimal, so `a` + `i` can equal `b` + `j` for
+/// distinct template names only when one of them is the other followed
+/// by digits: inputs `p` and `p1` both give `mem_p10` at 11 lanes.
+/// Checked per namespace, as the validator's duplicate checks are.
+fn lane_names_may_collide(m: &IrModule) -> bool {
+    fn any<'a>(names: impl Iterator<Item = &'a str> + Clone) -> bool {
+        let set: HashSet<&str> = names.clone().collect();
+        names.into_iter().any(|n| {
+            let stem = n.trim_end_matches(|c: char| c.is_ascii_digit());
+            (stem.len()..n.len()).any(|k| set.contains(&n[..k]))
+        })
+    }
+    any(m.mems.iter().map(|x| x.name.as_str()))
+        || any(m.streams.iter().map(|x| x.name.as_str()))
+        || any(m.ports.iter().map(|x| x.name.as_str()))
+}
+
 fn push_operand(symbols: &mut SymbolTable, tags: &mut Vec<u8>, bits: &mut Vec<u64>, o: &Operand) {
     match o {
         Operand::Local(n) => {
@@ -745,7 +785,7 @@ fn build_plan(a: &ArenaModule, tree: ConfigTree) -> ConfigPlan {
         }
         count(lane)
     };
-    let lane_fp = fingerprint_subtree(&a.tree, lane);
+    let lane_fp = fingerprint_subtree(&a.template, lane);
     let lane_ii = match lane.kind {
         ParKind::Seq => lane.subtree_instrs().max(1) as f64,
         _ => 1.0,
@@ -780,11 +820,11 @@ impl PatchedModule<'_> {
         self.arena.fingerprint_patched(self.name, self.form, self.vect)
     }
 
-    /// Clone the base tree and apply the patch — the module this variant
-    /// stands for. Equal (field-for-field) to lowering the variant from
-    /// scratch.
+    /// Expand a copy of the template and apply the patch — the module
+    /// this variant stands for. Equal (field-for-field) to lowering the
+    /// variant from scratch.
     pub fn materialize(&self) -> IrModule {
-        let mut m = self.arena.tree.clone();
+        let mut m = self.arena.template.clone().expand_lanes(self.arena.replicas);
         m.name.clear();
         m.name.push_str(self.name);
         m.meta.form = self.form;
@@ -797,7 +837,7 @@ impl PatchedModule<'_> {
 mod tests {
     use super::*;
     use crate::builder::ModuleBuilder;
-    use crate::fingerprint::fingerprint_module;
+    use crate::fingerprint::{fingerprint_module, fingerprint_streams};
     use crate::module::MemForm;
     use crate::types::ScalarType;
     use crate::Opcode;
@@ -876,7 +916,7 @@ mod tests {
             assert_eq!(a.fn_fp(id), *fp);
             assert_eq!(a.fingerprint_function_arena(id), *fp);
         }
-        assert_eq!(a.streams_fp(), fingerprint_streams(a.tree()));
+        assert_eq!(a.streams_fp(), fingerprint_streams(a.template()));
     }
 
     #[test]
@@ -906,9 +946,9 @@ mod tests {
         assert_eq!(m.meta.form, MemForm::C);
         assert_eq!(m.meta.vect, 8);
         let mut back = m;
-        back.name = a.tree().name.clone();
-        back.meta.form = a.tree().meta.form;
-        back.meta.vect = a.tree().meta.vect;
+        back.name = a.template().name.clone();
+        back.meta.form = a.template().meta.form;
+        back.meta.vect = a.template().meta.vect;
         assert_eq!(fingerprint_module(&back), a.base_fp());
     }
 
@@ -933,7 +973,7 @@ mod tests {
             } else {
                 &tree.root
             };
-            assert_eq!(plan.lane_fp, fingerprint_subtree(a.tree(), lane));
+            assert_eq!(plan.lane_fp, fingerprint_subtree(a.template(), lane));
             assert_eq!(plan.lane_nodes().len(), plan.lane_len);
             assert_eq!(plan.lane_nodes()[0].kind, lane.kind);
         }
@@ -959,9 +999,116 @@ mod tests {
     fn bw_key_matches_session_formula() {
         let a = ArenaModule::build(stencil(2, MemForm::B));
         let mut h = StableHasher::new();
-        h.write_u64(fingerprint_streams(a.tree()));
-        h.write_u64(a.tree().kernel_lanes());
+        h.write_u64(fingerprint_streams(a.template()));
+        h.write_u64(a.template().kernel_lanes());
         assert_eq!(a.bw_key(), h.finish());
+    }
+
+    /// One lane of `stencil(lanes, _)`: its Compute-IR, and unsuffixed
+    /// `p`/`q` arrays of one lane's length (on chip when `local`).
+    fn stencil_template(lanes: usize, local: bool) -> IrModule {
+        let n = 4096 / lanes as u64;
+        let mut b = ModuleBuilder::new("one lane");
+        if local {
+            b.local_array("p", T, n, crate::StreamDir::Read);
+            b.local_array("q", T, n, crate::StreamDir::Write);
+        } else {
+            b.global_input("p", T, n);
+            b.global_output("q", T, n);
+        }
+        let lane = b.finish_unchecked();
+        let mut m = stencil(lanes, MemForm::B);
+        (m.mems, m.streams, m.ports) = (lane.mems, lane.streams, lane.ports);
+        m
+    }
+
+    #[test]
+    fn lane_template_expands_to_the_per_lane_module() {
+        for lanes in [2, 4, 11] {
+            let t = stencil_template(lanes, false);
+            assert_eq!(t.clone().expand_lanes(lanes as u64), stencil(lanes, MemForm::B));
+        }
+        let one = stencil(1, MemForm::B);
+        assert_eq!(one.clone().expand_lanes(1), one, "one replica is the module itself");
+    }
+
+    #[test]
+    fn lane_template_columns_hold_one_lane_and_match_the_expanded_build() {
+        for local in [false, true] {
+            for lanes in [1u64, 2, 4, 11, 64] {
+                let t = stencil_template(lanes as usize, local);
+                let expanded = ArenaModule::build(t.clone().expand_lanes(lanes));
+                let a = ArenaModule::build_lanes(t, lanes);
+                let tag = format!("{lanes} lanes, local {local}");
+                // One lane's Manage-IR, however many lanes it stands for…
+                let m = a.template();
+                assert_eq!((m.mems.len(), m.streams.len(), m.ports.len()), (2, 2, 2), "{tag}");
+                assert_eq!(a.local_mem_bits().len(), if local { 2 } else { 0 }, "{tag}");
+                // …while materializing still expands every lane.
+                let full = a.identity().materialize();
+                let n = 2 * lanes as usize;
+                assert_eq!((full.mems.len(), full.streams.len(), full.ports.len()), (n, n, n));
+                assert_eq!(full, expanded.identity().materialize(), "{tag}");
+                // Digests and geometry equal those of the expanded build.
+                assert_eq!(a.base_fp(), fingerprint_module(&full), "{tag}");
+                assert_eq!(a.base_fp(), expanded.base_fp(), "{tag}");
+                assert_eq!(a.streams_fp(), fingerprint_streams(&full), "{tag}");
+                assert_eq!(a.bw_key(), expanded.bw_key(), "{tag}");
+                assert_eq!(a.kernel_lanes(), expanded.kernel_lanes(), "{tag}");
+                assert_eq!(a.offchip_ports(), expanded.offchip_ports(), "{tag}");
+                assert_eq!(a.offchip_port_bytes(), expanded.offchip_port_bytes(), "{tag}");
+                assert_eq!(a.local_bytes(), expanded.local_bytes(), "{tag}");
+                assert_eq!(a.noff_bytes(), expanded.noff_bytes(), "{tag}");
+                let d = a.patched("v", MemForm::Tiled { tiles: 4 }, 2);
+                assert_eq!(d.fingerprint(), fingerprint_module(&d.materialize()), "{tag}");
+                assert_eq!(a.validate_base(), Ok(()), "{tag}");
+            }
+        }
+    }
+
+    #[test]
+    fn lane_template_validation_falls_back_when_names_can_collide() {
+        // Inputs `p` and `p1`: lane 10 of `p` and lane 0 of `p1` are both
+        // `mem_p10`, so the 11-lane expansion is invalid though the
+        // template and the 2-lane expansion are not.
+        let mut t = stencil_template(11, false);
+        let mut b = ModuleBuilder::new("extra");
+        b.global_input("p1", T, 4096 / 11);
+        let extra = b.finish_unchecked();
+        t.mems.extend(extra.mems);
+        t.streams.extend(extra.streams);
+        t.ports.extend(extra.ports);
+        assert!(lane_names_may_collide(&t));
+        assert_eq!(validate::validate(&t), Ok(()));
+        let a = ArenaModule::build_lanes(t.clone(), 11);
+        let want = validate::validate(&a.identity().materialize());
+        assert_eq!(a.validate_base(), want);
+        assert!(format!("{}", want.unwrap_err()).contains("duplicate memory object name `mem_p10`"));
+        assert_eq!(ArenaModule::build_lanes(t, 2).validate_base(), Ok(()));
+
+        // An invalid template reports the expanded module's first error.
+        let mut bad = stencil_template(4, false);
+        bad.streams[0].mem = "mem_nope".into();
+        assert!(!lane_names_may_collide(&bad));
+        let a = ArenaModule::build_lanes(bad, 4);
+        let want = validate::validate(&a.identity().materialize());
+        assert!(want.is_err());
+        assert_eq!(a.validate_base(), want);
+    }
+
+    #[test]
+    fn only_digit_extensions_of_a_name_can_collide() {
+        let names = |ns: &[&str]| {
+            let mut b = ModuleBuilder::new("n");
+            for n in ns {
+                b.global_input(n, T, 8);
+            }
+            lane_names_may_collide(&b.finish_unchecked())
+        };
+        assert!(names(&["p", "p1"]));
+        assert!(names(&["p12", "x", "p"]));
+        assert!(!names(&["p", "q", "p_1", "p1x"]));
+        assert!(!names(&["p1", "p2"]));
     }
 
     #[test]

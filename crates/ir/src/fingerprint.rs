@@ -17,7 +17,7 @@
 use crate::config_tree::ConfigNode;
 use crate::function::{IrFunction, Stmt};
 use crate::instr::{Dest, Operand};
-use crate::module::{ExecMeta, IrModule, MemForm};
+use crate::module::{ExecMeta, IrModule, LaneSuffix, MemForm};
 use crate::stream::AccessPattern;
 use crate::types::ScalarType;
 
@@ -77,6 +77,17 @@ impl StableHasher {
     pub fn write_str(&mut self, s: &str) {
         self.write_u64(s.len() as u64);
         for b in s.bytes() {
+            self.write_u8(b);
+        }
+    }
+
+    /// Absorb `s` followed by `suffix` exactly as [`write_str`] absorbs
+    /// their concatenation, without building it.
+    ///
+    /// [`write_str`]: StableHasher::write_str
+    pub fn write_str_parts(&mut self, s: &str, suffix: &str) {
+        self.write_u64((s.len() + suffix.len()) as u64);
+        for b in s.bytes().chain(suffix.bytes()) {
             self.write_u8(b);
         }
     }
@@ -210,30 +221,44 @@ pub fn fingerprint_function(f: &IrFunction) -> u64 {
 /// objects and port declarations — everything the bandwidth pass and the
 /// module-level resource terms read.
 pub fn fingerprint_streams(m: &IrModule) -> u64 {
+    fingerprint_lane_streams(m, 1)
+}
+
+/// [`fingerprint_streams`] of `template.expand_lanes(replicas)`, without
+/// expanding it: every lane's names stream into the hasher with the lane
+/// suffix appended on the fly.
+pub(crate) fn fingerprint_lane_streams(template: &IrModule, replicas: u64) -> u64 {
+    let lanes = || (0..replicas).map(|l| LaneSuffix::new(l, replicas));
     let mut h = StableHasher::new();
-    h.write_u64(m.mems.len() as u64);
-    for mem in &m.mems {
-        h.write_str(&mem.name);
-        h.write_u8(mem.space.number());
-        write_ty(&mut h, mem.elem_ty);
-        h.write_u64(mem.len);
+    h.write_u64(template.mems.len() as u64 * replicas);
+    for sfx in lanes() {
+        for mem in &template.mems {
+            h.write_str_parts(&mem.name, sfx.as_str());
+            h.write_u8(mem.space.number());
+            write_ty(&mut h, mem.elem_ty);
+            h.write_u64(mem.len);
+        }
     }
-    h.write_u64(m.streams.len() as u64);
-    for s in &m.streams {
-        h.write_str(&s.name);
-        h.write_str(&s.mem);
-        h.write_u8(s.dir as u8);
-        write_pattern(&mut h, s.pattern);
+    h.write_u64(template.streams.len() as u64 * replicas);
+    for sfx in lanes() {
+        for s in &template.streams {
+            h.write_str_parts(&s.name, sfx.as_str());
+            h.write_str_parts(&s.mem, sfx.as_str());
+            h.write_u8(s.dir as u8);
+            write_pattern(&mut h, s.pattern);
+        }
     }
-    h.write_u64(m.ports.len() as u64);
-    for p in &m.ports {
-        h.write_str(&p.name);
-        h.write_u8(p.space.number());
-        write_ty(&mut h, p.ty);
-        h.write_u8(p.dir as u8);
-        write_pattern(&mut h, p.pattern);
-        h.write_i64(p.base_offset);
-        h.write_str(&p.stream);
+    h.write_u64(template.ports.len() as u64 * replicas);
+    for sfx in lanes() {
+        for p in &template.ports {
+            h.write_str_parts(&p.name, sfx.as_str());
+            h.write_u8(p.space.number());
+            write_ty(&mut h, p.ty);
+            h.write_u8(p.dir as u8);
+            write_pattern(&mut h, p.pattern);
+            h.write_i64(p.base_offset);
+            h.write_str_parts(&p.stream, sfx.as_str());
+        }
     }
     h.finish()
 }

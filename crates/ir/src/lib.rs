@@ -62,7 +62,7 @@ pub use fingerprint::{
 pub use function::{Call, IrFunction, OffsetDecl, ParKind, Param, PortDir, Stmt};
 pub use instr::{Dest, Instruction, Opcode, Operand};
 pub use intern::{Symbol, SymbolTable};
-pub use module::{ExecMeta, IrModule, ManageLinks, MemForm};
+pub use module::{lane_name, ExecMeta, IrModule, ManageLinks, MemForm};
 pub use parser::{parse, parse_unvalidated};
 pub use printer::print;
 pub use stream::{AccessPattern, AddrSpace, MemObject, PortDecl, StreamDir, StreamObject};

@@ -177,6 +177,54 @@ impl IrModule {
         }
     }
 
+    /// The module a lane template stands for: `replicas` copies of the
+    /// template's Manage-IR in lane-major order, each name — and each
+    /// memory-object or stream name a copy refers to — with its decimal
+    /// lane index appended ([`lane_name`]: `mem_p` becomes `mem_p0`,
+    /// `mem_p1`, …). The Compute-IR and the metadata stay as they are.
+    /// With one replica the template is the module, names unsuffixed.
+    pub fn expand_lanes(mut self, replicas: u64) -> IrModule {
+        if replicas <= 1 {
+            return self;
+        }
+        let mems = std::mem::take(&mut self.mems);
+        let streams = std::mem::take(&mut self.streams);
+        let ports = std::mem::take(&mut self.ports);
+        let n = replicas as usize;
+        self.mems.reserve_exact(n * mems.len());
+        self.streams.reserve_exact(n * streams.len());
+        self.ports.reserve_exact(n * ports.len());
+        for l in 0..replicas {
+            let sfx = LaneSuffix::new(l, replicas);
+            let name = |template: &str| sfx.append_to(template);
+            self.mems.extend(mems.iter().map(|m| MemObject {
+                name: name(&m.name),
+                space: m.space,
+                elem_ty: m.elem_ty,
+                len: m.len,
+                span: m.span,
+            }));
+            self.streams.extend(streams.iter().map(|s| StreamObject {
+                name: name(&s.name),
+                mem: name(&s.mem),
+                dir: s.dir,
+                pattern: s.pattern,
+                span: s.span,
+            }));
+            self.ports.extend(ports.iter().map(|p| PortDecl {
+                name: name(&p.name),
+                space: p.space,
+                ty: p.ty,
+                dir: p.dir,
+                pattern: p.pattern,
+                base_offset: p.base_offset,
+                stream: name(&p.stream),
+                span: p.span,
+            }));
+        }
+        self
+    }
+
     /// Total SSA instruction count over every function (static count; the
     /// per-PE `NI` of the throughput model is computed per configuration by
     /// the cost crate).
@@ -229,6 +277,54 @@ impl IrModule {
             }
         }
         out
+    }
+}
+
+/// Lane `lane`'s name for the Manage-IR entity a `replicas`-lane
+/// template calls `template`: the template name with the decimal lane
+/// index appended, or the template name itself for a single replica. The
+/// one naming rule of [`IrModule::expand_lanes`].
+pub fn lane_name(template: &str, lane: u64, replicas: u64) -> String {
+    LaneSuffix::new(lane, replicas).append_to(template)
+}
+
+/// The suffix lane `lane` of a `replicas`-lane template appends to every
+/// Manage-IR name (empty for a single replica), formatted on the stack
+/// so digests can stream expanded names without allocating them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LaneSuffix {
+    digits: [u8; 20],
+    start: usize,
+}
+
+impl LaneSuffix {
+    pub(crate) fn new(lane: u64, replicas: u64) -> LaneSuffix {
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        if replicas > 1 {
+            let mut v = lane;
+            loop {
+                start -= 1;
+                digits[start] = b'0' + (v % 10) as u8;
+                v /= 10;
+                if v == 0 {
+                    break;
+                }
+            }
+        }
+        LaneSuffix { digits, start }
+    }
+
+    pub(crate) fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.digits[self.start..]).expect("ASCII digits")
+    }
+
+    fn append_to(&self, template: &str) -> String {
+        let sfx = self.as_str();
+        let mut s = String::with_capacity(template.len() + sfx.len());
+        s.push_str(template);
+        s.push_str(sfx);
+        s
     }
 }
 
@@ -343,6 +439,14 @@ mod tests {
         let m = four_lane();
         let names: Vec<&str> = m.reachable_functions().iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["main", "f1", "f0"]);
+    }
+
+    #[test]
+    fn lane_names_append_the_decimal_lane_index() {
+        assert_eq!(lane_name("mem_p", 0, 1), "mem_p", "one replica keeps the template name");
+        assert_eq!(lane_name("mem_p", 0, 2), "mem_p0");
+        assert_eq!(lane_name("main.p", 10, 11), "main.p10");
+        assert_eq!(lane_name("s", u64::MAX, u64::MAX), format!("s{}", u64::MAX));
     }
 
     #[test]

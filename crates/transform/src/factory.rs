@@ -7,18 +7,22 @@
 //! arrays for local ones. Everything else (`A` vs `B` vs `Tiled`, the
 //! vectorization degree, the module name) is a metadata patch.
 //!
-//! A [`VariantFactory`] therefore lowers **one base module per
-//! structural class** `(lanes, inner, is_form_c)`, flattens it into a
-//! shared [`ArenaModule`], and hands out each variant as a
-//! [`VariantDesign`] — an owned name plus the three patched cells over
-//! the `Arc`-shared base. The estimator's `estimate_design`/
-//! `bound_design` passes cost the patch without materializing a tree;
-//! [`PatchedModule::materialize`] reproduces the lowered tree exactly
-//! (same fingerprint) for the few memo-miss paths that still need one.
+//! A [`VariantFactory`] therefore builds **one base per structural
+//! class** `(lanes, inner, is_form_c)`, a shared [`ArenaModule`], and
+//! hands out each variant as a [`VariantDesign`] — an owned name plus
+//! the three patched cells over the `Arc`-shared base. The estimator's
+//! `estimate_design`/`bound_design` passes cost the patch without
+//! materializing a tree; [`PatchedModule::materialize`] reproduces the
+//! lowered tree exactly (same fingerprint) for the few memo-miss paths
+//! that still need one.
 //!
-//! The lane function `f0` is the same in every class of one inner kind,
-//! so the factory lowers it once per [`InnerKind`] and assembles each
-//! base (Manage-IR arrays, the `par` dispatcher, `main`) around a copy.
+//! A base holds one lane's Manage-IR plus the lane count as its replica
+//! count ([`ArenaModule::build_lanes`]), so building, validating and
+//! bandwidth-assessing a 64-lane base costs about what a 1-lane base
+//! costs. The lane function `f0` is the same in every class of one inner
+//! kind, so the factory lowers it once per [`InnerKind`] and assembles
+//! each base's template (one lane's arrays, the `par` dispatcher,
+//! `main`) around a copy.
 //!
 //! The factory is `Sync`: DSE workers request designs concurrently and
 //! the first worker to touch a structural class lowers it for everyone.
@@ -106,7 +110,7 @@ impl VariantFactory {
         self.lowered.lock().map(|l| l.bases.len()).unwrap_or(0)
     }
 
-    /// The design for `variant`: lowers and validates the variant's
+    /// The design for `variant`: builds and validates the variant's
     /// structural class on first sight (a `transform.lower` span), then
     /// patches the shared base. Errors exactly as [`lower`] does.
     pub fn design(&self, variant: &Variant) -> Result<VariantDesign, IrError> {
@@ -122,12 +126,10 @@ impl VariantFactory {
                     let lane = lanes
                         .entry(variant.inner)
                         .or_insert_with(|| lower_lane(&self.kernel, variant.inner));
-                    let a = ArenaModule::build(assemble(
-                        &self.kernel,
-                        &self.geom,
-                        variant,
-                        lane.clone(),
-                    ));
+                    let a = ArenaModule::build_lanes(
+                        assemble(&self.kernel, &self.geom, variant, lane.clone()),
+                        variant.lanes,
+                    );
                     // The one validation this base gets in the process: the
                     // verdict is cached on the arena, where every estimator
                     // session that costs one of its patches reads it.
@@ -206,6 +208,26 @@ mod tests {
         factory.design(&Variant { form: MemForm::C, ..b }).unwrap();
         factory.design(&Variant { lanes: 4, ..b }).unwrap();
         assert_eq!(factory.bases_built(), 3);
+    }
+
+    #[test]
+    fn bases_hold_one_lane_of_manage_ir_at_any_lane_count() {
+        // The stencil kernel has one input and one output: two memory
+        // objects, streams and ports per lane.
+        let geom = Geometry::flat(1 << 10, 10);
+        let factory = VariantFactory::new(stencil_kernel(), geom);
+        for form in [MemForm::B, MemForm::C] {
+            for lanes in [1u64, 2, 16, 64] {
+                let d = factory.design(&Variant { lanes, form, ..Variant::baseline() }).unwrap();
+                let base = d.arena();
+                let t = base.template();
+                assert_eq!((t.mems.len(), t.streams.len(), t.ports.len()), (2, 2, 2), "{lanes}");
+                assert_eq!(base.replicas(), lanes);
+                let m = d.patched().materialize();
+                let n = 2 * lanes as usize;
+                assert_eq!((m.mems.len(), m.streams.len(), m.ports.len()), (n, n, n), "{lanes}");
+            }
+        }
     }
 
     #[test]

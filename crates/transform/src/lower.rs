@@ -36,10 +36,12 @@ impl Geometry {
     }
 }
 
-/// Lower `kernel` under `variant` to a validated TyTra-IR module.
+/// Lower `kernel` under `variant` to a validated TyTra-IR module: the
+/// lane template of [`assemble`], expanded to every lane.
 pub fn lower(kernel: &KernelDef, geom: &Geometry, variant: &Variant) -> Result<IrModule, IrError> {
     check_legal(geom, variant)?;
-    let m = assemble(kernel, geom, variant, lower_lane(kernel, variant.inner));
+    let m = assemble(kernel, geom, variant, lower_lane(kernel, variant.inner))
+        .expand_lanes(variant.lanes);
     validate(&m)?;
     Ok(m)
 }
@@ -92,9 +94,13 @@ pub(crate) fn lower_lane(kernel: &KernelDef, inner: InnerKind) -> IrFunction {
     f.finish()
 }
 
-/// The module for `variant` around an already-lowered lane function
-/// `lane`: Manage-IR, the `par` dispatcher, `main` and the execution
-/// metadata. Unvalidated; the caller checks legality first.
+/// The lane template for `variant` around an already-lowered lane
+/// function `lane`: one lane's Manage-IR, the lane function, the `par`
+/// dispatcher with one call per lane, `main` and the execution metadata.
+/// [`IrModule::expand_lanes`] with `variant.lanes` replicas turns it into
+/// the module (Fig 14's per-lane arrays `p0..p3` are the template's `p`
+/// with the lane index appended). Unvalidated; the caller checks
+/// legality first.
 pub(crate) fn assemble(
     kernel: &KernelDef,
     geom: &Geometry,
@@ -107,17 +113,12 @@ pub(crate) fn assemble(
 
     let mut b = ModuleBuilder::new(format!("{}_{}", kernel.name, variant.tag()));
 
-    // Manage-IR: one array set per lane (Fig 14's p0..p3), or a single
-    // set for the baseline.
-    let lane_suffix = |l: u64| if lanes > 1 { l.to_string() } else { String::new() };
-    for l in 0..lanes {
-        let sfx = lane_suffix(l);
-        for name in &kernel.inputs {
-            declare_array(&mut b, &format!("{name}{sfx}"), ty, per_lane, StreamDir::Read, variant);
-        }
-        for (name, _) in &kernel.outputs {
-            declare_array(&mut b, &format!("{name}{sfx}"), ty, per_lane, StreamDir::Write, variant);
-        }
+    // Manage-IR: one lane's array set.
+    for name in &kernel.inputs {
+        declare_array(&mut b, name, ty, per_lane, StreamDir::Read, variant);
+    }
+    for (name, _) in &kernel.outputs {
+        declare_array(&mut b, name, ty, per_lane, StreamDir::Write, variant);
     }
 
     // Compute-IR: the lane function, then the dispatcher.
