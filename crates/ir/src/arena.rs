@@ -40,9 +40,8 @@
 //!   ([`IrModule::expand_lanes`] spells out the module it stands for).
 //!   The geometry scalars are scaled by the count, the digests stream
 //!   the expanded names, and the bandwidth pass scales per template
-//!   stream, so building, validating and assessing a 64-lane base costs
-//!   about what a 1-lane base costs. [`ArenaModule::build`] is the
-//!   one-replica case: the template is the module.
+//!   stream, so no pass walks a copy per lane. [`ArenaModule::build`]
+//!   is the one-replica case: the template is the module.
 //!
 //! **Bit-identity.** [`ArenaModule::fingerprint_patched`] reproduces
 //! [`crate::fingerprint::fingerprint_module`] on the equivalent patched

@@ -85,9 +85,12 @@ impl StableHasher {
     /// their concatenation, without building it.
     ///
     /// [`write_str`]: StableHasher::write_str
-    pub fn write_str_parts(&mut self, s: &str, suffix: &str) {
+    pub(crate) fn write_str_parts(&mut self, s: &str, suffix: &str) {
         self.write_u64((s.len() + suffix.len()) as u64);
-        for b in s.bytes().chain(suffix.bytes()) {
+        for b in s.bytes() {
+            self.write_u8(b);
+        }
+        for b in suffix.bytes() {
             self.write_u8(b);
         }
     }

@@ -18,11 +18,11 @@
 //!
 //! A base holds one lane's Manage-IR plus the lane count as its replica
 //! count ([`ArenaModule::build_lanes`]), so building, validating and
-//! bandwidth-assessing a 64-lane base costs about what a 1-lane base
-//! costs. The lane function `f0` is the same in every class of one inner
-//! kind, so the factory lowers it once per [`InnerKind`] and assembles
-//! each base's template (one lane's arrays, the `par` dispatcher,
-//! `main`) around a copy.
+//! bandwidth-assessing it never walks a copy per lane; only its digests
+//! still stream every lane's names. The lane function `f0` is the same
+//! in every class of one inner kind, so the factory lowers it once per
+//! [`InnerKind`] and assembles each base's template (one lane's arrays,
+//! the `par` dispatcher, `main`) around a copy.
 //!
 //! The factory is `Sync`: DSE workers request designs concurrently and
 //! the first worker to touch a structural class lowers it for everyone.
