@@ -528,7 +528,7 @@ impl ArenaModule {
                 {
                     return verdict;
                 }
-                validate::validate(&self.template.clone().expand_lanes(self.replicas))
+                validate::validate(&self.identity().materialize())
             })
             .clone()
     }
