@@ -1,13 +1,12 @@
-//! Structural cost-congruence classes.
+//! Structural cost-congruence classes, as reported by `tybec analyze`.
 //!
-//! The DSE funnel's cheapest tier: two design variants whose canonical
-//! forms are structurally identical are guaranteed — not heuristically
-//! likely — to receive bit-identical cost reports, so the estimator
-//! only needs to run once per class and can replicate the result to
-//! every member. "Provable" is load-bearing: the pruned+prefiltered
-//! leaderboard must stay bit-identical to `--exhaustive`, so the class
-//! key may only erase inputs the cost model provably never reads, or
-//! reads in a provably value-identical way.
+//! Two design variants whose canonical forms are structurally identical
+//! are guaranteed — not heuristically likely — to receive bit-identical
+//! cost reports, so a sweep over both would only need to run the
+//! estimator once per class and could replicate the result to every
+//! member. "Provable" is load-bearing: the class key may only erase
+//! inputs the cost model provably never reads, or reads in a provably
+//! value-identical way.
 //!
 //! # What the key erases, and why that is sound
 //!
@@ -36,7 +35,7 @@
 //! frequency constraint — stays in the key via
 //! [`tytra_ir::fingerprint_module`].
 
-use tytra_ir::{fingerprint_module, IrModule, MemForm, PatchedModule};
+use tytra_ir::{fingerprint_module, IrModule, MemForm};
 
 /// The canonical representative of a module's cost class: name erased,
 /// form A rewritten to B when (and only when) `NKI == 1`.
@@ -56,16 +55,6 @@ pub fn cost_class_key(m: &IrModule) -> u64 {
     fingerprint_module(&canonicalize(m))
 }
 
-/// [`cost_class_key`] for an arena-backed design, without materializing
-/// or cloning a tree: canonicalization is just a different patch (name
-/// erased, form A rewritten to B when `NKI == 1`) over the same base, so
-/// the key is a straight re-hash of the arena's SoA columns. Guaranteed
-/// equal to `cost_class_key(&d.materialize())`.
-pub fn cost_class_key_design(d: &PatchedModule<'_>) -> u64 {
-    let form = if d.arena.nki() == 1 && d.form == MemForm::A { MemForm::B } else { d.form };
-    d.arena.fingerprint_patched("", form, d.vect)
-}
-
 /// Whether two modules are provably cost-congruent.
 pub fn congruent(a: &IrModule, b: &IrModule) -> bool {
     cost_class_key(a) == cost_class_key(b)
@@ -79,8 +68,7 @@ pub struct CongruenceInfo {
     /// The canonical memory-execution form.
     pub canonical_form: MemForm,
     /// Whether the A/B form axis collapses for this design
-    /// (`NKI == 1`): a DSE sweep over both forms estimates this design
-    /// once instead of twice.
+    /// (`NKI == 1`): its form-A and form-B variants cost the same.
     pub form_collapses: bool,
 }
 
@@ -176,27 +164,6 @@ mod tests {
             f.span = tytra_ir::SrcLoc::at(42, 1);
         }
         assert_eq!(cost_class_key(&a), cost_class_key(&b));
-    }
-
-    #[test]
-    fn design_key_matches_tree_key() {
-        // The arena-keyed prefilter must agree with the tree key on every
-        // (form, NKI, vect) combination — including the A→B collapse.
-        for nki in [1, 2] {
-            for form in [MemForm::A, MemForm::B, MemForm::C, MemForm::Tiled { tiles: 4 }] {
-                for vect in [1, 2] {
-                    let mut m = build("k_x", form, nki);
-                    m.meta.vect = vect;
-                    let arena = tytra_ir::ArenaModule::build(m.clone());
-                    let d = arena.patched("k_x", form, vect);
-                    assert_eq!(
-                        cost_class_key_design(&d),
-                        cost_class_key(&m),
-                        "nki={nki} form={form:?} vect={vect}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   bodies, stencil-offset windows, and the TL1007 clamp findings.
 //! - [`deadlock`] — stream dependence: which memories flow into which
 //!   functions, and the TL1008 read↔write self-cycle findings.
-//! - [`congruence`] — structural cost-congruence: the class key that
-//!   lets the DSE funnel estimate each equivalence class once
+//! - [`congruence`] — structural cost-congruence: the class key under
+//!   which two designs provably receive the same cost report
 //!   ([`cost_class_key`], [`congruent`]).
 //! - [`report`] — [`analyze_module`] runs the whole catalogue and the
 //!   [`AnalysisReport`] renders it as text or strict JSON for
@@ -53,10 +53,7 @@ pub mod range;
 pub mod report;
 pub mod solver;
 
-pub use congruence::{
-    analyze_congruence, canonicalize, congruent, cost_class_key, cost_class_key_design,
-    CongruenceInfo,
-};
+pub use congruence::{analyze_congruence, canonicalize, congruent, cost_class_key, CongruenceInfo};
 pub use deadlock::{analyze_deadlock, CycleFinding, DeadlockAnalysis};
 pub use lattice::{Interval, Lattice};
 pub use range::{analyze_ranges, ClampFinding, FnRanges, RangeAnalysis, WIDEN_AFTER};

@@ -11,20 +11,18 @@
 //!
 //! The second artifact races the branch-and-bound search against the
 //! exhaustive escape hatch on the sor/eval-small acceptance space and
-//! records wall-times, the pruned fraction and the steal count, then
-//! repeats the race on an NKI-1 space where the congruence prefilter
-//! collapses the A/B form axis (recording classes, collapsed count and
-//! prefiltered wall). The run *fails* (nonzero exit) if either race's
-//! leaderboards or infeasible sets diverge — the admissibility and
-//! congruence contracts, enforced in CI — or if the prefilter collapses
-//! nothing on the NKI-1 space.
+//! records wall-times and the pruned fraction, then repeats the race on
+//! an NKI-1 space, where the A and B forms of every variant cost the
+//! same and the board is full of exact EKIT ties. The run *fails*
+//! (nonzero exit) if either race's leaderboards or infeasible sets
+//! diverge — the admissibility contract, enforced in CI.
 //!
 //! All JSON is hand-rolled — the workspace has no serde.
 
 use std::time::Instant;
 use tytra_cost::EstimatorSession;
 use tytra_device::{eval_small, stratix_v_gsd8};
-use tytra_dse::{search, ExplorationConfig, SearchConfig, SearchOutcome, SearchStats};
+use tytra_dse::{search, ExplorationConfig, SearchConfig, SearchOutcome};
 use tytra_kernels::{EvalKernel, Sor};
 use tytra_transform::Variant;
 
@@ -123,7 +121,7 @@ fn steady_state_allocs_per_variant() -> Option<f64> {
 }
 
 const REPS: usize = 25;
-/// Search reps: each rep costs a full multi-threaded space sweep.
+/// Search reps: each rep costs a full space sweep.
 const DSE_REPS: usize = 9;
 
 fn median_us(samples: &mut [f64]) -> f64 {
@@ -141,71 +139,57 @@ fn outcome_fingerprint(o: &SearchOutcome) -> (Vec<(String, u64)>, Vec<String>) {
     )
 }
 
+/// Median wall time (µs) of `DSE_REPS` searches of `kernel`, and the
+/// last outcome.
+fn time_search(
+    kernel: &dyn EvalKernel,
+    dev: &tytra_device::TargetDevice,
+    cfg: &SearchConfig,
+) -> (f64, SearchOutcome) {
+    let mut walls = Vec::with_capacity(DSE_REPS);
+    let mut last = None;
+    for _ in 0..DSE_REPS {
+        let t0 = Instant::now();
+        last = Some(search(kernel, dev, cfg));
+        walls.push(t0.elapsed().as_secs_f64() * 1e6);
+    }
+    (median_us(&mut walls), last.expect("at least one rep"))
+}
+
+/// Exit nonzero if the pruned and exhaustive outcomes diverge.
+fn gate_divergence(what: &str, pruned: &SearchOutcome, exhaustive: &SearchOutcome) {
+    if outcome_fingerprint(pruned) != outcome_fingerprint(exhaustive) {
+        eprintln!("FAIL: pruned search diverged from exhaustive search {what}");
+        eprintln!("  pruned:     {:?}", outcome_fingerprint(pruned));
+        eprintln!("  exhaustive: {:?}", outcome_fingerprint(exhaustive));
+        std::process::exit(1);
+    }
+}
+
 /// Race pruned vs exhaustive search on the sor/eval-small acceptance
 /// space; exit nonzero if their outcomes diverge.
 fn bench_dse(out: &str) {
     let sor = Sor::cubic(16, 10);
     let dev = eval_small();
     // The acceptance space: the default lane sweep includes counts that
-    // cannot fit eval-small, so the bound pass has real work to do; four
-    // workers over chunked deques makes stealing observable.
-    let space = ExplorationConfig { workers: 4, ..ExplorationConfig::default() };
+    // cannot fit eval-small, so the bound pass has real work to do.
+    let space = ExplorationConfig::default();
 
-    let run = |cfg: &SearchConfig| -> (f64, SearchOutcome, SearchStats) {
-        let mut walls = Vec::with_capacity(DSE_REPS);
-        let mut last = None;
-        let mut stats = SearchStats::default();
-        for _ in 0..DSE_REPS {
-            let t0 = Instant::now();
-            let outcome = search(&sor, &dev, cfg);
-            walls.push(t0.elapsed().as_secs_f64() * 1e6);
-            stats = outcome.stats;
-            last = Some(outcome);
-        }
-        (median_us(&mut walls), last.expect("at least one rep"), stats)
-    };
+    let (exhaustive_us, ex_outcome) =
+        time_search(&sor, &dev, &SearchConfig::exhaustive(space.clone()));
+    let (pruned_us, pr_outcome) = time_search(&sor, &dev, &SearchConfig::pruned(space.clone()));
+    gate_divergence("on the acceptance space", &pr_outcome, &ex_outcome);
+    let pr_stats = pr_outcome.stats;
 
-    let (exhaustive_us, ex_outcome, _) = run(&SearchConfig::exhaustive(space.clone()));
-    let (pruned_us, pr_outcome, pr_stats) = run(&SearchConfig::pruned(space.clone()));
-
-    if outcome_fingerprint(&pr_outcome) != outcome_fingerprint(&ex_outcome) {
-        eprintln!("FAIL: pruned search diverged from exhaustive search");
-        eprintln!("  pruned:     {:?}", outcome_fingerprint(&pr_outcome));
-        eprintln!("  exhaustive: {:?}", outcome_fingerprint(&ex_outcome));
-        std::process::exit(1);
-    }
-
-    // Congruence prefilter: at NKI == 1 the A/B form axis collapses, so
-    // the same space over an NKI-1 SOR must replicate half its full
-    // estimates from the class cache — and still match exhaustive
-    // bit-for-bit. Gated here like the bound pass above.
+    // At NKI == 1 the A and B forms of a variant cost the same, so only
+    // the generation-index tie-break orders the board. Gated like the
+    // race above.
     let sor1 = Sor::cubic(16, 1);
-    let run1 = |cfg: &SearchConfig| -> (f64, SearchOutcome, SearchStats) {
-        let mut walls = Vec::with_capacity(DSE_REPS);
-        let mut last = None;
-        let mut stats = SearchStats::default();
-        for _ in 0..DSE_REPS {
-            let t0 = Instant::now();
-            let outcome = search(&sor1, &dev, cfg);
-            walls.push(t0.elapsed().as_secs_f64() * 1e6);
-            stats = outcome.stats;
-            last = Some(outcome);
-        }
-        (median_us(&mut walls), last.expect("at least one rep"), stats)
-    };
-    let (_, ex1_outcome, _) = run1(&SearchConfig::exhaustive(space.clone()));
-    let (prefilter_us, pf_outcome, pf_stats) = run1(&SearchConfig::pruned(space));
-
-    if outcome_fingerprint(&pf_outcome) != outcome_fingerprint(&ex1_outcome) {
-        eprintln!("FAIL: prefiltered search diverged from exhaustive search at NKI 1");
-        eprintln!("  prefiltered: {:?}", outcome_fingerprint(&pf_outcome));
-        eprintln!("  exhaustive:  {:?}", outcome_fingerprint(&ex1_outcome));
-        std::process::exit(1);
-    }
-    if pf_stats.collapsed == 0 {
-        eprintln!("FAIL: congruence prefilter collapsed nothing on an NKI-1 space");
-        std::process::exit(1);
-    }
+    gate_divergence(
+        "at NKI 1",
+        &search(&sor1, &dev, &SearchConfig::pruned(space.clone())),
+        &search(&sor1, &dev, &SearchConfig::exhaustive(space)),
+    );
 
     // Throughput of the production configuration: every generated design
     // point of the acceptance space, over the pruned sweep's wall time.
@@ -333,9 +317,7 @@ fn bench_dse(out: &str) {
          \"exhaustive_us\": {exhaustive_us:.3},\n  \"pruned_us\": {pruned_us:.3},\n  \
          \"speedup\": {:.3},\n  \"pruned_fraction\": {:.4},\n  \
          \"generated\": {},\n  \"estimated\": {},\n  \
-         \"pruned_bound\": {},\n  \"pruned_unfit\": {},\n  \"steal_count\": {},\n  \
-         \"prefilter_classes\": {},\n  \"prefilter_collapsed\": {},\n  \
-         \"prefilter_estimated\": {},\n  \"prefilter_us\": {prefilter_us:.3},\n  \
+         \"pruned_bound\": {},\n  \"pruned_unfit\": {},\n  \
          \"design_points_per_sec\": {design_points_per_sec:.1},\n  \
          \"costing_tree_points_per_sec\": {costing_tree_pps:.1},\n  \
          \"costing_arena_points_per_sec\": {costing_arena_pps:.1},\n  \
@@ -350,22 +332,13 @@ fn bench_dse(out: &str) {
         pr_stats.estimated,
         pr_stats.pruned_bound,
         pr_stats.pruned_unfit,
-        pr_stats.stolen,
-        pf_stats.classes,
-        pf_stats.collapsed,
-        pf_stats.estimated,
     );
     std::fs::write(out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
     println!(
         "dse: exhaustive {exhaustive_us:.1} µs  pruned {pruned_us:.1} µs  speedup {:.2}x  \
-         pruned {:.0}%  steals {}",
+         pruned {:.0}%",
         exhaustive_us / pruned_us,
         pr_stats.pruned_fraction() * 100.0,
-        pr_stats.stolen
-    );
-    println!(
-        "dse prefilter (nki 1): {} classes  {} collapsed  {} estimated  {prefilter_us:.1} µs",
-        pf_stats.classes, pf_stats.collapsed, pf_stats.estimated
     );
     println!(
         "dse throughput: {design_points_per_sec:.0} design-points/s  peak RSS {rss_kb} kB  \

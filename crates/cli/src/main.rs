@@ -9,7 +9,7 @@
 //! tybec actual <design.tirl> [--target <name>]      virtual synthesis + simulation, est-vs-actual
 //! tybec hdl    <design.tirl> [--target <name>] [-o out.v] [--wrapper] [--check]
 //! tybec tree   <design.tirl>                        configuration tree (Fig 8)
-//! tybec dse    <sor|hotspot|lavamd> [--target <name>] [--lanes N,N,...] [--workers N] [--stats] [--metrics]
+//! tybec dse    <sor|hotspot|lavamd> [--target <name>] [--lanes N,N,...] [--stats] [--metrics]
 //! tybec roofline <sor|hotspot|lavamd> [--target <name>] [--lanes N,N,...]
 //! tybec exec   <design.tirl> [--items N] [--seed S]   run the datapath functionally
 //! tybec lint   <design.tirl> [--target <name>] [--json] [--deny-warnings]
@@ -94,7 +94,7 @@ const USAGE: &str = "usage: tybec <cost|actual|hdl|tree|dse|roofline|exec|lint|a
   actual <design.tirl> [--target <name>]
   hdl    <design.tirl> [--target <name>] [-o <out.v>] [--wrapper] [--check]
   tree   <design.tirl>
-  dse    <sor|hotspot|lavamd> [--target <name>] [--lanes 1,2,4,...] [--workers N] [--exhaustive] [--stats] [--metrics]
+  dse    <sor|hotspot|lavamd> [--target <name>] [--lanes 1,2,4,...] [--exhaustive] [--stats] [--metrics]
          [--metrics-format table|prometheus] [--metrics-out <file>]
          [--metrics-stream <file.jsonl>] [--metrics-interval-ms N]
   roofline <sor|hotspot|lavamd> [--target <name>] [--lanes 1,2,4,...]
@@ -574,7 +574,7 @@ fn kernel_by_name(args: &[String]) -> Result<Box<dyn EvalKernel>, String> {
 
 /// The `--lanes` list in the order given, keeping the first occurrence of
 /// each value: a repeated lane count would print its sweep row (and
-/// roofline point) twice and duplicate its variants on the leaderboard.
+/// roofline point) twice.
 fn lanes_flag(args: &[String]) -> Result<Vec<u64>, String> {
     let Some(list) = flag_value(args, "--lanes") else { return Ok(vec![1, 2, 4, 8, 16, 32]) };
     let mut lanes = Vec::new();
@@ -661,10 +661,6 @@ fn cmd_dse(args: &[String]) -> Result<(), CliError> {
     let kernel = kernel_by_name(args)?;
     let dev = target_of(args)?;
     let lanes = lanes_flag(args)?;
-    let workers: usize = match flag_value(args, "--workers") {
-        Some(v) => v.parse().map_err(|e| format!("bad --workers: {e}"))?,
-        None => 0,
-    };
     let exhaustive = has_flag(args, "--exhaustive");
     let show_stats = has_flag(args, "--stats");
     let show_metrics = has_flag(args, "--metrics");
@@ -684,11 +680,10 @@ fn cmd_dse(args: &[String]) -> Result<(), CliError> {
         None => 500,
     };
 
-    // `--metrics-stream` turns on live exposition: the search workers
-    // publish into one shared registry while the sweep runs, and a
-    // sampler thread appends interval-tagged JSONL snapshots to the
-    // stream file. Without it, workers keep private registries that are
-    // merged after the fact (zero contention on the hot path).
+    // `--metrics-stream` turns on live exposition: the search publishes
+    // into one shared registry while the sweep runs, and a sampler thread
+    // appends interval-tagged JSONL snapshots to the stream file. Without
+    // it, the search keeps a private registry merged in after the fact.
     let live: Option<Arc<Registry>> = stream_path.map(|_| Arc::new(Registry::default()));
     let sampler = match (stream_path, &live) {
         (Some(path), Some(reg)) => {
@@ -706,10 +701,10 @@ fn cmd_dse(args: &[String]) -> Result<(), CliError> {
 
     // One variant factory serves the sweep, the search and the tuning run,
     // so each design is lowered and validated once; one estimator session
-    // serves the sweep and the later tuning run, so tuning starts with the
-    // sweep's memo tables already warm.
+    // serves all three, so the search and the tuning start with the memo
+    // tables the passes before them filled.
     let factory = kernel.variant_factory();
-    let mut session = EstimatorSession::new(dev.clone());
+    let mut session = EstimatorSession::new(dev);
 
     println!("== lane sweep (Fig 15 style) ==");
     let rows = {
@@ -725,13 +720,13 @@ fn cmd_dse(args: &[String]) -> Result<(), CliError> {
     // Branch-and-bound by default; `--exhaustive` estimates every point.
     // Both produce byte-identical leaderboards (see docs/dse-search.md),
     // so this choice changes wall-time and counters, never the output.
-    let space = ExplorationConfig { lanes, workers, ..ExplorationConfig::default() };
+    let space = ExplorationConfig { lanes, ..ExplorationConfig::default() };
     let cfg =
         if exhaustive { SearchConfig::exhaustive(space) } else { SearchConfig::pruned(space) };
     let cfg = SearchConfig { live: live.clone(), ..cfg };
     let outcome = {
         let _sp = tytra_trace::span("dse.search");
-        search_with(&factory, &dev, &cfg)
+        search_with(&factory, &mut session, &cfg)
     };
     if let Some(s) = sampler {
         let lines = s.stop();
@@ -762,27 +757,18 @@ fn cmd_dse(args: &[String]) -> Result<(), CliError> {
         }
     }
 
-    // The CLI session (sweep + tuning) and every search worker session
-    // feed registries with the same metric names; the merge sums
-    // counters and merges histograms bucket-wise.
+    // The session holds the estimator's metrics for the whole run, the
+    // outcome the search's own `dse.*` metrics.
     let merged = || {
         let mut snap = session.metrics_snapshot();
         snap.merge(&outcome.metrics);
         snap
     };
     if show_stats {
-        let sweep_stats = session.stats();
-        let mut total = sweep_stats;
-        total += outcome.session;
         println!("\n== estimator session stats ==");
-        println!("{}", tytra_dse::render_stats_line("sweep+tuning", &sweep_stats));
-        println!("{}", tytra_dse::render_stats_line("exploration", &outcome.session));
-        println!("{}", tytra_dse::render_stats_line("total", &total));
+        println!("{}", tytra_dse::render_stats_line("total", &session.stats()));
         println!("{}", tytra_dse::render_search_stats_line(&outcome.stats));
-        if !exhaustive {
-            println!("{}", tytra_dse::render_prefilter_stats_line(&outcome.stats));
-        }
-        println!("{}", tytra_dse::render_latency_stats_line(&merged()));
+        println!("{}", tytra_dse::render_latency_stats_line(&session.metrics_snapshot()));
     }
     let render_metrics = |snap: &tytra_trace::metrics::Snapshot| match metrics_format {
         MetricsFormat::Table => snap.render_table(),

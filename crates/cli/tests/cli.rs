@@ -251,19 +251,6 @@ fn dse_stats_reports_high_hit_rate() {
 }
 
 #[test]
-fn dse_workers_flag_is_deterministic() {
-    let base = &["dse", "sor", "--target", "eval-small", "--lanes", "1,2,4"];
-    let default = tybec(base);
-    assert!(default.status.success(), "{}", stderr(&default));
-    for n in ["1", "4"] {
-        let args: Vec<&str> = base.iter().copied().chain(["--workers", n]).collect();
-        let o = tybec(&args);
-        assert!(o.status.success(), "--workers {n}: {}", stderr(&o));
-        assert_eq!(stdout(&o), stdout(&default), "--workers {n} changed the output");
-    }
-}
-
-#[test]
 fn dse_exhaustive_flag_does_not_change_the_output() {
     // The branch-and-bound default and the --exhaustive escape hatch
     // must print byte-identical reports (the admissibility contract);
@@ -381,13 +368,6 @@ fn dse_stats_shows_pruning_counters() {
 }
 
 #[test]
-fn dse_rejects_bad_workers_value() {
-    let o = tybec(&["dse", "sor", "--workers", "zero"]);
-    assert!(!o.status.success());
-    assert!(stderr(&o).contains("--workers"), "{}", stderr(&o));
-}
-
-#[test]
 fn lint_runs_all_passes_over_every_asset() {
     for asset in [
         "assets/sor_c2.tirl",
@@ -455,7 +435,7 @@ fn tracing_leaves_cost_stdout_bit_identical() {
 #[test]
 fn tracing_leaves_dse_stdout_bit_identical() {
     let path = trace_tmp("dse_equiv.jsonl");
-    let base = &["dse", "sor", "--target", "eval-small", "--lanes", "1,2,4", "--workers", "2"];
+    let base = &["dse", "sor", "--target", "eval-small", "--lanes", "1,2,4"];
     let plain = tybec(base);
     let args: Vec<&str> = base
         .iter()
@@ -470,7 +450,7 @@ fn tracing_leaves_dse_stdout_bit_identical() {
 }
 
 #[test]
-fn chrome_trace_has_all_pass_spans_and_worker_lanes() {
+fn chrome_trace_has_all_pass_spans_and_nests_variants_in_the_search() {
     let path = trace_tmp("dse_lanes.json");
     let o = tybec(&[
         "dse",
@@ -479,11 +459,6 @@ fn chrome_trace_has_all_pass_spans_and_worker_lanes() {
         "eval-small",
         "--lanes",
         "1,2,4",
-        "--workers",
-        "4",
-        // Exhaustive: every seeded worker must fully estimate at least
-        // one variant (steals never take a queue's last task), so the
-        // multi-lane assertion below is deterministic, not a timing bet.
         "--exhaustive",
         "--trace",
         path.to_str().unwrap(),
@@ -513,15 +488,31 @@ fn chrome_trace_has_all_pass_spans_and_worker_lanes() {
             "span `{pass}` missing from trace"
         );
     }
-    let mut lanes: Vec<u64> = complete
-        .iter()
-        .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some("dse.variant"))
-        .filter_map(|e| e.get("tid").and_then(|t| t.as_num()))
-        .map(|t| t as u64)
-        .collect();
-    lanes.sort_unstable();
-    lanes.dedup();
-    assert!(lanes.len() >= 2, "expected ≥2 worker lanes, got {lanes:?}");
+    // (lane, start, end) in integer nanoseconds; the sink prints
+    // microseconds to three decimals.
+    let extent = |e: &tytra_trace::json::Json| {
+        let num = |key: &str| e.get(key).and_then(|v| v.as_num()).expect("numeric field");
+        let ns = |key: &str| (num(key) * 1e3).round() as u64;
+        (num("tid") as u64, ns("ts"), ns("ts") + ns("dur"))
+    };
+    let extents = |name: &str| -> Vec<(u64, u64, u64)> {
+        complete
+            .iter()
+            .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some(name))
+            .map(|e| extent(e))
+            .collect()
+    };
+    let searches = extents("dse.search");
+    assert_eq!(searches.len(), 1, "one dse.search span");
+    let (lane, start, end) = searches[0];
+    let variants = extents("dse.variant");
+    assert!(!variants.is_empty());
+    for (l, s, e) in variants {
+        assert!(
+            l == lane && start <= s && e <= end,
+            "dse.variant ({l}, {s}..{e}) outside dse.search ({lane}, {start}..{end})"
+        );
+    }
     std::fs::remove_file(&path).ok();
 }
 
@@ -536,8 +527,6 @@ fn pruned_search_trace_has_bound_spans() {
         "sor",
         "--target",
         "eval-small",
-        "--workers",
-        "4",
         "--trace",
         path.to_str().unwrap(),
         "--trace-format",
@@ -733,7 +722,7 @@ fn dse_metrics_stream_emits_interval_tagged_jsonl() {
         assert!(v.get("interval_ms").is_some(), "{line}");
         assert!(v.get("metrics").is_some(), "{line}");
     }
-    // By the final (stop-time) sample the workers have published.
+    // By the final (stop-time) sample the search has published.
     assert!(lines.last().unwrap().contains("dse.points"), "{body}");
     std::fs::remove_file(&path).ok();
 }

@@ -1,8 +1,7 @@
 //! Offline stand-in for `crossbeam`, providing the MPMC [`channel`]
-//! module and the work-stealing [`deque`] module the DSE worker pool
-//! uses. Implemented over mutex-guarded deques — not lock-free, but
-//! correct, and the DSE work items are coarse enough (one cost-model
-//! evaluation each) that queue overhead is noise.
+//! module the serve daemon's dispatcher and worker pool use. Implemented
+//! over a mutex-guarded deque — not lock-free, but correct, and each
+//! message is a request or a batch of them, so queue overhead is noise.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -189,206 +188,9 @@ pub mod channel {
     }
 }
 
-pub mod deque {
-    //! Work-stealing deques with the `crossbeam-deque` API shape:
-    //! an owning [`Worker`] endpoint pushing and popping at the front,
-    //! and cloneable [`Stealer`] handles taking work from the back.
-    //!
-    //! Unlike the lock-free original, operations serialise on one mutex
-    //! per queue; [`Steal::Retry`] is kept for API compatibility but
-    //! never produced (a mutex acquisition cannot lose a race
-    //! mid-operation).
-
-    use std::collections::VecDeque;
-    use std::sync::{Arc, Mutex};
-
-    /// The owner's endpoint of one work-stealing queue.
-    pub struct Worker<T> {
-        shared: Arc<Mutex<VecDeque<T>>>,
-    }
-
-    /// A thief's endpoint; cloneable and shareable across threads.
-    pub struct Stealer<T> {
-        shared: Arc<Mutex<VecDeque<T>>>,
-    }
-
-    /// Outcome of a steal attempt.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Steal<T> {
-        /// The victim's queue was empty.
-        Empty,
-        /// One task was stolen.
-        Success(T),
-        /// The operation lost a race and may be retried (never produced
-        /// by this implementation; kept for API compatibility).
-        Retry,
-    }
-
-    impl<T> Steal<T> {
-        /// `Some(task)` on success, `None` otherwise.
-        pub fn success(self) -> Option<T> {
-            match self {
-                Steal::Success(t) => Some(t),
-                _ => None,
-            }
-        }
-
-        /// Did the victim turn out to be empty?
-        pub fn is_empty(&self) -> bool {
-            matches!(self, Steal::Empty)
-        }
-    }
-
-    impl<T> Worker<T> {
-        /// A new FIFO queue: the owner pushes at the back and pops at
-        /// the front, so tasks run roughly in submission order.
-        pub fn new_fifo() -> Worker<T> {
-            Worker { shared: Arc::new(Mutex::new(VecDeque::new())) }
-        }
-
-        /// Enqueue a task at the owner's end.
-        pub fn push(&self, task: T) {
-            self.shared.lock().unwrap_or_else(|e| e.into_inner()).push_back(task);
-        }
-
-        /// Dequeue the owner's next task.
-        pub fn pop(&self) -> Option<T> {
-            self.shared.lock().unwrap_or_else(|e| e.into_inner()).pop_front()
-        }
-
-        /// A stealer handle onto this queue.
-        pub fn stealer(&self) -> Stealer<T> {
-            Stealer { shared: Arc::clone(&self.shared) }
-        }
-
-        /// Tasks currently queued.
-        pub fn len(&self) -> usize {
-            self.shared.lock().unwrap_or_else(|e| e.into_inner()).len()
-        }
-
-        /// Is the queue empty right now?
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-    }
-
-    impl<T> Stealer<T> {
-        /// Steal one task from the opposite end of the owner's.
-        pub fn steal(&self) -> Steal<T> {
-            match self.shared.lock().unwrap_or_else(|e| e.into_inner()).pop_back() {
-                Some(t) => Steal::Success(t),
-                None => Steal::Empty,
-            }
-        }
-
-        /// Steal up to half of the victim's tasks into `dest`, then pop
-        /// one of them for immediate execution.
-        pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
-            let batch = {
-                let mut victim = self.shared.lock().unwrap_or_else(|e| e.into_inner());
-                // Take strictly less than half, never the last task: an
-                // owner drains its own queue before exiting, so a task
-                // left behind is always processed — and leaving one
-                // guarantees every worker whose queue was seeded gets to
-                // run at least one task on its own thread, however late
-                // the scheduler starts it (tytra-dse relies on this for
-                // its per-worker trace lanes).
-                let len = victim.len();
-                if len < 2 {
-                    return Steal::Empty;
-                }
-                let take = len / 2;
-                // Taking from the back keeps the front (oldest) tasks
-                // with the owner, as the lock-free original does.
-                victim.split_off(len - take)
-            };
-            let mut batch = batch.into_iter();
-            let Some(first) = batch.next() else { return Steal::Empty };
-            let mut dest_q = dest.shared.lock().unwrap_or_else(|e| e.into_inner());
-            dest_q.extend(batch);
-            Steal::Success(first)
-        }
-    }
-
-    impl<T> Clone for Stealer<T> {
-        fn clone(&self) -> Stealer<T> {
-            Stealer { shared: Arc::clone(&self.shared) }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::channel;
-    use super::deque::{Steal, Worker};
-
-    #[test]
-    fn worker_pops_fifo_stealer_takes_the_back() {
-        let w = Worker::new_fifo();
-        let s = w.stealer();
-        for v in 1..=3 {
-            w.push(v);
-        }
-        assert_eq!(w.pop(), Some(1));
-        assert_eq!(s.steal(), Steal::Success(3));
-        assert_eq!(w.pop(), Some(2));
-        assert_eq!(s.steal(), Steal::Empty);
-        assert!(w.is_empty());
-    }
-
-    #[test]
-    fn batch_steal_moves_half_and_pops_one() {
-        let victim = Worker::new_fifo();
-        let thief = Worker::new_fifo();
-        for v in 0..10 {
-            victim.push(v);
-        }
-        let got = victim.stealer().steal_batch_and_pop(&thief);
-        assert!(matches!(got, Steal::Success(_)));
-        assert_eq!(victim.len(), 5);
-        assert_eq!(thief.len(), 4, "five stolen: one popped, four queued");
-        assert!(victim.stealer().steal_batch_and_pop(&Worker::new_fifo()).success().is_some());
-    }
-
-    #[test]
-    fn batch_steal_never_takes_the_last_task() {
-        let victim = Worker::new_fifo();
-        let thief = Worker::new_fifo();
-        victim.push(7);
-        assert_eq!(victim.stealer().steal_batch_and_pop(&thief), Steal::Empty);
-        assert_eq!(victim.len(), 1, "a lone task stays with its owner");
-        victim.push(8);
-        assert!(matches!(victim.stealer().steal_batch_and_pop(&thief), Steal::Success(8)));
-        assert_eq!(victim.pop(), Some(7));
-    }
-
-    #[test]
-    fn nothing_is_lost_under_concurrent_stealing() {
-        let owner = Worker::new_fifo();
-        for v in 0..1000u64 {
-            owner.push(v);
-        }
-        let total = std::sync::atomic::AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let st = owner.stealer();
-                let total = &total;
-                s.spawn(move || loop {
-                    match st.steal() {
-                        Steal::Success(v) => {
-                            total.fetch_add(v, std::sync::atomic::Ordering::Relaxed);
-                        }
-                        Steal::Empty => break,
-                        Steal::Retry => {}
-                    }
-                });
-            }
-            while let Some(v) = owner.pop() {
-                total.fetch_add(v, std::sync::atomic::Ordering::Relaxed);
-            }
-        });
-        assert_eq!(total.into_inner(), (0..1000).sum::<u64>());
-    }
 
     #[test]
     fn fifo_single_thread() {

@@ -67,8 +67,8 @@ pub const DEFAULT_MEMO_CAPACITY: usize = 8192;
 /// `hits`/`misses` aggregate every memoized pass *and* the device-level
 /// curve cache; `invalidations` counts [`EstimatorSession::invalidate`]
 /// calls; `evictions` counts entries the CLOCK hand dropped under
-/// capacity pressure (pass memos plus curve cache). The DSE engine sums
-/// these across worker sessions and the CLI prints them under `--stats`.
+/// capacity pressure (pass memos plus curve cache). `tybec dse` prints
+/// them under `--stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Lookups answered from a memo table.
@@ -237,8 +237,8 @@ impl EstimatorSession {
     /// Point-in-time snapshot of the session's metrics registry:
     /// `session.memo.*`, `curves.*`, `session.invalidations`, the
     /// `session.memo.entries` gauge and the `estimator.estimate_ns`
-    /// latency histogram. Snapshots from worker sessions merge
-    /// (`Snapshot::merge`) into the `tybec dse --metrics` table.
+    /// latency histogram. `tybec dse --metrics` merges it
+    /// (`Snapshot::merge`) with the search's own `dse.*` metrics.
     pub fn metrics_snapshot(&self) -> Snapshot {
         self.metrics.snapshot()
     }

@@ -5,11 +5,11 @@
 //! kernel". This crate drives it:
 //!
 //! * [`search()`][search::search] — the DSE engine: generate the legal
-//!   variants of a kernel by type transformation, lazily, and feed them
-//!   to work-stealing worker deques, with an admissible analytic bound
-//!   pruning variants that cannot fit the device or beat the incumbent
-//!   before the full estimate runs (bit-identical leaderboards to
-//!   exhaustive mode). The leaderboard's first entry is the
+//!   variants of a kernel by type transformation, lazily, and cost them
+//!   in generation order, with an admissible analytic bound pruning
+//!   variants that cannot fit the device or beat the incumbent before
+//!   the full estimate runs (bit-identical leaderboards to exhaustive
+//!   mode). The leaderboard's first entry is the
 //!   guided-optimisation choice: the fastest EKIT among variants that
 //!   fit the device;
 //! * [`lane_sweep`] — the Fig 15 experiment: utilisation per resource,
@@ -19,8 +19,10 @@
 //!
 //! The sweep, the search and the tuning loop each have a `…_with` form
 //! ([`lane_sweep_with`], [`search_with`], [`tune_with`]) taking a shared
-//! [`VariantFactory`][tytra_transform::VariantFactory], so a driver that
-//! runs all three (`tybec dse`) lowers and validates each design once.
+//! [`VariantFactory`][tytra_transform::VariantFactory] and estimator
+//! session, so a driver that runs all three (`tybec dse`) lowers and
+//! validates each design once and costs it through one set of memo
+//! tables.
 
 pub mod report;
 pub mod roofline;
@@ -29,8 +31,7 @@ pub mod tuning;
 
 pub use report::{
     lane_sweep, lane_sweep_session, lane_sweep_with, render_latency_stats_line,
-    render_prefilter_stats_line, render_search_leaderboard, render_search_stats_line,
-    render_stats_line, LaneSweepRow,
+    render_search_leaderboard, render_search_stats_line, render_stats_line, LaneSweepRow,
 };
 pub use roofline::{roofline, RooflinePoint};
 pub use search::{

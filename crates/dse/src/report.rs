@@ -171,8 +171,8 @@ fn render_leaderboard(evaluated: &[EvaluatedVariant], top: usize) -> String {
 
 /// Render a [`SearchOutcome`]'s leaderboard plus its infeasible-set
 /// summary. Everything here is derived from the search *outcome* — never
-/// from the scheduling-dependent counters — so the text is byte-identical
-/// between pruned and exhaustive modes and across worker counts.
+/// from the mode-dependent counters — so the text is byte-identical
+/// between pruned and exhaustive modes.
 pub fn render_search_leaderboard(outcome: &SearchOutcome, top: usize) -> String {
     let mut s = render_leaderboard(&outcome.leaderboard, top);
     match outcome.invalid.len() {
@@ -184,17 +184,15 @@ pub fn render_search_leaderboard(outcome: &SearchOutcome, top: usize) -> String 
 }
 
 /// The `tybec dse --stats` search-counter line. Byte-stable format, like
-/// [`render_stats_line`]; the counts themselves (other than `generated`)
-/// legitimately vary with thread interleaving.
+/// [`render_stats_line`].
 pub fn render_search_stats_line(s: &SearchStats) -> String {
     format!(
-        "  search         {:>7} generated {:>6} estimated {:>6} pruned ({} bound, {} unfit) {:>5} stolen {:>4} faulted",
+        "  search         {:>7} generated {:>6} estimated {:>6} pruned ({} bound, {} unfit) {:>4} faulted",
         s.generated,
         s.estimated,
         s.pruned(),
         s.pruned_bound,
         s.pruned_unfit,
-        s.stolen,
         s.faulted
     )
 }
@@ -219,13 +217,6 @@ pub fn render_latency_stats_line(snap: &Snapshot) -> String {
     format!(
         "  latency (ns)   bound p50 {bp50:>9} p99 {bp99:>9}  estimate p50 {ep50:>9} p99 {ep99:>9}"
     )
-}
-
-/// The `tybec dse --stats` congruence-prefilter line. Only printed for
-/// pruned searches (the prefilter is off in exhaustive mode); byte-stable
-/// format like [`render_search_stats_line`].
-pub fn render_prefilter_stats_line(s: &SearchStats) -> String {
-    format!("  prefilter      {:>7} classes {:>8} collapsed", s.classes, s.collapsed)
 }
 
 #[cfg(test)]
@@ -319,26 +310,14 @@ mod tests {
             estimated: 10,
             pruned_unfit: 8,
             pruned_bound: 6,
-            stolen: 3,
-            faulted: 0,
-            classes: 0,
-            collapsed: 0,
+            ..SearchStats::default()
         };
         assert_eq!(
             render_search_stats_line(&s),
-            "  search              24 generated     10 estimated     14 pruned (6 bound, 8 unfit)     3 stolen    0 faulted"
+            "  search              24 generated     10 estimated     14 pruned (6 bound, 8 unfit)    0 faulted"
         );
         let faulty = SearchStats { faulted: 2, ..s };
         assert!(render_search_stats_line(&faulty).ends_with("    2 faulted"));
-    }
-
-    #[test]
-    fn prefilter_stats_line_is_byte_stable() {
-        let s = SearchStats { classes: 12, collapsed: 12, ..SearchStats::default() };
-        assert_eq!(
-            render_prefilter_stats_line(&s),
-            "  prefilter           12 classes       12 collapsed"
-        );
     }
 
     #[test]
@@ -346,7 +325,7 @@ mod tests {
         let s = SearchStats { generated: 6, estimated: 6, ..SearchStats::default() };
         assert_eq!(
             render_search_stats_line(&s),
-            "  search               6 generated      6 estimated      0 pruned (0 bound, 0 unfit)     0 stolen    0 faulted"
+            "  search               6 generated      6 estimated      0 pruned (0 bound, 0 unfit)    0 faulted"
         );
     }
 
@@ -391,8 +370,6 @@ mod tests {
             lanes: vec![1, 2, 16],
             vects: vec![1],
             forms: vec![MemForm::A, MemForm::B],
-            include_seq: false,
-            workers: 1,
         };
         let outcome = search(&sor, &dev, &SearchConfig::pruned(space));
         let text = render_search_leaderboard(&outcome, 10);

@@ -1,15 +1,14 @@
 //! The branch-and-bound contract, property-tested: for *any* device the
-//! strategy can build and *any* worker count, the pruned search must
-//! return exactly the outcome of the exhaustive search — same ranked
-//! leaderboard (bit-equal EKITs, same order), same infeasible set.
+//! strategy can build, the pruned search must return exactly the outcome
+//! of the exhaustive search — same ranked leaderboard (bit-equal EKITs,
+//! same order), same infeasible set.
 //!
 //! The device strategy scales `eval_small` along the axes the bound
 //! actually reads — resource capacities (moves the fit frontier through
 //! the lane sweep), Fmax (the compute-floor ceiling), link peaks (the
 //! memory wall) and the host-call overhead — so pruning decisions shift
 //! case to case while the admissibility argument (docs/dse-search.md)
-//! must keep holding. Worker counts cover the serial path, the smallest
-//! stealing configuration, and whatever this machine's parallelism is.
+//! must keep holding.
 
 use proptest::prelude::*;
 use tytra_device::{eval_small, TargetDevice};
@@ -19,13 +18,11 @@ use tytra_kernels::Sor;
 
 /// The lane sweep deliberately includes counts that only fit the larger
 /// sampled devices, so `pruned_unfit` and `pruned_bound` both exercise.
-fn space(workers: usize) -> ExplorationConfig {
+fn space() -> ExplorationConfig {
     ExplorationConfig {
         lanes: vec![1, 2, 4, 8, 16, 32],
         vects: vec![1, 2],
         forms: vec![MemForm::A, MemForm::B, MemForm::C],
-        include_seq: false,
-        workers,
     }
 }
 
@@ -59,22 +56,19 @@ fn fingerprint(o: &SearchOutcome) -> (Vec<(String, u64)>, Vec<String>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Pruned ≡ exhaustive for random devices and worker counts.
+    /// Pruned ≡ exhaustive for random devices.
     #[test]
     fn pruned_search_is_bit_identical_to_exhaustive(
         cap in 0.25f64..6.0,
         fmax in 60.0f64..400.0,
         link in 0.2f64..3.0,
         overhead in 1.0f64..200.0,
-        w_ix in 0usize..3,
     ) {
-        let ncpu = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-        let workers = [1usize, 2, ncpu][w_ix];
         let dev = scaled_device(cap, fmax, link, overhead);
         let sor = Sor::cubic(16, 10);
 
-        let pruned = search(&sor, &dev, &SearchConfig::pruned(space(workers)));
-        let exhaustive = search(&sor, &dev, &SearchConfig::exhaustive(space(workers)));
+        let pruned = search(&sor, &dev, &SearchConfig::pruned(space()));
+        let exhaustive = search(&sor, &dev, &SearchConfig::exhaustive(space()));
 
         // Exhaustive mode never skips an estimate; pruned mode never
         // changes the answer.
@@ -82,20 +76,5 @@ proptest! {
         prop_assert_eq!(exhaustive.stats.pruned(), 0);
         prop_assert_eq!(pruned.stats.generated, exhaustive.stats.generated);
         prop_assert_eq!(fingerprint(&pruned), fingerprint(&exhaustive));
-    }
-
-    /// The leaderboard is also invariant in the worker count within a
-    /// mode, for random devices (steal interleavings must not leak into
-    /// the ranking).
-    #[test]
-    fn pruned_search_is_worker_count_invariant(
-        cap in 0.25f64..6.0,
-        fmax in 60.0f64..400.0,
-    ) {
-        let dev = scaled_device(cap, fmax, 1.0, 60.0);
-        let sor = Sor::cubic(16, 10);
-        let serial = fingerprint(&search(&sor, &dev, &SearchConfig::pruned(space(1))));
-        let threaded = fingerprint(&search(&sor, &dev, &SearchConfig::pruned(space(4))));
-        prop_assert_eq!(serial, threaded);
     }
 }

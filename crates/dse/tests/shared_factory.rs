@@ -2,8 +2,9 @@
 //! per-point tree lowering: the lane sweep and the tuning loop cost each
 //! design as a patch of a [`VariantFactory`] base, and must produce
 //! exactly what lowering the variant from scratch and estimating the tree
-//! in a fresh session produces. The search, run on a factory the sweep
-//! has already warmed, must rank exactly as a search on its own factory.
+//! in a fresh session produces. The search, run on a factory and session
+//! the sweep has already warmed, must rank exactly as a search on its own
+//! factory and session.
 //!
 //! Covers all three kernels over lanes 1..=64 (illegal reshapes
 //! included — both paths must skip the same points). Underneath, every
@@ -176,17 +177,16 @@ fn factory_tuning_matches_per_point_tree_lowering() {
 }
 
 #[test]
-fn search_on_a_warmed_factory_ranks_like_a_fresh_search() {
+fn search_on_a_warmed_factory_and_session_ranks_like_a_fresh_search() {
     let dev = stratix_v_gsd8();
     for kernel in all_kernels() {
         let factory = kernel.variant_factory();
         let mut session = EstimatorSession::new(dev.clone());
         lane_sweep_with(&factory, &mut session, &lanes(), &Variant::baseline());
         assert!(factory.bases_built() > 0, "the sweep warms the factory");
-        let space =
-            ExplorationConfig { lanes: lanes(), workers: 2, ..ExplorationConfig::default() };
+        let space = ExplorationConfig { lanes: lanes(), ..ExplorationConfig::default() };
         for cfg in [SearchConfig::pruned(space.clone()), SearchConfig::exhaustive(space)] {
-            let shared = search_with(&factory, &dev, &cfg);
+            let shared = search_with(&factory, &mut session, &cfg);
             let own = search(kernel.as_ref(), &dev, &cfg);
             assert_eq!(board(&shared), board(&own), "{} {:?}", kernel.name(), cfg.mode);
         }

@@ -13,12 +13,12 @@
 //! 2. **Estimator vs simulator** — agreement within
 //!    [`ToleranceBands`][oracle::ToleranceBands] on valid designs.
 //! 3. **Search equivalence** — pruned vs `--exhaustive` leaderboard
-//!    bit-identity for random space shapes and worker counts.
+//!    bit-identity for random space shapes and board sizes.
 //! 4. **Session determinism** — warm (memoized) vs cold
 //!    `EstimatorSession` bit-identity.
 //! 5. **Analyze congruence** — `analyze_module` is total and
 //!    deterministic, and congruence-classed A/B siblings produce
-//!    bit-identical cost reports (the DSE prefilter's soundness
+//!    bit-identical cost reports (the congruence key's soundness
 //!    contract).
 //! 6. **Arena equivalence** — the arena/SoA IR fingerprints,
 //!    materializes and costs (`estimate_design`/`bound_design`)

@@ -42,12 +42,15 @@ pub mod render;
 pub use json::render_json;
 pub use render::render_text;
 
+use std::collections::{BTreeMap, BTreeSet};
+use tytra_analyze::FnSummary;
 use tytra_cost::CostReport;
 use tytra_device::TargetDevice;
 use tytra_ir::{DiagSink, Diagnostic, IrModule, Severity};
 
 /// Everything a lint pass may inspect: the module, the device it is being
-/// judged against, and (when available) the cost model's verdict.
+/// judged against, (when available) the cost model's verdict, and the
+/// dataflow facts `tytra_analyze` derives, computed once per lint run.
 pub struct LintContext<'a> {
     /// The design under lint.
     pub module: &'a IrModule,
@@ -56,6 +59,11 @@ pub struct LintContext<'a> {
     /// Cost-model estimate; `None` when validation failed upstream or the
     /// estimator itself rejected the module.
     pub report: Option<&'a CostReport>,
+    /// Function names reachable from `main` (the solver's call-graph
+    /// fixpoint).
+    pub reachable: BTreeSet<String>,
+    /// Per-function effect summaries, keyed by function name.
+    pub summaries: BTreeMap<String, FnSummary>,
 }
 
 /// One lint pass. Passes are pure readers: they may only emit into the
@@ -137,7 +145,13 @@ pub fn lint(m: &IrModule, dev: &TargetDevice) -> LintReport {
             tytra_cost::estimate(m, dev).ok()
         };
         cost_evaluated = report.is_some();
-        let cx = LintContext { module: m, device: dev, report: report.as_ref() };
+        let cx = LintContext {
+            module: m,
+            device: dev,
+            report: report.as_ref(),
+            reachable: tytra_analyze::reachable(m).0,
+            summaries: tytra_analyze::summaries(m),
+        };
         for pass in registry() {
             let mut sp =
                 tytra_trace::span("lint.pass").with("code", pass.code()).with("pass", pass.name());

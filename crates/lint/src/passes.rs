@@ -2,24 +2,18 @@
 //!
 //! Passes 1–4 are structural: they read the dataflow facts that
 //! `tytra_analyze` derives (per-function effect summaries and solver
-//! reachability) over the Manage-IR and each reachable function. Passes
+//! reachability, computed once per run into the [`LintContext`]) over
+//! the Manage-IR and each reachable function. Passes
 //! 5–6 consume the cost model's
 //! [`CostReport`](tytra_cost::CostReport) and stay silent when no
 //! estimate is available. Passes 7–8 render the findings of the
 //! value-range and stream-deadlock analyses.
 
 use crate::{LintContext, Pass};
-use std::collections::{BTreeSet, HashMap, HashSet};
-use tytra_analyze::{analyze_deadlock, analyze_ranges, reachable, summaries};
+use std::collections::{HashMap, HashSet};
+use tytra_analyze::{analyze_deadlock, analyze_ranges};
 use tytra_cost::Limiter;
 use tytra_ir::{Dest, DiagSink, Diagnostic, Operand, ParKind, PortDir, Stmt};
-
-/// Function names reachable from `main`, via the analysis crate's
-/// call-graph fixpoint (identical to the preorder walk in
-/// `IrModule::reachable_functions`, by the solver's own tests).
-fn reachable_set(m: &tytra_ir::IrModule) -> BTreeSet<String> {
-    reachable(m).0
-}
 
 /// TL1001 — liveness of the streaming interface: every input port must be
 /// read, every output port written, every stream object consumed by a
@@ -42,8 +36,7 @@ impl Pass for Liveness {
 
     fn run(&self, cx: &LintContext<'_>, sink: &mut DiagSink) {
         let m = cx.module;
-        let reachable = reachable_set(m);
-        let sums = summaries(m);
+        let (reachable, sums) = (&cx.reachable, &cx.summaries);
         for f in &m.functions {
             if f.name == "main" || !reachable.contains(&f.name) {
                 continue;
@@ -161,8 +154,7 @@ impl Pass for DeadCode {
 
     fn run(&self, cx: &LintContext<'_>, sink: &mut DiagSink) {
         let m = cx.module;
-        let reachable = reachable_set(m);
-        let sums = summaries(m);
+        let (reachable, sums) = (&cx.reachable, &cx.summaries);
         for f in &m.functions {
             if !reachable.contains(&f.name) {
                 sink.emit(
@@ -248,7 +240,7 @@ impl Pass for OffsetBounds {
     fn run(&self, cx: &LintContext<'_>, sink: &mut DiagSink) {
         let m = cx.module;
         let ngs = m.meta.global_size();
-        let reachable = reachable_set(m);
+        let reachable = &cx.reachable;
         for f in &m.functions {
             if !reachable.contains(f.name.as_str()) {
                 continue;
@@ -323,7 +315,7 @@ impl Pass for ReductionInit {
 
     fn run(&self, cx: &LintContext<'_>, sink: &mut DiagSink) {
         let m = cx.module;
-        let reachable = reachable_set(m);
+        let reachable = &cx.reachable;
         let mut ops_by_acc: HashMap<&str, Vec<tytra_ir::Opcode>> = HashMap::new();
         for f in &m.functions {
             if !reachable.contains(f.name.as_str()) {

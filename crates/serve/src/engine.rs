@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use tytra_cost::EstimatorSession;
 use tytra_device::TargetDevice;
-use tytra_dse::{render_search_leaderboard, search, ExplorationConfig, SearchConfig};
+use tytra_dse::{render_search_leaderboard, search_with, ExplorationConfig, SearchConfig};
 use tytra_ir::{fingerprint_module, ErrorCategory, IrModule, TybecError};
 use tytra_kernels::{EvalKernel, Hotspot, LavaMd, Sor};
 use tytra_trace::bounded::BoundedMap;
@@ -53,14 +53,7 @@ pub enum Work {
     /// Dataflow analysis; `json` selects the strict-JSON rendering.
     Analyze { m: Box<IrModule>, json: bool },
     /// Full-space search over a named kernel.
-    Dse {
-        kernel: String,
-        dev: String,
-        lanes: Vec<u64>,
-        workers: usize,
-        top: usize,
-        exhaustive: bool,
-    },
+    Dse { kernel: String, dev: String, lanes: Vec<u64>, top: usize, exhaustive: bool },
     /// Snapshot of the daemon's metrics registry.
     Metrics { format: MetricsFormat },
     /// Stop accepting connections.
@@ -127,7 +120,7 @@ pub fn prepare(kind: &RequestKind) -> Result<(Work, Option<CacheKey>), TybecErro
             let tag = if *json { TAG_ANALYZE_JSON } else { TAG_ANALYZE_TEXT };
             (Work::Analyze { m, json: *json }, Some((tag, String::new(), fp)))
         }
-        RequestKind::Dse { kernel, target, lanes, workers, top, exhaustive } => {
+        RequestKind::Dse { kernel, target, lanes, top, exhaustive } => {
             kernel_by_name(kernel)?;
             let dev = canonical_target(target)?.to_string();
             (
@@ -135,7 +128,6 @@ pub fn prepare(kind: &RequestKind) -> Result<(Work, Option<CacheKey>), TybecErro
                     kernel: kernel.clone(),
                     dev,
                     lanes: lanes.clone(),
-                    workers: *workers,
                     top: *top,
                     exhaustive: *exhaustive,
                 },
@@ -403,20 +395,17 @@ impl Engine {
                     Ok(report.render_text())
                 }
             }
-            Work::Dse { kernel, dev, lanes, workers, top, exhaustive } => {
-                let kernel = kernel_by_name(kernel)?;
-                let device = target_device(dev)?;
-                let space = ExplorationConfig {
-                    lanes: lanes.clone(),
-                    workers: *workers,
-                    ..ExplorationConfig::default()
-                };
+            Work::Dse { kernel, dev, lanes, top, exhaustive } => {
+                let factory = kernel_by_name(kernel)?.variant_factory();
+                let space =
+                    ExplorationConfig { lanes: lanes.clone(), ..ExplorationConfig::default() };
                 let cfg = if *exhaustive {
                     SearchConfig::exhaustive(space)
                 } else {
                     SearchConfig::pruned(space)
                 };
-                let outcome = search(kernel.as_ref(), &device, &cfg);
+                let cfg = SearchConfig { top_k: *top, ..cfg };
+                let outcome = search_with(&factory, self.session(dev)?, &cfg);
                 Ok(render_search_leaderboard(&outcome, *top))
             }
             Work::Metrics { format } => {

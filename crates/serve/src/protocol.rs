@@ -42,17 +42,11 @@ pub enum RequestKind {
     /// Dataflow-analysis report (`tybec analyze`); `json` selects the
     /// strict-JSON rendering.
     Analyze { design: String, json: bool },
-    /// Full-space search leaderboard for a named kernel — the payload is
-    /// byte-identical to the `== full exploration ==` section of
-    /// `tybec dse`.
-    Dse {
-        kernel: String,
-        target: String,
-        lanes: Vec<u64>,
-        workers: usize,
-        top: usize,
-        exhaustive: bool,
-    },
+    /// Full-space search leaderboard for a named kernel — at the default
+    /// `top` of 10 the payload is byte-identical to the `== full
+    /// exploration ==` section of `tybec dse`. `top` is the board size:
+    /// the payload ranks up to `top` valid variants.
+    Dse { kernel: String, target: String, lanes: Vec<u64>, top: usize, exhaustive: bool },
     /// Snapshot of the daemon's live metrics registry.
     Metrics { format: MetricsFormat },
     /// Ask the daemon to stop accepting connections.
@@ -186,7 +180,6 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
                 kernel: str_field("kernel")?,
                 target: target()?,
                 lanes,
-                workers: uint_field("workers", 0)? as usize,
                 top: uint_field("top", 10)? as usize,
                 exhaustive: bool_field("exhaustive", false)?,
             }
@@ -279,7 +272,6 @@ mod tests {
                 kernel: "sor".into(),
                 target: "stratix-v-gsd8".into(),
                 lanes: vec![1, 2, 4, 8, 16, 32],
-                workers: 0,
                 top: 10,
                 exhaustive: false,
             }

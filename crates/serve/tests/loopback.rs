@@ -1,10 +1,12 @@
 //! Loopback suite: real sockets, concurrent clients, and the pinned
 //! service guarantees — byte-identity with the offline CLI renderings,
-//! warm-equals-cold replay, and per-request fault isolation.
+//! warm-equals-cold replay, per-request fault isolation, and the `dse`
+//! request's board size and lane handling.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use tytra_dse::{render_search_leaderboard, search, ExplorationConfig, SearchConfig};
 use tytra_kernels::{EvalKernel, Hotspot, Sor};
 use tytra_serve::{serve_tcp, target_device, ServeConfig};
 use tytra_trace::json::{self, Json};
@@ -274,6 +276,92 @@ fn metrics_and_shutdown_round_trip() {
     // The daemon exits on its own once the shutdown response is out and
     // the clients hang up — exactly what `tybec serve` blocks on.
     handle.wait();
+}
+
+/// A `dse` request line; `extra` is spliced into the JSON object.
+fn dse_request(id: u64, lanes: &[u64], extra: &str) -> String {
+    let lanes: Vec<String> = lanes.iter().map(u64::to_string).collect();
+    format!(
+        "{{\"id\":{id},\"kind\":\"dse\",\"kernel\":\"sor\",\"lanes\":[{}]{extra}}}\n",
+        lanes.join(",")
+    )
+}
+
+/// The `== full exploration ==` section of a `tybec dse` run pinned in
+/// the CLI's golden fixture.
+fn golden_exploration(kernel: &str) -> String {
+    const GOLDEN: &str = include_str!("../../cli/tests/golden/dse_lanes_1_64.txt");
+    let run = GOLDEN
+        .split_once(&format!("== tybec dse {kernel} --lanes 1,...,64\n"))
+        .expect("kernel in the fixture")
+        .1;
+    let board = run.split_once("== full exploration ==\n").expect("exploration section").1;
+    board.split_once("\n== guided tuning").expect("tuning section").0.to_string()
+}
+
+#[test]
+fn dse_on_a_warmed_worker_equals_the_cli_exploration() {
+    // One worker: the estimate and bound requests warm the session the
+    // dse request then searches through.
+    let cfg = ServeConfig { workers: 1, ..ServeConfig::default() };
+    let handle = serve_tcp("127.0.0.1:0", cfg).expect("bind");
+    let src = design("sor", 4);
+    let wide: Vec<u64> = (1..=64).collect();
+    let lines = [
+        request(1, "estimate", &src, "stratix-v-gsd8"),
+        request(2, "bound", &src, "stratix-v-gsd8"),
+        dse_request(3, &wide, ""),
+    ];
+    let mut responses = HashMap::new();
+    for line in lines {
+        responses.extend(roundtrip(handle.addr(), &[line]));
+    }
+    assert_eq!(report_of(&responses[&1]), offline("estimate", &src, "stratix-v-gsd8"));
+    assert_eq!(report_of(&responses[&3]), golden_exploration("sor"));
+    handle.stop();
+}
+
+#[test]
+fn dse_top_sets_the_board_size() {
+    let handle = serve_tcp("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let dev = target_device("stratix-v-gsd8").expect("known target");
+    let wide: Vec<u64> = (1..=64).collect();
+    let space = ExplorationConfig { lanes: wide.clone(), ..ExplorationConfig::default() };
+    let lines =
+        [dse_request(1, &wide, ",\"top\":20"), dse_request(2, &wide, ",\"top\":9007199254740991")];
+    let responses = roundtrip(handle.addr(), &lines);
+
+    let twenty = search(
+        &Sor::default(),
+        &dev,
+        &SearchConfig { top_k: 20, ..SearchConfig::pruned(space.clone()) },
+    );
+    assert_eq!(twenty.leaderboard.len(), 20);
+    assert_eq!(report_of(&responses[&1]), render_search_leaderboard(&twenty, 20));
+
+    // A board as large as JSON integers go holds every valid variant.
+    let all = search(
+        &Sor::default(),
+        &dev,
+        &SearchConfig { top_k: usize::MAX, ..SearchConfig::exhaustive(space) },
+    );
+    let valid = all.stats.generated - all.invalid.len() as u64 - all.stats.faulted;
+    assert_eq!(all.leaderboard.len() as u64, valid);
+    assert_eq!(report_of(&responses[&2]), render_search_leaderboard(&all, usize::MAX));
+    handle.stop();
+}
+
+#[test]
+fn dse_repeated_lanes_are_searched_once() {
+    let handle = serve_tcp("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let target = ",\"target\":\"eval-small\"";
+    let lines = [dse_request(1, &[2, 2], target), dse_request(2, &[2], target)];
+    let responses = roundtrip(handle.addr(), &lines);
+    let repeated = report_of(&responses[&1]);
+    assert_eq!(repeated, report_of(&responses[&2]));
+    // Header plus one row per variant: vect {1, 2} × forms {A, B}.
+    assert_eq!(repeated.lines().count(), 5, "{repeated}");
+    handle.stop();
 }
 
 #[cfg(unix)]

@@ -3,16 +3,15 @@
 //! Prometheus text exposition.
 //!
 //! ```text
-//! trace_check <trace.json> [--expect <span-name>]... [--span-lanes <name>:<min>]
+//! trace_check <trace.json> [--expect <span-name>]...
 //! trace_check --folded <stacks.folded> [--expect <frame>]...
 //! trace_check --prom <metrics.prom> [--expect <metric>]...
 //! ```
 //!
 //! Chrome mode checks that the file parses as trace-event JSON (a
 //! `traceEvents` array of objects each carrying `name`/`ph`/`pid`/`tid`,
-//! with `ts`/`dur` on complete events), that every `--expect`ed span
-//! name occurs at least once, and that spans named in `--span-lanes`
-//! cover at least the requested number of distinct thread lanes.
+//! with `ts`/`dur` on complete events), and that every `--expect`ed span
+//! name occurs at least once.
 //!
 //! Folded mode checks the collapsed-stack grammar — every line is
 //! `frame;frame;frame count` with nonempty frames and an integer count
@@ -29,7 +28,7 @@ use std::process::ExitCode;
 use tytra_trace::json::{parse, Json};
 
 const USAGE: &str = "usage: trace_check <trace.json> [--expect <name>]... \
-     [--span-lanes <name>:<min>] | trace_check --folded <file> [--expect <frame>]... \
+     | trace_check --folded <file> [--expect <frame>]... \
      | trace_check --prom <file> [--expect <metric>]...";
 
 fn main() -> ExitCode {
@@ -49,11 +48,9 @@ fn main() -> ExitCode {
 struct Options {
     path: String,
     expects: Vec<String>,
-    lane_rules: Vec<(String, usize)>,
     mode: Mode,
 }
 
-#[derive(PartialEq)]
 enum Mode {
     Chrome,
     Folded,
@@ -62,19 +59,12 @@ enum Mode {
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut expects = Vec::new();
-    let mut lane_rules = Vec::new();
     let mut mode = Mode::Chrome;
     let mut path = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--expect" => expects.push(it.next().ok_or("--expect needs a name")?.clone()),
-            "--span-lanes" => {
-                let spec = it.next().ok_or("--span-lanes needs <name>:<min>")?;
-                let (name, min) = spec.rsplit_once(':').ok_or("--span-lanes wants <name>:<min>")?;
-                let min: usize = min.parse().map_err(|e| format!("bad lane count: {e}"))?;
-                lane_rules.push((name.to_string(), min));
-            }
             "--folded" => mode = Mode::Folded,
             "--prom" => mode = Mode::Prom,
             other if !other.starts_with("--") => path = Some(other.to_string()),
@@ -82,10 +72,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         }
     }
     let path = path.ok_or(USAGE)?;
-    if mode != Mode::Chrome && !lane_rules.is_empty() {
-        return Err("--span-lanes only applies to chrome traces".to_string());
-    }
-    Ok(Options { path, expects, lane_rules, mode })
+    Ok(Options { path, expects, mode })
 }
 
 fn run(args: &[String]) -> Result<String, String> {
@@ -133,20 +120,6 @@ fn check_chrome(opts: &Options, src: &str) -> Result<String, String> {
     for want in &opts.expects {
         if !names.contains(want) {
             return Err(format!("{path}: no `{want}` span (have: {names:?})"));
-        }
-    }
-    for (name, min) in &opts.lane_rules {
-        let lanes: BTreeSet<u64> = events
-            .iter()
-            .filter(|ev| ev.get("name").and_then(Json::as_str) == Some(name))
-            .filter_map(|ev| ev.get("tid").and_then(Json::as_num))
-            .map(|t| t as u64)
-            .collect();
-        if lanes.len() < *min {
-            return Err(format!(
-                "{path}: `{name}` spans cover {} lane(s), wanted ≥ {min}",
-                lanes.len()
-            ));
         }
     }
 

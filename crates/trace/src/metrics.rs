@@ -4,9 +4,10 @@
 //! cheap `Arc`-backed clones: register once, keep the handle in a struct
 //! field, and increment it lock-free on the hot path — the registry
 //! lock is only taken at registration and snapshot time. Registries are
-//! instantiable (the estimator gives each session its own, so parallel
-//! DSE workers never contend) and snapshots [`merge`][Snapshot::merge]
-//! so per-worker registries sum into one `--metrics` table.
+//! instantiable (the estimator gives each session its own, so no two
+//! threads contend on one) and snapshots [`merge`][Snapshot::merge], so
+//! a session's registry and the DSE search's sum into one `--metrics`
+//! table.
 //!
 //! ```
 //! use tytra_trace::metrics::Registry;

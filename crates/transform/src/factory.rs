@@ -24,8 +24,8 @@
 //! [`InnerKind`] and assembles each base's template (one lane's arrays,
 //! the `par` dispatcher, `main`) around a copy.
 //!
-//! The factory is `Sync`: DSE workers request designs concurrently and
-//! the first worker to touch a structural class lowers it for everyone.
+//! The factory is `Sync`, so threads may share one: the first request
+//! for a structural class lowers it for every later one.
 
 use crate::expr::KernelDef;
 use crate::lower::{assemble, check_legal, lower_lane, Geometry};

@@ -29,7 +29,6 @@ fn main() {
         lanes: vec![1, 2, 4, 8, 16, 32],
         vects: vec![1, 2],
         forms: vec![MemForm::A, MemForm::B],
-        ..ExplorationConfig::default()
     };
     let outcome = search(&sor, &dev, &SearchConfig::pruned(space.clone()));
     println!("\n== top variants of {} generated ==", outcome.stats.generated);

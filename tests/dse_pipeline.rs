@@ -16,7 +16,6 @@ fn cfg() -> SearchConfig {
         lanes: vec![1, 2, 4, 8],
         vects: vec![1],
         forms: vec![MemForm::A, MemForm::B],
-        ..ExplorationConfig::default()
     })
 }
 
