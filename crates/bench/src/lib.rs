@@ -3,9 +3,10 @@
 //! One module per table/figure of the paper's evaluation, each producing
 //! structured rows plus a rendered text table, with a binary per
 //! experiment (`cargo run -p tytra-bench --release --bin fig09` etc.,
-//! or `--bin all` for the full set) and Criterion benches for the
-//! timing-sensitive claims. See DESIGN.md §4 for the experiment index
-//! and EXPERIMENTS.md for recorded paper-vs-measured results.
+//! or `--bin all` for the full set). The timing-sensitive §VI-A claim is
+//! `--bin speedup`, gated by its module's release-mode test. See
+//! DESIGN.md §4 for the experiment index and EXPERIMENTS.md for recorded
+//! paper-vs-measured results.
 
 pub mod ablation;
 pub mod emit;

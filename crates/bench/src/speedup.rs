@@ -89,8 +89,9 @@ mod tests {
     fn cost_model_dominates() {
         let r = run();
         assert!(r.cost_model_s < r.slow_estimator_s);
-        // Debug builds blunt the constant factors; the release bench
-        // demonstrates the full gap.
+        // Debug builds blunt the constant factors; a release build
+        // (`cargo test --release -p tytra-bench --lib speedup`) gates
+        // the full gap.
         let floor = if cfg!(debug_assertions) { 20.0 } else { 200.0 };
         assert!(r.ratio_vs_slow > floor, "{r:?}");
         // (ratio_vs_full is reporting-only: the virtual toolchain is

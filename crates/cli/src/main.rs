@@ -32,7 +32,6 @@
 //! Targets: `stratix-v-gsd8` (default), `virtex7-adm7v3`, `eval-small`.
 
 use std::process::ExitCode;
-use std::sync::Arc;
 use tytra_codegen::{check, emit_design, emit_maxj_wrapper};
 use tytra_cost::{estimate, EstimatorSession};
 use tytra_device::TargetDevice;
@@ -40,9 +39,7 @@ use tytra_dse::{lane_sweep_with, search_with, tune_with, ExplorationConfig, Sear
 use tytra_ir::{ErrorCategory, IrError, TybecError};
 use tytra_kernels::{EvalKernel, Hotspot, LavaMd, Sor};
 use tytra_sim::{run_application, synthesize};
-use tytra_trace::metrics::Registry;
 use tytra_trace::prometheus::render_prometheus;
-use tytra_trace::sampler::Sampler;
 use tytra_trace::{profile, recorder, sink};
 use tytra_transform::Variant;
 
@@ -96,7 +93,6 @@ const USAGE: &str = "usage: tybec <cost|actual|hdl|tree|dse|roofline|exec|lint|a
   tree   <design.tirl>
   dse    <sor|hotspot|lavamd> [--target <name>] [--lanes 1,2,4,...] [--exhaustive] [--stats] [--metrics]
          [--metrics-format table|prometheus] [--metrics-out <file>]
-         [--metrics-stream <file.jsonl>] [--metrics-interval-ms N]
   roofline <sor|hotspot|lavamd> [--target <name>] [--lanes 1,2,4,...]
   exec   <design.tirl> [--items N] [--seed S]
   lint   <design.tirl> [--target <name>] [--json] [--deny-warnings]
@@ -657,7 +653,25 @@ enum MetricsFormat {
     Prometheus,
 }
 
+/// Fail on any argument after the kernel name that `tybec dse` does not
+/// take, before anything is printed: an ignored typo (`--exhaustiv`)
+/// would silently run a different search.
+fn check_dse_args(args: &[String]) -> Result<(), String> {
+    const VALUED: [&str; 4] = ["--target", "--lanes", "--metrics-format", "--metrics-out"];
+    const SWITCHES: [&str; 3] = ["--exhaustive", "--stats", "--metrics"];
+    let mut it = args.iter().skip(1);
+    while let Some(a) = it.next() {
+        if VALUED.contains(&a.as_str()) {
+            it.next();
+        } else if !SWITCHES.contains(&a.as_str()) {
+            return Err(format!("unknown `tybec dse` argument `{a}`"));
+        }
+    }
+    Ok(())
+}
+
 fn cmd_dse(args: &[String]) -> Result<(), CliError> {
+    check_dse_args(args)?;
     let kernel = kernel_by_name(args)?;
     let dev = target_of(args)?;
     let lanes = lanes_flag(args)?;
@@ -674,30 +688,6 @@ fn cmd_dse(args: &[String]) -> Result<(), CliError> {
         }
     };
     let metrics_out = flag_value(args, "--metrics-out");
-    let stream_path = flag_value(args, "--metrics-stream");
-    let interval_ms: u64 = match flag_value(args, "--metrics-interval-ms") {
-        Some(v) => v.parse().map_err(|e| format!("bad --metrics-interval-ms: {e}"))?,
-        None => 500,
-    };
-
-    // `--metrics-stream` turns on live exposition: the search publishes
-    // into one shared registry while the sweep runs, and a sampler thread
-    // appends interval-tagged JSONL snapshots to the stream file. Without
-    // it, the search keeps a private registry merged in after the fact.
-    let live: Option<Arc<Registry>> = stream_path.map(|_| Arc::new(Registry::default()));
-    let sampler = match (stream_path, &live) {
-        (Some(path), Some(reg)) => {
-            let file = std::fs::File::create(path)
-                .map_err(|e| format!("creating metrics stream {path}: {e}"))?;
-            let source = Arc::clone(reg);
-            Some(Sampler::start(
-                std::time::Duration::from_millis(interval_ms.max(1)),
-                move || source.snapshot(),
-                file,
-            ))
-        }
-        _ => None,
-    };
 
     // One variant factory serves the sweep, the search and the tuning run,
     // so each design is lowered and validated once; one estimator session
@@ -723,17 +713,10 @@ fn cmd_dse(args: &[String]) -> Result<(), CliError> {
     let space = ExplorationConfig { lanes, ..ExplorationConfig::default() };
     let cfg =
         if exhaustive { SearchConfig::exhaustive(space) } else { SearchConfig::pruned(space) };
-    let cfg = SearchConfig { live: live.clone(), ..cfg };
     let outcome = {
         let _sp = tytra_trace::span("dse.search");
         search_with(&factory, &mut session, &cfg)
     };
-    if let Some(s) = sampler {
-        let lines = s.stop();
-        // stream_path is Some whenever sampler is.
-        let path = stream_path.unwrap_or_default();
-        eprintln!("metrics stream: {lines} sample(s) written to {path}");
-    }
     {
         let _sp = tytra_trace::span("cli.render");
         print!("{}", tytra_dse::render_search_leaderboard(&outcome, 10));

@@ -231,6 +231,18 @@ fn dse_rejects_unknown_kernel() {
 }
 
 #[test]
+fn dse_rejects_flags_it_does_not_take() {
+    for bad in [&["--metrics-stream", "x"][..], &["--workers", "2"], &["--exhaustiv"]] {
+        let mut args = vec!["dse", "sor", "--target", "eval-small"];
+        args.extend_from_slice(bad);
+        let o = tybec(&args);
+        assert_eq!(o.status.code(), Some(1), "{bad:?}: {}", stderr(&o));
+        assert!(o.stdout.is_empty(), "{bad:?}: {}", stdout(&o));
+        assert!(stderr(&o).contains(&format!("`{}`", bad[0])), "{bad:?}: {}", stderr(&o));
+    }
+}
+
+#[test]
 fn dse_stats_reports_high_hit_rate() {
     let o = tybec(&["dse", "sor", "--target", "eval-small", "--stats"]);
     assert!(o.status.success(), "{}", stderr(&o));
@@ -692,38 +704,6 @@ fn dse_metrics_out_writes_prometheus_exposition() {
     assert!(body.contains("# TYPE"), "{body}");
     assert!(body.contains("dse_points"), "{body}");
     assert!(body.contains("le=\"+Inf\""), "histograms need an +Inf bucket:\n{body}");
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn dse_metrics_stream_emits_interval_tagged_jsonl() {
-    let path = trace_tmp("dse_stream.jsonl");
-    let o = tybec(&[
-        "dse",
-        "sor",
-        "--target",
-        "eval-small",
-        "--lanes",
-        "1,2,4",
-        "--metrics-stream",
-        path.to_str().unwrap(),
-        "--metrics-interval-ms",
-        "20",
-    ]);
-    assert!(o.status.success(), "{}", stderr(&o));
-    assert!(stderr(&o).contains("metrics stream:"), "{}", stderr(&o));
-    let body = std::fs::read_to_string(&path).unwrap();
-    let lines: Vec<&str> = body.lines().collect();
-    assert!(!lines.is_empty(), "the stop-time flush guarantees at least one sample");
-    for (i, line) in lines.iter().enumerate() {
-        let v = tytra_trace::json::parse(line)
-            .unwrap_or_else(|e| panic!("bad stream line `{line}`: {e}"));
-        assert_eq!(v.get("seq").and_then(|s| s.as_num()), Some(i as f64), "{line}");
-        assert!(v.get("interval_ms").is_some(), "{line}");
-        assert!(v.get("metrics").is_some(), "{line}");
-    }
-    // By the final (stop-time) sample the search has published.
-    assert!(lines.last().unwrap().contains("dse.points"), "{body}");
     std::fs::remove_file(&path).ok();
 }
 

@@ -4,7 +4,7 @@
 //! package re-implements the slice of proptest the workspace's property
 //! tests use: the [`Strategy`] trait with `prop_map` / `prop_filter` /
 //! `prop_recursive` / `boxed`, range and tuple strategies, regex-subset
-//! string strategies, [`collection::vec`], [`option::of`], [`Just`],
+//! string strategies, [`collection::vec()`], [`option::of`], [`Just`],
 //! [`any`], and the [`proptest!`] / [`prop_oneof!`] / [`prop_assert!`]
 //! macros.
 //!
@@ -16,6 +16,10 @@
 //! * string strategies support the regex subset the tests use
 //!   (`.`/char-class atoms with `{a,b}`-style quantifiers), generating
 //!   printable ASCII.
+//!
+//! [`Strategy`]: strategy::Strategy
+//! [`Just`]: strategy::Just
+//! [`any`]: arbitrary::any
 
 pub mod strategy;
 
@@ -26,7 +30,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Size specification accepted by [`vec`]: a fixed length or a range.
+    /// Size specification accepted by [`vec()`]: a fixed length or a range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,
@@ -100,7 +104,7 @@ pub mod option {
     }
 }
 
-/// `proptest::arbitrary` — the [`any`] entry point.
+/// `proptest::arbitrary` — the [`any`](crate::arbitrary::any) entry point.
 pub mod arbitrary {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;

@@ -43,7 +43,7 @@ const CURVE_TABLE_CAPACITY: usize = 1024;
 /// Memo tables for per-op calibration fits and sustained-bandwidth
 /// interpolations. Cheap to construct; hold one per estimator session.
 /// Size-bounded: each table evicts with the CLOCK policy past
-/// [`CURVE_TABLE_CAPACITY`] entries (an eviction only ever forces a
+/// `CURVE_TABLE_CAPACITY` entries (an eviction only ever forces a
 /// bit-identical recompute).
 #[derive(Debug)]
 pub struct CurveCache {

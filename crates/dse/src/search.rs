@@ -31,19 +31,18 @@
 //! Observability: the search leaves `dse.bound`/`dse.variant`
 //! breadcrumbs in the always-on [flight recorder][tytra_trace::recorder]
 //! (so a crashed or faulted variant ships a post-mortem trace — see
-//! [`SearchOutcome::fault_dumps`]), and publishes its counters, a
-//! `dse.points_per_sec` gauge and bound-vs-estimate latency histograms
-//! into [`SearchConfig::live`] when a shared registry is attached (the
-//! same metrics land in [`SearchOutcome::metrics`] either way).
+//! [`SearchOutcome::fault_dumps`]), and returns its `dse.*` metrics in
+//! [`SearchOutcome::metrics`]: bound-vs-estimate latency histograms,
+//! plus counters and a `dse.points_per_sec` gauge written once from
+//! [`SearchStats`] after the walk.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 use std::time::Instant;
 use tytra_cost::{CostReport, EstimatorSession};
 use tytra_device::TargetDevice;
 use tytra_ir::MemForm;
 use tytra_kernels::EvalKernel;
-use tytra_trace::metrics::{Counter, Gauge, Histogram, Registry, Snapshot};
+use tytra_trace::metrics::{Histogram, Registry, Snapshot};
 use tytra_trace::recorder;
 use tytra_trace::{self as trace};
 use tytra_transform::{IndexedVariant, Variant, VariantFactory, VariantIter};
@@ -106,20 +105,12 @@ pub struct SearchConfig {
     /// must fault (the search panics inside its catch region). `None` in
     /// production. A plain `fn` pointer keeps the config `Debug + Clone`.
     pub fault_inject: Option<fn(&Variant) -> bool>,
-    /// Live metrics registry. When attached, the search publishes its
-    /// counters, latency histograms and `dse.points_per_sec` gauge here
-    /// *while the sweep runs*, so a
-    /// [`Sampler`][tytra_trace::sampler::Sampler] (or a Prometheus
-    /// scrape of a snapshot) can watch progress. `None` keeps the same
-    /// metrics in a private registry returned as
-    /// [`SearchOutcome::metrics`].
-    pub live: Option<Arc<Registry>>,
 }
 
 impl SearchConfig {
     /// Pruned search over `space` with the default board size.
     pub fn pruned(space: ExplorationConfig) -> SearchConfig {
-        SearchConfig { space, mode: SearchMode::Pruned, top_k: 10, fault_inject: None, live: None }
+        SearchConfig { space, mode: SearchMode::Pruned, top_k: 10, fault_inject: None }
     }
 
     /// Exhaustive search over `space` (the `--exhaustive` escape hatch).
@@ -212,9 +203,11 @@ pub struct SearchOutcome {
     pub invalid: Vec<InvalidVariant>,
     /// Search counters (generated / estimated / pruned / faulted).
     pub stats: SearchStats,
-    /// The search's own `dse.*` metrics (when [`SearchConfig::live`] was
-    /// attached, that registry's final snapshot). The estimator's
-    /// metrics stay in the caller's session.
+    /// The search's own `dse.*` metrics: the `dse.points`,
+    /// `dse.faulted`, `dse.pruned_unfit` and `dse.pruned_bound` counters
+    /// (equal to their [`SearchStats`] fields), the `dse.points_per_sec`
+    /// gauge and the `dse.bound_ns`/`dse.estimate_ns` latency
+    /// histograms. The estimator's metrics stay in the caller's session.
     pub metrics: Snapshot,
     /// Post-mortem flight-recorder dumps, one per faulted variant, in
     /// generation order: `(variant tag, rendered dump)`. The dump is the
@@ -271,30 +264,11 @@ struct Run {
     fault_dumps: Vec<(String, String)>,
 }
 
-/// The search's metric handles. The counters mirror [`SearchStats`]; the
-/// histograms time every bound and estimate call.
+/// The search's latency histograms: every bound and every estimate call
+/// is timed.
 struct Obs {
-    points: Counter,
-    faulted: Counter,
-    pruned_unfit: Counter,
-    pruned_bound: Counter,
     bound_ns: Histogram,
     estimate_ns: Histogram,
-    points_per_sec: Gauge,
-}
-
-impl Obs {
-    fn new(reg: &Registry) -> Obs {
-        Obs {
-            points: reg.counter("dse.points"),
-            faulted: reg.counter("dse.faulted"),
-            pruned_unfit: reg.counter("dse.pruned_unfit"),
-            pruned_bound: reg.counter("dse.pruned_bound"),
-            bound_ns: reg.histogram("dse.bound_ns"),
-            estimate_ns: reg.histogram("dse.estimate_ns"),
-            points_per_sec: reg.gauge("dse.points_per_sec"),
-        }
-    }
 }
 
 /// Human-readable description of a caught panic payload.
@@ -311,9 +285,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Record one faulted variant: counted, traced as a `dse.fault` span,
 /// stamped into the flight recorder, and shipped with a post-mortem dump
 /// of this thread's lane — then skipped; the sweep continues.
-fn record_fault(run: &mut Run, obs: &Obs, item: &IndexedVariant, why: &str) {
+fn record_fault(run: &mut Run, item: &IndexedVariant, why: &str) {
     run.stats.faulted += 1;
-    obs.faulted.incr();
     recorder::mark("dse.fault", item.index);
     if trace::enabled() {
         let _sp = trace::span("dse.fault")
@@ -342,7 +315,6 @@ fn process_item(
     run: &mut Run,
     obs: &Obs,
 ) {
-    obs.points.incr();
     // The factory serves the variant as a three-cell patch over a shared
     // arena base (lowered once per structural class). The generator
     // already filtered illegal reshapes, but a base can still fail
@@ -351,7 +323,7 @@ fn process_item(
     let design = match factory.design(&item.variant) {
         Ok(design) => design,
         Err(e) => {
-            record_fault(run, obs, &item, &e.to_string());
+            record_fault(run, &item, &e.to_string());
             return;
         }
     };
@@ -369,23 +341,21 @@ fn process_item(
         let bound = match verdict {
             Ok(Ok(bound)) => bound,
             Ok(Err(e)) => {
-                record_fault(run, obs, &item, &e.to_string());
+                record_fault(run, &item, &e.to_string());
                 return;
             }
             Err(payload) => {
-                record_fault(run, obs, &item, &panic_message(payload.as_ref()));
+                record_fault(run, &item, &panic_message(payload.as_ref()));
                 return;
             }
         };
         if !bound.fits {
             run.stats.pruned_unfit += 1;
-            obs.pruned_unfit.incr();
             run.invalid.push(InvalidVariant { index: item.index, variant: item.variant });
             return;
         }
         if !bound.can_beat(run.board.threshold()) {
             run.stats.pruned_bound += 1;
-            obs.pruned_bound.incr();
             return;
         }
     }
@@ -406,11 +376,11 @@ fn process_item(
     let report = match estimated {
         Ok(Ok(report)) => report,
         Ok(Err(e)) => {
-            record_fault(run, obs, &item, &e.to_string());
+            record_fault(run, &item, &e.to_string());
             return;
         }
         Err(payload) => {
-            record_fault(run, obs, &item, &panic_message(payload.as_ref()));
+            record_fault(run, &item, &panic_message(payload.as_ref()));
             return;
         }
     };
@@ -447,8 +417,11 @@ pub fn search_with(
     cfg: &SearchConfig,
 ) -> SearchOutcome {
     let sp = &cfg.space;
-    let obs_reg: Arc<Registry> = cfg.live.clone().unwrap_or_default();
-    let obs = Obs::new(&obs_reg);
+    let reg = Registry::new();
+    let obs = Obs {
+        bound_ns: reg.histogram("dse.bound_ns"),
+        estimate_ns: reg.histogram("dse.estimate_ns"),
+    };
     let mut run = Run {
         board: Board::new(cfg.top_k),
         invalid: Vec::new(),
@@ -459,13 +432,19 @@ pub fn search_with(
     for item in VariantIter::new(factory.geometry().size(), &sp.lanes, &sp.vects, &sp.forms) {
         run.stats.generated += 1;
         process_item(factory, item, cfg, session, &mut run, &obs);
-        obs.points_per_sec.set(run.stats.generated as f64 / t0.elapsed().as_secs_f64().max(1e-9));
     }
+    let stats = run.stats;
+    reg.counter("dse.points").add(stats.generated);
+    reg.counter("dse.faulted").add(stats.faulted);
+    reg.counter("dse.pruned_unfit").add(stats.pruned_unfit);
+    reg.counter("dse.pruned_bound").add(stats.pruned_bound);
+    let secs = t0.elapsed().as_secs_f64().max(1e-9);
+    reg.gauge("dse.points_per_sec").set(stats.generated as f64 / secs);
     SearchOutcome {
         leaderboard: run.board.entries,
         invalid: run.invalid,
-        stats: run.stats,
-        metrics: obs_reg.snapshot(),
+        stats,
+        metrics: reg.snapshot(),
         fault_dumps: run.fault_dumps,
     }
 }
@@ -701,29 +680,55 @@ mod tests {
     }
 
     #[test]
-    fn live_registry_sees_the_search_metrics() {
-        let sor = Sor::cubic(16, 10);
-        let dev = eval_small();
-        let live = Arc::new(Registry::new());
-        let cfg = SearchConfig { live: Some(Arc::clone(&live)), ..SearchConfig::pruned(space()) };
-        let outcome = search(&sor, &dev, &cfg);
+    fn search_metrics_equal_the_stats() {
+        // A pruned and an exhaustive `tybec dse sor --lanes 1..64`, and a
+        // pruned search with injected estimate faults (the unfilled board
+        // keeps every fault deterministic, as above).
+        let wide = ExplorationConfig { lanes: (1..=64).collect(), ..space() };
+        let (sor, dev) = (Sor::default(), stratix_v_gsd8());
+        let pruned = search(&sor, &dev, &SearchConfig::pruned(wide.clone()));
+        let exhaustive = search(&sor, &dev, &SearchConfig::exhaustive(wide));
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let cfg = SearchConfig {
+            fault_inject: Some(faults_on_two_lanes),
+            top_k: 100,
+            ..SearchConfig::pruned(space())
+        };
+        let faulted = search(&Sor::cubic(16, 10), &eval_small(), &cfg);
+        std::panic::set_hook(prev);
+        assert!(pruned.stats.pruned_bound > 0, "{:?}", pruned.stats);
+        assert!(faulted.stats.faulted > 0, "{:?}", faulted.stats);
 
-        // The shared registry saw the whole sweep, and the outcome holds
-        // its final state.
-        let snap = live.snapshot();
-        assert_eq!(snap.counter("dse.points"), outcome.stats.generated);
-        assert_eq!(snap.counter("dse.pruned_unfit"), outcome.stats.pruned_unfit);
-        assert_eq!(outcome.metrics.counter("dse.points"), outcome.stats.generated);
-        match outcome.metrics.get("dse.bound_ns") {
-            Some(tytra_trace::metrics::MetricValue::Histogram(h)) => {
-                assert_eq!(h.count, outcome.stats.estimated + outcome.stats.pruned())
-            }
-            other => panic!("dse.bound_ns is not a histogram: {other:?}"),
+        let histogram_count = |o: &SearchOutcome, name: &str| match o.metrics.get(name) {
+            Some(tytra_trace::metrics::MetricValue::Histogram(h)) => h.count,
+            other => panic!("{name} is not a histogram: {other:?}"),
+        };
+        for (o, bounded) in [(&pruned, true), (&exhaustive, false), (&faulted, true)] {
+            let s = o.stats;
+            let names: Vec<&str> = o.metrics.entries.iter().map(|(n, _)| n.as_str()).collect();
+            assert_eq!(
+                names,
+                [
+                    "dse.bound_ns",
+                    "dse.estimate_ns",
+                    "dse.faulted",
+                    "dse.points",
+                    "dse.points_per_sec",
+                    "dse.pruned_bound",
+                    "dse.pruned_unfit"
+                ]
+            );
+            assert_eq!(o.metrics.counter("dse.points"), s.generated, "{s:?}");
+            assert_eq!(o.metrics.counter("dse.faulted"), s.faulted, "{s:?}");
+            assert_eq!(o.metrics.counter("dse.pruned_unfit"), s.pruned_unfit, "{s:?}");
+            assert_eq!(o.metrics.counter("dse.pruned_bound"), s.pruned_bound, "{s:?}");
+            // A pruned search bounds every variant, an exhaustive one
+            // none; every estimate is timed, the faulting ones too.
+            let bounds = if bounded { s.generated } else { 0 };
+            assert_eq!(histogram_count(o, "dse.bound_ns"), bounds, "{s:?}");
+            assert_eq!(histogram_count(o, "dse.estimate_ns"), s.estimated + s.faulted, "{s:?}");
         }
-
-        // Without a live registry the same metrics land in the outcome.
-        let local = search(&sor, &dev, &SearchConfig::pruned(space()));
-        assert_eq!(local.metrics.counter("dse.points"), local.stats.generated);
     }
 
     #[test]

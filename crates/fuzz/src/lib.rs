@@ -11,7 +11,7 @@
 //! 1. **Round-trip** — parse → print → reparse fixed point; malformed
 //!    input must produce a structured error, never a panic.
 //! 2. **Estimator vs simulator** — agreement within
-//!    [`ToleranceBands`][oracle::ToleranceBands] on valid designs.
+//!    [`ToleranceBands`] on valid designs.
 //! 3. **Search equivalence** — pruned vs `--exhaustive` leaderboard
 //!    bit-identity for random space shapes and board sizes.
 //! 4. **Session determinism** — warm (memoized) vs cold

@@ -134,8 +134,8 @@ mod tests {
 
         let ratio = slow / fast;
         // Debug builds blunt the gap and parallel test load adds noise;
-        // the release-mode bench (`estimator_speed`) demonstrates the
-        // full >200× of §VI-A under controlled conditions.
+        // release builds gate the full >200× of §VI-A, here and in
+        // `tytra_bench::speedup`'s test.
         let floor = if cfg!(debug_assertions) { 40.0 } else { 200.0 };
         assert!(ratio > floor, "only {ratio:.0}× (fast {fast:.2e}s, slow {slow:.2e}s)");
     }

@@ -458,11 +458,6 @@ impl ArenaModule {
         self.symbols.resolve(sym)
     }
 
-    /// Number of functions.
-    pub fn fn_count(&self) -> usize {
-        self.fn_name.len()
-    }
-
     /// A function's interned name.
     pub fn fn_name(&self, f: FnId) -> Symbol {
         self.fn_name[f.index()]

@@ -8,7 +8,7 @@
 //! runs (so cached figures can be compared, logged and replayed).
 //!
 //! [`StableHasher`] is therefore a fixed-seed FNV-1a 64-bit hasher, not
-//! `std`'s randomly seeded `DefaultHasher`. Source locations ([`SrcLoc`]
+//! `std`'s randomly seeded `DefaultHasher`. Source locations ([`SrcLoc`](crate::SrcLoc)
 //! is equality-transparent) are deliberately excluded: moving a function
 //! within a file must not invalidate its cache entries. Floating-point
 //! fields hash via [`f64::to_bits`] so distinct bit patterns (and only

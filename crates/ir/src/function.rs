@@ -217,22 +217,6 @@ impl IrFunction {
         }
     }
 
-    /// Source location of a body statement, falling back to the function
-    /// header's when the statement carries none.
-    pub fn stmt_loc(&self, index: usize) -> SrcLoc {
-        let loc = match self.body.get(index) {
-            Some(Stmt::Instr(i)) => i.span,
-            Some(Stmt::Offset(o)) => o.span,
-            Some(Stmt::Call(c)) => c.span,
-            None => SrcLoc::none(),
-        };
-        if loc.get().is_some() {
-            loc
-        } else {
-            self.span
-        }
-    }
-
     /// Iterator over the SSA instructions (not offsets or calls).
     pub fn instrs(&self) -> impl Iterator<Item = &Instruction> {
         self.body.iter().filter_map(Stmt::as_instr)

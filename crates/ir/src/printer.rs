@@ -85,11 +85,6 @@ fn print_function(f: &IrFunction) -> String {
     s
 }
 
-/// Render a single function (used by diagnostics and codegen comments).
-pub fn print_one_function(f: &IrFunction) -> String {
-    print_function(f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

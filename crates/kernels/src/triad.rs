@@ -1,7 +1,7 @@
 //! The STREAM *triad* kernel — the memory-bandwidth benchmark the
 //! paper's sustained-bandwidth experiments extend ("we performed a set
-//! of experiments by extending the stream benchmark [16] to OpenCL",
-//! §V-C; [16] is McCalpin's STREAM).
+//! of experiments by extending the stream benchmark \[16\] to OpenCL",
+//! §V-C; \[16\] is McCalpin's STREAM).
 //!
 //! `y[i] = a[i] + s · b[i]` — trivially compute-light and traffic-heavy
 //! (12 bytes in, 4 bytes out per item at ui32), which makes it the

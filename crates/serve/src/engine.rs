@@ -210,9 +210,9 @@ pub struct Shared {
     /// without touching the dispatcher. Bounded by the same CLOCK
     /// policy and capacity as the response cache.
     fast: Mutex<BoundedMap<FastKey, CacheKey>>,
-    /// Set by a `shutdown` request or [`ServerHandle::stop`]
-    /// [`crate::server::ServerHandle::stop`]; the accept loop checks it
-    /// per connection.
+    /// Set by a `shutdown` request or
+    /// [`ServerHandle::stop`](crate::server::ServerHandle::stop); the
+    /// accept loop checks it per connection.
     pub shutdown: AtomicBool,
     registry: Registry,
     /// Requests read off connections (including ones rejected at parse).
@@ -362,15 +362,6 @@ impl Engine {
             self.sessions.insert(dev.to_string(), EstimatorSession::new(device));
         }
         Ok(self.sessions.get_mut(dev).expect("session just ensured"))
-    }
-
-    /// Aggregate memo statistics across this engine's sessions.
-    pub fn session_stats(&self) -> tytra_cost::SessionStats {
-        let mut total = tytra_cost::SessionStats::default();
-        for s in self.sessions.values() {
-            total += s.stats();
-        }
-        total
     }
 
     /// Run one prepared request body to its response payload. Payloads

@@ -47,7 +47,6 @@ pub mod metrics;
 pub mod profile;
 pub mod prometheus;
 pub mod recorder;
-pub mod sampler;
 pub mod sink;
 
 use std::cell::{Cell, RefCell};

@@ -1,6 +1,4 @@
-//! Prometheus text-format exposition over [`metrics::Snapshot`], plus
-//! a compact JSON encoding of the same snapshot (the line payload of
-//! the [`sampler`](crate::sampler) time series).
+//! Prometheus text-format exposition over [`Snapshot`].
 //!
 //! The renderer targets the [text exposition format]: one `# TYPE`
 //! comment per family followed by its sample lines. Counters and
@@ -12,6 +10,7 @@
 //! `session_memo_hits`.
 //!
 //! [text exposition format]: https://prometheus.io/docs/instrumenting/exposition_formats/
+//! [`HistogramSummary`]: crate::metrics::HistogramSummary
 
 use crate::json::number;
 use crate::metrics::{MetricValue, Snapshot};
@@ -61,43 +60,9 @@ pub fn render_prometheus(snap: &Snapshot) -> String {
     out
 }
 
-/// Render a snapshot as one JSON object: counters and gauges as
-/// numbers, histograms as `{count, sum, min, max, p50, p99}` (`min` 0
-/// when empty). Keys keep the snapshot's (sorted) order.
-pub fn render_snapshot_json(snap: &Snapshot) -> String {
-    let mut out = String::from("{");
-    for (i, (name, value)) in snap.entries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":", crate::json::escape(name));
-        match value {
-            MetricValue::Counter(v) => {
-                let _ = write!(out, "{v}");
-            }
-            MetricValue::Gauge(v) => out.push_str(&number(*v)),
-            MetricValue::Histogram(h) => {
-                let _ = write!(
-                    out,
-                    "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p99\":{}}}",
-                    h.count,
-                    h.sum,
-                    if h.count == 0 { 0 } else { h.min },
-                    h.max,
-                    h.quantile_bound(0.50),
-                    h.quantile_bound(0.99),
-                );
-            }
-        }
-    }
-    out.push('}');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
     use crate::metrics::Registry;
 
     fn sample() -> Snapshot {
@@ -157,18 +122,5 @@ mod tests {
             assert!(!name.is_empty());
             value.parse::<f64>().unwrap_or_else(|_| panic!("bad value: {line}"));
         }
-    }
-
-    #[test]
-    fn snapshot_json_parses_and_keeps_values() {
-        let out = render_snapshot_json(&sample());
-        let doc = parse(&out).unwrap_or_else(|e| panic!("{e}: {out}"));
-        assert_eq!(doc.get("session.memo.hits").unwrap().as_num(), Some(42.0));
-        let h = doc.get("estimator.estimate_ns").unwrap();
-        assert_eq!(h.get("count").unwrap().as_num(), Some(4.0));
-        assert_eq!(h.get("p50").unwrap().as_num(), Some(3.0));
-        let empty = doc.get("estimator.empty_ns").unwrap();
-        assert_eq!(empty.get("min").unwrap().as_num(), Some(0.0));
-        assert_eq!(render_snapshot_json(&Snapshot::new()), "{}");
     }
 }

@@ -1,6 +1,6 @@
 //! Copy-on-write variant materialization for DSE sweeps.
 //!
-//! Lowering ([`crate::lower`]) builds a fresh tree module per variant —
+//! Lowering ([`crate::lower()`]) builds a fresh tree module per variant —
 //! Manage-IR arrays, the lane function, the `par` dispatcher — yet
 //! variants in a sweep differ structurally only along three axes: the
 //! lane count, the inner map kind, and whether Form C swaps the global
@@ -24,14 +24,16 @@
 //! [`InnerKind`] and assembles each base's template (one lane's arrays,
 //! the `par` dispatcher, `main`) around a copy.
 //!
-//! The factory is `Sync`, so threads may share one: the first request
-//! for a structural class lowers it for every later one.
+//! The first request for a structural class lowers it for every later
+//! one. The factory caches through `&self` and is not `Sync`: each
+//! caller (one `tybec dse` run, one serve request) owns its factory.
 
 use crate::expr::KernelDef;
 use crate::lower::{assemble, check_legal, lower_lane, Geometry};
 use crate::typetrans::{InnerKind, Variant};
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use tytra_ir::{ArenaModule, IrError, IrFunction, MemForm, PatchedModule};
 use tytra_trace as trace;
 
@@ -78,7 +80,7 @@ impl VariantDesign {
 pub struct VariantFactory {
     kernel: KernelDef,
     geom: Geometry,
-    lowered: Mutex<Lowered>,
+    lowered: RefCell<Lowered>,
 }
 
 /// What the factory has lowered so far: the lane function per inner kind
@@ -92,7 +94,7 @@ struct Lowered {
 impl VariantFactory {
     /// A factory for one kernel + workload geometry.
     pub fn new(kernel: KernelDef, geom: Geometry) -> VariantFactory {
-        VariantFactory { kernel, geom, lowered: Mutex::new(Lowered::default()) }
+        VariantFactory { kernel, geom, lowered: RefCell::default() }
     }
 
     /// The kernel definition the factory lowers.
@@ -107,17 +109,17 @@ impl VariantFactory {
 
     /// Number of structural classes lowered so far.
     pub fn bases_built(&self) -> usize {
-        self.lowered.lock().map(|l| l.bases.len()).unwrap_or(0)
+        self.lowered.borrow().bases.len()
     }
 
     /// The design for `variant`: builds and validates the variant's
     /// structural class on first sight (a `transform.lower` span), then
-    /// patches the shared base. Errors exactly as [`lower`] does.
+    /// patches the shared base. Errors exactly as [`crate::lower()`] does.
     pub fn design(&self, variant: &Variant) -> Result<VariantDesign, IrError> {
         check_legal(&self.geom, variant)?;
         let key = (variant.lanes, variant.inner, matches!(variant.form, MemForm::C));
         let base = {
-            let mut lowered = self.lowered.lock().expect("factory lock");
+            let mut lowered = self.lowered.borrow_mut();
             let Lowered { lanes, bases } = &mut *lowered;
             match bases.get(&key) {
                 Some(b) => Arc::clone(b),

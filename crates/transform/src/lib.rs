@@ -26,12 +26,8 @@
 //!   arena base per structural class, each variant a three-cell patch
 //!   over it (the DSE engine's zero-alloc path);
 //! * [`proofs`] — executable statements of the transformation laws
-//!   (order/size preservation, map–reshape commutation), property-tested;
-//! * [`cexpr`] — a C/Fortran-flavoured surface syntax for kernel
-//!   expressions (the paper's legacy-code future-work item, in
-//!   miniature).
+//!   (order/size preservation, map–reshape commutation), property-tested.
 
-pub mod cexpr;
 pub mod expr;
 pub mod factory;
 pub mod lower;
@@ -40,7 +36,6 @@ pub mod typetrans;
 pub mod variant_iter;
 pub mod vect;
 
-pub use cexpr::parse_expr;
 pub use expr::{Expr, KernelDef, Reduction};
 pub use factory::{VariantDesign, VariantFactory};
 pub use lower::lower;

@@ -37,7 +37,7 @@ impl Geometry {
 }
 
 /// Lower `kernel` under `variant` to a validated TyTra-IR module: the
-/// lane template of [`assemble`], expanded to every lane.
+/// lane template of `assemble`, expanded to every lane.
 pub fn lower(kernel: &KernelDef, geom: &Geometry, variant: &Variant) -> Result<IrModule, IrError> {
     check_legal(geom, variant)?;
     let m = assemble(kernel, geom, variant, lower_lane(kernel, variant.inner))
