@@ -2,9 +2,9 @@
 //!
 //! `tybec analyze <design.tirl>` runs every analysis in the crate and
 //! renders this report. The JSON form is a single strict-JSON object
-//! (validated in CI by the same hand-rolled parser `trace_check` uses),
-//! with the class key rendered as a hex string so no 64-bit precision is
-//! lost to float readers.
+//! (the CLI tests read every asset's report back with
+//! `tytra_trace::json::parse`), with the class key rendered as a hex
+//! string so no 64-bit precision is lost to float readers.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

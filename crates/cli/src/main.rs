@@ -43,49 +43,6 @@ use tytra_trace::prometheus::render_prometheus;
 use tytra_trace::{profile, recorder, sink};
 use tytra_transform::Variant;
 
-/// Counting shim over the system allocator (feature `alloc-count`):
-/// `tybec profile` reports heap allocations per estimate with it on.
-#[cfg(feature = "alloc-count")]
-mod counting_alloc {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    pub static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-    pub struct CountingAlloc;
-
-    // SAFETY: defers entirely to `System`; the counter has no effect on
-    // the returned pointers or layouts.
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            System.alloc(layout)
-        }
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout)
-        }
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            System.realloc(ptr, layout, new_size)
-        }
-    }
-
-    #[global_allocator]
-    static A: CountingAlloc = CountingAlloc;
-}
-
-/// Allocation counter reading, `None` without the `alloc-count` feature.
-fn alloc_count() -> Option<u64> {
-    #[cfg(feature = "alloc-count")]
-    {
-        Some(counting_alloc::ALLOCS.load(std::sync::atomic::Ordering::Relaxed))
-    }
-    #[cfg(not(feature = "alloc-count"))]
-    {
-        None
-    }
-}
-
 const USAGE: &str = "usage: tybec <cost|actual|hdl|tree|dse|roofline|exec|lint|analyze|profile|serve> <input> [options]
   cost   <design.tirl> [--target <name>]
   actual <design.tirl> [--target <name>]
@@ -104,6 +61,73 @@ const USAGE: &str = "usage: tybec <cost|actual|hdl|tree|dse|roofline|exec|lint|a
 global: --trace <out> [--trace-format chrome|jsonl|tree|folded]   write a span trace of the run
 env: TYTRA_FLIGHT_RECORDER=0 disables crash breadcrumbs; TYTRA_FLIGHT_DUMP=<path> writes panic dumps there
 targets: stratix-v-gsd8 (default) | virtex7-adm7v3 | eval-small";
+
+/// What one subcommand takes, as its line in [`USAGE`] lists it.
+struct Usage {
+    cmd: &'static str,
+    /// Whether it takes one positional argument (a design or a kernel).
+    positional: bool,
+    /// Flags followed by a value.
+    valued: &'static [&'static str],
+    /// Flags that stand alone.
+    switches: &'static [&'static str],
+}
+
+const USAGES: [Usage; 11] = [
+    Usage { cmd: "cost", positional: true, valued: &["--target"], switches: &[] },
+    Usage { cmd: "actual", positional: true, valued: &["--target"], switches: &[] },
+    Usage {
+        cmd: "hdl",
+        positional: true,
+        valued: &["--target", "-o"],
+        switches: &["--wrapper", "--check"],
+    },
+    Usage { cmd: "tree", positional: true, valued: &[], switches: &[] },
+    Usage {
+        cmd: "dse",
+        positional: true,
+        valued: &["--target", "--lanes", "--metrics-format", "--metrics-out"],
+        switches: &["--exhaustive", "--stats", "--metrics"],
+    },
+    Usage { cmd: "roofline", positional: true, valued: &["--target", "--lanes"], switches: &[] },
+    Usage { cmd: "exec", positional: true, valued: &["--items", "--seed"], switches: &[] },
+    Usage {
+        cmd: "lint",
+        positional: true,
+        valued: &["--target"],
+        switches: &["--json", "--deny-warnings"],
+    },
+    Usage { cmd: "analyze", positional: true, valued: &[], switches: &["--json"] },
+    Usage { cmd: "profile", positional: true, valued: &["--target"], switches: &[] },
+    Usage {
+        cmd: "serve",
+        positional: false,
+        valued: &["--tcp", "--unix", "--workers", "--cache-capacity", "--batch"],
+        switches: &[],
+    },
+];
+
+/// Fail, before anything is printed, on an argument `cmd`'s usage line
+/// does not list, on a valued flag without its value and on a second
+/// positional argument: an ignored `--taget` or `--deny-warning` would
+/// silently run with the default instead.
+fn check_args(cmd: &str, args: &[String]) -> Result<(), String> {
+    let Some(usage) = USAGES.iter().find(|u| u.cmd == cmd) else { return Ok(()) };
+    let mut positional = usage.positional;
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if usage.valued.contains(&a.as_str()) {
+            if it.next().is_none_or(|v| v.starts_with("--")) {
+                return Err(format!("`tybec {cmd}` flag `{a}` expects a value"));
+            }
+        } else if positional && !a.starts_with('-') {
+            positional = false;
+        } else if !usage.switches.contains(&a.as_str()) {
+            return Err(format!("unknown `tybec {cmd}` argument `{a}`"));
+        }
+    }
+    Ok(())
+}
 
 fn main() -> ExitCode {
     // The flight recorder is on by default; the env switch exists for
@@ -252,6 +276,8 @@ fn run(args: &[String]) -> Result<(), CliError> {
     let Some(cmd) = args.first() else {
         return Err(USAGE.to_string().into());
     };
+    let rest = &args[1..];
+    check_args(cmd, rest)?;
     if trace_out.is_some() {
         tytra_trace::set_enabled(true);
         tytra_trace::set_thread_label("main");
@@ -259,7 +285,6 @@ fn run(args: &[String]) -> Result<(), CliError> {
     if cmd != "serve" {
         exit_quietly_on_closed_stdout();
     }
-    let rest = &args[1..];
     let result = {
         // Root span covering the whole subcommand (`tybec.cost`, …).
         let _root = tytra_trace::enabled().then(|| tytra_trace::span(&format!("tybec.{cmd}")));
@@ -395,9 +420,8 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
 }
 
 /// `tybec profile`: run a cold and a warm estimate of the design under
-/// full span tracing, then print per-pass self-time attribution — which
-/// passes dominate, what the memo tables buy on the warm run, and (with
-/// the `alloc-count` feature) heap allocations per run.
+/// full span tracing, then print per-pass self-time attribution: which
+/// passes dominate, and what the memo tables buy on the warm run.
 fn cmd_profile(args: &[String]) -> Result<(), CliError> {
     let m = load_module(args)?;
     let dev = target_of(args)?;
@@ -409,13 +433,10 @@ fn cmd_profile(args: &[String]) -> Result<(), CliError> {
     let was_on = tytra_trace::enabled();
     tytra_trace::set_enabled(true);
     let before = tytra_trace::snapshot_records().len();
-    let alloc_start = alloc_count();
     session.estimate(&m)?;
     let cold = session.stats();
-    let alloc_cold = alloc_count();
     session.estimate(&m)?;
     let warm = session.stats();
-    let alloc_warm = alloc_count();
     let records: Vec<_> = tytra_trace::snapshot_records().into_iter().skip(before).collect();
     tytra_trace::set_enabled(was_on);
 
@@ -437,12 +458,6 @@ fn cmd_profile(args: &[String]) -> Result<(), CliError> {
         warm_lookups,
         if warm_lookups == 0 { 0.0 } else { warm_hits as f64 / warm_lookups as f64 * 100.0 }
     );
-    match (alloc_start, alloc_cold, alloc_warm) {
-        (Some(s), Some(c), Some(w)) => {
-            println!("  allocs: cold {} warm {}", c - s, w - c);
-        }
-        _ => println!("  allocs: n/a (rebuild with --features alloc-count)"),
-    }
     Ok(())
 }
 
@@ -653,25 +668,7 @@ enum MetricsFormat {
     Prometheus,
 }
 
-/// Fail on any argument after the kernel name that `tybec dse` does not
-/// take, before anything is printed: an ignored typo (`--exhaustiv`)
-/// would silently run a different search.
-fn check_dse_args(args: &[String]) -> Result<(), String> {
-    const VALUED: [&str; 4] = ["--target", "--lanes", "--metrics-format", "--metrics-out"];
-    const SWITCHES: [&str; 3] = ["--exhaustive", "--stats", "--metrics"];
-    let mut it = args.iter().skip(1);
-    while let Some(a) = it.next() {
-        if VALUED.contains(&a.as_str()) {
-            it.next();
-        } else if !SWITCHES.contains(&a.as_str()) {
-            return Err(format!("unknown `tybec dse` argument `{a}`"));
-        }
-    }
-    Ok(())
-}
-
 fn cmd_dse(args: &[String]) -> Result<(), CliError> {
-    check_dse_args(args)?;
     let kernel = kernel_by_name(args)?;
     let dev = target_of(args)?;
     let lanes = lanes_flag(args)?;

@@ -35,12 +35,10 @@
 //! that does not type-check — so every `TL1xxx` diagnostic can assume a
 //! structurally valid module.
 
-pub mod json;
 pub mod passes;
 pub mod render;
 
-pub use json::render_json;
-pub use render::render_text;
+pub use render::{render_json, render_text};
 
 use std::collections::{BTreeMap, BTreeSet};
 use tytra_analyze::FnSummary;

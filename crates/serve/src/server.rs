@@ -34,6 +34,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
+use tytra_ir::{ErrorCategory, TybecError};
 use tytra_trace::recorder;
 
 /// Daemon tuning knobs.
@@ -269,23 +270,37 @@ fn write_line(writer: &ClientWriter, line: &str) {
 }
 
 /// Per-connection reader: parse each JSONL line and its TIRL design,
-/// answer malformed requests immediately, enqueue the rest.
+/// answer malformed requests immediately, enqueue the rest. Lines are
+/// read as bytes, so a line that is not UTF-8 gets a `parse` error like
+/// any other malformed request, and the requests after it are still
+/// served.
 fn read_loop(
-    reader: Box<dyn BufRead + Send>,
+    mut reader: Box<dyn BufRead + Send>,
     writer: ClientWriter,
     job_tx: &Sender<Job>,
     shared: &Shared,
     fast_path: bool,
 ) {
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        match reader.read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        let bytes = buf.strip_suffix(b"\n").unwrap_or(&buf);
+        let line = std::str::from_utf8(bytes.strip_suffix(b"\r").unwrap_or(bytes));
+        if line.is_ok_and(|l| l.trim().is_empty()) {
             continue;
         }
         let t0 = Instant::now();
         shared.requests.incr();
         recorder::mark("serve.request", 1);
-        let req = match parse_request(&line) {
+        let parsed = line.map_err(|e| RequestError {
+            id: 0,
+            error: TybecError::new(ErrorCategory::Parse, format!("request line is not UTF-8: {e}")),
+        });
+        let req = match parsed.and_then(parse_request) {
             Ok(r) => r,
             Err(RequestError { id, error }) => {
                 shared.errors.incr();

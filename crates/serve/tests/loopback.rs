@@ -256,6 +256,33 @@ fn malformed_lines_are_rejected_without_killing_the_connection() {
 }
 
 #[test]
+fn a_non_utf8_line_is_answered_and_the_requests_after_it_are_served() {
+    let handle = serve_tcp("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .write_all(b"{\"id\":1,\"kind\":\"metrics\"}\n\xff\n{\"id\":3,\"kind\":\"metrics\"}\n")
+        .expect("send");
+    let mut reader = BufReader::new(stream);
+    let mut by_id = HashMap::new();
+    for _ in 0..3 {
+        let mut resp = String::new();
+        reader.read_line(&mut resp).expect("read response");
+        let v = json::parse(resp.trim_end()).expect("response is valid JSON");
+        by_id.insert(v.get("id").and_then(Json::as_num).expect("response id") as u64, v);
+    }
+    drop(reader);
+    report_of(&by_id[&1]);
+    report_of(&by_id[&3]);
+    let error = by_id[&0].get("error").expect("the non-UTF-8 line gets an error");
+    assert_eq!(error.get("category").and_then(Json::as_str), Some("parse"));
+    assert_eq!(error.get("exit_code").and_then(Json::as_num), Some(2.0));
+    let snap = handle.shared().snapshot();
+    assert_eq!(snap.counter("serve.requests"), 3);
+    assert_eq!(snap.counter("serve.errors"), 1);
+    handle.stop();
+}
+
+#[test]
 fn metrics_and_shutdown_round_trip() {
     let handle = serve_tcp("127.0.0.1:0", ServeConfig::default()).expect("bind");
     let addr = handle.addr();

@@ -1,12 +1,13 @@
-//! Minimal JSON writing and reading support for the trace sinks and the
-//! `tybec serve` wire protocol.
+//! Minimal JSON writing and reading support for the trace sinks, the
+//! JSON reports of `tybec lint` and `tybec analyze`, and the `tybec
+//! serve` wire protocol.
 //!
 //! The workspace has no serde; the sinks hand-roll their output and the
 //! only guarantee they need from this module is that [`escape`] yields a
 //! valid JSON string for *any* Rust string, and that [`parse`] accepts
-//! exactly (a superset of) what the sinks emit — enough to validate a
-//! trace file in CI ([`trace_check`](../bin/trace_check.rs)) and in
-//! property tests without an external JSON library.
+//! exactly (a superset of) what the sinks emit — enough for the tests
+//! to read traces, lint and analysis reports back without an external
+//! JSON library.
 //!
 //! Because `tybec serve` feeds this parser *untrusted network input*,
 //! it is strict where leniency would be a liability: trailing bytes

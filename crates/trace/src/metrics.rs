@@ -297,27 +297,44 @@ pub enum MetricValue {
     Histogram(Box<HistogramSummary>),
 }
 
+/// A histogram's samples print as plain counts, since a value does not
+/// know its name; [`Snapshot::render_table`] prints the histograms whose
+/// names end in `_ns` as durations.
 impl std::fmt::Display for MetricValue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             MetricValue::Counter(v) => write!(f, "{v}"),
             MetricValue::Gauge(v) => write!(f, "{v:.3}"),
-            MetricValue::Histogram(h) if h.count == 0 => write!(f, "count 0"),
-            MetricValue::Histogram(h) => write!(
-                f,
-                "count {}  mean {}  p50 ≤{}  p95 ≤{}  max {}",
-                h.count,
-                fmt_ns(h.mean()),
-                fmt_ns(h.quantile_bound(0.50) as f64),
-                fmt_ns(h.quantile_bound(0.95) as f64),
-                fmt_ns(h.max as f64),
-            ),
+            MetricValue::Histogram(h) => f.write_str(&fmt_histogram(h, fmt_count)),
         }
     }
 }
 
-/// Render a nanosecond magnitude with a human unit (histograms in this
-/// workspace sample durations).
+fn fmt_histogram(h: &HistogramSummary, unit: fn(f64) -> String) -> String {
+    if h.count == 0 {
+        return "count 0".to_string();
+    }
+    format!(
+        "count {}  mean {}  p50 ≤{}  p95 ≤{}  max {}",
+        h.count,
+        unit(h.mean()),
+        unit(h.quantile_bound(0.50) as f64),
+        unit(h.quantile_bound(0.95) as f64),
+        unit(h.max as f64),
+    )
+}
+
+/// Render a count: whole numbers as integers, a fractional mean to two
+/// places.
+fn fmt_count(v: f64) -> String {
+    if v.fract() == 0.0 {
+        format!("{v:.0}")
+    } else {
+        format!("{v:.2}")
+    }
+}
+
+/// Render a nanosecond magnitude with a human unit.
 fn fmt_ns(ns: f64) -> String {
     if ns >= 1e9 {
         format!("{:.2}s", ns / 1e9)
@@ -378,10 +395,16 @@ impl Snapshot {
     }
 
     /// Two-column text table (`  name  value`), one metric per line.
+    /// Histograms whose names end in `_ns` sample durations and print
+    /// with a time unit; every other value prints as its `Display` does.
     pub fn render_table(&self) -> String {
         let width = self.entries.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
         let mut out = String::new();
         for (name, value) in &self.entries {
+            let value = match value {
+                MetricValue::Histogram(h) if name.ends_with("_ns") => fmt_histogram(h, fmt_ns),
+                other => other.to_string(),
+            };
             out.push_str(&format!("  {name:<width$}  {value}\n"));
         }
         out
@@ -461,5 +484,20 @@ mod tests {
         }
         let table = snap.render_table();
         assert!(table.contains("hits") && table.contains('7'), "{table}");
+    }
+
+    #[test]
+    fn table_prints_durations_only_for_ns_histograms() {
+        let reg = Registry::new();
+        let batch = reg.histogram("serve.batch_size");
+        batch.record(1);
+        batch.record(2);
+        reg.histogram("serve.request_ns").record(1500);
+        let table = reg.snapshot().render_table();
+        assert_eq!(
+            table,
+            "  serve.batch_size  count 2  mean 1.50  p50 ≤1  p95 ≤3  max 2\n  \
+             serve.request_ns  count 1  mean 1.50µs  p50 ≤2.05µs  p95 ≤2.05µs  max 1.50µs\n"
+        );
     }
 }
