@@ -97,10 +97,10 @@ mod tests {
             let f = b.function("f0", ParKind::Pipe);
             f.input("p", T);
             f.output("q", T);
-            let a = f.offset("p", T, 1);
-            let c = f.offset("p", T, -1);
-            let s = f.instr(Opcode::Add, T, vec![a, c]);
-            f.write_out("q", s);
+            let ahead = f.offset("p", T, 1);
+            let behind = f.offset("p", T, -1);
+            let sum = f.instr(Opcode::Add, T, vec![ahead, behind]);
+            f.write_out("q", sum);
         }
         b.main_calls("f0");
         b.ndrange(&[4096]);

@@ -273,7 +273,7 @@ define void @main() {
         let key = cong.get("key").and_then(|v| v.as_str()).expect("hex key");
         assert!(key.starts_with("0x") && key.len() == 18, "{key}");
         let solver = parsed.get("solver").expect("object");
-        assert!(solver.get("iterations").and_then(|v| v.as_num()).unwrap() >= 1.0);
+        assert!(solver.get("iterations").and_then(tytra_trace::json::Json::as_num).unwrap() >= 1.0);
     }
 
     #[test]

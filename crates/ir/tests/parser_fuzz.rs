@@ -92,7 +92,7 @@ fn error_positions_point_into_the_source() {
     let src = "define void @f0(ui18 %p) pipe {\n  ui18 %x = add ui18 %p\n}";
     match parse_unvalidated(src) {
         Err(tytra_ir::IrError::Parse { line, col, .. }) => {
-            assert!(line >= 1 && line <= 3, "{line}");
+            assert!((1..=3).contains(&line), "{line}");
             assert!(col >= 1, "{col}");
         }
         other => panic!("expected a positioned parse error, got {other:?}"),

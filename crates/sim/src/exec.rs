@@ -499,10 +499,8 @@ mod tests {
         let mut inp = ExecInputs::default();
         inp.set("x", (0..16).map(f64::from).collect());
         let out = execute_module(&m, &inp, 16).unwrap();
-        let y = &out.arrays["y"];
-        for i in 0..16 {
-            assert_eq!(y[i], (2 * i) as f64);
-        }
+        let want: Vec<f64> = (0..16).map(|i| f64::from(2 * i)).collect();
+        assert_eq!(out.arrays["y"], want);
     }
 
     #[test]

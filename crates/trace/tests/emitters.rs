@@ -13,7 +13,7 @@ use tytra_trace::{json, SpanRecord, Value};
 fn record(id: u64, name: String, key: String, sval: String, bits: u64, tid: u64) -> SpanRecord {
     SpanRecord {
         id,
-        parent: if id % 3 == 0 { None } else { Some(id / 2) },
+        parent: if id.is_multiple_of(3) { None } else { Some(id / 2) },
         tid,
         name,
         start_ns: id.wrapping_mul(17),
@@ -22,7 +22,7 @@ fn record(id: u64, name: String, key: String, sval: String, bits: u64, tid: u64)
             (key, Value::Str(sval)),
             ("f".to_string(), Value::F64(f64::from_bits(bits))),
             ("n".to_string(), Value::U64(id)),
-            ("b".to_string(), Value::Bool(id % 2 == 0)),
+            ("b".to_string(), Value::Bool(id.is_multiple_of(2))),
         ],
     }
 }

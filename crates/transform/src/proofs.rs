@@ -88,7 +88,7 @@ mod tests {
             a in 1u64..16,
         ) {
             let n = data.len() as u64;
-            if n % a == 0 {
+            if n.is_multiple_of(a) {
                 let v = Vect::from_flat(data.clone());
                 let r = v.reshape_to(&[a, n / a]).unwrap();
                 prop_assert_eq!(r.flat(), &data[..]);
