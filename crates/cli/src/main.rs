@@ -286,8 +286,10 @@ fn run(args: &[String]) -> Result<(), CliError> {
         exit_quietly_on_closed_stdout();
     }
     let result = {
-        // Root span covering the whole subcommand (`tybec.cost`, …).
-        let _root = tytra_trace::enabled().then(|| tytra_trace::span(&format!("tybec.{cmd}")));
+        // Root span covering the whole subcommand (`tybec.cost`, …). Span
+        // names are static; this one is built once per process.
+        let _root =
+            tytra_trace::enabled().then(|| tytra_trace::span(String::leak(format!("tybec.{cmd}"))));
         match cmd.as_str() {
             "cost" => cmd_cost(rest),
             "actual" => cmd_actual(rest),
@@ -585,12 +587,16 @@ fn kernel_by_name(args: &[String]) -> Result<Box<dyn EvalKernel>, String> {
 
 /// The `--lanes` list in the order given, keeping the first occurrence of
 /// each value: a repeated lane count would print its sweep row (and
-/// roofline point) twice.
+/// roofline point) twice. A lane count of 0 is rejected: no design has
+/// it, so every section would print empty.
 fn lanes_flag(args: &[String]) -> Result<Vec<u64>, String> {
     let Some(list) = flag_value(args, "--lanes") else { return Ok(vec![1, 2, 4, 8, 16, 32]) };
     let mut lanes = Vec::new();
     for s in list.split(',') {
         let l = s.trim().parse::<u64>().map_err(|e| format!("bad lane `{s}`: {e}"))?;
+        if l == 0 {
+            return Err(format!("bad lane `{s}`: a design has at least one lane"));
+        }
         if !lanes.contains(&l) {
             lanes.push(l);
         }

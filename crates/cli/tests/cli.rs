@@ -300,6 +300,20 @@ fn dse_exhaustive_flag_does_not_change_the_output() {
 }
 
 #[test]
+fn a_zero_lane_count_fails_before_any_output() {
+    for args in [
+        &["dse", "sor", "--lanes", "0"][..],
+        &["dse", "sor", "--target", "eval-small", "--lanes", "1,0,2"],
+        &["roofline", "hotspot", "--lanes", "0"],
+    ] {
+        let o = tybec(args);
+        assert_eq!(o.status.code(), Some(1), "{args:?}: {}", stderr(&o));
+        assert!(o.stdout.is_empty(), "{args:?}: {}", stdout(&o));
+        assert!(stderr(&o).contains("bad lane `0`"), "{args:?}: {}", stderr(&o));
+    }
+}
+
+#[test]
 fn repeated_lane_values_print_each_point_once() {
     // A repeated `--lanes` value keeps its first occurrence only: no
     // duplicated sweep rows, leaderboard entries or roofline points.

@@ -8,6 +8,7 @@
 //! resulting aggregate ÷ peak is the design's ρ (ρ_G for the DRAM link,
 //! ρ_H for the host link).
 
+use std::sync::Arc;
 use tytra_device::{CurveCache, LinkKind, LinkSpec, TargetDevice};
 use tytra_ir::{lane_name, AccessPattern, ArenaModule, StreamDir};
 
@@ -33,8 +34,9 @@ pub struct StreamBandwidth {
 /// Aggregate bandwidth figures for one design on one target.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BandwidthBreakdown {
-    /// Per off-chip stream assessments.
-    pub streams: Vec<StreamBandwidth>,
+    /// Per off-chip stream assessments. Shared, so every report of a
+    /// design's variants holds the memoized list instead of a copy.
+    pub streams: Arc<[StreamBandwidth]>,
     /// Aggregate sustained DRAM bandwidth, bytes/s (`GPB · ρ_G`).
     pub dram_effective: f64,
     /// The DRAM scaling factor ρ_G.
@@ -57,9 +59,11 @@ pub(crate) fn assess_naive(
     let mut full = assess(a, dev, cache);
     let dram = dev.dram_link.peak_bytes_per_s * CONTROLLER_EFFICIENCY;
     let host = dev.host_link.peak_bytes_per_s * CONTROLLER_EFFICIENCY;
-    for s in &mut full.streams {
-        s.sustained_bytes_per_s = dram;
-    }
+    full.streams = full
+        .streams
+        .iter()
+        .map(|s| StreamBandwidth { sustained_bytes_per_s: dram, ..s.clone() })
+        .collect();
     full.dram_effective = dram;
     full.rho_g = CONTROLLER_EFFICIENCY;
     full.host_effective = host;
@@ -154,7 +158,7 @@ pub(crate) fn assess(
     };
     let (host_effective, rho_h) = aggregate(&dev.host_link, host_sum, total_elems == 0);
 
-    BandwidthBreakdown { streams, dram_effective, rho_g, host_effective, rho_h }
+    BandwidthBreakdown { streams: streams.into(), dram_effective, rho_g, host_effective, rho_h }
 }
 
 fn aggregate(link: &LinkSpec, sum: f64, empty: bool) -> (f64, f64) {

@@ -148,7 +148,7 @@ mod tests {
 
     fn bw() -> BandwidthBreakdown {
         BandwidthBreakdown {
-            streams: vec![],
+            streams: Vec::new().into(),
             dram_effective: 8.0e9,
             rho_g: 0.21,
             host_effective: 2.4e9,

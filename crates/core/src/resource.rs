@@ -70,6 +70,19 @@ impl ResourceBreakdown {
     }
 }
 
+impl std::ops::Mul<u64> for ResourceBreakdown {
+    type Output = ResourceBreakdown;
+    fn mul(self, k: u64) -> ResourceBreakdown {
+        ResourceBreakdown {
+            datapath: self.datapath * k,
+            delay_lines: self.delay_lines * k,
+            offset_buffers: self.offset_buffers * k,
+            control: self.control * k,
+            local_memory: self.local_memory * k,
+        }
+    }
+}
+
 impl std::ops::AddAssign<&ResourceBreakdown> for ResourceBreakdown {
     fn add_assign(&mut self, rhs: &ResourceBreakdown) {
         self.datapath += rhs.datapath;
@@ -93,12 +106,19 @@ pub struct ResourceEstimate {
 }
 
 /// The session resource pass over a flattened [`ConfigPlan`]: a linear
-/// scan over the plan's preorder slice, with the module-level terms read
+/// scan over the plan's preorder slices, with the module-level terms read
 /// from the arena's precomputed geometry. Memo misses price the function
 /// body through [`function_cost`] on the retained template (the cost
 /// depends only on the body, `DV` and the options, all of which are
 /// patch-independent). Infallible: the plan only exists when every
 /// configuration node's function resolved at arena build time.
+///
+/// The lane slice is priced once and scaled by the plan's
+/// [`lane_replicas`][ConfigPlan::lane_replicas] (`u64`, so the multiply
+/// equals summing every copy). A per-copy walk would hit the memo for
+/// every node of each further copy, and again for the per-lane figure;
+/// those hits are counted as such, so the session's counters read as
+/// they would after that walk.
 pub(crate) fn estimate_plan(
     a: &ArenaModule,
     plan: &ConfigPlan,
@@ -110,7 +130,14 @@ pub(crate) fn estimate_plan(
 ) -> ResourceEstimate {
     let dv = u64::from(vect.max(1));
     let mut acc = ResourceBreakdown::default();
-    plan_nodes_cost(a, &plan.nodes, dev, dv, opts, curves, &mut memo, &mut acc);
+    let mut lane_acc = ResourceBreakdown::default();
+    let (before, after) = plan.outer_nodes();
+    plan_nodes_cost(a, before, dev, dv, opts, curves, &mut memo, &mut acc);
+    plan_nodes_cost(a, plan.lane_nodes(), dev, dv, opts, curves, &mut memo, &mut lane_acc);
+    plan_nodes_cost(a, after, dev, dv, opts, curves, &mut memo, &mut acc);
+    acc += &(lane_acc.clone() * plan.lane_replicas);
+    let lane_lookups = plan.lane_nodes().iter().filter(|n| n.kind != ParKind::Par).count() as u64;
+    memo.hits.add(lane_lookups * plan.lane_replicas);
     if !opts.structural_resources {
         acc.delay_lines = ResourceVector::ZERO;
         acc.offset_buffers = ResourceVector::ZERO;
@@ -130,10 +157,7 @@ pub(crate) fn estimate_plan(
 
     // Per-lane figure: one lane subtree, including its share of stream
     // control (off-chip streams split evenly across lanes when the design
-    // declares per-lane ports). The lane slice re-walks the memo with
-    // live counters.
-    let mut lane_acc = ResourceBreakdown::default();
-    plan_nodes_cost(a, plan.lane_nodes(), dev, dv, opts, curves, &mut memo, &mut lane_acc);
+    // declares per-lane ports).
     let ctrl_per_lane = a.offchip_ports().div_ceil(plan.par_lanes.max(1));
     let per_lane = lane_acc.total()
         + ResourceVector::new(STREAM_CTRL_ALUTS, STREAM_CTRL_REGS, 0, 0) * ctrl_per_lane;
@@ -174,6 +198,7 @@ fn plan_nodes_cost(
             *acc += hit;
         } else {
             memo.misses.incr();
+            tytra_trace::recorder::mark("estimator.resources", key.0);
             let f = &a.template().functions[node.func.index()];
             let own = function_cost(dev, f, node.kind, dv, opts, curves);
             *acc += &own;

@@ -295,41 +295,42 @@ impl EstimatorSession {
 
         // Pass 1 ran at arena build time.
         let plan = {
-            let _sp = trace::span("estimator.configure");
+            let _sp = trace::quiet_span("estimator.configure");
             d.arena.config()?
         };
 
         // Pass 2: schedule, keyed on the lane subtree's fingerprint
         // (patch-independent: lane count and DV do not enter the
         // schedule), so a miss schedules the template.
-        let sched = {
-            let mut sp = trace::span("estimator.schedule").with("fp", plan.lane_fp);
-            match self.schedules.get(&plan.lane_fp) {
-                Some(s) => {
-                    self.hits.incr();
-                    sp.record("memo_hit", true);
-                    s.clone()
+        let sched = match self.schedules.get(&plan.lane_fp) {
+            Some(s) => {
+                let _sp = trace::quiet_span("estimator.schedule")
+                    .with("fp", plan.lane_fp)
+                    .with("memo_hit", true);
+                self.hits.incr();
+                s.clone()
+            }
+            None => {
+                let _sp = trace::span("estimator.schedule")
+                    .with("fp", plan.lane_fp)
+                    .with("memo_hit", false);
+                let s = schedule::schedule(
+                    d.arena.template(),
+                    &self.dev,
+                    &self.curves,
+                    &plan.tree.root,
+                )?;
+                self.misses.incr();
+                if self.schedules.insert(plan.lane_fp, s.clone()) {
+                    self.evictions.incr();
                 }
-                None => {
-                    let s = schedule::schedule(
-                        d.arena.template(),
-                        &self.dev,
-                        &self.curves,
-                        &plan.tree.root,
-                    )?;
-                    self.misses.incr();
-                    sp.record("memo_hit", false);
-                    if self.schedules.insert(plan.lane_fp, s.clone()) {
-                        self.evictions.incr();
-                    }
-                    s
-                }
+                s
             }
         };
 
         // Pass 3: parameters from precomputed geometry + patched cells.
         let params = {
-            let _sp = trace::span("estimator.parameters");
+            let _sp = trace::quiet_span("estimator.parameters");
             crate::params::RawGeometry::extract_design(d, plan.tree.lanes).finish(sched)
         };
 
@@ -341,7 +342,7 @@ impl EstimatorSession {
         // Pass 5: clock. `finish_clock` reads only `meta.freq_mhz`,
         // which the patch never touches.
         let clock = {
-            let _sp = trace::span("estimator.clock");
+            let _sp = trace::quiet_span("estimator.clock");
             let worst = self.clock_design(d.arena, plan);
             frequency::finish_clock(d.arena.template(), &self.dev, worst, &resources.total)
         };
@@ -352,7 +353,7 @@ impl EstimatorSession {
 
         // Pass 7: throughput, limiter, power — pure arithmetic.
         let report = {
-            let _sp = trace::span("estimator.throughput");
+            let _sp = trace::quiet_span("estimator.throughput");
             let tput = throughput::estimate_throughput(&params, &self.dev, &bw, clock.freq_mhz);
             let limiter = bottleneck::limiter(&tput);
             let exercised_gbytes =
@@ -408,26 +409,29 @@ impl EstimatorSession {
         Ok(b)
     }
 
-    /// Pass 0, memoized per patched-module fingerprint. On a miss, the
-    /// arena's base verdict stands in for every variant of the arena. It
-    /// is computed once per arena and shared by every patch and every
-    /// session (see [`ArenaModule::validate_base`]), so only the call
-    /// that actually runs the validator counts a miss.
+    /// Pass 0. The arena's base verdict is every variant's verdict: it is
+    /// computed once per arena and shared by every patch and every
+    /// session (see [`ArenaModule::validate_base`]). Once the arena holds
+    /// it, a call is a hit that reads it, with no hashing. A fresh arena
+    /// (the tree entry points build one per call) is probed in the
+    /// session's set of validated module fingerprints first, so only the
+    /// call that actually runs the validator counts a miss.
     fn validate_design(&mut self, d: &PatchedModule<'_>) -> Result<(), IrError> {
-        let module_fp = d.fingerprint();
-        let mut sp = trace::span("estimator.validate").with("fp", module_fp);
-        if self.validated.contains(&module_fp) {
+        if d.arena.base_validated() {
+            let _sp = trace::quiet_span("estimator.validate").with("memo_hit", true);
             self.hits.incr();
-            sp.record("memo_hit", true);
-            return Ok(());
+            return d.arena.validate_base();
         }
-        let hit = d.arena.base_validated();
+        let mut sp = trace::span("estimator.validate");
+        let module_fp = d.fingerprint();
+        sp.record("fp", module_fp);
+        let hit = self.validated.contains(&module_fp);
+        sp.record("memo_hit", hit);
         if hit {
             self.hits.incr();
-        } else {
-            self.misses.incr();
+            return Ok(());
         }
-        sp.record("memo_hit", hit);
+        self.misses.incr();
         d.arena.validate_base()?;
         if self.validated.insert(module_fp) {
             self.evictions.incr();
@@ -436,13 +440,15 @@ impl EstimatorSession {
     }
 
     /// Pass 4: resource accumulation over the flattened plan, memoized
-    /// per function.
+    /// per function. Like every pass whose warm path only reads memos,
+    /// it opens a quiet span; each memo miss leaves a flight-recorder
+    /// mark with the function's fingerprint instead.
     fn resources_design(
         &mut self,
         d: &PatchedModule<'_>,
         plan: &ConfigPlan,
     ) -> crate::resource::ResourceEstimate {
-        let _sp = trace::span("estimator.resources");
+        let _sp = trace::quiet_span("estimator.resources");
         resource::estimate_plan(
             d.arena,
             plan,
@@ -463,13 +469,16 @@ impl EstimatorSession {
     /// worst-stage memo for every plan node (one hit or miss per node
     /// visit), then a read-only preorder combine that borrows the
     /// memoized stage names and pays a single `String` copy at the end.
-    /// The strict `>` keeps the earliest function on ties.
+    /// The strict `>` keeps the earliest function on ties, so one copy of
+    /// a replicated lane slice gives the max over every copy; each
+    /// further copy counts the hits its walk would have.
     fn clock_design(&mut self, a: &ArenaModule, plan: &ConfigPlan) -> (f64, String) {
         for node in &plan.nodes {
             let key = a.fn_fp(node.func);
             if self.worst_stage.contains_key(&key) {
                 self.hits.incr();
             } else {
+                trace::recorder::mark("estimator.clock", key);
                 let f = &a.template().functions[node.func.index()];
                 let v = frequency::function_worst_stage(&self.dev, &self.curves, f, node.kind);
                 self.misses.incr();
@@ -478,6 +487,7 @@ impl EstimatorSession {
                 }
             }
         }
+        self.hits.add((plan.lane_replicas - 1) * plan.lane_len as u64);
         let mut worst: (f64, &str) = (0.0, "");
         for node in &plan.nodes {
             if let Some(Some(own)) = self.worst_stage.peek(&a.fn_fp(node.func)) {
@@ -496,18 +506,18 @@ impl EstimatorSession {
     /// only the Manage-IR, which the patch never touches.
     fn ensure_bandwidth_design(&mut self, a: &ArenaModule) {
         let bw_key = a.bw_key();
-        let mut sp = trace::span("estimator.bandwidth").with("fp", bw_key);
         if self.bandwidths.contains_key(&bw_key) {
+            let _sp =
+                trace::quiet_span("estimator.bandwidth").with("fp", bw_key).with("memo_hit", true);
             self.hits.incr();
-            sp.record("memo_hit", true);
         } else {
+            let _sp = trace::span("estimator.bandwidth").with("fp", bw_key).with("memo_hit", false);
             let b = if self.opts.sustained_bandwidth {
                 bandwidth::assess(a, &self.dev, &self.curves)
             } else {
                 bandwidth::assess_naive(a, &self.dev, &self.curves)
             };
             self.misses.incr();
-            sp.record("memo_hit", false);
             if self.bandwidths.insert(bw_key, b) {
                 self.evictions.incr();
             }

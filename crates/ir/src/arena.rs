@@ -56,7 +56,7 @@
 use crate::config_tree::{self, ConfigNode, ConfigTree};
 use crate::diag::SrcLoc;
 use crate::error::IrError;
-use crate::fingerprint::{self, fingerprint_function, fingerprint_subtree, StableHasher};
+use crate::fingerprint::{self, fingerprint_function, StableHasher};
 use crate::function::{ParKind, PortDir, Stmt};
 use crate::instr::{Dest, Opcode, Operand};
 use crate::intern::{Symbol, SymbolTable};
@@ -136,18 +136,28 @@ pub struct PlanNode {
 /// slice plus the precomputed scalars the schedule/bound passes read.
 /// [`ArenaModule::config`] returns the extraction error instead when the
 /// base has no supported configuration.
+///
+/// A `par` root whose children all call one function holds that lane
+/// subtree once, standing for [`lane_replicas`][ConfigPlan::lane_replicas]
+/// copies: the passes price it once and scale, so costing a variant does
+/// not walk a copy per lane.
 #[derive(Debug, Clone)]
 pub struct ConfigPlan {
     /// The extracted tree, kept for report assembly and memo-miss
     /// scheduling (patch-independent: variants share it).
     pub tree: ConfigTree,
-    /// Preorder flattening of `tree.root`.
+    /// Preorder flattening of `tree.root`, with a replicated lane
+    /// subtree stored once.
     pub nodes: Vec<PlanNode>,
     /// Start of the lane subtree inside `nodes` (first child of a `par`
     /// root, else the root itself).
     pub lane_start: usize,
     /// Length of the lane subtree's preorder slice.
     pub lane_len: usize,
+    /// How many lanes the lane slice stands for: the root's child count
+    /// when every child calls the same function, else 1 (every child is
+    /// then spelled out in `nodes`).
+    pub lane_replicas: u64,
     /// `fingerprint_subtree` of the lane subtree — the schedule memo key.
     pub lane_fp: u64,
     /// The bound pass's initiation interval (lane kind + instruction
@@ -162,6 +172,13 @@ impl ConfigPlan {
     /// The preorder slice of the lane subtree.
     pub fn lane_nodes(&self) -> &[PlanNode] {
         &self.nodes[self.lane_start..self.lane_start + self.lane_len]
+    }
+
+    /// The nodes before the lane slice (the `par` root, if any) and
+    /// those after it (the root's other children, when they are not one
+    /// replicated lane).
+    pub fn outer_nodes(&self) -> (&[PlanNode], &[PlanNode]) {
+        (&self.nodes[..self.lane_start], &self.nodes[self.lane_start + self.lane_len..])
     }
 }
 
@@ -219,7 +236,6 @@ pub struct ArenaModule {
     opnd_bits: Vec<u64>,
 
     // ---- precomputed digests ----
-    base_fp: u64,
     streams_fp: u64,
     bw_key: u64,
 
@@ -295,7 +311,6 @@ impl ArenaModule {
             call_args: Vec::new(),
             opnd_tag: Vec::new(),
             opnd_bits: Vec::new(),
-            base_fp: 0,
             streams_fp: 0,
             bw_key: 0,
             ngs: 0,
@@ -424,10 +439,6 @@ impl ArenaModule {
         };
 
         a.symbols = symbols;
-        // The identity patch replays `fingerprint_module` from the columns
-        // and the streams digest above, without hashing the tree again.
-        a.base_fp =
-            a.fingerprint_patched(&a.template.name, a.template.meta.form, a.template.meta.vect);
         a.config = config_tree::extract(&a.template).map(|t| build_plan(&a, t));
         a
     }
@@ -535,9 +546,10 @@ impl ArenaModule {
     }
 
     /// [`fingerprint_module`][fingerprint::fingerprint_module] of the
-    /// expanded base module.
+    /// expanded base module, replayed from the columns on each call (no
+    /// costing pass reads it).
     pub fn base_fp(&self) -> u64 {
-        self.base_fp
+        self.identity().fingerprint()
     }
 
     /// [`fingerprint_streams`][fingerprint::fingerprint_streams] of the
@@ -749,44 +761,68 @@ fn push_operand(symbols: &mut SymbolTable, tags: &mut Vec<u8>, bits: &mut Vec<u6
 }
 
 fn build_plan(a: &ArenaModule, tree: ConfigTree) -> ConfigPlan {
-    fn flatten(a: &ArenaModule, node: &ConfigNode, out: &mut Vec<PlanNode>) {
+    fn plan_node(a: &ArenaModule, node: &ConfigNode) -> PlanNode {
         // Plan construction only succeeds when every node's function
         // resolves; `config_tree::extract` already guaranteed that.
-        let func = a.fn_by_name(&node.function).expect("config node function exists");
-        out.push(PlanNode {
-            func,
+        PlanNode {
+            func: a.fn_by_name(&node.function).expect("config node function exists"),
             kind: node.kind,
             n_instrs: node.n_instrs,
             n_children: node.children.len() as u32,
-        });
+        }
+    }
+    fn flatten(a: &ArenaModule, node: &ConfigNode, out: &mut Vec<PlanNode>) {
+        out.push(plan_node(a, node));
         for c in &node.children {
             flatten(a, c, out);
         }
     }
+    let root = &tree.root;
     let mut nodes = Vec::new();
-    flatten(a, &tree.root, &mut nodes);
-
     // Lane subtree: first child of a `par` root, else the root (the
-    // `lane_subtree` rule of the schedule pass).
-    let (lane, lane_start) = if tree.root.kind == ParKind::Par && !tree.root.children.is_empty() {
-        (&tree.root.children[0], 1)
-    } else {
-        (&tree.root, 0)
+    // `lane_subtree` rule of the schedule pass). A child's subtree is a
+    // function of its callee alone, so children that all call one
+    // function are one subtree, kept once.
+    let (lane_start, lane_replicas) = match root.children.first() {
+        Some(first) if root.kind == ParKind::Par => {
+            let uniform = root.children.iter().all(|c| c.function == first.function);
+            let kept = if uniform { std::slice::from_ref(first) } else { &root.children[..] };
+            nodes.push(plan_node(a, root));
+            for c in kept {
+                flatten(a, c, &mut nodes);
+            }
+            (1, if uniform { root.children.len() as u64 } else { 1 })
+        }
+        _ => {
+            flatten(a, root, &mut nodes);
+            (0, 1)
+        }
     };
+    let lane = if lane_start == 1 { &root.children[0] } else { root };
     let lane_len = {
         fn count(n: &ConfigNode) -> usize {
             1 + n.children.iter().map(count).sum::<usize>()
         }
         count(lane)
     };
-    let lane_fp = fingerprint_subtree(&a.template, lane);
+    // `fingerprint_subtree`'s preorder byte sequence, with each
+    // function's fingerprint read from the arena's column.
+    let lane_fp = {
+        let mut h = StableHasher::new();
+        for n in &nodes[lane_start..lane_start + lane_len] {
+            h.write_u8(n.kind as u8);
+            h.write_u64(n.n_instrs);
+            h.write_u64(a.fn_fp(n.func));
+            h.write_u64(u64::from(n.n_children));
+        }
+        h.finish()
+    };
     let lane_ii = match lane.kind {
         ParKind::Seq => lane.subtree_instrs().max(1) as f64,
         _ => 1.0,
     };
-    let par_lanes =
-        if tree.root.kind == ParKind::Par { tree.root.children.len() as u64 } else { 1 };
-    ConfigPlan { nodes, lane_start, lane_len, lane_fp, lane_ii, par_lanes, tree }
+    let par_lanes = if root.kind == ParKind::Par { root.children.len() as u64 } else { 1 };
+    ConfigPlan { nodes, lane_start, lane_len, lane_replicas, lane_fp, lane_ii, par_lanes, tree }
 }
 
 /// A design variant as a copy-on-write delta over a shared
@@ -831,7 +867,7 @@ impl PatchedModule<'_> {
 mod tests {
     use super::*;
     use crate::builder::ModuleBuilder;
-    use crate::fingerprint::{fingerprint_module, fingerprint_streams};
+    use crate::fingerprint::{fingerprint_module, fingerprint_streams, fingerprint_subtree};
     use crate::module::MemForm;
     use crate::types::ScalarType;
     use crate::Opcode;
@@ -948,18 +984,22 @@ mod tests {
 
     #[test]
     fn plan_matches_config_tree() {
-        for m in [stencil(1, MemForm::B), stencil(4, MemForm::B)] {
+        for (m, replicas) in [(stencil(1, MemForm::B), 1), (stencil(4, MemForm::B), 4)] {
             let tree = config_tree::extract(&m).unwrap();
             let lanes = m.kernel_lanes();
             let a = ArenaModule::build(m);
             let plan = a.config().expect("plan extracts");
             assert_eq!(plan.tree.lanes, lanes);
-            assert_eq!(plan.nodes.len(), {
-                fn count(n: &ConfigNode) -> usize {
-                    1 + n.children.iter().map(count).sum::<usize>()
+            // Four identical lanes are one lane subtree standing for four.
+            assert_eq!(plan.lane_replicas, replicas);
+            let count = |n: &ConfigNode| -> u64 {
+                fn count(n: &ConfigNode) -> u64 {
+                    1 + n.children.iter().map(count).sum::<u64>()
                 }
-                count(&tree.root)
-            });
+                count(n)
+            };
+            let outer = plan.nodes.len() - plan.lane_len;
+            assert_eq!(outer as u64 + replicas * plan.lane_len as u64, count(&tree.root));
             // Lane subtree fingerprint equals the schedule memo key the
             // tree path computes.
             let lane = if tree.root.kind == ParKind::Par {
@@ -970,7 +1010,29 @@ mod tests {
             assert_eq!(plan.lane_fp, fingerprint_subtree(a.template(), lane));
             assert_eq!(plan.lane_nodes().len(), plan.lane_len);
             assert_eq!(plan.lane_nodes()[0].kind, lane.kind);
+            assert_eq!(plan.nodes[0].n_children as usize, tree.root.children.len());
         }
+    }
+
+    #[test]
+    fn plan_spells_out_lanes_that_call_different_functions() {
+        let mut m = stencil(3, MemForm::B);
+        let mut g = m.function("f0").unwrap().clone();
+        g.name = "g0".into();
+        m.functions.insert(0, g);
+        let par = m.functions.iter_mut().find(|f| f.name == "f1").unwrap();
+        if let Some(Stmt::Call(c)) = par.body.last_mut() {
+            c.callee = "g0".into();
+        }
+        let tree = config_tree::extract(&m).unwrap();
+        let a = ArenaModule::build(m);
+        let plan = a.config().unwrap();
+        assert_eq!(plan.lane_replicas, 1);
+        assert_eq!(plan.nodes.len(), 4, "the par root and its three lanes");
+        let names: Vec<&str> = plan.nodes.iter().map(|n| a.resolve(a.fn_name(n.func))).collect();
+        assert_eq!(names, ["f1", "f0", "f0", "g0"]);
+        assert_eq!(plan.outer_nodes().1.len(), 2);
+        assert_eq!(plan.lane_fp, fingerprint_subtree(a.template(), &tree.root.children[0]));
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use crate::error::{IrError, Result};
 use crate::function::ParKind;
 use crate::module::IrModule;
+use std::collections::HashMap;
 
 /// One node of the extracted configuration tree. Children correspond to
 /// the function's call statements in program order.
@@ -106,8 +107,11 @@ pub struct ConfigTree {
 pub fn extract(m: &IrModule) -> Result<ConfigTree> {
     let main = m.main().ok_or_else(|| IrError::Validate("module has no `main` function".into()))?;
     let mut roots: Vec<ConfigNode> = Vec::new();
+    // Instruction counts, taken once per function: a `par` dispatcher
+    // calls its lane function once per lane.
+    let mut n_instrs = HashMap::new();
     for c in main.calls() {
-        roots.push(build_node(m, &c.callee, 0)?);
+        roots.push(build_node(m, &c.callee, 0, &mut n_instrs)?);
     }
     let root = match roots.len() {
         0 => return Err(IrError::Validate("`main` dispatches nothing".into())),
@@ -123,7 +127,12 @@ pub fn extract(m: &IrModule) -> Result<ConfigTree> {
     Ok(ConfigTree { root, class, lanes })
 }
 
-fn build_node(m: &IrModule, fname: &str, depth: usize) -> Result<ConfigNode> {
+fn build_node<'m>(
+    m: &'m IrModule,
+    fname: &str,
+    depth: usize,
+    n_instrs: &mut HashMap<&'m str, u64>,
+) -> Result<ConfigNode> {
     if depth > 16 {
         return Err(IrError::UnsupportedConfig(format!(
             "configuration nesting deeper than 16 at `{fname}`"
@@ -134,7 +143,7 @@ fn build_node(m: &IrModule, fname: &str, depth: usize) -> Result<ConfigNode> {
         .ok_or_else(|| IrError::Unknown { kind: "function", name: fname.to_string() })?;
     let mut children = Vec::new();
     for c in f.calls() {
-        let child = build_node(m, &c.callee, depth + 1)?;
+        let child = build_node(m, &c.callee, depth + 1, n_instrs)?;
         // Nesting legality (Fig 7): par may contain pipes (or coarse
         // pipes); pipe may contain pipes and combs; par-in-par and
         // anything under comb are outside the supported set.
@@ -170,7 +179,7 @@ fn build_node(m: &IrModule, fname: &str, depth: usize) -> Result<ConfigNode> {
     Ok(ConfigNode {
         function: f.name.clone(),
         kind: f.kind,
-        n_instrs: f.n_instructions(),
+        n_instrs: *n_instrs.entry(f.name.as_str()).or_insert_with(|| f.n_instructions()),
         children,
     })
 }

@@ -268,9 +268,12 @@ struct SpanInner {
     id: u64,
     parent: Option<u64>,
     tid: u64,
-    name: String,
+    name: &'static str,
     start_ns: u64,
     fields: Vec<(String, Value)>,
+    /// Whether the open left a flight-recorder breadcrumb, which the
+    /// close then matches.
+    crumb: bool,
 }
 
 /// An open span; records itself on drop. Obtained from [`span()`].
@@ -314,16 +317,18 @@ impl Drop for Span {
                 stack.remove(pos);
             }
         });
+        if inner.crumb {
+            recorder::record_close(inner.name);
+        }
         let record = SpanRecord {
             id: inner.id,
             parent: inner.parent,
             tid: inner.tid,
-            name: inner.name,
+            name: inner.name.to_string(),
             start_ns: inner.start_ns,
             dur_ns: end_ns.saturating_sub(inner.start_ns),
             fields: inner.fields,
         };
-        recorder::record_close(&record.name);
         if let Ok(mut records) = RECORDS.lock() {
             if records.len() < RECORD_CAP.load(Ordering::Relaxed) {
                 records.push(record);
@@ -340,9 +345,21 @@ impl Drop for Span {
 /// The flight [`recorder`] logs the open unconditionally (one relaxed
 /// load + a ring write, no allocation); everything else — ids,
 /// timestamps, the record itself — happens only while tracing is
-/// enabled.
-pub fn span(name: &str) -> Span {
+/// enabled. Names are static, as the recorder keeps them by reference.
+pub fn span(name: &'static str) -> Span {
     recorder::record_open(name);
+    open(name, true)
+}
+
+/// [`span()`] without the flight-recorder breadcrumb: traced the same
+/// way, but free while tracing is off. For regions that only read a memo
+/// or do arithmetic, where a post-mortem learns nothing the enclosing
+/// span's breadcrumb does not already say.
+pub fn quiet_span(name: &'static str) -> Span {
+    open(name, false)
+}
+
+fn open(name: &'static str, crumb: bool) -> Span {
     if !ENABLED.load(Ordering::Relaxed) {
         return Span { inner: None };
     }
@@ -359,9 +376,10 @@ pub fn span(name: &str) -> Span {
             id,
             parent,
             tid,
-            name: name.to_string(),
+            name,
             start_ns: now_ns(),
             fields: Vec::new(),
+            crumb,
         }),
     }
 }
@@ -470,6 +488,25 @@ mod tests {
         let kinds: Vec<recorder::EventKind> =
             d.events.iter().filter(|e| e.name == "crumb.traced").map(|e| e.kind).collect();
         assert_eq!(kinds, [recorder::EventKind::Open, recorder::EventKind::Close]);
+    }
+
+    #[test]
+    fn quiet_spans_trace_but_leave_no_breadcrumb() {
+        let _guard = GLOBAL_TEST_LOCK.lock().unwrap();
+        set_enabled(true);
+        let _ = take_records();
+        {
+            let _s = quiet_span("crumb.quiet");
+        }
+        set_enabled(false);
+        {
+            let _s = quiet_span("crumb.quiet");
+        }
+        let records = take_records();
+        assert_eq!(records.iter().filter(|r| r.name == "crumb.quiet").count(), 1);
+        if let Some(d) = recorder::dump_current_thread() {
+            assert!(d.events.iter().all(|e| e.name != "crumb.quiet"), "{:?}", d.events);
+        }
     }
 
     #[test]

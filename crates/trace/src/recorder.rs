@@ -11,9 +11,15 @@
 //! immediate history of every lane post-mortem.
 //!
 //! Records are deliberately lossy where the span collector is exact:
-//! names are truncated to [`NAME_BYTES`] bytes and there are no
-//! timestamps, only a per-lane order stamp — the recorder answers
-//! "what was this thread doing just now", not "how long did it take".
+//! there are no timestamps, only a per-lane order stamp, and a dump
+//! truncates names to [`NAME_BYTES`] bytes — the recorder answers "what
+//! was this thread doing just now", not "how long did it take".
+//!
+//! Event names are `&'static str`s. A slot stores a name's id in a
+//! process-wide name table, so an event is four word stores; each thread
+//! finds a name's id in its own cache, keyed on the name's address and
+//! length, and takes the table's lock only the first time it records a
+//! name.
 //!
 //! Concurrency: each ring has exactly one writer (its owning thread);
 //! [`dump`] may race it from any thread. Every slot is a seqlock over
@@ -23,29 +29,76 @@
 //! by construction; at worst a dump misses the slot being overwritten
 //! at that instant.
 
+use std::cell::RefCell;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Mutex, Once, PoisonError};
 
 /// Events retained per thread lane (a power of two).
 pub const RING_CAPACITY: usize = 256;
 
-/// Name bytes kept per event (longer names are truncated).
+/// Name bytes a dump keeps per event (longer names are truncated).
 pub const NAME_BYTES: usize = 24;
-
-const NAME_WORDS: usize = NAME_BYTES / 8;
 
 /// Recorder master switch. On by default; [`set_enabled`] exists for
 /// overhead A/B measurements and the `TYTRA_FLIGHT_RECORDER=0` escape
 /// hatch, not for normal operation.
 static RECORDER_ON: AtomicBool = AtomicBool::new(true);
 
-/// Every lane ever registered (threads never unregister: a dead
-/// thread's last events are exactly what a post-mortem wants).
-static LANES: Mutex<Vec<Arc<Lane>>> = Mutex::new(Vec::new());
+/// Every lane ever registered. Threads never unregister (a dead
+/// thread's last events are exactly what a post-mortem wants), so a lane
+/// lives as long as the process and is leaked on registration.
+static LANES: Mutex<Vec<&'static Lane>> = Mutex::new(Vec::new());
+
+/// Every event name recorded so far; a slot holds its name's index.
+static NAMES: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+
+/// Entries in a thread's name-id cache (a power of two).
+const NAME_CACHE: usize = 64;
+
+/// A thread's recording state: its lane (registered on first use) and
+/// its name-id cache, open-addressed on `(address, length, id)` with
+/// address 0 marking a free entry (no `&str` points at 0).
+struct Local {
+    lane: Option<&'static Lane>,
+    names: [(usize, usize, u32); NAME_CACHE],
+}
+
+impl Local {
+    fn name_id(&mut self, name: &'static str) -> u32 {
+        let key = (name.as_ptr() as usize, name.len());
+        // Fibonacci hashing of the address picks the first probe.
+        let home = ((key.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize;
+        for probe in 0..NAME_CACHE {
+            let entry = &mut self.names[(home + probe) & (NAME_CACHE - 1)];
+            if (entry.0, entry.1) == key {
+                return entry.2;
+            }
+            if entry.0 == 0 {
+                let id = intern(name);
+                *entry = (key.0, key.1, id);
+                return id;
+            }
+        }
+        intern(name)
+    }
+}
 
 thread_local! {
-    static MY_LANE: std::cell::RefCell<Option<Arc<Lane>>> =
-        const { std::cell::RefCell::new(None) };
+    static LOCAL: RefCell<Local> =
+        const { RefCell::new(Local { lane: None, names: [(0, 0, 0); NAME_CACHE] }) };
+}
+
+/// The id of `name` in [`NAMES`], added on first sight. Equal names
+/// share an id, whatever their address.
+fn intern(name: &'static str) -> u32 {
+    let mut names = NAMES.lock().unwrap_or_else(PoisonError::into_inner);
+    match names.iter().position(|&n| n == name) {
+        Some(i) => i as u32,
+        None => {
+            names.push(name);
+            (names.len() - 1) as u32
+        }
+    }
 }
 
 /// What kind of history entry an event is.
@@ -92,13 +145,12 @@ impl EventKind {
 /// can tell which generation of the ring it is looking at.
 struct Slot {
     seq: AtomicU64,
-    /// `kind (8 bits) | name_len (8 bits)`.
+    /// `kind (8 bits) | name id << 8`.
     meta: AtomicU64,
     /// Lane-local event number (the ring cursor at write time).
     order: AtomicU64,
     /// Free `u64` payload (variant index, case id, …).
     detail: AtomicU64,
-    name: [AtomicU64; NAME_WORDS],
 }
 
 impl Slot {
@@ -108,9 +160,16 @@ impl Slot {
             meta: AtomicU64::new(0),
             order: AtomicU64::new(0),
             detail: AtomicU64::new(0),
-            name: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
+}
+
+/// An event as read from a slot, before its name id is resolved.
+struct RawEvent {
+    order: u64,
+    kind: EventKind,
+    name: usize,
+    detail: u64,
 }
 
 struct Lane {
@@ -120,29 +179,33 @@ struct Lane {
     /// Events written so far; the next write goes to
     /// `slots[cursor % RING_CAPACITY]`.
     cursor: AtomicU64,
-    slots: Vec<Slot>,
+    slots: [Slot; RING_CAPACITY],
 }
 
 impl Lane {
-    fn write(&self, kind: EventKind, name: &str, detail: u64) {
+    fn register() -> &'static Lane {
+        let lane: &'static Lane = Box::leak(Box::new(Lane {
+            tid: crate::current_thread_id(),
+            cursor: AtomicU64::new(0),
+            slots: std::array::from_fn(|_| Slot::empty()),
+        }));
+        if let Ok(mut lanes) = LANES.lock() {
+            lanes.push(lane);
+        }
+        lane
+    }
+
+    fn write(&self, kind: EventKind, name: u32, detail: u64) {
         let cur = self.cursor.load(Ordering::Relaxed);
         let slot = &self.slots[(cur as usize) & (RING_CAPACITY - 1)];
-        let len = name.len().min(NAME_BYTES);
-        let mut words = [0u64; NAME_WORDS];
-        for (i, &b) in name.as_bytes()[..len].iter().enumerate() {
-            words[i / 8] |= u64::from(b) << ((i % 8) * 8);
-        }
         let seq0 = slot.seq.load(Ordering::Relaxed);
         slot.seq.store(seq0 | 1, Ordering::Relaxed);
         // Pairs with the reader's Acquire fence in `read_slot`: a reader
         // that sees any of the data stores below also sees the odd `seq`.
         fence(Ordering::Release);
-        slot.meta.store(kind.code() | ((len as u64) << 8), Ordering::Relaxed);
+        slot.meta.store(kind.code() | (u64::from(name) << 8), Ordering::Relaxed);
         slot.order.store(cur, Ordering::Relaxed);
         slot.detail.store(detail, Ordering::Relaxed);
-        for (w, v) in slot.name.iter().zip(words) {
-            w.store(v, Ordering::Relaxed);
-        }
         // The cursor is published before the slot closes, so a dump that
         // reads this record (Acquire on the even `seq`) and then loads the
         // cursor sees `written > order`.
@@ -150,7 +213,7 @@ impl Lane {
         slot.seq.store((seq0 | 1).wrapping_add(1), Ordering::Release);
     }
 
-    fn read_slot(&self, index: usize) -> Option<FlightEvent> {
+    fn read_slot(&self, index: usize) -> Option<RawEvent> {
         let slot = &self.slots[index];
         let s1 = slot.seq.load(Ordering::Acquire);
         if s1 == 0 || s1 & 1 == 1 {
@@ -159,10 +222,6 @@ impl Lane {
         let meta = slot.meta.load(Ordering::Relaxed);
         let order = slot.order.load(Ordering::Relaxed);
         let detail = slot.detail.load(Ordering::Relaxed);
-        let mut words = [0u64; NAME_WORDS];
-        for (w, v) in words.iter_mut().zip(slot.name.iter()) {
-            *w = v.load(Ordering::Relaxed);
-        }
         // Pairs with the writer's Release fence in `write`: if any load
         // above saw a newer write's data, the re-check sees its odd `seq`.
         fence(Ordering::Acquire);
@@ -170,34 +229,32 @@ impl Lane {
             return None; // overwritten while reading
         }
         let kind = EventKind::from_code(meta & 0xFF)?;
-        let len = ((meta >> 8) & 0xFF) as usize;
-        if len > NAME_BYTES {
-            return None;
-        }
-        let mut bytes = [0u8; NAME_BYTES];
-        for (i, b) in bytes.iter_mut().enumerate() {
-            *b = (words[i / 8] >> ((i % 8) * 8)) as u8;
-        }
-        let name = String::from_utf8_lossy(&bytes[..len]).into_owned();
-        Some(FlightEvent { order, kind, name, detail })
-    }
-
-    fn snapshot(&self) -> Vec<FlightEvent> {
-        let mut events: Vec<FlightEvent> =
-            (0..RING_CAPACITY).filter_map(|i| self.read_slot(i)).collect();
-        events.sort_by_key(|e| e.order);
-        events
+        Some(RawEvent { order, kind, name: (meta >> 8) as usize, detail })
     }
 
     /// Scan the slots first, then load the cursor: every recovered
     /// event's `order` is then below `written`, however the owning thread
-    /// races the dump.
+    /// races the dump. Names resolve after the scan, so every id a slot
+    /// holds is already in the table (the writer interned it before
+    /// writing the slot).
     fn dump(&self, labels: &[(u64, String)]) -> LaneDump {
-        let events = self.snapshot();
+        let mut raw: Vec<RawEvent> = (0..RING_CAPACITY).filter_map(|i| self.read_slot(i)).collect();
+        let written = self.cursor.load(Ordering::Acquire);
+        raw.sort_by_key(|e| e.order);
+        let names = NAMES.lock().unwrap_or_else(PoisonError::into_inner).clone();
+        let events = raw
+            .into_iter()
+            .filter_map(|e| {
+                let name = names.get(e.name)?.as_bytes();
+                let name = &name[..name.len().min(NAME_BYTES)];
+                let name = String::from_utf8_lossy(name).into_owned();
+                Some(FlightEvent { order: e.order, kind: e.kind, name, detail: e.detail })
+            })
+            .collect();
         LaneDump {
             tid: self.tid,
             label: labels.iter().find(|(t, _)| *t == self.tid).map(|(_, l)| l.clone()),
-            written: self.cursor.load(Ordering::Acquire),
+            written,
             events,
         }
     }
@@ -230,46 +287,29 @@ pub struct LaneDump {
     pub events: Vec<FlightEvent>,
 }
 
-fn lane_for_current_thread() -> Option<Arc<Lane>> {
-    MY_LANE
-        .try_with(|cell| {
-            let mut slot = cell.borrow_mut();
-            if slot.is_none() {
-                let lane = Arc::new(Lane {
-                    tid: crate::current_thread_id(),
-                    cursor: AtomicU64::new(0),
-                    slots: (0..RING_CAPACITY).map(|_| Slot::empty()).collect(),
-                });
-                if let Ok(mut lanes) = LANES.lock() {
-                    lanes.push(Arc::clone(&lane));
-                }
-                *slot = Some(lane);
-            }
-            slot.clone()
-        })
-        .ok()
-        .flatten()
-}
-
 #[inline]
-fn record(kind: EventKind, name: &str, detail: u64) {
+fn record(kind: EventKind, name: &'static str, detail: u64) {
     if !RECORDER_ON.load(Ordering::Relaxed) {
         return;
     }
-    if let Some(lane) = lane_for_current_thread() {
-        lane.write(kind, name, detail);
-    }
+    let _ = LOCAL.try_with(|local| {
+        if let Ok(mut local) = local.try_borrow_mut() {
+            let lane = *local.lane.get_or_insert_with(Lane::register);
+            let name = local.name_id(name);
+            lane.write(kind, name, detail);
+        }
+    });
 }
 
 /// Span sites call this on open (always, traced or not).
 #[inline]
-pub(crate) fn record_open(name: &str) {
+pub(crate) fn record_open(name: &'static str) {
     record(EventKind::Open, name, 0);
 }
 
 /// Traced span guards call this on drop.
 #[inline]
-pub(crate) fn record_close(name: &str) {
+pub(crate) fn record_close(name: &'static str) {
     record(EventKind::Close, name, 0);
 }
 
@@ -277,7 +317,7 @@ pub(crate) fn record_close(name: &str) {
 /// breadcrumb API: no allocation, no formatting — hand it a static
 /// name and an index and it costs a ring write.
 #[inline]
-pub fn mark(name: &str, detail: u64) {
+pub fn mark(name: &'static str, detail: u64) {
     record(EventKind::Mark, name, detail);
 }
 
@@ -296,8 +336,8 @@ pub fn enabled() -> bool {
 /// any time, including from a panic hook while other threads still
 /// write: slots caught mid-update are skipped, never torn.
 pub fn dump() -> Vec<LaneDump> {
-    let lanes: Vec<Arc<Lane>> = match LANES.lock() {
-        Ok(l) => l.iter().cloned().collect(),
+    let lanes: Vec<&'static Lane> = match LANES.lock() {
+        Ok(l) => l.clone(),
         Err(_) => return Vec::new(),
     };
     let labels = crate::thread_labels();
@@ -307,7 +347,7 @@ pub fn dump() -> Vec<LaneDump> {
 /// [`dump`], restricted to the calling thread's lane. `None` if this
 /// thread never recorded anything.
 pub fn dump_current_thread() -> Option<LaneDump> {
-    let lane = MY_LANE.try_with(|cell| cell.borrow().clone()).ok().flatten()?;
+    let lane = LOCAL.try_with(|l| l.try_borrow().ok().and_then(|l| l.lane)).ok().flatten()?;
     Some(lane.dump(&crate::thread_labels()))
 }
 
