@@ -22,7 +22,7 @@
 //!
 //! | pass | input | memo key | cached value |
 //! |---|---|---|---|
-//! | validate | module | patched [`fingerprint_module`][tytra_ir::fingerprint_module] | (validity) |
+//! | validate | module | the arena's cached verdict; a fresh arena: patched [`fingerprint_module`][tytra_ir::fingerprint_module] | (validity) |
 //! | configure | module | — (extracted at arena build) | `ConfigPlan` |
 //! | schedule | lane subtree | [`fingerprint_subtree`][tytra_ir::fingerprint_subtree] | `PipelineSchedule` |
 //! | parameters | geometry + schedule | — (infallible arithmetic) | `CostParams` |
@@ -295,7 +295,7 @@ impl EstimatorSession {
 
         // Pass 1 ran at arena build time.
         let plan = {
-            let _sp = trace::quiet_span("estimator.configure");
+            let _sp = trace::enabled().then(|| trace::span("estimator.configure"));
             d.arena.config()?
         };
 
@@ -304,9 +304,11 @@ impl EstimatorSession {
         // schedule), so a miss schedules the template.
         let sched = match self.schedules.get(&plan.lane_fp) {
             Some(s) => {
-                let _sp = trace::quiet_span("estimator.schedule")
-                    .with("fp", plan.lane_fp)
-                    .with("memo_hit", true);
+                let _sp = trace::enabled().then(|| {
+                    trace::span("estimator.schedule")
+                        .with("fp", plan.lane_fp)
+                        .with("memo_hit", true)
+                });
                 self.hits.incr();
                 s.clone()
             }
@@ -330,7 +332,7 @@ impl EstimatorSession {
 
         // Pass 3: parameters from precomputed geometry + patched cells.
         let params = {
-            let _sp = trace::quiet_span("estimator.parameters");
+            let _sp = trace::enabled().then(|| trace::span("estimator.parameters"));
             crate::params::RawGeometry::extract_design(d, plan.tree.lanes).finish(sched)
         };
 
@@ -342,7 +344,7 @@ impl EstimatorSession {
         // Pass 5: clock. `finish_clock` reads only `meta.freq_mhz`,
         // which the patch never touches.
         let clock = {
-            let _sp = trace::quiet_span("estimator.clock");
+            let _sp = trace::enabled().then(|| trace::span("estimator.clock"));
             let worst = self.clock_design(d.arena, plan);
             frequency::finish_clock(d.arena.template(), &self.dev, worst, &resources.total)
         };
@@ -353,7 +355,7 @@ impl EstimatorSession {
 
         // Pass 7: throughput, limiter, power — pure arithmetic.
         let report = {
-            let _sp = trace::quiet_span("estimator.throughput");
+            let _sp = trace::enabled().then(|| trace::span("estimator.throughput"));
             let tput = throughput::estimate_throughput(&params, &self.dev, &bw, clock.freq_mhz);
             let limiter = bottleneck::limiter(&tput);
             let exercised_gbytes =
@@ -418,7 +420,8 @@ impl EstimatorSession {
     /// call that actually runs the validator counts a miss.
     fn validate_design(&mut self, d: &PatchedModule<'_>) -> Result<(), IrError> {
         if d.arena.base_validated() {
-            let _sp = trace::quiet_span("estimator.validate").with("memo_hit", true);
+            let _sp =
+                trace::enabled().then(|| trace::span("estimator.validate").with("memo_hit", true));
             self.hits.incr();
             return d.arena.validate_base();
         }
@@ -440,15 +443,16 @@ impl EstimatorSession {
     }
 
     /// Pass 4: resource accumulation over the flattened plan, memoized
-    /// per function. Like every pass whose warm path only reads memos,
-    /// it opens a quiet span; each memo miss leaves a flight-recorder
-    /// mark with the function's fingerprint instead.
+    /// per function. Like every pass whose warm path only reads memos or
+    /// does arithmetic, it opens its span only while tracing is on, so it
+    /// leaves no flight-recorder event; each memo miss leaves a mark with
+    /// the function's fingerprint instead.
     fn resources_design(
         &mut self,
         d: &PatchedModule<'_>,
         plan: &ConfigPlan,
     ) -> crate::resource::ResourceEstimate {
-        let _sp = trace::quiet_span("estimator.resources");
+        let _sp = trace::enabled().then(|| trace::span("estimator.resources"));
         resource::estimate_plan(
             d.arena,
             plan,
@@ -507,8 +511,9 @@ impl EstimatorSession {
     fn ensure_bandwidth_design(&mut self, a: &ArenaModule) {
         let bw_key = a.bw_key();
         if self.bandwidths.contains_key(&bw_key) {
-            let _sp =
-                trace::quiet_span("estimator.bandwidth").with("fp", bw_key).with("memo_hit", true);
+            let _sp = trace::enabled().then(|| {
+                trace::span("estimator.bandwidth").with("fp", bw_key).with("memo_hit", true)
+            });
             self.hits.incr();
         } else {
             let _sp = trace::span("estimator.bandwidth").with("fp", bw_key).with("memo_hit", false);
@@ -745,6 +750,24 @@ mod tests {
             misses_first,
             "a same-DV sibling variant must not recompute any pass"
         );
+    }
+
+    #[test]
+    fn a_warm_bound_leaves_one_flight_recorder_event() {
+        // With tracing off, passes that only read memos open no span, so
+        // the estimator's own span is all a warm bound records.
+        std::thread::spawn(|| {
+            let a = tytra_ir::ArenaModule::build(laned_module(4, MemForm::B));
+            let mut session = EstimatorSession::new(eval_small());
+            session.bound_design(&a.identity()).unwrap();
+            let before = trace::recorder::dump_current_thread().expect("lane exists").written;
+            session.bound_design(&a.identity()).unwrap();
+            let lane = trace::recorder::dump_current_thread().expect("lane exists");
+            assert_eq!(lane.written - before, 1, "{:?}", lane.events.last());
+            assert_eq!(lane.events.last().map(|e| e.name.as_str()), Some("estimator.bound"));
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

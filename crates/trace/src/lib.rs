@@ -271,9 +271,6 @@ struct SpanInner {
     name: &'static str,
     start_ns: u64,
     fields: Vec<(String, Value)>,
-    /// Whether the open left a flight-recorder breadcrumb, which the
-    /// close then matches.
-    crumb: bool,
 }
 
 /// An open span; records itself on drop. Obtained from [`span()`].
@@ -317,9 +314,7 @@ impl Drop for Span {
                 stack.remove(pos);
             }
         });
-        if inner.crumb {
-            recorder::record_close(inner.name);
-        }
+        recorder::record_close(inner.name);
         let record = SpanRecord {
             id: inner.id,
             parent: inner.parent,
@@ -348,18 +343,6 @@ impl Drop for Span {
 /// enabled. Names are static, as the recorder keeps them by reference.
 pub fn span(name: &'static str) -> Span {
     recorder::record_open(name);
-    open(name, true)
-}
-
-/// [`span()`] without the flight-recorder breadcrumb: traced the same
-/// way, but free while tracing is off. For regions that only read a memo
-/// or do arithmetic, where a post-mortem learns nothing the enclosing
-/// span's breadcrumb does not already say.
-pub fn quiet_span(name: &'static str) -> Span {
-    open(name, false)
-}
-
-fn open(name: &'static str, crumb: bool) -> Span {
     if !ENABLED.load(Ordering::Relaxed) {
         return Span { inner: None };
     }
@@ -372,15 +355,7 @@ fn open(name: &'static str, crumb: bool) -> Span {
         parent
     });
     Span {
-        inner: Some(SpanInner {
-            id,
-            parent,
-            tid,
-            name,
-            start_ns: now_ns(),
-            fields: Vec::new(),
-            crumb,
-        }),
+        inner: Some(SpanInner { id, parent, tid, name, start_ns: now_ns(), fields: Vec::new() }),
     }
 }
 
@@ -488,25 +463,6 @@ mod tests {
         let kinds: Vec<recorder::EventKind> =
             d.events.iter().filter(|e| e.name == "crumb.traced").map(|e| e.kind).collect();
         assert_eq!(kinds, [recorder::EventKind::Open, recorder::EventKind::Close]);
-    }
-
-    #[test]
-    fn quiet_spans_trace_but_leave_no_breadcrumb() {
-        let _guard = GLOBAL_TEST_LOCK.lock().unwrap();
-        set_enabled(true);
-        let _ = take_records();
-        {
-            let _s = quiet_span("crumb.quiet");
-        }
-        set_enabled(false);
-        {
-            let _s = quiet_span("crumb.quiet");
-        }
-        let records = take_records();
-        assert_eq!(records.iter().filter(|r| r.name == "crumb.quiet").count(), 1);
-        if let Some(d) = recorder::dump_current_thread() {
-            assert!(d.events.iter().all(|e| e.name != "crumb.quiet"), "{:?}", d.events);
-        }
     }
 
     #[test]

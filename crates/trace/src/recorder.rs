@@ -52,8 +52,9 @@ static LANES: Mutex<Vec<&'static Lane>> = Mutex::new(Vec::new());
 /// Every event name recorded so far; a slot holds its name's index.
 static NAMES: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
 
-/// Entries in a thread's name-id cache (a power of two).
-const NAME_CACHE: usize = 64;
+/// Entries in a thread's name-id cache (a power of two, above the
+/// workspace's few dozen event names).
+const NAME_CACHE: usize = 128;
 
 /// A thread's recording state: its lane (registered on first use) and
 /// its name-id cache, open-addressed on `(address, length, id)` with
@@ -67,7 +68,8 @@ impl Local {
     fn name_id(&mut self, name: &'static str) -> u32 {
         let key = (name.as_ptr() as usize, name.len());
         // Fibonacci hashing of the address picks the first probe.
-        let home = ((key.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize;
+        let home = ((key.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            >> (u64::BITS - NAME_CACHE.trailing_zeros())) as usize;
         for probe in 0..NAME_CACHE {
             let entry = &mut self.names[(home + probe) & (NAME_CACHE - 1)];
             if (entry.0, entry.1) == key {
@@ -89,7 +91,8 @@ thread_local! {
 }
 
 /// The id of `name` in [`NAMES`], added on first sight. Equal names
-/// share an id, whatever their address.
+/// share an id, whatever their address. A poisoned lock is recovered:
+/// the table's one update is a push, which leaves it valid.
 fn intern(name: &'static str) -> u32 {
     let mut names = NAMES.lock().unwrap_or_else(PoisonError::into_inner);
     match names.iter().position(|&n| n == name) {
@@ -458,6 +461,28 @@ mod tests {
         .unwrap();
         assert!(rendered.starts_with("== flight recorder ==\n"), "{rendered}");
         assert!(rendered.contains("detail=9"), "{rendered}");
+    }
+
+    #[test]
+    fn names_resolve_past_a_full_cache_and_by_content() {
+        let _guard = crate::tests::GLOBAL_TEST_LOCK.lock().unwrap();
+        let names: Vec<&'static str> =
+            (0..2 * NAME_CACHE).map(|i| &*String::leak(format!("rec.many.{i}"))).collect();
+        let dump = std::thread::spawn(move || {
+            for (i, name) in names.iter().enumerate() {
+                mark(name, i as u64);
+            }
+            // An equal name at another address shares the first one's id.
+            mark(String::leak(String::from("rec.many.0")), 0);
+            dump_current_thread().expect("lane exists")
+        })
+        .join()
+        .unwrap();
+        assert_eq!(dump.events.len(), RING_CAPACITY);
+        for e in &dump.events {
+            assert_eq!(e.name, format!("rec.many.{}", e.detail), "{e:?}");
+        }
+        assert_eq!(dump.events.last().map(|e| e.name.as_str()), Some("rec.many.0"));
     }
 
     #[test]
