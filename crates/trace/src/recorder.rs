@@ -16,10 +16,9 @@
 //! was this thread doing just now", not "how long did it take".
 //!
 //! Event names are `&'static str`s. A slot stores a name's id in a
-//! process-wide name table, so an event is four word stores; each thread
-//! finds a name's id in its own cache, keyed on the name's address and
-//! length, and takes the table's lock only the first time it records a
-//! name.
+//! process-wide name table, not its bytes; each thread finds a name's id
+//! in its own cache, keyed on the name's address and length, and takes
+//! the table's lock only the first time it records a name.
 //!
 //! Concurrency: each ring has exactly one writer (its owning thread);
 //! [`dump`] may race it from any thread. Every slot is a seqlock over
