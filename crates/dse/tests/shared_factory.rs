@@ -284,3 +284,87 @@ fn factory_reports_equal_fresh_tree_reports_on_every_kernel() {
         assert!(checked >= 7 * 2 * forms.len(), "{}: too few legal variants", kernel.name());
     }
 }
+
+/// The parity checks above visit lane counts in ascending order, so the
+/// smallest legal lane count builds each base. Here one factory and one
+/// session per kernel serve every check with the lane counts descending,
+/// so the first request above one lane comes at the largest legal count:
+/// no later design may inherit its lane count. The sweep, the tuning
+/// starts, the lowered modules and the full reports must all match
+/// per-point tree lowering as they do in ascending order.
+#[test]
+fn factory_parity_holds_with_lane_counts_descending() {
+    let dev = stratix_v_gsd8();
+    let descending: Vec<u64> = lanes().into_iter().rev().collect();
+    let forms = [MemForm::A, MemForm::B, MemForm::C, MemForm::Tiled { tiles: 4 }];
+    for kernel in all_kernels() {
+        let factory = kernel.variant_factory();
+        let mut session = EstimatorSession::new(dev.clone());
+        let ngs = kernel.geometry().size();
+        let mut checked = 0;
+        for &lanes in &descending {
+            for inner in [InnerKind::Pipe, InnerKind::Seq] {
+                for form in forms {
+                    for vect in [1, 2] {
+                        let v = Variant { lanes, vect, inner, form };
+                        if !v.is_legal(ngs) {
+                            continue;
+                        }
+                        let tag = format!("{} {}", kernel.name(), v.tag());
+                        let m = kernel.lower_variant(&v).expect("legal variant lowers");
+                        let design = factory.design(&v).expect("legal variant has a design");
+                        let d = design.patched();
+                        assert_eq!(d.fingerprint(), fingerprint_module(&m), "{tag}");
+                        assert_eq!(d.materialize(), m, "{tag}");
+                        assert_eq!(
+                            format!("{:?}", session.estimate_design(&d)),
+                            format!("{:?}", EstimatorSession::new(dev.clone()).estimate(&m)),
+                            "estimate of {tag}"
+                        );
+                        assert_eq!(
+                            format!("{:?}", session.bound_design(&d)),
+                            format!("{:?}", EstimatorSession::new(dev.clone()).bound(&m)),
+                            "bound of {tag}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked >= 7 * 2 * forms.len(), "{}: too few legal variants", kernel.name());
+
+        let base = Variant::baseline();
+        let got: Vec<_> = lane_sweep_with(&factory, &mut session, &descending, &base)
+            .iter()
+            .map(row_bits)
+            .collect();
+        let want: Vec<_> = descending
+            .iter()
+            .filter_map(|&l| {
+                let r = tree_cost(kernel.as_ref(), &dev, &Variant { lanes: l, ..base })?;
+                Some(reference_row_bits(l, &r))
+            })
+            .collect();
+        assert_eq!(got, want, "{} sweep", kernel.name());
+
+        for &l in &descending {
+            for form in [MemForm::A, MemForm::B] {
+                let start = Variant { lanes: l, form, ..base };
+                assert_eq!(
+                    trajectory_bits(&tune_with(&factory, &mut session, start, 12)),
+                    trajectory_bits(&reference_tune(kernel.as_ref(), &dev, start, 12)),
+                    "{} from {}",
+                    kernel.name(),
+                    start.tag()
+                );
+            }
+        }
+
+        let space = ExplorationConfig { lanes: descending.clone(), ..ExplorationConfig::default() };
+        for cfg in [SearchConfig::pruned(space.clone()), SearchConfig::exhaustive(space)] {
+            let shared = search_with(&factory, &mut session, &cfg);
+            let own = search(kernel.as_ref(), &dev, &cfg);
+            assert_eq!(board(&shared), board(&own), "{} {:?}", kernel.name(), cfg.mode);
+        }
+    }
+}
