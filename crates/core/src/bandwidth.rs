@@ -8,9 +8,10 @@
 //! resulting aggregate ÷ peak is the design's ρ (ρ_G for the DRAM link,
 //! ρ_H for the host link).
 
+use std::fmt;
 use std::sync::Arc;
 use tytra_device::{CurveCache, LinkKind, LinkSpec, TargetDevice};
-use tytra_ir::{lane_name, AccessPattern, ArenaModule, StreamDir};
+use tytra_ir::{lane_name, AccessPattern, PatchedModule, StreamDir};
 
 /// Fraction of link peak a real controller sustains with many concurrent
 /// well-formed streams.
@@ -31,12 +32,76 @@ pub struct StreamBandwidth {
     pub sustained_bytes_per_s: f64,
 }
 
+/// The per-stream assessments of a design: one lane's streams, standing
+/// for [`lanes`][LaneStreams::lanes] copies. Every copy of a stream has
+/// the same pattern, length and sustained figure and differs only in the
+/// lane suffix of its name, so the list is kept once and the names are
+/// expanded only where the streams are read: [`iter`][LaneStreams::iter]
+/// yields, and `Debug` prints, the expanded list in lane-major order.
+#[derive(Clone)]
+pub struct LaneStreams {
+    lane: Arc<[StreamBandwidth]>,
+    lanes: u64,
+}
+
+impl LaneStreams {
+    /// One lane's streams, named as in the lane template.
+    pub fn lane(&self) -> &[StreamBandwidth] {
+        &self.lane
+    }
+
+    /// How many lanes the list stands for.
+    pub fn lanes(&self) -> u64 {
+        self.lanes
+    }
+
+    /// Number of streams across every lane.
+    pub fn len(&self) -> usize {
+        self.lane.len() * self.lanes as usize
+    }
+
+    /// Whether the design has no off-chip stream.
+    pub fn is_empty(&self) -> bool {
+        self.lane.is_empty()
+    }
+
+    /// Every lane's streams, lane-major, each with its lane's name.
+    pub fn iter(&self) -> impl Iterator<Item = StreamBandwidth> + '_ {
+        (0..self.lanes).flat_map(move |l| {
+            self.lane.iter().map(move |s| StreamBandwidth {
+                name: lane_name(&s.name, l, self.lanes),
+                ..s.clone()
+            })
+        })
+    }
+}
+
+impl From<Vec<StreamBandwidth>> for LaneStreams {
+    /// A list of every stream, as one lane.
+    fn from(streams: Vec<StreamBandwidth>) -> LaneStreams {
+        LaneStreams { lane: streams.into(), lanes: 1 }
+    }
+}
+
+impl PartialEq for LaneStreams {
+    /// Equal when the expanded lists are.
+    fn eq(&self, other: &LaneStreams) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for LaneStreams {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Aggregate bandwidth figures for one design on one target.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BandwidthBreakdown {
     /// Per off-chip stream assessments. Shared, so every report of a
     /// design's variants holds the memoized list instead of a copy.
-    pub streams: Arc<[StreamBandwidth]>,
+    pub streams: LaneStreams,
     /// Aggregate sustained DRAM bandwidth, bytes/s (`GPB · ρ_G`).
     pub dram_effective: f64,
     /// The DRAM scaling factor ρ_G.
@@ -52,15 +117,16 @@ pub struct BandwidthBreakdown {
 /// pattern or size. This is the naive model the paper's section V-C
 /// argues against; the ablation bench quantifies the damage.
 pub(crate) fn assess_naive(
-    a: &ArenaModule,
+    d: &PatchedModule<'_>,
     dev: &TargetDevice,
     cache: &CurveCache,
 ) -> BandwidthBreakdown {
-    let mut full = assess(a, dev, cache);
+    let mut full = assess(d, dev, cache);
     let dram = dev.dram_link.peak_bytes_per_s * CONTROLLER_EFFICIENCY;
     let host = dev.host_link.peak_bytes_per_s * CONTROLLER_EFFICIENCY;
-    full.streams = full
+    full.streams.lane = full
         .streams
+        .lane
         .iter()
         .map(|s| StreamBandwidth { sustained_bytes_per_s: dram, ..s.clone() })
         .collect();
@@ -82,70 +148,67 @@ pub(crate) fn assess_naive(
 ///
 /// Sustained-bandwidth interpolations go through a session curve cache.
 ///
-/// A lane-template arena stands for [`replicas`][ArenaModule::replicas]
-/// copies of its Manage-IR. Every copy of a stream has the template's
-/// pattern and length, so the curve is looked up once per template
-/// stream; the sums still run over the expanded streams in lane-major
-/// order, which keeps every `f64` rounding that of the expanded module.
+/// A patch at KNL lanes stands for KNL copies of the template's
+/// Manage-IR, each array `len / KNL` long. Every copy of a stream has the
+/// template's pattern and that length, so the curve is looked up once per
+/// template stream and one lane's list is kept; the sums still run over
+/// the expanded streams in lane-major order, which keeps every `f64`
+/// rounding that of the expanded module.
 pub(crate) fn assess(
-    a: &ArenaModule,
+    d: &PatchedModule<'_>,
     dev: &TargetDevice,
     cache: &CurveCache,
 ) -> BandwidthBreakdown {
-    let m = a.template();
-    let replicas = a.replicas();
+    let m = d.arena.template();
+    let lanes = d.lanes();
     let links = m.manage_links();
-    // One lane's off-chip streams, with their backing memory objects.
-    let offchip = || {
-        m.streams.iter().enumerate().filter_map(|(i, s)| {
-            let mem = links.stream_mem(i)?;
-            mem.space.is_offchip().then_some((s, mem))
-        })
-    };
-    let mut streams: Vec<StreamBandwidth> =
-        Vec::with_capacity(offchip().count() * replicas as usize);
+    // One lane's off-chip streams, with their element widths.
+    let mut lane = Vec::new();
+    let mut elem_bytes = Vec::new();
+    for (i, s) in m.streams.iter().enumerate() {
+        let Some(mem) = links.stream_mem(i).filter(|mem| mem.space.is_offchip()) else {
+            continue;
+        };
+        let elems = mem.len / lanes;
+        lane.push(StreamBandwidth {
+            name: s.name.clone(),
+            dir: s.dir,
+            pattern: s.pattern,
+            elems,
+            sustained_bytes_per_s: cache.sustained_bytes_per_s(
+                LinkKind::Dram,
+                &dev.dram_link.bw,
+                s.pattern,
+                elems,
+            ),
+        });
+        elem_bytes.push(f64::from(mem.elem_ty.bytes()));
+    }
     let mut dram_sum = 0.0;
     // Slowest per-element rate across co-required streams, items/s.
     let mut min_item_rate = f64::INFINITY;
     let mut bytes_per_item_all_lanes = 0.0f64;
-    for lane in 0..replicas {
-        for (k, (s, mem)) in offchip().enumerate() {
-            let sustained = match lane {
-                0 => cache.sustained_bytes_per_s(
-                    LinkKind::Dram,
-                    &dev.dram_link.bw,
-                    s.pattern,
-                    mem.len,
-                ),
-                _ => streams[k].sustained_bytes_per_s,
-            };
-            dram_sum += sustained;
-            let eb = f64::from(mem.elem_ty.bytes());
-            min_item_rate = min_item_rate.min(sustained / eb);
+    for _ in 0..lanes {
+        for (s, &eb) in lane.iter().zip(&elem_bytes) {
+            dram_sum += s.sustained_bytes_per_s;
+            min_item_rate = min_item_rate.min(s.sustained_bytes_per_s / eb);
             bytes_per_item_all_lanes += eb;
-            streams.push(StreamBandwidth {
-                name: lane_name(&s.name, lane, replicas),
-                dir: s.dir,
-                pattern: s.pattern,
-                elems: mem.len,
-                sustained_bytes_per_s: sustained,
-            });
         }
     }
-    let lanes = a.kernel_lanes().max(1) as f64;
+    let knl = d.kernel_lanes().max(1) as f64;
     // Per-work-item bytes (per-lane stream sets are parallel replicas).
-    let bytes_per_item = bytes_per_item_all_lanes / lanes;
+    let bytes_per_item = bytes_per_item_all_lanes / knl;
     let gated = if min_item_rate.is_finite() {
-        lanes * min_item_rate * bytes_per_item
+        knl * min_item_rate * bytes_per_item
     } else {
         f64::INFINITY
     };
     let dram_sum = dram_sum.min(gated);
-    let (dram_effective, rho_g) = aggregate(&dev.dram_link, dram_sum, streams.is_empty());
+    let (dram_effective, rho_g) = aggregate(&dev.dram_link, dram_sum, lane.is_empty());
 
     // Host DMA moves whole arrays contiguously regardless of the kernel's
     // access pattern; its sustained figure depends on transfer size.
-    let total_elems: u64 = offchip().map(|(_, mem)| mem.len).sum::<u64>() * replicas;
+    let total_elems: u64 = lane.iter().map(|s| s.elems).sum::<u64>() * lanes;
     let host_sum = if total_elems == 0 {
         0.0
     } else {
@@ -158,7 +221,13 @@ pub(crate) fn assess(
     };
     let (host_effective, rho_h) = aggregate(&dev.host_link, host_sum, total_elems == 0);
 
-    BandwidthBreakdown { streams: streams.into(), dram_effective, rho_g, host_effective, rho_h }
+    BandwidthBreakdown {
+        streams: LaneStreams { lane: lane.into(), lanes },
+        dram_effective,
+        rho_g,
+        host_effective,
+        rho_h,
+    }
 }
 
 fn aggregate(link: &LinkSpec, sum: f64, empty: bool) -> (f64, f64) {
@@ -176,12 +245,12 @@ fn aggregate(link: &LinkSpec, sum: f64, empty: bool) -> (f64, f64) {
 mod tests {
     use super::*;
     use tytra_device::{stratix_v_gsd8, virtex7_adm7v3};
-    use tytra_ir::{IrModule, ModuleBuilder, Opcode, ParKind, ScalarType};
+    use tytra_ir::{ArenaModule, IrModule, MemForm, ModuleBuilder, Opcode, ParKind, ScalarType};
 
     const T: ScalarType = ScalarType::UInt(32);
 
     fn assess_tree(m: IrModule, dev: &TargetDevice) -> BandwidthBreakdown {
-        assess(&ArenaModule::build(m), dev, &CurveCache::new())
+        assess(&ArenaModule::build(m).identity(), dev, &CurveCache::new())
     }
 
     fn module_with_streams(n_in: usize, strided: bool, elems: u64) -> IrModule {
@@ -223,7 +292,7 @@ mod tests {
         assert_eq!(bw.streams.len(), 4);
         // Each contiguous 2000-side stream sustains 5.2 Gbps = 0.65 GB/s.
         let per = 5.2e9 / 8.0;
-        assert!((bw.streams[0].sustained_bytes_per_s - per).abs() / per < 1e-9);
+        assert!((bw.streams.lane()[0].sustained_bytes_per_s - per).abs() / per < 1e-9);
         assert!((bw.dram_effective - 4.0 * per).abs() / per < 1e-6);
         assert!(bw.rho_g > 0.2 && bw.rho_g < 0.3, "{}", bw.rho_g);
     }
@@ -249,7 +318,7 @@ mod tests {
         // One stream of each direction; the strided input drags the
         // aggregate down by an order of magnitude or more.
         assert!(cont.dram_effective / strided.dram_effective > 1.8);
-        let strided_in = &strided.streams[0];
+        let strided_in = &strided.streams.lane()[0];
         assert!(matches!(strided_in.pattern, AccessPattern::Strided { .. }));
         assert!(strided_in.sustained_bytes_per_s < 0.08e9 / 8.0 + 1.0);
     }
@@ -297,22 +366,22 @@ mod tests {
     fn lane_template_assesses_like_its_expansion() {
         // Strided and contiguous inputs of different lengths, one output:
         // the per-stream list, every sum and both ρ must match the
-        // expanded module bit for bit.
+        // expanded module bit for bit, with one lane's list kept.
         let dev = virtex7_adm7v3();
+        let mut b = ModuleBuilder::new("tpl");
+        let n = 4096 * 64;
+        b.global_array("x", T, n, StreamDir::Read, AccessPattern::Strided { stride: 64 });
+        b.global_input("w", ScalarType::UInt(18), n / 2);
+        b.global_output("y", T, n);
+        let template = b.finish_unchecked();
+        let arena = ArenaModule::build(template.clone());
         for lanes in [1u64, 2, 3, 16, 64] {
-            let mut b = ModuleBuilder::new("tpl");
-            let n = 4096 * 64 / lanes;
-            b.global_array("x", T, n, StreamDir::Read, AccessPattern::Strided { stride: 64 });
-            b.global_input("w", ScalarType::UInt(18), n / 2);
-            b.global_output("y", T, n);
-            let template = b.finish_unchecked();
-            let replicated = assess(
-                &ArenaModule::build_lanes(template.clone(), lanes),
-                &dev,
-                &CurveCache::new(),
-            );
-            let expanded = assess_tree(template.expand_lanes(lanes), &dev);
+            let d = arena.patched("tpl", MemForm::B, 1, lanes);
+            let replicated = assess(&d, &dev, &CurveCache::new());
+            let expanded = assess_tree(template.clone().expand_lanes(lanes), &dev);
+            assert_eq!(replicated.streams.lane().len(), 3, "{lanes} lanes");
             assert_eq!(replicated.streams.len(), 3 * lanes as usize);
+            assert_eq!(replicated, expanded, "{lanes} lanes");
             assert_eq!(format!("{replicated:?}"), format!("{expanded:?}"), "{lanes} lanes");
         }
     }

@@ -73,7 +73,7 @@ pub mod schedule;
 pub mod session;
 pub mod throughput;
 
-pub use bandwidth::{BandwidthBreakdown, StreamBandwidth};
+pub use bandwidth::{BandwidthBreakdown, LaneStreams, StreamBandwidth};
 pub use bottleneck::Limiter;
 pub use bound::CostBound;
 pub use estimate::{estimate, estimate_with};

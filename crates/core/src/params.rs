@@ -61,7 +61,7 @@ impl CostParams {
         let a = ArenaModule::build(m.clone());
         let plan = a.config()?;
         let sched = schedule::schedule(a.template(), dev, &CurveCache::new(), &plan.tree.root)?;
-        Ok(RawGeometry::extract_design(&a.identity(), plan.tree.lanes).finish(sched))
+        Ok(RawGeometry::extract_design(&a.identity()).finish(sched))
     }
 
     /// Work-items each lane processes per kernel instance.
@@ -95,19 +95,19 @@ pub(crate) struct RawGeometry {
 }
 
 impl RawGeometry {
-    /// Extract the Table I geometry of an arena-backed design with `knl`
-    /// lanes, from the arena's precomputed scalars plus the variant's
-    /// patched `form`/`vect` cells.
-    pub(crate) fn extract_design(d: &tytra_ir::PatchedModule<'_>, knl: u64) -> RawGeometry {
+    /// Extract the Table I geometry of an arena-backed design from the
+    /// arena's precomputed scalars plus the variant's patched cells.
+    pub(crate) fn extract_design(d: &tytra_ir::PatchedModule<'_>) -> RawGeometry {
         let a = d.arena;
+        let knl = d.kernel_lanes();
         // Off-chip traffic: every port whose backing memory object lives
         // in an off-chip space moves one element per work-item. With KNL
         // lanes the ports are replicated (p0..p3 in the paper's Fig 14)
         // but each lane serves NGS/KNL items, so per-work-item traffic is
         // the *distinct arrays'* element count: ports ÷ lanes when the
         // module declares per-lane ports.
-        let offchip_ports = a.offchip_ports();
-        let bytes = a.offchip_port_bytes();
+        let offchip_ports = d.offchip_ports();
+        let bytes = d.offchip_port_bytes();
         let lanes_div = knl.max(1);
         let (nwpt_words, bytes_per_item) =
             if offchip_ports.is_multiple_of(lanes_div) && offchip_ports > 0 {
@@ -126,7 +126,7 @@ impl RawGeometry {
             dv: d.vect,
             form: d.form,
             n_streams: offchip_ports,
-            local_bytes: a.local_bytes(),
+            local_bytes: d.local_bytes(),
         }
     }
 
@@ -333,15 +333,15 @@ mod tests {
         let a = ArenaModule::build(shadowed_module());
         // Off chip: p, q, r (through the first `strobj_q`) and the
         // dangling g and h; `main.s` is on chip through the first `mem_s`.
-        let g = RawGeometry::extract_design(&a.identity(), a.config().unwrap().tree.lanes);
+        let g = RawGeometry::extract_design(&a.identity());
         assert_eq!(g.n_streams, 5);
         assert_eq!(g.bytes_per_item, 5 * 3);
         // The bandwidth pass sees the off-chip streams with the first
         // `mem_p`'s length; neither `mem_s` nor a dangling name counts.
-        let bw = crate::bandwidth::assess(&a, &stratix_v_gsd8(), &CurveCache::new());
-        let streams: Vec<(&str, u64)> =
-            bw.streams.iter().map(|s| (s.name.as_str(), s.elems)).collect();
-        assert_eq!(streams, [("strobj_p", 27_000), ("strobj_q", 27_000), ("strobj_q", 27_000)]);
+        let bw = crate::bandwidth::assess(&a.identity(), &stratix_v_gsd8(), &CurveCache::new());
+        let streams: Vec<(String, u64)> = bw.streams.iter().map(|s| (s.name, s.elems)).collect();
+        let want = [("strobj_p", 27_000), ("strobj_q", 27_000), ("strobj_q", 27_000)];
+        assert_eq!(streams, want.map(|(n, e)| (n.to_string(), e)));
     }
 
     #[test]

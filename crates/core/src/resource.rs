@@ -27,7 +27,9 @@
 //! element. Our synthesis emulator reproduces that behaviour.
 
 use tytra_device::{CachedLatency, CurveCache, ResourceVector, TargetDevice};
-use tytra_ir::{ArenaModule, ConfigPlan, Dfg, IrFunction, Opcode, ParKind, PlanNode, ScalarType};
+use tytra_ir::{
+    ArenaModule, ConfigPlan, Dfg, IrFunction, Opcode, ParKind, PatchedModule, PlanNode, ScalarType,
+};
 use tytra_trace::bounded::BoundedMap;
 use tytra_trace::metrics::Counter;
 
@@ -107,37 +109,40 @@ pub struct ResourceEstimate {
 
 /// The session resource pass over a flattened [`ConfigPlan`]: a linear
 /// scan over the plan's preorder slices, with the module-level terms read
-/// from the arena's precomputed geometry. Memo misses price the function
-/// body through [`function_cost`] on the retained template (the cost
-/// depends only on the body, `DV` and the options, all of which are
-/// patch-independent). Infallible: the plan only exists when every
-/// configuration node's function resolved at arena build time.
+/// from the patch's geometry. Memo misses price the function body through
+/// [`function_cost`] on the retained template (the cost depends only on
+/// the body, `DV` and the options, all of which are patch-independent).
+/// Infallible: the plan only exists when every configuration node's
+/// function resolved at arena build time.
 ///
 /// The lane slice is priced once and scaled by the plan's
-/// [`lane_replicas`][ConfigPlan::lane_replicas] (`u64`, so the multiply
+/// [`lane_replicas`][ConfigPlan::lane_replicas] times the patch's
+/// [`lane_copies`][PatchedModule::lane_copies] (`u64`, so the multiply
 /// equals summing every copy). A per-copy walk would hit the memo for
 /// every node of each further copy, and again for the per-lane figure;
 /// those hits are counted as such, so the session's counters read as
 /// they would after that walk.
 pub(crate) fn estimate_plan(
-    a: &ArenaModule,
+    d: &PatchedModule<'_>,
     plan: &ConfigPlan,
     dev: &TargetDevice,
-    vect: u32,
     opts: &crate::CostOptions,
     curves: &CurveCache,
     mut memo: NodeMemo<'_>,
 ) -> ResourceEstimate {
-    let dv = u64::from(vect.max(1));
+    let a = d.arena;
+    let dv = u64::from(d.vect.max(1));
+    let copies = d.lane_copies();
+    let lane_replicas = plan.lane_replicas * copies;
     let mut acc = ResourceBreakdown::default();
     let mut lane_acc = ResourceBreakdown::default();
     let (before, after) = plan.outer_nodes();
-    plan_nodes_cost(a, before, dev, dv, opts, curves, &mut memo, &mut acc);
-    plan_nodes_cost(a, plan.lane_nodes(), dev, dv, opts, curves, &mut memo, &mut lane_acc);
-    plan_nodes_cost(a, after, dev, dv, opts, curves, &mut memo, &mut acc);
-    acc += &(lane_acc.clone() * plan.lane_replicas);
+    plan_nodes_cost(a, before, copies, dev, dv, opts, curves, &mut memo, &mut acc);
+    plan_nodes_cost(a, plan.lane_nodes(), 1, dev, dv, opts, curves, &mut memo, &mut lane_acc);
+    plan_nodes_cost(a, after, 1, dev, dv, opts, curves, &mut memo, &mut acc);
+    acc += &(lane_acc.clone() * lane_replicas);
     let lane_lookups = plan.lane_nodes().iter().filter(|n| n.kind != ParKind::Par).count() as u64;
-    memo.hits.add(lane_lookups * plan.lane_replicas);
+    memo.hits.add(lane_lookups * lane_replicas);
     if !opts.structural_resources {
         acc.delay_lines = ResourceVector::ZERO;
         acc.offset_buffers = ResourceVector::ZERO;
@@ -147,18 +152,18 @@ pub(crate) fn estimate_plan(
         // Stream control per off-chip stream; `u64` addition is exact,
         // so one multiply equals a per-port accumulation.
         acc.control +=
-            ResourceVector::new(STREAM_CTRL_ALUTS, STREAM_CTRL_REGS, 0, 0) * a.offchip_ports();
+            ResourceVector::new(STREAM_CTRL_ALUTS, STREAM_CTRL_REGS, 0, 0) * d.offchip_ports();
     }
     // Local memory objects are BRAM-resident; each of one lane's objects
     // stands for one per lane (`u64`, so the multiply is exact).
-    for &bits in a.local_mem_bits() {
-        acc.local_memory += ResourceVector::new(2, 0, bits, 0) * a.replicas();
+    for bits in d.local_mem_bits() {
+        acc.local_memory += ResourceVector::new(2, 0, bits, 0) * d.lanes();
     }
 
     // Per-lane figure: one lane subtree, including its share of stream
     // control (off-chip streams split evenly across lanes when the design
     // declares per-lane ports).
-    let ctrl_per_lane = a.offchip_ports().div_ceil(plan.par_lanes.max(1));
+    let ctrl_per_lane = d.offchip_ports().div_ceil((plan.par_lanes * copies).max(1));
     let per_lane = lane_acc.total()
         + ResourceVector::new(STREAM_CTRL_ALUTS, STREAM_CTRL_REGS, 0, 0) * ctrl_per_lane;
 
@@ -166,8 +171,8 @@ pub(crate) fn estimate_plan(
 }
 
 /// Accumulate the cost of a preorder plan slice: `par` nodes price lane
-/// glue per child (no memo traffic), every other node goes through the
-/// `(fingerprint, DV)` memo.
+/// glue per child, `copies` times their template child count (no memo
+/// traffic), every other node goes through the `(fingerprint, DV)` memo.
 ///
 /// A node's *own* contribution (everything [`function_cost`] computes)
 /// depends only on the function body, `DV` and the options, so it is
@@ -179,6 +184,7 @@ pub(crate) fn estimate_plan(
 fn plan_nodes_cost(
     a: &ArenaModule,
     nodes: &[PlanNode],
+    copies: u64,
     dev: &TargetDevice,
     dv: u64,
     opts: &crate::CostOptions,
@@ -188,8 +194,8 @@ fn plan_nodes_cost(
 ) {
     for node in nodes {
         if node.kind == ParKind::Par {
-            acc.control +=
-                ResourceVector::new(LANE_GLUE_ALUTS, 0, 0, 0) * u64::from(node.n_children);
+            acc.control += ResourceVector::new(LANE_GLUE_ALUTS, 0, 0, 0)
+                * (u64::from(node.n_children) * copies);
             continue;
         }
         let key = (a.fn_fp(node.func), dv);
@@ -422,7 +428,7 @@ mod tests {
         };
         let opts = crate::CostOptions::default();
         let curves = CurveCache::new();
-        estimate_plan(&a, plan, &stratix_v_gsd8(), m.meta.vect, &opts, &curves, memo)
+        estimate_plan(&a.identity(), plan, &stratix_v_gsd8(), &opts, &curves, memo)
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //! | schedule | lane subtree | [`fingerprint_subtree`][tytra_ir::fingerprint_subtree] | `PipelineSchedule` |
 //! | parameters | geometry + schedule | — (infallible arithmetic) | `CostParams` |
 //! | resources | per function | [`fingerprint_function`][tytra_ir::fingerprint_function] + `DV` | `ResourceBreakdown` |
-//! | clock | per function | [`fingerprint_function`][tytra_ir::fingerprint_function] | worst stage (ns, name) |
-//! | bandwidth | stream set | [`fingerprint_streams`][tytra_ir::fingerprint_streams] + lanes | `BandwidthBreakdown` |
+//! | clock | per function | [`PatchedModule::fn_key`] (the fingerprint; a lane root's adds its call count) | worst stage (ns, name) |
+//! | bandwidth | stream set | [`PatchedModule::bw_key`] (the template's [`fingerprint_streams`][tytra_ir::fingerprint_streams], lane count and kernel lanes) | `BandwidthBreakdown` |
 //! | throughput / power | scalars | — (pure arithmetic) | — |
 //!
 //! Below those, every calibration-fit and sustained-bandwidth curve
@@ -152,7 +152,7 @@ pub struct EstimatorSession {
     worst_stage: BoundedMap<u64, Option<(f64, String)>>,
     /// Lane-subtree schedules, keyed on subtree fingerprint.
     schedules: BoundedMap<u64, PipelineSchedule>,
-    /// Bandwidth breakdowns, keyed on (stream fingerprint, lanes).
+    /// Bandwidth breakdowns, keyed on [`PatchedModule::bw_key`].
     bandwidths: BoundedMap<u64, BandwidthBreakdown>,
     /// The single source of truth for the session's counters: the
     /// handles below (and the curve cache's `curves.*` pair) all live in
@@ -333,7 +333,7 @@ impl EstimatorSession {
         // Pass 3: parameters from precomputed geometry + patched cells.
         let params = {
             let _sp = trace::enabled().then(|| trace::span("estimator.parameters"));
-            crate::params::RawGeometry::extract_design(d, plan.tree.lanes).finish(sched)
+            crate::params::RawGeometry::extract_design(d).finish(sched)
         };
 
         // Pass 4: resources over the preorder plan.
@@ -345,13 +345,13 @@ impl EstimatorSession {
         // which the patch never touches.
         let clock = {
             let _sp = trace::enabled().then(|| trace::span("estimator.clock"));
-            let worst = self.clock_design(d.arena, plan);
+            let worst = self.clock_design(d, plan);
             frequency::finish_clock(d.arena.template(), &self.dev, worst, &resources.total)
         };
 
-        // Pass 6: bandwidth (Manage-IR only — patch-independent).
-        self.ensure_bandwidth_design(d.arena);
-        let bw = self.bandwidths[&d.arena.bw_key()].clone();
+        // Pass 6: bandwidth (Manage-IR and lane count only).
+        let bw_key = self.ensure_bandwidth_design(d);
+        let bw = self.bandwidths[&bw_key].clone();
 
         // Pass 7: throughput, limiter, power — pure arithmetic.
         let report = {
@@ -402,28 +402,28 @@ impl EstimatorSession {
         let plan = d.arena.config()?;
         let resources = self.resources_design(d, plan);
         let fits = resources.total.fits_within(&self.dev.capacity);
-        self.ensure_bandwidth_design(d.arena);
-        let g = crate::params::RawGeometry::extract_design(d, plan.tree.lanes);
-        let bw = &self.bandwidths[&d.arena.bw_key()];
+        let bw_key = self.ensure_bandwidth_design(d);
+        let g = crate::params::RawGeometry::extract_design(d);
+        let bw = &self.bandwidths[&bw_key];
         let b = crate::bound::assemble(&g, &self.dev, bw, plan.lane_ii, resources.total, fits);
         self.memo_entries.set(self.memo_len() as f64);
         self.bound_ns.record(t0.elapsed().as_nanos() as u64);
         Ok(b)
     }
 
-    /// Pass 0. The arena's base verdict is every variant's verdict: it is
-    /// computed once per arena and shared by every patch and every
-    /// session (see [`ArenaModule::validate_base`]). Once the arena holds
-    /// it, a call is a hit that reads it, with no hashing. A fresh arena
-    /// (the tree entry points build one per call) is probed in the
-    /// session's set of validated module fingerprints first, so only the
-    /// call that actually runs the validator counts a miss.
+    /// Pass 0. The arena caches each patch's verdict, shared by every
+    /// patch at that lane count and every session (see
+    /// [`PatchedModule::validate`]). Once the arena holds it, a call is a
+    /// hit that reads it, with no hashing. A fresh arena (the tree entry
+    /// points build one per call) is probed in the session's set of
+    /// validated module fingerprints first, so only the call that
+    /// actually runs the validator counts a miss.
     fn validate_design(&mut self, d: &PatchedModule<'_>) -> Result<(), IrError> {
-        if d.arena.base_validated() {
+        if d.validated() {
             let _sp =
                 trace::enabled().then(|| trace::span("estimator.validate").with("memo_hit", true));
             self.hits.incr();
-            return d.arena.validate_base();
+            return d.validate();
         }
         let mut sp = trace::span("estimator.validate");
         let module_fp = d.fingerprint();
@@ -435,7 +435,7 @@ impl EstimatorSession {
             return Ok(());
         }
         self.misses.incr();
-        d.arena.validate_base()?;
+        d.validate()?;
         if self.validated.insert(module_fp) {
             self.evictions.incr();
         }
@@ -454,10 +454,9 @@ impl EstimatorSession {
     ) -> crate::resource::ResourceEstimate {
         let _sp = trace::enabled().then(|| trace::span("estimator.resources"));
         resource::estimate_plan(
-            d.arena,
+            d,
             plan,
             &self.dev,
-            d.vect,
             &self.opts,
             &self.curves,
             resource::NodeMemo {
@@ -476,9 +475,10 @@ impl EstimatorSession {
     /// The strict `>` keeps the earliest function on ties, so one copy of
     /// a replicated lane slice gives the max over every copy; each
     /// further copy counts the hits its walk would have.
-    fn clock_design(&mut self, a: &ArenaModule, plan: &ConfigPlan) -> (f64, String) {
+    fn clock_design(&mut self, d: &PatchedModule<'_>, plan: &ConfigPlan) -> (f64, String) {
+        let a = d.arena;
         for node in &plan.nodes {
-            let key = a.fn_fp(node.func);
+            let key = d.fn_key(node.func);
             if self.worst_stage.contains_key(&key) {
                 self.hits.incr();
             } else {
@@ -491,10 +491,11 @@ impl EstimatorSession {
                 }
             }
         }
-        self.hits.add((plan.lane_replicas - 1) * plan.lane_len as u64);
+        let copies = plan.lane_replicas * d.lane_copies();
+        self.hits.add((copies - 1) * plan.lane_len as u64);
         let mut worst: (f64, &str) = (0.0, "");
         for node in &plan.nodes {
-            if let Some(Some(own)) = self.worst_stage.peek(&a.fn_fp(node.func)) {
+            if let Some(Some(own)) = self.worst_stage.peek(&d.fn_key(node.func)) {
                 if own.0 > worst.0 {
                     worst = (own.0, own.1.as_str());
                 }
@@ -504,12 +505,13 @@ impl EstimatorSession {
     }
 
     /// Pass 6 over an arena: ensure the bandwidth breakdown for the
-    /// arena's (patch-independent) key is memoized, without handing out a
-    /// clone — the bound path reads it by reference afterwards. The miss
-    /// path assesses the *base*, exact because the bandwidth pass reads
-    /// only the Manage-IR, which the patch never touches.
-    fn ensure_bandwidth_design(&mut self, a: &ArenaModule) {
-        let bw_key = a.bw_key();
+    /// patch's key is memoized, without handing out a clone — the bound
+    /// path reads it by reference afterwards — and return the key. The
+    /// pass reads only the Manage-IR and the kernel-lane count, so the
+    /// key is the template's streams digest plus the lane count
+    /// ([`PatchedModule::bw_key`]).
+    fn ensure_bandwidth_design(&mut self, d: &PatchedModule<'_>) -> u64 {
+        let bw_key = d.bw_key();
         if self.bandwidths.contains_key(&bw_key) {
             let _sp = trace::enabled().then(|| {
                 trace::span("estimator.bandwidth").with("fp", bw_key).with("memo_hit", true)
@@ -518,15 +520,16 @@ impl EstimatorSession {
         } else {
             let _sp = trace::span("estimator.bandwidth").with("fp", bw_key).with("memo_hit", false);
             let b = if self.opts.sustained_bandwidth {
-                bandwidth::assess(a, &self.dev, &self.curves)
+                bandwidth::assess(d, &self.dev, &self.curves)
             } else {
-                bandwidth::assess_naive(a, &self.dev, &self.curves)
+                bandwidth::assess_naive(d, &self.dev, &self.curves)
             };
             self.misses.incr();
             if self.bandwidths.insert(bw_key, b) {
                 self.evictions.incr();
             }
         }
+        bw_key
     }
 
     /// Total entries across the session's memo tables (the
@@ -701,7 +704,7 @@ mod tests {
             ("k_l4_v1_pipe_C", MemForm::C, 1),
             ("tiled", MemForm::Tiled { tiles: 4 }, 1),
         ] {
-            let d = a.patched(name, form, vect);
+            let d = a.patched(name, form, vect, 1);
             let m = d.materialize();
             let tr = tree_s.estimate(&m).unwrap();
             let ar = arena_s.estimate_design(&d).unwrap();
@@ -737,10 +740,10 @@ mod tests {
     fn sibling_variants_share_one_base_validation() {
         let mut session = EstimatorSession::new(eval_small());
         let a = tytra_ir::ArenaModule::build(laned_module(4, MemForm::B));
-        session.bound_design(&a.patched("v_a", MemForm::A, 1)).unwrap();
+        session.bound_design(&a.patched("v_a", MemForm::A, 1, 1)).unwrap();
         let misses_first = session.stats().misses;
-        session.bound_design(&a.patched("v_b", MemForm::B, 1)).unwrap();
-        session.bound_design(&a.patched("v_c", MemForm::C, 1)).unwrap();
+        session.bound_design(&a.patched("v_b", MemForm::B, 1, 1)).unwrap();
+        session.bound_design(&a.patched("v_c", MemForm::C, 1, 1)).unwrap();
         // The later variants' validate passes hit via the shared base,
         // resources hit under the same `(fingerprint, DV)` keys, and
         // bandwidth hits on the shared patch-independent key. (A DV

@@ -5,7 +5,7 @@
 //! approximately, but to the last mantissa bit. The tree entry points
 //! build a fresh arena over the module they are given, so this pins a
 //! patched design to a rebuild of its own tree: the one property the
-//! three-cell patch can break.
+//! four-cell patch can break.
 //!
 //! The strategies deliberately drive one pair of warm sessions through
 //! a whole batch of sibling patches over a shared arena base, so later
@@ -56,6 +56,22 @@ fn stencil_module(width: u16, lanes: u64, ngs: u64, nki: u64, form: MemForm) -> 
     b.finish().expect("valid stencil module")
 }
 
+/// One lane of [`stencil_module`]: unsuffixed arrays over the whole
+/// range and a `wrap` dispatcher with one call, so a patch at `lanes`
+/// lanes stands for `stencil_module(width, lanes, ..)`.
+fn lane_template(width: u16, ngs: u64, nki: u64, form: MemForm) -> IrModule {
+    let mut m = stencil_module(width, 2, ngs, nki, form);
+    let t = ScalarType::UInt(width);
+    let mut b = ModuleBuilder::new("one lane");
+    b.global_input("x", t, ngs);
+    b.global_output("y", t, ngs);
+    let lane = b.finish_unchecked();
+    (m.mems, m.streams, m.ports) = (lane.mems, lane.streams, lane.ports);
+    let wrap = m.functions.iter_mut().find(|f| f.name == "wrap").expect("two lanes dispatch");
+    wrap.body.truncate(1);
+    m
+}
+
 fn forms() -> impl Strategy<Value = MemForm> {
     prop_oneof![
         Just(MemForm::A),
@@ -94,7 +110,7 @@ proptest! {
         prop_assert_eq!(arena.identity().fingerprint(), fingerprint_module(&m));
         prop_assert_eq!(arena.identity().materialize(), m.clone());
         for (name, pform, vect) in patches(&m) {
-            let d = arena.patched(&name, pform, vect);
+            let d = arena.patched(&name, pform, vect, 1);
             let mut tree = m.clone();
             tree.name = name.clone();
             tree.meta.form = pform;
@@ -105,6 +121,14 @@ proptest! {
                 "patch {}/{:?}/DV{}", name, pform, vect
             );
             prop_assert_eq!(d.materialize(), tree, "patch {}/{:?}/DV{}", name, pform, vect);
+        }
+        // A lane template patched to more lanes is the laned module.
+        let template = ArenaModule::build(lane_template(width, 1 << 12, nki, form));
+        for lanes in [2u64, 4, 16] {
+            let want = stencil_module(width, lanes, 1 << 12, nki, form);
+            let d = template.patched(&want.name, form, 1, lanes);
+            prop_assert_eq!(d.fingerprint(), fingerprint_module(&want), "{} lanes", lanes);
+            prop_assert_eq!(d.materialize(), want, "{} lanes", lanes);
         }
     }
 
@@ -122,11 +146,13 @@ proptest! {
         let dev = if big_dev { stratix_v_gsd8() } else { eval_small() };
         let mut via_arena = EstimatorSession::new(dev.clone());
         let mut via_tree = EstimatorSession::new(dev.clone());
-        for lanes in [1u64, 2, 4, 2] {
-            let m = stencil_module(width, lanes, ngs, nki, form);
-            let arena = ArenaModule::build(m.clone());
-            for (name, pform, vect) in patches(&m) {
-                let d = arena.patched(&name, pform, vect);
+        // Parsed modules at their own lane count, then one lane template
+        // at several: its patches share the template's memo entries.
+        let template = ArenaModule::build(lane_template(width, ngs, nki, form));
+        let bases = [1u64, 2, 4, 2].map(|l| (ArenaModule::build(stencil_module(width, l, ngs, nki, form)), 1));
+        for (arena, lanes) in bases.iter().map(|(a, l)| (a, *l)).chain([2u64, 4, 16, 2].map(|l| (&template, l))) {
+            for (name, pform, vect) in patches(arena.template()) {
+                let d = arena.patched(&name, pform, vect, lanes);
                 let tree = d.materialize();
                 let a = via_arena.estimate_design(&d).unwrap();
                 let t = via_tree.estimate(&tree).unwrap();
@@ -187,7 +213,7 @@ fn an_invalid_base_errors_identically_on_every_path() {
     // The first pass computes the arena's cached verdict; the second, in
     // fresh sessions again, must read back the very same error.
     for _ in 0..2 {
-        for d in [arena.identity(), arena.patched("dup_input_v2", MemForm::A, 2)] {
+        for d in [arena.identity(), arena.patched("dup_input_v2", MemForm::A, 2, 1)] {
             let e = EstimatorSession::new(stratix_v_gsd8()).estimate_design(&d).unwrap_err();
             let b = EstimatorSession::new(stratix_v_gsd8()).bound_design(&d).unwrap_err();
             assert_eq!(e, tree_err, "estimate_design on {}", d.name);

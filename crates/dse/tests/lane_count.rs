@@ -71,3 +71,25 @@ fn colliding_lane_names_make_the_verdict_depend_on_the_lane_count() {
         }
     }
 }
+
+/// A `tybec dse <kernel> --lanes 1..64` run — the lane sweep, the pruned
+/// search and the tuning loop on one factory and session — builds one
+/// base per inner kind and lane class the search visits: the lane count
+/// is a patch cell, so lane counts above one share a base.
+#[test]
+fn a_dse_run_over_lanes_1_to_64_builds_two_bases_per_kernel() {
+    use tytra_cost::EstimatorSession;
+    use tytra_device::stratix_v_gsd8;
+    use tytra_dse::{lane_sweep_with, search_with, tune_with, ExplorationConfig, SearchConfig};
+
+    let lanes: Vec<u64> = (1..=64).collect();
+    for kernel in all_kernels() {
+        let factory = kernel.variant_factory();
+        let mut session = EstimatorSession::new(stratix_v_gsd8());
+        lane_sweep_with(&factory, &mut session, &lanes, &Variant::baseline());
+        let space = ExplorationConfig { lanes: lanes.clone(), ..ExplorationConfig::default() };
+        search_with(&factory, &mut session, &SearchConfig::pruned(space));
+        tune_with(&factory, &mut session, Variant::baseline(), 12);
+        assert_eq!(factory.bases_built(), 2, "{}", kernel.name());
+    }
+}

@@ -438,8 +438,8 @@ pub fn analyze_congruence(m: &IrModule, dev: &TargetDevice) -> Verdict {
 /// The arena IR ([`ArenaModule`]) carries the estimator's whole hot
 /// path, so its contract is total: for any module the generator can
 /// produce, (a) the identity patch fingerprints and materializes exactly
-/// as the tree; (b) for a sweep of copy-on-write patches over the three
-/// patched cells (name, form, DV), `estimate_design`/`bound_design` are
+/// as the tree; (b) for a sweep of copy-on-write patches over the four
+/// patched cells (name, form, DV, lane count), `estimate_design`/`bound_design` are
 /// `Debug`-bit-identical to a tree session estimating the materialized
 /// patch. The tree entry points build a fresh arena over the module they
 /// are given, so (b) checks each patch against a rebuild of its own
@@ -457,14 +457,15 @@ pub fn arena_equivalence(m: &IrModule, dev: &TargetDevice) -> Verdict {
     }
     let mut via_arena = EstimatorSession::new(dev.clone());
     let mut via_tree = EstimatorSession::new(dev.clone());
-    let patches: [(&str, MemForm, u32); 4] = [
-        (&m.name, m.meta.form, m.meta.vect),
-        ("fz_patch", MemForm::A, 1),
-        ("fz_patch", MemForm::B, 2),
-        ("fz_patch", MemForm::Tiled { tiles: 2 }, m.meta.vect),
+    let patches: [(&str, MemForm, u32, u64); 5] = [
+        (&m.name, m.meta.form, m.meta.vect, 1),
+        ("fz_patch", MemForm::A, 1, 1),
+        ("fz_patch", MemForm::B, 2, 1),
+        ("fz_patch", MemForm::Tiled { tiles: 2 }, m.meta.vect, 1),
+        ("fz_patch", m.meta.form, m.meta.vect, 2),
     ];
-    for (name, form, vect) in patches {
-        let d = arena.patched(name, form, vect);
+    for (name, form, vect, lanes) in patches {
+        let d = arena.patched(name, form, vect, lanes);
         let tree = d.materialize();
         match (via_arena.estimate_design(&d), via_tree.estimate(&tree)) {
             (Ok(a), Ok(t)) => {

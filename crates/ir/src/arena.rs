@@ -5,11 +5,11 @@
 //! of their IR: the same lane body at every lane count, the same Manage-IR
 //! at every vectorization degree. The tree representation ([`IrModule`])
 //! pays pointer chasing, `String` comparisons and per-variant clones for
-//! that sharing; [`ArenaModule`] flattens one lowered module into dense
+//! that sharing; [`ArenaModule`] flattens one lane template into dense
 //! columns once, precomputes every content hash and geometry scalar the
 //! estimator's hot path reads, and then represents each variant as a
-//! [`PatchedModule`] — a *copy-on-write delta* of exactly three cells
-//! (module name, memory form, DV) over the shared base.
+//! [`PatchedModule`] — a *copy-on-write delta* of exactly four cells
+//! (module name, memory form, DV and lane count) over the shared base.
 //!
 //! Layout:
 //!
@@ -26,30 +26,31 @@
 //!   excluded from all fingerprints (span transparency, as in
 //!   [`crate::fingerprint`]).
 //! * **Precomputed digests & geometry** — per-function fingerprints, the
-//!   Manage-IR streams fingerprint, the module's kernel-lane count, NGS,
-//!   off-chip port counts/bytes, local-memory sizes, Noff, and a
-//!   flattened configuration plan ([`ConfigPlan`]) with the lane
+//!   template's Manage-IR streams fingerprint and kernel-lane count, NGS,
+//!   one lane's off-chip port counts/bytes and on-chip memories, Noff,
+//!   and a flattened configuration plan ([`ConfigPlan`]) with the lane
 //!   subtree's schedule fingerprint. These are the only values the
 //!   estimator's bound/estimate passes need per variant, so costing a
-//!   [`PatchedModule`] is pure arithmetic over this struct — the base
-//!   tree is read only on a memo *miss*.
-//! * **One lane of Manage-IR** — a C1 design's lanes carry identical
-//!   memory objects, streams and ports that differ only in a lane-index
-//!   name suffix, so [`ArenaModule::build_lanes`] keeps a *template*
-//!   holding one lane's Manage-IR plus the replica count KNL
-//!   ([`IrModule::expand_lanes`] spells out the module it stands for).
-//!   The geometry scalars are scaled by the count, the digests stream
-//!   the expanded names, and the bandwidth pass scales per template
-//!   stream, so no pass walks a copy per lane. [`ArenaModule::build`]
-//!   is the one-replica case: the template is the module.
+//!   [`PatchedModule`] is pure arithmetic over this struct — the
+//!   template is read only on a memo *miss*.
+//! * **The lane count is a patch cell** — a lane template holds one lane
+//!   ([`IrModule::expand_lanes`]): Manage-IR arrays as long as the whole
+//!   NDRange and a `par` dispatcher, its [lane root][IrModule::lane_root],
+//!   with one lane's call. A patch at KNL lanes stands for the template
+//!   expanded to KNL lanes and derives the three things the count
+//!   changes: the Manage-IR replica count, the per-lane array length
+//!   `len / KNL`, and the dispatcher's call count. Its geometry scalars,
+//!   plan scaling and memo keys are O(1) arithmetic on the precomputed
+//!   values; only the on-demand digests stream every lane. A parsed
+//!   module is the one-lane case: the template is the module.
 //!
-//! **Bit-identity.** [`ArenaModule::fingerprint_patched`] reproduces
-//! [`crate::fingerprint::fingerprint_module`] on the equivalent patched
-//! tree byte-for-byte: it replays the exact same FNV-1a write sequence
-//! from the columns (locked by unit tests here, the
-//! `arena_equivalence` property suite and a fuzz oracle). The template
-//! is retained behind [`ArenaModule::template`]: memo-miss passes read
-//! function bodies and Manage-IR from it (cells no patch touches), and
+//! **Bit-identity.** [`PatchedModule::fingerprint`] reproduces
+//! [`crate::fingerprint::fingerprint_module`] on the materialized tree
+//! byte-for-byte: it replays the exact same FNV-1a write sequence from
+//! the columns (locked by unit tests here, the `arena_equivalence`
+//! property suite and a fuzz oracle). The template is retained behind
+//! [`ArenaModule::template`]: memo-miss passes read function bodies and
+//! Manage-IR from it (cells no patch touches), and
 //! [`PatchedModule::materialize`] expands a copy for callers that need a
 //! tree.
 
@@ -64,7 +65,7 @@ use crate::module::{IrModule, MemForm};
 use crate::types::ScalarType;
 use crate::validate;
 use std::collections::{HashMap, HashSet};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 macro_rules! dense_id {
     ($(#[$doc:meta])* $name:ident) => {
@@ -141,6 +142,12 @@ pub struct PlanNode {
 /// subtree once, standing for [`lane_replicas`][ConfigPlan::lane_replicas]
 /// copies: the passes price it once and scale, so costing a variant does
 /// not walk a copy per lane.
+///
+/// The plan is the template's. A patch whose template has a lane root
+/// stands for [`lane_copies`][PatchedModule::lane_copies] copies of the
+/// root's call: the root's `n_children`, `lane_replicas` and `par_lanes`
+/// scale by that count, and `tree.lanes` by
+/// [`kernel_lanes`][PatchedModule::kernel_lanes].
 #[derive(Debug, Clone)]
 pub struct ConfigPlan {
     /// The extracted tree, kept for report assembly and memo-miss
@@ -183,14 +190,16 @@ impl ConfigPlan {
 }
 
 /// A module flattened into arena columns with every hot-path scalar
-/// precomputed. Built once per lowered base design; see the module docs.
-#[derive(Debug, Clone)]
+/// precomputed. Built once per lane template; see the module docs.
+#[derive(Debug)]
 pub struct ArenaModule {
-    /// The retained lane template, read by memo-miss passes: the full
-    /// Compute-IR and metadata, and one lane's Manage-IR.
+    /// The retained lane template, read by memo-miss passes: the
+    /// Compute-IR with one lane's dispatcher call, the metadata, and one
+    /// lane's Manage-IR.
     template: IrModule,
-    /// How many lanes the template's Manage-IR stands for.
-    replicas: u64,
+    /// The template's [lane root][IrModule::lane_root], whose call a
+    /// patch repeats once per lane.
+    lane_root: Option<FnId>,
     symbols: SymbolTable,
 
     // ---- function columns ----
@@ -235,45 +244,44 @@ pub struct ArenaModule {
     opnd_tag: Vec<u8>,
     opnd_bits: Vec<u64>,
 
-    // ---- precomputed digests ----
+    // ---- precomputed digests (of the template) ----
     streams_fp: u64,
     bw_key: u64,
 
-    // ---- precomputed geometry ----
+    // ---- precomputed geometry (one lane's Manage-IR) ----
     ngs: u64,
     kernel_lanes: u64,
     offchip_ports: u64,
     offchip_port_bytes: u64,
-    local_bytes: u64,
-    local_mem_bits: Vec<u64>,
+    /// Length and element type of each on-chip memory object.
+    local_mems: Vec<(u64, ScalarType)>,
     noff: u64,
     noff_bytes: u64,
 
     config: Result<ConfigPlan, IrError>,
 
-    /// The expanded module's validation verdict, computed on first
-    /// request and shared by every patch of the arena (see
-    /// [`validate_base`][ArenaModule::validate_base]).
+    /// The template's validation verdict, computed on first request and
+    /// shared by every patch of the arena (see
+    /// [`PatchedModule::validate`]).
     base_verdict: OnceLock<Result<(), IrError>>,
+    /// Whether two lanes of the template can generate the same name.
+    names_may_collide: OnceLock<bool>,
+    /// Verdicts of expanded modules, per lane count, for the lane counts
+    /// the template's verdict does not cover.
+    lane_verdicts: Mutex<Vec<(u64, Result<(), IrError>)>>,
 }
 
 impl ArenaModule {
-    /// Flatten a module: the one-replica case of
-    /// [`build_lanes`][ArenaModule::build_lanes], where the template is
-    /// the module itself. The tree need not be validated: an invalid tree
-    /// still builds, and [`validate_base`][ArenaModule::validate_base]
-    /// (which the estimator's arena path calls before first use) reports
-    /// its error.
-    pub fn build(tree: IrModule) -> ArenaModule {
-        ArenaModule::build_lanes(tree, 1)
-    }
-
-    /// Flatten a lane template standing for `template.expand_lanes(replicas)`
-    /// ([`IrModule::expand_lanes`]) without expanding it: the Manage-IR
-    /// stays one lane long, and every digest, geometry scalar and pass
-    /// over the arena equals what a [`build`][ArenaModule::build] of the
-    /// expanded module gives. A `replicas` of 0 counts as 1.
-    pub fn build_lanes(template: IrModule, replicas: u64) -> ArenaModule {
+    /// Flatten a lane template ([`IrModule::expand_lanes`]) without
+    /// expanding it; a patch picks the lane count
+    /// ([`patched`][ArenaModule::patched]). Every digest, geometry scalar
+    /// and pass over a patch equals what a build of its
+    /// [`materialize`][PatchedModule::materialize]d module gives at one
+    /// lane. A parsed module is its own one-lane template. The tree need
+    /// not be validated: an invalid tree still builds, and
+    /// [`PatchedModule::validate`] (which the estimator's arena path
+    /// calls before first use) reports its error.
+    pub fn build(template: IrModule) -> ArenaModule {
         let _sp = tytra_trace::span("ir.arena_build").with("module", template.name.as_str());
         let n_fns = template.functions.len();
         // A generous estimate of the distinct names, so interning seldom
@@ -317,16 +325,17 @@ impl ArenaModule {
             kernel_lanes: 0,
             offchip_ports: 0,
             offchip_port_bytes: 0,
-            local_bytes: 0,
-            local_mem_bits: Vec::new(),
+            local_mems: Vec::new(),
             noff: 0,
             noff_bytes: 0,
             // Placeholder, replaced once the columns below exist.
             config: Err(IrError::UnsupportedConfig(String::new())),
             base_verdict: OnceLock::new(),
+            names_may_collide: OnceLock::new(),
+            lane_verdicts: Mutex::new(Vec::new()),
+            lane_root: template.lane_root().map(|i| FnId(i as u32)),
             symbols,
             template,
-            replicas: replicas.max(1),
         };
         symbols = std::mem::take(&mut a.symbols);
 
@@ -395,14 +404,13 @@ impl ArenaModule {
         // in `IrModule::function`).
         a.call_callee_fn = a.call_callee.iter().map(|sym| a.fn_by_sym.get(sym).copied()).collect();
 
-        // Manage-IR geometry: one lane's terms, times the lanes. Every lane
-        // resolves its links as the template does once the names are
-        // unique, which `validate_base` establishes before any pass reads
-        // these; `u64` scaling is exact.
+        // Manage-IR geometry of one lane; a patch scales it by its lane
+        // count. Every lane resolves its links as the template does once
+        // the names are unique, which `PatchedModule::validate`
+        // establishes before any pass reads these.
         for mem in &a.template.mems {
             if !mem.space.is_offchip() {
-                a.local_bytes += mem.bytes();
-                a.local_mem_bits.push(mem.bits());
+                a.local_mems.push((mem.len, mem.elem_ty));
             }
         }
         let links = a.template.manage_links();
@@ -412,9 +420,6 @@ impl ArenaModule {
                 a.offchip_port_bytes += u64::from(p.ty.bytes());
             }
         }
-        a.local_bytes *= a.replicas;
-        a.offchip_ports *= a.replicas;
-        a.offchip_port_bytes *= a.replicas;
 
         a.ngs = a.template.meta.global_size();
         a.kernel_lanes = a.template.kernel_lanes();
@@ -430,7 +435,7 @@ impl ArenaModule {
             }
         }
 
-        a.streams_fp = fingerprint::fingerprint_lane_streams(&a.template, a.replicas);
+        a.streams_fp = fingerprint::fingerprint_streams(&a.template);
         a.bw_key = {
             let mut h = StableHasher::new();
             h.write_u64(a.streams_fp);
@@ -445,17 +450,11 @@ impl ArenaModule {
 
     // ---- façade & columns ----
 
-    /// The retained lane template: the base module's Compute-IR and
-    /// metadata, and one lane's Manage-IR (all of it when
-    /// [`replicas`][ArenaModule::replicas] is 1).
+    /// The retained lane template: the Compute-IR with one lane's
+    /// dispatcher call, the metadata, and one lane's Manage-IR (the
+    /// module itself for a parsed module).
     pub fn template(&self) -> &IrModule {
         &self.template
-    }
-
-    /// How many lanes the template's Manage-IR stands for: KNL for a
-    /// lane-template base, 1 for a plain module.
-    pub fn replicas(&self) -> u64 {
-        self.replicas
     }
 
     /// The shared symbol table.
@@ -509,59 +508,24 @@ impl ArenaModule {
 
     // ---- precomputed digests & geometry ----
 
-    /// Validate the base module, once per arena: the first call computes
-    /// the verdict of [`validate::validate`] on the expanded module and
-    /// caches it, later calls (from any thread, any estimator session)
-    /// return the cached copy. The validator never reads the three
-    /// patched cells — only `meta.ndrange`/`nki`/`freq_mhz` and the module
-    /// name for its trace span — so the base verdict is every
-    /// [`PatchedModule`]'s verdict.
-    ///
-    /// A lane template is validated as it stands, one lane long. That
-    /// verdict is the expanded module's whenever it passes and no two
-    /// lanes can generate the same name: the Compute-IR and metadata
-    /// checks never read the Manage-IR, and with unique names every lane
-    /// resolves its links and agrees on directions, types and patterns
-    /// exactly as the template does. Otherwise the expanded module is
-    /// validated, so the verdict and the first error's text are always
-    /// those of validating `materialize()`.
+    /// The template's verdict of [`validate::validate`] — a one-lane
+    /// patch's — computed on first request and cached; later calls (from
+    /// any thread, any estimator session) return the cached copy.
     pub fn validate_base(&self) -> Result<(), IrError> {
-        self.base_verdict
-            .get_or_init(|| {
-                let verdict = validate::validate(&self.template);
-                if self.replicas == 1
-                    || (verdict.is_ok() && !lane_names_may_collide(&self.template))
-                {
-                    return verdict;
-                }
-                validate::validate(&self.identity().materialize())
-            })
-            .clone()
-    }
-
-    /// Whether [`validate_base`][ArenaModule::validate_base] has already
-    /// run, so a further call only reads the cached verdict.
-    pub fn base_validated(&self) -> bool {
-        self.base_verdict.get().is_some()
+        self.base_verdict.get_or_init(|| validate::validate(&self.template)).clone()
     }
 
     /// [`fingerprint_module`][fingerprint::fingerprint_module] of the
-    /// expanded base module, replayed from the columns on each call (no
-    /// costing pass reads it).
+    /// template, replayed from the columns on each call (no costing pass
+    /// reads it).
     pub fn base_fp(&self) -> u64 {
         self.identity().fingerprint()
     }
 
     /// [`fingerprint_streams`][fingerprint::fingerprint_streams] of the
-    /// expanded base module (patch-independent).
+    /// template (patch-independent).
     pub fn streams_fp(&self) -> u64 {
         self.streams_fp
-    }
-
-    /// The bandwidth memo key: `H(streams_fp, kernel_lanes)` — exactly
-    /// the session's bandwidth-pass key.
-    pub fn bw_key(&self) -> u64 {
-        self.bw_key
     }
 
     /// `NGS`: NDRange product (≥ 1).
@@ -572,33 +536,6 @@ impl ArenaModule {
     /// `NKI` of the base design (patch-independent).
     pub fn nki(&self) -> u64 {
         self.template.meta.nki
-    }
-
-    /// [`IrModule::kernel_lanes`] of the base module.
-    pub fn kernel_lanes(&self) -> u64 {
-        self.kernel_lanes
-    }
-
-    /// Off-chip port count (the `NWPT` numerator and `n_streams`).
-    pub fn offchip_ports(&self) -> u64 {
-        self.offchip_ports
-    }
-
-    /// Summed element widths of the off-chip ports, in bytes.
-    pub fn offchip_port_bytes(&self) -> u64 {
-        self.offchip_port_bytes
-    }
-
-    /// Total bytes across on-chip (`local`) memory objects.
-    pub fn local_bytes(&self) -> u64 {
-        self.local_bytes
-    }
-
-    /// Bit sizes of one lane's on-chip memory objects, in declaration
-    /// order (the module-level BRAM terms of the resource pass); each
-    /// stands for [`replicas`][ArenaModule::replicas] objects.
-    pub fn local_mem_bits(&self) -> &[u64] {
-        &self.local_mem_bits
     }
 
     /// `Noff`: largest forward stream-offset look-ahead, in elements.
@@ -613,37 +550,23 @@ impl ArenaModule {
 
     // ---- copy-on-write variants ----
 
-    /// A copy-on-write variant of this base: `name`, `form` and `vect`
-    /// are patched, everything else is shared.
-    pub fn patched<'a>(&'a self, name: &'a str, form: MemForm, vect: u32) -> PatchedModule<'a> {
-        PatchedModule { arena: self, name, form, vect }
+    /// A copy-on-write variant of this base: `name`, `form`, `vect` and
+    /// the lane count are patched, everything else is shared. A `lanes`
+    /// of 0 counts as 1.
+    pub fn patched<'a>(
+        &'a self,
+        name: &'a str,
+        form: MemForm,
+        vect: u32,
+        lanes: u64,
+    ) -> PatchedModule<'a> {
+        PatchedModule { arena: self, name, form, vect, lanes: lanes.max(1) }
     }
 
-    /// The identity patch: the base module itself as a [`PatchedModule`].
+    /// The identity patch: the template itself, at one lane, as a
+    /// [`PatchedModule`].
     pub fn identity(&self) -> PatchedModule<'_> {
-        self.patched(&self.template.name, self.template.meta.form, self.template.meta.vect)
-    }
-
-    /// [`fingerprint_module`][fingerprint::fingerprint_module] of the
-    /// patched module, computed from the columns without materializing a
-    /// tree. Byte-identical to hashing the patched tree.
-    pub fn fingerprint_patched(&self, name: &str, form: MemForm, vect: u32) -> u64 {
-        let mut h = StableHasher::new();
-        h.write_str(name);
-        fingerprint::write_meta_parts(
-            &mut h,
-            &self.template.meta.ndrange,
-            self.template.meta.nki,
-            form,
-            self.template.meta.freq_mhz,
-            vect,
-        );
-        h.write_u64(self.streams_fp);
-        h.write_u64(self.fn_name.len() as u64);
-        for i in 0..self.fn_name.len() {
-            self.write_function_into(&mut h, FnId(i as u32));
-        }
-        h.finish()
+        self.patched(&self.template.name, self.template.meta.form, self.template.meta.vect, 1)
     }
 
     /// Recompute one function's fingerprint from the columns (the
@@ -651,13 +574,20 @@ impl ArenaModule {
     /// for the equivalence tests).
     pub fn fingerprint_function_arena(&self, f: FnId) -> u64 {
         let mut h = StableHasher::new();
-        self.write_function_into(&mut h, f);
+        self.write_function_into(&mut h, f, 1);
         h.finish()
     }
 
+    /// Whether two lanes of the template can generate the same name,
+    /// computed on first request.
+    fn names_may_collide(&self) -> bool {
+        *self.names_may_collide.get_or_init(|| lane_names_may_collide(&self.template))
+    }
+
     /// Replay the exact `write_function` byte sequence of
-    /// [`crate::fingerprint`] from the SoA columns.
-    fn write_function_into(&self, h: &mut StableHasher, f: FnId) {
+    /// [`crate::fingerprint`] from the SoA columns, with the body written
+    /// `copies` times in a row.
+    fn write_function_into(&self, h: &mut StableHasher, f: FnId, copies: u64) {
         let i = f.index();
         h.write_str(self.resolve(self.fn_name[i]));
         h.write_u8(self.fn_kind[i] as u8);
@@ -669,8 +599,8 @@ impl ArenaModule {
             h.write_u8(self.param_dir[p] as u8);
         }
         let (s0, s1) = self.fn_stmts[i];
-        h.write_u64(u64::from(s1 - s0));
-        for s in s0 as usize..s1 as usize {
+        h.write_u64(u64::from(s1 - s0) * copies);
+        for s in (0..copies).flat_map(|_| s0 as usize..s1 as usize) {
             let k = self.stmt_index[s] as usize;
             match self.stmt_kind[s] {
                 StmtKind::Instr => {
@@ -826,11 +756,12 @@ fn build_plan(a: &ArenaModule, tree: ConfigTree) -> ConfigPlan {
 }
 
 /// A design variant as a copy-on-write delta over a shared
-/// [`ArenaModule`]: exactly three patched cells (module name, memory
-/// form, DV). Costing a `PatchedModule` through the session's
-/// `estimate_design`/`bound_design` touches only the arena's precomputed
-/// columns in the steady state; [`materialize`][PatchedModule::materialize]
-/// produces the equivalent tree.
+/// [`ArenaModule`]: exactly four patched cells (module name, memory
+/// form, DV and lane count). Costing a `PatchedModule` through the
+/// session's `estimate_design`/`bound_design` touches only the arena's
+/// precomputed columns and O(1) arithmetic on the lane count in the
+/// steady state; [`materialize`][PatchedModule::materialize] produces the
+/// equivalent tree.
 #[derive(Debug, Clone, Copy)]
 pub struct PatchedModule<'a> {
     /// The shared base.
@@ -841,25 +772,180 @@ pub struct PatchedModule<'a> {
     pub form: MemForm,
     /// Patched degree of vectorization.
     pub vect: u32,
+    /// Patched lane count (≥ 1), set by [`ArenaModule::patched`].
+    lanes: u64,
 }
 
 impl PatchedModule<'_> {
-    /// [`fingerprint_module`][fingerprint::fingerprint_module] of this
-    /// variant, allocation-free.
-    pub fn fingerprint(&self) -> u64 {
-        self.arena.fingerprint_patched(self.name, self.form, self.vect)
+    /// How many lanes the template stands for (1 for a parsed module).
+    pub fn lanes(&self) -> u64 {
+        self.lanes
     }
 
-    /// Expand a copy of the template and apply the patch — the module
-    /// this variant stands for. Equal (field-for-field) to lowering the
-    /// variant from scratch.
+    /// How many copies of the lane root's call this patch stands for:
+    /// its lane count when the template has a lane root, else 1. The
+    /// template's plan scales by it (see [`ConfigPlan`]).
+    pub fn lane_copies(&self) -> u64 {
+        if self.arena.lane_root.is_some() {
+            self.lanes
+        } else {
+            1
+        }
+    }
+
+    /// [`IrModule::kernel_lanes`] of the patched module.
+    pub fn kernel_lanes(&self) -> u64 {
+        self.arena.kernel_lanes * self.lane_copies()
+    }
+
+    /// Off-chip port count (the `NWPT` numerator and `n_streams`).
+    pub fn offchip_ports(&self) -> u64 {
+        self.arena.offchip_ports * self.lanes
+    }
+
+    /// Summed element widths of the off-chip ports, in bytes.
+    pub fn offchip_port_bytes(&self) -> u64 {
+        self.arena.offchip_port_bytes * self.lanes
+    }
+
+    /// Total bytes across on-chip (`local`) memory objects.
+    pub fn local_bytes(&self) -> u64 {
+        let one_lane: u64 = self
+            .arena
+            .local_mems
+            .iter()
+            .map(|&(len, ty)| len / self.lanes * u64::from(ty.bytes()))
+            .sum();
+        one_lane * self.lanes
+    }
+
+    /// Bit sizes of one lane's on-chip memory objects, in declaration
+    /// order (the module-level BRAM terms of the resource pass); each
+    /// stands for [`lanes`][PatchedModule::lanes] objects.
+    pub fn local_mem_bits(&self) -> impl Iterator<Item = u64> + '_ {
+        self.arena.local_mems.iter().map(|&(len, ty)| len / self.lanes * u64::from(ty.bits()))
+    }
+
+    /// The bandwidth memo key. The bandwidth pass reads the Manage-IR
+    /// and the kernel-lane count, so at one lane the key is
+    /// `H(streams_fp, kernel_lanes)` of the template, and at more lanes
+    /// `H(streams_fp, lanes, kernel_lanes)`: the template's digest stands
+    /// for its expansion at a given lane count.
+    pub fn bw_key(&self) -> u64 {
+        if self.lanes == 1 {
+            return self.arena.bw_key;
+        }
+        let mut h = StableHasher::new();
+        h.write_u64(self.arena.streams_fp);
+        h.write_u64(self.lanes);
+        h.write_u64(self.kernel_lanes());
+        h.finish()
+    }
+
+    /// The memo key of function `f`'s own results in this patch: its
+    /// fingerprint, except for a lane root standing for several calls,
+    /// whose key adds the call count. Two patches' keys for `f` are
+    /// equal exactly when the expanded functions' fingerprints are, but
+    /// the key costs O(1) in the lane count.
+    pub fn fn_key(&self, f: FnId) -> u64 {
+        let fp = self.arena.fn_fp(f);
+        if self.lane_copies() == 1 || self.arena.lane_root != Some(f) {
+            return fp;
+        }
+        let mut h = StableHasher::new();
+        h.write_u64(fp);
+        h.write_u64(self.lanes);
+        h.finish()
+    }
+
+    /// [`fingerprint_module`][fingerprint::fingerprint_module] of this
+    /// variant, computed from the columns without materializing a tree.
+    /// Allocation-free; a patch of more than one lane streams every
+    /// lane's Manage-IR names and dispatcher calls, so no costing pass
+    /// calls it.
+    pub fn fingerprint(&self) -> u64 {
+        let a = self.arena;
+        let mut h = StableHasher::new();
+        h.write_str(self.name);
+        fingerprint::write_meta_parts(
+            &mut h,
+            &a.template.meta.ndrange,
+            a.template.meta.nki,
+            self.form,
+            a.template.meta.freq_mhz,
+            self.vect,
+        );
+        h.write_u64(match self.lanes {
+            1 => a.streams_fp,
+            lanes => fingerprint::fingerprint_lane_streams(&a.template, lanes),
+        });
+        h.write_u64(a.fn_name.len() as u64);
+        for i in 0..a.fn_name.len() {
+            let f = FnId(i as u32);
+            let copies = if a.lane_root == Some(f) { self.lane_copies() } else { 1 };
+            a.write_function_into(&mut h, f, copies);
+        }
+        h.finish()
+    }
+
+    /// Expand a copy of the template to the patch's lane count and apply
+    /// the other cells — the module this variant stands for. Equal
+    /// (field-for-field) to lowering the variant from scratch.
     pub fn materialize(&self) -> IrModule {
-        let mut m = self.arena.template.clone().expand_lanes(self.arena.replicas);
+        let mut m = self.arena.template.clone().expand_lanes(self.lanes);
         m.name.clear();
         m.name.push_str(self.name);
         m.meta.form = self.form;
         m.meta.vect = self.vect;
         m
+    }
+
+    /// The verdict of [`validate::validate`] on
+    /// [`materialize`][PatchedModule::materialize], cached on the arena.
+    /// The validator never reads the name, form or DV cells (only
+    /// `meta.ndrange`/`nki`/`freq_mhz`, and the module name for its trace
+    /// span), and at one lane the template is the module, so a one-lane
+    /// patch gets the template's verdict. At more lanes that verdict
+    /// still holds when it passes and no two lanes can generate the same
+    /// name: the Compute-IR and metadata checks see the lane root's
+    /// repeated call as they see one, and with unique names every lane
+    /// resolves its links and agrees on directions, types and patterns
+    /// exactly as the template does. Otherwise the expanded module is
+    /// validated, once per lane count, so the verdict and the first
+    /// error's text are always those of validating `materialize()`.
+    pub fn validate(&self) -> Result<(), IrError> {
+        let a = self.arena;
+        let base = a.validate_base();
+        if self.lanes == 1 || (base.is_ok() && !a.names_may_collide()) {
+            return base;
+        }
+        let mut verdicts = a.lane_verdicts.lock().expect("no validation panicked holding the lock");
+        if let Some((_, v)) = verdicts.iter().find(|(l, _)| *l == self.lanes) {
+            return v.clone();
+        }
+        let v = validate::validate(&a.identity().with_lanes(self.lanes).materialize());
+        verdicts.push((self.lanes, v.clone()));
+        v
+    }
+
+    /// Whether [`validate`][PatchedModule::validate] has already run for
+    /// this patch's lane count, so a further call only reads the cached
+    /// verdict.
+    pub fn validated(&self) -> bool {
+        let a = self.arena;
+        let Some(base) = a.base_verdict.get() else { return false };
+        self.lanes == 1
+            || (base.is_ok() && a.names_may_collide.get() == Some(&false))
+            || a.lane_verdicts
+                .lock()
+                .expect("no validation panicked holding the lock")
+                .iter()
+                .any(|(l, _)| *l == self.lanes)
+    }
+
+    /// The same patch at `lanes` lanes.
+    fn with_lanes(self, lanes: u64) -> Self {
+        PatchedModule { lanes: lanes.max(1), ..self }
     }
 }
 
@@ -951,27 +1037,30 @@ mod tests {
 
     #[test]
     fn patched_fingerprint_matches_materialized_tree() {
+        // A parsed four-lane module has no lane root: a patch of more
+        // than one lane replicates its Manage-IR only.
         let a = ArenaModule::build(stencil(4, MemForm::B));
-        for (name, form, vect) in [
-            ("st_l4", MemForm::B, 1u32),
-            ("st_l4_v2", MemForm::A, 2),
-            ("other", MemForm::C, 4),
-            ("t", MemForm::Tiled { tiles: 8 }, 1),
-            ("", MemForm::B, 1),
+        for (name, form, vect, lanes) in [
+            ("st_l4", MemForm::B, 1u32, 1u64),
+            ("st_l4_v2", MemForm::A, 2, 1),
+            ("other", MemForm::C, 4, 1),
+            ("t", MemForm::Tiled { tiles: 8 }, 1, 1),
+            ("", MemForm::B, 1, 1),
+            ("wide", MemForm::B, 1, 3),
         ] {
-            let d = a.patched(name, form, vect);
+            let d = a.patched(name, form, vect, lanes);
             assert_eq!(
                 d.fingerprint(),
                 fingerprint_module(&d.materialize()),
-                "patch ({name:?}, {form:?}, {vect})"
+                "patch ({name:?}, {form:?}, {vect}, {lanes})"
             );
         }
     }
 
     #[test]
-    fn materialize_patches_exactly_three_cells() {
+    fn materialize_patches_exactly_four_cells() {
         let a = ArenaModule::build(stencil(2, MemForm::B));
-        let m = a.patched("renamed", MemForm::C, 8).materialize();
+        let m = a.patched("renamed", MemForm::C, 8, 1).materialize();
         assert_eq!(m.name, "renamed");
         assert_eq!(m.meta.form, MemForm::C);
         assert_eq!(m.meta.vect, 8);
@@ -980,6 +1069,9 @@ mod tests {
         back.meta.form = a.template().meta.form;
         back.meta.vect = a.template().meta.vect;
         assert_eq!(fingerprint_module(&back), a.base_fp());
+        let t = ArenaModule::build(stencil_template(false));
+        let m = t.patched("st_l4", MemForm::B, 1, 4).materialize();
+        assert_eq!(m, stencil(4, MemForm::B), "the lane count is the fourth cell");
     }
 
     #[test]
@@ -1041,14 +1133,15 @@ mod tests {
         let lanes = m.kernel_lanes();
         let ngs = m.meta.global_size();
         let a = ArenaModule::build(m);
-        assert_eq!(a.kernel_lanes(), lanes);
+        let d = a.identity();
+        assert_eq!(d.kernel_lanes(), lanes);
         assert_eq!(a.ngs(), ngs);
-        assert_eq!(a.offchip_ports(), 8, "4 lanes x (in + out)");
-        assert_eq!(a.offchip_port_bytes(), 8 * 3, "ui18 rounds to 3 bytes");
+        assert_eq!(d.offchip_ports(), 8, "4 lanes x (in + out)");
+        assert_eq!(d.offchip_port_bytes(), 8 * 3, "ui18 rounds to 3 bytes");
         assert_eq!(a.noff(), 30);
         assert_eq!(a.noff_bytes(), 90);
-        assert_eq!(a.local_bytes(), 0);
-        assert!(a.local_mem_bits().is_empty());
+        assert_eq!(d.local_bytes(), 0);
+        assert_eq!(d.local_mem_bits().count(), 0);
     }
 
     #[test]
@@ -1057,68 +1150,112 @@ mod tests {
         let mut h = StableHasher::new();
         h.write_u64(fingerprint_streams(a.template()));
         h.write_u64(a.template().kernel_lanes());
-        assert_eq!(a.bw_key(), h.finish());
+        assert_eq!(a.identity().bw_key(), h.finish());
+        // Above one lane: the template's digest, the lane count and the
+        // patched module's kernel lanes.
+        let t = ArenaModule::build(stencil_template(false));
+        let d = t.patched("v", MemForm::B, 1, 8);
+        let mut h = StableHasher::new();
+        h.write_u64(fingerprint_streams(t.template()));
+        h.write_u64(8);
+        h.write_u64(8);
+        assert_eq!(d.bw_key(), h.finish());
     }
 
-    /// One lane of `stencil(lanes, _)`: its Compute-IR, and unsuffixed
-    /// `p`/`q` arrays of one lane's length (on chip when `local`).
-    fn stencil_template(lanes: usize, local: bool) -> IrModule {
-        let n = 4096 / lanes as u64;
+    /// One lane of `stencil(lanes, _)`: its Compute-IR with a one-call
+    /// `f1` dispatcher, and unsuffixed `p`/`q` arrays over the whole
+    /// range (on chip when `local`).
+    fn stencil_template(local: bool) -> IrModule {
         let mut b = ModuleBuilder::new("one lane");
         if local {
-            b.local_array("p", T, n, crate::StreamDir::Read);
-            b.local_array("q", T, n, crate::StreamDir::Write);
+            b.local_array("p", T, 4096, crate::StreamDir::Read);
+            b.local_array("q", T, 4096, crate::StreamDir::Write);
         } else {
-            b.global_input("p", T, n);
-            b.global_output("q", T, n);
+            b.global_input("p", T, 4096);
+            b.global_output("q", T, 4096);
         }
         let lane = b.finish_unchecked();
-        let mut m = stencil(lanes, MemForm::B);
+        let mut m = stencil(2, MemForm::B);
         (m.mems, m.streams, m.ports) = (lane.mems, lane.streams, lane.ports);
+        let f1 = m.functions.iter_mut().find(|f| f.name == "f1").expect("two lanes dispatch");
+        f1.body.truncate(1);
         m
     }
 
     #[test]
     fn lane_template_expands_to_the_per_lane_module() {
-        for lanes in [2, 4, 11] {
-            let t = stencil_template(lanes, false);
-            assert_eq!(t.clone().expand_lanes(lanes as u64), stencil(lanes, MemForm::B));
+        let t = stencil_template(false);
+        assert_eq!(t.lane_root(), t.functions.iter().position(|f| f.name == "f1"));
+        for lanes in [2u64, 4, 11] {
+            let mut m = t.clone().expand_lanes(lanes);
+            m.name = format!("st_l{lanes}");
+            assert_eq!(m, stencil(lanes as usize, MemForm::B), "{lanes} lanes");
         }
+        assert_eq!(t.clone().expand_lanes(1), t, "one lane is the template itself");
         let one = stencil(1, MemForm::B);
-        assert_eq!(one.clone().expand_lanes(1), one, "one replica is the module itself");
+        assert_eq!(one.lane_root(), None, "main calls the pipe directly");
+        assert_eq!(one.clone().expand_lanes(1), one);
     }
 
     #[test]
     fn lane_template_columns_hold_one_lane_and_match_the_expanded_build() {
         for local in [false, true] {
+            let a = ArenaModule::build(stencil_template(local));
+            // One lane's Manage-IR and one dispatcher call, however many
+            // lanes a patch stands for…
+            let m = a.template();
+            assert_eq!((m.mems.len(), m.streams.len(), m.ports.len()), (2, 2, 2));
+            let f1 = a.fn_by_name("f1").expect("dispatcher");
+            assert_eq!(a.callees(f1).count(), 1);
             for lanes in [1u64, 2, 4, 11, 64] {
-                let t = stencil_template(lanes as usize, local);
-                let expanded = ArenaModule::build(t.clone().expand_lanes(lanes));
-                let a = ArenaModule::build_lanes(t, lanes);
                 let tag = format!("{lanes} lanes, local {local}");
-                // One lane's Manage-IR, however many lanes it stands for…
-                let m = a.template();
-                assert_eq!((m.mems.len(), m.streams.len(), m.ports.len()), (2, 2, 2), "{tag}");
-                assert_eq!(a.local_mem_bits().len(), if local { 2 } else { 0 }, "{tag}");
-                // …while materializing still expands every lane.
-                let full = a.identity().materialize();
+                let d = a.patched("v", MemForm::Tiled { tiles: 4 }, 2, lanes);
+                assert_eq!(d.lanes(), lanes);
+                assert_eq!(d.local_mem_bits().count(), if local { 2 } else { 0 }, "{tag}");
+                // …while materializing expands every lane.
+                let full = d.materialize();
                 let n = 2 * lanes as usize;
                 assert_eq!((full.mems.len(), full.streams.len(), full.ports.len()), (n, n, n));
-                assert_eq!(full, expanded.identity().materialize(), "{tag}");
+                assert_eq!(full.function("f1").expect("f1").calls().count(), lanes as usize);
                 // Digests and geometry equal those of the expanded build.
-                assert_eq!(a.base_fp(), fingerprint_module(&full), "{tag}");
-                assert_eq!(a.base_fp(), expanded.base_fp(), "{tag}");
-                assert_eq!(a.streams_fp(), fingerprint_streams(&full), "{tag}");
-                assert_eq!(a.bw_key(), expanded.bw_key(), "{tag}");
-                assert_eq!(a.kernel_lanes(), expanded.kernel_lanes(), "{tag}");
-                assert_eq!(a.offchip_ports(), expanded.offchip_ports(), "{tag}");
-                assert_eq!(a.offchip_port_bytes(), expanded.offchip_port_bytes(), "{tag}");
-                assert_eq!(a.local_bytes(), expanded.local_bytes(), "{tag}");
-                assert_eq!(a.noff_bytes(), expanded.noff_bytes(), "{tag}");
-                let d = a.patched("v", MemForm::Tiled { tiles: 4 }, 2);
-                assert_eq!(d.fingerprint(), fingerprint_module(&d.materialize()), "{tag}");
-                assert_eq!(a.validate_base(), Ok(()), "{tag}");
+                let expanded = ArenaModule::build(full.clone());
+                let e = expanded.identity();
+                assert_eq!(d.fingerprint(), fingerprint_module(&full), "{tag}");
+                assert_eq!(d.fingerprint(), e.fingerprint(), "{tag}");
+                assert_eq!(expanded.streams_fp(), fingerprint_streams(&full), "{tag}");
+                assert_eq!(d.kernel_lanes(), e.kernel_lanes(), "{tag}");
+                assert_eq!(d.offchip_ports(), e.offchip_ports(), "{tag}");
+                assert_eq!(d.offchip_port_bytes(), e.offchip_port_bytes(), "{tag}");
+                assert_eq!(d.local_bytes(), e.local_bytes(), "{tag}");
+                let bits = d.local_mem_bits().sum::<u64>() * lanes;
+                assert_eq!(bits, e.local_mem_bits().sum::<u64>(), "{tag}");
+                let (plan, full_plan) = (a.config().unwrap(), expanded.config().unwrap());
+                let copies = d.lane_copies();
+                assert_eq!(plan.lane_replicas * copies, full_plan.lane_replicas, "{tag}");
+                assert_eq!(plan.par_lanes * copies, full_plan.par_lanes, "{tag}");
+                assert_eq!(plan.lane_fp, full_plan.lane_fp, "{tag}");
+                let root = plan.nodes[0];
+                assert_eq!(
+                    u64::from(root.n_children) * copies,
+                    full_plan.nodes[0].n_children.into()
+                );
+                assert_eq!(d.validate(), Ok(()), "{tag}");
+                assert!(d.validated(), "{tag}");
             }
+        }
+    }
+
+    #[test]
+    fn lane_root_keys_stay_apart_per_lane_count() {
+        let a = ArenaModule::build(stencil_template(false));
+        let (f0, f1) = (a.fn_by_name("f0").unwrap(), a.fn_by_name("f1").unwrap());
+        let keys: Vec<u64> =
+            [1u64, 2, 3, 64].iter().map(|&l| a.patched("v", MemForm::B, 1, l).fn_key(f1)).collect();
+        assert_eq!(keys[0], a.fn_fp(f1), "one lane: the template's fingerprint");
+        let distinct: HashSet<u64> = keys.iter().copied().collect();
+        assert_eq!(distinct.len(), keys.len(), "{keys:?}");
+        for l in [1u64, 2, 64] {
+            assert_eq!(a.patched("v", MemForm::B, 1, l).fn_key(f0), a.fn_fp(f0), "the lane body");
         }
     }
 
@@ -1127,29 +1264,37 @@ mod tests {
         // Inputs `p` and `p1`: lane 10 of `p` and lane 0 of `p1` are both
         // `mem_p10`, so the 11-lane expansion is invalid though the
         // template and the 2-lane expansion are not.
-        let mut t = stencil_template(11, false);
+        let mut t = stencil_template(false);
         let mut b = ModuleBuilder::new("extra");
-        b.global_input("p1", T, 4096 / 11);
+        b.global_input("p1", T, 4096);
         let extra = b.finish_unchecked();
         t.mems.extend(extra.mems);
         t.streams.extend(extra.streams);
         t.ports.extend(extra.ports);
         assert!(lane_names_may_collide(&t));
         assert_eq!(validate::validate(&t), Ok(()));
-        let a = ArenaModule::build_lanes(t.clone(), 11);
-        let want = validate::validate(&a.identity().materialize());
-        assert_eq!(a.validate_base(), want);
+        let a = ArenaModule::build(t);
+        let d11 = a.identity().with_lanes(11);
+        assert!(!d11.validated());
+        let want = validate::validate(&d11.materialize());
+        assert_eq!(d11.validate(), want);
+        assert!(d11.validated(), "the 11-lane verdict is cached");
         assert!(format!("{}", want.unwrap_err()).contains("duplicate memory object name `mem_p10`"));
-        assert_eq!(ArenaModule::build_lanes(t, 2).validate_base(), Ok(()));
+        let d2 = a.identity().with_lanes(2);
+        assert!(!d2.validated(), "each lane count is validated on its own");
+        assert_eq!(d2.validate(), Ok(()));
+        assert_eq!(d11.validate(), d11.validate(), "cached verdicts repeat");
 
         // An invalid template reports the expanded module's first error.
-        let mut bad = stencil_template(4, false);
+        let mut bad = stencil_template(false);
         bad.streams[0].mem = "mem_nope".into();
         assert!(!lane_names_may_collide(&bad));
-        let a = ArenaModule::build_lanes(bad, 4);
-        let want = validate::validate(&a.identity().materialize());
+        let a = ArenaModule::build(bad);
+        let d4 = a.identity().with_lanes(4);
+        let want = validate::validate(&d4.materialize());
         assert!(want.is_err());
-        assert_eq!(a.validate_base(), want);
+        assert_eq!(d4.validate(), want);
+        assert_ne!(a.validate_base(), want, "the template's error names the unsuffixed stream");
     }
 
     #[test]

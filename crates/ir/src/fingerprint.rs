@@ -227,10 +227,11 @@ pub fn fingerprint_streams(m: &IrModule) -> u64 {
     fingerprint_lane_streams(m, 1)
 }
 
-/// [`fingerprint_streams`] of `template.expand_lanes(replicas)`, without
+/// [`fingerprint_streams`] of `template.expand_lanes(lanes)`, without
 /// expanding it: every lane's names stream into the hasher with the lane
-/// suffix appended on the fly.
-pub(crate) fn fingerprint_lane_streams(template: &IrModule, replicas: u64) -> u64 {
+/// suffix appended on the fly, and every length is one lane's.
+pub(crate) fn fingerprint_lane_streams(template: &IrModule, lanes: u64) -> u64 {
+    let replicas = lanes.max(1);
     let lanes = || (0..replicas).map(|l| LaneSuffix::new(l, replicas));
     let mut h = StableHasher::new();
     h.write_u64(template.mems.len() as u64 * replicas);
@@ -239,7 +240,7 @@ pub(crate) fn fingerprint_lane_streams(template: &IrModule, replicas: u64) -> u6
             h.write_str_parts(&mem.name, sfx.as_str());
             h.write_u8(mem.space.number());
             write_ty(&mut h, mem.elem_ty);
-            h.write_u64(mem.len);
+            h.write_u64(mem.len / replicas);
         }
     }
     h.write_u64(template.streams.len() as u64 * replicas);

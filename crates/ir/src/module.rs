@@ -1,6 +1,6 @@
 //! The top-level IR module: Manage-IR + Compute-IR + execution metadata.
 
-use crate::function::{IrFunction, ParKind};
+use crate::function::{IrFunction, ParKind, Stmt};
 use crate::stream::{MemObject, PortDecl, StreamObject};
 use std::collections::HashMap;
 use std::fmt;
@@ -177,31 +177,41 @@ impl IrModule {
         }
     }
 
-    /// The module a lane template stands for: `replicas` copies of the
-    /// template's Manage-IR in lane-major order, each name — and each
+    /// The module a lane template stands for at `lanes` lanes. A lane
+    /// template holds one lane: Manage-IR arrays as long as the whole
+    /// NDRange and, when it has a [`lane_root`][IrModule::lane_root], a
+    /// dispatcher with one lane's call. Expanding repeats the Manage-IR
+    /// `lanes` times in lane-major order, each name — and each
     /// memory-object or stream name a copy refers to — with its decimal
     /// lane index appended ([`lane_name`]: `mem_p` becomes `mem_p0`,
-    /// `mem_p1`, …). The Compute-IR and the metadata stay as they are.
-    /// With one replica the template is the module, names unsuffixed.
-    pub fn expand_lanes(mut self, replicas: u64) -> IrModule {
-        if replicas <= 1 {
+    /// `mem_p1`, …) and each array `len / lanes` long, and repeats the
+    /// lane root's body `lanes` times. Every other function and the
+    /// metadata stay as they are. With one lane the template is the
+    /// module, names unsuffixed.
+    pub fn expand_lanes(mut self, lanes: u64) -> IrModule {
+        if lanes <= 1 {
             return self;
+        }
+        if let Some(root) = self.lane_root() {
+            let body = &mut self.functions[root].body;
+            let one = std::mem::take(body);
+            *body = std::iter::repeat_n(one, lanes as usize).flatten().collect();
         }
         let mems = std::mem::take(&mut self.mems);
         let streams = std::mem::take(&mut self.streams);
         let ports = std::mem::take(&mut self.ports);
-        let n = replicas as usize;
+        let n = lanes as usize;
         self.mems.reserve_exact(n * mems.len());
         self.streams.reserve_exact(n * streams.len());
         self.ports.reserve_exact(n * ports.len());
-        for l in 0..replicas {
-            let sfx = LaneSuffix::new(l, replicas);
+        for l in 0..lanes {
+            let sfx = LaneSuffix::new(l, lanes);
             let name = |template: &str| sfx.append_to(template);
             self.mems.extend(mems.iter().map(|m| MemObject {
                 name: name(&m.name),
                 space: m.space,
                 elem_ty: m.elem_ty,
-                len: m.len,
+                len: m.len / lanes,
                 span: m.span,
             }));
             self.streams.extend(streams.iter().map(|s| StreamObject {
@@ -223,6 +233,19 @@ impl IrModule {
             }));
         }
         self
+    }
+
+    /// The index of a lane template's dispatcher: the `par` function
+    /// that `main`'s only call targets, when its body is that one lane's
+    /// call. [`expand_lanes`][IrModule::expand_lanes] repeats its body
+    /// once per lane. A module without one expands its Manage-IR only.
+    pub fn lane_root(&self) -> Option<usize> {
+        let mut calls = self.main()?.calls();
+        let (Some(call), None) = (calls.next(), calls.next()) else { return None };
+        let i = self.functions.iter().position(|f| f.name == call.callee)?;
+        let f = &self.functions[i];
+        let one_call = matches!(f.body.as_slice(), [Stmt::Call(_)]);
+        (f.kind == ParKind::Par && f.name != "main" && one_call).then_some(i)
     }
 
     /// Total SSA instruction count over every function (static count; the
@@ -364,7 +387,7 @@ impl<'m> ManageLinks<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::function::{Call, Stmt};
+    use crate::function::Call;
     use crate::instr::Operand;
 
     fn call(f: &str, kind: ParKind) -> Stmt {

@@ -740,8 +740,8 @@ mod tests {
         let offchip: Vec<bool> = (0..m.ports.len()).map(|i| links.port_offchip(i)).collect();
         assert_eq!(offchip, [true, true, true, false, true, true]);
         let arena = crate::arena::ArenaModule::build(m);
-        assert_eq!(arena.offchip_ports(), 5);
-        assert_eq!(arena.offchip_port_bytes(), 5 * 3, "ui18 ports round to 3 bytes");
+        assert_eq!(arena.identity().offchip_ports(), 5);
+        assert_eq!(arena.identity().offchip_port_bytes(), 5 * 3, "ui18 ports round to 3 bytes");
     }
 
     #[test]

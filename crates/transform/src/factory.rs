@@ -3,48 +3,50 @@
 //! Lowering ([`crate::lower()`]) builds a fresh tree module per variant —
 //! Manage-IR arrays, the lane function, the `par` dispatcher — yet
 //! variants in a sweep differ structurally only along three axes: the
-//! lane count, the inner map kind, and whether Form C swaps the global
-//! arrays for local ones. Everything else (`A` vs `B` vs `Tiled`, the
-//! vectorization degree, the module name) is a metadata patch.
+//! inner map kind, whether Form C swaps the global arrays for local ones,
+//! and whether there is more than one lane (a `par` dispatcher or none).
+//! Everything else (`A` vs `B` vs `Tiled`, the vectorization degree, the
+//! module name and the lane count itself) is a patch.
 //!
 //! A [`VariantFactory`] therefore builds **one base per structural
-//! class** `(lanes, inner, is_form_c)`, a shared [`ArenaModule`], and
-//! hands out each variant as a [`VariantDesign`] — an owned name plus
-//! the three patched cells over the `Arc`-shared base. The estimator's
+//! class** `(inner, is_form_c, lanes > 1)`, a shared [`ArenaModule`]
+//! over the class's lane template, and hands out each variant as a
+//! [`VariantDesign`] — an owned name plus the patched form, DV and lane
+//! count over the `Arc`-shared base. A `tybec dse` run over any set of
+//! lane counts builds at most two bases per inner kind and form class.
+//!
+//! A base holds one lane: Manage-IR arrays as long as the NDRange and a
+//! dispatcher with one lane's call. The patch's lane count gives the
+//! replica count, the per-lane array length and the dispatcher's call
+//! count ([`PatchedModule`]), so building, validating and costing a base
+//! never walks a copy per lane. The estimator's
 //! `estimate_design`/`bound_design` passes cost the patch without
 //! materializing a tree; [`PatchedModule::materialize`] reproduces the
 //! lowered tree exactly (same fingerprint) for the few memo-miss paths
 //! that still need one.
-//!
-//! A base holds one lane's Manage-IR plus the lane count as its replica
-//! count ([`ArenaModule::build_lanes`]), so building, validating and
-//! bandwidth-assessing it never walks a copy per lane; only its digests
-//! still stream every lane's names. The lane function `f0` is the same
-//! in every class of one inner kind, so the factory lowers it once per
-//! [`InnerKind`] and assembles each base's template (one lane's arrays,
-//! the `par` dispatcher, `main`) around a copy.
 //!
 //! The first request for a structural class lowers it for every later
 //! one. The factory caches through `&self` and is not `Sync`: each
 //! caller (one `tybec dse` run, one serve request) owns its factory.
 
 use crate::expr::KernelDef;
-use crate::lower::{assemble, check_legal, lower_lane, Geometry};
+use crate::lower::{assemble, check_legal, Geometry};
 use crate::typetrans::{InnerKind, Variant};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
-use tytra_ir::{ArenaModule, IrError, IrFunction, MemForm, PatchedModule};
+use tytra_ir::{ArenaModule, IrError, MemForm, PatchedModule};
 use tytra_trace as trace;
 
 /// One design variant as a copy-on-write delta over a shared arena base:
-/// the owned module name plus the patched form/DV cells.
+/// the owned module name plus the patched form, DV and lane-count cells.
 #[derive(Debug, Clone)]
 pub struct VariantDesign {
     base: Arc<ArenaModule>,
     name: String,
     form: MemForm,
     vect: u32,
+    lanes: u64,
 }
 
 impl VariantDesign {
@@ -68,9 +70,14 @@ impl VariantDesign {
         self.vect
     }
 
+    /// The patched lane count.
+    pub fn lanes(&self) -> u64 {
+        self.lanes
+    }
+
     /// The patch, borrowed — what the estimator's design passes consume.
     pub fn patched(&self) -> PatchedModule<'_> {
-        self.base.patched(&self.name, self.form, self.vect)
+        self.base.patched(&self.name, self.form, self.vect, self.lanes)
     }
 }
 
@@ -80,21 +87,14 @@ impl VariantDesign {
 pub struct VariantFactory {
     kernel: KernelDef,
     geom: Geometry,
-    lowered: RefCell<Lowered>,
-}
-
-/// What the factory has lowered so far: the lane function per inner kind
-/// and the arena base per structural class.
-#[derive(Default)]
-struct Lowered {
-    lanes: HashMap<InnerKind, IrFunction>,
-    bases: HashMap<(u64, InnerKind, bool), Arc<ArenaModule>>,
+    /// The arena base per structural class `(inner, is_form_c, lanes > 1)`.
+    bases: RefCell<HashMap<(InnerKind, bool, bool), Arc<ArenaModule>>>,
 }
 
 impl VariantFactory {
     /// A factory for one kernel + workload geometry.
     pub fn new(kernel: KernelDef, geom: Geometry) -> VariantFactory {
-        VariantFactory { kernel, geom, lowered: RefCell::default() }
+        VariantFactory { kernel, geom, bases: RefCell::default() }
     }
 
     /// The kernel definition the factory lowers.
@@ -109,44 +109,34 @@ impl VariantFactory {
 
     /// Number of structural classes lowered so far.
     pub fn bases_built(&self) -> usize {
-        self.lowered.borrow().bases.len()
+        self.bases.borrow().len()
     }
 
-    /// The design for `variant`: builds and validates the variant's
-    /// structural class on first sight (a `transform.lower` span), then
-    /// patches the shared base. Errors exactly as [`crate::lower()`] does.
+    /// The design for `variant`: builds the variant's structural class on
+    /// first sight (a `transform.lower` span), patches the shared base and
+    /// validates the patch (a cached verdict after the first lane count;
+    /// see [`PatchedModule::validate`]). Errors exactly as
+    /// [`crate::lower()`] does.
     pub fn design(&self, variant: &Variant) -> Result<VariantDesign, IrError> {
         check_legal(&self.geom, variant)?;
-        let key = (variant.lanes, variant.inner, matches!(variant.form, MemForm::C));
-        let base = {
-            let mut lowered = self.lowered.borrow_mut();
-            let Lowered { lanes, bases } = &mut *lowered;
-            match bases.get(&key) {
-                Some(b) => Arc::clone(b),
-                None => {
-                    let _sp = trace::span("transform.lower");
-                    let lane = lanes
-                        .entry(variant.inner)
-                        .or_insert_with(|| lower_lane(&self.kernel, variant.inner));
-                    let a = ArenaModule::build_lanes(
-                        assemble(&self.kernel, &self.geom, variant, lane.clone()),
-                        variant.lanes,
-                    );
-                    // The one validation this base gets in the process: the
-                    // verdict is cached on the arena, where every estimator
-                    // session that costs one of its patches reads it.
-                    a.validate_base()?;
-                    let a = Arc::new(a);
-                    bases.insert(key, Arc::clone(&a));
-                    a
-                }
-            }
-        };
+        let key = (variant.inner, matches!(variant.form, MemForm::C), variant.lanes > 1);
+        let base = Arc::clone(self.bases.borrow_mut().entry(key).or_insert_with(|| {
+            let _sp = trace::span("transform.lower");
+            Arc::new(ArenaModule::build(assemble(&self.kernel, &self.geom, variant)))
+        }));
         let mut name = String::with_capacity(self.kernel.name.len() + 1 + 24);
         name.push_str(&self.kernel.name);
         name.push('_');
         variant.write_tag(&mut name);
-        Ok(VariantDesign { base, name, form: variant.form, vect: variant.vect })
+        let design = VariantDesign {
+            base,
+            name,
+            form: variant.form,
+            vect: variant.vect,
+            lanes: variant.lanes,
+        };
+        design.patched().validate()?;
+        Ok(design)
     }
 }
 
@@ -206,9 +196,15 @@ mod tests {
             factory.design(&Variant { vect: 4, form: MemForm::Tiled { tiles: 2 }, ..b }).unwrap();
         assert!(std::ptr::eq(d1.arena(), d2.arena()));
         assert_eq!(factory.bases_built(), 1);
-        // …Form C and other lane counts do not.
+        // …Form C and more than one lane do not…
         factory.design(&Variant { form: MemForm::C, ..b }).unwrap();
-        factory.design(&Variant { lanes: 4, ..b }).unwrap();
+        let d4 = factory.design(&Variant { lanes: 4, ..b }).unwrap();
+        assert_eq!(factory.bases_built(), 3);
+        // …and every lane count above one shares one base.
+        for lanes in [2, 8, 64, 1024] {
+            let d = factory.design(&Variant { lanes, ..b }).unwrap();
+            assert!(std::ptr::eq(d.arena(), d4.arena()), "{lanes} lanes");
+        }
         assert_eq!(factory.bases_built(), 3);
     }
 
@@ -221,13 +217,14 @@ mod tests {
         for form in [MemForm::B, MemForm::C] {
             for lanes in [1u64, 2, 16, 64] {
                 let d = factory.design(&Variant { lanes, form, ..Variant::baseline() }).unwrap();
-                let base = d.arena();
-                let t = base.template();
+                let t = d.arena().template();
                 assert_eq!((t.mems.len(), t.streams.len(), t.ports.len()), (2, 2, 2), "{lanes}");
-                assert_eq!(base.replicas(), lanes);
+                assert!(t.mems.iter().all(|m| m.len == 1 << 10), "one lane spans the range");
+                assert_eq!(d.patched().lanes(), lanes);
                 let m = d.patched().materialize();
                 let n = 2 * lanes as usize;
                 assert_eq!((m.mems.len(), m.streams.len(), m.ports.len()), (n, n, n), "{lanes}");
+                assert!(m.mems.iter().all(|m| m.len == (1 << 10) / lanes), "{lanes}");
             }
         }
     }
