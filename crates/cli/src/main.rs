@@ -38,7 +38,7 @@ use tytra_device::TargetDevice;
 use tytra_dse::{lane_sweep_with, search_with, tune_with, ExplorationConfig, SearchConfig};
 use tytra_ir::{ErrorCategory, IrError, TybecError};
 use tytra_kernels::{EvalKernel, Hotspot, LavaMd, Sor};
-use tytra_sim::{run_application, synthesize};
+use tytra_sim::run_application;
 use tytra_trace::prometheus::render_prometheus;
 use tytra_trace::{profile, recorder, sink};
 use tytra_transform::Variant;
@@ -520,8 +520,9 @@ fn cmd_actual(args: &[String]) -> Result<(), CliError> {
     let m = load_module(args)?;
     let dev = target_of(args)?;
     let est = estimate(&m, &dev)?;
-    let synth = synthesize(&m, &dev)?;
+    // The run synthesizes the design itself; its result is the "actual".
     let run = run_application(&m, &dev)?;
+    let synth = &run.synth;
     println!("estimated: {}", est.resources.total);
     println!("actual   : {}", synth.resources);
     let err = est.resources.total.pct_error_vs(&synth.resources);
