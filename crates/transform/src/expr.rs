@@ -83,7 +83,7 @@ impl Expr {
     /// All distinct (input, offset) pairs with offset ≠ 0.
     pub fn offsets(&self, acc: &mut Vec<(String, i64)>) {
         match self {
-            Expr::OffsetArg(n, o) if *o != 0 && !acc.contains(&(n.clone(), *o)) => {
+            Expr::OffsetArg(n, o) if *o != 0 && !acc.iter().any(|(m, p)| m == n && p == o) => {
                 acc.push((n.clone(), *o));
             }
             Expr::Bin(_, a, b) => {

@@ -26,11 +26,13 @@
 //! that still need one.
 //!
 //! The first request for a structural class lowers it for every later
-//! one. The factory caches through `&self` and is not `Sync`: each
-//! caller (one `tybec dse` run, one serve request) owns its factory.
+//! one. The lane function `f0` is the same in every class of one inner
+//! kind, so only the first base of a kind lowers it; later ones copy it
+//! from a sibling. The factory caches through `&self` and is not `Sync`:
+//! each caller (one `tybec dse` run, one serve request) owns its factory.
 
 use crate::expr::KernelDef;
-use crate::lower::{assemble, check_legal, Geometry};
+use crate::lower::{assemble, check_legal, lower_lane, Geometry};
 use crate::typetrans::{InnerKind, Variant};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -120,10 +122,31 @@ impl VariantFactory {
     pub fn design(&self, variant: &Variant) -> Result<VariantDesign, IrError> {
         check_legal(&self.geom, variant)?;
         let key = (variant.inner, matches!(variant.form, MemForm::C), variant.lanes > 1);
-        let base = Arc::clone(self.bases.borrow_mut().entry(key).or_insert_with(|| {
-            let _sp = trace::span("transform.lower");
-            Arc::new(ArenaModule::build(assemble(&self.kernel, &self.geom, variant)))
-        }));
+        let base = {
+            let mut bases = self.bases.borrow_mut();
+            match bases.get(&key) {
+                Some(b) => Arc::clone(b),
+                None => {
+                    let _sp = trace::span("transform.lower");
+                    // Every base of one inner kind holds the same lane
+                    // function: copying a sibling's is cheaper than
+                    // lowering it again.
+                    let lane = bases
+                        .iter()
+                        .find(|((inner, ..), _)| *inner == variant.inner)
+                        .and_then(|(_, b)| b.template().function("f0").cloned())
+                        .unwrap_or_else(|| lower_lane(&self.kernel, variant.inner));
+                    let b = Arc::new(ArenaModule::build(assemble(
+                        &self.kernel,
+                        &self.geom,
+                        variant,
+                        lane,
+                    )));
+                    bases.insert(key, Arc::clone(&b));
+                    b
+                }
+            }
+        };
         let mut name = String::with_capacity(self.kernel.name.len() + 1 + 24);
         name.push_str(&self.kernel.name);
         name.push('_');

@@ -40,7 +40,8 @@ impl Geometry {
 /// lane template of `assemble`, expanded to every lane.
 pub fn lower(kernel: &KernelDef, geom: &Geometry, variant: &Variant) -> Result<IrModule, IrError> {
     check_legal(geom, variant)?;
-    let m = assemble(kernel, geom, variant).expand_lanes(variant.lanes);
+    let m = assemble(kernel, geom, variant, lower_lane(kernel, variant.inner))
+        .expand_lanes(variant.lanes);
     validate(&m)?;
     Ok(m)
 }
@@ -60,8 +61,9 @@ pub(crate) fn check_legal(geom: &Geometry, variant: &Variant) -> Result<(), IrEr
 
 /// The lane function `f0`: ports, offset streams and the CSE'd datapath.
 /// It depends only on the kernel and the inner map kind — never on the
-/// lane count, the form or the vector degree.
-fn lower_lane(kernel: &KernelDef, inner: InnerKind) -> IrFunction {
+/// lane count, the form or the vector degree — so every base the variant
+/// factory builds for one [`InnerKind`] holds the same function.
+pub(crate) fn lower_lane(kernel: &KernelDef, inner: InnerKind) -> IrFunction {
     let ty = kernel.elem_ty;
     let mut f = FunctionBuilder::new("f0", par_kind(inner));
     for name in &kernel.inputs {
@@ -92,15 +94,21 @@ fn lower_lane(kernel: &KernelDef, inner: InnerKind) -> IrFunction {
     f.finish()
 }
 
-/// The lane template for `variant`: one lane's Manage-IR over the whole
-/// NDRange, the lane function, for more than one lane a `par` dispatcher
-/// with one lane's call, `main` and the execution metadata. It depends on
-/// the lane count only through whether it exceeds one.
-/// [`IrModule::expand_lanes`] with `variant.lanes` lanes turns it into
-/// the module (Fig 14's per-lane arrays `p0..p3` are the template's `p`
-/// with the lane index appended, each a quarter as long, and `f1` calls
-/// `f0` once per lane). Unvalidated; the caller checks legality first.
-pub(crate) fn assemble(kernel: &KernelDef, geom: &Geometry, variant: &Variant) -> IrModule {
+/// The lane template for `variant` around the already-lowered lane
+/// function `lane`: one lane's Manage-IR over the whole NDRange, the lane
+/// function, for more than one lane a `par` dispatcher with one lane's
+/// call, `main` and the execution metadata. It depends on the lane count
+/// only through whether it exceeds one. [`IrModule::expand_lanes`] with
+/// `variant.lanes` lanes turns it into the module (Fig 14's per-lane
+/// arrays `p0..p3` are the template's `p` with the lane index appended,
+/// each a quarter as long, and `f1` calls `f0` once per lane).
+/// Unvalidated; the caller checks legality first.
+pub(crate) fn assemble(
+    kernel: &KernelDef,
+    geom: &Geometry,
+    variant: &Variant,
+    lane: IrFunction,
+) -> IrModule {
     let ngs = geom.size();
     let ty = kernel.elem_ty;
 
@@ -115,7 +123,7 @@ pub(crate) fn assemble(kernel: &KernelDef, geom: &Geometry, variant: &Variant) -
     }
 
     // Compute-IR: the lane function, then the dispatcher.
-    b.add_function(lower_lane(kernel, variant.inner));
+    b.add_function(lane);
     if variant.lanes > 1 {
         b.function("f1", ParKind::Par).call("f0", vec![], par_kind(variant.inner));
         b.main_calls("f1");
