@@ -33,28 +33,20 @@ pub struct StreamBandwidth {
 }
 
 /// The per-stream assessments of a design: one lane's streams, standing
-/// for [`lanes`][LaneStreams::lanes] copies. Every copy of a stream has
-/// the same pattern, length and sustained figure and differs only in the
-/// lane suffix of its name, so the list is kept once and the names are
-/// expanded only where the streams are read: [`iter`][LaneStreams::iter]
-/// yields, and `Debug` prints, the expanded list in lane-major order.
+/// for one copy per lane. Every copy of a stream has the same pattern,
+/// length and sustained figure and differs only in the lane suffix of its
+/// name, so the list is kept once and the names are expanded only where
+/// the streams are read: [`iter`][LaneStreams::iter] yields, and `Debug`
+/// prints, the expanded list in lane-major order.
 #[derive(Clone)]
 pub struct LaneStreams {
-    lane: Arc<[StreamBandwidth]>,
-    lanes: u64,
+    /// One lane's streams, named as in the lane template.
+    pub(crate) lane: Arc<[StreamBandwidth]>,
+    /// How many lanes the list stands for (≥ 1).
+    pub(crate) lanes: u64,
 }
 
 impl LaneStreams {
-    /// One lane's streams, named as in the lane template.
-    pub fn lane(&self) -> &[StreamBandwidth] {
-        &self.lane
-    }
-
-    /// How many lanes the list stands for.
-    pub fn lanes(&self) -> u64 {
-        self.lanes
-    }
-
     /// Number of streams across every lane.
     pub fn len(&self) -> usize {
         self.lane.len() * self.lanes as usize
@@ -73,13 +65,6 @@ impl LaneStreams {
                 ..s.clone()
             })
         })
-    }
-}
-
-impl From<Vec<StreamBandwidth>> for LaneStreams {
-    /// A list of every stream, as one lane.
-    fn from(streams: Vec<StreamBandwidth>) -> LaneStreams {
-        LaneStreams { lane: streams.into(), lanes: 1 }
     }
 }
 
@@ -292,7 +277,7 @@ mod tests {
         assert_eq!(bw.streams.len(), 4);
         // Each contiguous 2000-side stream sustains 5.2 Gbps = 0.65 GB/s.
         let per = 5.2e9 / 8.0;
-        assert!((bw.streams.lane()[0].sustained_bytes_per_s - per).abs() / per < 1e-9);
+        assert!((bw.streams.lane[0].sustained_bytes_per_s - per).abs() / per < 1e-9);
         assert!((bw.dram_effective - 4.0 * per).abs() / per < 1e-6);
         assert!(bw.rho_g > 0.2 && bw.rho_g < 0.3, "{}", bw.rho_g);
     }
@@ -318,7 +303,7 @@ mod tests {
         // One stream of each direction; the strided input drags the
         // aggregate down by an order of magnitude or more.
         assert!(cont.dram_effective / strided.dram_effective > 1.8);
-        let strided_in = &strided.streams.lane()[0];
+        let strided_in = &strided.streams.lane[0];
         assert!(matches!(strided_in.pattern, AccessPattern::Strided { .. }));
         assert!(strided_in.sustained_bytes_per_s < 0.08e9 / 8.0 + 1.0);
     }
@@ -379,7 +364,7 @@ mod tests {
             let d = arena.patched("tpl", MemForm::B, 1, lanes);
             let replicated = assess(&d, &dev, &CurveCache::new());
             let expanded = assess_tree(template.clone().expand_lanes(lanes), &dev);
-            assert_eq!(replicated.streams.lane().len(), 3, "{lanes} lanes");
+            assert_eq!(replicated.streams.lane.len(), 3, "{lanes} lanes");
             assert_eq!(replicated.streams.len(), 3 * lanes as usize);
             assert_eq!(replicated, expanded, "{lanes} lanes");
             assert_eq!(format!("{replicated:?}"), format!("{expanded:?}"), "{lanes} lanes");

@@ -170,7 +170,7 @@ mod tests {
 
     fn bw() -> BandwidthBreakdown {
         BandwidthBreakdown {
-            streams: Vec::new().into(),
+            streams: crate::LaneStreams { lane: Vec::new().into(), lanes: 1 },
             dram_effective: 8.0e9,
             rho_g: 0.21,
             host_effective: 2.4e9,

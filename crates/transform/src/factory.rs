@@ -72,11 +72,6 @@ impl VariantDesign {
         self.vect
     }
 
-    /// The patched lane count.
-    pub fn lanes(&self) -> u64 {
-        self.lanes
-    }
-
     /// The patch, borrowed — what the estimator's design passes consume.
     pub fn patched(&self) -> PatchedModule<'_> {
         self.base.patched(&self.name, self.form, self.vect, self.lanes)
