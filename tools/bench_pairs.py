@@ -4,20 +4,21 @@
 Run from anywhere inside the repository:
 
     python3 tools/bench_pairs.py --base <rev> --change <rev> \
-        --workload dse --seeds 101,102,103 [--seconds 10] [--record BENCH_perfbench.jsonl]
+        --workload dse[,oneshot,serve] --seeds 101,102,103 [--seconds 10] \
+        [--record BENCH_perfbench.jsonl]
 
 Each revision is cloned into its own temporary directory, so both sides
 run committed files only, each with its own build directory. For every
-seed the two sides run `python3 perfbench/run.py --workload W --seed S
---seconds N --trace 0` one after the other, the first side alternating
-from seed to seed. Any run whose result is not `"correct": true,
-"failed": 0` stops the tool with exit status 1.
+workload and seed the two sides run `python3 perfbench/run.py --workload
+W --seed S --seconds N --trace 0` one after the other, the first side
+alternating from seed to seed. Any run whose result is not `"correct":
+true, "failed": 0` stops the tool with exit status 1.
 
-For each end-to-end metric of BENCHMARK.json the tool prints both sides'
-median, first and third quartile, and in how many pairs the change read
-better (ties count for neither side). With `--record FILE` it appends one
-JSON line for the workload: both commits, the seeds and both sides'
-medians. Uses the Python standard library only.
+For each workload and end-to-end metric of BENCHMARK.json the tool
+prints both sides' median, first and third quartile, and in how many
+pairs the change read better (ties count for neither side). With
+`--record FILE` it appends one JSON line per workload: both commits, the
+seeds and both sides' medians. Uses the Python standard library only.
 """
 
 import argparse
@@ -63,38 +64,9 @@ def quartiles(xs):
     return med, q1, q3
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--base", required=True, help="parent revision")
-    ap.add_argument("--change", required=True, help="revision under test")
-    ap.add_argument("--workload", required=True, choices=["dse", "oneshot", "serve"])
-    ap.add_argument("--seeds", required=True, help="comma-separated seed list")
-    ap.add_argument("--seconds", type=int, default=10)
-    ap.add_argument("--record", help="append the medians as one JSON line to this file")
-    args = ap.parse_args()
-    seeds = [int(s) for s in args.seeds.split(",")]
-    if len(seeds) < 2:
-        sys.exit("bench_pairs: give at least two seeds")
-
-    repo = git("rev-parse", "--show-toplevel")
-    with open(os.path.join(repo, "BENCHMARK.json")) as f:
-        metrics = json.load(f)["end_to_end"]
-
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        trees = {}
-        commits = {}
-        for side, rev in (("base", args.base), ("change", args.change)):
-            trees[side] = os.path.join(tmp, side)
-            commits[side] = checkout(repo, rev, trees[side])
-        runs = {"base": [], "change": []}
-        for i, seed in enumerate(seeds):
-            order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            for side in order:
-                r = run_once(trees[side], args.workload, seed, args.seconds)
-                runs[side].append(r["metrics"])
-                print(f"seed {seed} {side}: done", file=sys.stderr)
-
-    print(f"workload {args.workload}, {len(seeds)} pairs, {args.seconds} s per run")
+def compare(workload, seeds, seconds, commits, runs, metrics):
+    """Print one workload's table; returns both sides' medians."""
+    print(f"workload {workload}, {len(seeds)} pairs, {seconds} s per run")
     print(f"base   {commits['base']}\nchange {commits['change']}")
     print(f"{'metric':<14} {'base med [q1, q3]':>32} {'change med [q1, q3]':>32} {'won':>6}")
     medians = {"base": {}, "change": {}}
@@ -111,19 +83,58 @@ def main():
             medians[side][name] = med
             cells.append(f"{med:.4g} [{q1:.4g}, {q3:.4g}]")
         print(f"{name:<14} {cells[0]:>32} {cells[1]:>32} {won:>3}/{len(seeds)}")
+    print()
+    return medians
 
-    if args.record:
-        line = {
-            "workload": args.workload,
-            "base": commits["base"],
-            "change": commits["change"],
-            "seeds": seeds,
-            "seconds": args.seconds,
-            "base_medians": medians["base"],
-            "change_medians": medians["change"],
-        }
-        with open(args.record, "a") as f:
-            f.write(json.dumps(line) + "\n")
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", required=True, help="parent revision")
+    ap.add_argument("--change", required=True, help="revision under test")
+    ap.add_argument("--workload", required=True, help="comma-separated: dse, oneshot, serve")
+    ap.add_argument("--seeds", required=True, help="comma-separated seed list")
+    ap.add_argument("--seconds", type=int, default=10)
+    ap.add_argument("--record", help="append the medians as one JSON line per workload")
+    args = ap.parse_args()
+    workloads = args.workload.split(",")
+    if not set(workloads) <= {"dse", "oneshot", "serve"}:
+        sys.exit(f"bench_pairs: unknown workload in {args.workload}")
+    seeds = [int(s) for s in args.seeds.split(",")]
+    if len(seeds) < 2:
+        sys.exit("bench_pairs: give at least two seeds")
+
+    repo = git("rev-parse", "--show-toplevel")
+    with open(os.path.join(repo, "BENCHMARK.json")) as f:
+        metrics = json.load(f)["end_to_end"]
+
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        trees = {}
+        commits = {}
+        for side, rev in (("base", args.base), ("change", args.change)):
+            trees[side] = os.path.join(tmp, side)
+            commits[side] = checkout(repo, rev, trees[side])
+        for workload in workloads:
+            runs = {"base": [], "change": []}
+            for i, seed in enumerate(seeds):
+                order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                for side in order:
+                    r = run_once(trees[side], workload, seed, args.seconds)
+                    runs[side].append(r["metrics"])
+                    p50 = r["metrics"].get("op_ms_p50", {}).get("value")
+                    print(f"{workload} seed {seed} {side}: op_ms_p50 {p50}", file=sys.stderr)
+            medians = compare(workload, seeds, args.seconds, commits, runs, metrics)
+            if args.record:
+                line = {
+                    "workload": workload,
+                    "base": commits["base"],
+                    "change": commits["change"],
+                    "seeds": seeds,
+                    "seconds": args.seconds,
+                    "base_medians": medians["base"],
+                    "change_medians": medians["change"],
+                }
+                with open(args.record, "a") as f:
+                    f.write(json.dumps(line) + "\n")
 
 
 if __name__ == "__main__":
