@@ -27,8 +27,8 @@
 //! | schedule | lane subtree | [`fingerprint_subtree`][tytra_ir::fingerprint_subtree] | `PipelineSchedule` |
 //! | parameters | geometry + schedule | — (infallible arithmetic) | `CostParams` |
 //! | resources | per function | [`fingerprint_function`][tytra_ir::fingerprint_function] + `DV` | `ResourceBreakdown` |
-//! | clock | per function | [`PatchedModule::fn_key`] (the fingerprint; a lane root's adds its call count) | worst stage (ns, name) |
-//! | bandwidth | stream set | [`PatchedModule::bw_key`] (the template's [`fingerprint_streams`][tytra_ir::fingerprint_streams], lane count and kernel lanes) | `BandwidthBreakdown` |
+//! | clock | per function | [`PatchedModule::fn_key`]: [`fingerprint_function`][tytra_ir::fingerprint_function] + copies of the body | worst stage (ns, name) |
+//! | bandwidth | stream set | [`PatchedModule::bw_key`]: [`fingerprint_streams`][tytra_ir::fingerprint_streams] + lanes + kernel lanes | `BandwidthBreakdown` |
 //! | throughput / power | scalars | — (pure arithmetic) | — |
 //!
 //! Below those, every calibration-fit and sustained-bandwidth curve
@@ -148,12 +148,13 @@ pub struct EstimatorSession {
     validated: BoundedSet<u64>,
     /// Per-function resource costs, keyed `(function fingerprint, DV)`.
     node_costs: BoundedMap<(u64, u64), ResourceBreakdown>,
-    /// Per-function worst stage delays, keyed on function fingerprint.
-    worst_stage: BoundedMap<u64, Option<(f64, String)>>,
+    /// Per-function worst stage delays, keyed on
+    /// [`PatchedModule::fn_key`].
+    worst_stage: BoundedMap<(u64, u64), Option<(f64, String)>>,
     /// Lane-subtree schedules, keyed on subtree fingerprint.
     schedules: BoundedMap<u64, PipelineSchedule>,
     /// Bandwidth breakdowns, keyed on [`PatchedModule::bw_key`].
-    bandwidths: BoundedMap<u64, BandwidthBreakdown>,
+    bandwidths: BoundedMap<(u64, u64, u64), BandwidthBreakdown>,
     /// The single source of truth for the session's counters: the
     /// handles below (and the curve cache's `curves.*` pair) all live in
     /// this registry, so [`stats`][EstimatorSession::stats] and
@@ -482,7 +483,7 @@ impl EstimatorSession {
             if self.worst_stage.contains_key(&key) {
                 self.hits.incr();
             } else {
-                trace::recorder::mark("estimator.clock", key);
+                trace::recorder::mark("estimator.clock", key.0);
                 let f = &a.template().functions[node.func.index()];
                 let v = frequency::function_worst_stage(&self.dev, &self.curves, f, node.kind);
                 self.misses.incr();
@@ -508,17 +509,23 @@ impl EstimatorSession {
     /// patch's key is memoized, without handing out a clone — the bound
     /// path reads it by reference afterwards — and return the key. The
     /// pass reads only the Manage-IR and the kernel-lane count, so the
-    /// key is the template's streams digest plus the lane count
-    /// ([`PatchedModule::bw_key`]).
-    fn ensure_bandwidth_design(&mut self, d: &PatchedModule<'_>) -> u64 {
+    /// key is the template's streams digest, the lane count and the
+    /// kernel-lane count ([`PatchedModule::bw_key`]).
+    fn ensure_bandwidth_design(&mut self, d: &PatchedModule<'_>) -> (u64, u64, u64) {
         let bw_key = d.bw_key();
         if self.bandwidths.contains_key(&bw_key) {
             let _sp = trace::enabled().then(|| {
-                trace::span("estimator.bandwidth").with("fp", bw_key).with("memo_hit", true)
+                trace::span("estimator.bandwidth")
+                    .with("fp", bw_key.0)
+                    .with("lanes", bw_key.1)
+                    .with("memo_hit", true)
             });
             self.hits.incr();
         } else {
-            let _sp = trace::span("estimator.bandwidth").with("fp", bw_key).with("memo_hit", false);
+            let _sp = trace::span("estimator.bandwidth")
+                .with("fp", bw_key.0)
+                .with("lanes", bw_key.1)
+                .with("memo_hit", false);
             let b = if self.opts.sustained_bandwidth {
                 bandwidth::assess(d, &self.dev, &self.curves)
             } else {

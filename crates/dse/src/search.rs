@@ -315,9 +315,9 @@ fn process_item(
     run: &mut Run,
     obs: &Obs,
 ) {
-    // The factory serves the variant as a three-cell patch over a shared
+    // The factory serves the variant as a four-cell patch over a shared
     // arena base (lowered once per structural class). The generator
-    // already filtered illegal reshapes, but a base can still fail
+    // already filtered illegal reshapes, but a variant can still fail
     // validation (two lanes' generated names colliding, say): that
     // variant is a fault like any other.
     let design = match factory.design(&item.variant) {

@@ -246,7 +246,6 @@ pub struct ArenaModule {
 
     // ---- precomputed digests (of the template) ----
     streams_fp: u64,
-    bw_key: u64,
 
     // ---- precomputed geometry (one lane's Manage-IR) ----
     ngs: u64,
@@ -320,7 +319,6 @@ impl ArenaModule {
             opnd_tag: Vec::new(),
             opnd_bits: Vec::new(),
             streams_fp: 0,
-            bw_key: 0,
             ngs: 0,
             kernel_lanes: 0,
             offchip_ports: 0,
@@ -436,12 +434,6 @@ impl ArenaModule {
         }
 
         a.streams_fp = fingerprint::fingerprint_streams(&a.template);
-        a.bw_key = {
-            let mut h = StableHasher::new();
-            h.write_u64(a.streams_fp);
-            h.write_u64(a.kernel_lanes);
-            h.finish()
-        };
 
         a.symbols = symbols;
         a.config = config_tree::extract(&a.template).map(|t| build_plan(&a, t));
@@ -826,36 +818,22 @@ impl PatchedModule<'_> {
         self.arena.local_mems.iter().map(|&(len, ty)| len / self.lanes * u64::from(ty.bits()))
     }
 
-    /// The bandwidth memo key. The bandwidth pass reads the Manage-IR
-    /// and the kernel-lane count, so at one lane the key is
-    /// `H(streams_fp, kernel_lanes)` of the template, and at more lanes
-    /// `H(streams_fp, lanes, kernel_lanes)`: the template's digest stands
-    /// for its expansion at a given lane count.
-    pub fn bw_key(&self) -> u64 {
-        if self.lanes == 1 {
-            return self.arena.bw_key;
-        }
-        let mut h = StableHasher::new();
-        h.write_u64(self.arena.streams_fp);
-        h.write_u64(self.lanes);
-        h.write_u64(self.kernel_lanes());
-        h.finish()
+    /// The bandwidth memo key: the template's streams digest, the lane
+    /// count and the kernel-lane count — everything the bandwidth pass
+    /// reads, since the template's Manage-IR and the lane count fix the
+    /// expanded one.
+    pub fn bw_key(&self) -> (u64, u64, u64) {
+        (self.arena.streams_fp, self.lanes, self.kernel_lanes())
     }
 
     /// The memo key of function `f`'s own results in this patch: its
-    /// fingerprint, except for a lane root standing for several calls,
-    /// whose key adds the call count. Two patches' keys for `f` are
-    /// equal exactly when the expanded functions' fingerprints are, but
-    /// the key costs O(1) in the lane count.
-    pub fn fn_key(&self, f: FnId) -> u64 {
-        let fp = self.arena.fn_fp(f);
-        if self.lane_copies() == 1 || self.arena.lane_root != Some(f) {
-            return fp;
-        }
-        let mut h = StableHasher::new();
-        h.write_u64(fp);
-        h.write_u64(self.lanes);
-        h.finish()
+    /// template fingerprint and how many copies of its body the patch
+    /// stands for (the lane count for the lane root, else 1). Two keys
+    /// are equal exactly when the expanded functions' fingerprints are,
+    /// but the key costs O(1) in the lane count.
+    pub fn fn_key(&self, f: FnId) -> (u64, u64) {
+        let copies = if self.arena.lane_root == Some(f) { self.lane_copies() } else { 1 };
+        (self.arena.fn_fp(f), copies)
     }
 
     /// [`fingerprint_module`][fingerprint::fingerprint_module] of this
@@ -882,8 +860,7 @@ impl PatchedModule<'_> {
         h.write_u64(a.fn_name.len() as u64);
         for i in 0..a.fn_name.len() {
             let f = FnId(i as u32);
-            let copies = if a.lane_root == Some(f) { self.lane_copies() } else { 1 };
-            a.write_function_into(&mut h, f, copies);
+            a.write_function_into(&mut h, f, self.fn_key(f).1);
         }
         h.finish()
     }
@@ -1145,21 +1122,13 @@ mod tests {
     }
 
     #[test]
-    fn bw_key_matches_session_formula() {
+    fn bw_key_is_the_template_digest_and_the_lane_counts() {
         let a = ArenaModule::build(stencil(2, MemForm::B));
-        let mut h = StableHasher::new();
-        h.write_u64(fingerprint_streams(a.template()));
-        h.write_u64(a.template().kernel_lanes());
-        assert_eq!(a.identity().bw_key(), h.finish());
-        // Above one lane: the template's digest, the lane count and the
-        // patched module's kernel lanes.
+        let fp = fingerprint_streams(a.template());
+        assert_eq!(a.identity().bw_key(), (fp, 1, 2));
         let t = ArenaModule::build(stencil_template(false));
-        let d = t.patched("v", MemForm::B, 1, 8);
-        let mut h = StableHasher::new();
-        h.write_u64(fingerprint_streams(t.template()));
-        h.write_u64(8);
-        h.write_u64(8);
-        assert_eq!(d.bw_key(), h.finish());
+        let fp = fingerprint_streams(t.template());
+        assert_eq!(t.patched("v", MemForm::B, 1, 8).bw_key(), (fp, 8, 8));
     }
 
     /// One lane of `stencil(lanes, _)`: its Compute-IR with a one-call
@@ -1246,17 +1215,18 @@ mod tests {
     }
 
     #[test]
-    fn lane_root_keys_stay_apart_per_lane_count() {
+    fn only_the_lane_root_key_counts_lanes() {
         let a = ArenaModule::build(stencil_template(false));
         let (f0, f1) = (a.fn_by_name("f0").unwrap(), a.fn_by_name("f1").unwrap());
-        let keys: Vec<u64> =
-            [1u64, 2, 3, 64].iter().map(|&l| a.patched("v", MemForm::B, 1, l).fn_key(f1)).collect();
-        assert_eq!(keys[0], a.fn_fp(f1), "one lane: the template's fingerprint");
-        let distinct: HashSet<u64> = keys.iter().copied().collect();
-        assert_eq!(distinct.len(), keys.len(), "{keys:?}");
         for l in [1u64, 2, 64] {
-            assert_eq!(a.patched("v", MemForm::B, 1, l).fn_key(f0), a.fn_fp(f0), "the lane body");
+            let d = a.patched("v", MemForm::B, 1, l);
+            assert_eq!(d.fn_key(f1), (a.fn_fp(f1), l));
+            assert_eq!(d.fn_key(f0), (a.fn_fp(f0), 1), "the lane body");
         }
+        // Without a lane root a patch repeats no function body.
+        let p = ArenaModule::build(stencil(4, MemForm::B));
+        let f1 = p.fn_by_name("f1").unwrap();
+        assert_eq!(p.patched("v", MemForm::B, 1, 3).fn_key(f1), (p.fn_fp(f1), 1));
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub trait EvalKernel: Sync {
 
     /// A copy-on-write variant factory over the standard workload: one
     /// lowered arena base per structural class, each variant served as a
-    /// three-cell patch with the same fingerprint as
+    /// four-cell patch with the same fingerprint as
     /// [`lower_variant`][EvalKernel::lower_variant] (see
     /// [`tytra_transform::VariantFactory`]). The DSE engine builds one
     /// per sweep and costs designs through the estimator's arena path.

@@ -23,8 +23,9 @@
 //! * [`lower()`][lower::lower] — lowering a kernel + variant to a TyTra-IR module (the
 //!   Fig 12 / Fig 14 shapes);
 //! * [`factory`] — copy-on-write variant materialization: one lowered
-//!   arena base per structural class, each variant a three-cell patch
-//!   over it (the DSE engine's zero-alloc path);
+//!   arena base per structural class, each variant a four-cell patch
+//!   (name, form, DV, lane count) over it (the DSE engine's zero-alloc
+//!   path);
 //! * [`proofs`] — executable statements of the transformation laws
 //!   (order/size preservation, map–reshape commutation), property-tested.
 
