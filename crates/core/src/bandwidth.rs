@@ -349,15 +349,19 @@ mod tests {
 
     #[test]
     fn lane_template_assesses_like_its_expansion() {
-        // Strided and contiguous inputs of different lengths, one output:
-        // the per-stream list, every sum and both ρ must match the
-        // expanded module bit for bit, with one lane's list kept.
+        // Strided and contiguous inputs of different lengths, one output,
+        // and a one-call `par` dispatcher: the per-stream list, every sum
+        // and both ρ must match the expanded module bit for bit, with one
+        // lane's list kept.
         let dev = virtex7_adm7v3();
         let mut b = ModuleBuilder::new("tpl");
         let n = 4096 * 64;
         b.global_array("x", T, n, StreamDir::Read, AccessPattern::Strided { stride: 64 });
         b.global_input("w", ScalarType::UInt(18), n / 2);
         b.global_output("y", T, n);
+        b.function("f0", ParKind::Pipe);
+        b.function("f1", ParKind::Par).call("f0", vec![], ParKind::Pipe);
+        b.main_calls("f1");
         let template = b.finish_unchecked();
         let arena = ArenaModule::build(template.clone());
         for lanes in [1u64, 2, 3, 16, 64] {

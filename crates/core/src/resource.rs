@@ -117,7 +117,7 @@ pub struct ResourceEstimate {
 ///
 /// The lane slice is priced once and scaled by the plan's
 /// [`lane_replicas`][ConfigPlan::lane_replicas] times the patch's
-/// [`lane_copies`][PatchedModule::lane_copies] (`u64`, so the multiply
+/// [`lanes`][PatchedModule::lanes] (`u64`, so the multiply
 /// equals summing every copy). A per-copy walk would hit the memo for
 /// every node of each further copy, and again for the per-lane figure;
 /// those hits are counted as such, so the session's counters read as
@@ -132,7 +132,7 @@ pub(crate) fn estimate_plan(
 ) -> ResourceEstimate {
     let a = d.arena;
     let dv = u64::from(d.vect.max(1));
-    let copies = d.lane_copies();
+    let copies = d.lanes();
     let lane_replicas = plan.lane_replicas * copies;
     let mut acc = ResourceBreakdown::default();
     let mut lane_acc = ResourceBreakdown::default();

@@ -414,17 +414,18 @@ impl EstimatorSession {
 
     /// Pass 0. The arena caches each patch's verdict, shared by every
     /// patch at that lane count and every session (see
-    /// [`PatchedModule::validate`]). Once the arena holds it, a call is a
-    /// hit that reads it, with no hashing. A fresh arena (the tree entry
+    /// [`PatchedModule::validate`]). Once the arena holds it
+    /// ([`PatchedModule::cached_verdict`]), a call is a hit that reads
+    /// it, with no hashing. A fresh arena (the tree entry
     /// points build one per call) is probed in the session's set of
     /// validated module fingerprints first, so only the call that
     /// actually runs the validator counts a miss.
     fn validate_design(&mut self, d: &PatchedModule<'_>) -> Result<(), IrError> {
-        if d.validated() {
+        if let Some(verdict) = d.cached_verdict() {
             let _sp =
                 trace::enabled().then(|| trace::span("estimator.validate").with("memo_hit", true));
             self.hits.incr();
-            return d.validate();
+            return verdict;
         }
         let mut sp = trace::span("estimator.validate");
         let module_fp = d.fingerprint();
@@ -492,7 +493,7 @@ impl EstimatorSession {
                 }
             }
         }
-        let copies = plan.lane_replicas * d.lane_copies();
+        let copies = plan.lane_replicas * d.lanes();
         self.hits.add((copies - 1) * plan.lane_len as u64);
         let mut worst: (f64, &str) = (0.0, "");
         for node in &plan.nodes {

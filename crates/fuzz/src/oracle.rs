@@ -12,7 +12,7 @@ use tytra_cost::EstimatorSession;
 use tytra_device::TargetDevice;
 use tytra_dse::ExplorationConfig;
 use tytra_dse::{search, SearchConfig, SearchOutcome};
-use tytra_ir::{ArenaModule, IrModule, MemForm};
+use tytra_ir::{ArenaModule, Call, IrFunction, IrModule, MemForm, ParKind, Stmt};
 use tytra_kernels::{EvalKernel, Sor, StreamTriad};
 use tytra_trace::json::{self, Json};
 
@@ -441,10 +441,11 @@ pub fn analyze_congruence(m: &IrModule, dev: &TargetDevice) -> Verdict {
 /// as the tree; (b) for a sweep of copy-on-write patches over the four
 /// patched cells (name, form, DV, lane count), `estimate_design`/`bound_design` are
 /// `Debug`-bit-identical to a tree session estimating the materialized
-/// patch. The tree entry points build a fresh arena over the module they
-/// are given, so (b) checks each patch against a rebuild of its own
-/// tree. Float `Debug` is round-trip exact, so string equality is bit
-/// equality.
+/// patch. The lane-count patch runs on `m` with `main`'s call moved
+/// under a one-call `par` dispatcher, a lane template. The tree entry
+/// points build a fresh arena over the module they are given, so (b)
+/// checks each patch against a rebuild of its own tree. Float `Debug` is
+/// round-trip exact, so string equality is bit equality.
 pub fn arena_equivalence(m: &IrModule, dev: &TargetDevice) -> Verdict {
     let arena = ArenaModule::build(m.clone());
     if arena.identity().fingerprint() != tytra_ir::fingerprint_module(m) {
@@ -457,15 +458,17 @@ pub fn arena_equivalence(m: &IrModule, dev: &TargetDevice) -> Verdict {
     }
     let mut via_arena = EstimatorSession::new(dev.clone());
     let mut via_tree = EstimatorSession::new(dev.clone());
-    let patches: [(&str, MemForm, u32, u64); 5] = [
-        (&m.name, m.meta.form, m.meta.vect, 1),
-        ("fz_patch", MemForm::A, 1, 1),
-        ("fz_patch", MemForm::B, 2, 1),
-        ("fz_patch", MemForm::Tiled { tiles: 2 }, m.meta.vect, 1),
-        ("fz_patch", m.meta.form, m.meta.vect, 2),
-    ];
-    for (name, form, vect, lanes) in patches {
-        let d = arena.patched(name, form, vect, lanes);
+    let template = lane_template(m).map(ArenaModule::build);
+    let patches = [
+        arena.patched(&m.name, m.meta.form, m.meta.vect, 1),
+        arena.patched("fz_patch", MemForm::A, 1, 1),
+        arena.patched("fz_patch", MemForm::B, 2, 1),
+        arena.patched("fz_patch", MemForm::Tiled { tiles: 2 }, m.meta.vect, 1),
+    ]
+    .into_iter()
+    .chain(template.iter().map(|t| t.patched("fz_patch", m.meta.form, m.meta.vect, 2)));
+    for d in patches {
+        let (name, form, vect) = (d.name, d.form, d.vect);
         let tree = d.materialize();
         match (via_arena.estimate_design(&d), via_tree.estimate(&tree)) {
             (Ok(a), Ok(t)) => {
@@ -511,6 +514,27 @@ pub fn arena_equivalence(m: &IrModule, dev: &TargetDevice) -> Verdict {
         }
     }
     Verdict::Pass
+}
+
+/// `m` as a lane template: `m` itself when it has a
+/// [lane root][IrModule::lane_root], else `m` with `main`'s only
+/// statement, a call, moved under a one-call `par` dispatcher that calls
+/// with no arguments, as lowering's dispatchers do. `None` when `main`
+/// is not a single call.
+fn lane_template(m: &IrModule) -> Option<IrModule> {
+    if m.lane_root().is_some() {
+        return Some(m.clone());
+    }
+    let mut t = m.clone();
+    let main = t.functions.iter_mut().find(|f| f.name == "main")?;
+    let [Stmt::Call(call)] = main.body.as_mut_slice() else { return None };
+    let lane = Call { args: Vec::new(), ..call.clone() };
+    *call =
+        Call { callee: "fz_lanes".into(), args: Vec::new(), kind: ParKind::Par, ..lane.clone() };
+    let mut dispatcher = IrFunction::new("fz_lanes", ParKind::Par);
+    dispatcher.body.push(Stmt::Call(lane));
+    t.functions.push(dispatcher);
+    Some(t)
 }
 
 #[cfg(test)]
@@ -584,6 +608,10 @@ mod tests {
             let mut g = TirlGen::new(seed);
             let m = g.valid_module();
             assert_eq!(arena_equivalence(&m, &dev), Verdict::Pass, "seed {seed}");
+            // The lane-count patch is a valid design, so the oracle
+            // compares two reports, not two errors.
+            let t = ArenaModule::build(lane_template(&m).expect("main makes one call"));
+            assert_eq!(t.patched("two", m.meta.form, m.meta.vect, 2).validate(), Ok(()));
         }
     }
 

@@ -143,10 +143,10 @@ pub struct PlanNode {
 /// copies: the passes price it once and scale, so costing a variant does
 /// not walk a copy per lane.
 ///
-/// The plan is the template's. A patch whose template has a lane root
-/// stands for [`lane_copies`][PatchedModule::lane_copies] copies of the
-/// root's call: the root's `n_children`, `lane_replicas` and `par_lanes`
-/// scale by that count, and `tree.lanes` by
+/// The plan is the template's. A patch stands for
+/// [`lanes`][PatchedModule::lanes] copies of the lane root's call: the
+/// root's `n_children`, `lane_replicas` and `par_lanes` scale by that
+/// count, and `tree.lanes` by
 /// [`kernel_lanes`][PatchedModule::kernel_lanes].
 #[derive(Debug, Clone)]
 pub struct ConfigPlan {
@@ -500,16 +500,11 @@ impl ArenaModule {
 
     // ---- precomputed digests & geometry ----
 
-    /// The template's verdict of [`validate::validate`] — a one-lane
-    /// patch's — computed on first request and cached; later calls (from
-    /// any thread, any estimator session) return the cached copy.
-    pub fn validate_base(&self) -> Result<(), IrError> {
-        self.base_verdict.get_or_init(|| validate::validate(&self.template)).clone()
-    }
-
     /// [`fingerprint_module`][fingerprint::fingerprint_module] of the
-    /// template, replayed from the columns on each call (no costing pass
-    /// reads it).
+    /// template — the [`identity`][ArenaModule::identity] patch's, one
+    /// lane — replayed from the columns on each call (no costing pass
+    /// reads it). A patch's own digest is
+    /// [`PatchedModule::fingerprint`].
     pub fn base_fp(&self) -> u64 {
         self.identity().fingerprint()
     }
@@ -544,7 +539,8 @@ impl ArenaModule {
 
     /// A copy-on-write variant of this base: `name`, `form`, `vect` and
     /// the lane count are patched, everything else is shared. A `lanes`
-    /// of 0 counts as 1.
+    /// of 0 counts as 1; more than one lane needs a template with a
+    /// [lane root][IrModule::lane_root], whose call the patch repeats.
     pub fn patched<'a>(
         &'a self,
         name: &'a str,
@@ -552,6 +548,7 @@ impl ArenaModule {
         vect: u32,
         lanes: u64,
     ) -> PatchedModule<'a> {
+        debug_assert!(lanes <= 1 || self.lane_root.is_some(), "{lanes} lanes need a lane root");
         PatchedModule { arena: self, name, form, vect, lanes: lanes.max(1) }
     }
 
@@ -769,25 +766,16 @@ pub struct PatchedModule<'a> {
 }
 
 impl PatchedModule<'_> {
-    /// How many lanes the template stands for (1 for a parsed module).
+    /// How many lanes the template stands for (1 for a parsed module):
+    /// the copies of the lane root's call, by which the template's plan
+    /// scales (see [`ConfigPlan`]).
     pub fn lanes(&self) -> u64 {
         self.lanes
     }
 
-    /// How many copies of the lane root's call this patch stands for:
-    /// its lane count when the template has a lane root, else 1. The
-    /// template's plan scales by it (see [`ConfigPlan`]).
-    pub fn lane_copies(&self) -> u64 {
-        if self.arena.lane_root.is_some() {
-            self.lanes
-        } else {
-            1
-        }
-    }
-
     /// [`IrModule::kernel_lanes`] of the patched module.
     pub fn kernel_lanes(&self) -> u64 {
-        self.arena.kernel_lanes * self.lane_copies()
+        self.arena.kernel_lanes * self.lanes
     }
 
     /// Off-chip port count (the `NWPT` numerator and `n_streams`).
@@ -832,7 +820,7 @@ impl PatchedModule<'_> {
     /// are equal exactly when the expanded functions' fingerprints are,
     /// but the key costs O(1) in the lane count.
     pub fn fn_key(&self, f: FnId) -> (u64, u64) {
-        let copies = if self.arena.lane_root == Some(f) { self.lane_copies() } else { 1 };
+        let copies = if self.arena.lane_root == Some(f) { self.lanes } else { 1 };
         (self.arena.fn_fp(f), copies)
     }
 
@@ -892,32 +880,36 @@ impl PatchedModule<'_> {
     /// error's text are always those of validating `materialize()`.
     pub fn validate(&self) -> Result<(), IrError> {
         let a = self.arena;
-        let base = a.validate_base();
-        if self.lanes == 1 || (base.is_ok() && !a.names_may_collide()) {
-            return base;
+        // Fill the template's caches `cached_verdict` reads; the name
+        // check only matters above one lane, for a valid template.
+        let base = a.base_verdict.get_or_init(|| validate::validate(&a.template));
+        if self.lanes > 1 && base.is_ok() {
+            a.names_may_collide();
         }
-        let mut verdicts = a.lane_verdicts.lock().expect("no validation panicked holding the lock");
-        if let Some((_, v)) = verdicts.iter().find(|(l, _)| *l == self.lanes) {
-            return v.clone();
+        if let Some(v) = self.cached_verdict() {
+            return v;
         }
         let v = validate::validate(&a.identity().with_lanes(self.lanes).materialize());
-        verdicts.push((self.lanes, v.clone()));
+        // Two threads may both get here for one lane count; they push
+        // the same verdict, and either copy answers later calls.
+        a.lane_verdicts
+            .lock()
+            .expect("no validation panicked holding the lock")
+            .push((self.lanes, v.clone()));
         v
     }
 
-    /// Whether [`validate`][PatchedModule::validate] has already run for
-    /// this patch's lane count, so a further call only reads the cached
-    /// verdict.
-    pub fn validated(&self) -> bool {
+    /// The verdict of [`validate`][PatchedModule::validate] when the
+    /// arena already holds it for this patch, else `None`; never runs
+    /// the validator.
+    pub fn cached_verdict(&self) -> Option<Result<(), IrError>> {
         let a = self.arena;
-        let Some(base) = a.base_verdict.get() else { return false };
-        self.lanes == 1
-            || (base.is_ok() && a.names_may_collide.get() == Some(&false))
-            || a.lane_verdicts
-                .lock()
-                .expect("no validation panicked holding the lock")
-                .iter()
-                .any(|(l, _)| *l == self.lanes)
+        let base = a.base_verdict.get()?;
+        if self.lanes == 1 || (base.is_ok() && a.names_may_collide.get() == Some(&false)) {
+            return Some(base.clone());
+        }
+        let verdicts = a.lane_verdicts.lock().expect("no validation panicked holding the lock");
+        verdicts.iter().find(|(l, _)| *l == self.lanes).map(|(_, v)| v.clone())
     }
 
     /// The same patch at `lanes` lanes.
@@ -1014,22 +1006,19 @@ mod tests {
 
     #[test]
     fn patched_fingerprint_matches_materialized_tree() {
-        // A parsed four-lane module has no lane root: a patch of more
-        // than one lane replicates its Manage-IR only.
         let a = ArenaModule::build(stencil(4, MemForm::B));
-        for (name, form, vect, lanes) in [
-            ("st_l4", MemForm::B, 1u32, 1u64),
-            ("st_l4_v2", MemForm::A, 2, 1),
-            ("other", MemForm::C, 4, 1),
-            ("t", MemForm::Tiled { tiles: 8 }, 1, 1),
-            ("", MemForm::B, 1, 1),
-            ("wide", MemForm::B, 1, 3),
+        for (name, form, vect) in [
+            ("st_l4", MemForm::B, 1u32),
+            ("st_l4_v2", MemForm::A, 2),
+            ("other", MemForm::C, 4),
+            ("t", MemForm::Tiled { tiles: 8 }, 1),
+            ("", MemForm::B, 1),
         ] {
-            let d = a.patched(name, form, vect, lanes);
+            let d = a.patched(name, form, vect, 1);
             assert_eq!(
                 d.fingerprint(),
                 fingerprint_module(&d.materialize()),
-                "patch ({name:?}, {form:?}, {vect}, {lanes})"
+                "patch ({name:?}, {form:?}, {vect})"
             );
         }
     }
@@ -1198,18 +1187,19 @@ mod tests {
                 assert_eq!(d.local_bytes(), e.local_bytes(), "{tag}");
                 let bits = d.local_mem_bits().sum::<u64>() * lanes;
                 assert_eq!(bits, e.local_mem_bits().sum::<u64>(), "{tag}");
+                assert_eq!(a.noff(), expanded.noff(), "{tag}");
+                assert_eq!(a.noff_bytes(), expanded.noff_bytes(), "{tag}");
                 let (plan, full_plan) = (a.config().unwrap(), expanded.config().unwrap());
-                let copies = d.lane_copies();
-                assert_eq!(plan.lane_replicas * copies, full_plan.lane_replicas, "{tag}");
-                assert_eq!(plan.par_lanes * copies, full_plan.par_lanes, "{tag}");
+                assert_eq!(plan.lane_replicas * lanes, full_plan.lane_replicas, "{tag}");
+                assert_eq!(plan.par_lanes * lanes, full_plan.par_lanes, "{tag}");
                 assert_eq!(plan.lane_fp, full_plan.lane_fp, "{tag}");
                 let root = plan.nodes[0];
                 assert_eq!(
-                    u64::from(root.n_children) * copies,
+                    u64::from(root.n_children) * lanes,
                     full_plan.nodes[0].n_children.into()
                 );
                 assert_eq!(d.validate(), Ok(()), "{tag}");
-                assert!(d.validated(), "{tag}");
+                assert_eq!(d.cached_verdict(), Some(Ok(())), "{tag}");
             }
         }
     }
@@ -1223,10 +1213,6 @@ mod tests {
             assert_eq!(d.fn_key(f1), (a.fn_fp(f1), l));
             assert_eq!(d.fn_key(f0), (a.fn_fp(f0), 1), "the lane body");
         }
-        // Without a lane root a patch repeats no function body.
-        let p = ArenaModule::build(stencil(4, MemForm::B));
-        let f1 = p.fn_by_name("f1").unwrap();
-        assert_eq!(p.patched("v", MemForm::B, 1, 3).fn_key(f1), (p.fn_fp(f1), 1));
     }
 
     #[test]
@@ -1245,13 +1231,13 @@ mod tests {
         assert_eq!(validate::validate(&t), Ok(()));
         let a = ArenaModule::build(t);
         let d11 = a.identity().with_lanes(11);
-        assert!(!d11.validated());
+        assert_eq!(d11.cached_verdict(), None);
         let want = validate::validate(&d11.materialize());
         assert_eq!(d11.validate(), want);
-        assert!(d11.validated(), "the 11-lane verdict is cached");
+        assert_eq!(d11.cached_verdict(), Some(want.clone()), "the 11-lane verdict is cached");
         assert!(format!("{}", want.unwrap_err()).contains("duplicate memory object name `mem_p10`"));
         let d2 = a.identity().with_lanes(2);
-        assert!(!d2.validated(), "each lane count is validated on its own");
+        assert_eq!(d2.cached_verdict(), None, "each lane count is validated on its own");
         assert_eq!(d2.validate(), Ok(()));
         assert_eq!(d11.validate(), d11.validate(), "cached verdicts repeat");
 
@@ -1264,7 +1250,8 @@ mod tests {
         let want = validate::validate(&d4.materialize());
         assert!(want.is_err());
         assert_eq!(d4.validate(), want);
-        assert_ne!(a.validate_base(), want, "the template's error names the unsuffixed stream");
+        let template = a.identity().validate();
+        assert_ne!(template, want, "the template's error names the unsuffixed stream");
     }
 
     #[test]

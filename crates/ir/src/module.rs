@@ -179,24 +179,27 @@ impl IrModule {
 
     /// The module a lane template stands for at `lanes` lanes. A lane
     /// template holds one lane: Manage-IR arrays as long as the whole
-    /// NDRange and, when it has a [`lane_root`][IrModule::lane_root], a
-    /// dispatcher with one lane's call. Expanding repeats the Manage-IR
+    /// NDRange and a dispatcher, its [`lane_root`][IrModule::lane_root],
+    /// with one lane's call. Expanding repeats the Manage-IR
     /// `lanes` times in lane-major order, each name — and each
     /// memory-object or stream name a copy refers to — with its decimal
     /// lane index appended ([`lane_name`]: `mem_p` becomes `mem_p0`,
     /// `mem_p1`, …) and each array `len / lanes` long, and repeats the
     /// lane root's body `lanes` times. Every other function and the
     /// metadata stay as they are. With one lane the template is the
-    /// module, names unsuffixed.
+    /// module, names unsuffixed, and needs no dispatcher.
+    ///
+    /// # Panics
+    ///
+    /// If `lanes` exceeds one and the module has no lane root.
     pub fn expand_lanes(mut self, lanes: u64) -> IrModule {
         if lanes <= 1 {
             return self;
         }
-        if let Some(root) = self.lane_root() {
-            let body = &mut self.functions[root].body;
-            let one = std::mem::take(body);
-            *body = std::iter::repeat_n(one, lanes as usize).flatten().collect();
-        }
+        let root = self.lane_root().expect("a module of more than one lane has a lane root");
+        let body = &mut self.functions[root].body;
+        let one = std::mem::take(body);
+        *body = std::iter::repeat_n(one, lanes as usize).flatten().collect();
         let mems = std::mem::take(&mut self.mems);
         let streams = std::mem::take(&mut self.streams);
         let ports = std::mem::take(&mut self.ports);
@@ -238,7 +241,7 @@ impl IrModule {
     /// The index of a lane template's dispatcher: the `par` function
     /// that `main`'s only call targets, when its body is that one lane's
     /// call. [`expand_lanes`][IrModule::expand_lanes] repeats its body
-    /// once per lane. A module without one expands its Manage-IR only.
+    /// once per lane; only a module with one expands past one lane.
     pub fn lane_root(&self) -> Option<usize> {
         let mut calls = self.main()?.calls();
         let (Some(call), None) = (calls.next(), calls.next()) else { return None };
