@@ -4,15 +4,17 @@
 Run from anywhere inside the repository:
 
     python3 tools/bench_pairs.py --base <rev> --change <rev> \
-        --workload dse[,oneshot,serve] --seeds 101,102,103 [--seconds 10] \
+        --workload dse[,oneshot,serve] --seeds 101,102,103 \
         [--record BENCH_perfbench.jsonl]
 
 Each revision is cloned into its own temporary directory, so both sides
 run committed files only, each with its own build directory. For every
 workload and seed the two sides run `python3 perfbench/run.py --workload
 W --seed S --seconds N --trace 0` one after the other, the first side
-alternating from seed to seed. Any run whose result is not `"correct":
-true, "failed": 0` stops the tool with exit status 1.
+alternating from seed to seed. N is BENCHMARK.json's `run_seconds`, the
+benchmark's own run length, so every recorded line is comparable. Any
+run whose result is not `"correct": true, "failed": 0` stops the tool
+with exit status 1.
 
 For each workload and end-to-end metric of BENCHMARK.json the tool
 prints both sides' median, first and third quartile, and in how many
@@ -93,7 +95,6 @@ def main():
     ap.add_argument("--change", required=True, help="revision under test")
     ap.add_argument("--workload", required=True, help="comma-separated: dse, oneshot, serve")
     ap.add_argument("--seeds", required=True, help="comma-separated seed list")
-    ap.add_argument("--seconds", type=int, default=10)
     ap.add_argument("--record", help="append the medians as one JSON line per workload")
     args = ap.parse_args()
     workloads = args.workload.split(",")
@@ -105,7 +106,8 @@ def main():
 
     repo = git("rev-parse", "--show-toplevel")
     with open(os.path.join(repo, "BENCHMARK.json")) as f:
-        metrics = json.load(f)["end_to_end"]
+        benchmark = json.load(f)
+    metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {}
@@ -118,18 +120,18 @@ def main():
             for i, seed in enumerate(seeds):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 for side in order:
-                    r = run_once(trees[side], workload, seed, args.seconds)
+                    r = run_once(trees[side], workload, seed, seconds)
                     runs[side].append(r["metrics"])
                     p50 = r["metrics"].get("op_ms_p50", {}).get("value")
                     print(f"{workload} seed {seed} {side}: op_ms_p50 {p50}", file=sys.stderr)
-            medians = compare(workload, seeds, args.seconds, commits, runs, metrics)
+            medians = compare(workload, seeds, seconds, commits, runs, metrics)
             if args.record:
                 line = {
                     "workload": workload,
                     "base": commits["base"],
                     "change": commits["change"],
                     "seeds": seeds,
-                    "seconds": args.seconds,
+                    "seconds": seconds,
                     "base_medians": medians["base"],
                     "change_medians": medians["change"],
                 }
