@@ -15,7 +15,7 @@
 //! tybec lint   <design.tirl> [--target <name>] [--json] [--deny-warnings]
 //! tybec analyze <design.tirl> [--json]              dataflow analysis report
 //! tybec profile <design.tirl> [--target <name>]     per-pass self-time attribution
-//! tybec serve  [--tcp <addr>|--unix <path>] [--workers N] [--cache-capacity N] [--batch N]
+//! tybec serve  [--tcp <addr>|--unix <path>] [--cache-capacity N]
 //! ```
 //!
 //! Every subcommand also accepts the global profiling flags
@@ -55,7 +55,7 @@ const USAGE: &str = "usage: tybec <cost|actual|hdl|tree|dse|roofline|exec|lint|a
   lint   <design.tirl> [--target <name>] [--json] [--deny-warnings]
   analyze <design.tirl> [--json]
   profile <design.tirl> [--target <name>]
-  serve  [--tcp <addr>|--unix <path>] [--workers N] [--cache-capacity N] [--batch N]
+  serve  [--tcp <addr>|--unix <path>] [--cache-capacity N]
          cost-model daemon: JSONL requests over TCP (default 127.0.0.1:7737) or a Unix socket;
          see docs/serve.md for the wire protocol
 global: --trace <out> [--trace-format chrome|jsonl|tree|folded]   write a span trace of the run
@@ -102,7 +102,7 @@ const USAGES: [Usage; 11] = [
     Usage {
         cmd: "serve",
         positional: false,
-        valued: &["--tcp", "--unix", "--workers", "--cache-capacity", "--batch"],
+        valued: &["--tcp", "--unix", "--cache-capacity"],
         switches: &[],
     },
 ];
@@ -463,21 +463,16 @@ fn cmd_profile(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `tybec serve`: run the cost model as a long-lived JSONL daemon with
-/// warm estimator sessions, request batching, and a bounded
-/// cross-request cache. Blocks until a `shutdown` request is served.
-/// Wire protocol and deployment notes: `docs/serve.md`.
+/// `tybec serve`: run the cost model as a long-lived JSONL daemon in
+/// which each connection's thread answers its own requests, in order,
+/// on pooled warm estimator sessions behind a bounded cross-request
+/// cache. Blocks until a `shutdown` request is served and every client
+/// has hung up. Wire protocol and deployment notes: `docs/serve.md`.
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     use tytra_serve::{serve_tcp, ServeConfig};
     let mut cfg = ServeConfig::default();
-    if let Some(v) = flag_value(args, "--workers") {
-        cfg.workers = v.parse().map_err(|e| format!("bad --workers: {e}"))?;
-    }
     if let Some(v) = flag_value(args, "--cache-capacity") {
         cfg.cache_capacity = v.parse().map_err(|e| format!("bad --cache-capacity: {e}"))?;
-    }
-    if let Some(v) = flag_value(args, "--batch") {
-        cfg.batch_max = v.parse().map_err(|e| format!("bad --batch: {e}"))?;
     }
     let tcp = flag_value(args, "--tcp");
     let unix = flag_value(args, "--unix");

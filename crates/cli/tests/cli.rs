@@ -244,13 +244,17 @@ fn dse_rejects_flags_it_does_not_take() {
 
 #[test]
 fn misspelled_and_valueless_flags_fail_before_any_output() {
-    // Each case and the argument its error must name.
-    let cases: [(&[&str], &str); 5] = [
+    // Each case and the argument its error must name. Serve's removed
+    // `--workers` and `--batch` come before a valueless `--tcp`, which
+    // the error would name if they were still taken.
+    let cases: [(&[&str], &str); 7] = [
         (&["cost", "assets/sor_c2.tirl", "--taget", "eval-small"], "--taget"),
         (&["lint", "crates/lint/tests/fixtures/tl1001.tirl", "--deny-warning"], "--deny-warning"),
         (&["cost", "assets/sor_c2.tirl", "--target"], "--target"),
         (&["dse", "sor", "--lanes"], "--lanes"),
         (&["tree", "assets/sor_c2.tirl", "assets/sor_c2.tirl"], "assets/sor_c2.tirl"),
+        (&["serve", "--workers", "2", "--tcp"], "--workers"),
+        (&["serve", "--batch", "8", "--tcp"], "--batch"),
     ];
     for (args, culprit) in cases {
         let o = tybec(args);

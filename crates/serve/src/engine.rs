@@ -1,25 +1,26 @@
 //! Request execution: warm estimator sessions, the cross-request cache,
 //! and per-request fault isolation.
 //!
-//! An [`Engine`] is one worker's private state — estimator sessions
-//! keyed by target device, each with warm memo tables. [`Shared`] is the
-//! daemon-wide state every worker sees: the bounded cross-request
-//! response cache and the live metrics registry. The split keeps the
-//! hot path lock-light: a warm estimate touches the shared cache mutex
-//! once and its own session the rest of the way.
+//! An [`Engine`] holds estimator sessions keyed by target device, each
+//! with warm memo tables; one computation uses it at a time, and the
+//! daemon keeps idle engines in a pool. [`Shared`] is the daemon-wide
+//! state every connection sees: the bounded cross-request response
+//! cache, the single-flight table and the live metrics registry. The
+//! split keeps the hot path lock-light: a warm estimate touches the
+//! shared cache mutex once and its engine's session the rest of the way.
 //!
 //! Responses are rendered from the same code paths the offline CLI
 //! prints from (`session.estimate` is pinned bit-identical to
 //! `tytra_cost::estimate`), so a served `estimate` payload is
 //! byte-identical to `tybec cost` stdout for the same design and
-//! target, whatever worker, batch, or cache state produced it.
+//! target, whatever engine, connection or cache state produced it.
 
 use crate::protocol::{
     parse_request, render_err, render_ok, MetricsFormat, RequestError, RequestKind,
 };
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use tytra_cost::EstimatorSession;
 use tytra_device::TargetDevice;
@@ -27,7 +28,7 @@ use tytra_dse::{render_search_leaderboard, search_with, ExplorationConfig, Searc
 use tytra_ir::{fingerprint_module, ErrorCategory, IrModule, TybecError};
 use tytra_kernels::{EvalKernel, Hotspot, LavaMd, Sor};
 use tytra_trace::bounded::BoundedMap;
-use tytra_trace::metrics::{Counter, Gauge, Histogram, Registry, Snapshot};
+use tytra_trace::metrics::{Counter, Histogram, Registry, Snapshot};
 use tytra_trace::prometheus::render_prometheus;
 use tytra_trace::recorder;
 
@@ -41,9 +42,7 @@ const TAG_BOUND: u8 = 2;
 const TAG_ANALYZE_TEXT: u8 = 3;
 const TAG_ANALYZE_JSON: u8 = 4;
 
-/// Parsed, ready-to-run request body. Produced by [`prepare`] on the
-/// connection reader thread, so TIRL parsing and fingerprinting happen
-/// per-client while the worker pool stays busy costing.
+/// Parsed, ready-to-run request body, produced by [`prepare`].
 #[derive(Debug)]
 pub enum Work {
     /// `session.estimate` and render the report.
@@ -95,7 +94,7 @@ fn kernel_by_name(name: &str) -> Result<Box<dyn EvalKernel>, TybecError> {
 
 /// Turn a decoded request into runnable [`Work`] plus its cache key (if
 /// the flavour is cacheable): parse the TIRL design, resolve the target,
-/// fingerprint. Runs on the reader thread.
+/// fingerprint.
 pub fn prepare(kind: &RequestKind) -> Result<(Work, Option<CacheKey>), TybecError> {
     let parse_design = |design: &str| -> Result<(Box<IrModule>, u64), TybecError> {
         let m = tytra_ir::parse(design).map_err(TybecError::from)?;
@@ -164,7 +163,7 @@ pub fn fast_key(kind: &RequestKind) -> Option<FastKey> {
 pub type Outcome = Result<String, (TybecError, Option<String>)>;
 
 /// One cacheable computation in progress. Its leader publishes the
-/// outcome once; workers that missed the cache on the same key meanwhile
+/// outcome once; requests that missed the cache on the same key meanwhile
 /// wait for it instead of computing again.
 #[derive(Default)]
 pub(crate) struct Flight {
@@ -185,11 +184,11 @@ impl Flight {
     }
 }
 
-/// How a worker that missed the cache on a key proceeds.
+/// How a request that missed the cache on a key proceeds.
 pub(crate) enum Claim {
     /// The payload landed in the cache meanwhile.
     Hit(String),
-    /// Another worker is computing it: wait on its flight.
+    /// Another request is computing it: wait on its flight.
     Follow(Arc<Flight>),
     /// Compute it, then [`land`][Shared::land] this flight.
     Lead(Arc<Flight>),
@@ -200,15 +199,14 @@ pub(crate) enum Claim {
 /// `docs/serve.md` for the catalogue).
 pub struct Shared {
     cache: Mutex<BoundedMap<CacheKey, String>>,
-    /// Cacheable computations in progress, keyed like the cache: the
-    /// single-flight table that keeps concurrent misses on one key from
-    /// all computing it.
-    inflight: Mutex<HashMap<CacheKey, Arc<Flight>>>,
+    /// Cacheable computations in progress, keyed like the cache, with
+    /// the number of requests following each: the single-flight table
+    /// that keeps concurrent misses on one key from all computing it.
+    inflight: Mutex<HashMap<CacheKey, (Arc<Flight>, u64)>>,
     /// Raw request text → structural cache key, so a repeat of the exact
     /// same request bytes skips TIRL parsing and fingerprinting
-    /// entirely: the reader thread answers from [`Shared::cache`]
-    /// without touching the dispatcher. Bounded by the same CLOCK
-    /// policy and capacity as the response cache.
+    /// entirely and is answered from [`Shared::cache`]. Bounded by the
+    /// same CLOCK policy and capacity as the response cache.
     fast: Mutex<BoundedMap<FastKey, CacheKey>>,
     /// Set by a `shutdown` request or
     /// [`ServerHandle::stop`](crate::server::ServerHandle::stop); the
@@ -219,23 +217,27 @@ pub struct Shared {
     pub requests: Counter,
     /// Requests answered with `ok:false`.
     pub errors: Counter,
-    /// Requests answered from the cross-request cache, coalesced onto a
-    /// same-class computation in the same batch, or answered by another
-    /// worker's in-flight computation of the same key.
+    /// Requests answered from the cross-request cache or by another
+    /// request's in-flight computation of the same key.
     pub cache_hits: Counter,
     /// Cacheable computations actually performed.
     pub cache_misses: Counter,
     /// Cache entries the CLOCK hand dropped under capacity pressure.
     pub cache_evictions: Counter,
-    /// Dispatcher wake-ups (each drains one micro-batch).
-    pub batches: Counter,
-    /// Requests coalesced per dispatcher wake-up.
+    /// Requests answered per cacheable computation: its leader plus the
+    /// requests that followed its flight.
     pub batch_size: Histogram,
     /// Wall time from request read to response write, nanoseconds.
     pub request_ns: Histogram,
-    /// Requests queued between reader and workers right now.
-    pub queue_depth: Gauge,
-    pending: AtomicU64,
+    /// JSONL decoding per request line, nanoseconds.
+    pub decode_ns: Histogram,
+    /// TIRL parsing and fingerprinting per request that missed the
+    /// exact-text fast path, nanoseconds.
+    pub prepare_ns: Histogram,
+    /// Each computation, led or uncacheable, nanoseconds.
+    pub compute_ns: Histogram,
+    /// Rendering and writing each response, nanoseconds.
+    pub write_ns: Histogram,
 }
 
 impl Shared {
@@ -253,11 +255,12 @@ impl Shared {
             cache_hits: registry.counter("serve.cache.hits"),
             cache_misses: registry.counter("serve.cache.misses"),
             cache_evictions: registry.counter("serve.cache.evictions"),
-            batches: registry.counter("serve.batches"),
             batch_size: registry.histogram("serve.batch_size"),
             request_ns: registry.histogram("serve.request_ns"),
-            queue_depth: registry.gauge("serve.queue_depth"),
-            pending: AtomicU64::new(0),
+            decode_ns: registry.histogram("serve.decode_ns"),
+            prepare_ns: registry.histogram("serve.prepare_ns"),
+            compute_ns: registry.histogram("serve.compute_ns"),
+            write_ns: registry.histogram("serve.write_ns"),
             registry,
         }
     }
@@ -265,18 +268,6 @@ impl Shared {
     /// Point-in-time snapshot of the daemon's metrics registry.
     pub fn snapshot(&self) -> Snapshot {
         self.registry.snapshot()
-    }
-
-    /// A request entered the dispatch queue.
-    pub fn enqueued(&self) {
-        let d = self.pending.fetch_add(1, Ordering::SeqCst) + 1;
-        self.queue_depth.set(d as f64);
-    }
-
-    /// `n` requests left the dispatch queue.
-    pub fn dequeued(&self, n: u64) {
-        let d = self.pending.fetch_sub(n, Ordering::SeqCst).saturating_sub(n);
-        self.queue_depth.set(d as f64);
     }
 
     /// Cached payload for `key`, marking it recently used.
@@ -296,7 +287,8 @@ impl Shared {
     /// the cache since the miss, or lead a new flight.
     pub(crate) fn claim(&self, key: &CacheKey) -> Claim {
         let mut inflight = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(flight) = inflight.get(key) {
+        if let Some((flight, followers)) = inflight.get_mut(key) {
+            *followers += 1;
             return Claim::Follow(Arc::clone(flight));
         }
         // A leader caches its payload before it leaves the table, so under
@@ -305,16 +297,18 @@ impl Shared {
             return Claim::Hit(hit);
         }
         let flight = Arc::new(Flight::default());
-        inflight.insert(key.clone(), Arc::clone(&flight));
+        inflight.insert(key.clone(), (Arc::clone(&flight), 0));
         Claim::Lead(flight)
     }
 
-    /// Publish a led flight's outcome to its followers and retire it. A
-    /// successful payload must already be in the cache.
+    /// Publish a led flight's outcome to its followers and retire it,
+    /// recording how many requests it answered. A successful payload must
+    /// already be in the cache.
     pub(crate) fn land(&self, key: &CacheKey, flight: &Flight, outcome: &Outcome) {
         *flight.outcome.lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome.clone());
         flight.landed.notify_all();
-        self.inflight.lock().unwrap_or_else(|e| e.into_inner()).remove(key);
+        let retired = self.inflight.lock().unwrap_or_else(|e| e.into_inner()).remove(key);
+        self.batch_size.record(1 + retired.map_or(0, |(_, followers)| followers));
     }
 
     /// Fast-path probe: the cached payload for this exact request text,
@@ -343,8 +337,8 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One worker's private execution state: an estimator session per
-/// target device, kept warm across requests.
+/// Execution state for one computation at a time: an estimator session
+/// per target device, kept warm across requests.
 #[derive(Default)]
 pub struct Engine {
     sessions: HashMap<String, EstimatorSession>,
@@ -416,7 +410,7 @@ impl Engine {
     /// [`compute`][Engine::compute] behind a panic fence. A panicking
     /// request — injected via `fault` or a genuine bug — becomes a
     /// categorized internal error plus this thread's flight-recorder
-    /// breadcrumbs; the worker (and the daemon) live on.
+    /// breadcrumbs; the engine (and the daemon) live on.
     pub fn compute_guarded(&mut self, work: &Work, shared: &Shared, fault: bool) -> Outcome {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if fault {
@@ -440,10 +434,10 @@ impl Engine {
     }
 
     /// Full in-process round-trip for one request line: parse → prepare
-    /// → cache probe → guarded compute → render. This is exactly the
-    /// path a daemon worker runs per request (minus the socket and the
-    /// batching dispatcher); the fuzz `serve-equivalence` oracle and the
-    /// unit tests drive it directly.
+    /// → cache probe → guarded compute → render. This is the path a
+    /// daemon connection runs per request, minus the socket, the
+    /// exact-text fast path and single flight; the fuzz
+    /// `serve-equivalence` oracle and perfbench drive it directly.
     pub fn respond(&mut self, line: &str, shared: &Shared) -> String {
         let t0 = std::time::Instant::now();
         shared.requests.incr();

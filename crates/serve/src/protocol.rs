@@ -3,8 +3,9 @@
 //! One request per line, one response per line, in either direction of
 //! a TCP or Unix-domain stream. Requests are strict JSON objects (the
 //! hardened parser in [`tytra_trace::json`] rejects nesting bombs and
-//! trailing garbage); responses carry the request's `id` so clients may
-//! pipeline — the daemon is free to answer out of order.
+//! trailing garbage). A connection's responses come back in the order of
+//! its requests, each echoing its request's `id`, so clients may
+//! pipeline.
 //!
 //! See `docs/serve.md` for the full schema. In short:
 //!
@@ -219,7 +220,7 @@ pub fn render_ok(id: u64, payload: &str) -> String {
 /// Render a failure response line (trailing newline included). The
 /// error object mirrors the CLI's behaviour for the same failure: the
 /// category label it prints and the code it exits with. `flight_dump`
-/// carries the worker's flight-recorder breadcrumbs when the request
+/// carries the answering thread's flight-recorder breadcrumbs when the request
 /// died in a panic.
 pub fn render_err(id: u64, err: &TybecError, flight_dump: Option<&str>) -> String {
     let mut s = format!(

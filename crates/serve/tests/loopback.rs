@@ -1,11 +1,14 @@
 //! Loopback suite: real sockets, concurrent clients, and the pinned
 //! service guarantees — byte-identity with the offline CLI renderings,
-//! warm-equals-cold replay, per-request fault isolation, and the `dse`
-//! request's board size and lane handling.
+//! warm-equals-cold replay, request order on a connection, per-request
+//! fault isolation, the shutdown drain, and the `dse` request's board
+//! size and lane handling.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::mpsc;
+use std::time::Duration;
 use tytra_dse::{render_search_leaderboard, search, ExplorationConfig, SearchConfig};
 use tytra_kernels::{EvalKernel, Hotspot, Sor};
 use tytra_serve::{serve_tcp, target_device, ServeConfig};
@@ -47,7 +50,6 @@ fn offline(kind: &str, src: &str, target: &str) -> String {
 }
 
 /// Send `lines` over one connection and collect the responses by id.
-/// Responses may arrive out of order; ids correlate.
 fn roundtrip(addr: std::net::SocketAddr, lines: &[String]) -> HashMap<u64, Json> {
     let mut stream = TcpStream::connect(addr).expect("connect");
     for line in lines {
@@ -151,14 +153,13 @@ fn warm_replay_is_bit_identical_to_cold() {
 
 #[test]
 fn concurrent_identical_requests_compute_once() {
-    // One dispatcher wake-up per request and several workers: identical
-    // requests land in different batches on different workers, so only
-    // the single-flight table keeps them from all computing.
-    let cfg = ServeConfig { workers: 4, batch_max: 1, ..ServeConfig::default() };
-    let handle = serve_tcp("127.0.0.1:0", cfg).expect("bind");
+    // Eight connections, each answered on its own thread, start the same
+    // cold request at once: only the single-flight table keeps them from
+    // all computing it.
+    let handle = serve_tcp("127.0.0.1:0", ServeConfig::default()).expect("bind");
     let addr = handle.addr();
-    // Wide enough that a cold estimate outlasts the other readers' parse
-    // of the same request: without single flight this stampedes.
+    // Wide enough that a cold estimate outlasts the other connections'
+    // parse of the same request: without single flight this stampedes.
     let src = design("hotspot", 16);
 
     const CONNS: u64 = 8;
@@ -196,6 +197,11 @@ fn concurrent_identical_requests_compute_once() {
     let snap = handle.shared().snapshot();
     assert_eq!(snap.counter("serve.cache.misses"), 1, "one computation for 64 requests");
     assert_eq!(snap.counter("serve.cache.hits"), CONNS * PER_CONN - 1);
+    // The one computation answered its leader and the connections that
+    // followed its flight: at most one first request per connection.
+    let answered = handle.shared().batch_size.summary();
+    assert_eq!(answered.count, 1, "one led flight");
+    assert!((1..=CONNS).contains(&answered.sum), "{answered:?}");
     handle.stop();
 }
 
@@ -224,8 +230,8 @@ fn injected_fault_is_answered_and_isolated() {
     let dump = faulted.get("flight_dump").and_then(Json::as_str).unwrap_or_default();
     assert!(dump.contains("serve.fault_inject"), "dump has the breadcrumb: {dump}");
 
-    // The healthy request in the same batch window is unaffected, and
-    // the daemon keeps serving new connections afterwards.
+    // The healthy request after it on the same connection is unaffected,
+    // and the daemon keeps serving new connections afterwards.
     assert_eq!(report_of(&responses[&1]), offline("estimate", &src, "eval-small"));
     let after = roundtrip(addr, &[request(2, "estimate", &src, "eval-small")]);
     assert_eq!(report_of(&after[&2]), offline("estimate", &src, "eval-small"));
@@ -305,11 +311,154 @@ fn metrics_and_shutdown_round_trip() {
     handle.wait();
 }
 
+/// Run `handle.wait()` on a watchdog thread; the receiver gets a message
+/// once it returns, so a stalled daemon fails the test instead of hanging
+/// the suite.
+fn watch_wait(handle: tytra_serve::ServerHandle) -> mpsc::Receiver<()> {
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        handle.wait();
+        let _ = done_tx.send(());
+    });
+    done_rx
+}
+
+const SHUTDOWN: &str = "{\"id\":9,\"kind\":\"shutdown\"}\n";
+
+#[test]
+fn shutdown_after_clients_hang_up_never_stalls() {
+    let (sor1, sor2) = (design("sor", 1), design("sor", 2));
+    for round in 0..100 {
+        let handle = serve_tcp("127.0.0.1:0", ServeConfig::default()).expect("bind");
+        let addr = handle.addr();
+        let mut clients: Vec<TcpStream> =
+            (0..2).map(|_| TcpStream::connect(addr).expect("connect")).collect();
+        for (id, (client, src)) in clients.iter_mut().zip([&sor1, &sor2]).enumerate() {
+            client
+                .write_all(request(id as u64, "estimate", src, "eval-small").as_bytes())
+                .expect("send");
+        }
+        for client in &clients {
+            let mut resp = String::new();
+            BufReader::new(client).read_line(&mut resp).expect("read response");
+            report_of(&json::parse(resp.trim_end()).expect("valid JSON"));
+        }
+        drop(clients);
+        assert_eq!(report_of(&roundtrip(addr, &[SHUTDOWN.to_string()])[&9]), "shutting down");
+        let done = watch_wait(handle);
+        done.recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("round {round}: wait() did not return within 5 s"));
+    }
+}
+
+#[test]
+fn shutdown_drains_a_connected_client() {
+    let handle = serve_tcp("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let addr = handle.addr();
+    let src = design("sor", 1);
+    let mut client = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(client.try_clone().expect("clone"));
+    let mut ask = |id: u64| {
+        client.write_all(request(id, "estimate", &src, "eval-small").as_bytes()).expect("send");
+        let mut resp = String::new();
+        reader.read_line(&mut resp).expect("read response");
+        let v = json::parse(resp.trim_end()).expect("valid JSON");
+        assert_eq!(v.get("id").and_then(Json::as_num), Some(id as f64));
+        report_of(&v).to_string()
+    };
+    ask(1);
+
+    assert_eq!(report_of(&roundtrip(addr, &[SHUTDOWN.to_string()])[&9]), "shutting down");
+    let done = watch_wait(handle);
+    assert!(
+        done.recv_timeout(Duration::from_millis(200)).is_err(),
+        "wait() returned while a client was still connected"
+    );
+    assert_eq!(ask(2), offline("estimate", &src, "eval-small"), "the connected client is served");
+    drop((client, reader));
+    done.recv_timeout(Duration::from_secs(5))
+        .expect("wait() returns within 5 s of the last client's hang-up");
+}
+
+#[test]
+fn one_connection_answers_in_request_order() {
+    let handle = serve_tcp("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let src = design("sor", 1);
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut resp = String::new();
+    stream.write_all(request(1, "estimate", &src, "eval-small").as_bytes()).expect("send");
+    reader.read_line(&mut resp).expect("read response");
+
+    // A slow uncacheable search, then an exact repeat of request 1 (a
+    // fast-path hit) and a line too broken to carry an id, in one write.
+    let wide: Vec<u64> = (1..=64).collect();
+    let pipelined = [
+        dse_request(2, "hotspot", &wide, ""),
+        request(3, "estimate", &src, "eval-small"),
+        "]broken\n".to_string(),
+    ];
+    stream.write_all(pipelined.concat().as_bytes()).expect("send");
+    let ids: Vec<u64> = (0..pipelined.len())
+        .map(|_| {
+            resp.clear();
+            reader.read_line(&mut resp).expect("read response");
+            let v = json::parse(resp.trim_end()).expect("valid JSON");
+            v.get("id").and_then(Json::as_num).expect("response id") as u64
+        })
+        .collect();
+    assert_eq!(ids, [2, 3, 0]);
+    drop((stream, reader));
+    handle.stop();
+}
+
+#[test]
+fn phase_histograms_count_the_requests_that_reach_each_phase() {
+    let handle = serve_tcp("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let shared = std::sync::Arc::clone(handle.shared());
+    let src = design("sor", 1);
+    // Each line with the phases it reaches past decoding and writing:
+    // (p)repare and (c)ompute.
+    let mix = [
+        (request(1, "estimate", &src, "eval-small"), "pc"),
+        (request(2, "estimate", &src, "eval-small"), ""), // exact-text fast path
+        ("]not json\n".to_string(), ""),
+        ("{\"id\":4,\"kind\":\"estimate\",\"design\":\"st1 broken\"}\n".to_string(), "p"),
+        (request(5, "bound", &src, "eval-small"), "pc"),
+        ("{\"id\":6,\"kind\":\"metrics\"}\n".to_string(), "pc"),
+        (request(7, "estimate", &src, "stratix-v-gsd8"), "pc"),
+        (request(8, "estimate", &src, "stratix"), "p"), // same cache key as 7
+    ];
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    for (line, _) in &mix {
+        stream.write_all(line.as_bytes()).expect("send");
+        let mut resp = String::new();
+        reader.read_line(&mut resp).expect("read response");
+    }
+    drop((stream, reader));
+    // The connection records a request's write after sending it; stop
+    // returns once the connection's thread has ended.
+    handle.stop();
+
+    let reached = |phase: char| mix.iter().filter(|(_, p)| p.contains(phase)).count() as u64;
+    let count = |h: &tytra_trace::metrics::Histogram| h.summary().count;
+    let lines = mix.len() as u64;
+    assert_eq!(count(&shared.decode_ns), lines);
+    assert_eq!(count(&shared.prepare_ns), reached('p'));
+    assert_eq!(count(&shared.compute_ns), reached('c'));
+    assert_eq!(count(&shared.write_ns), lines);
+    assert_eq!(count(&shared.request_ns), lines);
+    // Led computations of cacheable requests, each answering one request.
+    assert_eq!(shared.batch_size.summary().count, 3);
+    assert_eq!(shared.batch_size.summary().sum, 3);
+}
+
 /// A `dse` request line; `extra` is spliced into the JSON object.
-fn dse_request(id: u64, lanes: &[u64], extra: &str) -> String {
+fn dse_request(id: u64, kernel: &str, lanes: &[u64], extra: &str) -> String {
     let lanes: Vec<String> = lanes.iter().map(u64::to_string).collect();
     format!(
-        "{{\"id\":{id},\"kind\":\"dse\",\"kernel\":\"sor\",\"lanes\":[{}]{extra}}}\n",
+        "{{\"id\":{id},\"kind\":\"dse\",\"kernel\":\"{kernel}\",\"lanes\":[{}]{extra}}}\n",
         lanes.join(",")
     )
 }
@@ -327,17 +476,17 @@ fn golden_exploration(kernel: &str) -> String {
 }
 
 #[test]
-fn dse_on_a_warmed_worker_equals_the_cli_exploration() {
-    // One worker: the estimate and bound requests warm the session the
-    // dse request then searches through.
-    let cfg = ServeConfig { workers: 1, ..ServeConfig::default() };
-    let handle = serve_tcp("127.0.0.1:0", cfg).expect("bind");
+fn dse_on_a_warmed_engine_equals_the_cli_exploration() {
+    // One connection at a time, so one computation at a time: the pool
+    // holds one engine, and the estimate and bound requests warm the
+    // session the dse request then searches through.
+    let handle = serve_tcp("127.0.0.1:0", ServeConfig::default()).expect("bind");
     let src = design("sor", 4);
     let wide: Vec<u64> = (1..=64).collect();
     let lines = [
         request(1, "estimate", &src, "stratix-v-gsd8"),
         request(2, "bound", &src, "stratix-v-gsd8"),
-        dse_request(3, &wide, ""),
+        dse_request(3, "sor", &wide, ""),
     ];
     let mut responses = HashMap::new();
     for line in lines {
@@ -354,8 +503,10 @@ fn dse_top_sets_the_board_size() {
     let dev = target_device("stratix-v-gsd8").expect("known target");
     let wide: Vec<u64> = (1..=64).collect();
     let space = ExplorationConfig { lanes: wide.clone(), ..ExplorationConfig::default() };
-    let lines =
-        [dse_request(1, &wide, ",\"top\":20"), dse_request(2, &wide, ",\"top\":9007199254740991")];
+    let lines = [
+        dse_request(1, "sor", &wide, ",\"top\":20"),
+        dse_request(2, "sor", &wide, ",\"top\":9007199254740991"),
+    ];
     let responses = roundtrip(handle.addr(), &lines);
 
     let twenty = search(
@@ -382,7 +533,7 @@ fn dse_top_sets_the_board_size() {
 fn dse_repeated_lanes_are_searched_once() {
     let handle = serve_tcp("127.0.0.1:0", ServeConfig::default()).expect("bind");
     let target = ",\"target\":\"eval-small\"";
-    let lines = [dse_request(1, &[2, 2], target), dse_request(2, &[2], target)];
+    let lines = [dse_request(1, "sor", &[2, 2], target), dse_request(2, "sor", &[2], target)];
     let responses = roundtrip(handle.addr(), &lines);
     let repeated = report_of(&responses[&1]);
     assert_eq!(repeated, report_of(&responses[&2]));
