@@ -242,7 +242,7 @@ impl Daemon {
             let t0 = Instant::now();
             shared.requests.incr();
             recorder::mark("serve.request", 1);
-            let (id, outcome, shutdown) = self.answer(line);
+            let (id, outcome) = self.answer(line);
             let t_write = Instant::now();
             let response = match &outcome {
                 Ok(payload) => render_ok(id, payload),
@@ -254,16 +254,11 @@ impl Daemon {
             let _ = writer.write_all(response.as_bytes()).and_then(|()| writer.flush());
             shared.write_ns.record(elapsed_ns(t_write));
             shared.request_ns.record(elapsed_ns(t0));
-            if shutdown {
-                // `compute` set the flag; unblock the accept loop.
-                self.endpoint.poke();
-            }
         }
     }
 
-    /// One request line's id and outcome, and whether it asked the
-    /// daemon to shut down.
-    fn answer(&self, line: Result<&str, Utf8Error>) -> (u64, Outcome, bool) {
+    /// One request line's id and outcome.
+    fn answer(&self, line: Result<&str, Utf8Error>) -> (u64, Outcome) {
         let shared = &self.shared;
         let t = Instant::now();
         let decoded = line
@@ -278,23 +273,23 @@ impl Daemon {
         shared.decode_ns.record(elapsed_ns(t));
         let req = match decoded {
             Ok(r) => r,
-            Err(RequestError { id, error }) => return (id, Err((error, None)), false),
+            Err(RequestError { id, error }) => return (id, Err((error, None))),
         };
         // Exact-text fast path: a repeat of request bytes the daemon has
         // already answered skips parsing and fingerprinting. It is off
         // while fault injection is armed, so every matched request
         // reaches the guarded compute and panics.
-        let fast = self.fault_inject.is_none().then(|| fast_key(&req.kind)).flatten();
+        let fast = if self.fault_inject.is_none() { fast_key(&req.kind) } else { None };
         if let Some(hit) = fast.as_ref().and_then(|k| shared.fast_get(k)) {
             shared.cache_hits.incr();
-            return (req.id, Ok(hit), false);
+            return (req.id, Ok(hit));
         }
         let t = Instant::now();
         let prepared = prepare(&req.kind);
         shared.prepare_ns.record(elapsed_ns(t));
         let (work, key) = match prepared {
             Ok(p) => p,
-            Err(e) => return (req.id, Err((e, None)), false),
+            Err(e) => return (req.id, Err((e, None))),
         };
         if let (Some(fk), Some(key)) = (fast, &key) {
             shared.fast_put(fk, key.clone());
@@ -306,7 +301,12 @@ impl Daemon {
             Some(key) if !fault => self.cached_or_computed(&work, key),
             _ => self.compute(&work, fault),
         };
-        (req.id, outcome, matches!(work, Work::Shutdown))
+        if matches!(work, Work::Shutdown) {
+            // `compute` set the flag; unblock the accept loop. This
+            // connection is still served until its client hangs up.
+            self.endpoint.poke();
+        }
+        (req.id, outcome)
     }
 
     /// The payload for a cacheable request: from the cache, from another
