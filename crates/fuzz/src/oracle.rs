@@ -305,8 +305,8 @@ pub fn session_determinism(m: &IrModule, dev: &TargetDevice) -> Verdict {
 /// cache-served answer is checked against the computed one, and error
 /// inputs must carry the exact category the direct path raises. This
 /// is the wire-level face of the session-determinism property: no
-/// daemon state (warm session, response cache, batch history) may leak
-/// into a response.
+/// daemon state (warm session, response cache) may leak into a
+/// response.
 pub fn serve_equivalence(m: &IrModule) -> Verdict {
     let src = tytra_ir::print(m);
     let dev = tytra_device::eval_small();
