@@ -53,7 +53,6 @@ impl Default for ServeConfig {
 
 /// Where the daemon listens; also how a shutdown pokes the accept loop
 /// out of its blocking `accept`.
-#[derive(Clone)]
 enum Endpoint {
     Tcp(SocketAddr),
     #[cfg(unix)]
