@@ -1,34 +1,40 @@
 //! Tokenizer for the `.tirl` textual IR.
+//!
+//! The lexer walks the source's bytes. Every token starts with an ASCII
+//! byte, so only string literals and comments can hold multi-byte
+//! characters; name, identifier and string tokens borrow their text from
+//! the source, and lexing allocates nothing but the token vector.
 
 use crate::error::{IrError, Result};
 
 /// A lexical token with its source position.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'a> {
     /// Token payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// 1-based source line.
     pub line: u32,
-    /// 1-based source column of the first character.
+    /// 1-based source column of the first character (columns count
+    /// characters, not bytes).
     pub col: u32,
 }
 
-/// Token payloads.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+/// Token payloads. Text payloads are slices of the source.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TokenKind<'a> {
     /// `%name` — local value / object reference.
-    Percent(String),
+    Percent(&'a str),
     /// `@name` — global / function reference; may contain dots
     /// (`main.p`).
-    At(String),
+    At(&'a str),
     /// Bare identifier or keyword (`define`, `pipe`, `add`, `ui18`, ...).
-    Ident(String),
+    Ident(&'a str),
     /// Integer literal, including explicit `+`/`-` signs.
     Int(i64),
     /// Float literal (contains a `.` or exponent).
     Float(f64),
     /// Double-quoted string contents.
-    Str(String),
+    Str(&'a str),
     /// `(`
     LParen,
     /// `)`
@@ -45,7 +51,7 @@ pub enum TokenKind {
     Bang,
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     /// Short description for error messages.
     pub fn describe(&self) -> String {
         match self {
@@ -66,191 +72,141 @@ impl TokenKind {
     }
 }
 
-fn is_name_char(c: char) -> bool {
-    c.is_ascii_alphanumeric() || c == '_' || c == '.'
+fn is_name_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_' || b == b'.'
+}
+
+/// End of the run of bytes from `i` that satisfy `pred`.
+fn run_end(bytes: &[u8], mut i: usize, pred: impl Fn(u8) -> bool) -> usize {
+    while i < bytes.len() && pred(bytes[i]) {
+        i += 1;
+    }
+    i
 }
 
 /// Tokenize a `.tirl` source. Comments run from `;` to end of line;
 /// whitespace (including newlines) separates tokens.
-pub fn lex(src: &str) -> Result<Vec<Token>> {
-    let mut out = Vec::new();
+pub fn lex(src: &str) -> Result<Vec<Token<'_>>> {
+    let bytes = src.as_bytes();
+    // TIRL spends well over three bytes per token, so this seldom grows.
+    let mut out = Vec::with_capacity(bytes.len() / 3 + 1);
     let mut line: u32 = 1;
-    let mut col: u32 = 1;
-    let mut chars = src.chars().peekable();
-
-    macro_rules! bump {
-        ($c:expr) => {{
-            if $c == '\n' {
+    let mut line_start = 0;
+    // UTF-8 continuation bytes between `line_start` and `i`: they add no
+    // column. Only string literals hold them (a comment ends its line).
+    let mut cont = 0;
+    let mut i = 0;
+    // `i` only ever stops on an ASCII byte or at the end, so it is always
+    // a char boundary.
+    while i < bytes.len() {
+        let col = (i - line_start - cont + 1) as u32;
+        let lex_err = |msg: String| IrError::Lex { line, col, msg };
+        let kind = match bytes[i] {
+            b'\n' => {
+                i += 1;
                 line += 1;
-                col = 1;
-            } else {
-                col += 1;
+                line_start = i;
+                cont = 0;
+                continue;
             }
-        }};
-    }
-
-    while let Some(&c) = chars.peek() {
-        let (tl, tc) = (line, col);
-        match c {
-            ' ' | '\t' | '\r' | '\n' => {
-                chars.next();
-                bump!(c);
+            b' ' | b'\t' | b'\r' => {
+                i += 1;
+                continue;
             }
-            ';' => {
-                // Comment to end of line.
-                while let Some(&c2) = chars.peek() {
-                    chars.next();
-                    bump!(c2);
-                    if c2 == '\n' {
-                        break;
-                    }
-                }
+            b';' => {
+                // Comment to end of line; the newline is lexed as whitespace.
+                i = bytes[i..].iter().position(|&b| b == b'\n').map_or(bytes.len(), |n| i + n);
+                continue;
             }
-            '(' | ')' | '{' | '}' | ',' | '=' | '!' => {
-                chars.next();
-                bump!(c);
-                let kind = match c {
-                    '(' => TokenKind::LParen,
-                    ')' => TokenKind::RParen,
-                    '{' => TokenKind::LBrace,
-                    '}' => TokenKind::RBrace,
-                    ',' => TokenKind::Comma,
-                    '=' => TokenKind::Eq,
+            b @ (b'(' | b')' | b'{' | b'}' | b',' | b'=' | b'!') => {
+                i += 1;
+                match b {
+                    b'(' => TokenKind::LParen,
+                    b')' => TokenKind::RParen,
+                    b'{' => TokenKind::LBrace,
+                    b'}' => TokenKind::RBrace,
+                    b',' => TokenKind::Comma,
+                    b'=' => TokenKind::Eq,
                     _ => TokenKind::Bang,
+                }
+            }
+            b'"' => {
+                let body = &bytes[i + 1..];
+                let n = match body.iter().position(|&b| b == b'"' || b == b'\n') {
+                    Some(n) if body[n] == b'"' => n,
+                    _ => return Err(lex_err("unterminated string literal".into())),
                 };
-                out.push(Token { kind, line: tl, col: tc });
+                let s = &src[i + 1..i + 1 + n];
+                cont += s.bytes().filter(|&b| b & 0xC0 == 0x80).count();
+                i += n + 2;
+                TokenKind::Str(s)
             }
-            '"' => {
-                chars.next();
-                bump!(c);
-                let mut s = String::new();
-                let mut closed = false;
-                while let Some(&c2) = chars.peek() {
-                    chars.next();
-                    bump!(c2);
-                    if c2 == '"' {
-                        closed = true;
-                        break;
-                    }
-                    if c2 == '\n' {
-                        break;
-                    }
-                    s.push(c2);
+            sigil @ (b'%' | b'@') => {
+                let end = run_end(bytes, i + 1, is_name_byte);
+                if end == i + 1 {
+                    return Err(lex_err(format!("`{}` must be followed by a name", sigil as char)));
                 }
-                if !closed {
-                    return Err(IrError::Lex {
-                        line: tl,
-                        col: tc,
-                        msg: "unterminated string literal".into(),
-                    });
+                let name = &src[i + 1..end];
+                i = end;
+                if sigil == b'%' {
+                    TokenKind::Percent(name)
+                } else {
+                    TokenKind::At(name)
                 }
-                out.push(Token { kind: TokenKind::Str(s), line: tl, col: tc });
             }
-            '%' | '@' => {
-                let sigil = c;
-                chars.next();
-                bump!(c);
-                let mut name = String::new();
-                while let Some(&c2) = chars.peek() {
-                    if is_name_char(c2) {
-                        name.push(c2);
-                        chars.next();
-                        bump!(c2);
-                    } else {
-                        break;
+            b'+' | b'-' | b'0'..=b'9' => {
+                let start = i;
+                if !bytes[i].is_ascii_digit() {
+                    i += 1;
+                    if !bytes.get(i).is_some_and(u8::is_ascii_digit) {
+                        return Err(lex_err(format!(
+                            "`{}` must begin a number",
+                            bytes[start] as char
+                        )));
                     }
                 }
-                if name.is_empty() {
-                    return Err(IrError::Lex {
-                        line: tl,
-                        col: tc,
-                        msg: format!("`{sigil}` must be followed by a name"),
-                    });
-                }
-                let kind =
-                    if sigil == '%' { TokenKind::Percent(name) } else { TokenKind::At(name) };
-                out.push(Token { kind, line: tl, col: tc });
-            }
-            '+' | '-' | '0'..='9' => {
-                let mut text = String::new();
                 let mut is_float = false;
-                if c == '+' || c == '-' {
-                    text.push(c);
-                    chars.next();
-                    bump!(c);
-                    if !matches!(chars.peek(), Some(d) if d.is_ascii_digit()) {
-                        return Err(IrError::Lex {
-                            line: tl,
-                            col: tc,
-                            msg: format!("`{c}` must begin a number"),
-                        });
-                    }
-                }
-                while let Some(&c2) = chars.peek() {
-                    if c2.is_ascii_digit() {
-                        text.push(c2);
-                        chars.next();
-                        bump!(c2);
-                    } else if c2 == '.' && !is_float {
+                while let Some(&b) = bytes.get(i) {
+                    if b.is_ascii_digit() {
+                        i += 1;
+                    } else if b == b'.' && !is_float {
                         // Only a digit after the dot makes it a float
                         // (names cannot start mid-number).
                         is_float = true;
-                        text.push(c2);
-                        chars.next();
-                        bump!(c2);
-                    } else if (c2 == 'e' || c2 == 'E') && is_float {
-                        text.push(c2);
-                        chars.next();
-                        bump!(c2);
-                        if let Some(&c3) = chars.peek() {
-                            if c3 == '+' || c3 == '-' {
-                                text.push(c3);
-                                chars.next();
-                                bump!(c3);
-                            }
+                        i += 1;
+                    } else if (b == b'e' || b == b'E') && is_float {
+                        i += 1;
+                        if matches!(bytes.get(i), Some(b'+' | b'-')) {
+                            i += 1;
                         }
                     } else {
                         break;
                     }
                 }
-                let kind = if is_float {
-                    let v: f64 = text.parse().map_err(|_| IrError::Lex {
-                        line: tl,
-                        col: tc,
-                        msg: format!("bad float literal `{text}`"),
-                    })?;
-                    TokenKind::Float(v)
+                let text = &src[start..i];
+                if is_float {
+                    TokenKind::Float(
+                        text.parse().map_err(|_| lex_err(format!("bad float literal `{text}`")))?,
+                    )
                 } else {
-                    let v: i64 = text.parse().map_err(|_| IrError::Lex {
-                        line: tl,
-                        col: tc,
-                        msg: format!("bad integer literal `{text}`"),
-                    })?;
-                    TokenKind::Int(v)
-                };
-                out.push(Token { kind, line: tl, col: tc });
-            }
-            c2 if c2.is_ascii_alphabetic() || c2 == '_' => {
-                let mut name = String::new();
-                while let Some(&c3) = chars.peek() {
-                    if c3.is_ascii_alphanumeric() || c3 == '_' {
-                        name.push(c3);
-                        chars.next();
-                        bump!(c3);
-                    } else {
-                        break;
-                    }
+                    TokenKind::Int(
+                        text.parse()
+                            .map_err(|_| lex_err(format!("bad integer literal `{text}`")))?,
+                    )
                 }
-                out.push(Token { kind: TokenKind::Ident(name), line: tl, col: tc });
             }
-            other => {
-                return Err(IrError::Lex {
-                    line: tl,
-                    col: tc,
-                    msg: format!("unexpected character `{other}`"),
-                })
+            b if b.is_ascii_alphabetic() || b == b'_' => {
+                let end = run_end(bytes, i, |b| b.is_ascii_alphanumeric() || b == b'_');
+                let name = &src[i..end];
+                i = end;
+                TokenKind::Ident(name)
             }
-        }
+            _ => {
+                let c = src[i..].chars().next().expect("a char starts at i");
+                return Err(lex_err(format!("unexpected character `{c}`")));
+            }
+        };
+        out.push(Token { kind, line, col });
     }
     Ok(out)
 }
@@ -259,7 +215,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -269,14 +225,14 @@ mod tests {
         assert_eq!(
             k,
             vec![
-                TokenKind::Ident("ui18".into()),
-                TokenKind::Percent("1".into()),
+                TokenKind::Ident("ui18"),
+                TokenKind::Percent("1"),
                 TokenKind::Eq,
-                TokenKind::Ident("mul".into()),
-                TokenKind::Ident("ui18".into()),
-                TokenKind::Percent("p".into()),
+                TokenKind::Ident("mul"),
+                TokenKind::Ident("ui18"),
+                TokenKind::Percent("p"),
                 TokenKind::Comma,
-                TokenKind::Percent("cn2l".into()),
+                TokenKind::Percent("cn2l"),
             ]
         );
     }
@@ -288,7 +244,7 @@ mod tests {
             k,
             vec![
                 TokenKind::Bang,
-                TokenKind::Ident("offset".into()),
+                TokenKind::Ident("offset"),
                 TokenKind::Comma,
                 TokenKind::Bang,
                 TokenKind::Int(1),
@@ -304,10 +260,10 @@ mod tests {
         assert_eq!(
             k,
             vec![
-                TokenKind::At("main.p".into()),
+                TokenKind::At("main.p"),
                 TokenKind::Eq,
                 TokenKind::Bang,
-                TokenKind::Str("istream".into()),
+                TokenKind::Str("istream"),
             ]
         );
     }

@@ -30,18 +30,16 @@ pub fn parse_unvalidated(src: &str) -> Result<IrModule> {
     Parser { tokens, pos: 0 }.module()
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+/// Tokens borrow their text from the source; the parser copies them and
+/// allocates only the strings the module keeps.
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&TokenKind> {
-        self.tokens.get(self.pos).map(|t| &t.kind)
-    }
-
-    fn peek2(&self) -> Option<&TokenKind> {
-        self.tokens.get(self.pos + 1).map(|t| &t.kind)
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<TokenKind<'a>> {
+        self.tokens.get(self.pos).map(|t| t.kind)
     }
 
     fn here(&self) -> (u32, u32) {
@@ -64,19 +62,15 @@ impl Parser {
         SrcLoc::at(line, col)
     }
 
-    fn next(&mut self) -> Result<TokenKind> {
-        let t = self
-            .tokens
-            .get(self.pos)
-            .cloned()
-            .ok_or_else(|| self.err("unexpected end of input"))?;
+    fn next(&mut self) -> Result<TokenKind<'a>> {
+        let t = self.peek().ok_or_else(|| self.err("unexpected end of input"))?;
         self.pos += 1;
-        Ok(t.kind)
+        Ok(t)
     }
 
-    fn expect(&mut self, want: &TokenKind) -> Result<()> {
+    fn expect(&mut self, want: TokenKind<'_>) -> Result<()> {
         let got = self.next()?;
-        if &got == want {
+        if got == want {
             Ok(())
         } else {
             self.pos -= 1;
@@ -84,7 +78,7 @@ impl Parser {
         }
     }
 
-    fn eat(&mut self, want: &TokenKind) -> bool {
+    fn eat(&mut self, want: TokenKind<'_>) -> bool {
         if self.peek() == Some(want) {
             self.pos += 1;
             true
@@ -93,7 +87,7 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> Result<String> {
+    fn ident(&mut self) -> Result<&'a str> {
         match self.next()? {
             TokenKind::Ident(s) => Ok(s),
             other => {
@@ -103,12 +97,22 @@ impl Parser {
         }
     }
 
-    fn percent(&mut self) -> Result<String> {
+    fn percent(&mut self) -> Result<&'a str> {
         match self.next()? {
             TokenKind::Percent(s) => Ok(s),
             other => {
                 self.pos -= 1;
                 Err(self.err(format!("expected %name, found {}", other.describe())))
+            }
+        }
+    }
+
+    fn at_name(&mut self) -> Result<&'a str> {
+        match self.next()? {
+            TokenKind::At(n) => Ok(n),
+            other => {
+                self.pos -= 1;
+                Err(self.err(format!("expected @name, found {}", other.describe())))
             }
         }
     }
@@ -124,12 +128,12 @@ impl Parser {
     }
 
     fn bang_int(&mut self) -> Result<i64> {
-        self.expect(&TokenKind::Bang)?;
+        self.expect(TokenKind::Bang)?;
         self.int()
     }
 
-    fn bang_str(&mut self) -> Result<String> {
-        self.expect(&TokenKind::Bang)?;
+    fn bang_str(&mut self) -> Result<&'a str> {
+        self.expect(TokenKind::Bang)?;
         match self.next()? {
             TokenKind::Str(s) => Ok(s),
             other => {
@@ -141,7 +145,7 @@ impl Parser {
 
     fn scalar_type(&mut self) -> Result<ScalarType> {
         let tok = self.ident()?;
-        ScalarType::parse_token(&tok).ok_or_else(|| {
+        ScalarType::parse_token(tok).ok_or_else(|| {
             self.pos -= 1;
             self.err(format!("`{tok}` is not a scalar type (ui<W>/si<W>/f32/f64)"))
         })
@@ -153,9 +157,9 @@ impl Parser {
             self.pos -= 1;
             return Err(self.err(format!("expected `addrSpace`, found `{kw}`")));
         }
-        self.expect(&TokenKind::LParen)?;
+        self.expect(TokenKind::LParen)?;
         let n = self.int()?;
-        self.expect(&TokenKind::RParen)?;
+        self.expect(TokenKind::RParen)?;
         if !(0..=255).contains(&n) {
             return Err(self.err(format!("address space {n} out of range")));
         }
@@ -169,7 +173,7 @@ impl Parser {
                 TokenKind::Bang => self.directive(&mut m)?,
                 TokenKind::Percent(_) => self.manage_decl(&mut m)?,
                 TokenKind::At(_) => self.port_decl(&mut m)?,
-                TokenKind::Ident(kw) if kw == "define" => {
+                TokenKind::Ident("define") => {
                     let f = self.function()?;
                     m.functions.push(f);
                 }
@@ -186,14 +190,14 @@ impl Parser {
     /// `!module = !"name"`, `!ndrange = !{a, b}`, `!nki = !N`,
     /// `!form = !"B"`, `!freq = !F`.
     fn directive(&mut self, m: &mut IrModule) -> Result<()> {
-        self.expect(&TokenKind::Bang)?;
+        self.expect(TokenKind::Bang)?;
         let key = self.ident()?;
-        self.expect(&TokenKind::Eq)?;
-        match key.as_str() {
-            "module" => m.name = self.bang_str()?,
+        self.expect(TokenKind::Eq)?;
+        match key {
+            "module" => m.name = self.bang_str()?.to_string(),
             "ndrange" => {
-                self.expect(&TokenKind::Bang)?;
-                self.expect(&TokenKind::LBrace)?;
+                self.expect(TokenKind::Bang)?;
+                self.expect(TokenKind::LBrace)?;
                 let mut dims = Vec::new();
                 loop {
                     let v = self.int()?;
@@ -201,11 +205,11 @@ impl Parser {
                         return Err(self.err("NDRange dimensions must be non-negative"));
                     }
                     dims.push(v as u64);
-                    if !self.eat(&TokenKind::Comma) {
+                    if !self.eat(TokenKind::Comma) {
                         break;
                     }
                 }
-                self.expect(&TokenKind::RBrace)?;
+                self.expect(TokenKind::RBrace)?;
                 m.meta.ndrange = dims;
             }
             "nki" => {
@@ -217,7 +221,7 @@ impl Parser {
             }
             "form" => {
                 let tag = self.bang_str()?;
-                m.meta.form = MemForm::from_tag(&tag)
+                m.meta.form = MemForm::from_tag(tag)
                     .ok_or_else(|| self.err(format!("unknown memory-execution form `{tag}`")))?;
             }
             "vect" => {
@@ -228,7 +232,7 @@ impl Parser {
                 m.meta.vect = v as u32;
             }
             "freq" => {
-                self.expect(&TokenKind::Bang)?;
+                self.expect(TokenKind::Bang)?;
                 let v = match self.next()? {
                     TokenKind::Float(f) => f,
                     TokenKind::Int(i) => i as f64,
@@ -250,20 +254,19 @@ impl Parser {
     /// `%s = streamobj %m, !read, !"CONT"[, !stride]`
     fn manage_decl(&mut self, m: &mut IrModule) -> Result<()> {
         let loc = self.loc_here();
-        let name = self.percent()?;
-        self.expect(&TokenKind::Eq)?;
-        let kw = self.ident()?;
-        match kw.as_str() {
+        let name = self.percent()?.to_string();
+        self.expect(TokenKind::Eq)?;
+        match self.ident()? {
             "memobj" => {
                 let space = self.addr_space()?;
                 let ty = self.scalar_type()?;
-                self.expect(&TokenKind::Comma)?;
-                self.expect(&TokenKind::Bang)?;
+                self.expect(TokenKind::Comma)?;
+                self.expect(TokenKind::Bang)?;
                 let szkw = self.ident()?;
                 if szkw != "size" {
                     return Err(self.err(format!("expected `size`, found `{szkw}`")));
                 }
-                self.expect(&TokenKind::Comma)?;
+                self.expect(TokenKind::Comma)?;
                 let len = self.bang_int()?;
                 if len < 0 {
                     return Err(self.err("memobj size must be non-negative"));
@@ -271,17 +274,17 @@ impl Parser {
                 m.mems.push(MemObject { name, space, elem_ty: ty, len: len as u64, span: loc });
             }
             "streamobj" => {
-                let mem = self.percent()?;
-                self.expect(&TokenKind::Comma)?;
-                self.expect(&TokenKind::Bang)?;
-                let dir = match self.ident()?.as_str() {
+                let mem = self.percent()?.to_string();
+                self.expect(TokenKind::Comma)?;
+                self.expect(TokenKind::Bang)?;
+                let dir = match self.ident()? {
                     "read" => StreamDir::Read,
                     "write" => StreamDir::Write,
                     other => {
                         return Err(self.err(format!("expected `read` or `write`, found `{other}`")))
                     }
                 };
-                self.expect(&TokenKind::Comma)?;
+                self.expect(TokenKind::Comma)?;
                 let pattern = self.pattern()?;
                 m.streams.push(StreamObject { name, mem, dir, pattern, span: loc });
             }
@@ -294,11 +297,10 @@ impl Parser {
 
     /// `!"CONT"` or `!"STRIDED", !<stride>`.
     fn pattern(&mut self) -> Result<AccessPattern> {
-        let tag = self.bang_str()?;
-        match tag.as_str() {
+        match self.bang_str()? {
             "CONT" => Ok(AccessPattern::Contiguous),
             "STRIDED" => {
-                self.expect(&TokenKind::Comma)?;
+                self.expect(TokenKind::Comma)?;
                 let stride = self.bang_int()?;
                 if stride <= 0 {
                     return Err(self.err("stride must be positive"));
@@ -315,32 +317,26 @@ impl Parser {
     /// object (which must have been declared earlier).
     fn port_decl(&mut self, m: &mut IrModule) -> Result<()> {
         let loc = self.loc_here();
-        let name = match self.next()? {
-            TokenKind::At(n) => n,
-            other => {
-                self.pos -= 1;
-                return Err(self.err(format!("expected @name, found {}", other.describe())));
-            }
-        };
-        self.expect(&TokenKind::Eq)?;
+        let name = self.at_name()?;
+        self.expect(TokenKind::Eq)?;
         let space = self.addr_space()?;
         let ty = self.scalar_type()?;
-        self.expect(&TokenKind::Comma)?;
-        let dir = match self.bang_str()?.as_str() {
+        self.expect(TokenKind::Comma)?;
+        let dir = match self.bang_str()? {
             "istream" => StreamDir::Read,
             "ostream" => StreamDir::Write,
             other => return Err(self.err(format!("expected `istream`/`ostream`, found `{other}`"))),
         };
-        self.expect(&TokenKind::Comma)?;
+        self.expect(TokenKind::Comma)?;
         let pattern_tag = self.bang_str()?;
-        self.expect(&TokenKind::Comma)?;
+        self.expect(TokenKind::Comma)?;
         let base_offset = self.bang_int()?;
-        self.expect(&TokenKind::Comma)?;
+        self.expect(TokenKind::Comma)?;
         let stream = self.bang_str()?;
-        let pattern = match pattern_tag.as_str() {
+        let pattern = match pattern_tag {
             "CONT" => AccessPattern::Contiguous,
             "STRIDED" => m
-                .stream(&stream)
+                .stream(stream)
                 .map(|s| s.pattern)
                 .filter(|p| matches!(p, AccessPattern::Strided { .. }))
                 .ok_or_else(|| {
@@ -350,7 +346,16 @@ impl Parser {
                 })?,
             other => return Err(self.err(format!("unknown access pattern `{other}`"))),
         };
-        m.ports.push(PortDecl { name, space, ty, dir, pattern, base_offset, stream, span: loc });
+        m.ports.push(PortDecl {
+            name: name.to_string(),
+            space,
+            ty,
+            dir,
+            pattern,
+            base_offset,
+            stream: stream.to_string(),
+            span: loc,
+        });
         Ok(())
     }
 
@@ -363,56 +368,46 @@ impl Parser {
         if ret != "void" {
             return Err(self.err(format!("functions return `void`, found `{ret}`")));
         }
-        let name = match self.next()? {
-            TokenKind::At(n) => n,
-            other => {
-                self.pos -= 1;
-                return Err(self.err(format!("expected @name, found {}", other.describe())));
-            }
-        };
-        self.expect(&TokenKind::LParen)?;
+        let name = self.at_name()?;
+        self.expect(TokenKind::LParen)?;
         let mut params = Vec::new();
-        if self.peek() != Some(&TokenKind::RParen) {
+        if self.peek() != Some(TokenKind::RParen) {
             loop {
-                let dir = if matches!(self.peek(), Some(TokenKind::Ident(s)) if s == "out") {
-                    self.pos += 1;
-                    PortDir::Out
-                } else {
-                    PortDir::In
-                };
+                let dir =
+                    if self.eat(TokenKind::Ident("out")) { PortDir::Out } else { PortDir::In };
                 let ty = self.scalar_type()?;
-                let pname = self.percent()?;
+                let pname = self.percent()?.to_string();
                 params.push(Param { name: pname, ty, dir });
-                if !self.eat(&TokenKind::Comma) {
+                if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
         }
-        self.expect(&TokenKind::RParen)?;
-        let kind = if matches!(self.peek(), Some(TokenKind::Ident(s)) if ParKind::from_keyword(s).is_some())
-        {
-            let kw = self.ident()?;
-            ParKind::from_keyword(&kw)
-                .ok_or_else(|| self.err(format!("unknown parallelism keyword `{kw}`")))?
-        } else if name == "main" {
-            ParKind::Seq
-        } else {
-            return Err(self.err(format!(
-                "function `@{name}` needs a parallelism keyword (pipe/par/seq/comb)"
-            )));
+        self.expect(TokenKind::RParen)?;
+        let kind = match self.peek() {
+            Some(TokenKind::Ident(kw)) if ParKind::from_keyword(kw).is_some() => {
+                self.pos += 1;
+                ParKind::from_keyword(kw).expect("checked above")
+            }
+            _ if name == "main" => ParKind::Seq,
+            _ => {
+                return Err(self.err(format!(
+                    "function `@{name}` needs a parallelism keyword (pipe/par/seq/comb)"
+                )))
+            }
         };
-        self.expect(&TokenKind::LBrace)?;
+        self.expect(TokenKind::LBrace)?;
         let mut body = Vec::new();
-        while self.peek() != Some(&TokenKind::RBrace) {
+        while self.peek() != Some(TokenKind::RBrace) {
             body.push(self.stmt()?);
         }
-        self.expect(&TokenKind::RBrace)?;
-        Ok(IrFunction { name, kind, params, body, span: loc })
+        self.expect(TokenKind::RBrace)?;
+        Ok(IrFunction { name: name.to_string(), kind, params, body, span: loc })
     }
 
     fn stmt(&mut self) -> Result<Stmt> {
         match self.peek() {
-            Some(TokenKind::Ident(kw)) if kw == "call" => self.call_stmt(),
+            Some(TokenKind::Ident("call")) => self.call_stmt(),
             Some(TokenKind::Ident(_)) => self.assign_stmt(),
             Some(other) => {
                 Err(self.err(format!("expected a statement, found {}", other.describe())))
@@ -426,26 +421,20 @@ impl Parser {
         let loc = self.loc_here();
         let kw = self.ident()?;
         debug_assert_eq!(kw, "call");
-        let callee = match self.next()? {
-            TokenKind::At(n) => n,
-            other => {
-                self.pos -= 1;
-                return Err(self.err(format!("expected @name, found {}", other.describe())));
-            }
-        };
-        self.expect(&TokenKind::LParen)?;
+        let callee = self.at_name()?.to_string();
+        self.expect(TokenKind::LParen)?;
         let mut args = Vec::new();
-        if self.peek() != Some(&TokenKind::RParen) {
+        if self.peek() != Some(TokenKind::RParen) {
             loop {
                 args.push(self.operand()?);
-                if !self.eat(&TokenKind::Comma) {
+                if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
         }
-        self.expect(&TokenKind::RParen)?;
+        self.expect(TokenKind::RParen)?;
         let kindkw = self.ident()?;
-        let kind = ParKind::from_keyword(&kindkw)
+        let kind = ParKind::from_keyword(kindkw)
             .ok_or_else(|| self.err(format!("`{kindkw}` is not a parallelism keyword")))?;
         Ok(Stmt::Call(Call { callee, args, kind, span: loc }))
     }
@@ -460,9 +449,9 @@ impl Parser {
     fn assign_stmt(&mut self) -> Result<Stmt> {
         let loc = self.loc_here();
         let ty = self.scalar_type()?;
-        let dest = match self.next()? {
-            TokenKind::Percent(n) => Dest::Local(n),
-            TokenKind::At(n) => Dest::Global(n),
+        let (dest, global) = match self.next()? {
+            TokenKind::Percent(n) => (n, false),
+            TokenKind::At(n) => (n, true),
             other => {
                 self.pos -= 1;
                 return Err(self.err(format!(
@@ -471,7 +460,7 @@ impl Parser {
                 )));
             }
         };
-        self.expect(&TokenKind::Eq)?;
+        self.expect(TokenKind::Eq)?;
         // Offset declarations repeat the type right after `=`; instructions
         // start with a mnemonic.
         if matches!(self.peek(), Some(TokenKind::Ident(s)) if ScalarType::parse_token(s).is_some())
@@ -481,31 +470,36 @@ impl Parser {
                 return Err(self.err(format!("offset type mismatch: {ty} vs {ty2}")));
             }
             let src = self.percent()?;
-            self.expect(&TokenKind::Comma)?;
-            self.expect(&TokenKind::Bang)?;
+            self.expect(TokenKind::Comma)?;
+            self.expect(TokenKind::Bang)?;
             let kw = self.ident()?;
             if kw != "offset" {
                 return Err(self.err(format!("expected `offset`, found `{kw}`")));
             }
-            self.expect(&TokenKind::Comma)?;
+            self.expect(TokenKind::Comma)?;
             let off = self.bang_int()?;
-            let dest = match dest {
-                Dest::Local(n) => n,
-                Dest::Global(_) => return Err(self.err("offset streams cannot target globals")),
-            };
-            return Ok(Stmt::Offset(OffsetDecl { dest, ty, src, offset: off, span: loc }));
+            if global {
+                return Err(self.err("offset streams cannot target globals"));
+            }
+            return Ok(Stmt::Offset(OffsetDecl {
+                dest: dest.to_string(),
+                ty,
+                src: src.to_string(),
+                offset: off,
+                span: loc,
+            }));
         }
         let mnemonic = self.ident()?;
-        let op = Opcode::from_mnemonic(&mnemonic)
+        let op = Opcode::from_mnemonic(mnemonic)
             .ok_or_else(|| self.err(format!("unknown opcode `{mnemonic}`")))?;
         let ty2 = self.scalar_type()?;
         if ty2 != ty {
             return Err(self.err(format!("instruction type mismatch: {ty} vs {ty2}")));
         }
-        let mut operands = Vec::new();
+        let mut operands = Vec::with_capacity(op.arity());
         loop {
             operands.push(self.operand()?);
-            if !self.eat(&TokenKind::Comma) {
+            if !self.eat(TokenKind::Comma) {
                 break;
             }
         }
@@ -516,13 +510,15 @@ impl Parser {
                 operands.len()
             )));
         }
+        let dest =
+            if global { Dest::Global(dest.to_string()) } else { Dest::Local(dest.to_string()) };
         Ok(Stmt::Instr(Instruction { dest, op, ty, operands, span: loc }))
     }
 
     fn operand(&mut self) -> Result<Operand> {
         match self.next()? {
-            TokenKind::Percent(n) => Ok(Operand::Local(n)),
-            TokenKind::At(n) => Ok(Operand::Global(n)),
+            TokenKind::Percent(n) => Ok(Operand::Local(n.to_string())),
+            TokenKind::At(n) => Ok(Operand::Global(n.to_string())),
             TokenKind::Int(v) => Ok(Operand::Imm(v)),
             TokenKind::Float(v) => Ok(Operand::ImmF(v)),
             other => {
@@ -530,13 +526,6 @@ impl Parser {
                 Err(self.err(format!("expected an operand, found {}", other.describe())))
             }
         }
-    }
-
-    // Suppress dead-code warning: peek2 is kept for future lookahead needs
-    // of extended grammars and used in tests.
-    #[allow(dead_code)]
-    fn lookahead2(&self) -> Option<&TokenKind> {
-        self.peek2()
     }
 }
 
