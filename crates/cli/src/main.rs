@@ -33,10 +33,10 @@
 
 use std::process::ExitCode;
 use tytra_codegen::{check, emit_design, emit_maxj_wrapper};
-use tytra_cost::{estimate, EstimatorSession};
+use tytra_cost::EstimatorSession;
 use tytra_device::TargetDevice;
 use tytra_dse::{lane_sweep_with, search_with, tune_with, ExplorationConfig, SearchConfig};
-use tytra_ir::{ErrorCategory, IrError, TybecError};
+use tytra_ir::{ArenaModule, ErrorCategory, IrError, TybecError};
 use tytra_kernels::{EvalKernel, Hotspot, LavaMd, Sor};
 use tytra_sim::run_application;
 use tytra_trace::prometheus::render_prometheus;
@@ -360,14 +360,27 @@ fn target_of(args: &[String]) -> Result<TargetDevice, String> {
     }
 }
 
+/// Read the `.tirl` input named on the command line and parse and
+/// validate it.
 fn load_module(args: &[String]) -> Result<tytra_ir::IrModule, CliError> {
+    load(args, tytra_ir::parse)
+}
+
+/// [`load_module`] for the commands that cost the design: the parsed
+/// module is validated once and moved into the arena the estimator runs
+/// on, which keeps the verdict.
+fn load_arena(args: &[String]) -> Result<ArenaModule, CliError> {
+    load(args, |src| ArenaModule::validated(tytra_ir::parse_unvalidated(src)?))
+}
+
+fn load<T>(args: &[String], parse: impl FnOnce(&str) -> Result<T, IrError>) -> Result<T, CliError> {
     let path = args
         .iter()
         .find(|a| !a.starts_with("--") && a.ends_with(".tirl"))
         .ok_or("expected a .tirl input file")?;
     let src = std::fs::read_to_string(path)
         .map_err(|e| TybecError::new(ErrorCategory::Io, format!("reading {path}: {e}")))?;
-    tytra_ir::parse(&src).map_err(|e| {
+    parse(&src).map_err(|e| {
         let mut t = TybecError::from(e);
         t.message = format!("{path}: {}", t.message);
         CliError::Tybec(t)
@@ -425,7 +438,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
 /// full span tracing, then print per-pass self-time attribution: which
 /// passes dominate, and what the memo tables buy on the warm run.
 fn cmd_profile(args: &[String]) -> Result<(), CliError> {
-    let m = load_module(args)?;
+    let a = load_arena(args)?;
     let dev = target_of(args)?;
     let mut session = EstimatorSession::new(dev);
 
@@ -435,9 +448,9 @@ fn cmd_profile(args: &[String]) -> Result<(), CliError> {
     let was_on = tytra_trace::enabled();
     tytra_trace::set_enabled(true);
     let before = tytra_trace::snapshot_records().len();
-    session.estimate(&m)?;
+    session.estimate_design(&a.identity())?;
     let cold = session.stats();
-    session.estimate(&m)?;
+    session.estimate_design(&a.identity())?;
     let warm = session.stats();
     let records: Vec<_> = tytra_trace::snapshot_records().into_iter().skip(before).collect();
     tytra_trace::set_enabled(was_on);
@@ -448,7 +461,7 @@ fn cmd_profile(args: &[String]) -> Result<(), CliError> {
         .into_iter()
         .filter(|r| !r.name.starts_with("tybec."))
         .collect();
-    println!("== profile: {} (cold + warm estimate) ==", m.name);
+    println!("== profile: {} (cold + warm estimate) ==", a.template().name);
     print!("{}", profile::render_attribution_table(&rows));
     let warm_hits = warm.hits - cold.hits;
     let warm_lookups = warm.lookups() - cold.lookups();
@@ -504,19 +517,19 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_cost(args: &[String]) -> Result<(), CliError> {
-    let m = load_module(args)?;
+    let a = load_arena(args)?;
     let dev = target_of(args)?;
-    let report = estimate(&m, &dev)?;
+    let report = EstimatorSession::new(dev).estimate_design(&a.identity())?;
     print!("{report}");
     Ok(())
 }
 
 fn cmd_actual(args: &[String]) -> Result<(), CliError> {
-    let m = load_module(args)?;
+    let a = load_arena(args)?;
     let dev = target_of(args)?;
-    let est = estimate(&m, &dev)?;
+    let est = EstimatorSession::new(dev.clone()).estimate_design(&a.identity())?;
     // The run synthesizes the design itself; its result is the "actual".
-    let run = run_application(&m, &dev)?;
+    let run = run_application(a.template(), &dev)?;
     let synth = &run.synth;
     println!("estimated: {}", est.resources.total);
     println!("actual   : {}", synth.resources);

@@ -440,6 +440,18 @@ impl ArenaModule {
         a
     }
 
+    /// Validate a tree, then flatten it with the verdict already held:
+    /// the one validation a parsed design needs. Every patch that
+    /// [`cached_verdict`][PatchedModule::cached_verdict] answers from the
+    /// template's verdict (the identity patch among them) then validates
+    /// nothing more; an invalid tree is not flattened.
+    pub fn validated(template: IrModule) -> Result<ArenaModule, IrError> {
+        validate::validate(&template)?;
+        let a = ArenaModule::build(template);
+        a.base_verdict.set(Ok(())).expect("a fresh arena holds no verdict");
+        Ok(a)
+    }
+
     // ---- façade & columns ----
 
     /// The retained lane template: the Compute-IR with one lane's
@@ -1267,6 +1279,20 @@ mod tests {
         assert!(names(&["p12", "x", "p"]));
         assert!(!names(&["p", "q", "p_1", "p1x"]));
         assert!(!names(&["p1", "p2"]));
+    }
+
+    #[test]
+    fn a_validated_arena_holds_the_verdict_of_its_one_validation() {
+        let m = stencil(4, MemForm::B);
+        let fp = fingerprint_module(&m);
+        let a = ArenaModule::validated(m).expect("stencil is valid");
+        assert_eq!(a.identity().cached_verdict(), Some(Ok(())));
+        assert_eq!(a.base_fp(), fp);
+        let mut bad = stencil(1, MemForm::B);
+        bad.functions.retain(|f| f.name != "main");
+        let want = validate::validate(&bad);
+        assert!(want.is_err());
+        assert_eq!(ArenaModule::validated(bad).map(|_| ()), want);
     }
 
     #[test]

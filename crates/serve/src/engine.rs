@@ -10,8 +10,8 @@
 //! shared cache mutex once and its engine's session the rest of the way.
 //!
 //! Responses are rendered from the same code paths the offline CLI
-//! prints from (`session.estimate` is pinned bit-identical to
-//! `tytra_cost::estimate`), so a served `estimate` payload is
+//! prints from (`tybec cost` also costs the identity patch of an arena
+//! built from the parsed module), so a served `estimate` payload is
 //! byte-identical to `tybec cost` stdout for the same design and
 //! target, whatever engine, connection or cache state produced it.
 
@@ -25,7 +25,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use tytra_cost::EstimatorSession;
 use tytra_device::TargetDevice;
 use tytra_dse::{render_search_leaderboard, search_with, ExplorationConfig, SearchConfig};
-use tytra_ir::{fingerprint_module, ErrorCategory, IrModule, TybecError};
+use tytra_ir::{fingerprint_module, ArenaModule, ErrorCategory, IrModule, TybecError};
 use tytra_kernels::{EvalKernel, Hotspot, LavaMd, Sor};
 use tytra_trace::bounded::BoundedMap;
 use tytra_trace::metrics::{Counter, Histogram, Registry, Snapshot};
@@ -45,10 +45,12 @@ const TAG_ANALYZE_JSON: u8 = 4;
 /// Parsed, ready-to-run request body, produced by [`prepare`].
 #[derive(Debug)]
 pub enum Work {
-    /// `session.estimate` and render the report.
-    Estimate { m: Box<IrModule>, dev: String },
-    /// `session.bound` and render the verdict.
-    Bound { m: Box<IrModule>, dev: String },
+    /// `estimate_design` on the arena's identity patch, and render the
+    /// report. The arena holds the design's validation verdict.
+    Estimate { a: Box<ArenaModule>, dev: String },
+    /// `bound_design` on the arena's identity patch, and render the
+    /// verdict.
+    Bound { a: Box<ArenaModule>, dev: String },
     /// Dataflow analysis; `json` selects the strict-JSON rendering.
     Analyze { m: Box<IrModule>, json: bool },
     /// Full-space search over a named kernel.
@@ -93,31 +95,35 @@ fn kernel_by_name(name: &str) -> Result<Box<dyn EvalKernel>, TybecError> {
 }
 
 /// Turn a decoded request into runnable [`Work`] plus its cache key (if
-/// the flavour is cacheable): parse the TIRL design, resolve the target,
-/// fingerprint.
+/// the flavour is cacheable): parse and validate the TIRL design,
+/// resolve the target, fingerprint. A design to cost is parsed,
+/// validated, flattened into its arena and fingerprinted once each; the
+/// arena's [`base_fp`][ArenaModule::base_fp] is the module's
+/// `fingerprint_module`, so the cache key is what the tree gives.
 pub fn prepare(kind: &RequestKind) -> Result<(Work, Option<CacheKey>), TybecError> {
-    let parse_design = |design: &str| -> Result<(Box<IrModule>, u64), TybecError> {
-        let m = tytra_ir::parse(design).map_err(TybecError::from)?;
-        let fp = fingerprint_module(&m);
-        Ok((Box::new(m), fp))
+    let arena = |design: &str| -> Result<(Box<ArenaModule>, u64), TybecError> {
+        let a = ArenaModule::validated(tytra_ir::parse_unvalidated(design)?)?;
+        let fp = a.base_fp();
+        Ok((Box::new(a), fp))
     };
     Ok(match kind {
         RequestKind::Estimate { design, target } => {
             let dev = canonical_target(target)?.to_string();
-            let (m, fp) = parse_design(design)?;
+            let (a, fp) = arena(design)?;
             let key = (TAG_ESTIMATE, dev.clone(), fp);
-            (Work::Estimate { m, dev }, Some(key))
+            (Work::Estimate { a, dev }, Some(key))
         }
         RequestKind::Bound { design, target } => {
             let dev = canonical_target(target)?.to_string();
-            let (m, fp) = parse_design(design)?;
+            let (a, fp) = arena(design)?;
             let key = (TAG_BOUND, dev.clone(), fp);
-            (Work::Bound { m, dev }, Some(key))
+            (Work::Bound { a, dev }, Some(key))
         }
         RequestKind::Analyze { design, json } => {
-            let (m, fp) = parse_design(design)?;
+            let m = tytra_ir::parse(design)?;
+            let fp = fingerprint_module(&m);
             let tag = if *json { TAG_ANALYZE_JSON } else { TAG_ANALYZE_TEXT };
-            (Work::Analyze { m, json: *json }, Some((tag, String::new(), fp)))
+            (Work::Analyze { m: Box::new(m), json: *json }, Some((tag, String::new(), fp)))
         }
         RequestKind::Dse { kernel, target, lanes, top, exhaustive } => {
             kernel_by_name(kernel)?;
@@ -231,8 +237,9 @@ pub struct Shared {
     pub request_ns: Histogram,
     /// JSONL decoding per request line, nanoseconds.
     pub decode_ns: Histogram,
-    /// TIRL parsing and fingerprinting per request that missed the
-    /// exact-text fast path, nanoseconds.
+    /// [`prepare`] per request that missed the exact-text fast path:
+    /// TIRL parsing, validation, the arena build and fingerprinting,
+    /// nanoseconds.
     pub prepare_ns: Histogram,
     /// Each computation, led or uncacheable, nanoseconds.
     pub compute_ns: Histogram,
@@ -363,12 +370,12 @@ impl Engine {
     /// docs); errors carry the same category the CLI would exit with.
     pub fn compute(&mut self, work: &Work, shared: &Shared) -> Result<String, TybecError> {
         match work {
-            Work::Estimate { m, dev } => {
-                let report = self.session(dev)?.estimate(m)?;
+            Work::Estimate { a, dev } => {
+                let report = self.session(dev)?.estimate_design(&a.identity())?;
                 Ok(format!("{report}"))
             }
-            Work::Bound { m, dev } => {
-                let b = self.session(dev)?.bound(m)?;
+            Work::Bound { a, dev } => {
+                let b = self.session(dev)?.bound_design(&a.identity())?;
                 Ok(format!("{b:?}"))
             }
             Work::Analyze { m, json } => {

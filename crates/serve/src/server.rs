@@ -4,7 +4,7 @@
 //! ```text
 //! accept loop ──▶ connection thread              (serve.conn.N lanes)
 //!                   │ decode JSONL; exact-text fast path
-//!                   │ parse TIRL, fingerprint
+//!                   │ parse + validate TIRL, build its arena, fingerprint
 //!                   │ cache probe → single flight → guarded compute
 //!                   │ on an engine taken from the daemon's pool
 //!                   ▼
