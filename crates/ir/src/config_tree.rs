@@ -8,9 +8,20 @@
 //! configuration patterns currently supported by the compiler (Fig 7).
 
 use crate::error::{IrError, Result};
-use crate::function::ParKind;
+use crate::function::{IrFunction, ParKind};
 use crate::module::IrModule;
 use std::collections::HashMap;
+
+/// Deepest configuration nesting below `main` that extraction accepts.
+const MAX_DEPTH: usize = 16;
+
+/// Most configuration nodes a tree may have. The tree holds one node per
+/// call path, so a few kilobytes of functions that each call the next
+/// several times expand to millions; [`extract`] counts the nodes first
+/// and rejects such a hierarchy before building any. The shipped
+/// designs, kernel variants up to 64 lanes and generated designs stay
+/// far below it.
+pub const MAX_CONFIG_NODES: u64 = 1 << 16;
 
 /// One node of the extracted configuration tree. Children correspond to
 /// the function's call statements in program order.
@@ -103,9 +114,15 @@ pub struct ConfigTree {
 ///
 /// Fails with [`IrError::UnsupportedConfig`] on nesting patterns outside
 /// the supported set of Fig 7 (e.g. `par` directly inside `par`, or a
-/// `seq` node below the root dispatcher).
+/// `seq` node below the root dispatcher), and on a call hierarchy that
+/// expands to more than [`MAX_CONFIG_NODES`] nodes.
 pub fn extract(m: &IrModule) -> Result<ConfigTree> {
     let main = m.main().ok_or_else(|| IrError::Validate("module has no `main` function".into()))?;
+    if node_count(m, main) > MAX_CONFIG_NODES {
+        return Err(IrError::UnsupportedConfig(format!(
+            "the call hierarchy expands to more than {MAX_CONFIG_NODES} configuration nodes"
+        )));
+    }
     let mut roots: Vec<ConfigNode> = Vec::new();
     // Instruction counts, taken once per function: a `par` dispatcher
     // calls its lane function once per lane.
@@ -127,15 +144,47 @@ pub fn extract(m: &IrModule) -> Result<ConfigTree> {
     Ok(ConfigTree { root, class, lanes })
 }
 
+/// How many nodes [`build_node`] creates below `main` at most: the nodes
+/// of every call path down to [`MAX_DEPTH`], counted once per function
+/// and depth (saturating), so the count takes time linear in functions
+/// and calls. An unknown callee counts nothing; a recursive cycle counts
+/// the path down to the depth limit, where building fails.
+fn node_count(m: &IrModule, main: &IrFunction) -> u64 {
+    fn count(
+        m: &IrModule,
+        index: &HashMap<&str, usize>,
+        memo: &mut [[Option<u64>; MAX_DEPTH + 1]],
+        fname: &str,
+        depth: usize,
+    ) -> u64 {
+        let Some(&i) = index.get(fname).filter(|_| depth <= MAX_DEPTH) else { return 0 };
+        if let Some(n) = memo[i][depth] {
+            return n;
+        }
+        let n = m.functions[i]
+            .calls()
+            .fold(1u64, |n, c| n.saturating_add(count(m, index, memo, &c.callee, depth + 1)));
+        memo[i][depth] = Some(n);
+        n
+    }
+    // First declaration wins, as in `IrModule::function`.
+    let mut index = HashMap::with_capacity(m.functions.len());
+    for (i, f) in m.functions.iter().enumerate() {
+        index.entry(f.name.as_str()).or_insert(i);
+    }
+    let mut memo = vec![[None; MAX_DEPTH + 1]; m.functions.len()];
+    main.calls().fold(0u64, |n, c| n.saturating_add(count(m, &index, &mut memo, &c.callee, 0)))
+}
+
 fn build_node<'m>(
     m: &'m IrModule,
     fname: &str,
     depth: usize,
     n_instrs: &mut HashMap<&'m str, u64>,
 ) -> Result<ConfigNode> {
-    if depth > 16 {
+    if depth > MAX_DEPTH {
         return Err(IrError::UnsupportedConfig(format!(
-            "configuration nesting deeper than 16 at `{fname}`"
+            "configuration nesting deeper than {MAX_DEPTH} at `{fname}`"
         )));
     }
     let f = m
@@ -379,6 +428,67 @@ mod tests {
         let o = t.root.outline();
         assert!(o.starts_with("par f1 [0 instrs]\n"));
         assert!(o.contains("\n  pipe f0 [2 instrs]\n"));
+    }
+
+    /// `f0` calls `f1` `fan` times, and so on down to a leaf `f{levels}`
+    /// of one instruction: `(fan^(levels+1) - 1) / (fan - 1)` call paths
+    /// from a few hundred bytes of IR.
+    fn fan_out(levels: usize, fan: usize, kind: ParKind) -> IrModule {
+        let mut fs = vec![pipe_with_instrs(&format!("f{levels}"), 1)];
+        for l in (0..levels).rev() {
+            let mut f = IrFunction::new(&format!("f{l}"), kind);
+            for _ in 0..fan {
+                f.body.push(call(&format!("f{}", l + 1), ParKind::Pipe));
+            }
+            fs.push(f);
+        }
+        fs.push(main_dispatching("f0", kind));
+        module_with(fs)
+    }
+
+    /// Run `f` on a watchdog thread: a walk that expands every call path
+    /// fails the test instead of hanging it.
+    fn within_seconds<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the walk finishes within 10 s instead of expanding every call path")
+    }
+
+    #[test]
+    fn a_fan_out_past_the_node_budget_is_rejected_before_expanding() {
+        // 6^12 ≈ 2.2 billion leaf instances of 14 functions.
+        let err = within_seconds(|| extract(&fan_out(12, 6, ParKind::Pipe)));
+        match err {
+            Err(IrError::UnsupportedConfig(msg)) => {
+                assert!(msg.contains("more than 65536 configuration nodes"), "{msg}")
+            }
+            other => panic!("expected the node budget error, got {other:?}"),
+        }
+        // Six levels (55,987 nodes) stay under the budget and build.
+        let tree = extract(&fan_out(6, 6, ParKind::Pipe)).expect("under the budget");
+        fn count(n: &ConfigNode) -> u64 {
+            1 + n.children.iter().map(count).sum::<u64>()
+        }
+        assert_eq!(count(&tree.root), 55_987);
+        // Lane counting takes each function once: a `par` fan-out has
+        // 6^12 lanes, counted without walking them.
+        let lanes = within_seconds(|| fan_out(12, 6, ParKind::Par).kernel_lanes());
+        assert_eq!(lanes, 6u64.pow(12));
+    }
+
+    #[test]
+    fn a_recursive_cycle_still_fails_at_the_depth_limit() {
+        let mut f = IrFunction::new("f0", ParKind::Pipe);
+        f.body.push(call("f0", ParKind::Pipe));
+        let m = module_with(vec![f, main_dispatching("f0", ParKind::Pipe)]);
+        assert_eq!(
+            extract(&m),
+            Err(IrError::UnsupportedConfig("configuration nesting deeper than 16 at `f0`".into()))
+        );
+        assert_eq!(m.kernel_lanes(), 1);
     }
 
     #[test]

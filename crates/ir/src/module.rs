@@ -262,24 +262,33 @@ impl IrModule {
     /// pipeline lanes. Derived from `par` functions: the number of calls
     /// inside each `par` body, multiplied down the call chain from `main`.
     /// A design with no `par` level has one lane.
+    ///
+    /// Each function's count is taken once, so the walk is linear in
+    /// functions and calls however many call paths the hierarchy has. A
+    /// function met again while its own count is pending (a recursive
+    /// cycle, which validation rejects) counts one lane.
     pub fn kernel_lanes(&self) -> u64 {
-        fn lanes_of(m: &IrModule, fname: &str) -> u64 {
-            let Some(f) = m.function(fname) else { return 1 };
-            match f.kind {
-                ParKind::Par => {
-                    // Each call is a lane; nested structure multiplies.
-                    f.calls().map(|c| lanes_of(m, &c.callee)).sum::<u64>().max(1)
-                }
-                _ => {
-                    // Pipeline/seq: lanes do not multiply across peers;
-                    // take the max replication among children.
-                    f.calls().map(|c| lanes_of(m, &c.callee)).max().unwrap_or(1)
-                }
+        fn lanes_of<'m>(m: &'m IrModule, fname: &'m str, memo: &mut HashMap<&'m str, u64>) -> u64 {
+            if let Some(&lanes) = memo.get(fname) {
+                return lanes;
             }
+            let Some(f) = m.function(fname) else { return 1 };
+            memo.insert(fname, 1);
+            let children = f.calls().map(|c| lanes_of(m, &c.callee, memo));
+            let lanes = match f.kind {
+                // Each call is a lane; nested structure multiplies.
+                ParKind::Par => children.fold(0, u64::saturating_add).max(1),
+                // Pipeline/seq: lanes do not multiply across peers; take
+                // the max replication among children.
+                _ => children.max().unwrap_or(1),
+            };
+            memo.insert(fname, lanes);
+            lanes
         }
         // `main` is a plain dispatcher: its single call's subtree decides.
         let Some(main) = self.main() else { return 1 };
-        main.calls().map(|c| lanes_of(self, &c.callee)).max().unwrap_or(1)
+        let mut memo = HashMap::new();
+        main.calls().map(|c| lanes_of(self, &c.callee, &mut memo)).max().unwrap_or(1)
     }
 
     /// Iterate over the functions reachable from `main` in call order

@@ -412,6 +412,59 @@ fn one_connection_answers_in_request_order() {
     handle.stop();
 }
 
+/// A valid design of `pipe` functions, each calling the next six times,
+/// twelve levels deep: 2.8 kB of TIRL whose call hierarchy has 6^12
+/// leaf instances.
+fn fan_out_design() -> String {
+    let mut src = String::from(
+        "!module = !\"fanout\"\n!ndrange = !{64}\n!nki = !1\n!form = !\"B\"\n\
+         %mem_p = memobj addrSpace(1) ui18, !size, !64\n\
+         %strobj_p = streamobj %mem_p, !read, !\"CONT\"\n\
+         @main.p = addrSpace(12) ui18, !\"istream\", !\"CONT\", !0, !\"strobj_p\"\n\
+         %mem_q = memobj addrSpace(1) ui18, !size, !64\n\
+         %strobj_q = streamobj %mem_q, !write, !\"CONT\"\n\
+         @main.q = addrSpace(12) ui18, !\"ostream\", !\"CONT\", !0, !\"strobj_q\"\n\
+         define void @f12(ui18 %p, out ui18 %q) pipe {\n  ui18 %q__out = or ui18 %p, 0\n}\n",
+    );
+    for l in (0..12).rev() {
+        src += &format!("define void @f{l}(ui18 %p, out ui18 %q) pipe {{\n");
+        src += &format!("  call @f{}(%p, %q) pipe\n", l + 1).repeat(6);
+        src += "}\n";
+    }
+    src + "define void @main() {\n  call @f0(%p, %q) pipe\n}\n"
+}
+
+#[test]
+fn an_over_budget_call_hierarchy_is_rejected_without_holding_the_connection() {
+    let handle = serve_tcp("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let (fan, src) = (fan_out_design(), design("sor", 1));
+    let lines = vec![
+        request(1, "analyze", &fan, "eval-small"),
+        request(2, "estimate", &fan, "eval-small"),
+        request(3, "bound", &fan, "eval-small"),
+        request(4, "estimate", &src, "eval-small"),
+    ];
+    let addr = handle.addr();
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(roundtrip(addr, &lines));
+    });
+    let responses = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("answered within 10 s instead of expanding every call path");
+    // The design validates, so analysis (which expands nothing) answers.
+    report_of(&responses[&1]);
+    for id in [2, 3] {
+        let error = responses[&id].get("error").expect("rejected");
+        assert_eq!(error.get("category").and_then(Json::as_str), Some("config"), "{id}");
+        assert_eq!(error.get("exit_code").and_then(Json::as_num), Some(4.0), "{id}");
+        let message = error.get("message").and_then(Json::as_str).expect("message");
+        assert!(message.contains("more than 65536 configuration nodes"), "{message}");
+    }
+    assert_eq!(report_of(&responses[&4]), offline("estimate", &src, "eval-small"));
+    handle.stop();
+}
+
 #[test]
 fn phase_histograms_count_the_requests_that_reach_each_phase() {
     let handle = serve_tcp("127.0.0.1:0", ServeConfig::default()).expect("bind");
