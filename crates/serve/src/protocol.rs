@@ -98,7 +98,13 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
                 .with_span(span),
         )
     })?;
-    let obj = v.as_obj().ok_or_else(|| parse_error(0, "request must be a JSON object"))?;
+    let Json::Obj(mut obj) = v else { return Err(parse_error(0, "request must be a JSON object")) };
+    // The design is most of a request line: take it out of the object
+    // rather than copy it.
+    let design = match obj.remove("design") {
+        Some(Json::Str(s)) => Some(s),
+        _ => None,
+    };
     let id = match obj.get("id") {
         Some(j) => {
             let n = j.as_num().ok_or_else(|| parse_error(0, "`id` must be a number"))?;
@@ -114,6 +120,10 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
         .and_then(Json::as_str)
         .ok_or_else(|| parse_error(id, "missing `kind` (expected a string)"))?;
 
+    let take_design = || -> Result<String, RequestError> {
+        design
+            .ok_or_else(|| parse_error(id, format!("`{kind_name}` needs a string `design` field")))
+    };
     let str_field = |name: &str| -> Result<String, RequestError> {
         obj.get(name)
             .and_then(Json::as_str)
@@ -148,10 +158,10 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
     };
 
     let kind = match kind_name {
-        "estimate" => RequestKind::Estimate { design: str_field("design")?, target: target()? },
-        "bound" => RequestKind::Bound { design: str_field("design")?, target: target()? },
+        "estimate" => RequestKind::Estimate { design: take_design()?, target: target()? },
+        "bound" => RequestKind::Bound { design: take_design()?, target: target()? },
         "analyze" => {
-            RequestKind::Analyze { design: str_field("design")?, json: bool_field("json", false)? }
+            RequestKind::Analyze { design: take_design()?, json: bool_field("json", false)? }
         }
         "dse" => {
             let lanes = match obj.get("lanes") {

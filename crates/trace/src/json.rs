@@ -49,22 +49,30 @@ impl std::fmt::Display for JsonError {
 
 /// Escape `s` as the *contents* of a JSON string literal (no quotes).
 /// `"` and `\` are escaped, control characters become `\u00XX`, and
-/// everything else passes through as UTF-8 (valid per RFC 8259).
+/// everything else passes through as UTF-8 (valid per RFC 8259). The
+/// runs between bytes that need escaping are copied whole.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
         }
+        // Every byte that needs work is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out
 }
 
@@ -285,15 +293,20 @@ fn parse_string(src: &str, bytes: &[u8], pos: &mut usize) -> Result<String, Json
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
-        let rest = &src[*pos..];
-        let mut chars = rest.char_indices();
-        match chars.next() {
+        // Copy the run up to the next quote, backslash or control byte
+        // whole; all three are ASCII, so the run ends on a char boundary.
+        let run = *pos;
+        while bytes.get(*pos).is_some_and(|&b| b != b'"' && b != b'\\' && b >= 0x20) {
+            *pos += 1;
+        }
+        out.push_str(&src[run..*pos]);
+        match bytes.get(*pos) {
             None => return Err(JsonError::new(*pos, "unterminated string")),
-            Some((_, '"')) => {
+            Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some((_, '\\')) => {
+            Some(b'\\') => {
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -330,13 +343,7 @@ fn parse_string(src: &str, bytes: &[u8], pos: &mut usize) -> Result<String, Json
                 }
                 *pos += 1;
             }
-            Some((_, c)) if (c as u32) < 0x20 => {
-                return Err(JsonError::new(*pos, "raw control character"));
-            }
-            Some((_, c)) => {
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            Some(_) => return Err(JsonError::new(*pos, "raw control character")),
         }
     }
 }
@@ -358,6 +365,58 @@ mod tests {
         assert_eq!(escape("n\nr\rt\t"), "n\\nr\\rt\\t");
         assert_eq!(escape("\u{1}"), "\\u0001");
         assert_eq!(escape("日本 ✓"), "日本 ✓");
+    }
+
+    /// The escape rule one char at a time, as a reference for the
+    /// run-copying [`escape`].
+    fn escape_per_char(s: &str) -> String {
+        let mut out = String::new();
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn escape_copies_runs_as_the_per_char_rule_escapes() {
+        let ascii: String = (0u8..0x80).map(char::from).collect();
+        let mut cases = vec![
+            String::new(),
+            ascii.clone(),
+            ascii.chars().rev().collect(),
+            "\"\"\\\\ \"a\\b\" \\".to_string(),
+            "é€🦀 ;\n\té\"€\\🦀\u{1f}".to_string(),
+            "\u{0}\u{1}x\u{7f}\u{80}\u{ffff}\u{10ffff}".to_string(),
+        ];
+        // Every ASCII byte between and around multi-byte characters.
+        cases.extend((0u8..0x80).map(|b| format!("é{}€{}🦀", char::from(b), char::from(b))));
+        for s in &cases {
+            let e = escape(s);
+            assert_eq!(e, escape_per_char(s), "{s:?}");
+            assert_eq!(parse(&format!("\"{e}\"")), Ok(Json::Str(s.clone())), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn string_errors_keep_their_offsets() {
+        for (doc, offset, message) in [
+            ("\"abc", 4, "unterminated string"),
+            ("\"é€\u{1}\"", 6, "raw control character"),
+            ("\"🦀\\q\"", 6, "bad escape"),
+            ("\"ab\\ud834x\"", 8, "lone surrogate"),
+            ("\"\\u12\"", 3, "bad \\u escape"),
+        ] {
+            let err = parse_spanned(doc).unwrap_err();
+            assert_eq!((err.offset, err.message.as_str()), (offset, message), "{doc:?}");
+        }
     }
 
     #[test]
