@@ -17,14 +17,20 @@ run whose result is not `"correct": true, "failed": 0` stops the tool
 with exit status 1.
 
 For each workload and end-to-end metric of BENCHMARK.json the tool
-prints both sides' median, first and third quartile, and in how many
-pairs the change read better (ties count for neither side). With
+prints both sides' median, first and third quartile, in how many pairs
+the change read better (ties count for neither side), and the change
+median's relative change against the base median. A metric whose change
+median is worse than the base median by more than the metric's `bound`
+is flagged `WORSE`, and each workload's table ends with the flagged
+metrics, so whether any metric got worse on any workload can be read
+off the tables. With
 `--record FILE` it appends one JSON line per workload: both commits, the
 seeds and both sides' medians. Uses the Python standard library only.
 """
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -66,12 +72,24 @@ def quartiles(xs):
     return med, q1, q3
 
 
+def relative(base, change):
+    """`change` against `base` as a fraction of `base` (infinite when
+    `base` is 0 and `change` is not)."""
+    if base == 0:
+        return 0.0 if change == 0 else math.copysign(math.inf, change)
+    return (change - base) / abs(base)
+
+
 def compare(workload, seeds, seconds, commits, runs, metrics):
     """Print one workload's table; returns both sides' medians."""
     print(f"workload {workload}, {len(seeds)} pairs, {seconds} s per run")
     print(f"base   {commits['base']}\nchange {commits['change']}")
-    print(f"{'metric':<14} {'base med [q1, q3]':>32} {'change med [q1, q3]':>32} {'won':>6}")
+    print(
+        f"{'metric':<14} {'base med [q1, q3]':>32} {'change med [q1, q3]':>32} {'won':>6}"
+        f" {'change':>8}  bound"
+    )
     medians = {"base": {}, "change": {}}
+    flagged = []
     for m in metrics:
         name = m["name"]
         if not all(name in r for side in runs for r in runs[side]):
@@ -84,7 +102,19 @@ def compare(workload, seeds, seconds, commits, runs, metrics):
             med, q1, q3 = quartiles(vals[side])
             medians[side][name] = med
             cells.append(f"{med:.4g} [{q1:.4g}, {q3:.4g}]")
-        print(f"{name:<14} {cells[0]:>32} {cells[1]:>32} {won:>3}/{len(seeds)}")
+        base, change = medians["base"][name], medians["change"][name]
+        rel = relative(base, change)
+        worse = (rel if m["better"] == "lower" else -rel) > m["bound"]
+        if worse:
+            flagged.append(name)
+        print(
+            f"{name:<14} {cells[0]:>32} {cells[1]:>32} {won:>3}/{len(seeds)}"
+            f" {rel:>+8.1%}  {m['bound']:.0%}{'  WORSE' if worse else ''}"
+        )
+    if flagged:
+        print(f"worse than their bound on {workload}: {', '.join(flagged)}")
+    else:
+        print(f"no metric worse than its bound on {workload}")
     print()
     return medians
 
