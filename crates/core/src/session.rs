@@ -265,7 +265,7 @@ impl EstimatorSession {
     /// second validation.
     /// Reports are the same with or without tracing enabled, since spans
     /// only observe. Each pass opens an `estimator.*` span carrying its
-    /// memo fingerprint and hit/miss verdict (see
+    /// hit/miss verdict and, where it has one, its memo fingerprint (see
     /// `docs/observability.md`).
     pub fn estimate(&mut self, m: &IrModule) -> Result<CostReport, TybecError> {
         self.estimate_design(&ArenaModule::build(m.clone()).identity())

@@ -436,7 +436,7 @@ mod tests {
     fn fan_out(levels: usize, fan: usize, kind: ParKind) -> IrModule {
         let mut fs = vec![pipe_with_instrs(&format!("f{levels}"), 1)];
         for l in (0..levels).rev() {
-            let mut f = IrFunction::new(&format!("f{l}"), kind);
+            let mut f = IrFunction::new(format!("f{l}"), kind);
             for _ in 0..fan {
                 f.body.push(call(&format!("f{}", l + 1), ParKind::Pipe));
             }
