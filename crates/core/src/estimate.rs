@@ -6,8 +6,8 @@
 //! Since the pass-pipeline refactor both entry points are thin wrappers
 //! over a single-use [`EstimatorSession`] — the session *is* the
 //! pipeline; these functions just run one module through a cold one.
-//! Long-lived callers (the DSE engine, a future server mode) hold a
-//! session instead and let the memo tables warm up across variants.
+//! Long-lived callers (the DSE engine, `tybec serve`) hold a session
+//! instead and let the memo tables warm up across variants.
 
 use crate::report::CostReport;
 use crate::session::EstimatorSession;

@@ -280,7 +280,7 @@ impl EstimatorSession {
 
     /// The eight-pass pipeline over an arena-backed design variant.
     /// Configuration, geometry and all memo keys come from the arena's
-    /// precomputed columns, so a warm call never materializes or clones
+    /// precomputed scalars, so a warm call never materializes or clones
     /// the module. The report equals that of a fresh arena built over the
     /// [`materialize`][PatchedModule::materialize]d tree (pinned by the
     /// `arena_equivalence` suite and a fuzz oracle, which check the

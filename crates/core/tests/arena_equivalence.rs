@@ -18,8 +18,7 @@ use proptest::prelude::*;
 use tytra_cost::EstimatorSession;
 use tytra_device::{eval_small, stratix_v_gsd8};
 use tytra_ir::{
-    fingerprint_module, ArenaModule, IrModule, MemForm, ModuleBuilder, Opcode, ParKind, ScalarType,
-    TybecError,
+    ArenaModule, IrModule, MemForm, ModuleBuilder, Opcode, ParKind, ScalarType, TybecError,
 };
 
 /// A small stencil-shaped pipeline: `lanes` lanes over an `ngs`-point
@@ -96,10 +95,10 @@ fn patches(base: &IrModule) -> Vec<(String, MemForm, u32)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Patched fingerprints equal tree fingerprints of the equivalent
-    /// mutated clone, and identity materialization is exact.
+    /// Every patch materializes exactly as the equivalent mutated clone
+    /// of the tree, and the identity patch as the tree itself.
     #[test]
-    fn patched_fingerprints_match_the_tree(
+    fn patches_materialize_as_the_tree(
         width in 8u16..40,
         lanes in prop_oneof![Just(1u64), Just(2), Just(4)],
         nki in 1u64..20,
@@ -107,7 +106,6 @@ proptest! {
     ) {
         let m = stencil_module(width, lanes, 1 << 12, nki, form);
         let arena = ArenaModule::build(m.clone());
-        prop_assert_eq!(arena.identity().fingerprint(), fingerprint_module(&m));
         prop_assert_eq!(arena.identity().materialize(), m.clone());
         for (name, pform, vect) in patches(&m) {
             let d = arena.patched(&name, pform, vect, 1);
@@ -115,11 +113,6 @@ proptest! {
             tree.name = name.clone();
             tree.meta.form = pform;
             tree.meta.vect = vect;
-            prop_assert_eq!(
-                d.fingerprint(),
-                fingerprint_module(&tree),
-                "patch {}/{:?}/DV{}", name, pform, vect
-            );
             prop_assert_eq!(d.materialize(), tree, "patch {}/{:?}/DV{}", name, pform, vect);
         }
         // A lane template patched to more lanes is the laned module.
@@ -127,7 +120,6 @@ proptest! {
         for lanes in [2u64, 4, 16] {
             let want = stencil_module(width, lanes, 1 << 12, nki, form);
             let d = template.patched(&want.name, form, 1, lanes);
-            prop_assert_eq!(d.fingerprint(), fingerprint_module(&want), "{} lanes", lanes);
             prop_assert_eq!(d.materialize(), want, "{} lanes", lanes);
         }
     }

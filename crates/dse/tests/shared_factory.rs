@@ -17,7 +17,7 @@ use tytra_dse::{
     lane_sweep_with, search, search_with, tune_with, ExplorationConfig, LaneSweepRow, SearchConfig,
     SearchOutcome, TuningStep,
 };
-use tytra_ir::{fingerprint_module, MemForm};
+use tytra_ir::MemForm;
 use tytra_kernels::{all_kernels, EvalKernel};
 use tytra_transform::{InnerKind, Variant, VariantFactory};
 
@@ -221,15 +221,7 @@ fn factory_designs_are_the_lowered_modules_on_every_kernel() {
                     let direct = kernel.lower_variant(&v).expect("legal variant lowers");
                     let design = factory.design(&v).expect("legal variant has a design");
                     let tag = format!("{} {}", kernel.name(), v.tag());
-                    assert_eq!(
-                        design.patched().fingerprint(),
-                        fingerprint_module(&direct),
-                        "{tag}"
-                    );
                     assert_eq!(design.patched().materialize(), direct, "{tag}");
-                    let base = design.arena();
-                    let base_module = base.identity().materialize();
-                    assert_eq!(base.base_fp(), fingerprint_module(&base_module), "{tag}");
                     checked += 1;
                 }
             }
@@ -314,7 +306,6 @@ fn factory_parity_holds_with_lane_counts_descending() {
                         let m = kernel.lower_variant(&v).expect("legal variant lowers");
                         let design = factory.design(&v).expect("legal variant has a design");
                         let d = design.patched();
-                        assert_eq!(d.fingerprint(), fingerprint_module(&m), "{tag}");
                         assert_eq!(d.materialize(), m, "{tag}");
                         assert_eq!(
                             format!("{:?}", session.estimate_design(&d)),

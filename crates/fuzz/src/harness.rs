@@ -48,7 +48,7 @@ pub enum OracleKind {
     EstimatorVsSim,
     /// Warm-vs-cold `EstimatorSession` bit-identity.
     SessionDeterminism,
-    /// Arena/SoA IR vs tree: fingerprints, materialization and the
+    /// Arena patches vs tree: materialization and the
     /// `estimate_design`/`bound_design` passes must be bit-identical.
     ArenaEquivalence,
     /// `analyze_module` totality plus congruence-key soundness.

@@ -20,10 +20,9 @@
 //!    deterministic, and congruence-classed A/B siblings produce
 //!    bit-identical cost reports (the congruence key's soundness
 //!    contract).
-//! 6. **Arena equivalence** — the arena/SoA IR fingerprints,
-//!    materializes and costs (`estimate_design`/`bound_design`)
-//!    bit-identically to the tree on any module and any
-//!    copy-on-write patch.
+//! 6. **Arena equivalence** — an arena's patches materialize and cost
+//!    (`estimate_design`/`bound_design`) bit-identically to the tree on
+//!    any module and any copy-on-write patch.
 //! 7. **Serve equivalence** — the in-process `tybec serve` round-trip
 //!    (parse → prepare → cache → guarded compute → render) answers
 //!    byte-identically to the direct estimate, cold and cache-replayed

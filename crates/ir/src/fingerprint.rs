@@ -17,7 +17,7 @@
 use crate::config_tree::ConfigNode;
 use crate::function::{IrFunction, Stmt};
 use crate::instr::{Dest, Operand};
-use crate::module::{ExecMeta, IrModule, LaneSuffix, MemForm};
+use crate::module::{ExecMeta, IrModule, MemForm};
 use crate::stream::AccessPattern;
 use crate::types::ScalarType;
 
@@ -81,27 +81,13 @@ impl StableHasher {
         }
     }
 
-    /// Absorb `s` followed by `suffix` exactly as [`write_str`] absorbs
-    /// their concatenation, without building it.
-    ///
-    /// [`write_str`]: StableHasher::write_str
-    pub(crate) fn write_str_parts(&mut self, s: &str, suffix: &str) {
-        self.write_u64((s.len() + suffix.len()) as u64);
-        for b in s.bytes() {
-            self.write_u8(b);
-        }
-        for b in suffix.bytes() {
-            self.write_u8(b);
-        }
-    }
-
     /// The digest so far.
     pub fn finish(&self) -> u64 {
         self.state
     }
 }
 
-pub(crate) fn write_ty(h: &mut StableHasher, ty: ScalarType) {
+fn write_ty(h: &mut StableHasher, ty: ScalarType) {
     match ty {
         ScalarType::UInt(w) => {
             h.write_u8(1);
@@ -139,7 +125,7 @@ fn write_operand(h: &mut StableHasher, o: &Operand) {
     }
 }
 
-pub(crate) fn write_pattern(h: &mut StableHasher, p: AccessPattern) {
+fn write_pattern(h: &mut StableHasher, p: AccessPattern) {
     match p {
         AccessPattern::Contiguous => h.write_u8(1),
         AccessPattern::Strided { stride } => {
@@ -149,7 +135,7 @@ pub(crate) fn write_pattern(h: &mut StableHasher, p: AccessPattern) {
     }
 }
 
-pub(crate) fn write_form(h: &mut StableHasher, f: MemForm) {
+fn write_form(h: &mut StableHasher, f: MemForm) {
     match f {
         MemForm::A => h.write_u8(1),
         MemForm::B => h.write_u8(2),
@@ -224,79 +210,49 @@ pub fn fingerprint_function(f: &IrFunction) -> u64 {
 /// objects and port declarations — everything the bandwidth pass and the
 /// module-level resource terms read.
 pub fn fingerprint_streams(m: &IrModule) -> u64 {
-    fingerprint_lane_streams(m, 1)
-}
-
-/// [`fingerprint_streams`] of `template.expand_lanes(lanes)`, without
-/// expanding it: every lane's names stream into the hasher with the lane
-/// suffix appended on the fly, and every length is one lane's.
-pub(crate) fn fingerprint_lane_streams(template: &IrModule, lanes: u64) -> u64 {
-    let replicas = lanes.max(1);
-    let lanes = || (0..replicas).map(|l| LaneSuffix::new(l, replicas));
     let mut h = StableHasher::new();
-    h.write_u64(template.mems.len() as u64 * replicas);
-    for sfx in lanes() {
-        for mem in &template.mems {
-            h.write_str_parts(&mem.name, sfx.as_str());
-            h.write_u8(mem.space.number());
-            write_ty(&mut h, mem.elem_ty);
-            h.write_u64(mem.len / replicas);
-        }
+    h.write_u64(m.mems.len() as u64);
+    for mem in &m.mems {
+        h.write_str(&mem.name);
+        h.write_u8(mem.space.number());
+        write_ty(&mut h, mem.elem_ty);
+        h.write_u64(mem.len);
     }
-    h.write_u64(template.streams.len() as u64 * replicas);
-    for sfx in lanes() {
-        for s in &template.streams {
-            h.write_str_parts(&s.name, sfx.as_str());
-            h.write_str_parts(&s.mem, sfx.as_str());
-            h.write_u8(s.dir as u8);
-            write_pattern(&mut h, s.pattern);
-        }
+    h.write_u64(m.streams.len() as u64);
+    for s in &m.streams {
+        h.write_str(&s.name);
+        h.write_str(&s.mem);
+        h.write_u8(s.dir as u8);
+        write_pattern(&mut h, s.pattern);
     }
-    h.write_u64(template.ports.len() as u64 * replicas);
-    for sfx in lanes() {
-        for p in &template.ports {
-            h.write_str_parts(&p.name, sfx.as_str());
-            h.write_u8(p.space.number());
-            write_ty(&mut h, p.ty);
-            h.write_u8(p.dir as u8);
-            write_pattern(&mut h, p.pattern);
-            h.write_i64(p.base_offset);
-            h.write_str_parts(&p.stream, sfx.as_str());
-        }
+    h.write_u64(m.ports.len() as u64);
+    for p in &m.ports {
+        h.write_str(&p.name);
+        h.write_u8(p.space.number());
+        write_ty(&mut h, p.ty);
+        h.write_u8(p.dir as u8);
+        write_pattern(&mut h, p.pattern);
+        h.write_i64(p.base_offset);
+        h.write_str(&p.stream);
     }
     h.finish()
 }
 
 fn write_meta(h: &mut StableHasher, meta: &ExecMeta) {
-    write_meta_parts(h, &meta.ndrange, meta.nki, meta.form, meta.freq_mhz, meta.vect);
-}
-
-/// Meta encoding with each field passed explicitly, so the arena's
-/// copy-on-write fingerprint can hash a *patched* (form, vect) pair over
-/// the base module's other fields without materializing an [`ExecMeta`].
-/// Byte-compatible with [`write_meta`] by construction.
-pub(crate) fn write_meta_parts(
-    h: &mut StableHasher,
-    ndrange: &[u64],
-    nki: u64,
-    form: MemForm,
-    freq_mhz: Option<f64>,
-    vect: u32,
-) {
-    h.write_u64(ndrange.len() as u64);
-    for &d in ndrange {
+    h.write_u64(meta.ndrange.len() as u64);
+    for &d in &meta.ndrange {
         h.write_u64(d);
     }
-    h.write_u64(nki);
-    write_form(h, form);
-    match freq_mhz {
+    h.write_u64(meta.nki);
+    write_form(h, meta.form);
+    match meta.freq_mhz {
         Some(f) => {
             h.write_u8(1);
             h.write_f64(f);
         }
         None => h.write_u8(0),
     }
-    h.write_u64(u64::from(vect));
+    h.write_u64(u64::from(meta.vect));
 }
 
 /// Fingerprint of a whole module: name, execution metadata, Manage-IR

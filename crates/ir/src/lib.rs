@@ -38,7 +38,6 @@ pub mod error;
 pub mod fingerprint;
 pub mod function;
 pub mod instr;
-pub mod intern;
 pub mod module;
 pub mod parser;
 pub mod printer;
@@ -46,10 +45,7 @@ pub mod stream;
 pub mod types;
 pub mod validate;
 
-pub use arena::{
-    ArenaModule, ConfigPlan, FnId, InstrId, MemId, PatchedModule, PlanNode, PortId, StmtId,
-    StmtKind, StreamId,
-};
+pub use arena::{ArenaModule, ConfigPlan, FnId, PatchedModule, PlanNode};
 pub use builder::{FunctionBuilder, ModuleBuilder};
 pub use config_tree::{ConfigClass, ConfigNode, ConfigTree};
 pub use dfg::{Dfg, DfgNode, LatencyModel, UnitLatency};
@@ -61,7 +57,6 @@ pub use fingerprint::{
 };
 pub use function::{Call, IrFunction, OffsetDecl, ParKind, Param, PortDir, Stmt};
 pub use instr::{Dest, Instruction, Opcode, Operand};
-pub use intern::{Symbol, SymbolTable};
 pub use module::{lane_name, ExecMeta, IrModule, ManageLinks, MemForm};
 pub use parser::{parse, parse_unvalidated};
 pub use printer::print;

@@ -208,8 +208,7 @@ impl IrModule {
         self.streams.reserve_exact(n * streams.len());
         self.ports.reserve_exact(n * ports.len());
         for l in 0..lanes {
-            let sfx = LaneSuffix::new(l, lanes);
-            let name = |template: &str| sfx.append_to(template);
+            let name = |template: &str| lane_name(template, l, lanes);
             self.mems.extend(mems.iter().map(|m| MemObject {
                 name: name(&m.name),
                 space: m.space,
@@ -320,46 +319,10 @@ impl IrModule {
 /// index appended, or the template name itself for a single replica. The
 /// one naming rule of [`IrModule::expand_lanes`].
 pub fn lane_name(template: &str, lane: u64, replicas: u64) -> String {
-    LaneSuffix::new(lane, replicas).append_to(template)
-}
-
-/// The suffix lane `lane` of a `replicas`-lane template appends to every
-/// Manage-IR name (empty for a single replica), formatted on the stack
-/// so digests can stream expanded names without allocating them.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct LaneSuffix {
-    digits: [u8; 20],
-    start: usize,
-}
-
-impl LaneSuffix {
-    pub(crate) fn new(lane: u64, replicas: u64) -> LaneSuffix {
-        let mut digits = [0u8; 20];
-        let mut start = digits.len();
-        if replicas > 1 {
-            let mut v = lane;
-            loop {
-                start -= 1;
-                digits[start] = b'0' + (v % 10) as u8;
-                v /= 10;
-                if v == 0 {
-                    break;
-                }
-            }
-        }
-        LaneSuffix { digits, start }
-    }
-
-    pub(crate) fn as_str(&self) -> &str {
-        std::str::from_utf8(&self.digits[self.start..]).expect("ASCII digits")
-    }
-
-    fn append_to(&self, template: &str) -> String {
-        let sfx = self.as_str();
-        let mut s = String::with_capacity(template.len() + sfx.len());
-        s.push_str(template);
-        s.push_str(sfx);
-        s
+    if replicas > 1 {
+        format!("{template}{lane}")
+    } else {
+        template.to_string()
     }
 }
 

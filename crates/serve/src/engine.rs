@@ -97,13 +97,13 @@ fn kernel_by_name(name: &str) -> Result<Box<dyn EvalKernel>, TybecError> {
 /// Turn a decoded request into runnable [`Work`] plus its cache key (if
 /// the flavour is cacheable): parse and validate the TIRL design,
 /// resolve the target, fingerprint. A design to cost is parsed,
-/// validated, flattened into its arena and fingerprinted once each; the
-/// arena's [`base_fp`][ArenaModule::base_fp] is the module's
-/// `fingerprint_module`, so the cache key is what the tree gives.
+/// validated, built into its arena and fingerprinted once each; the
+/// cache key is the `fingerprint_module` of the arena's template, the
+/// parsed module.
 pub fn prepare(kind: &RequestKind) -> Result<(Work, Option<CacheKey>), TybecError> {
     let arena = |design: &str| -> Result<(Box<ArenaModule>, u64), TybecError> {
         let a = ArenaModule::validated(tytra_ir::parse_unvalidated(design)?)?;
-        let fp = a.base_fp();
+        let fp = fingerprint_module(a.template());
         Ok((Box::new(a), fp))
     };
     Ok(match kind {

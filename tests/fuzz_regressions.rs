@@ -67,21 +67,15 @@ fn min_valid_fixture_reaches_the_semantic_oracles() {
 
 #[test]
 fn corpus_fixtures_survive_the_arena_builder() {
-    // Every fixture that parses (validated or not) must flatten into an
-    // arena whose identity patch fingerprints and materializes exactly
-    // as the tree — historical crashers are the best stress inputs for
-    // the SoA layout's edge cases (empty bodies, odd call shapes).
+    // Every fixture that parses (validated or not) must build an arena
+    // whose identity patch materializes exactly as the tree — historical
+    // crashers are the best stress inputs for the arena's precomputed
+    // geometry and plan (empty bodies, odd call shapes).
     let mut flattened = 0;
     for f in corpus_files() {
         let src = fs::read_to_string(&f).unwrap();
         let Ok(m) = tytra_ir::parse_unvalidated(&src) else { continue };
         let arena = tytra_ir::ArenaModule::build(m.clone());
-        assert_eq!(
-            arena.identity().fingerprint(),
-            tytra_ir::fingerprint_module(&m),
-            "{}: arena fingerprint drift",
-            f.display()
-        );
         assert_eq!(arena.identity().materialize(), m, "{}: arena round-trip drift", f.display());
         flattened += 1;
     }
