@@ -889,3 +889,42 @@ fn lint_surfaces_validator_codes_with_spans() {
     assert!(out.contains(":7:"), "span should anchor line 7:\n{out}");
     assert!(!out.contains("TL10"), "lint passes must be suppressed:\n{out}");
 }
+
+#[test]
+fn lint_fails_a_design_the_cost_model_rejects() {
+    // Twelve levels of `pipe` functions, each calling the next six
+    // times: the design validates, but its call hierarchy expands past
+    // the configuration-node budget, so `tybec cost` fails and lint
+    // must not call the design clean.
+    let mut src = String::from(
+        "!module = !\"fanout\"\n!ndrange = !{64}\n!nki = !1\n!form = !\"B\"\n\
+         %mem_p = memobj addrSpace(1) ui18, !size, !64\n\
+         %strobj_p = streamobj %mem_p, !read, !\"CONT\"\n\
+         @main.p = addrSpace(12) ui18, !\"istream\", !\"CONT\", !0, !\"strobj_p\"\n\
+         %mem_q = memobj addrSpace(1) ui18, !size, !64\n\
+         %strobj_q = streamobj %mem_q, !write, !\"CONT\"\n\
+         @main.q = addrSpace(12) ui18, !\"ostream\", !\"CONT\", !0, !\"strobj_q\"\n\
+         define void @f12(ui18 %p, out ui18 %q) pipe {\n  ui18 %q__out = or ui18 %p, 0\n}\n",
+    );
+    for l in (0..12).rev() {
+        src += &format!("define void @f{l}(ui18 %p, out ui18 %q) pipe {{\n");
+        src += &format!("  call @f{}(%p, %q) pipe\n", l + 1).repeat(6);
+        src += "}\n";
+    }
+    src += "define void @main() {\n  call @f0(%p, %q) pipe\n}\n";
+    let dir = std::env::temp_dir().join("tybec_lint_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("fan_out.tirl");
+    std::fs::write(&path, src).unwrap();
+    let p = path.to_str().unwrap();
+    assert_eq!(tybec(&["cost", p]).status.code(), Some(4), "a config error");
+    let o = tybec(&["lint", p]);
+    assert_eq!(o.status.code(), Some(1), "{}", stdout(&o));
+    let out = stdout(&o);
+    assert!(out.contains("error[TL1005]"), "{out}");
+    assert!(out.contains("more than 65536 configuration nodes"), "{out}");
+    let json = stdout(&tybec(&["lint", p, "--json"]));
+    assert!(json.contains("\"code\": \"TL1005\", \"severity\": \"error\""), "{json}");
+    assert!(json.contains("\"cost_evaluated\": false"), "{json}");
+    std::fs::remove_file(&path).ok();
+}

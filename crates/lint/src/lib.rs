@@ -14,7 +14,7 @@
 //! | TL1002 | dead-code         | values computed but never used; functions unreachable from `main` |
 //! | TL1003 | offset-bounds     | stencil offsets at or beyond the NDRange extent  |
 //! | TL1004 | reduction-init    | reductions that never read their accumulator     |
-//! | TL1005 | feasibility       | resource estimate versus the target's capacity   |
+//! | TL1005 | feasibility       | resource estimate versus the target's capacity; designs the cost model rejects |
 //! | TL1006 | throughput-wall   | memory-bound designs that want Form B/C staging  |
 //! | TL1007 | unreachable-range | min/max clamps whose bound lies outside the operand's derived range |
 //! | TL1008 | stream-deadlock   | memory objects both read and written through the same kernel's streams |
@@ -25,10 +25,10 @@
 //! (`docs/analysis.md`).
 //!
 //! Severity policy: structural liveness/dead-code findings are warnings
-//! (the design still computes something), out-of-range offsets and
-//! designs that do not fit the device are errors (the design cannot run
-//! as written), and the throughput wall is an advisory warning carrying
-//! the cost model's own tuning hint.
+//! (the design still computes something), out-of-range offsets, designs
+//! that do not fit the device and designs the cost model cannot estimate
+//! are errors (the design cannot run as written), and the throughput wall
+//! is an advisory warning carrying the cost model's own tuning hint.
 //!
 //! The driver runs validation first. If validation reports any error the
 //! lint passes are skipped — like a compiler suppressing lints on code
@@ -44,7 +44,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use tytra_analyze::FnSummary;
 use tytra_cost::CostReport;
 use tytra_device::TargetDevice;
-use tytra_ir::{DiagSink, Diagnostic, IrModule, Severity};
+use tytra_ir::{DiagSink, Diagnostic, IrModule, Severity, TybecError};
 
 /// Everything a lint pass may inspect: the module, the device it is being
 /// judged against, (when available) the cost model's verdict, and the
@@ -54,9 +54,9 @@ pub struct LintContext<'a> {
     pub module: &'a IrModule,
     /// The FPGA target the feasibility lints judge against.
     pub device: &'a TargetDevice,
-    /// Cost-model estimate; `None` when validation failed upstream or the
-    /// estimator itself rejected the module.
-    pub report: Option<&'a CostReport>,
+    /// Cost-model estimate, or the error the estimator rejected the
+    /// module with (TL1005 reports it).
+    pub report: Result<&'a CostReport, &'a TybecError>,
     /// Function names reachable from `main` (the solver's call-graph
     /// fixpoint).
     pub reachable: BTreeSet<String>,
@@ -101,8 +101,10 @@ pub struct LintReport {
     /// Validation diagnostics (`TL00xx`) followed by lint diagnostics
     /// (`TL1xxx`) in pass order.
     pub diagnostics: Vec<Diagnostic>,
-    /// Whether the cost model produced an estimate (false when validation
-    /// failed or the estimator errored; TL1005/TL1006 stay silent then).
+    /// Whether the cost model produced an estimate. False when validation
+    /// failed (no lint pass runs) or the estimator errored (TL1005 then
+    /// reports the estimator's error as an error, and TL1006 stays
+    /// silent).
     pub cost_evaluated: bool,
 }
 
@@ -140,9 +142,9 @@ pub fn lint(m: &IrModule, dev: &TargetDevice) -> LintReport {
     if !sink.has_errors() {
         let report = {
             let _sp = tytra_trace::span("lint.estimate");
-            tytra_cost::estimate(m, dev).ok()
+            tytra_cost::estimate(m, dev)
         };
-        cost_evaluated = report.is_some();
+        cost_evaluated = report.is_ok();
         let cx = LintContext {
             module: m,
             device: dev,
@@ -188,5 +190,45 @@ mod tests {
         assert!(!r.cost_evaluated);
         assert!(r.errors() > 0);
         assert!(r.codes().iter().all(|c| c.starts_with("TL00")));
+    }
+
+    /// A valid design of `levels` levels of `pipe` functions, each
+    /// calling the next `fan` times.
+    fn fan_out(levels: usize, fan: usize) -> IrModule {
+        let mut src = String::from(
+            "!module = !\"fanout\"\n!ndrange = !{64}\n!nki = !1\n!form = !\"B\"\n\
+             %mem_p = memobj addrSpace(1) ui18, !size, !64\n\
+             %strobj_p = streamobj %mem_p, !read, !\"CONT\"\n\
+             @main.p = addrSpace(12) ui18, !\"istream\", !\"CONT\", !0, !\"strobj_p\"\n\
+             %mem_q = memobj addrSpace(1) ui18, !size, !64\n\
+             %strobj_q = streamobj %mem_q, !write, !\"CONT\"\n\
+             @main.q = addrSpace(12) ui18, !\"ostream\", !\"CONT\", !0, !\"strobj_q\"\n",
+        );
+        src += &format!(
+            "define void @f{levels}(ui18 %p, out ui18 %q) pipe {{\n  ui18 %q__out = or ui18 %p, 0\n}}\n"
+        );
+        for l in (0..levels).rev() {
+            src += &format!("define void @f{l}(ui18 %p, out ui18 %q) pipe {{\n");
+            src += &format!("  call @f{}(%p, %q) pipe\n", l + 1).repeat(fan);
+            src += "}\n";
+        }
+        src += "define void @main() {\n  call @f0(%p, %q) pipe\n}\n";
+        tytra_ir::parse(&src).expect("the fan-out design is valid")
+    }
+
+    #[test]
+    fn a_design_the_cost_model_rejects_is_a_tl1005_error() {
+        // 6^12 call paths: past the configuration-node budget, so the
+        // estimator rejects the design that validation accepts.
+        let r = lint(&fan_out(12, 6), &tytra_device::stratix_v_gsd8());
+        assert!(!r.cost_evaluated);
+        assert_eq!(r.codes(), ["TL1005"]);
+        let d = &r.diagnostics[0];
+        assert_eq!(d.severity, Severity::Error);
+        assert!(d.message.contains("more than 65536 configuration nodes"), "{}", d.message);
+        // Within the budget the same shape costs, and lints clean.
+        let r = lint(&fan_out(2, 6), &tytra_device::stratix_v_gsd8());
+        assert!(r.cost_evaluated);
+        assert_eq!(r.codes(), Vec::<&str>::new());
     }
 }

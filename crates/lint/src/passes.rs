@@ -5,15 +5,16 @@
 //! reachability, computed once per run into the [`LintContext`]) over
 //! the Manage-IR and each reachable function. Passes
 //! 5–6 consume the cost model's
-//! [`CostReport`](tytra_cost::CostReport) and stay silent when no
-//! estimate is available. Passes 7–8 render the findings of the
-//! value-range and stream-deadlock analyses.
+//! [`CostReport`](tytra_cost::CostReport); when the cost model rejects
+//! the design, pass 5 reports its error and pass 6 stays silent. Passes
+//! 7–8 render the findings of the value-range and stream-deadlock
+//! analyses.
 
 use crate::{LintContext, Pass};
 use std::collections::{HashMap, HashSet};
 use tytra_analyze::{analyze_deadlock, analyze_ranges};
 use tytra_cost::Limiter;
-use tytra_ir::{Dest, DiagSink, Diagnostic, Operand, ParKind, PortDir, Stmt};
+use tytra_ir::{Dest, DiagSink, Diagnostic, Operand, ParKind, PortDir, SrcLoc, Stmt};
 
 /// TL1001 — liveness of the streaming interface: every input port must be
 /// read, every output port written, every stream object consumed by a
@@ -374,7 +375,8 @@ impl Pass for ReductionInit {
 
 /// TL1005 — device feasibility. Judges the cost model's resource estimate
 /// against the target's capacity: an error when the design does not fit,
-/// a warning when any axis is within 10% of full.
+/// a warning when any axis is within 10% of full. A design the cost model
+/// cannot estimate is an error carrying the estimator's message.
 pub struct Feasibility;
 
 impl Pass for Feasibility {
@@ -391,7 +393,14 @@ impl Pass for Feasibility {
     }
 
     fn run(&self, cx: &LintContext<'_>, sink: &mut DiagSink) {
-        let Some(r) = cx.report else { return };
+        let r = match cx.report {
+            Ok(r) => r,
+            Err(e) => {
+                let msg = format!("the cost model cannot estimate the design: {}", e.message);
+                sink.emit(Diagnostic::error("TL1005", msg).with_loc(SrcLoc(e.span)));
+                return;
+            }
+        };
         let u = &r.utilization;
         let axes =
             [("ALUT", u.aluts), ("register", u.regs), ("BRAM", u.bram_bits), ("DSP", u.dsps)];
@@ -455,7 +464,7 @@ impl Pass for ThroughputWall {
     }
 
     fn run(&self, cx: &LintContext<'_>, sink: &mut DiagSink) {
-        let Some(r) = cx.report else { return };
+        let Ok(r) = cx.report else { return };
         if !matches!(r.limiter, Limiter::HostBandwidth | Limiter::DramBandwidth) {
             return;
         }
