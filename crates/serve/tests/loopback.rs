@@ -152,6 +152,31 @@ fn warm_replay_is_bit_identical_to_cold() {
 }
 
 #[test]
+fn the_cache_key_is_the_design_structure_not_its_text() {
+    // A comment and a new indentation miss the exact-text fast path but
+    // leave the design's structure, and so its cache key, as it was; a
+    // changed immediate is a new design.
+    let handle = serve_tcp("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let src = design("sor", 1);
+    let respaced = format!("; the same design, re-indented\n{}", src.replace("\n  ", "\n\t "));
+    let changed = src.replacen(", 3\n", ", 4\n", 1);
+    assert!(respaced != src && changed != src, "both variants differ in text");
+    let lines: Vec<String> = [&src, &respaced, &changed]
+        .iter()
+        .enumerate()
+        .map(|(i, s)| request(i as u64, "estimate", s, "eval-small"))
+        .collect();
+    let responses = roundtrip(handle.addr(), &lines);
+    assert_eq!(report_of(&responses[&1]), report_of(&responses[&0]));
+    assert_eq!(report_of(&responses[&0]), offline("estimate", &src, "eval-small"));
+    assert_eq!(report_of(&responses[&2]), offline("estimate", &changed, "eval-small"));
+    let snap = handle.shared().snapshot();
+    assert_eq!(snap.counter("serve.cache.misses"), 2, "the original and the changed design");
+    assert_eq!(snap.counter("serve.cache.hits"), 1, "the re-indented design");
+    handle.stop();
+}
+
+#[test]
 fn concurrent_identical_requests_compute_once() {
     // Eight connections, each answered on its own thread, start the same
     // cold request at once: only the single-flight table keeps them from
