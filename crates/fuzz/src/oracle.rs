@@ -437,8 +437,9 @@ pub fn analyze_congruence(m: &IrModule, dev: &TargetDevice) -> Verdict {
 ///
 /// The arena ([`ArenaModule`]) carries the estimator's whole hot path,
 /// so its contract is total: for any module the generator can produce,
-/// (a) the identity patch materializes exactly as the tree; (b) for a sweep of copy-on-write patches over the four
-/// patched cells (name, form, DV, lane count), `estimate_design`/`bound_design` are
+/// (a) the identity patch materializes exactly as the tree; (b) for a
+/// sweep of copy-on-write patches over the four patched cells (name,
+/// form, DV, lane count), `estimate_design`/`bound_design` are
 /// `Debug`-bit-identical to a tree session estimating the materialized
 /// patch. The lane-count patch runs on `m` with `main`'s call moved
 /// under a one-call `par` dispatcher, a lane template. The tree entry

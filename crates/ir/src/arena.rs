@@ -129,8 +129,8 @@ impl ConfigPlan {
     }
 }
 
-/// A lane template with every hot-path scalar precomputed. Built once per
-/// lane template; see the module docs.
+/// A lane template with every hot-path scalar precomputed, built once
+/// per design base; see the module docs.
 #[derive(Debug)]
 pub struct ArenaModule {
     /// The retained lane template, read by memo-miss passes: the
