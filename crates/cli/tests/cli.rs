@@ -705,12 +705,27 @@ fn dse_metrics_prints_the_registry_table() {
     let o = tybec(&["dse", "sor", "--target", "eval-small", "--lanes", "1,2", "--metrics"]);
     assert!(o.status.success(), "{}", stderr(&o));
     let out = stdout(&o);
-    assert!(out.contains("== metrics =="), "{out}");
-    for metric in
-        ["session.memo.hits", "session.memo.misses", "curves.hits", "estimator.estimate_ns"]
-    {
-        assert!(out.contains(metric), "missing `{metric}`:\n{out}");
-    }
+    let (_, table) = out.split_once("== metrics ==\n").expect("a metrics section");
+    let names: Vec<&str> = table.lines().filter_map(|l| l.split_whitespace().next()).collect();
+    assert_eq!(
+        names,
+        [
+            "dse.bound_ns",
+            "dse.estimate_ns",
+            "dse.faulted",
+            "dse.points",
+            "dse.points_per_sec",
+            "dse.pruned_bound",
+            "dse.pruned_unfit",
+            "estimator.bound_ns",
+            "estimator.estimate_ns",
+            "session.memo.entries",
+            "session.memo.evictions",
+            "session.memo.hits",
+            "session.memo.misses",
+        ],
+        "{out}"
+    );
 }
 
 #[test]

@@ -10,7 +10,7 @@
 
 use std::fmt;
 use std::sync::Arc;
-use tytra_device::{CurveCache, LinkKind, LinkSpec, TargetDevice};
+use tytra_device::{LinkSpec, TargetDevice};
 use tytra_ir::{lane_name, AccessPattern, PatchedModule, StreamDir};
 
 /// Fraction of link peak a real controller sustains with many concurrent
@@ -101,12 +101,8 @@ pub struct BandwidthBreakdown {
 /// sustain the controller-efficiency fraction of peak, regardless of
 /// pattern or size. This is the naive model the paper's section V-C
 /// argues against; the ablation bench quantifies the damage.
-pub(crate) fn assess_naive(
-    d: &PatchedModule<'_>,
-    dev: &TargetDevice,
-    cache: &CurveCache,
-) -> BandwidthBreakdown {
-    let mut full = assess(d, dev, cache);
+pub(crate) fn assess_naive(d: &PatchedModule<'_>, dev: &TargetDevice) -> BandwidthBreakdown {
+    let mut full = assess(d, dev);
     let dram = dev.dram_link.peak_bytes_per_s * CONTROLLER_EFFICIENCY;
     let host = dev.host_link.peak_bytes_per_s * CONTROLLER_EFFICIENCY;
     full.streams.lane = full
@@ -131,19 +127,13 @@ pub(crate) fn assess_naive(
 /// `min(Σ sustained capped at controller efficiency,
 ///      lanes × min_i(sustained_i / elem_bytes_i) × bytes_per_item)`.
 ///
-/// Sustained-bandwidth interpolations go through a session curve cache.
-///
 /// A patch at KNL lanes stands for KNL copies of the template's
 /// Manage-IR, each array `len / KNL` long. Every copy of a stream has the
 /// template's pattern and that length, so the curve is looked up once per
 /// template stream and one lane's list is kept; the sums still run over
 /// the expanded streams in lane-major order, which keeps every `f64`
 /// rounding that of the expanded module.
-pub(crate) fn assess(
-    d: &PatchedModule<'_>,
-    dev: &TargetDevice,
-    cache: &CurveCache,
-) -> BandwidthBreakdown {
+pub(crate) fn assess(d: &PatchedModule<'_>, dev: &TargetDevice) -> BandwidthBreakdown {
     let m = d.arena.template();
     let lanes = d.lanes();
     let links = m.manage_links();
@@ -160,12 +150,7 @@ pub(crate) fn assess(
             dir: s.dir,
             pattern: s.pattern,
             elems,
-            sustained_bytes_per_s: cache.sustained_bytes_per_s(
-                LinkKind::Dram,
-                &dev.dram_link.bw,
-                s.pattern,
-                elems,
-            ),
+            sustained_bytes_per_s: dev.dram_link.bw.sustained_bytes_per_s(s.pattern, elems),
         });
         elem_bytes.push(f64::from(mem.elem_ty.bytes()));
     }
@@ -197,12 +182,7 @@ pub(crate) fn assess(
     let host_sum = if total_elems == 0 {
         0.0
     } else {
-        cache.sustained_bytes_per_s(
-            LinkKind::Host,
-            &dev.host_link.bw,
-            AccessPattern::Contiguous,
-            total_elems,
-        )
+        dev.host_link.bw.sustained_bytes_per_s(AccessPattern::Contiguous, total_elems)
     };
     let (host_effective, rho_h) = aggregate(&dev.host_link, host_sum, total_elems == 0);
 
@@ -235,7 +215,7 @@ mod tests {
     const T: ScalarType = ScalarType::UInt(32);
 
     fn assess_tree(m: IrModule, dev: &TargetDevice) -> BandwidthBreakdown {
-        assess(&ArenaModule::build(m).identity(), dev, &CurveCache::new())
+        assess(&ArenaModule::build(m).identity(), dev)
     }
 
     fn module_with_streams(n_in: usize, strided: bool, elems: u64) -> IrModule {
@@ -366,7 +346,7 @@ mod tests {
         let arena = ArenaModule::build(template.clone());
         for lanes in [1u64, 2, 3, 16, 64] {
             let d = arena.patched("tpl", MemForm::B, 1, lanes);
-            let replicated = assess(&d, &dev, &CurveCache::new());
+            let replicated = assess(&d, &dev);
             let expanded = assess_tree(template.clone().expand_lanes(lanes), &dev);
             assert_eq!(replicated.streams.lane.len(), 3, "{lanes} lanes");
             assert_eq!(replicated.streams.len(), 3 * lanes as usize);

@@ -7,7 +7,7 @@
 //! and (b) routing congestion as the device fills up, modelled as a
 //! linear derating of the fabric's base Fmax.
 
-use tytra_device::{CurveCache, ResourceVector, TargetDevice};
+use tytra_device::{ResourceVector, TargetDevice};
 use tytra_ir::{Dfg, IrFunction, IrModule, ParKind};
 
 /// Estimated clock and its contributors.
@@ -42,7 +42,6 @@ pub(crate) fn finish_clock(
 /// strict comparison keeps the earliest function on ties.
 pub(crate) fn function_worst_stage(
     dev: &TargetDevice,
-    curves: &CurveCache,
     f: &IrFunction,
     kind: ParKind,
 ) -> Option<(f64, String)> {
@@ -50,7 +49,7 @@ pub(crate) fn function_worst_stage(
         ParKind::Pipe | ParKind::Seq => {
             let mut worst: Option<f64> = None;
             for i in f.instrs() {
-                let d = curves.stage_delay_ns(&dev.ops, i.op, i.ty);
+                let d = dev.ops.stage_delay_ns(i.op, i.ty);
                 if worst.is_none_or(|w| d > w) {
                     worst = Some(d);
                 }

@@ -19,7 +19,7 @@
 //! the empirical bandwidth model (see [`crate::bandwidth`]).
 
 use crate::schedule::{self, PipelineSchedule};
-use tytra_device::{CurveCache, TargetDevice};
+use tytra_device::TargetDevice;
 use tytra_ir::{ArenaModule, IrModule, MemForm, TybecError};
 
 /// All design-and-program-dependent parameters of the throughput model.
@@ -60,7 +60,7 @@ impl CostParams {
     pub fn extract(m: &IrModule, dev: &TargetDevice) -> Result<CostParams, TybecError> {
         let a = ArenaModule::build(m.clone());
         let plan = a.config()?;
-        let sched = schedule::schedule(a.template(), dev, &CurveCache::new(), &plan.tree.root)?;
+        let sched = schedule::schedule(a.template(), dev, &plan.tree.root)?;
         Ok(RawGeometry::extract_design(&a.identity()).finish(sched))
     }
 
@@ -338,7 +338,7 @@ mod tests {
         assert_eq!(g.bytes_per_item, 5 * 3);
         // The bandwidth pass sees the off-chip streams with the first
         // `mem_p`'s length; neither `mem_s` nor a dangling name counts.
-        let bw = crate::bandwidth::assess(&a.identity(), &stratix_v_gsd8(), &CurveCache::new());
+        let bw = crate::bandwidth::assess(&a.identity(), &stratix_v_gsd8());
         let streams: Vec<(String, u64)> = bw.streams.iter().map(|s| (s.name, s.elems)).collect();
         let want = [("strobj_p", 27_000), ("strobj_q", 27_000), ("strobj_q", 27_000)];
         assert_eq!(streams, want.map(|(n, e)| (n.to_string(), e)));

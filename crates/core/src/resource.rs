@@ -26,7 +26,7 @@
 //! synthesised 5400: the synthesis tool's FIFO drops the in-flight
 //! element. Our synthesis emulator reproduces that behaviour.
 
-use tytra_device::{CachedLatency, CurveCache, ResourceVector, TargetDevice};
+use tytra_device::{ResourceVector, TargetDevice};
 use tytra_ir::{
     ArenaModule, ConfigPlan, Dfg, IrFunction, Opcode, ParKind, PatchedModule, PlanNode, ScalarType,
 };
@@ -127,7 +127,6 @@ pub(crate) fn estimate_plan(
     plan: &ConfigPlan,
     dev: &TargetDevice,
     opts: &crate::CostOptions,
-    curves: &CurveCache,
     mut memo: NodeMemo<'_>,
 ) -> ResourceEstimate {
     let a = d.arena;
@@ -137,9 +136,9 @@ pub(crate) fn estimate_plan(
     let mut acc = ResourceBreakdown::default();
     let mut lane_acc = ResourceBreakdown::default();
     let (before, after) = plan.outer_nodes();
-    plan_nodes_cost(a, before, copies, dev, dv, opts, curves, &mut memo, &mut acc);
-    plan_nodes_cost(a, plan.lane_nodes(), 1, dev, dv, opts, curves, &mut memo, &mut lane_acc);
-    plan_nodes_cost(a, after, 1, dev, dv, opts, curves, &mut memo, &mut acc);
+    plan_nodes_cost(a, before, copies, dev, dv, opts, &mut memo, &mut acc);
+    plan_nodes_cost(a, plan.lane_nodes(), 1, dev, dv, opts, &mut memo, &mut lane_acc);
+    plan_nodes_cost(a, after, 1, dev, dv, opts, &mut memo, &mut acc);
     acc += &(lane_acc.clone() * lane_replicas);
     let lane_lookups = plan.lane_nodes().iter().filter(|n| n.kind != ParKind::Par).count() as u64;
     memo.hits.add(lane_lookups * lane_replicas);
@@ -188,7 +187,6 @@ fn plan_nodes_cost(
     dev: &TargetDevice,
     dv: u64,
     opts: &crate::CostOptions,
-    curves: &CurveCache,
     memo: &mut NodeMemo<'_>,
     acc: &mut ResourceBreakdown,
 ) {
@@ -206,7 +204,7 @@ fn plan_nodes_cost(
             memo.misses.incr();
             tytra_trace::recorder::mark("estimator.resources", key.0);
             let f = &a.template().functions[node.func.index()];
-            let own = function_cost(dev, f, node.kind, dv, opts, curves);
+            let own = function_cost(dev, f, node.kind, dv, opts);
             *acc += &own;
             if memo.table.insert(key, own) {
                 memo.evictions.incr();
@@ -232,13 +230,12 @@ fn function_cost(
     kind: ParKind,
     dv: u64,
     opts: &crate::CostOptions,
-    curves: &CurveCache,
 ) -> ResourceBreakdown {
     let mut acc = ResourceBreakdown::default();
     match kind {
-        ParKind::Pipe => pipe_cost(dev, f, dv, opts, curves, &mut acc),
-        ParKind::Comb => comb_cost(dev, f, dv, opts, curves, &mut acc),
-        ParKind::Seq => seq_cost(dev, f, curves, &mut acc),
+        ParKind::Pipe => pipe_cost(dev, f, dv, opts, &mut acc),
+        ParKind::Comb => comb_cost(dev, f, dv, opts, &mut acc),
+        ParKind::Seq => seq_cost(dev, f, &mut acc),
         ParKind::Par => {}
     }
     acc
@@ -249,23 +246,19 @@ fn pipe_cost(
     f: &IrFunction,
     dv: u64,
     opts: &crate::CostOptions,
-    curves: &CurveCache,
     acc: &mut ResourceBreakdown,
 ) {
     // Functional units, one per instruction per vector slot.
     for i in f.instrs() {
-        let fu = if opts.strength_reduction {
-            fu_estimate(dev, curves, i)
-        } else {
-            curves.cost(&dev.ops, i.op, i.ty)
-        };
+        let fu =
+            if opts.strength_reduction { fu_estimate(dev, i) } else { dev.ops.cost(i.op, i.ty) };
         acc.datapath += fu * dv;
     }
     // Delay lines from the ASAP schedule. Long chains retire into
     // LUT-based shift registers (the calibration toolchain's SRL
     // extraction), trading ~3/4 of the flip-flops for a small LUT cost;
     // short chains stay in registers.
-    let dfg = Dfg::build(f, &CachedLatency { ops: &dev.ops, cache: curves });
+    let dfg = Dfg::build(f, &dev.ops);
     let dl_bits = dfg.delay_line_bits * dv;
     if dl_bits > OFFSET_REG_SPILL_BITS * 2 {
         acc.delay_lines += ResourceVector::new(dl_bits / 8 + 2, dl_bits / 4, 0, 0);
@@ -295,18 +288,14 @@ fn comb_cost(
     f: &IrFunction,
     dv: u64,
     opts: &crate::CostOptions,
-    curves: &CurveCache,
     acc: &mut ResourceBreakdown,
 ) {
     let mut out_width = 0u64;
     for i in f.instrs() {
         // Combinational block: LUT cost only, no internal pipeline
         // registers.
-        let c = if opts.strength_reduction {
-            fu_estimate(dev, curves, i)
-        } else {
-            curves.cost(&dev.ops, i.op, i.ty)
-        };
+        let c =
+            if opts.strength_reduction { fu_estimate(dev, i) } else { dev.ops.cost(i.op, i.ty) };
         acc.datapath += ResourceVector::new(c.aluts, 0, 0, c.dsps) * dv;
         out_width = out_width.max(u64::from(i.ty.bits()));
     }
@@ -321,13 +310,9 @@ fn comb_cost(
 /// constant's set bits (no DSP), constant shifts become wiring, and
 /// or/xor/and with zero folds away. This is how Table II's integer SOR
 /// estimates zero DSPs.
-fn fu_estimate(
-    dev: &TargetDevice,
-    curves: &CurveCache,
-    i: &tytra_ir::Instruction,
-) -> ResourceVector {
+fn fu_estimate(dev: &TargetDevice, i: &tytra_ir::Instruction) -> ResourceVector {
     use tytra_ir::Operand;
-    let base = curves.cost(&dev.ops, i.op, i.ty);
+    let base = dev.ops.cost(i.op, i.ty);
     if !i.ty.is_int() {
         return base;
     }
@@ -349,7 +334,7 @@ fn fu_estimate(
     }
 }
 
-fn seq_cost(dev: &TargetDevice, f: &IrFunction, curves: &CurveCache, acc: &mut ResourceBreakdown) {
+fn seq_cost(dev: &TargetDevice, f: &IrFunction, acc: &mut ResourceBreakdown) {
     // One functional unit per opcode family: the widest instance wins.
     let mut families: Vec<(Opcode, ScalarType)> = Vec::new();
     for i in f.instrs() {
@@ -363,7 +348,7 @@ fn seq_cost(dev: &TargetDevice, f: &IrFunction, curves: &CurveCache, acc: &mut R
         }
     }
     for (op, ty) in families {
-        acc.datapath += curves.cost(&dev.ops, op, ty);
+        acc.datapath += dev.ops.cost(op, ty);
     }
     // (seq PEs time-share full-width units; constant folding does not
     // apply because the shared unit must serve variable operands too.)
@@ -427,8 +412,7 @@ mod tests {
             evictions: &counter,
         };
         let opts = crate::CostOptions::default();
-        let curves = CurveCache::new();
-        estimate_plan(&a.identity(), plan, &stratix_v_gsd8(), &opts, &curves, memo)
+        estimate_plan(&a.identity(), plan, &stratix_v_gsd8(), &opts, memo)
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Datapath scheduling: pipeline depth (`KPD`), initiation interval and
 //! structural register accounting across the configuration hierarchy.
 
-use tytra_device::{CachedLatency, CurveCache, TargetDevice};
+use tytra_device::TargetDevice;
 use tytra_ir::{ConfigNode, Dfg, IrError, IrModule, ParKind};
 
 /// The scheduled shape of one design variant's processing element(s).
@@ -24,17 +24,16 @@ pub struct PipelineSchedule {
 }
 
 /// Schedule the module's configuration tree with the device's latency
-/// calibration, looked up through a session curve cache. The schedule
+/// calibration. The schedule
 /// depends only on the lane subtree (not on `DV` or lane count), which is
 /// why a session memoizes it under the subtree fingerprint.
 pub(crate) fn schedule(
     m: &IrModule,
     dev: &TargetDevice,
-    curves: &CurveCache,
     tree: &ConfigNode,
 ) -> Result<PipelineSchedule, IrError> {
     let lane = lane_subtree(tree);
-    let (kpd, delay_bits) = depth_of(m, dev, curves, lane)?;
+    let (kpd, delay_bits) = depth_of(m, dev, lane)?;
     let ni = lane.subtree_instrs();
     let ii = match lane.kind {
         // A pipeline accepts one work-item per cycle once full.
@@ -58,18 +57,13 @@ pub fn lane_subtree(tree: &ConfigNode) -> &ConfigNode {
 }
 
 /// Recursive pipeline depth + delay-line bits of a subtree.
-fn depth_of(
-    m: &IrModule,
-    dev: &TargetDevice,
-    curves: &CurveCache,
-    node: &ConfigNode,
-) -> Result<(u32, u64), IrError> {
+fn depth_of(m: &IrModule, dev: &TargetDevice, node: &ConfigNode) -> Result<(u32, u64), IrError> {
     let f = m
         .function(&node.function)
         .ok_or_else(|| IrError::Unknown { kind: "function", name: node.function.clone() })?;
     match node.kind {
         ParKind::Pipe => {
-            let dfg = Dfg::build(f, &CachedLatency { ops: &dev.ops, cache: curves });
+            let dfg = Dfg::build(f, &dev.ops);
             let mut depth = dfg.depth;
             let mut bits = dfg.delay_line_bits;
             for c in &node.children {
@@ -77,7 +71,7 @@ fn depth_of(
                     // A comb block inlines as one extra stage.
                     ParKind::Comb => depth += 1,
                     _ => {
-                        let (d, b) = depth_of(m, dev, curves, c)?;
+                        let (d, b) = depth_of(m, dev, c)?;
                         depth += d;
                         bits += b;
                     }
@@ -95,7 +89,7 @@ fn depth_of(
             let mut depth = 0;
             let mut bits = 0;
             for c in &node.children {
-                let (d, b) = depth_of(m, dev, curves, c)?;
+                let (d, b) = depth_of(m, dev, c)?;
                 depth = depth.max(d);
                 bits = bits.max(b);
             }
@@ -143,7 +137,7 @@ mod tests {
         let m = chain_module(1);
         let dev = stratix_v_gsd8();
         let tree = config_tree::extract(&m).unwrap();
-        let s = schedule(&m, &dev, &CurveCache::new(), &tree.root).unwrap();
+        let s = schedule(&m, &dev, &tree.root).unwrap();
         // mul(2) → add(1) → or(1): depth 4.
         assert_eq!(s.kpd, 4);
         assert_eq!(s.ii, 1.0);
@@ -159,8 +153,8 @@ mod tests {
         let m4 = chain_module(4);
         let t1 = config_tree::extract(&m1).unwrap();
         let t4 = config_tree::extract(&m4).unwrap();
-        let s1 = schedule(&m1, &dev, &CurveCache::new(), &t1.root).unwrap();
-        let s4 = schedule(&m4, &dev, &CurveCache::new(), &t4.root).unwrap();
+        let s1 = schedule(&m1, &dev, &t1.root).unwrap();
+        let s4 = schedule(&m4, &dev, &t4.root).unwrap();
         assert_eq!(s1.kpd, s4.kpd, "KPD is per lane, not per design");
         assert_eq!(s4.ni, s1.ni, "NI is per PE");
     }
@@ -198,7 +192,7 @@ mod tests {
         let m = b.finish_unchecked();
         let dev = stratix_v_gsd8();
         let tree = config_tree::extract(&m).unwrap();
-        let s = schedule(&m, &dev, &CurveCache::new(), &tree.root).unwrap();
+        let s = schedule(&m, &dev, &tree.root).unwrap();
         // stageA: add+or = 2; stageB: mul(2)+or = 3; top itself: 0.
         assert_eq!(s.kpd, 5);
         assert_eq!(s.ni, 4);
@@ -223,7 +217,7 @@ mod tests {
         let m = b.finish_unchecked();
         let dev = stratix_v_gsd8();
         let tree = config_tree::extract(&m).unwrap();
-        let s = schedule(&m, &dev, &CurveCache::new(), &tree.root).unwrap();
+        let s = schedule(&m, &dev, &tree.root).unwrap();
         assert_eq!(s.ni, 3);
         assert_eq!(s.ii, 3.0);
         assert_eq!(s.kpd, 3);

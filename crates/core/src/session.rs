@@ -31,9 +31,10 @@
 //! | bandwidth | stream set | [`PatchedModule::bw_key`]: [`fingerprint_streams`][tytra_ir::fingerprint_streams] + lanes + kernel lanes | `BandwidthBreakdown` |
 //! | throughput / power | scalars | — (pure arithmetic) | — |
 //!
-//! Below those, every calibration-fit and sustained-bandwidth curve
-//! evaluation in `tytra-device` is interned in a session-scoped
-//! [`CurveCache`].
+//! Below those there is no second memo level: a miss evaluates the
+//! device calibration directly (a `match` and a few flops per fit, a
+//! binary search over at most 12 breakpoints per sustained-bandwidth
+//! lookup).
 //!
 //! **Bit-identity.** A cached value is the exact value its pass computed
 //! cold — resource sums are `u64` (addition commutes exactly), `f64`s
@@ -50,7 +51,7 @@ use crate::report::{assemble, CostReport};
 use crate::resource::{self, ResourceBreakdown};
 use crate::schedule::{self, PipelineSchedule};
 use crate::{bottleneck, throughput, CostOptions};
-use tytra_device::{CurveCache, TargetDevice};
+use tytra_device::TargetDevice;
 use tytra_ir::{ArenaModule, ConfigPlan, IrError, IrModule, PatchedModule, TybecError};
 use tytra_trace as trace;
 use tytra_trace::bounded::BoundedMap;
@@ -64,19 +65,15 @@ pub const DEFAULT_MEMO_CAPACITY: usize = 8192;
 
 /// Memo-table traffic counters for one estimator session.
 ///
-/// `hits`/`misses` aggregate every memoized pass *and* the device-level
-/// curve cache; `invalidations` counts [`EstimatorSession::invalidate`]
-/// calls; `evictions` counts entries the CLOCK hand dropped under
-/// capacity pressure (pass memos plus curve cache). `tybec dse` prints
-/// them under `--stats`.
+/// `hits`/`misses` aggregate every memoized pass; `evictions` counts
+/// entries the CLOCK hand dropped under capacity pressure. `tybec dse`
+/// prints them under `--stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Lookups answered from a memo table.
     pub hits: u64,
     /// Lookups that fell through and were computed fresh.
     pub misses: u64,
-    /// Explicit whole-session invalidations.
-    pub invalidations: u64,
     /// Memo entries evicted under capacity pressure.
     pub evictions: u64,
 }
@@ -103,7 +100,6 @@ impl std::ops::AddAssign for SessionStats {
     fn add_assign(&mut self, rhs: SessionStats) {
         self.hits += rhs.hits;
         self.misses += rhs.misses;
-        self.invalidations += rhs.invalidations;
         self.evictions += rhs.evictions;
     }
 }
@@ -143,7 +139,6 @@ impl std::ops::AddAssign for SessionStats {
 pub struct EstimatorSession {
     dev: TargetDevice,
     opts: CostOptions,
-    curves: CurveCache,
     /// Per-function resource costs, keyed `(function fingerprint, DV)`.
     node_costs: BoundedMap<(u64, u64), ResourceBreakdown>,
     /// Per-function worst stage delays, keyed on
@@ -154,14 +149,12 @@ pub struct EstimatorSession {
     /// Bandwidth breakdowns, keyed on [`PatchedModule::bw_key`].
     bandwidths: BoundedMap<(u64, u64, u64), BandwidthBreakdown>,
     /// The single source of truth for the session's counters: the
-    /// handles below (and the curve cache's `curves.*` pair) all live in
-    /// this registry, so [`stats`][EstimatorSession::stats] and
+    /// handles below all live in this registry, so [`stats`][EstimatorSession::stats] and
     /// [`metrics_snapshot`][EstimatorSession::metrics_snapshot] can
     /// never disagree.
     metrics: Registry,
     hits: Counter,
     misses: Counter,
-    invalidations: Counter,
     evictions: Counter,
     memo_entries: Gauge,
     estimate_ns: Histogram,
@@ -194,14 +187,12 @@ impl EstimatorSession {
         EstimatorSession {
             dev,
             opts,
-            curves: CurveCache::with_registry(&metrics),
             node_costs: BoundedMap::new(capacity),
             worst_stage: BoundedMap::new(capacity),
             schedules: BoundedMap::new(capacity),
             bandwidths: BoundedMap::new(capacity),
             hits: metrics.counter("session.memo.hits"),
             misses: metrics.counter("session.memo.misses"),
-            invalidations: metrics.counter("session.invalidations"),
             evictions: metrics.counter("session.memo.evictions"),
             memo_entries: metrics.gauge("session.memo.entries"),
             estimate_ns: metrics.histogram("estimator.estimate_ns"),
@@ -220,37 +211,23 @@ impl EstimatorSession {
         &self.opts
     }
 
-    /// Aggregate memo statistics: pass-level tables plus the device
-    /// curve cache. A view over the same counters
+    /// Aggregate memo statistics over the pass tables. A view over the
+    /// `session.memo.*` counters
     /// [`metrics_snapshot`][EstimatorSession::metrics_snapshot] reports.
     pub fn stats(&self) -> SessionStats {
         SessionStats {
-            hits: self.hits.get() + self.curves.hits(),
-            misses: self.misses.get() + self.curves.misses(),
-            invalidations: self.invalidations.get(),
-            evictions: self.evictions.get() + self.curves.evictions(),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            evictions: self.evictions.get(),
         }
     }
 
-    /// Point-in-time snapshot of the session's metrics registry:
-    /// `session.memo.*`, `curves.*`, `session.invalidations`, the
-    /// `session.memo.entries` gauge and the `estimator.estimate_ns`
-    /// latency histogram. `tybec dse --metrics` merges it
+    /// Point-in-time snapshot of the session's metrics registry: the
+    /// `session.memo.*` counters, the `session.memo.entries` gauge and
+    /// the `estimator.{estimate,bound}_ns` latency histograms. `tybec dse --metrics` merges it
     /// (`Snapshot::merge`) with the search's own `dse.*` metrics.
     pub fn metrics_snapshot(&self) -> Snapshot {
         self.metrics.snapshot()
-    }
-
-    /// Drop every memoized sub-result (e.g. after mutating the device
-    /// description in place). Counters survive; `invalidations` is
-    /// incremented.
-    pub fn invalidate(&mut self) {
-        self.curves.clear();
-        self.node_costs.clear();
-        self.worst_stage.clear();
-        self.schedules.clear();
-        self.bandwidths.clear();
-        self.invalidations.incr();
     }
 
     /// Run the full cost pipeline over a design variant, serving every
@@ -317,12 +294,7 @@ impl EstimatorSession {
                 let _sp = trace::span("estimator.schedule")
                     .with("fp", plan.lane_fp)
                     .with("memo_hit", false);
-                let s = schedule::schedule(
-                    d.arena.template(),
-                    &self.dev,
-                    &self.curves,
-                    &plan.tree.root,
-                )?;
+                let s = schedule::schedule(d.arena.template(), &self.dev, &plan.tree.root)?;
                 self.misses.incr();
                 if self.schedules.insert(plan.lane_fp, s.clone()) {
                     self.evictions.incr();
@@ -446,7 +418,6 @@ impl EstimatorSession {
             plan,
             &self.dev,
             &self.opts,
-            &self.curves,
             resource::NodeMemo {
                 table: &mut self.node_costs,
                 hits: &self.hits,
@@ -472,7 +443,7 @@ impl EstimatorSession {
             } else {
                 trace::recorder::mark("estimator.clock", key.0);
                 let f = &a.template().functions[node.func.index()];
-                let v = frequency::function_worst_stage(&self.dev, &self.curves, f, node.kind);
+                let v = frequency::function_worst_stage(&self.dev, f, node.kind);
                 self.misses.incr();
                 if self.worst_stage.insert(key, v) {
                     self.evictions.incr();
@@ -514,9 +485,9 @@ impl EstimatorSession {
                 .with("lanes", bw_key.1)
                 .with("memo_hit", false);
             let b = if self.opts.sustained_bandwidth {
-                bandwidth::assess(d, &self.dev, &self.curves)
+                bandwidth::assess(d, &self.dev)
             } else {
-                bandwidth::assess_naive(d, &self.dev, &self.curves)
+                bandwidth::assess_naive(d, &self.dev)
             };
             self.misses.incr();
             if self.bandwidths.insert(bw_key, b) {
@@ -617,17 +588,6 @@ mod tests {
         }
         let s = session.stats();
         assert!(s.hit_rate() > 0.5, "hit rate {:.3} with {s:?}", s.hit_rate());
-    }
-
-    #[test]
-    fn invalidate_clears_tables_and_counts() {
-        let m = laned_module(2, MemForm::B);
-        let mut session = EstimatorSession::new(stratix_v_gsd8());
-        let before = session.estimate(&m).unwrap();
-        session.invalidate();
-        assert_eq!(session.stats().invalidations, 1);
-        let after = session.estimate(&m).unwrap();
-        assert_eq!(format!("{before:?}"), format!("{after:?}"));
     }
 
     #[test]
@@ -783,13 +743,13 @@ mod tests {
 
     #[test]
     fn stats_math() {
-        let s = SessionStats { hits: 3, misses: 1, invalidations: 0, evictions: 0 };
+        let s = SessionStats { hits: 3, misses: 1, evictions: 0 };
         assert_eq!(s.lookups(), 4);
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(SessionStats::default().hit_rate(), 0.0);
         let mut t = s;
-        t += SessionStats { hits: 1, misses: 1, invalidations: 2, evictions: 5 };
-        assert_eq!(t, SessionStats { hits: 4, misses: 2, invalidations: 2, evictions: 5 });
+        t += SessionStats { hits: 1, misses: 1, evictions: 5 };
+        assert_eq!(t, SessionStats { hits: 4, misses: 2, evictions: 5 });
     }
 
     #[test]

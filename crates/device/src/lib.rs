@@ -19,14 +19,16 @@
 //!   section V-C (Fig 10): contiguity and stream size → sustained Gbps;
 //! * [`PowerModel`] — static + activity-proportional dynamic power, used
 //!   by the Fig 18 energy comparison;
-//! * [`CurveCache`] — a session-scoped memo table interning calibration
-//!   and bandwidth curve evaluations, so a DSE sweep pays each fit once;
 //! * [`TargetDevice`] and [`library`] — concrete targets: the Maxeler
 //!   Maia DFE's Stratix-V GSD8, the Alpha-Data ADM-PCIE-7V3's Virtex-7,
 //!   and a small evaluation target for the Fig 15 lane sweep.
+//!
+//! The cost passes evaluate these models directly, unmemoized: each
+//! per-instruction fit is a `match` and a few flops, and each
+//! sustained-bandwidth lookup a binary search over at most 12
+//! breakpoints.
 
 pub mod bandwidth;
-pub mod cache;
 pub mod calibration;
 pub mod interp;
 pub mod library;
@@ -35,7 +37,6 @@ pub mod resources;
 pub mod target;
 
 pub use bandwidth::BandwidthModel;
-pub use cache::{CachedLatency, CurveCache, LinkKind};
 pub use calibration::OpCostModel;
 pub use interp::{PiecewiseLinear, PolyFit};
 pub use library::{eval_small, stratix_v_gsd8, virtex7_adm7v3};

@@ -285,7 +285,7 @@ mod tests {
     #[test]
     fn stats_line_format_is_byte_stable() {
         use tytra_cost::SessionStats;
-        let s = SessionStats { hits: 1234, misses: 56, invalidations: 0, evictions: 7 };
+        let s = SessionStats { hits: 1234, misses: 56, evictions: 7 };
         assert_eq!(
             render_stats_line("total", &s),
             "  total             1234 hits      56 misses  hit rate  95.7%      7 evicted"

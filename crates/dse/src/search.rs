@@ -750,15 +750,9 @@ mod tests {
         // `--stats` and `--metrics` read the same registry counters.
         let stats = session.stats();
         assert!(stats.lookups() > 0);
-        assert_eq!(
-            stats.hits,
-            metrics.counter("session.memo.hits") + metrics.counter("curves.hits")
-        );
-        assert_eq!(
-            stats.misses,
-            metrics.counter("session.memo.misses") + metrics.counter("curves.misses")
-        );
-        assert_eq!(stats.invalidations, metrics.counter("session.invalidations"));
+        assert_eq!(stats.hits, metrics.counter("session.memo.hits"));
+        assert_eq!(stats.misses, metrics.counter("session.memo.misses"));
+        assert_eq!(stats.evictions, metrics.counter("session.memo.evictions"));
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! A size-bounded hash map with CLOCK (second-chance) eviction.
 //!
-//! Long-running deployments of the estimator keep several unbounded
-//! memo tables alive: the `EstimatorSession` pass memos, the device
-//! `CurveCache`, and the `tybec serve` cross-request estimate cache.
-//! [`BoundedMap`] is the one eviction policy behind all of them:
-//! entries keep a reference bit that every lookup sets; when an insert
-//! finds the map full, a clock hand sweeps the slots, clearing
-//! reference bits until it finds an unreferenced victim to replace.
+//! Long-running deployments of the estimator keep memo tables alive:
+//! the `EstimatorSession` pass memos and the `tybec serve`
+//! cross-request estimate cache. [`BoundedMap`] is the one eviction
+//! policy behind both: entries keep a reference bit that every lookup
+//! sets; when an insert finds the map full, a clock hand sweeps the
+//! slots, clearing reference bits until it finds an unreferenced victim
+//! to replace.
 //! CLOCK approximates LRU without per-access list surgery, so a warm
 //! lookup stays a single hash probe plus one bit write — no allocation,
 //! which the zero-alloc costing hot path relies on.
@@ -65,8 +65,7 @@ impl<K: Eq + Hash + Clone, V> BoundedMap<K, V> {
         self.slots.is_empty()
     }
 
-    /// Entries evicted by the clock hand since construction (resets
-    /// never count — only capacity pressure does).
+    /// Entries evicted by the clock hand since construction.
     pub fn evictions(&self) -> u64 {
         self.evictions
     }
@@ -123,14 +122,6 @@ impl<K: Eq + Hash + Clone, V> BoundedMap<K, V> {
             }
         }
     }
-
-    /// Drop every entry, keeping the eviction counter (a clear is an
-    /// invalidation, not capacity pressure).
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.index.clear();
-        self.hand = 0;
-    }
 }
 
 impl<K: Eq + Hash + Clone, V> std::ops::Index<&K> for BoundedMap<K, V> {
@@ -142,49 +133,6 @@ impl<K: Eq + Hash + Clone, V> std::ops::Index<&K> for BoundedMap<K, V> {
     fn index(&self, key: &K) -> &V {
         let &i = self.index.get(key).expect("key present in BoundedMap");
         &self.slots[i].value
-    }
-}
-
-/// A size-bounded set over the same CLOCK policy.
-#[derive(Debug)]
-pub struct BoundedSet<K> {
-    map: BoundedMap<K, ()>,
-}
-
-impl<K: Eq + Hash + Clone> BoundedSet<K> {
-    /// An empty set evicting beyond `capacity` members.
-    pub fn new(capacity: usize) -> BoundedSet<K> {
-        BoundedSet { map: BoundedMap::new(capacity) }
-    }
-
-    /// Membership test, marking the member recently used on a hit.
-    pub fn contains(&mut self, key: &K) -> bool {
-        self.map.contains_key(key)
-    }
-
-    /// Add `key`; returns `true` when an unrelated member was evicted.
-    pub fn insert(&mut self, key: K) -> bool {
-        self.map.insert(key, ())
-    }
-
-    /// Members currently held.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the set holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Members evicted since construction.
-    pub fn evictions(&self) -> u64 {
-        self.map.evictions()
-    }
-
-    /// Drop every member, keeping the eviction counter.
-    pub fn clear(&mut self) {
-        self.map.clear();
     }
 }
 
@@ -235,19 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_keeps_the_eviction_counter() {
-        let mut m = BoundedMap::new(1);
-        m.insert(1, ());
-        m.insert(2, ());
-        assert_eq!(m.evictions(), 1);
-        m.clear();
-        assert!(m.is_empty());
-        assert_eq!(m.evictions(), 1);
-        m.insert(3, ());
-        assert_eq!(m.get(&3), Some(&()));
-    }
-
-    #[test]
     fn index_reads_without_marking() {
         let mut m = BoundedMap::new(2);
         m.insert(7u64, "x");
@@ -260,20 +195,6 @@ mod tests {
         assert_eq!(m.capacity(), 1);
         m.insert(1, 1);
         assert_eq!(m.get(&1), Some(&1));
-    }
-
-    #[test]
-    fn set_wraps_the_map() {
-        let mut s = BoundedSet::new(2);
-        assert!(!s.insert(1));
-        assert!(!s.insert(2));
-        s.contains(&1);
-        s.contains(&2);
-        assert!(s.insert(3));
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.evictions(), 1);
-        s.clear();
-        assert!(s.is_empty());
     }
 
     #[test]
