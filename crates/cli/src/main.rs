@@ -37,7 +37,7 @@ use tytra_cost::EstimatorSession;
 use tytra_device::TargetDevice;
 use tytra_dse::{lane_sweep_with, search_with, tune_with, ExplorationConfig, SearchConfig};
 use tytra_ir::{ArenaModule, ErrorCategory, IrError, TybecError};
-use tytra_kernels::{EvalKernel, Hotspot, LavaMd, Sor};
+use tytra_kernels::EvalKernel;
 use tytra_sim::run_application;
 use tytra_trace::prometheus::render_prometheus;
 use tytra_trace::{profile, recorder, sink};
@@ -352,12 +352,9 @@ fn has_flag(args: &[String], name: &str) -> bool {
 }
 
 fn target_of(args: &[String]) -> Result<TargetDevice, String> {
-    match flag_value(args, "--target").unwrap_or("stratix-v-gsd8") {
-        "stratix-v-gsd8" | "stratix" => Ok(tytra_device::stratix_v_gsd8()),
-        "virtex7-adm7v3" | "virtex7" => Ok(tytra_device::virtex7_adm7v3()),
-        "eval-small" => Ok(tytra_device::eval_small()),
-        other => Err(format!("unknown target `{other}`")),
-    }
+    let (_, device) =
+        tytra_device::target_by_name(flag_value(args, "--target").unwrap_or("stratix-v-gsd8"))?;
+    Ok(device())
 }
 
 /// Read the `.tirl` input named on the command line and parse and
@@ -585,12 +582,12 @@ fn cmd_tree(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn kernel_by_name(args: &[String]) -> Result<Box<dyn EvalKernel>, String> {
-    match args.first().map(String::as_str) {
-        Some("sor") => Ok(Box::new(Sor::default())),
-        Some("hotspot") => Ok(Box::new(Hotspot::default())),
-        Some("lavamd") => Ok(Box::new(LavaMd::default())),
-        other => Err(format!("unknown kernel {other:?}; expected sor|hotspot|lavamd")),
+/// The kernel `tybec dse` and `tybec roofline` take as their first
+/// argument.
+fn kernel_of(args: &[String]) -> Result<Box<dyn EvalKernel>, String> {
+    match args.first().filter(|a| !a.starts_with('-')) {
+        Some(name) => tytra_kernels::kernel_by_name(name),
+        None => Err(format!("expected a kernel: {}", tytra_kernels::KERNEL_NAMES)),
     }
 }
 
@@ -614,7 +611,7 @@ fn lanes_flag(args: &[String]) -> Result<Vec<u64>, String> {
 }
 
 fn cmd_roofline(args: &[String]) -> Result<(), CliError> {
-    let kernel = kernel_by_name(args)?;
+    let kernel = kernel_of(args)?;
     let dev = target_of(args)?;
     let mut points = Vec::new();
     for lanes in lanes_flag(args)? {
@@ -684,7 +681,7 @@ enum MetricsFormat {
 }
 
 fn cmd_dse(args: &[String]) -> Result<(), CliError> {
-    let kernel = kernel_by_name(args)?;
+    let kernel = kernel_of(args)?;
     let dev = target_of(args)?;
     let lanes = lanes_flag(args)?;
     let exhaustive = has_flag(args, "--exhaustive");

@@ -226,8 +226,11 @@ fn exec_runs_the_datapath_deterministically() {
 #[test]
 fn dse_rejects_unknown_kernel() {
     let o = tybec(&["dse", "fft"]);
-    assert!(!o.status.success());
-    assert!(stderr(&o).contains("unknown kernel"));
+    assert_eq!(o.status.code(), Some(1));
+    assert_eq!(stderr(&o), "tybec: unknown kernel `fft`; expected sor|hotspot|lavamd\n");
+    let o = tybec(&["dse"]);
+    assert_eq!(o.status.code(), Some(1));
+    assert_eq!(stderr(&o), "tybec: expected a kernel: sor|hotspot|lavamd\n");
 }
 
 #[test]

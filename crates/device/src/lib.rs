@@ -21,7 +21,8 @@
 //!   by the Fig 18 energy comparison;
 //! * [`TargetDevice`] and [`library`] — concrete targets: the Maxeler
 //!   Maia DFE's Stratix-V GSD8, the Alpha-Data ADM-PCIE-7V3's Virtex-7,
-//!   and a small evaluation target for the Fig 15 lane sweep.
+//!   and a small evaluation target for the Fig 15 lane sweep, looked up
+//!   by name with [`target_by_name`].
 //!
 //! The cost passes evaluate these models directly, unmemoized: each
 //! per-instruction fit is a `match` and a few flops, and each
@@ -39,7 +40,7 @@ pub mod target;
 pub use bandwidth::BandwidthModel;
 pub use calibration::OpCostModel;
 pub use interp::{PiecewiseLinear, PolyFit};
-pub use library::{eval_small, stratix_v_gsd8, virtex7_adm7v3};
+pub use library::{eval_small, stratix_v_gsd8, target_by_name, virtex7_adm7v3, TargetFn};
 pub use power::PowerModel;
 pub use resources::ResourceVector;
 pub use target::{LinkSpec, TargetDevice};

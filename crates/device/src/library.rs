@@ -77,6 +77,21 @@ pub fn eval_small() -> TargetDevice {
     }
 }
 
+/// A built-in target's constructor, such as [`stratix_v_gsd8`].
+pub type TargetFn = fn() -> TargetDevice;
+
+/// Look a target up by the name `tybec --target` and `tybec serve`
+/// accept, aliases included: its canonical name, which aliases share,
+/// and its constructor.
+pub fn target_by_name(name: &str) -> Result<(&'static str, TargetFn), String> {
+    match name {
+        "stratix-v-gsd8" | "stratix" => Ok(("stratix-v-gsd8", stratix_v_gsd8)),
+        "virtex7-adm7v3" | "virtex7" => Ok(("virtex7-adm7v3", virtex7_adm7v3)),
+        "eval-small" => Ok(("eval-small", eval_small)),
+        other => Err(format!("unknown target `{other}`")),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -98,9 +98,32 @@ pub fn all_kernels() -> Vec<Box<dyn EvalKernel>> {
     vec![Box::new(Sor::default()), Box::new(Hotspot::default()), Box::new(LavaMd::default())]
 }
 
+/// The names of [`all_kernels`], as `tybec dse` and `tybec serve` take
+/// them.
+pub const KERNEL_NAMES: &str = "sor|hotspot|lavamd";
+
+/// The kernel of [`all_kernels`] called `name`.
+pub fn kernel_by_name(name: &str) -> Result<Box<dyn EvalKernel>, String> {
+    all_kernels()
+        .into_iter()
+        .find(|k| k.name() == name)
+        .ok_or_else(|| format!("unknown kernel `{name}`; expected {KERNEL_NAMES}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn kernel_names_match_the_kernels() {
+        let names: Vec<&str> = all_kernels().iter().map(|k| k.name()).collect();
+        assert_eq!(names.join("|"), KERNEL_NAMES);
+        assert_eq!(kernel_by_name("hotspot").map(|k| k.name()), Ok("hotspot"));
+        assert_eq!(
+            kernel_by_name("fft").err().as_deref(),
+            Some("unknown kernel `fft`; expected sor|hotspot|lavamd")
+        );
+    }
 
     #[test]
     fn all_kernels_lower_under_baseline() {

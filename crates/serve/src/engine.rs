@@ -23,10 +23,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use tytra_cost::EstimatorSession;
-use tytra_device::TargetDevice;
+use tytra_device::TargetFn;
 use tytra_dse::{render_search_leaderboard, search_with, ExplorationConfig, SearchConfig};
 use tytra_ir::{fingerprint_module, ArenaModule, ErrorCategory, IrModule, TybecError};
-use tytra_kernels::{EvalKernel, Hotspot, LavaMd, Sor};
+use tytra_kernels::EvalKernel;
 use tytra_trace::bounded::BoundedMap;
 use tytra_trace::metrics::{Counter, Histogram, Registry, Snapshot};
 use tytra_trace::prometheus::render_prometheus;
@@ -61,37 +61,15 @@ pub enum Work {
     Shutdown,
 }
 
-/// Resolve a target name exactly as the CLI's `--target` flag does.
-pub fn target_device(name: &str) -> Result<TargetDevice, TybecError> {
-    match name {
-        "stratix-v-gsd8" | "stratix" => Ok(tytra_device::stratix_v_gsd8()),
-        "virtex7-adm7v3" | "virtex7" => Ok(tytra_device::virtex7_adm7v3()),
-        "eval-small" => Ok(tytra_device::eval_small()),
-        other => Err(TybecError::new(ErrorCategory::Config, format!("unknown target `{other}`"))),
-    }
+/// Resolve a target name exactly as the CLI's `--target` flag does. The
+/// canonical name lets aliases like `stratix` share a cache class and a
+/// warm session with `stratix-v-gsd8`.
+fn lookup_target(name: &str) -> Result<(&'static str, TargetFn), TybecError> {
+    tytra_device::target_by_name(name).map_err(|e| TybecError::new(ErrorCategory::Config, e))
 }
 
-/// The canonical spelling of a target name, so aliases like `stratix`
-/// share a cache class and a warm session with `stratix-v-gsd8`.
-fn canonical_target(name: &str) -> Result<&'static str, TybecError> {
-    match name {
-        "stratix-v-gsd8" | "stratix" => Ok("stratix-v-gsd8"),
-        "virtex7-adm7v3" | "virtex7" => Ok("virtex7-adm7v3"),
-        "eval-small" => Ok("eval-small"),
-        other => Err(TybecError::new(ErrorCategory::Config, format!("unknown target `{other}`"))),
-    }
-}
-
-fn kernel_by_name(name: &str) -> Result<Box<dyn EvalKernel>, TybecError> {
-    match name {
-        "sor" => Ok(Box::new(Sor::default())),
-        "hotspot" => Ok(Box::new(Hotspot::default())),
-        "lavamd" => Ok(Box::new(LavaMd::default())),
-        other => Err(TybecError::new(
-            ErrorCategory::Config,
-            format!("unknown kernel `{other}`; expected sor|hotspot|lavamd"),
-        )),
-    }
+fn lookup_kernel(name: &str) -> Result<Box<dyn EvalKernel>, TybecError> {
+    tytra_kernels::kernel_by_name(name).map_err(|e| TybecError::new(ErrorCategory::Config, e))
 }
 
 /// Turn a decoded request into runnable [`Work`] plus its cache key (if
@@ -108,13 +86,13 @@ pub fn prepare(kind: &RequestKind) -> Result<(Work, Option<CacheKey>), TybecErro
     };
     Ok(match kind {
         RequestKind::Estimate { design, target } => {
-            let dev = canonical_target(target)?.to_string();
+            let dev = lookup_target(target)?.0.to_string();
             let (a, fp) = arena(design)?;
             let key = (TAG_ESTIMATE, dev.clone(), fp);
             (Work::Estimate { a, dev }, Some(key))
         }
         RequestKind::Bound { design, target } => {
-            let dev = canonical_target(target)?.to_string();
+            let dev = lookup_target(target)?.0.to_string();
             let (a, fp) = arena(design)?;
             let key = (TAG_BOUND, dev.clone(), fp);
             (Work::Bound { a, dev }, Some(key))
@@ -126,8 +104,8 @@ pub fn prepare(kind: &RequestKind) -> Result<(Work, Option<CacheKey>), TybecErro
             (Work::Analyze { m: Box::new(m), json: *json }, Some((tag, String::new(), fp)))
         }
         RequestKind::Dse { kernel, target, lanes, top, exhaustive } => {
-            kernel_by_name(kernel)?;
-            let dev = canonical_target(target)?.to_string();
+            lookup_kernel(kernel)?;
+            let dev = lookup_target(target)?.0.to_string();
             (
                 Work::Dse {
                     kernel: kernel.clone(),
@@ -359,8 +337,8 @@ impl Engine {
 
     fn session(&mut self, dev: &str) -> Result<&mut EstimatorSession, TybecError> {
         if !self.sessions.contains_key(dev) {
-            let device = target_device(dev)?;
-            self.sessions.insert(dev.to_string(), EstimatorSession::new(device));
+            let (_, device) = lookup_target(dev)?;
+            self.sessions.insert(dev.to_string(), EstimatorSession::new(device()));
         }
         Ok(self.sessions.get_mut(dev).expect("session just ensured"))
     }
@@ -388,7 +366,7 @@ impl Engine {
                 }
             }
             Work::Dse { kernel, dev, lanes, top, exhaustive } => {
-                let factory = kernel_by_name(kernel)?.variant_factory();
+                let factory = lookup_kernel(kernel)?.variant_factory();
                 let space =
                     ExplorationConfig { lanes: lanes.clone(), ..ExplorationConfig::default() };
                 let cfg = if *exhaustive {

@@ -32,7 +32,7 @@ pub mod engine;
 pub mod protocol;
 pub mod server;
 
-pub use engine::{prepare, target_device, Engine, Shared, Work};
+pub use engine::{prepare, Engine, Shared, Work};
 pub use protocol::{
     parse_request, render_err, render_ok, MetricsFormat, Request, RequestError, RequestKind,
 };

@@ -11,7 +11,7 @@ use std::sync::mpsc;
 use std::time::Duration;
 use tytra_dse::{render_search_leaderboard, search, ExplorationConfig, SearchConfig};
 use tytra_kernels::{EvalKernel, Hotspot, Sor};
-use tytra_serve::{serve_tcp, target_device, ServeConfig};
+use tytra_serve::{serve_tcp, ServeConfig};
 use tytra_trace::json::{self, Json};
 use tytra_transform::Variant;
 
@@ -36,7 +36,7 @@ fn request(id: u64, kind: &str, src: &str, target: &str) -> String {
 /// What the offline CLI prints for the same input: `tybec cost` stdout
 /// for estimate, the session bound debug rendering, the analyze report.
 fn offline(kind: &str, src: &str, target: &str) -> String {
-    let dev = target_device(target).expect("known target");
+    let dev = tytra_device::target_by_name(target).expect("known target").1();
     let m = tytra_ir::parse(src).expect("server-accepted design parses offline");
     match kind {
         "estimate" => format!("{}", tytra_cost::estimate(&m, &dev).expect("estimable")),
@@ -578,7 +578,7 @@ fn dse_on_a_warmed_engine_equals_the_cli_exploration() {
 #[test]
 fn dse_top_sets_the_board_size() {
     let handle = serve_tcp("127.0.0.1:0", ServeConfig::default()).expect("bind");
-    let dev = target_device("stratix-v-gsd8").expect("known target");
+    let dev = tytra_device::stratix_v_gsd8();
     let wide: Vec<u64> = (1..=64).collect();
     let space = ExplorationConfig { lanes: wide.clone(), ..ExplorationConfig::default() };
     let lines = [
