@@ -941,6 +941,7 @@ fn lint_fails_a_design_the_cost_model_rejects() {
     let out = stdout(&o);
     assert!(out.contains("error[TL1005]"), "{out}");
     assert!(out.contains("more than 65536 configuration nodes"), "{out}");
+    assert!(!out.contains("note: cost model not evaluated"), "{out}");
     let json = stdout(&tybec(&["lint", p, "--json"]));
     assert!(json.contains("\"code\": \"TL1005\", \"severity\": \"error\""), "{json}");
     assert!(json.contains("\"cost_evaluated\": false"), "{json}");

@@ -20,6 +20,7 @@
 
 use crate::LintReport;
 use std::fmt::Write as _;
+use tytra_ir::Severity;
 use tytra_trace::json::escape;
 
 /// Render `report` as human-readable text, one rustc-style block per
@@ -48,7 +49,13 @@ pub fn render_text(report: &LintReport, path: &str) -> String {
             plural(warnings)
         );
     }
-    if !report.cost_evaluated {
+    // A validation error stops every lint pass. An estimator failure
+    // needs no note: TL1005 reports it.
+    if report
+        .diagnostics
+        .iter()
+        .any(|d| d.severity == Severity::Error && d.code.starts_with("TL00"))
+    {
         let _ = writeln!(out, "note: cost model not evaluated; feasibility lints were skipped");
     }
     out
@@ -120,6 +127,17 @@ mod tests {
     fn clean_report_renders_summary_only() {
         let txt = render_text(&report(vec![]), "x.tirl");
         assert!(txt.contains("x.tirl: clean"));
+    }
+
+    #[test]
+    fn only_a_validation_error_notes_the_skipped_lints() {
+        const NOTE: &str = "feasibility lints were skipped";
+        let mut r = report(vec![Diagnostic::error("TL0002", "unknown function `f9`")]);
+        r.cost_evaluated = false;
+        assert!(render_text(&r, "x.tirl").contains(NOTE));
+        let mut r = report(vec![Diagnostic::error("TL1005", "cannot estimate")]);
+        r.cost_evaluated = false;
+        assert!(!render_text(&r, "x.tirl").contains(NOTE));
     }
 
     #[test]
