@@ -144,14 +144,6 @@ pub fn enumerate_variants(
     out
 }
 
-/// The default sweep the DSE engine explores: power-of-two lanes to 32,
-/// scalar and 2/4-wide vectors, pipelined inner maps, Forms A and B.
-pub fn default_sweep(ngs: u64) -> Vec<Variant> {
-    let lanes: Vec<u64> = (0..=5).map(|i| 1u64 << i).collect();
-    let variants = enumerate_variants(ngs, &lanes, &[1, 2, 4], &[MemForm::A, MemForm::B]);
-    variants.into_iter().filter(|v| v.inner == InnerKind::Pipe).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,7 +220,8 @@ mod tests {
 
     #[test]
     fn tags_are_unique_within_a_sweep() {
-        let vs = default_sweep(1 << 12);
+        let lanes: Vec<u64> = (0..=5).map(|i| 1u64 << i).collect();
+        let vs = enumerate_variants(1 << 12, &lanes, &[1, 2, 4], &[MemForm::A, MemForm::B]);
         let mut tags: Vec<String> = vs.iter().map(Variant::tag).collect();
         let n = tags.len();
         tags.sort();
