@@ -21,11 +21,14 @@ prints both sides' median, first and third quartile, in how many pairs
 the change read better (ties count for neither side), and the change
 median's relative change against the base median. A metric whose change
 median is worse than the base median by more than the metric's `bound`
-is flagged `WORSE`, and each workload's table ends with the flagged
-metrics, so whether any metric got worse on any workload can be read
-off the tables. With
-`--record FILE` it appends one JSON line per workload: both commits, the
-seeds and both sides' medians. Uses the Python standard library only.
+is flagged `WORSE`. A metric whose base runs spread wider than its
+bound (interquartile range over median) is flagged `UNRESOLVED`, unless
+every change run beats every base run: the pairs cannot tell such a
+metric unchanged from changed. Each workload's table ends with the
+worse and the unresolved metrics, so both can be read off the tables.
+With `--record FILE` it appends one JSON line per workload: both
+commits, the seeds and both sides' medians. Uses the Python standard
+library only.
 """
 
 import argparse
@@ -90,6 +93,7 @@ def compare(workload, seeds, seconds, commits, runs, metrics):
     )
     medians = {"base": {}, "change": {}}
     flagged = []
+    unresolved = []
     for m in metrics:
         name = m["name"]
         if not all(name in r for side in runs for r in runs[side]):
@@ -102,19 +106,30 @@ def compare(workload, seeds, seconds, commits, runs, metrics):
             med, q1, q3 = quartiles(vals[side])
             medians[side][name] = med
             cells.append(f"{med:.4g} [{q1:.4g}, {q3:.4g}]")
+            if side == "base":
+                base_spread = relative(med, med + (q3 - q1))
         base, change = medians["base"][name], medians["change"][name]
         rel = relative(base, change)
         worse = (rel if m["better"] == "lower" else -rel) > m["bound"]
         if worse:
             flagged.append(name)
+        separated = all(better(c, b) for b in vals["base"] for c in vals["change"])
+        unsure = base_spread > m["bound"] and not separated
+        if unsure:
+            unresolved.append(name)
+        flags = ("  WORSE" if worse else "") + ("  UNRESOLVED" if unsure else "")
         print(
             f"{name:<14} {cells[0]:>32} {cells[1]:>32} {won:>3}/{len(seeds)}"
-            f" {rel:>+8.1%}  {m['bound']:.0%}{'  WORSE' if worse else ''}"
+            f" {rel:>+8.1%}  {m['bound']:.0%}{flags}"
         )
     if flagged:
         print(f"worse than their bound on {workload}: {', '.join(flagged)}")
     else:
         print(f"no metric worse than its bound on {workload}")
+    if unresolved:
+        print(f"unresolved on {workload} (base spread wider than the bound): {', '.join(unresolved)}")
+    else:
+        print(f"no metric unresolved on {workload}")
     print()
     return medians
 
