@@ -149,7 +149,8 @@ pub struct EstimatorSession {
     /// Bandwidth breakdowns, keyed on [`PatchedModule::bw_key`].
     bandwidths: BoundedMap<(u64, u64, u64), BandwidthBreakdown>,
     /// The single source of truth for the session's counters: the
-    /// handles below all live in this registry, so [`stats`][EstimatorSession::stats] and
+    /// handles below all live in this registry, so
+    /// [`stats`][EstimatorSession::stats] and
     /// [`metrics_snapshot`][EstimatorSession::metrics_snapshot] can
     /// never disagree.
     metrics: Registry,
@@ -224,8 +225,9 @@ impl EstimatorSession {
 
     /// Point-in-time snapshot of the session's metrics registry: the
     /// `session.memo.*` counters, the `session.memo.entries` gauge and
-    /// the `estimator.{estimate,bound}_ns` latency histograms. `tybec dse --metrics` merges it
-    /// (`Snapshot::merge`) with the search's own `dse.*` metrics.
+    /// the `estimator.{estimate,bound}_ns` latency histograms. `tybec
+    /// dse --metrics` merges it (`Snapshot::merge`) with the search's
+    /// own `dse.*` metrics.
     pub fn metrics_snapshot(&self) -> Snapshot {
         self.metrics.snapshot()
     }

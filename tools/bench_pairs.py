@@ -127,7 +127,8 @@ def compare(workload, seeds, seconds, commits, runs, metrics):
     else:
         print(f"no metric worse than its bound on {workload}")
     if unresolved:
-        print(f"unresolved on {workload} (base spread wider than the bound): {', '.join(unresolved)}")
+        names = ", ".join(unresolved)
+        print(f"unresolved on {workload} (base spread wider than the bound): {names}")
     else:
         print(f"no metric unresolved on {workload}")
     print()
