@@ -947,3 +947,96 @@ fn lint_fails_a_design_the_cost_model_rejects() {
     assert!(json.contains("\"cost_evaluated\": false"), "{json}");
     std::fs::remove_file(&path).ok();
 }
+
+/// A spawned `tybec`, killed and reaped when dropped, so a failing
+/// assertion leaves no process running.
+struct Reaped(std::process::Child);
+
+impl Drop for Reaped {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+#[test]
+fn tybec_starts_without_a_program_interpreter() {
+    // The ELF64 header gives the program header table's offset (at byte
+    // 32), entry size (54) and entry count (56); a `PT_INTERP` (3) entry
+    // would name the dynamic loader every run starts in.
+    use std::io::Read;
+    let mut head = Vec::new();
+    let exe = std::fs::File::open(env!("CARGO_BIN_EXE_tybec")).unwrap();
+    exe.take(4096).read_to_end(&mut head).unwrap();
+    assert_eq!(&head[..5], b"\x7fELF\x02", "a 64-bit ELF file");
+    let u16_at = |i: usize| usize::from(u16::from_le_bytes([head[i], head[i + 1]]));
+    let phoff = u64::from_le_bytes(head[32..40].try_into().unwrap()) as usize;
+    let (phentsize, phnum) = (u16_at(54), u16_at(56));
+    assert!(phoff + phnum * phentsize <= head.len(), "program headers past the first 4 KiB");
+    let interp = (0..phnum).any(|i| {
+        let at = phoff + i * phentsize;
+        u32::from_le_bytes(head[at..at + 4].try_into().unwrap()) == 3
+    });
+    assert!(
+        !interp,
+        "tybec has a program interpreter: it was linked dynamically. `.cargo/config.toml` \
+         links x86_64 Linux builds statically; a `RUSTFLAGS` setting replaces its rustflags"
+    );
+}
+
+#[test]
+fn the_tybec_daemon_resolves_localhost_and_serves_cost_reports() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    use tytra_trace::json::{self, Json};
+
+    let mut daemon = Reaped(
+        Command::new(env!("CARGO_BIN_EXE_tybec"))
+            .args(["serve", "--tcp", "localhost:0"])
+            .current_dir(workspace_root())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("tybec serve starts"),
+    );
+    let mut log = BufReader::new(daemon.0.stderr.take().expect("piped stderr"));
+    let mut line = String::new();
+    log.read_line(&mut line).expect("the daemon's first stderr line");
+    let addr = line
+        .trim_end()
+        .strip_prefix("tybec serve: listening on ")
+        .unwrap_or_else(|| panic!("no listening line: {line}"))
+        .to_string();
+
+    let design = std::fs::read_to_string(workspace_root().join("assets/sor_c2.tirl")).unwrap();
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    let mut replies = BufReader::new(stream.try_clone().expect("clone"));
+    let mut ask = |request: String| {
+        stream.write_all(request.as_bytes()).expect("send");
+        let mut resp = String::new();
+        replies.read_line(&mut resp).expect("response");
+        let v = json::parse(resp.trim_end()).expect("response is valid JSON");
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{resp}");
+        v.get("report").and_then(Json::as_str).expect("report payload").to_string()
+    };
+    let report = ask(format!(
+        "{{\"id\":1,\"kind\":\"estimate\",\"design\":\"{}\"}}\n",
+        json::escape(&design)
+    ));
+    assert_eq!(report, stdout(&tybec(&["cost", "assets/sor_c2.tirl"])));
+    assert_eq!(ask("{\"id\":2,\"kind\":\"shutdown\"}\n".to_string()), "shutting down");
+    drop((stream, replies));
+
+    // The daemon exits once its last client has hung up.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = daemon.0.try_wait().expect("poll the daemon") {
+            break status;
+        }
+        assert!(Instant::now() < deadline, "the daemon did not exit after shutdown");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(status.success(), "{status}");
+}
