@@ -110,23 +110,25 @@ const USAGES: [Usage; 11] = [
 /// Fail, before anything is printed, on an argument `cmd`'s usage line
 /// does not list, on a valued flag without its value and on a second
 /// positional argument: an ignored `--taget` or `--deny-warning` would
-/// silently run with the default instead.
-fn check_args(cmd: &str, args: &[String]) -> Result<(), String> {
-    let Some(usage) = USAGES.iter().find(|u| u.cmd == cmd) else { return Ok(()) };
-    let mut positional = usage.positional;
+/// silently run with the default instead. Returns the positional
+/// argument, the one input every subcommand then reads, so a flag's value
+/// is never taken for it.
+fn check_args<'a>(cmd: &str, args: &'a [String]) -> Result<Option<&'a str>, String> {
+    let Some(usage) = USAGES.iter().find(|u| u.cmd == cmd) else { return Ok(None) };
+    let mut input = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if usage.valued.contains(&a.as_str()) {
             if it.next().is_none_or(|v| v.starts_with("--")) {
                 return Err(format!("`tybec {cmd}` flag `{a}` expects a value"));
             }
-        } else if positional && !a.starts_with('-') {
-            positional = false;
+        } else if usage.positional && input.is_none() && !a.starts_with('-') {
+            input = Some(a.as_str());
         } else if !usage.switches.contains(&a.as_str()) {
             return Err(format!("unknown `tybec {cmd}` argument `{a}`"));
         }
     }
-    Ok(())
+    Ok(input)
 }
 
 fn main() -> ExitCode {
@@ -277,7 +279,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         return Err(USAGE.to_string().into());
     };
     let rest = &args[1..];
-    check_args(cmd, rest)?;
+    let input = check_args(cmd, rest)?;
     if trace_out.is_some() {
         tytra_trace::set_enabled(true);
         tytra_trace::set_thread_label("main");
@@ -291,16 +293,16 @@ fn run(args: &[String]) -> Result<(), CliError> {
         let _root =
             tytra_trace::enabled().then(|| tytra_trace::span(String::leak(format!("tybec.{cmd}"))));
         match cmd.as_str() {
-            "cost" => cmd_cost(rest),
-            "actual" => cmd_actual(rest),
-            "hdl" => cmd_hdl(rest),
-            "tree" => cmd_tree(rest),
-            "dse" => cmd_dse(rest),
-            "roofline" => cmd_roofline(rest),
-            "exec" => cmd_exec(rest),
-            "lint" => cmd_lint(rest),
-            "analyze" => cmd_analyze(rest),
-            "profile" => cmd_profile(rest),
+            "cost" => cmd_cost(input, rest),
+            "actual" => cmd_actual(input, rest),
+            "hdl" => cmd_hdl(input, rest),
+            "tree" => cmd_tree(input),
+            "dse" => cmd_dse(input, rest),
+            "roofline" => cmd_roofline(input, rest),
+            "exec" => cmd_exec(input, rest),
+            "lint" => cmd_lint(input, rest),
+            "analyze" => cmd_analyze(input, rest),
+            "profile" => cmd_profile(input, rest),
             "serve" => cmd_serve(rest),
             "--help" | "-h" | "help" => {
                 println!("{USAGE}");
@@ -359,22 +361,27 @@ fn target_of(args: &[String]) -> Result<TargetDevice, String> {
 
 /// Read the `.tirl` input named on the command line and parse and
 /// validate it.
-fn load_module(args: &[String]) -> Result<tytra_ir::IrModule, CliError> {
-    load(args, tytra_ir::parse)
+fn load_module(input: Option<&str>) -> Result<tytra_ir::IrModule, CliError> {
+    load(input, tytra_ir::parse)
 }
 
 /// [`load_module`] for the commands that cost the design: the parsed
 /// module is validated once and moved into the arena the estimator runs
 /// on, which keeps the verdict.
-fn load_arena(args: &[String]) -> Result<ArenaModule, CliError> {
-    load(args, |src| ArenaModule::validated(tytra_ir::parse_unvalidated(src)?))
+fn load_arena(input: Option<&str>) -> Result<ArenaModule, CliError> {
+    load(input, |src| ArenaModule::validated(tytra_ir::parse_unvalidated(src)?))
 }
 
-fn load<T>(args: &[String], parse: impl FnOnce(&str) -> Result<T, IrError>) -> Result<T, CliError> {
-    let path = args
-        .iter()
-        .find(|a| !a.starts_with("--") && a.ends_with(".tirl"))
-        .ok_or("expected a .tirl input file")?;
+/// The positional input, which must name a `.tirl` file.
+fn tirl_path(input: Option<&str>) -> Result<&str, CliError> {
+    input.filter(|p| p.ends_with(".tirl")).ok_or_else(|| "expected a .tirl input file".into())
+}
+
+fn load<T>(
+    input: Option<&str>,
+    parse: impl FnOnce(&str) -> Result<T, IrError>,
+) -> Result<T, CliError> {
+    let path = tirl_path(input)?;
     let src = std::fs::read_to_string(path)
         .map_err(|e| TybecError::new(ErrorCategory::Io, format!("reading {path}: {e}")))?;
     parse(&src).map_err(|e| {
@@ -388,11 +395,8 @@ fn load<T>(args: &[String], parse: impl FnOnce(&str) -> Result<T, IrError>) -> R
 /// six `tirlint` passes through one diagnostic sink. Exit policy: any
 /// error-severity diagnostic fails; warnings fail only under
 /// `--deny-warnings`.
-fn cmd_lint(args: &[String]) -> Result<(), CliError> {
-    let path = args
-        .iter()
-        .find(|a| !a.starts_with("--") && a.ends_with(".tirl"))
-        .ok_or("expected a .tirl input file")?;
+fn cmd_lint(input: Option<&str>, args: &[String]) -> Result<(), CliError> {
+    let path = tirl_path(input)?;
     let src = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let m = tytra_ir::parse_unvalidated(&src).map_err(|e| {
         let mut t = TybecError::from(e);
@@ -420,8 +424,8 @@ fn cmd_lint(args: &[String]) -> Result<(), CliError> {
 /// `tybec analyze`: run the dataflow-analysis catalogue (value ranges,
 /// stream-deadlock, cost-congruence) over a validated design and print
 /// the aggregated report — strict JSON under `--json`.
-fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
-    let m = load_module(args)?;
+fn cmd_analyze(input: Option<&str>, args: &[String]) -> Result<(), CliError> {
+    let m = load_module(input)?;
     let report = tytra_analyze::analyze_module(&m);
     if has_flag(args, "--json") {
         println!("{}", report.render_json());
@@ -434,8 +438,8 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
 /// `tybec profile`: run a cold and a warm estimate of the design under
 /// full span tracing, then print per-pass self-time attribution: which
 /// passes dominate, and what the memo tables buy on the warm run.
-fn cmd_profile(args: &[String]) -> Result<(), CliError> {
-    let a = load_arena(args)?;
+fn cmd_profile(input: Option<&str>, args: &[String]) -> Result<(), CliError> {
+    let a = load_arena(input)?;
     let dev = target_of(args)?;
     let mut session = EstimatorSession::new(dev);
 
@@ -513,16 +517,16 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_cost(args: &[String]) -> Result<(), CliError> {
-    let a = load_arena(args)?;
+fn cmd_cost(input: Option<&str>, args: &[String]) -> Result<(), CliError> {
+    let a = load_arena(input)?;
     let dev = target_of(args)?;
     let report = EstimatorSession::new(dev).estimate_design(&a.identity())?;
     print!("{report}");
     Ok(())
 }
 
-fn cmd_actual(args: &[String]) -> Result<(), CliError> {
-    let a = load_arena(args)?;
+fn cmd_actual(input: Option<&str>, args: &[String]) -> Result<(), CliError> {
+    let a = load_arena(input)?;
     let dev = target_of(args)?;
     let est = EstimatorSession::new(dev.clone()).estimate_design(&a.identity())?;
     // The run synthesizes the design itself; its result is the "actual".
@@ -552,8 +556,8 @@ fn cmd_actual(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_hdl(args: &[String]) -> Result<(), CliError> {
-    let m = load_module(args)?;
+fn cmd_hdl(input: Option<&str>, args: &[String]) -> Result<(), CliError> {
+    let m = load_module(input)?;
     let dev = target_of(args)?;
     let hdl = emit_design(&m, &dev)?;
     if has_flag(args, "--check") {
@@ -574,18 +578,18 @@ fn cmd_hdl(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_tree(args: &[String]) -> Result<(), CliError> {
-    let m = load_module(args)?;
+fn cmd_tree(input: Option<&str>) -> Result<(), CliError> {
+    let m = load_module(input)?;
     let tree = tytra_ir::config_tree::extract(&m)?;
     println!("class: {:?}, lanes: {}", tree.class, tree.lanes);
     print!("{}", tree.root.outline());
     Ok(())
 }
 
-/// The kernel `tybec dse` and `tybec roofline` take as their first
+/// The kernel `tybec dse` and `tybec roofline` take as their positional
 /// argument.
-fn kernel_of(args: &[String]) -> Result<Box<dyn EvalKernel>, String> {
-    match args.first().filter(|a| !a.starts_with('-')) {
+fn kernel_of(input: Option<&str>) -> Result<Box<dyn EvalKernel>, String> {
+    match input {
         Some(name) => tytra_kernels::kernel_by_name(name),
         None => Err(format!("expected a kernel: {}", tytra_kernels::KERNEL_NAMES)),
     }
@@ -610,8 +614,8 @@ fn lanes_flag(args: &[String]) -> Result<Vec<u64>, String> {
     Ok(lanes)
 }
 
-fn cmd_roofline(args: &[String]) -> Result<(), CliError> {
-    let kernel = kernel_of(args)?;
+fn cmd_roofline(input: Option<&str>, args: &[String]) -> Result<(), CliError> {
+    let kernel = kernel_of(input)?;
     let dev = target_of(args)?;
     let mut points = Vec::new();
     for lanes in lanes_flag(args)? {
@@ -623,9 +627,9 @@ fn cmd_roofline(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_exec(args: &[String]) -> Result<(), CliError> {
+fn cmd_exec(input: Option<&str>, args: &[String]) -> Result<(), CliError> {
     use tytra_sim::{execute_module, ExecInputs};
-    let m = load_module(args)?;
+    let m = load_module(input)?;
     let items: usize = match flag_value(args, "--items") {
         Some(v) => v.parse().map_err(|e| format!("bad --items: {e}"))?,
         None => (m.meta.global_size() as usize).min(4096),
@@ -680,8 +684,8 @@ enum MetricsFormat {
     Prometheus,
 }
 
-fn cmd_dse(args: &[String]) -> Result<(), CliError> {
-    let kernel = kernel_of(args)?;
+fn cmd_dse(input: Option<&str>, args: &[String]) -> Result<(), CliError> {
+    let kernel = kernel_of(input)?;
     let dev = target_of(args)?;
     let lanes = lanes_flag(args)?;
     let exhaustive = has_flag(args, "--exhaustive");

@@ -104,6 +104,29 @@ fn hdl_emits_checked_verilog_to_a_file() {
 }
 
 #[test]
+fn hdl_compiles_the_positional_design_not_the_o_value() {
+    // `-o out.tirl` names a file with the design suffix: the design is
+    // the positional argument after it, and `out.tirl` only receives the
+    // Verilog.
+    let dir = std::env::temp_dir().join("tytra_cli_positional");
+    std::fs::create_dir_all(&dir).unwrap();
+    let design = dir.join("design.tirl");
+    let out = dir.join("out.tirl");
+    std::fs::copy(workspace_root().join("assets/sor_c2.tirl"), &design).unwrap();
+    std::fs::remove_file(&out).ok();
+    let (d, o_path) = (design.to_str().unwrap(), out.to_str().unwrap());
+    let o = tybec(&["hdl", "-o", o_path, d]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    let expected = tybec(&["hdl", d]);
+    assert_eq!(std::fs::read(&out).unwrap(), expected.stdout);
+    assert_eq!(
+        std::fs::read(&design).unwrap(),
+        std::fs::read(workspace_root().join("assets/sor_c2.tirl")).unwrap()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn hdl_wrapper_prints_maxj() {
     let o = tybec(&["hdl", "assets/sor_c2.tirl", "--wrapper"]);
     assert!(o.status.success(), "{}", stderr(&o));
@@ -231,6 +254,21 @@ fn dse_rejects_unknown_kernel() {
     let o = tybec(&["dse"]);
     assert_eq!(o.status.code(), Some(1));
     assert_eq!(stderr(&o), "tybec: expected a kernel: sor|hotspot|lavamd\n");
+}
+
+#[test]
+fn a_flag_before_the_kernel_leaves_the_kernel_positional() {
+    for (flags_first, kernel_first) in [
+        (
+            &["dse", "--target", "eval-small", "sor", "--lanes", "1,2"][..],
+            &["dse", "sor", "--target", "eval-small", "--lanes", "1,2"][..],
+        ),
+        (&["roofline", "--lanes", "1,2", "sor"], &["roofline", "sor", "--lanes", "1,2"]),
+    ] {
+        let o = tybec(flags_first);
+        assert!(o.status.success(), "{flags_first:?}: {}", stderr(&o));
+        assert_eq!(stdout(&o), stdout(&tybec(kernel_first)), "{flags_first:?}");
+    }
 }
 
 #[test]
