@@ -34,25 +34,13 @@ pub struct BoundedMap<K, V> {
     slots: Vec<Slot<K, V>>,
     index: HashMap<K, usize>,
     hand: usize,
-    evictions: u64,
 }
 
 impl<K: Eq + Hash + Clone, V> BoundedMap<K, V> {
     /// An empty map evicting beyond `capacity` entries (clamped to at
     /// least one so the map is always able to memoize something).
     pub fn new(capacity: usize) -> BoundedMap<K, V> {
-        BoundedMap {
-            capacity: capacity.max(1),
-            slots: Vec::new(),
-            index: HashMap::new(),
-            hand: 0,
-            evictions: 0,
-        }
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+        BoundedMap { capacity: capacity.max(1), slots: Vec::new(), index: HashMap::new(), hand: 0 }
     }
 
     /// Entries currently held.
@@ -63,11 +51,6 @@ impl<K: Eq + Hash + Clone, V> BoundedMap<K, V> {
     /// Whether the map holds nothing.
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
-    }
-
-    /// Entries evicted by the clock hand since construction.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 
     /// Look `key` up, marking the entry recently used on a hit.
@@ -117,7 +100,6 @@ impl<K: Eq + Hash + Clone, V> BoundedMap<K, V> {
                 self.index.remove(&slot.key);
                 self.index.insert(key.clone(), i);
                 *slot = Slot { key, value, referenced: true };
-                self.evictions += 1;
                 return true;
             }
         }
@@ -147,7 +129,6 @@ mod tests {
             assert!(!m.insert(i, i * 10));
         }
         assert_eq!(m.len(), 4);
-        assert_eq!(m.evictions(), 0);
         for i in 0..4u64 {
             assert_eq!(m.get(&i), Some(&(i * 10)));
         }
@@ -156,8 +137,8 @@ mod tests {
     #[test]
     fn evicts_the_unreferenced_entry_first() {
         let mut m = BoundedMap::new(2);
-        m.insert('a', ());
-        m.insert('b', ());
+        assert!(!m.insert('a', ()));
+        assert!(!m.insert('b', ()));
         // Cold start: every bit is set, so the sweep clears the lap and
         // takes the first slot in hand order ('a').
         assert!(m.insert('c', ()));
@@ -168,18 +149,16 @@ mod tests {
         assert!(m.insert('d', ()));
         assert!(m.get(&'c').is_some(), "referenced entry survives");
         assert!(m.get(&'b').is_none(), "unreferenced entry is the victim");
-        assert_eq!(m.evictions(), 2);
         assert_eq!(m.len(), 2);
     }
 
     #[test]
     fn replacing_a_present_key_never_evicts() {
         let mut m = BoundedMap::new(2);
-        m.insert("a", 1);
-        m.insert("b", 2);
+        assert!(!m.insert("a", 1));
+        assert!(!m.insert("b", 2));
         assert!(!m.insert("a", 3));
         assert_eq!(m.get(&"a"), Some(&3));
-        assert_eq!(m.evictions(), 0);
     }
 
     #[test]
@@ -192,19 +171,21 @@ mod tests {
     #[test]
     fn zero_capacity_is_clamped() {
         let mut m: BoundedMap<u64, u64> = BoundedMap::new(0);
-        assert_eq!(m.capacity(), 1);
-        m.insert(1, 1);
+        assert!(!m.insert(1, 1));
         assert_eq!(m.get(&1), Some(&1));
+        assert!(m.insert(2, 2), "a second key evicts the first");
+        assert_eq!(m.len(), 1);
     }
 
     #[test]
     fn heavy_churn_stays_within_capacity() {
         let mut m = BoundedMap::new(16);
+        let mut evictions = 0;
         for i in 0..1000u64 {
-            m.insert(i, i);
+            evictions += u64::from(m.insert(i, i));
             let _ = m.get(&(i / 2));
         }
         assert_eq!(m.len(), 16);
-        assert_eq!(m.evictions(), 1000 - 16);
+        assert_eq!(evictions, 1000 - 16);
     }
 }
