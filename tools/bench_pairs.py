@@ -24,11 +24,14 @@ median is worse than the base median by more than the metric's `bound`
 is flagged `WORSE`. A metric whose base runs spread wider than its
 bound (interquartile range over median) is flagged `UNRESOLVED`, unless
 every change run beats every base run: the pairs cannot tell such a
-metric unchanged from changed. Each workload's table ends with the
-worse and the unresolved metrics, so both can be read off the tables.
-With `--record FILE` it appends one JSON line per workload: both
-commits, the seeds and both sides' medians. Uses the Python standard
-library only.
+metric unchanged from changed. A metric is flagged `GAIN` when the
+change won at least nine tenths of the pairs and its median is better
+than the base median by more than the base runs' interquartile range.
+Each workload's table ends with the worse, the unresolved and the
+gained metrics, so all three can be read off the tables. With `--record
+FILE` it appends one JSON line per workload: both commits, the seeds and
+both sides' medians, first and third quartiles. Uses the Python
+standard library only.
 """
 
 import argparse
@@ -84,16 +87,18 @@ def relative(base, change):
 
 
 def compare(workload, seeds, seconds, commits, runs, metrics):
-    """Print one workload's table; returns both sides' medians."""
+    """Print one workload's table; returns both sides' quartiles as
+    {side: {"medians" | "q1" | "q3": {metric: value}}}."""
     print(f"workload {workload}, {len(seeds)} pairs, {seconds} s per run")
     print(f"base   {commits['base']}\nchange {commits['change']}")
     print(
         f"{'metric':<14} {'base med [q1, q3]':>32} {'change med [q1, q3]':>32} {'won':>6}"
         f" {'change':>8}  bound"
     )
-    medians = {"base": {}, "change": {}}
+    stats = {side: {"medians": {}, "q1": {}, "q3": {}} for side in ("base", "change")}
     flagged = []
     unresolved = []
+    gained = []
     for m in metrics:
         name = m["name"]
         if not all(name in r for side in runs for r in runs[side]):
@@ -104,11 +109,12 @@ def compare(workload, seeds, seconds, commits, runs, metrics):
         cells = []
         for side in ("base", "change"):
             med, q1, q3 = quartiles(vals[side])
-            medians[side][name] = med
+            for key, v in (("medians", med), ("q1", q1), ("q3", q3)):
+                stats[side][key][name] = v
             cells.append(f"{med:.4g} [{q1:.4g}, {q3:.4g}]")
-            if side == "base":
-                base_spread = relative(med, med + (q3 - q1))
-        base, change = medians["base"][name], medians["change"][name]
+        base, change = stats["base"]["medians"][name], stats["change"]["medians"][name]
+        base_iqr = stats["base"]["q3"][name] - stats["base"]["q1"][name]
+        base_spread = relative(base, base + base_iqr)
         rel = relative(base, change)
         worse = (rel if m["better"] == "lower" else -rel) > m["bound"]
         if worse:
@@ -117,7 +123,14 @@ def compare(workload, seeds, seconds, commits, runs, metrics):
         unsure = base_spread > m["bound"] and not separated
         if unsure:
             unresolved.append(name)
-        flags = ("  WORSE" if worse else "") + ("  UNRESOLVED" if unsure else "")
+        gain = won >= 0.9 * len(seeds) and better(change, base) and abs(change - base) > base_iqr
+        if gain:
+            gained.append(name)
+        flags = (
+            ("  WORSE" if worse else "")
+            + ("  UNRESOLVED" if unsure else "")
+            + ("  GAIN" if gain else "")
+        )
         print(
             f"{name:<14} {cells[0]:>32} {cells[1]:>32} {won:>3}/{len(seeds)}"
             f" {rel:>+8.1%}  {m['bound']:.0%}{flags}"
@@ -131,8 +144,14 @@ def compare(workload, seeds, seconds, commits, runs, metrics):
         print(f"unresolved on {workload} (base spread wider than the bound): {names}")
     else:
         print(f"no metric unresolved on {workload}")
+    if gained:
+        names = ", ".join(gained)
+        print(f"gained on {workload} (9 in 10 pairs won, medians apart by more than the base IQR):")
+        print(f"  {names}")
+    else:
+        print(f"no metric gained on {workload}")
     print()
-    return medians
+    return stats
 
 
 def main():
@@ -170,7 +189,7 @@ def main():
                     runs[side].append(r["metrics"])
                     p50 = r["metrics"].get("op_ms_p50", {}).get("value")
                     print(f"{workload} seed {seed} {side}: op_ms_p50 {p50}", file=sys.stderr)
-            medians = compare(workload, seeds, seconds, commits, runs, metrics)
+            stats = compare(workload, seeds, seconds, commits, runs, metrics)
             if args.record:
                 line = {
                     "workload": workload,
@@ -178,9 +197,10 @@ def main():
                     "change": commits["change"],
                     "seeds": seeds,
                     "seconds": seconds,
-                    "base_medians": medians["base"],
-                    "change_medians": medians["change"],
                 }
+                for side in ("base", "change"):
+                    for key in ("medians", "q1", "q3"):
+                        line[f"{side}_{key}"] = stats[side][key]
                 with open(args.record, "a") as f:
                     f.write(json.dumps(line) + "\n")
 
