@@ -85,7 +85,7 @@ fn factory_costing_is_5x_faster_than_per_point_lowering() {
 }
 
 /// The flight recorder, on by default, adds at most 5% to a costing
-/// sweep that marks it once per point, as the search's bound step does.
+/// sweep that marks it once per point, as the search does per variant.
 /// On and off sweeps interleave, so drift hits both sides equally.
 #[test]
 fn flight_recorder_adds_at_most_5pct_to_the_costing_sweep() {
@@ -97,7 +97,7 @@ fn flight_recorder_adds_at_most_5pct_to_the_costing_sweep() {
     let marked_sweep = |session: &mut EstimatorSession| {
         let t0 = Instant::now();
         for (i, v) in variants.iter().enumerate() {
-            tytra_trace::recorder::mark("dse.bound", i as u64);
+            tytra_trace::recorder::mark("dse.variant", i as u64);
             let d = factory.design(v).expect("legal variant");
             session.bound_design(&d.patched()).expect("bound");
         }

@@ -50,6 +50,7 @@ const USAGE: &str = "usage: tybec <cost|actual|hdl|tree|dse|roofline|exec|lint|a
   tree   <design.tirl>
   dse    <sor|hotspot|lavamd> [--target <name>] [--lanes 1,2,4,...] [--exhaustive] [--stats] [--metrics]
          [--metrics-format table|prometheus] [--metrics-out <file>]
+         the search estimates every variant; --exhaustive is accepted and changes nothing
   roofline <sor|hotspot|lavamd> [--target <name>] [--lanes 1,2,4,...]
   exec   <design.tirl> [--items N] [--seed S]
   lint   <design.tirl> [--target <name>] [--json] [--deny-warnings]
@@ -396,13 +397,8 @@ fn load<T>(
 /// error-severity diagnostic fails; warnings fail only under
 /// `--deny-warnings`.
 fn cmd_lint(input: Option<&str>, args: &[String]) -> Result<(), CliError> {
+    let m = load(input, tytra_ir::parse_unvalidated)?;
     let path = tirl_path(input)?;
-    let src = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let m = tytra_ir::parse_unvalidated(&src).map_err(|e| {
-        let mut t = TybecError::from(e);
-        t.message = format!("{path}: {}", t.message);
-        CliError::Tybec(t)
-    })?;
     let dev = target_of(args)?;
     let report = tytra_lint::lint(&m, &dev);
     if has_flag(args, "--json") {
@@ -631,7 +627,10 @@ fn cmd_exec(input: Option<&str>, args: &[String]) -> Result<(), CliError> {
     use tytra_sim::{execute_module, ExecInputs};
     let m = load_module(input)?;
     let items: usize = match flag_value(args, "--items") {
-        Some(v) => v.parse().map_err(|e| format!("bad --items: {e}"))?,
+        Some(v) => match v.parse().map_err(|e| format!("bad --items: {e}"))? {
+            0 => return Err("bad --items `0`: a run executes at least one work-item".into()),
+            n => n,
+        },
         None => (m.meta.global_size() as usize).min(4096),
     };
     let seed: u64 = match flag_value(args, "--seed") {
@@ -688,7 +687,6 @@ fn cmd_dse(input: Option<&str>, args: &[String]) -> Result<(), CliError> {
     let kernel = kernel_of(input)?;
     let dev = target_of(args)?;
     let lanes = lanes_flag(args)?;
-    let exhaustive = has_flag(args, "--exhaustive");
     let show_stats = has_flag(args, "--stats");
     let show_metrics = has_flag(args, "--metrics");
     let metrics_format = match flag_value(args, "--metrics-format").unwrap_or("table") {
@@ -720,12 +718,8 @@ fn cmd_dse(input: Option<&str>, args: &[String]) -> Result<(), CliError> {
     }
 
     println!("\n== full exploration ==");
-    // Branch-and-bound by default; `--exhaustive` estimates every point.
-    // Both produce byte-identical leaderboards (see docs/dse-search.md),
-    // so this choice changes wall-time and counters, never the output.
     let space = ExplorationConfig { lanes, ..ExplorationConfig::default() };
-    let cfg =
-        if exhaustive { SearchConfig::exhaustive(space) } else { SearchConfig::pruned(space) };
+    let cfg = SearchConfig { space, ..SearchConfig::default() };
     let outcome = {
         let _sp = tytra_trace::span("dse.search");
         search_with(&factory, &mut session, &cfg)

@@ -184,8 +184,14 @@ fn exit_codes_distinguish_error_categories() {
     assert_eq!(o.status.code(), Some(3), "{}", stderr(&o));
     std::fs::remove_file(&invalid).ok();
 
-    // Filesystem errors exit 8.
-    assert_eq!(tybec(&["cost", "assets/ghost.tirl"]).status.code(), Some(8));
+    // Filesystem errors exit 8, `tybec lint` included, with the `io
+    // error` label.
+    let cost = tybec(&["cost", "assets/ghost.tirl"]);
+    assert_eq!(cost.status.code(), Some(8));
+    assert!(stderr(&cost).starts_with("tybec: io error: reading assets/ghost.tirl"));
+    let lint = tybec(&["lint", "assets/ghost.tirl"]);
+    assert_eq!(lint.status.code(), Some(8), "{}", stderr(&lint));
+    assert_eq!(stderr(&lint), stderr(&cost));
 }
 
 #[test]
@@ -327,34 +333,35 @@ fn dse_stats_reports_high_hit_rate() {
 
 #[test]
 fn dse_exhaustive_flag_does_not_change_the_output() {
-    // The branch-and-bound default and the --exhaustive escape hatch
-    // must print byte-identical reports (the admissibility contract);
-    // only the --stats counters may differ, so compare without them.
-    // The lavamd case sweeps the widest space, lanes 1..=64, over one
-    // variant factory shared by the sweep, the search and the tuning.
+    // The search estimates every variant, so `--exhaustive` is accepted
+    // and changes nothing. The lavamd case sweeps the widest space,
+    // lanes 1..=64, over one variant factory shared by the sweep, the
+    // search and the tuning.
     let wide: String = (1..=64).map(|l: u64| l.to_string()).collect::<Vec<_>>().join(",");
     for base in
         [vec!["dse", "sor", "--target", "eval-small"], vec!["dse", "lavamd", "--lanes", &wide]]
     {
-        let pruned = tybec(&base);
+        let plain = tybec(&base);
         let exhaustive = tybec(&[&base[..], &["--exhaustive"]].concat());
-        assert!(pruned.status.success(), "{}", stderr(&pruned));
+        assert!(plain.status.success(), "{}", stderr(&plain));
         assert!(exhaustive.status.success(), "{}", stderr(&exhaustive));
-        assert_eq!(stdout(&pruned), stdout(&exhaustive), "--exhaustive changed {base:?}");
+        assert_eq!(stdout(&plain), stdout(&exhaustive), "--exhaustive changed {base:?}");
     }
 }
 
 #[test]
-fn a_zero_lane_count_fails_before_any_output() {
-    for args in [
-        &["dse", "sor", "--lanes", "0"][..],
-        &["dse", "sor", "--target", "eval-small", "--lanes", "1,0,2"],
-        &["roofline", "hotspot", "--lanes", "0"],
+fn a_zero_lane_or_item_count_fails_before_any_output() {
+    for (args, why) in [
+        (&["dse", "sor", "--lanes", "0"][..], "bad lane `0`"),
+        (&["dse", "sor", "--target", "eval-small", "--lanes", "1,0,2"], "bad lane `0`"),
+        (&["roofline", "hotspot", "--lanes", "0"], "bad lane `0`"),
+        // Summing no work-items would print `checksum -0, head []`.
+        (&["exec", "assets/sor_c2.tirl", "--items", "0"], "bad --items `0`"),
     ] {
         let o = tybec(args);
         assert_eq!(o.status.code(), Some(1), "{args:?}: {}", stderr(&o));
         assert!(o.stdout.is_empty(), "{args:?}: {}", stdout(&o));
-        assert!(stderr(&o).contains("bad lane `0`"), "{args:?}: {}", stderr(&o));
+        assert!(stderr(&o).contains(why), "{args:?}: {}", stderr(&o));
     }
 }
 
@@ -379,8 +386,8 @@ fn repeated_lane_values_print_each_point_once() {
 const DSE_GOLDEN: &str = include_str!("golden/dse_lanes_1_64.txt");
 
 /// `tybec dse <kernel> --lanes 1,…,64` stdout, pinned byte for byte for
-/// sor, hotspot and lavamd, both at the default settings and with
-/// `--exhaustive`. The fixture holds one `== tybec dse <kernel> --lanes
+/// sor, hotspot and lavamd, both at the default settings and with the
+/// no-op `--exhaustive`. The fixture holds one `== tybec dse <kernel> --lanes
 /// 1,...,64` header line per kernel, followed by that run's stdout.
 ///
 /// Regenerating: when a change moves the model on purpose, run
@@ -423,37 +430,23 @@ fn dse_stdout_over_lanes_1_to_64_matches_the_golden_fixture() {
 }
 
 #[test]
-fn dse_stats_shows_pruning_counters() {
-    let o = tybec(&["dse", "sor", "--target", "eval-small", "--stats"]);
-    assert!(o.status.success(), "{}", stderr(&o));
-    let out = stdout(&o);
-    let line = out
-        .lines()
-        .find(|l| l.trim_start().starts_with("search"))
-        .unwrap_or_else(|| panic!("no search stats line:\n{out}"));
-    assert!(line.contains("generated"), "{line}");
-    assert!(line.contains("pruned"), "{line}");
-    // The default eval-small sweep includes lane counts that cannot fit,
-    // so the bound pass must have pruned something.
-    let pruned: u64 = line
-        .split_whitespace()
-        .zip(line.split_whitespace().skip(1))
-        .find(|(_, label)| *label == "pruned")
-        .and_then(|(n, _)| n.parse().ok())
-        .unwrap_or_else(|| panic!("unparseable search line: {line}"));
-    assert!(pruned > 0, "expected pruning on eval-small: {line}");
-
-    let exhaustive = tybec(&["dse", "sor", "--target", "eval-small", "--stats", "--exhaustive"]);
-    let ex_out = stdout(&exhaustive);
-    let ex_line = ex_out
-        .lines()
-        .find(|l| l.trim_start().starts_with("search"))
-        .unwrap_or_else(|| panic!("no search stats line:\n{ex_out}"));
-    assert!(ex_line.contains(" 0 pruned"), "exhaustive mode must not prune: {ex_line}");
-    // The faulted column is byte-stable and reads 0 on a healthy sweep,
-    // in both modes.
-    assert!(line.ends_with("    0 faulted"), "pruned line: {line}");
-    assert!(ex_line.ends_with("    0 faulted"), "exhaustive line: {ex_line}");
+fn dse_stats_shows_the_search_counters() {
+    // The default eval-small space: 14 legal variants, each estimated,
+    // the ones that cannot fit too; the faulted column reads 0 on a
+    // healthy sweep.
+    for extra in [&[][..], &["--exhaustive"][..]] {
+        let o = tybec(&[&["dse", "sor", "--target", "eval-small", "--stats"][..], extra].concat());
+        assert!(o.status.success(), "{}", stderr(&o));
+        let out = stdout(&o);
+        let line = out
+            .lines()
+            .find(|l| l.trim_start().starts_with("search"))
+            .unwrap_or_else(|| panic!("no search stats line:\n{out}"));
+        assert_eq!(
+            line, "  search              14 generated     14 estimated    0 faulted",
+            "{extra:?}"
+        );
+    }
 }
 
 const ASSETS: [&str; 4] = [
@@ -585,7 +578,6 @@ fn chrome_trace_has_all_pass_spans_and_nests_variants_in_the_search() {
         "eval-small",
         "--lanes",
         "1,2,4",
-        "--exhaustive",
         "--trace",
         path.to_str().unwrap(),
         "--trace-format",
@@ -659,46 +651,6 @@ fn chrome_trace_has_all_pass_spans_and_nests_variants_in_the_search() {
 }
 
 #[test]
-fn pruned_search_trace_has_bound_spans() {
-    // The default (branch-and-bound) dse run must show its bound pass in
-    // the trace: a dse.bound span per bounded variant, alongside the
-    // dse.variant spans of the survivors that paid the full estimate.
-    let path = trace_tmp("dse_bound.json");
-    let o = tybec(&[
-        "dse",
-        "sor",
-        "--target",
-        "eval-small",
-        "--trace",
-        path.to_str().unwrap(),
-        "--trace-format",
-        "chrome",
-    ]);
-    assert!(o.status.success(), "{}", stderr(&o));
-    let body = std::fs::read_to_string(&path).unwrap();
-    let doc = tytra_trace::json::parse(&body).expect("chrome trace parses as JSON");
-    let events = doc.get("traceEvents").and_then(|e| e.as_arr()).expect("traceEvents array");
-    let count = |name: &str| {
-        events
-            .iter()
-            .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"))
-            .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some(name))
-            .count()
-    };
-    let bounds = count("dse.bound");
-    let estimates = count("dse.variant");
-    assert_eq!(count("tybec.dse"), 1, "one root span");
-    assert!(bounds > 0, "pruned search must trace its bound pass");
-    assert!(estimates > 0, "survivors must still be fully estimated");
-    assert!(
-        estimates < bounds,
-        "the default eval-small sweep has unfittable lane counts, so some \
-         variants must be pruned: {bounds} bounds vs {estimates} estimates"
-    );
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
 fn jsonl_trace_lines_all_parse() {
     let path = trace_tmp("cost_lines.jsonl");
     let o = tybec(&[
@@ -751,13 +703,10 @@ fn dse_metrics_prints_the_registry_table() {
     assert_eq!(
         names,
         [
-            "dse.bound_ns",
             "dse.estimate_ns",
             "dse.faulted",
             "dse.points",
             "dse.points_per_sec",
-            "dse.pruned_bound",
-            "dse.pruned_unfit",
             "estimator.bound_ns",
             "estimator.estimate_ns",
             "session.memo.entries",
@@ -910,9 +859,9 @@ fn dse_stats_shows_latency_quantiles() {
         .lines()
         .find(|l| l.trim_start().starts_with("latency (ns)"))
         .unwrap_or_else(|| panic!("no latency stats line:\n{out}"));
-    assert!(line.contains("bound p50"), "{line}");
-    assert!(line.contains("estimate p50"), "{line}");
-    assert!(line.contains('≤'), "a real sweep must populate the histograms: {line}");
+    assert!(line.starts_with("  latency (ns)   estimate p50 "), "{line}");
+    assert!(!line.contains("bound"), "a dse run never bounds: {line}");
+    assert!(line.contains('≤'), "a real sweep must populate the histogram: {line}");
     assert!(!line.contains("n/a"), "{line}");
 }
 

@@ -1,14 +1,13 @@
-//! The `bound` pass: admissible analytic bounds for branch-and-bound DSE.
+//! The `bound` pass: an exact fit verdict and an upper bound on EKIT,
+//! without the schedule or clock walks over the datapath.
 //!
 //! A full estimate runs eight passes; most of that cost is the schedule
-//! and clock walks over the datapath. This pass prices a variant from
-//! the *wall terms* of Eqs 1–3 alone — the memoized per-function
-//! resource sums and the bandwidth model — and yields
+//! and clock walks. This pass prices a design from the *wall terms* of
+//! Eqs 1–3 alone — the memoized per-function resource sums and the
+//! bandwidth model — and yields
 //!
-//! * an **exact** resource total (the resource pass is already
-//!   per-function-memoized arithmetic, so the "lower bound" on resource
-//!   use per variant family is the exact value — and with it an exact
-//!   fit/doesn't-fit verdict), and
+//! * the **exact** resource total and fit verdict (the resource pass is
+//!   memoized integer arithmetic, the same the full estimate runs), and
 //! * an **upper bound on EKIT**: a lower bound on `t_instance` built
 //!   from the terms that do not need a schedule or a clock.
 //!
@@ -23,23 +22,18 @@
 //! `t_host`, `t_memory` and `t_overhead` are computed by the *same
 //! expressions* as [`crate::throughput::estimate_throughput`]; the
 //! initiation interval `II` is recomputed exactly from the configuration
-//! tree (it depends only on the lane subtree's kind and instruction
-//! count, not on the scheduled datapath); and the achieved clock can
-//! never exceed `max(Fmax, 1)` MHz ([`TargetDevice::clock_mhz`] derates
-//! and clamps downwards only). Every dropped term is non-negative and
-//! every substituted term is a floor of its exact counterpart under the
-//! same floating-point rounding, so `t_lower ≤ t_instance` holds
-//! bit-for-bit and `ekit ≤ ekit_upper` — the search never prunes a
-//! variant that could have entered the leaderboard. The admissibility
-//! argument, including the floating-point monotonicity details, is
-//! written out in `docs/dse-search.md`.
+//! tree; and the achieved clock can never exceed `max(Fmax, 1)` MHz
+//! ([`TargetDevice::clock_mhz`] derates and clamps downwards only). So
+//! `t_lower ≤ t_instance` and `ekit ≤ ekit_upper` hold bit for bit;
+//! `docs/estimator-internals.md` writes the argument out. Serve's
+//! `bound` request returns this verdict.
 
 use crate::bandwidth::BandwidthBreakdown;
 use crate::params::RawGeometry;
 use tytra_device::{ResourceVector, TargetDevice};
 use tytra_ir::MemForm;
 
-/// The bound pass's verdict on one variant.
+/// The bound pass's verdict on one design.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostBound {
     /// Exact resource total (the per-family lower bound is tight: the
@@ -50,22 +44,8 @@ pub struct CostBound {
     pub fits: bool,
     /// Lower bound on seconds per kernel instance.
     pub t_lower: f64,
-    /// Upper bound on EKIT (`1 / t_lower`; `+∞` when `t_lower` is 0, so
-    /// a zero-cost bound can never prune).
+    /// Upper bound on EKIT (`1 / t_lower`; `+∞` when `t_lower` is 0).
     pub ekit_upper: f64,
-}
-
-impl CostBound {
-    /// Can this variant possibly beat an incumbent EKIT? Strict
-    /// comparison: an exact tie must still be estimated so deterministic
-    /// index tie-breaking sees it. Deliberately `!(a < b)` rather than
-    /// `a >= b`: if either side were ever NaN the answer must be "keep"
-    /// (estimating too much is safe, pruning too much is a wrong
-    /// leaderboard).
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    pub fn can_beat(&self, incumbent_ekit: f64) -> bool {
-        !(self.ekit_upper < incumbent_ekit)
-    }
 }
 
 /// Assemble the bound from the geometry, the bandwidth assessment and
@@ -154,25 +134,6 @@ mod tests {
             host_effective: 2.4e9,
             rho_h: 0.6,
         }
-    }
-
-    #[test]
-    fn zero_time_bound_cannot_prune() {
-        let b = CostBound {
-            resources: ResourceVector::default(),
-            fits: true,
-            t_lower: 0.0,
-            ekit_upper: f64::INFINITY,
-        };
-        assert!(b.can_beat(1e300));
-    }
-
-    #[test]
-    fn exact_tie_is_not_prunable() {
-        let dev = eval_small();
-        let b = assemble(&geom(MemForm::B), &dev, &bw(), 1.0, ResourceVector::default(), true);
-        assert!(b.can_beat(b.ekit_upper), "strict comparison keeps ties");
-        assert!(!b.can_beat(b.ekit_upper * (1.0 + 1e-9)));
     }
 
     #[test]

@@ -250,7 +250,7 @@ impl EstimatorSession {
         self.estimate_design(&ArenaModule::build(m.clone()).identity())
     }
 
-    /// The cheap branch-and-bound pass over a module:
+    /// The cheap bound pass over a module:
     /// [`bound_design`][EstimatorSession::bound_design] on the identity
     /// patch of an arena built over a copy of `m`.
     pub fn bound(&mut self, m: &IrModule) -> Result<CostBound, TybecError> {
@@ -358,7 +358,7 @@ impl EstimatorSession {
         Ok(report)
     }
 
-    /// The cheap branch-and-bound pass over an arena-backed design: an
+    /// The cheap bound pass over an arena-backed design: an
     /// exact resource/fit verdict plus an admissible upper bound on EKIT,
     /// from the memoized validate, resource and bandwidth passes alone —
     /// no schedule or clock walk over the datapath (see [`crate::bound`]).

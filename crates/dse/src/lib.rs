@@ -5,11 +5,8 @@
 //! kernel". This crate drives it:
 //!
 //! * [`search()`][search::search] — the DSE engine: generate the legal
-//!   variants of a kernel by type transformation, lazily, and cost them
-//!   in generation order, with an admissible analytic bound pruning
-//!   variants that cannot fit the device or beat the incumbent before
-//!   the full estimate runs (bit-identical leaderboards to exhaustive
-//!   mode). The leaderboard's first entry is the
+//!   variants of a kernel by type transformation and cost every one of
+//!   them, in generation order. The leaderboard's first entry is the
 //!   guided-optimisation choice: the fastest EKIT among variants that
 //!   fit the device;
 //! * [`lane_sweep`] — the Fig 15 experiment: utilisation per resource,
@@ -36,6 +33,6 @@ pub use report::{
 pub use roofline::{roofline, RooflinePoint};
 pub use search::{
     search, search_with, EvaluatedVariant, ExplorationConfig, InvalidVariant, SearchConfig,
-    SearchMode, SearchOutcome, SearchStats,
+    SearchOutcome, SearchStats,
 };
 pub use tuning::{tune, tune_session, tune_with, TuningStep};

@@ -170,9 +170,8 @@ fn render_leaderboard(evaluated: &[EvaluatedVariant], top: usize) -> String {
 }
 
 /// Render a [`SearchOutcome`]'s leaderboard plus its infeasible-set
-/// summary. Everything here is derived from the search *outcome* — never
-/// from the mode-dependent counters — so the text is byte-identical
-/// between pruned and exhaustive modes.
+/// summary. Everything here is derived from the search *outcome*, never
+/// from its counters.
 pub fn render_search_leaderboard(outcome: &SearchOutcome, top: usize) -> String {
     let mut s = render_leaderboard(&outcome.leaderboard, top);
     match outcome.invalid.len() {
@@ -187,36 +186,24 @@ pub fn render_search_leaderboard(outcome: &SearchOutcome, top: usize) -> String 
 /// [`render_stats_line`].
 pub fn render_search_stats_line(s: &SearchStats) -> String {
     format!(
-        "  search         {:>7} generated {:>6} estimated {:>6} pruned ({} bound, {} unfit) {:>4} faulted",
-        s.generated,
-        s.estimated,
-        s.pruned(),
-        s.pruned_bound,
-        s.pruned_unfit,
-        s.faulted
+        "  search         {:>7} generated {:>6} estimated {:>4} faulted",
+        s.generated, s.estimated, s.faulted
     )
 }
 
 /// The `tybec dse --stats` per-variant costing-latency line: p50/p99 of
-/// the estimator's bound and full-estimate passes, read from the
-/// session-metrics histograms. The quantiles are log₂-bucket *upper
-/// bounds* in nanoseconds (hence `≤`), so the line is byte-stable for a
-/// given set of bucket hits; an empty histogram (e.g. bound in
-/// `--exhaustive` mode, which never runs the bound pass) prints `n/a`.
+/// the estimator's full-estimate pass, read from the session-metrics
+/// histogram. The quantiles are log₂-bucket *upper bounds* in
+/// nanoseconds (hence `≤`), so the line is byte-stable for a given set
+/// of bucket hits; an empty histogram (a dry run) prints `n/a`.
 pub fn render_latency_stats_line(snap: &Snapshot) -> String {
-    fn quantiles(snap: &Snapshot, name: &str) -> (String, String) {
-        match snap.get(name) {
-            Some(MetricValue::Histogram(h)) if h.count > 0 => {
-                (format!("≤{}", h.quantile_bound(0.50)), format!("≤{}", h.quantile_bound(0.99)))
-            }
-            _ => ("n/a".to_string(), "n/a".to_string()),
+    let (p50, p99) = match snap.get("estimator.estimate_ns") {
+        Some(MetricValue::Histogram(h)) if h.count > 0 => {
+            (format!("≤{}", h.quantile_bound(0.50)), format!("≤{}", h.quantile_bound(0.99)))
         }
-    }
-    let (bp50, bp99) = quantiles(snap, "estimator.bound_ns");
-    let (ep50, ep99) = quantiles(snap, "estimator.estimate_ns");
-    format!(
-        "  latency (ns)   bound p50 {bp50:>9} p99 {bp99:>9}  estimate p50 {ep50:>9} p99 {ep99:>9}"
-    )
+        _ => ("n/a".to_string(), "n/a".to_string()),
+    };
+    format!("  latency (ns)   estimate p50 {p50:>9} p99 {p99:>9}")
 }
 
 #[cfg(test)]
@@ -305,58 +292,33 @@ mod tests {
 
     #[test]
     fn search_stats_line_is_byte_stable() {
-        let s = SearchStats {
-            generated: 24,
-            estimated: 10,
-            pruned_unfit: 8,
-            pruned_bound: 6,
-            ..SearchStats::default()
-        };
+        let s = SearchStats { generated: 24, estimated: 24, ..SearchStats::default() };
         assert_eq!(
             render_search_stats_line(&s),
-            "  search              24 generated     10 estimated     14 pruned (6 bound, 8 unfit)    0 faulted"
+            "  search              24 generated     24 estimated    0 faulted"
         );
-        let faulty = SearchStats { faulted: 2, ..s };
+        let faulty = SearchStats { estimated: 22, faulted: 2, ..s };
         assert!(render_search_stats_line(&faulty).ends_with("    2 faulted"));
-    }
-
-    #[test]
-    fn search_stats_line_with_no_pruning() {
-        let s = SearchStats { generated: 6, estimated: 6, ..SearchStats::default() };
-        assert_eq!(
-            render_search_stats_line(&s),
-            "  search               6 generated      6 estimated      0 pruned (0 bound, 0 unfit)    0 faulted"
-        );
     }
 
     #[test]
     fn latency_stats_line_is_byte_stable() {
         use tytra_trace::metrics::Registry;
         let reg = Registry::new();
-        reg.histogram("estimator.bound_ns").record(100); // bucket bound 127
+        reg.histogram("estimator.bound_ns").record(100); // served `bound` requests only
         reg.histogram("estimator.estimate_ns").record(1000); // bucket bound 1023
         assert_eq!(
             render_latency_stats_line(&reg.snapshot()),
-            "  latency (ns)   bound p50      ≤127 p99      ≤127  estimate p50     ≤1023 p99     ≤1023"
+            "  latency (ns)   estimate p50     ≤1023 p99     ≤1023"
         );
     }
 
     #[test]
-    fn latency_stats_line_shows_na_for_empty_histograms() {
-        // An exhaustive search never runs the bound pass; a dry run never
-        // estimates. Neither may print a misleading `≤0`.
-        let line = render_latency_stats_line(&Snapshot::new());
+    fn latency_stats_line_shows_na_for_an_empty_histogram() {
+        // A dry run never estimates; it may not print a misleading `≤0`.
         assert_eq!(
-            line,
-            "  latency (ns)   bound p50       n/a p99       n/a  estimate p50       n/a p99       n/a"
-        );
-        use tytra_trace::metrics::Registry;
-        let reg = Registry::new();
-        reg.histogram("estimator.estimate_ns").record(1000);
-        let mixed = render_latency_stats_line(&reg.snapshot());
-        assert_eq!(
-            mixed,
-            "  latency (ns)   bound p50       n/a p99       n/a  estimate p50     ≤1023 p99     ≤1023"
+            render_latency_stats_line(&Snapshot::new()),
+            "  latency (ns)   estimate p50       n/a p99       n/a"
         );
     }
 
@@ -371,7 +333,7 @@ mod tests {
             vects: vec![1],
             forms: vec![MemForm::A, MemForm::B],
         };
-        let outcome = search(&sor, &dev, &SearchConfig::pruned(space));
+        let outcome = search(&sor, &dev, &SearchConfig { space, ..SearchConfig::default() });
         let text = render_search_leaderboard(&outcome, 10);
         // The board opens with the leaderboard header.
         assert_eq!(

@@ -1,39 +1,32 @@
-//! Branch-and-bound design-space search: the DSE engine.
+//! The design-space search: the DSE engine.
 //!
-//! Costing a kernel's design space need not pay the full 8-pass
-//! estimate for every point. [`search()`] applies the Fig-15 insight the
-//! paper builds towards: the wall terms of Eqs 1–3 (bandwidth,
-//! overheads, the clock-ceiling compute floor) plus the exact memoized
-//! resource sums are enough to *prove* most variants out of contention
-//! before any schedule or clock pass runs. The engine:
+//! [`search()`] costs every legal variant of a kernel with the full
+//! eight-pass estimate, in generation order. The paper's model exists to
+//! cost each variant a compiler generates, and a warm `estimate_design`
+//! takes about a microsecond, so no variant is skipped. The engine:
 //!
-//! * walks the legal variants lazily, in generation order
-//!   ([`VariantIter`]), on the calling thread and through the caller's
+//! * enumerates the legal `pipe` variants ([`enumerate_variants`]) and
+//!   costs them on the calling thread through the caller's
 //!   [`EstimatorSession`], so a driver that sweeps, searches and tunes
 //!   (`tybec dse`) shares one set of memo tables;
 //! * materialises each variant as a copy-on-write patch over a shared
 //!   arena base ([`VariantFactory`] — one lowering per structural
 //!   class), and costs it through the estimator's zero-alloc
-//!   `bound_design`/`estimate_design` passes instead of cloning a tree
-//!   module per design point;
-//! * keeps a top-K board of the best valid variants so far, and skips
-//!   the full estimate whenever the admissible
-//!   [`bound`][EstimatorSession::bound_design] proves a variant cannot
-//!   beat the board's K-th EKIT or cannot fit the device;
-//! * breaks EKIT ties by generation index, so the ranked leaderboard is
-//!   **bit-identical** to [`SearchMode::Exhaustive`] however many
-//!   variants were pruned (the admissibility argument is written out in
-//!   `docs/dse-search.md`).
+//!   `estimate_design` pass instead of cloning a tree module per design
+//!   point;
+//! * keeps a top-K board of the best valid variants, breaking EKIT ties
+//!   by generation index, and collects the variants that do not fit the
+//!   device (see `docs/dse-search.md`).
 //!
-//! Tracing: each bound carries a `dse.bound` span and each full estimate
-//! a `dse.variant` span, nested under the caller's span.
+//! Tracing: each estimate carries a `dse.variant` span, nested under the
+//! caller's span.
 //!
-//! Observability: the search leaves `dse.bound`/`dse.variant`
-//! breadcrumbs in the always-on [flight recorder][tytra_trace::recorder]
+//! Observability: the search leaves a `dse.variant` breadcrumb per
+//! variant in the always-on [flight recorder][tytra_trace::recorder]
 //! (so a crashed or faulted variant ships a post-mortem trace — see
 //! [`SearchOutcome::fault_dumps`]), and returns its `dse.*` metrics in
-//! [`SearchOutcome::metrics`]: bound-vs-estimate latency histograms,
-//! plus counters and a `dse.points_per_sec` gauge written once from
+//! [`SearchOutcome::metrics`]: the estimate latency histogram, plus
+//! counters and a `dse.points_per_sec` gauge written once from
 //! [`SearchStats`] after the walk.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -45,7 +38,7 @@ use tytra_kernels::EvalKernel;
 use tytra_trace::metrics::{Histogram, Registry, Snapshot};
 use tytra_trace::recorder;
 use tytra_trace::{self as trace};
-use tytra_transform::{IndexedVariant, Variant, VariantFactory, VariantIter};
+use tytra_transform::{enumerate_variants, InnerKind, Variant, VariantFactory};
 
 /// What to sweep. A value repeated on an axis is generated once, at its
 /// first occurrence.
@@ -78,28 +71,14 @@ pub struct EvaluatedVariant {
     pub report: CostReport,
 }
 
-/// Whether the search may prune on analytic bounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SearchMode {
-    /// Branch-and-bound: run the cheap bound pass first and estimate
-    /// only variants that fit and could beat the incumbent.
-    Pruned,
-    /// The escape hatch: estimate every variant (`tybec dse
-    /// --exhaustive`). Same leaderboard, byte for byte.
-    Exhaustive,
-}
-
 /// Search configuration: the space to sweep plus search-specific knobs.
 #[derive(Debug, Clone)]
 pub struct SearchConfig {
     /// The design space.
     pub space: ExplorationConfig,
-    /// Prune on bounds or estimate everything.
-    pub mode: SearchMode,
     /// Leaderboard size: the search returns the top `top_k` valid
-    /// variants (the incumbent threshold is the K-th best, so larger
-    /// boards prune less). The board grows with what it holds, never
-    /// with `top_k`, so any value is safe.
+    /// variants. The board grows with what it holds, never with
+    /// `top_k`, so any value is safe.
     pub top_k: usize,
     /// Test/fuzz hook: a predicate selecting variants whose estimate
     /// must fault (the search panics inside its catch region). `None` in
@@ -108,14 +87,11 @@ pub struct SearchConfig {
 }
 
 impl SearchConfig {
-    /// Pruned search over `space` with the default board size.
+    /// A search over `space` with the default board size. The search
+    /// estimates every variant; the name is from when it pruned on an
+    /// analytic bound, and stays because the benchmark calls it.
     pub fn pruned(space: ExplorationConfig) -> SearchConfig {
-        SearchConfig { space, mode: SearchMode::Pruned, top_k: 10, fault_inject: None }
-    }
-
-    /// Exhaustive search over `space` (the `--exhaustive` escape hatch).
-    pub fn exhaustive(space: ExplorationConfig) -> SearchConfig {
-        SearchConfig { mode: SearchMode::Exhaustive, ..SearchConfig::pruned(space) }
+        SearchConfig { space, top_k: 10, fault_inject: None }
     }
 }
 
@@ -125,24 +101,20 @@ impl Default for SearchConfig {
     }
 }
 
-/// What the search did, not what it found: generation and pruning
-/// counters. The search runs in generation order on one thread, so every
-/// counter is a deterministic function of the space, the device and the
-/// configuration.
+/// What the search did, not what it found. The search runs in generation
+/// order on one thread, so every counter is a deterministic function of
+/// the space, the device and the configuration.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Legal variants drawn from the generator.
     pub generated: u64,
-    /// Variants that paid the full 8-pass estimate.
+    /// Variants that paid the full 8-pass estimate: every generated
+    /// variant but the faulted ones.
     pub estimated: u64,
-    /// Variants proven not to fit the device by the bound pass alone.
-    pub pruned_unfit: u64,
-    /// Variants whose EKIT upper bound could not beat the incumbent.
-    pub pruned_bound: u64,
     /// Always 0: the search runs on its caller's thread and steals no
     /// work. Kept because the benchmark reads it as `dse.stolen`.
     pub stolen: u64,
-    /// Variants whose bound or estimate faulted (error or caught
+    /// Variants whose design or estimate faulted (error or caught
     /// panic). Faulted variants are skipped, never aborting the sweep;
     /// the leaderboard over the healthy variants is unaffected.
     pub faulted: u64,
@@ -152,19 +124,10 @@ pub struct SearchStats {
 }
 
 impl SearchStats {
-    /// Variants that skipped the full estimate.
-    pub fn pruned(&self) -> u64 {
-        self.pruned_unfit + self.pruned_bound
-    }
-
-    /// Fraction of generated variants that skipped the full estimate
-    /// (0 when nothing was generated).
+    /// Always 0: the search estimates every variant it generates. Kept
+    /// because the benchmark reads it as `dse.pruned_frac`.
     pub fn pruned_fraction(&self) -> f64 {
-        if self.generated == 0 {
-            0.0
-        } else {
-            self.pruned() as f64 / self.generated as f64
-        }
+        0.0
     }
 }
 
@@ -172,17 +135,13 @@ impl std::ops::AddAssign for SearchStats {
     fn add_assign(&mut self, rhs: SearchStats) {
         self.generated += rhs.generated;
         self.estimated += rhs.estimated;
-        self.pruned_unfit += rhs.pruned_unfit;
-        self.pruned_bound += rhs.pruned_bound;
         self.stolen += rhs.stolen;
         self.faulted += rhs.faulted;
         self.collapsed += rhs.collapsed;
     }
 }
 
-/// A variant proven not to fit the device. The verdict is exact in both
-/// modes (the bound's resource pass is the estimator's resource pass),
-/// so pruned and exhaustive searches report the same set.
+/// A variant that does not fit the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InvalidVariant {
     /// Position in the legal generation order.
@@ -196,31 +155,26 @@ pub struct InvalidVariant {
 #[derive(Debug)]
 pub struct SearchOutcome {
     /// Top `top_k` device-fitting variants by (EKIT desc, index asc).
-    /// Bit-identical between [`SearchMode::Pruned`] and
-    /// [`SearchMode::Exhaustive`].
     pub leaderboard: Vec<EvaluatedVariant>,
     /// Variants that do not fit the device, by generation index.
     pub invalid: Vec<InvalidVariant>,
-    /// Search counters (generated / estimated / pruned / faulted).
+    /// Search counters (generated / estimated / faulted).
     pub stats: SearchStats,
-    /// The search's own `dse.*` metrics: the `dse.points`,
-    /// `dse.faulted`, `dse.pruned_unfit` and `dse.pruned_bound` counters
-    /// (equal to their [`SearchStats`] fields), the `dse.points_per_sec`
-    /// gauge and the `dse.bound_ns`/`dse.estimate_ns` latency
-    /// histograms. The estimator's metrics stay in the caller's session.
+    /// The search's own `dse.*` metrics: the `dse.points` and
+    /// `dse.faulted` counters (equal to their [`SearchStats`] fields),
+    /// the `dse.points_per_sec` gauge and the `dse.estimate_ns` latency
+    /// histogram. The estimator's metrics stay in the caller's session.
     pub metrics: Snapshot,
     /// Post-mortem flight-recorder dumps, one per faulted variant, in
     /// generation order: `(variant tag, rendered dump)`. The dump is the
     /// calling thread's lane at the moment the fault was recorded, so it
-    /// ends with the variant's `dse.bound`/`dse.variant` breadcrumbs and
-    /// the `dse.fault` mark itself.
+    /// ends with the variant's `dse.variant` breadcrumb and the
+    /// `dse.fault` mark itself.
     pub fault_dumps: Vec<(String, String)>,
 }
 
 /// The top-K board: the best valid variants so far, ranked by (EKIT
-/// descending, generation index ascending). Its K-th EKIT is the pruning
-/// threshold, which only ever rises, so a variant pruned against it is
-/// also out of the final board.
+/// descending, generation index ascending).
 struct Board {
     entries: Vec<EvaluatedVariant>,
     k: usize,
@@ -229,17 +183,6 @@ struct Board {
 impl Board {
     fn new(k: usize) -> Board {
         Board { entries: Vec::new(), k }
-    }
-
-    /// The EKIT a variant must reach to enter the board: −∞ until `k`
-    /// valid variants have been estimated (nothing prunes before the
-    /// board is full), +∞ for a board with no room at all.
-    fn threshold(&self) -> f64 {
-        if self.entries.len() < self.k {
-            f64::NEG_INFINITY
-        } else {
-            self.entries.last().map_or(f64::INFINITY, |e| e.report.throughput.ekit)
-        }
     }
 
     /// Rank a newly estimated valid variant. Variants arrive in
@@ -262,12 +205,7 @@ struct Run {
     invalid: Vec<InvalidVariant>,
     stats: SearchStats,
     fault_dumps: Vec<(String, String)>,
-}
-
-/// The search's latency histograms: every bound and every estimate call
-/// is timed.
-struct Obs {
-    bound_ns: Histogram,
+    /// Every estimate call is timed, the faulting ones too.
     estimate_ns: Histogram,
 }
 
@@ -285,122 +223,86 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Record one faulted variant: counted, traced as a `dse.fault` span,
 /// stamped into the flight recorder, and shipped with a post-mortem dump
 /// of this thread's lane — then skipped; the sweep continues.
-fn record_fault(run: &mut Run, item: &IndexedVariant, why: &str) {
+fn record_fault(run: &mut Run, index: u64, variant: &Variant, why: &str) {
     run.stats.faulted += 1;
-    recorder::mark("dse.fault", item.index);
+    recorder::mark("dse.fault", index);
     if trace::enabled() {
-        let _sp = trace::span("dse.fault")
-            .with("variant", item.variant.tag())
-            .with("why", why.to_string());
+        let _sp =
+            trace::span("dse.fault").with("variant", variant.tag()).with("why", why.to_string());
     }
     if let Some(lane) = recorder::dump_current_thread() {
-        run.fault_dumps.push((item.variant.tag(), recorder::render_dump(&[lane])));
+        run.fault_dumps.push((variant.tag(), recorder::render_dump(&[lane])));
     }
 }
 
-/// Bound (in pruned mode) and, if the variant survives, estimate one
-/// design point.
+/// Estimate one design point and file it on the board or in the
+/// infeasible set.
 ///
-/// Both the bound and the estimate run inside `catch_unwind`, so one
-/// faulting variant (an `Err` *or* a panic deep in a pass) is skipped
-/// and counted instead of tearing down the whole sweep. The session is
-/// treated as unwind-safe: its memo tables are keyed by structural
-/// fingerprint, so the worst a mid-pass panic leaves behind is an absent
-/// entry for the faulted module, never a wrong one for a healthy module.
-fn process_item(
+/// The estimate runs inside `catch_unwind`, so one faulting variant (an
+/// `Err` *or* a panic deep in a pass) is skipped and counted instead of
+/// tearing down the whole sweep. The session is treated as unwind-safe:
+/// its memo tables are keyed by structural fingerprint, so the worst a
+/// mid-pass panic leaves behind is an absent entry for the faulted
+/// module, never a wrong one for a healthy module.
+fn cost_variant(
     factory: &VariantFactory,
-    item: IndexedVariant,
+    index: u64,
+    variant: Variant,
     cfg: &SearchConfig,
     session: &mut EstimatorSession,
     run: &mut Run,
-    obs: &Obs,
 ) {
     // The factory serves the variant as a four-cell patch over a shared
     // arena base (lowered once per structural class). The generator
     // already filtered illegal reshapes, but a variant can still fail
     // validation (two lanes' generated names colliding, say): that
     // variant is a fault like any other.
-    let design = match factory.design(&item.variant) {
+    let design = match factory.design(&variant) {
         Ok(design) => design,
         Err(e) => {
-            record_fault(run, &item, &e.to_string());
+            record_fault(run, index, &variant, &e.to_string());
             return;
         }
     };
-    let d = design.patched();
 
-    if cfg.mode == SearchMode::Pruned {
-        recorder::mark("dse.bound", item.index);
-        let b0 = Instant::now();
-        let verdict = catch_unwind(AssertUnwindSafe(|| {
-            let _sp = trace::enabled()
-                .then(|| trace::span("dse.bound").with("variant", item.variant.tag()));
-            session.bound_design(&d)
-        }));
-        obs.bound_ns.record(b0.elapsed().as_nanos() as u64);
-        let bound = match verdict {
-            Ok(Ok(bound)) => bound,
-            Ok(Err(e)) => {
-                record_fault(run, &item, &e.to_string());
-                return;
-            }
-            Err(payload) => {
-                record_fault(run, &item, &panic_message(payload.as_ref()));
-                return;
-            }
-        };
-        if !bound.fits {
-            run.stats.pruned_unfit += 1;
-            run.invalid.push(InvalidVariant { index: item.index, variant: item.variant });
-            return;
-        }
-        if !bound.can_beat(run.board.threshold()) {
-            run.stats.pruned_bound += 1;
-            return;
-        }
-    }
-
-    recorder::mark("dse.variant", item.index);
+    recorder::mark("dse.variant", index);
     let e0 = Instant::now();
     let estimated = catch_unwind(AssertUnwindSafe(|| {
-        let _sp = trace::enabled()
-            .then(|| trace::span("dse.variant").with("variant", item.variant.tag()));
+        let _sp =
+            trace::enabled().then(|| trace::span("dse.variant").with("variant", variant.tag()));
         if let Some(faulty) = cfg.fault_inject {
-            if faulty(&item.variant) {
-                panic!("injected estimator fault on {}", item.variant.tag());
+            if faulty(&variant) {
+                panic!("injected estimator fault on {}", variant.tag());
             }
         }
-        session.estimate_design(&d)
+        session.estimate_design(&design.patched())
     }));
-    obs.estimate_ns.record(e0.elapsed().as_nanos() as u64);
+    run.estimate_ns.record(e0.elapsed().as_nanos() as u64);
     let report = match estimated {
         Ok(Ok(report)) => report,
         Ok(Err(e)) => {
-            record_fault(run, &item, &e.to_string());
+            record_fault(run, index, &variant, &e.to_string());
             return;
         }
         Err(payload) => {
-            record_fault(run, &item, &panic_message(payload.as_ref()));
+            record_fault(run, index, &variant, &panic_message(payload.as_ref()));
             return;
         }
     };
     run.stats.estimated += 1;
     if report.fits {
-        run.board.record(EvaluatedVariant { variant: item.variant, report });
+        run.board.record(EvaluatedVariant { variant, report });
     } else {
-        // Exhaustive mode discovers infeasibility the expensive way; the
-        // verdict is the same fits_within the bound pass evaluates.
-        run.invalid.push(InvalidVariant { index: item.index, variant: item.variant });
+        run.invalid.push(InvalidVariant { index, variant });
     }
 }
 
-/// Branch-and-bound search over the design space of `kernel` on `dev`,
-/// through a fresh estimator session.
+/// Search the design space of `kernel` on `dev` through a fresh
+/// estimator session.
 ///
 /// Returns the top-K valid variants ranked by (EKIT descending,
-/// generation index ascending) and the exact set of variants that do not
-/// fit the device. The leaderboard and invalid set are bit-identical
-/// across [`SearchMode`]s; only [`SearchStats`] and wall-time differ.
+/// generation index ascending) and the set of variants that do not fit
+/// the device.
 pub fn search(kernel: &dyn EvalKernel, dev: &TargetDevice, cfg: &SearchConfig) -> SearchOutcome {
     search_with(&kernel.variant_factory(), &mut EstimatorSession::new(dev.clone()), cfg)
 }
@@ -408,9 +310,9 @@ pub fn search(kernel: &dyn EvalKernel, dev: &TargetDevice, cfg: &SearchConfig) -
 /// [`search`] over an existing variant factory and estimator session,
 /// on the calling thread. Variants are costed as copy-on-write patches
 /// of the factory's bases (lowered by an earlier sweep over the same
-/// factory, or on first touch here), and every bound and estimate goes
-/// through `session`, so its memo tables serve the search and whatever
-/// the caller costs before and after it.
+/// factory, or on first touch here), and every estimate goes through
+/// `session`, so its memo tables serve the search and whatever the
+/// caller costs before and after it.
 pub fn search_with(
     factory: &VariantFactory,
     session: &mut EstimatorSession,
@@ -418,26 +320,23 @@ pub fn search_with(
 ) -> SearchOutcome {
     let sp = &cfg.space;
     let reg = Registry::new();
-    let obs = Obs {
-        bound_ns: reg.histogram("dse.bound_ns"),
-        estimate_ns: reg.histogram("dse.estimate_ns"),
-    };
     let mut run = Run {
         board: Board::new(cfg.top_k),
         invalid: Vec::new(),
         stats: SearchStats::default(),
         fault_dumps: Vec::new(),
+        estimate_ns: reg.histogram("dse.estimate_ns"),
     };
     let t0 = Instant::now();
-    for item in VariantIter::new(factory.geometry().size(), &sp.lanes, &sp.vects, &sp.forms) {
+    let variants = enumerate_variants(factory.geometry().size(), &sp.lanes, &sp.vects, &sp.forms);
+    for (index, variant) in variants.into_iter().filter(|v| v.inner == InnerKind::Pipe).enumerate()
+    {
         run.stats.generated += 1;
-        process_item(factory, item, cfg, session, &mut run, &obs);
+        cost_variant(factory, index as u64, variant, cfg, session, &mut run);
     }
     let stats = run.stats;
     reg.counter("dse.points").add(stats.generated);
     reg.counter("dse.faulted").add(stats.faulted);
-    reg.counter("dse.pruned_unfit").add(stats.pruned_unfit);
-    reg.counter("dse.pruned_bound").add(stats.pruned_bound);
     let secs = t0.elapsed().as_secs_f64().max(1e-9);
     reg.gauge("dse.points_per_sec").set(stats.generated as f64 / secs);
     SearchOutcome {
@@ -454,71 +353,40 @@ mod tests {
     use super::*;
     use tytra_device::{eval_small, stratix_v_gsd8};
     use tytra_kernels::Sor;
-    use tytra_transform::{enumerate_variants, InnerKind};
 
     fn space() -> ExplorationConfig {
         ExplorationConfig::default()
     }
 
-    fn fingerprint(o: &SearchOutcome) -> (Vec<(String, u64)>, Vec<String>) {
+    fn over(space: ExplorationConfig) -> SearchConfig {
+        SearchConfig { space, ..SearchConfig::default() }
+    }
+
+    type Fingerprint = (Vec<(String, u64)>, Vec<(u64, String)>);
+
+    fn fingerprint(o: &SearchOutcome) -> Fingerprint {
         (
             o.leaderboard
                 .iter()
                 .map(|e| (e.variant.tag(), e.report.throughput.ekit.to_bits()))
                 .collect(),
-            o.invalid.iter().map(|iv| iv.variant.tag()).collect(),
+            o.invalid.iter().map(|iv| (iv.index, iv.variant.tag())).collect(),
         )
     }
 
     #[test]
-    fn pruned_equals_exhaustive_on_eval_small() {
-        // NKI 10 and NKI 1: at NKI 1 the A and B forms of a variant cost
-        // the same, so the board is full of exact EKIT ties that only
-        // the generation-index tie-break orders.
-        let dev = eval_small();
-        for sor in [Sor::cubic(16, 10), Sor::cubic(16, 1)] {
-            let pruned = search(&sor, &dev, &SearchConfig::pruned(space()));
-            let exhaustive = search(&sor, &dev, &SearchConfig::exhaustive(space()));
-            assert_eq!(fingerprint(&pruned), fingerprint(&exhaustive), "nki {}", sor.nki);
-            assert_eq!(exhaustive.stats.estimated, exhaustive.stats.generated);
-            assert!(
-                pruned.stats.pruned() > 0,
-                "lanes 16/32 cannot fit eval-small, so the bound must prune: {:?}",
-                pruned.stats
-            );
-            assert!(pruned.stats.estimated < exhaustive.stats.estimated);
-            assert_eq!(
-                pruned.stats.estimated + pruned.stats.pruned() + pruned.stats.faulted,
-                pruned.stats.generated,
-                "every generated variant is estimated or pruned: {:?}",
-                pruned.stats
-            );
-        }
-    }
-
-    #[test]
     fn search_counters_are_deterministic() {
-        // The acceptance space on eval-small (10 variants fit, so the
-        // board never fills and the bound prunes only on fit), and
-        // `tybec dse sor --lanes 1..64`, where it prunes on EKIT too.
+        // The acceptance space on eval-small, and `tybec dse sor --lanes
+        // 1..64`: every generated variant is estimated.
         let wide = ExplorationConfig { lanes: (1..=64).collect(), ..space() };
         let cases = [
-            (Sor::cubic(16, 10), eval_small(), space(), (24, 10, 14, 0)),
-            (Sor::default(), stratix_v_gsd8(), wide, (86, 31, 0, 55)),
+            (Sor::cubic(16, 10), eval_small(), space(), 24),
+            (Sor::default(), stratix_v_gsd8(), wide, 86),
         ];
-        for (sor, dev, space, (generated, estimated, pruned_unfit, pruned_bound)) in cases {
-            let pruned = search(&sor, &dev, &SearchConfig::pruned(space.clone())).stats;
-            let exhaustive = search(&sor, &dev, &SearchConfig::exhaustive(space)).stats;
-            let want = SearchStats {
-                generated,
-                estimated,
-                pruned_unfit,
-                pruned_bound,
-                ..SearchStats::default()
-            };
-            assert_eq!(pruned, want);
+        for (sor, dev, space, generated) in cases {
+            let stats = search(&sor, &dev, &over(space)).stats;
             assert_eq!(
-                exhaustive,
+                stats,
                 SearchStats { generated, estimated: generated, ..SearchStats::default() }
             );
         }
@@ -526,45 +394,87 @@ mod tests {
 
     #[test]
     fn matches_per_point_ranking_on_valid_variants() {
-        // The search leaderboard must agree with lowering every variant
-        // and estimating it in a fresh session: the same device-fitting
-        // variants, ranked by EKIT, with bit-equal EKITs.
-        let sor = Sor::cubic(16, 10);
-        let dev = stratix_v_gsd8();
-        let outcome = search(&sor, &dev, &SearchConfig::exhaustive(space()));
+        // The search must agree with lowering every variant and
+        // estimating it in a fresh session: the same device-fitting
+        // variants, ranked by EKIT with ties in generation order, with
+        // bit-equal EKITs, and the same infeasible set. Three cases:
+        // everything fits the big device; lanes 16 and 32 do not fit
+        // eval-small; at NKI 1 the A and B forms of a variant cost the
+        // same, so the board holds exact EKIT ties.
+        let cases = [
+            (Sor::cubic(16, 10), stratix_v_gsd8()),
+            (Sor::cubic(16, 10), eval_small()),
+            (Sor::cubic(16, 1), eval_small()),
+        ];
         let sp = space();
-        let mut reference: Vec<(Variant, CostReport)> =
-            enumerate_variants(sor.geometry().size(), &sp.lanes, &sp.vects, &sp.forms)
-                .into_iter()
-                .filter(|v| v.inner == InnerKind::Pipe)
-                .map(|v| {
-                    let m = sor.lower_variant(&v).expect("legal variant lowers");
-                    (v, EstimatorSession::new(dev.clone()).estimate(&m).expect("variant costs"))
-                })
-                .filter(|(_, r)| r.fits)
+        for (sor, dev) in cases {
+            let cfg = over(sp.clone());
+            let outcome = search(&sor, &dev, &cfg);
+            let mut fitting: Vec<(Variant, CostReport)> = Vec::new();
+            let mut invalid: Vec<(u64, String)> = Vec::new();
+            let variants =
+                enumerate_variants(sor.geometry().size(), &sp.lanes, &sp.vects, &sp.forms);
+            for (i, v) in variants.into_iter().filter(|v| v.inner == InnerKind::Pipe).enumerate() {
+                let m = sor.lower_variant(&v).expect("legal variant lowers");
+                let r = EstimatorSession::new(dev.clone()).estimate(&m).expect("variant costs");
+                if r.fits {
+                    fitting.push((v, r));
+                } else {
+                    invalid.push((i as u64, v.tag()));
+                }
+            }
+            // A stable sort keeps generation order among equal EKITs.
+            fitting.sort_by(|(_, a), (_, b)| b.throughput.ekit.total_cmp(&a.throughput.ekit));
+            let board: Vec<(String, u64)> = fitting
+                .iter()
+                .take(cfg.top_k)
+                .map(|(v, r)| (v.tag(), r.throughput.ekit.to_bits()))
                 .collect();
-        reference.sort_by(|(va, a), (vb, b)| {
-            b.throughput.ekit.total_cmp(&a.throughput.ekit).then_with(|| va.tag_cmp(vb))
-        });
-        let expected: Vec<(String, u64)> = reference
-            .iter()
-            .take(outcome.leaderboard.len())
-            .map(|(v, r)| (v.tag(), r.throughput.ekit.to_bits()))
-            .collect();
-        let ours: Vec<(String, u64)> = outcome
-            .leaderboard
-            .iter()
-            .map(|e| (e.variant.tag(), e.report.throughput.ekit.to_bits()))
-            .collect();
-        assert_eq!(ours, expected);
+            let label = format!("{} nki {}", dev.name, sor.nki);
+            assert_eq!(fingerprint(&outcome), (board.clone(), invalid.clone()), "{label}");
+            if dev.name == eval_small().name {
+                assert!(!invalid.is_empty(), "{label}: lanes 16 and 32 do not fit");
+            }
+            if sor.nki == 1 {
+                assert!(board.windows(2).any(|w| w[0].1 == w[1].1), "{label}: no EKIT tie");
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_axis_values_generate_once_at_their_first_occurrence() {
+        let sor = Sor::cubic(16, 10);
+        let dev = eval_small();
+        let forms = vec![MemForm::A, MemForm::B];
+        let once = search(
+            &sor,
+            &dev,
+            &over(ExplorationConfig {
+                lanes: vec![16, 2],
+                vects: vec![2, 1],
+                forms: forms.clone(),
+            }),
+        );
+        let repeated = search(
+            &sor,
+            &dev,
+            &over(ExplorationConfig {
+                lanes: vec![16, 2, 16, 2, 2],
+                vects: vec![2, 1, 2],
+                forms: vec![MemForm::A, MemForm::B, MemForm::A],
+            }),
+        );
+        assert_eq!(once.stats.generated, 8);
+        assert_eq!(repeated.stats, once.stats);
+        assert_eq!(fingerprint(&repeated), fingerprint(&once));
+        assert!(!once.invalid.is_empty(), "16 lanes do not fit eval-small");
     }
 
     #[test]
     fn empty_space_returns_an_empty_outcome() {
         let sor = Sor::cubic(16, 10); // 4096 items: 3 never divides
         let mut session = EstimatorSession::new(eval_small());
-        let cfg =
-            SearchConfig::pruned(ExplorationConfig { lanes: vec![3], vects: vec![3], ..space() });
+        let cfg = over(ExplorationConfig { lanes: vec![3], vects: vec![3], ..space() });
         let o = search_with(&sor.variant_factory(), &mut session, &cfg);
         assert!(o.leaderboard.is_empty());
         assert!(o.invalid.is_empty());
@@ -573,7 +483,7 @@ mod tests {
     }
 
     #[test]
-    fn board_threshold_is_the_kth_best() {
+    fn board_keeps_the_k_best_with_ties_in_arrival_order() {
         let sor = Sor::cubic(16, 10);
         let mut session = EstimatorSession::new(stratix_v_gsd8());
         let base = sor.variant_factory().design(&Variant::baseline()).unwrap();
@@ -583,20 +493,20 @@ mod tests {
             report.throughput.ekit = ekit;
             EvaluatedVariant { variant: Variant { lanes, ..Variant::baseline() }, report }
         };
+        let lanes = |b: &Board| b.entries.iter().map(|e| e.variant.lanes).collect::<Vec<u64>>();
         let mut board = Board::new(2);
-        assert_eq!(board.threshold(), f64::NEG_INFINITY);
         board.record(entry(5.0, 1));
-        assert_eq!(board.threshold(), f64::NEG_INFINITY, "board not full yet");
         board.record(entry(3.0, 2));
-        assert_eq!(board.threshold(), 3.0);
+        assert_eq!(lanes(&board), [1, 2]);
         board.record(entry(4.0, 4));
-        assert_eq!(board.threshold(), 4.0, "4.0 displaces 3.0 as 2nd best");
+        assert_eq!(lanes(&board), [1, 4], "4.0 displaces 3.0 as 2nd best");
         board.record(entry(1.0, 8));
-        assert_eq!(board.threshold(), 4.0, "worse results never lower the bar");
+        assert_eq!(lanes(&board), [1, 4], "a worse result never enters a full board");
         board.record(entry(5.0, 16));
-        let lanes: Vec<u64> = board.entries.iter().map(|e| e.variant.lanes).collect();
-        assert_eq!(lanes, [1, 16], "an EKIT tie ranks by arrival (generation) order");
-        assert_eq!(Board::new(0).threshold(), f64::INFINITY, "a board with no room prunes all");
+        assert_eq!(lanes(&board), [1, 16], "an EKIT tie ranks by arrival (generation) order");
+        let mut empty = Board::new(0);
+        empty.record(entry(9.0, 1));
+        assert!(empty.entries.is_empty(), "a board with no room holds nothing");
     }
 
     fn faults_on_two_lanes(v: &Variant) -> bool {
@@ -607,7 +517,7 @@ mod tests {
     fn injected_faults_skip_variants_without_aborting_the_sweep() {
         let sor = Sor::cubic(16, 10);
         let dev = eval_small();
-        let clean_cfg = SearchConfig { top_k: 100, ..SearchConfig::exhaustive(space()) };
+        let clean_cfg = SearchConfig { top_k: 100, ..over(space()) };
         let clean = search(&sor, &dev, &clean_cfg);
         assert_eq!(clean.stats.faulted, 0);
         assert!(clean.leaderboard.iter().any(|e| e.variant.lanes == 2), "space has 2-lane points");
@@ -618,11 +528,6 @@ mod tests {
         let faulty_cfg =
             SearchConfig { fault_inject: Some(faults_on_two_lanes), ..clean_cfg.clone() };
         let outcome = search(&sor, &dev, &faulty_cfg);
-        let pruned_cfg = SearchConfig {
-            fault_inject: Some(faults_on_two_lanes),
-            ..SearchConfig::pruned(space())
-        };
-        let pruned = search(&sor, &dev, &pruned_cfg);
         std::panic::set_hook(prev);
 
         // The sweep completed; every faulted variant was counted and
@@ -631,7 +536,6 @@ mod tests {
         assert_eq!(outcome.stats.generated, clean.stats.generated);
         assert_eq!(outcome.stats.estimated + outcome.stats.faulted, clean.stats.estimated);
         assert!(outcome.leaderboard.iter().all(|e| e.variant.lanes != 2));
-        assert!(pruned.leaderboard.iter().all(|e| e.variant.lanes != 2));
 
         // The healthy-variant leaderboard is bit-identical to the clean
         // run's board with the faulted variants removed.
@@ -641,28 +545,16 @@ mod tests {
             .filter(|e| !faults_on_two_lanes(&e.variant))
             .map(|e| (e.variant.tag(), e.report.throughput.ekit.to_bits()))
             .collect();
-        let got: Vec<(String, u64)> = outcome
-            .leaderboard
-            .iter()
-            .map(|e| (e.variant.tag(), e.report.throughput.ekit.to_bits()))
-            .collect();
-        assert_eq!(got, expected);
+        assert_eq!(fingerprint(&outcome).0, expected);
     }
 
     #[test]
     fn faults_ship_post_mortem_flight_dumps() {
-        // top_k larger than the valid space keeps the incumbent board
-        // unfilled, so no 2-lane variant can be bound-pruned before its
-        // injected estimate fault fires — every fault is deterministic.
         let sor = Sor::cubic(16, 10);
         let dev = eval_small();
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let cfg = SearchConfig {
-            fault_inject: Some(faults_on_two_lanes),
-            top_k: 100,
-            ..SearchConfig::pruned(space())
-        };
+        let cfg = SearchConfig { fault_inject: Some(faults_on_two_lanes), ..over(space()) };
         let outcome = search(&sor, &dev, &cfg);
         std::panic::set_hook(prev);
 
@@ -671,8 +563,7 @@ mod tests {
         for (tag, dump) in &outcome.fault_dumps {
             assert!(tag.starts_with("l2_"), "only 2-lane variants fault: {tag}");
             // The post-mortem lane ends with the faulting variant's own
-            // breadcrumb trail: bound pass, estimate entry, fault mark.
-            assert!(dump.contains("dse.bound"), "{dump}");
+            // breadcrumb trail: estimate entry, fault mark.
             assert!(dump.contains("dse.variant"), "{dump}");
             assert!(dump.contains("dse.fault"), "{dump}");
             assert!(dump.contains("== flight recorder =="), "{dump}");
@@ -681,53 +572,33 @@ mod tests {
 
     #[test]
     fn search_metrics_equal_the_stats() {
-        // A pruned and an exhaustive `tybec dse sor --lanes 1..64`, and a
-        // pruned search with injected estimate faults (the unfilled board
-        // keeps every fault deterministic, as above).
+        // `tybec dse sor --lanes 1..64`, and a search with injected
+        // estimate faults.
         let wide = ExplorationConfig { lanes: (1..=64).collect(), ..space() };
-        let (sor, dev) = (Sor::default(), stratix_v_gsd8());
-        let pruned = search(&sor, &dev, &SearchConfig::pruned(wide.clone()));
-        let exhaustive = search(&sor, &dev, &SearchConfig::exhaustive(wide));
+        let clean = search(&Sor::default(), &stratix_v_gsd8(), &over(wide));
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let cfg = SearchConfig {
-            fault_inject: Some(faults_on_two_lanes),
-            top_k: 100,
-            ..SearchConfig::pruned(space())
-        };
+        let cfg = SearchConfig { fault_inject: Some(faults_on_two_lanes), ..over(space()) };
         let faulted = search(&Sor::cubic(16, 10), &eval_small(), &cfg);
         std::panic::set_hook(prev);
-        assert!(pruned.stats.pruned_bound > 0, "{:?}", pruned.stats);
         assert!(faulted.stats.faulted > 0, "{:?}", faulted.stats);
 
-        let histogram_count = |o: &SearchOutcome, name: &str| match o.metrics.get(name) {
-            Some(tytra_trace::metrics::MetricValue::Histogram(h)) => h.count,
-            other => panic!("{name} is not a histogram: {other:?}"),
-        };
-        for (o, bounded) in [(&pruned, true), (&exhaustive, false), (&faulted, true)] {
+        for o in [&clean, &faulted] {
             let s = o.stats;
             let names: Vec<&str> = o.metrics.entries.iter().map(|(n, _)| n.as_str()).collect();
             assert_eq!(
                 names,
-                [
-                    "dse.bound_ns",
-                    "dse.estimate_ns",
-                    "dse.faulted",
-                    "dse.points",
-                    "dse.points_per_sec",
-                    "dse.pruned_bound",
-                    "dse.pruned_unfit"
-                ]
+                ["dse.estimate_ns", "dse.faulted", "dse.points", "dse.points_per_sec"]
             );
             assert_eq!(o.metrics.counter("dse.points"), s.generated, "{s:?}");
             assert_eq!(o.metrics.counter("dse.faulted"), s.faulted, "{s:?}");
-            assert_eq!(o.metrics.counter("dse.pruned_unfit"), s.pruned_unfit, "{s:?}");
-            assert_eq!(o.metrics.counter("dse.pruned_bound"), s.pruned_bound, "{s:?}");
-            // A pruned search bounds every variant, an exhaustive one
-            // none; every estimate is timed, the faulting ones too.
-            let bounds = if bounded { s.generated } else { 0 };
-            assert_eq!(histogram_count(o, "dse.bound_ns"), bounds, "{s:?}");
-            assert_eq!(histogram_count(o, "dse.estimate_ns"), s.estimated + s.faulted, "{s:?}");
+            // Every estimate is timed, the faulting ones too.
+            match o.metrics.get("dse.estimate_ns") {
+                Some(tytra_trace::metrics::MetricValue::Histogram(h)) => {
+                    assert_eq!(h.count, s.estimated + s.faulted, "{s:?}")
+                }
+                other => panic!("dse.estimate_ns is not a histogram: {other:?}"),
+            }
         }
     }
 
@@ -737,8 +608,7 @@ mod tests {
         // sees every estimate and the outcome holds only `dse.*` metrics.
         let sor = Sor::cubic(16, 10);
         let mut session = EstimatorSession::new(stratix_v_gsd8());
-        let outcome =
-            search_with(&sor.variant_factory(), &mut session, &SearchConfig::exhaustive(space()));
+        let outcome = search_with(&sor.variant_factory(), &mut session, &over(space()));
         assert!(outcome.metrics.entries.iter().all(|(name, _)| name.starts_with("dse.")));
         let metrics = session.metrics_snapshot();
         match metrics.get("estimator.estimate_ns") {
@@ -757,21 +627,11 @@ mod tests {
 
     #[test]
     fn stats_arithmetic() {
-        let s = SearchStats {
-            generated: 24,
-            estimated: 10,
-            pruned_unfit: 8,
-            pruned_bound: 6,
-            faulted: 2,
-            ..SearchStats::default()
-        };
-        assert_eq!(s.pruned(), 14);
-        assert!((s.pruned_fraction() - 14.0 / 24.0).abs() < 1e-12);
-        assert_eq!(SearchStats::default().pruned_fraction(), 0.0);
+        let s = SearchStats { generated: 24, estimated: 22, faulted: 2, ..SearchStats::default() };
+        assert_eq!(s.pruned_fraction(), 0.0);
         let mut t = s;
         t += s;
-        assert_eq!(t.generated, 48);
-        assert_eq!(t.faulted, 4);
+        assert_eq!((t.generated, t.estimated, t.faulted), (48, 44, 4));
         assert_eq!((t.stolen, t.collapsed), (0, 0));
     }
 
@@ -799,15 +659,11 @@ mod tests {
         assert!(err.contains("duplicate memory object name `mem_p10`"), "{err}");
 
         let session = || EstimatorSession::new(stratix_v_gsd8());
-        let over = |lanes: Vec<u64>| ExplorationConfig { lanes, ..space() };
-        for make in [SearchConfig::pruned, SearchConfig::exhaustive] {
-            let (cfg, healthy) = (make(over(vec![1, 2, 11])), make(over(vec![1, 2])));
-            let all = search_with(&factory(), &mut session(), &cfg);
-            let s = all.stats;
-            assert_eq!((s.generated, s.faulted), (12, 4), "{:?}: {s:?}", cfg.mode);
-            assert_eq!(s.estimated + s.pruned() + s.faulted, s.generated, "{s:?}");
-            let healthy = search_with(&factory(), &mut session(), &healthy);
-            assert_eq!(fingerprint(&all), fingerprint(&healthy), "{:?}", cfg.mode);
-        }
+        let lanes = |lanes: Vec<u64>| over(ExplorationConfig { lanes, ..space() });
+        let all = search_with(&factory(), &mut session(), &lanes(vec![1, 2, 11]));
+        let s = all.stats;
+        assert_eq!((s.generated, s.estimated, s.faulted), (12, 8, 4), "{s:?}");
+        let healthy = search_with(&factory(), &mut session(), &lanes(vec![1, 2]));
+        assert_eq!(fingerprint(&all), fingerprint(&healthy));
     }
 }

@@ -1,8 +1,9 @@
-//! Pins the steady-state allocation budget of the search's costing step:
-//! once every factory base is lowered and every session memo is full,
-//! costing a variant — `VariantFactory::design` (its name `String`) plus
-//! `bound_design` (memoized arena reads, no clones) — makes at most one
-//! heap allocation: the name.
+//! Pins the steady-state allocation budget of a warm `bound_design`, the
+//! pass a served `bound` request runs: once every factory base is lowered
+//! and every session memo is full, bounding a variant —
+//! `VariantFactory::design` (its name `String`) plus `bound_design`
+//! (memoized arena reads, no clones) — makes at most one heap
+//! allocation: the name.
 //!
 //! This file holds exactly one test so no sibling test can allocate
 //! concurrently through the process-global counting allocator.

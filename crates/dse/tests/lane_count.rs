@@ -88,7 +88,7 @@ fn a_dse_run_over_lanes_1_to_64_builds_two_bases_per_kernel() {
         let mut session = EstimatorSession::new(stratix_v_gsd8());
         lane_sweep_with(&factory, &mut session, &lanes, &Variant::baseline());
         let space = ExplorationConfig { lanes: lanes.clone(), ..ExplorationConfig::default() };
-        search_with(&factory, &mut session, &SearchConfig::pruned(space));
+        search_with(&factory, &mut session, &SearchConfig { space, ..SearchConfig::default() });
         tune_with(&factory, &mut session, Variant::baseline(), 12);
         assert_eq!(factory.bases_built(), 2, "{}", kernel.name());
     }

@@ -185,11 +185,10 @@ fn search_on_a_warmed_factory_and_session_ranks_like_a_fresh_search() {
         lane_sweep_with(&factory, &mut session, &lanes(), &Variant::baseline());
         assert!(factory.bases_built() > 0, "the sweep warms the factory");
         let space = ExplorationConfig { lanes: lanes(), ..ExplorationConfig::default() };
-        for cfg in [SearchConfig::pruned(space.clone()), SearchConfig::exhaustive(space)] {
-            let shared = search_with(&factory, &mut session, &cfg);
-            let own = search(kernel.as_ref(), &dev, &cfg);
-            assert_eq!(board(&shared), board(&own), "{} {:?}", kernel.name(), cfg.mode);
-        }
+        let cfg = SearchConfig { space, ..SearchConfig::default() };
+        let shared = search_with(&factory, &mut session, &cfg);
+        let own = search(kernel.as_ref(), &dev, &cfg);
+        assert_eq!(board(&shared), board(&own), "{}", kernel.name());
     }
 }
 
@@ -352,10 +351,9 @@ fn factory_parity_holds_with_lane_counts_descending() {
         }
 
         let space = ExplorationConfig { lanes: descending.clone(), ..ExplorationConfig::default() };
-        for cfg in [SearchConfig::pruned(space.clone()), SearchConfig::exhaustive(space)] {
-            let shared = search_with(&factory, &mut session, &cfg);
-            let own = search(kernel.as_ref(), &dev, &cfg);
-            assert_eq!(board(&shared), board(&own), "{} {:?}", kernel.name(), cfg.mode);
-        }
+        let cfg = SearchConfig { space, ..SearchConfig::default() };
+        let shared = search_with(&factory, &mut session, &cfg);
+        let own = search(kernel.as_ref(), &dev, &cfg);
+        assert_eq!(board(&shared), board(&own), "{}", kernel.name());
     }
 }

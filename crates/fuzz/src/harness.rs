@@ -53,7 +53,7 @@ pub enum OracleKind {
     ArenaEquivalence,
     /// `analyze_module` totality plus congruence-key soundness.
     AnalyzeCongruence,
-    /// Pruned vs exhaustive search leaderboard bit-identity.
+    /// The search's board and infeasible set against per-point costing.
     SearchEquivalence,
     /// In-process `tybec serve` round-trip vs the direct estimate:
     /// served payloads (cold and cache-replayed) must be byte-identical

@@ -12,8 +12,9 @@
 //!    input must produce a structured error, never a panic.
 //! 2. **Estimator vs simulator** — agreement within
 //!    [`ToleranceBands`] on valid designs.
-//! 3. **Search equivalence** — pruned vs `--exhaustive` leaderboard
-//!    bit-identity for random space shapes and board sizes.
+//! 3. **Search equivalence** — the search's leaderboard and infeasible
+//!    set against lowering and estimating every variant one by one, for
+//!    random space shapes and board sizes.
 //! 4. **Session determinism** — warm (memoized) vs cold
 //!    `EstimatorSession` bit-identity.
 //! 5. **Analyze congruence** — `analyze_module` is total and

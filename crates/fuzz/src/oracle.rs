@@ -10,11 +10,11 @@
 use crate::gen::TirlGen;
 use tytra_cost::EstimatorSession;
 use tytra_device::TargetDevice;
-use tytra_dse::ExplorationConfig;
-use tytra_dse::{search, SearchConfig, SearchOutcome};
-use tytra_ir::{ArenaModule, Call, IrFunction, IrModule, MemForm, ParKind, Stmt};
+use tytra_dse::{search, ExplorationConfig, SearchConfig};
+use tytra_ir::{ArenaModule, Call, IrFunction, IrModule, MemForm, ParKind, Stmt, TybecError};
 use tytra_kernels::{EvalKernel, Sor, StreamTriad};
 use tytra_trace::json::{self, Json};
+use tytra_transform::{enumerate_variants, InnerKind};
 
 /// The outcome of running one oracle on one case.
 #[derive(Debug, Clone, PartialEq)]
@@ -209,14 +209,11 @@ pub fn estimator_vs_sim(m: &IrModule, dev: &TargetDevice, bands: &ToleranceBands
     }
 }
 
-/// A leaderboard fingerprint: variant tags plus bit-exact EKIT values.
-fn board_fingerprint(out: &SearchOutcome) -> Vec<(String, u64)> {
-    out.leaderboard.iter().map(|e| (e.variant.tag(), e.report.throughput.ekit.to_bits())).collect()
-}
-
-/// Oracle 3 — pruned search vs `--exhaustive`: for a randomly drawn
-/// kernel, space shape and board size, the two modes must produce
-/// bit-identical leaderboards.
+/// Oracle 3 — the search against the per-point reference: for a
+/// randomly drawn kernel, space shape and board size, the search's board
+/// and infeasible set must equal what lowering every legal variant to a
+/// tree and estimating it in a fresh session gives, with the fitting
+/// variants ranked by EKIT and ties in generation order.
 pub fn search_equivalence(g: &mut TirlGen) -> Verdict {
     let kernel: Box<dyn EvalKernel> = if *g.choose(&[true, false]) {
         let side = *g.choose(&[8u64, 12, 16]);
@@ -238,28 +235,61 @@ pub fn search_equivalence(g: &mut TirlGen) -> Verdict {
     let _ = g.draw_usize(1..=4);
     let top_k = g.draw_usize(1..=10);
 
-    let mut pruned_cfg = SearchConfig::pruned(space.clone());
-    pruned_cfg.top_k = top_k;
-    let mut exhaustive_cfg = SearchConfig::exhaustive(space);
-    exhaustive_cfg.top_k = top_k;
-
-    let pruned = search(kernel.as_ref(), &dev, &pruned_cfg);
-    let exhaustive = search(kernel.as_ref(), &dev, &exhaustive_cfg);
-
-    for e in pruned.leaderboard.iter().chain(exhaustive.leaderboard.iter()) {
+    let cfg = SearchConfig { space: space.clone(), top_k, ..SearchConfig::default() };
+    let outcome = search(kernel.as_ref(), &dev, &cfg);
+    if outcome.stats.faulted > 0 {
+        return Verdict::Disagreement(format!(
+            "the search faulted on {} variants of {}",
+            outcome.stats.faulted,
+            kernel.name()
+        ));
+    }
+    for e in &outcome.leaderboard {
         if !e.report.throughput.ekit.is_finite() {
             return Verdict::NonFinite(format!("EKIT for {}", e.variant.tag()));
         }
     }
-    let fp = board_fingerprint(&pruned);
-    let fe = board_fingerprint(&exhaustive);
-    if fp == fe {
-        Verdict::Pass
-    } else {
+
+    let mut fitting = Vec::new();
+    let mut invalid = Vec::new();
+    let variants =
+        enumerate_variants(kernel.geometry().size(), &space.lanes, &space.vects, &space.forms);
+    for (i, v) in variants.into_iter().filter(|v| v.inner == InnerKind::Pipe).enumerate() {
+        let costed = kernel
+            .lower_variant(&v)
+            .map_err(TybecError::from)
+            .and_then(|m| EstimatorSession::new(dev.clone()).estimate(&m));
+        match costed {
+            Ok(r) if r.fits => fitting.push((v.tag(), r.throughput.ekit)),
+            Ok(_) => invalid.push((i as u64, v.tag())),
+            Err(e) => {
+                return Verdict::Disagreement(format!("{} fails per point: {e}", v.tag()));
+            }
+        }
+    }
+    // A stable sort keeps generation order among equal EKITs.
+    fitting.sort_by(|a, b| b.1.total_cmp(&a.1));
+    let reference: Vec<(String, u64)> =
+        fitting.into_iter().take(top_k).map(|(tag, ekit)| (tag, ekit.to_bits())).collect();
+    let board: Vec<(String, u64)> = outcome
+        .leaderboard
+        .iter()
+        .map(|e| (e.variant.tag(), e.report.throughput.ekit.to_bits()))
+        .collect();
+    let unfit: Vec<(u64, String)> =
+        outcome.invalid.iter().map(|iv| (iv.index, iv.variant.tag())).collect();
+    if board != reference {
         Verdict::Disagreement(format!(
-            "pruned board {fp:?} != exhaustive board {fe:?} on {}",
+            "search board {board:?} != per-point board {reference:?} on {}",
             kernel.name()
         ))
+    } else if unfit != invalid {
+        Verdict::Disagreement(format!(
+            "search infeasible set {unfit:?} != per-point set {invalid:?} on {}",
+            kernel.name()
+        ))
+    } else {
+        Verdict::Pass
     }
 }
 

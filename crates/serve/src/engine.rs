@@ -54,7 +54,7 @@ pub enum Work {
     /// Dataflow analysis; `json` selects the strict-JSON rendering.
     Analyze { m: Box<IrModule>, json: bool },
     /// Full-space search over a named kernel.
-    Dse { kernel: String, dev: String, lanes: Vec<u64>, top: usize, exhaustive: bool },
+    Dse { kernel: String, dev: String, lanes: Vec<u64>, top: usize },
     /// Snapshot of the daemon's metrics registry.
     Metrics { format: MetricsFormat },
     /// Stop accepting connections.
@@ -103,19 +103,10 @@ pub fn prepare(kind: &RequestKind) -> Result<(Work, Option<CacheKey>), TybecErro
             let tag = if *json { TAG_ANALYZE_JSON } else { TAG_ANALYZE_TEXT };
             (Work::Analyze { m: Box::new(m), json: *json }, Some((tag, String::new(), fp)))
         }
-        RequestKind::Dse { kernel, target, lanes, top, exhaustive } => {
+        RequestKind::Dse { kernel, target, lanes, top } => {
             lookup_kernel(kernel)?;
             let dev = lookup_target(target)?.0.to_string();
-            (
-                Work::Dse {
-                    kernel: kernel.clone(),
-                    dev,
-                    lanes: lanes.clone(),
-                    top: *top,
-                    exhaustive: *exhaustive,
-                },
-                None,
-            )
+            (Work::Dse { kernel: kernel.clone(), dev, lanes: lanes.clone(), top: *top }, None)
         }
         RequestKind::Metrics { format } => (Work::Metrics { format: *format }, None),
         RequestKind::Shutdown => (Work::Shutdown, None),
@@ -365,16 +356,11 @@ impl Engine {
                     Ok(report.render_text())
                 }
             }
-            Work::Dse { kernel, dev, lanes, top, exhaustive } => {
+            Work::Dse { kernel, dev, lanes, top } => {
                 let factory = lookup_kernel(kernel)?.variant_factory();
                 let space =
                     ExplorationConfig { lanes: lanes.clone(), ..ExplorationConfig::default() };
-                let cfg = if *exhaustive {
-                    SearchConfig::exhaustive(space)
-                } else {
-                    SearchConfig::pruned(space)
-                };
-                let cfg = SearchConfig { top_k: *top, ..cfg };
+                let cfg = SearchConfig { space, top_k: *top, ..SearchConfig::default() };
                 let outcome = search_with(&factory, self.session(dev)?, &cfg);
                 Ok(render_search_leaderboard(&outcome, *top))
             }

@@ -38,7 +38,7 @@ pub enum RequestKind {
     /// Full cost report for a TIRL design — the payload is byte-identical
     /// to `tybec cost` stdout for the same design and target.
     Estimate { design: String, target: String },
-    /// Branch-and-bound verdict for a TIRL design.
+    /// Bound-pass verdict (exact fit, EKIT upper bound) for a TIRL design.
     Bound { design: String, target: String },
     /// Dataflow-analysis report (`tybec analyze`); `json` selects the
     /// strict-JSON rendering.
@@ -47,7 +47,7 @@ pub enum RequestKind {
     /// `top` of 10 the payload is byte-identical to the `== full
     /// exploration ==` section of `tybec dse`. `top` is the board size:
     /// the payload ranks up to `top` valid variants.
-    Dse { kernel: String, target: String, lanes: Vec<u64>, top: usize, exhaustive: bool },
+    Dse { kernel: String, target: String, lanes: Vec<u64>, top: usize },
     /// Snapshot of the daemon's live metrics registry.
     Metrics { format: MetricsFormat },
     /// Ask the daemon to stop accepting connections.
@@ -192,7 +192,6 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
                 target: target()?,
                 lanes,
                 top: uint_field("top", 10)? as usize,
-                exhaustive: bool_field("exhaustive", false)?,
             }
         }
         "metrics" => {
@@ -284,7 +283,6 @@ mod tests {
                 target: "stratix-v-gsd8".into(),
                 lanes: vec![1, 2, 4, 8, 16, 32],
                 top: 10,
-                exhaustive: false,
             }
         );
     }

@@ -590,7 +590,7 @@ fn dse_top_sets_the_board_size() {
     let twenty = search(
         &Sor::default(),
         &dev,
-        &SearchConfig { top_k: 20, ..SearchConfig::pruned(space.clone()) },
+        &SearchConfig { space: space.clone(), top_k: 20, ..SearchConfig::default() },
     );
     assert_eq!(twenty.leaderboard.len(), 20);
     assert_eq!(report_of(&responses[&1]), render_search_leaderboard(&twenty, 20));
@@ -599,7 +599,7 @@ fn dse_top_sets_the_board_size() {
     let all = search(
         &Sor::default(),
         &dev,
-        &SearchConfig { top_k: usize::MAX, ..SearchConfig::exhaustive(space) },
+        &SearchConfig { space, top_k: usize::MAX, ..SearchConfig::default() },
     );
     let valid = all.stats.generated - all.invalid.len() as u64 - all.stats.faulted;
     assert_eq!(all.leaderboard.len() as u64, valid);
@@ -608,13 +608,21 @@ fn dse_top_sets_the_board_size() {
 }
 
 #[test]
-fn dse_repeated_lanes_are_searched_once() {
+fn dse_repeated_lanes_and_the_unread_exhaustive_field_change_nothing() {
+    // The search estimates every variant, so `exhaustive` is a field the
+    // protocol does not read, and unread fields are ignored.
     let handle = serve_tcp("127.0.0.1:0", ServeConfig::default()).expect("bind");
     let target = ",\"target\":\"eval-small\"";
-    let lines = [dse_request(1, "sor", &[2, 2], target), dse_request(2, "sor", &[2], target)];
+    let exhaustive = format!("{target},\"exhaustive\":true");
+    let lines = [
+        dse_request(1, "sor", &[2, 2], target),
+        dse_request(2, "sor", &[2], target),
+        dse_request(3, "sor", &[2], &exhaustive),
+    ];
     let responses = roundtrip(handle.addr(), &lines);
     let repeated = report_of(&responses[&1]);
     assert_eq!(repeated, report_of(&responses[&2]));
+    assert_eq!(report_of(&responses[&3]), repeated);
     // Header plus one row per variant: vect {1, 2} × forms {A, B}.
     assert_eq!(repeated.lines().count(), 5, "{repeated}");
     handle.stop();

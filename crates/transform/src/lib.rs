@@ -17,9 +17,8 @@
 //!   evaluator;
 //! * [`typetrans`] — variant generation: the decorated-map combinations
 //!   (`par`/`pipe`/`seq`), lane counts, vectorization degrees and
-//!   memory-execution forms that span the paper's design space (Fig 5);
-//! * [`variant_iter`] — the same sequence generated lazily, with dense
-//!   indices, for the branch-and-bound DSE search;
+//!   memory-execution forms that span the paper's design space (Fig 5),
+//!   enumerated in the order the DSE search costs them;
 //! * [`lower()`][lower::lower] — lowering a kernel + variant to a TyTra-IR module (the
 //!   Fig 12 / Fig 14 shapes);
 //! * [`factory`] — copy-on-write variant materialization: one lowered
@@ -34,12 +33,10 @@ pub mod factory;
 pub mod lower;
 pub mod proofs;
 pub mod typetrans;
-pub mod variant_iter;
 pub mod vect;
 
 pub use expr::{Expr, KernelDef, Reduction};
 pub use factory::{VariantDesign, VariantFactory};
 pub use lower::lower;
 pub use typetrans::{enumerate_variants, InnerKind, Variant};
-pub use variant_iter::{IndexedVariant, VariantIter};
 pub use vect::{Shape, Vect};

@@ -6,7 +6,9 @@
 //! transformation" (§II). A [`Variant`] is one such decorated reshape;
 //! [`enumerate_variants`] produces the legal set for a given NDRange.
 
+use std::collections::HashSet;
 use std::fmt::Write as _;
+use std::hash::Hash;
 use tytra_ir::MemForm;
 
 /// How the inner map (one lane's work) executes.
@@ -66,12 +68,6 @@ impl Variant {
         out.push_str(self.tag_buf().as_str());
     }
 
-    /// Compare two variants by their tag strings (byte order, exactly
-    /// as comparing [`tag`][Variant::tag] results) without allocating.
-    pub fn tag_cmp(&self, other: &Variant) -> std::cmp::Ordering {
-        self.tag_buf().as_str().cmp(other.tag_buf().as_str())
-    }
-
     /// Is the reshape legal for this NDRange (order/size preservation
     /// requires the lane count to divide the global size, and the
     /// vector width to divide the per-lane count)?
@@ -121,7 +117,9 @@ impl std::fmt::Write for TagBuf {
 
 /// Enumerate the legal variants for an NDRange of `ngs` work-items:
 /// lane counts in `lanes` (filtered for divisibility), vector degrees in
-/// `vects`, both inner kinds, forms in `forms`.
+/// `vects`, both inner kinds, forms in `forms`, lanes outermost. A value
+/// repeated on an axis is kept once, at its first occurrence, so every
+/// caller gets each variant once whatever lists it passes.
 pub fn enumerate_variants(
     ngs: u64,
     lanes: &[u64],
@@ -129,9 +127,9 @@ pub fn enumerate_variants(
     forms: &[MemForm],
 ) -> Vec<Variant> {
     let mut out = Vec::new();
-    for &l in lanes {
-        for &v in vects {
-            for &form in forms {
+    for l in first_occurrences(lanes) {
+        for v in first_occurrences(vects) {
+            for form in first_occurrences(forms) {
                 for inner in [InnerKind::Pipe, InnerKind::Seq] {
                     let var = Variant { lanes: l, vect: v, inner, form };
                     if var.is_legal(ngs) {
@@ -142,6 +140,12 @@ pub fn enumerate_variants(
         }
     }
     out
+}
+
+/// `xs` without repeats, each value at its first occurrence.
+fn first_occurrences<T: Copy + Eq + Hash>(xs: &[T]) -> Vec<T> {
+    let mut seen = HashSet::new();
+    xs.iter().copied().filter(|x| seen.insert(*x)).collect()
 }
 
 #[cfg(test)]
@@ -194,7 +198,7 @@ mod tests {
     }
 
     #[test]
-    fn tag_buf_matches_tag_and_orders_identically() {
+    fn tag_buf_matches_tag() {
         let vs = enumerate_variants(
             1 << 12,
             &[1, 2, 4, 8, 16, 32],
@@ -206,16 +210,7 @@ mod tests {
             let mut s = String::from("sor_");
             a.write_tag(&mut s);
             assert_eq!(s, format!("sor_{}", a.tag()));
-            for b in &vs {
-                // Tie-breaks by tag sort by the tag *string*; tag_cmp
-                // must preserve that byte order exactly (note "l16..."
-                // sorts before "l2...").
-                assert_eq!(a.tag_cmp(b), a.tag().cmp(&b.tag()));
-            }
         }
-        let l16 = Variant { lanes: 16, vect: 1, inner: InnerKind::Pipe, form: MemForm::B };
-        let l2 = Variant { lanes: 2, vect: 1, inner: InnerKind::Pipe, form: MemForm::B };
-        assert_eq!(l16.tag_cmp(&l2), std::cmp::Ordering::Less, "string order, not numeric");
     }
 
     #[test]

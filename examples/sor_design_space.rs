@@ -24,13 +24,13 @@ fn main() {
     let rows = report::lane_sweep(&sor, &dev, &[1, 2, 4, 8, 16, 32], &Variant::baseline());
     print!("{}", report::render_table(&rows));
 
-    // 2. Search — every legal (lanes × vect × form) point, bound-pruned.
+    // 2. Search — every legal (lanes × vect × form) point, estimated.
     let space = ExplorationConfig {
         lanes: vec![1, 2, 4, 8, 16, 32],
         vects: vec![1, 2],
         forms: vec![MemForm::A, MemForm::B],
     };
-    let outcome = search(&sor, &dev, &SearchConfig::pruned(space.clone()));
+    let outcome = search(&sor, &dev, &SearchConfig { space: space.clone(), ..Default::default() });
     println!("\n== top variants of {} generated ==", outcome.stats.generated);
     print!("{}", report::render_search_leaderboard(&outcome, 8));
 
@@ -46,7 +46,7 @@ fn main() {
     //    variants overflow; each one the search finds infeasible is
     //    costed as successive fabric personalities.
     let small = eval_small();
-    let outcome = search(&sor, &small, &SearchConfig::pruned(space));
+    let outcome = search(&sor, &small, &SearchConfig { space, ..Default::default() });
     println!(
         "\n== C6 plans for the {} variants that do not fit {} ==",
         outcome.invalid.len(),

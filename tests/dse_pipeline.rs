@@ -12,11 +12,12 @@ use tytra::sim::run_application;
 use tytra::transform::Variant;
 
 fn cfg() -> SearchConfig {
-    SearchConfig::pruned(ExplorationConfig {
+    let space = ExplorationConfig {
         lanes: vec![1, 2, 4, 8],
         vects: vec![1],
         forms: vec![MemForm::A, MemForm::B],
-    })
+    };
+    SearchConfig { space, ..SearchConfig::default() }
 }
 
 fn search_space(kernel: &dyn EvalKernel, dev: &TargetDevice) -> SearchOutcome {
