@@ -72,8 +72,8 @@ fn colliding_lane_names_make_the_verdict_depend_on_the_lane_count() {
     }
 }
 
-/// A `tybec dse <kernel> --lanes 1..64` run — the lane sweep, the pruned
-/// search and the tuning loop on one factory and session — builds one
+/// A `tybec dse <kernel> --lanes 1..64` run — the lane sweep, the search
+/// and the tuning loop on one factory and session — builds one
 /// base per inner kind and lane class the search visits: the lane count
 /// is a patch cell, so lane counts above one share a base.
 #[test]

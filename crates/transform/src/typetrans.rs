@@ -126,10 +126,11 @@ pub fn enumerate_variants(
     vects: &[u32],
     forms: &[MemForm],
 ) -> Vec<Variant> {
+    let (vects, forms) = (first_occurrences(vects), first_occurrences(forms));
     let mut out = Vec::new();
     for l in first_occurrences(lanes) {
-        for v in first_occurrences(vects) {
-            for form in first_occurrences(forms) {
+        for &v in &vects {
+            for &form in &forms {
                 for inner in [InnerKind::Pipe, InnerKind::Seq] {
                     let var = Variant { lanes: l, vect: v, inner, form };
                     if var.is_legal(ngs) {
