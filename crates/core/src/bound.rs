@@ -36,9 +36,8 @@ use tytra_ir::MemForm;
 /// The bound pass's verdict on one design.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostBound {
-    /// Exact resource total (the per-family lower bound is tight: the
-    /// resource pass is memoized integer arithmetic, not an estimate of
-    /// an estimate).
+    /// Exact resource total: the resource pass is memoized integer
+    /// arithmetic, the same the full estimate runs.
     pub resources: ResourceVector,
     /// Exact fit verdict against the device capacity.
     pub fits: bool,

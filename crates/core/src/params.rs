@@ -152,7 +152,7 @@ impl RawGeometry {
     /// bit-identical to [`CostParams::items_per_lane`]: the bound's
     /// compute floor divides the same numerator the throughput pass
     /// divides, so floating-point monotonicity makes the bound
-    /// admissible (see `docs/dse-search.md`).
+    /// admissible (see `docs/estimator-internals.md`).
     pub(crate) fn items_per_lane(&self) -> f64 {
         self.ngs as f64 / (self.knl.max(1) as f64 * f64::from(self.dv.max(1)))
     }
