@@ -6,7 +6,7 @@
 //! 2. **Warm probe**: 200 lock-step estimates of one design. The p50 is
 //!    under 1 ms and the p99 under 25 ms.
 //! 3. **Spawn baseline**: the same estimate served one `tybec cost`
-//!    process per request, timed over 200 spawns (about 0.2 s) so the
+//!    process per request, timed over 200 spawns (0.1–0.2 s) so the
 //!    ratio does not follow a few slow starts. The daemon serves at
 //!    least 10× its requests/s.
 //!
