@@ -591,12 +591,15 @@ fn kernel_of(input: Option<&str>) -> Result<Box<dyn EvalKernel>, String> {
     }
 }
 
-/// The `--lanes` list in the order given, keeping the first occurrence of
-/// each value: a repeated lane count would print its sweep row (and
-/// roofline point) twice. A lane count of 0 is rejected: no design has
-/// it, so every section would print empty.
+/// The `--lanes` list in the order given (the search's default lane
+/// counts without the flag), keeping the first occurrence of each value:
+/// a repeated lane count would print its sweep row (and roofline point)
+/// twice. A lane count of 0 is rejected: no design has it, so every
+/// section would print empty.
 fn lanes_flag(args: &[String]) -> Result<Vec<u64>, String> {
-    let Some(list) = flag_value(args, "--lanes") else { return Ok(vec![1, 2, 4, 8, 16, 32]) };
+    let Some(list) = flag_value(args, "--lanes") else {
+        return Ok(ExplorationConfig::default().lanes);
+    };
     let mut lanes = Vec::new();
     for s in list.split(',') {
         let l = s.trim().parse::<u64>().map_err(|e| format!("bad lane `{s}`: {e}"))?;
@@ -640,9 +643,9 @@ fn cmd_exec(input: Option<&str>, args: &[String]) -> Result<(), CliError> {
     // Seed every input port of the lane function with a deterministic
     // pseudo-random array (splitmix-style mix over the index).
     let tree = tytra_ir::config_tree::extract(&m)?;
-    let mut node = &tree.root;
-    while node.kind == tytra_ir::ParKind::Par {
-        node = node.children.first().ok_or("empty par")?;
+    let node = tree.root.lane();
+    if node.kind == tytra_ir::ParKind::Par {
+        return Err("empty par".into());
     }
     let lane = m.function(&node.function).ok_or("missing lane function")?;
     let mut inputs = ExecInputs::default();
@@ -726,7 +729,7 @@ fn cmd_dse(input: Option<&str>, args: &[String]) -> Result<(), CliError> {
     };
     {
         let _sp = tytra_trace::span("cli.render");
-        print!("{}", tytra_dse::render_search_leaderboard(&outcome, 10));
+        print!("{}", tytra_dse::render_search_leaderboard(&outcome, cfg.top_k));
     }
 
     println!("\n== guided tuning from baseline ==");

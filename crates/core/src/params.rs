@@ -20,7 +20,7 @@
 
 use crate::schedule::{self, PipelineSchedule};
 use tytra_device::TargetDevice;
-use tytra_ir::{ArenaModule, IrModule, MemForm, TybecError};
+use tytra_ir::{ArenaModule, IrModule, MemForm, PatchedModule, TybecError};
 
 /// All design-and-program-dependent parameters of the throughput model.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,49 +55,20 @@ pub struct CostParams {
 
 impl CostParams {
     /// Extract every parameter from the module against a target: the
-    /// geometry of an arena built over a copy of `m`, plus the schedule
-    /// of its lane subtree — the session's parameters pass, run cold.
+    /// parameters of an arena built over a copy of `m`, with the
+    /// schedule of its lane subtree — the session's parameters pass, run
+    /// cold.
     pub fn extract(m: &IrModule, dev: &TargetDevice) -> Result<CostParams, TybecError> {
         let a = ArenaModule::build(m.clone());
         let plan = a.config()?;
         let sched = schedule::schedule(a.template(), dev, &plan.tree.root)?;
-        Ok(RawGeometry::extract_design(&a.identity()).finish(sched))
+        Ok(CostParams::from_design(&a.identity(), sched))
     }
 
-    /// Work-items each lane processes per kernel instance.
-    pub fn items_per_lane(&self) -> f64 {
-        self.ngs as f64 / (self.knl.max(1) as f64 * f64::from(self.dv.max(1)))
-    }
-
-    /// Total off-chip bytes one kernel instance moves (reads + writes).
-    pub fn total_bytes(&self) -> f64 {
-        self.ngs as f64 * self.bytes_per_item as f64
-    }
-}
-
-/// The schedule-free parameters: everything [`CostParams`] carries except
-/// the lane schedule. Extracted by IR inspection alone, so the `bound`
-/// pass can price the bandwidth and overhead terms of Eqs 1–3 without
-/// running the (datapath-walking) schedule pass.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct RawGeometry {
-    pub ngs: u64,
-    pub nki: u64,
-    pub nwpt_words: u64,
-    pub bytes_per_item: u64,
-    pub noff: u64,
-    pub noff_bytes: u64,
-    pub knl: u64,
-    pub dv: u32,
-    pub form: MemForm,
-    pub n_streams: u64,
-    pub local_bytes: u64,
-}
-
-impl RawGeometry {
-    /// Extract the Table I geometry of an arena-backed design from the
-    /// arena's precomputed scalars plus the variant's patched cells.
-    pub(crate) fn extract_design(d: &tytra_ir::PatchedModule<'_>) -> RawGeometry {
+    /// The parameters pass: the Table I geometry of an arena-backed
+    /// design, read from the arena's precomputed scalars plus the
+    /// variant's patched cells, with the lane schedule `sched`.
+    pub(crate) fn from_design(d: &PatchedModule<'_>, sched: PipelineSchedule) -> CostParams {
         let a = d.arena;
         let knl = d.kernel_lanes();
         // Off-chip traffic: every port whose backing memory object lives
@@ -115,13 +86,14 @@ impl RawGeometry {
             } else {
                 (offchip_ports, bytes)
             };
-        RawGeometry {
+        CostParams {
             ngs: a.ngs(),
             nki: a.nki(),
             nwpt_words,
             bytes_per_item,
             noff: a.noff(),
             noff_bytes: a.noff_bytes(),
+            sched,
             knl,
             dv: d.vect,
             form: d.form,
@@ -130,36 +102,13 @@ impl RawGeometry {
         }
     }
 
-    /// Attach a schedule, completing the [`CostParams`].
-    pub(crate) fn finish(self, sched: PipelineSchedule) -> CostParams {
-        CostParams {
-            ngs: self.ngs,
-            nki: self.nki,
-            nwpt_words: self.nwpt_words,
-            bytes_per_item: self.bytes_per_item,
-            noff: self.noff,
-            noff_bytes: self.noff_bytes,
-            sched,
-            knl: self.knl,
-            dv: self.dv,
-            form: self.form,
-            n_streams: self.n_streams,
-            local_bytes: self.local_bytes,
-        }
-    }
-
-    /// Work-items each lane processes per kernel instance. Must stay
-    /// bit-identical to [`CostParams::items_per_lane`]: the bound's
-    /// compute floor divides the same numerator the throughput pass
-    /// divides, so floating-point monotonicity makes the bound
-    /// admissible (see `docs/estimator-internals.md`).
-    pub(crate) fn items_per_lane(&self) -> f64 {
+    /// Work-items each lane processes per kernel instance.
+    pub fn items_per_lane(&self) -> f64 {
         self.ngs as f64 / (self.knl.max(1) as f64 * f64::from(self.dv.max(1)))
     }
 
-    /// Total off-chip bytes per kernel instance, as in
-    /// [`CostParams::total_bytes`].
-    pub(crate) fn total_bytes(&self) -> f64 {
+    /// Total off-chip bytes one kernel instance moves (reads + writes).
+    pub fn total_bytes(&self) -> f64 {
         self.ngs as f64 * self.bytes_per_item as f64
     }
 }
@@ -330,14 +279,14 @@ mod tests {
 
     #[test]
     fn shadowed_manage_ir_names_resolve_to_the_first_declaration() {
-        let a = ArenaModule::build(shadowed_module());
         // Off chip: p, q, r (through the first `strobj_q`) and the
         // dangling g and h; `main.s` is on chip through the first `mem_s`.
-        let g = RawGeometry::extract_design(&a.identity());
-        assert_eq!(g.n_streams, 5);
-        assert_eq!(g.bytes_per_item, 5 * 3);
+        let p = CostParams::extract(&shadowed_module(), &stratix_v_gsd8()).unwrap();
+        assert_eq!(p.n_streams, 5);
+        assert_eq!(p.bytes_per_item, 5 * 3);
         // The bandwidth pass sees the off-chip streams with the first
         // `mem_p`'s length; neither `mem_s` nor a dangling name counts.
+        let a = ArenaModule::build(shadowed_module());
         let bw = crate::bandwidth::assess(&a.identity(), &stratix_v_gsd8());
         let streams: Vec<(String, u64)> = bw.streams.iter().map(|s| (s.name, s.elems)).collect();
         let want = [("strobj_p", 27_000), ("strobj_q", 27_000), ("strobj_q", 27_000)];

@@ -17,8 +17,6 @@
 //!            + (k − 1) · 2·NGS·elem_bytes / (GPB·ρ_G)   (stage out + in)
 //! ```
 
-use crate::bandwidth::BandwidthBreakdown;
-use crate::params::CostParams;
 use crate::report::CostReport;
 use tytra_device::TargetDevice;
 
@@ -70,27 +68,22 @@ pub fn plan(report: &CostReport, dev: &TargetDevice) -> Option<ReconfigPlan> {
     if u64::from(k) > report.params.sched.ni.max(1) {
         return None;
     }
-    Some(plan_with(report, &report.params, &report.bandwidth, k, T_SWAP_FULL_S))
+    Some(plan_with(report, k, T_SWAP_FULL_S))
 }
 
 /// Plan with an explicit partition count and swap time (exposed for the
 /// DSE engine's what-if queries and for partial-reconfiguration
 /// targets).
-pub fn plan_with(
-    report: &CostReport,
-    p: &CostParams,
-    bw: &BandwidthBreakdown,
-    k: u32,
-    t_swap_s: f64,
-) -> ReconfigPlan {
-    let fd = report.clock.freq_mhz * 1e6;
+pub fn plan_with(report: &CostReport, k: u32, t_swap_s: f64) -> ReconfigPlan {
+    let p = &report.params;
     let passes = f64::from(k.max(1));
     // Each pass streams all items through its slice of the pipeline.
-    let per_pass_fill = f64::from(report.params.sched.kpd) / passes / fd;
-    let per_pass_items = p.items_per_lane() * p.sched.ii / fd;
+    let per_pass_fill = f64::from(p.sched.kpd) / passes / (report.clock.freq_mhz * 1e6);
+    let per_pass_items = report.throughput.t_compute;
     // Between passes the intermediate stream round-trips DRAM.
     let elem_bytes = (p.bytes_per_item / p.nwpt_words.max(1)).max(1) as f64;
-    let staging = (passes - 1.0) * 2.0 * p.ngs as f64 * elem_bytes / bw.dram_effective.max(1.0);
+    let staging =
+        (passes - 1.0) * 2.0 * p.ngs as f64 * elem_bytes / report.bandwidth.dram_effective.max(1.0);
     let t_instance = passes * (t_swap_s + per_pass_fill + per_pass_items)
         + staging
         + report.throughput.t_host
@@ -173,7 +166,7 @@ mod tests {
         let m = big_module(16);
         let r = estimate(&m, &dev).unwrap();
         let full = plan(&r, &dev).unwrap();
-        let partial = plan_with(&r, &r.params, &r.bandwidth, full.personalities, 0.01);
+        let partial = plan_with(&r, full.personalities, 0.01);
         assert!(partial.t_instance_s < full.t_instance_s);
         assert!(partial.ekit > full.ekit);
     }
@@ -183,8 +176,8 @@ mod tests {
         let dev = eval_small();
         let m = big_module(16);
         let r = estimate(&m, &dev).unwrap();
-        let k2 = plan_with(&r, &r.params, &r.bandwidth, 2, T_SWAP_FULL_S);
-        let k4 = plan_with(&r, &r.params, &r.bandwidth, 4, T_SWAP_FULL_S);
+        let k2 = plan_with(&r, 2, T_SWAP_FULL_S);
+        let k4 = plan_with(&r, 4, T_SWAP_FULL_S);
         assert!(k4.t_instance_s > k2.t_instance_s);
     }
 }

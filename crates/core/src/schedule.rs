@@ -23,37 +23,23 @@ pub struct PipelineSchedule {
     pub delay_line_bits_per_lane: u64,
 }
 
-/// Schedule the module's configuration tree with the device's latency
-/// calibration. The schedule
-/// depends only on the lane subtree (not on `DV` or lane count), which is
-/// why a session memoizes it under the subtree fingerprint.
+/// Schedule the lane subtree ([`ConfigNode::lane`]) of the module's
+/// configuration tree with the device's latency calibration. The
+/// schedule depends only on that subtree (not on `DV` or lane count),
+/// which is why a session memoizes it under the subtree fingerprint.
 pub(crate) fn schedule(
     m: &IrModule,
     dev: &TargetDevice,
     tree: &ConfigNode,
 ) -> Result<PipelineSchedule, IrError> {
-    let lane = lane_subtree(tree);
+    let lane = tree.lane();
     let (kpd, delay_bits) = depth_of(m, dev, lane)?;
-    let ni = lane.subtree_instrs();
-    let ii = match lane.kind {
-        // A pipeline accepts one work-item per cycle once full.
-        ParKind::Pipe | ParKind::Comb => 1.0,
-        // A sequential PE re-uses its functional units: one instruction
-        // per cycle, NI cycles per work-item.
-        ParKind::Seq => ni.max(1) as f64,
-        ParKind::Par => 1.0,
-    };
-    Ok(PipelineSchedule { kpd, ii, ni, delay_line_bits_per_lane: delay_bits })
-}
-
-/// The subtree that one lane executes: for a `par` root, its first child
-/// (lanes are replicas by construction); otherwise the root itself.
-pub fn lane_subtree(tree: &ConfigNode) -> &ConfigNode {
-    if tree.kind == ParKind::Par {
-        tree.children.first().unwrap_or(tree)
-    } else {
-        tree
-    }
+    Ok(PipelineSchedule {
+        kpd,
+        ii: lane.ii(),
+        ni: lane.subtree_instrs(),
+        delay_line_bits_per_lane: delay_bits,
+    })
 }
 
 /// Recursive pipeline depth + delay-line bits of a subtree.

@@ -47,6 +47,7 @@
 use crate::bandwidth::{self, BandwidthBreakdown};
 use crate::bound::CostBound;
 use crate::frequency;
+use crate::params::CostParams;
 use crate::report::{assemble, CostReport};
 use crate::resource::{self, ResourceBreakdown};
 use crate::schedule::{self, PipelineSchedule};
@@ -308,7 +309,7 @@ impl EstimatorSession {
         // Pass 3: parameters from precomputed geometry + patched cells.
         let params = {
             let _sp = trace::enabled().then(|| trace::span("estimator.parameters"));
-            crate::params::RawGeometry::extract_design(d).finish(sched)
+            CostParams::from_design(d, sched)
         };
 
         // Pass 4: resources over the preorder plan.
@@ -360,16 +361,18 @@ impl EstimatorSession {
 
     /// The cheap bound pass over an arena-backed design: an
     /// exact resource/fit verdict plus an admissible upper bound on EKIT,
-    /// from the memoized validate, resource and bandwidth passes alone —
-    /// no schedule or clock walk over the datapath (see [`crate::bound`]).
+    /// from the memoized validate, resource and bandwidth passes and the
+    /// throughput pass at the device's `Fmax` — no schedule or clock walk
+    /// over the datapath (see [`crate::bound`]).
     ///
     /// Shares memo tables with
     /// [`estimate_design`][EstimatorSession::estimate_design], so
     /// interleaving bounds never perturbs estimate results. Steady-state
     /// (all memos warm) this performs no heap allocation at all —
-    /// fingerprints and geometry are precomputed, the initiation interval
-    /// is the plan's `lane_ii`, and the bandwidth breakdown is read by
-    /// reference from the memo table.
+    /// fingerprints and geometry are precomputed, the lane's initiation
+    /// interval and instruction count are read off the configuration
+    /// tree ([`ConfigNode::ii`][tytra_ir::ConfigNode::ii]), and the
+    /// bandwidth breakdown is read by reference from the memo table.
     pub fn bound_design(&mut self, d: &PatchedModule<'_>) -> Result<CostBound, TybecError> {
         let t0 = std::time::Instant::now();
         let _root = trace::span("estimator.bound").with("module", d.name);
@@ -378,9 +381,18 @@ impl EstimatorSession {
         let resources = self.resources_design(d, plan);
         let fits = resources.total.fits_within(&self.dev.capacity);
         let bw_key = self.ensure_bandwidth_design(d);
-        let g = crate::params::RawGeometry::extract_design(d);
+        // The pipeline the bound assumes: the lane's own II and NI, no
+        // depth to fill and no delay lines.
+        let lane = plan.tree.root.lane();
+        let sched = PipelineSchedule {
+            kpd: 0,
+            ii: lane.ii(),
+            ni: lane.subtree_instrs(),
+            delay_line_bits_per_lane: 0,
+        };
+        let params = CostParams::from_design(d, sched);
         let bw = &self.bandwidths[&bw_key];
-        let b = crate::bound::assemble(&g, &self.dev, bw, plan.lane_ii, resources.total, fits);
+        let b = crate::bound::assemble(&params, &self.dev, bw, resources.total, fits);
         self.memo_entries.set(self.memo_len() as f64);
         self.bound_ns.record(t0.elapsed().as_nanos() as u64);
         Ok(b)

@@ -327,13 +327,14 @@ pub fn session_determinism(m: &IrModule, dev: &TargetDevice) -> Verdict {
 
 /// Oracle 7 — the served cost model equals the offline one.
 ///
-/// Drives the daemon's full per-request path in process — parse →
-/// prepare → cache probe → guarded compute → render, via
-/// [`tytra_serve::Engine::respond`] — and demands the `estimate`
-/// payload be byte-identical to the direct `estimate` rendering for
-/// the same design. The identical request is then replayed so the
-/// cache-served answer is checked against the computed one, and error
-/// inputs must carry the exact category the direct path raises. This
+/// Drives the daemon's full per-request path in process — decode →
+/// exact-text fast path → prepare → cache probe with single flight →
+/// guarded compute → render, via [`tytra_serve::Engine::respond`] —
+/// and demands the `estimate` payload be byte-identical to the direct
+/// `estimate` rendering for the same design. The identical request is
+/// then replayed so the fast-path answer is checked against the
+/// computed one, and error inputs must carry the exact category the
+/// direct path raises. This
 /// is the wire-level face of the session-determinism property: no
 /// daemon state (warm session, response cache) may leak into a
 /// response.

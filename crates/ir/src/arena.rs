@@ -96,8 +96,7 @@ pub struct ConfigPlan {
     /// Preorder flattening of `tree.root`, with a replicated lane
     /// subtree stored once.
     pub nodes: Vec<PlanNode>,
-    /// Start of the lane subtree inside `nodes` (first child of a `par`
-    /// root, else the root itself).
+    /// Start of the lane subtree ([`ConfigNode::lane`]) inside `nodes`.
     pub lane_start: usize,
     /// Length of the lane subtree's preorder slice.
     pub lane_len: usize,
@@ -107,9 +106,6 @@ pub struct ConfigPlan {
     pub lane_replicas: u64,
     /// `fingerprint_subtree` of the lane subtree — the schedule memo key.
     pub lane_fp: u64,
-    /// The bound pass's initiation interval (lane kind + instruction
-    /// count; `seq` serializes, everything else accepts one item/cycle).
-    pub lane_ii: f64,
     /// Lane replication factor for per-lane resource figures: the root's
     /// child count when the root is `par`, else 1.
     pub par_lanes: u64,
@@ -358,27 +354,23 @@ fn build_plan(template: &IrModule, fn_fp: &[u64], tree: ConfigTree) -> ConfigPla
         ids.entry(f.name.as_str()).or_insert(FnId(i as u32));
     }
     let root = &tree.root;
+    let lane = root.lane();
     let mut nodes = Vec::new();
-    // Lane subtree: first child of a `par` root, else the root (the
-    // `lane_subtree` rule of the schedule pass). A child's subtree is a
-    // function of its callee alone, so children that all call one
-    // function are one subtree, kept once.
-    let (lane_start, lane_replicas) = match root.children.first() {
-        Some(first) if root.kind == ParKind::Par => {
-            let uniform = root.children.iter().all(|c| c.function == first.function);
-            let kept = if uniform { std::slice::from_ref(first) } else { &root.children[..] };
-            nodes.push(plan_node(&ids, root));
-            for c in kept {
-                flatten(&ids, c, &mut nodes);
-            }
-            (1, if uniform { root.children.len() as u64 } else { 1 })
+    // A child's subtree is a function of its callee alone, so `par`
+    // children that all call the lane's function are one subtree, kept
+    // once.
+    let (lane_start, lane_replicas) = if std::ptr::eq(lane, root) {
+        flatten(&ids, root, &mut nodes);
+        (0, 1)
+    } else {
+        let uniform = root.children.iter().all(|c| c.function == lane.function);
+        let kept = if uniform { std::slice::from_ref(lane) } else { &root.children[..] };
+        nodes.push(plan_node(&ids, root));
+        for c in kept {
+            flatten(&ids, c, &mut nodes);
         }
-        _ => {
-            flatten(&ids, root, &mut nodes);
-            (0, 1)
-        }
+        (1, if uniform { root.children.len() as u64 } else { 1 })
     };
-    let lane = if lane_start == 1 { &root.children[0] } else { root };
     let lane_len = {
         fn count(n: &ConfigNode) -> usize {
             1 + n.children.iter().map(count).sum::<usize>()
@@ -397,12 +389,8 @@ fn build_plan(template: &IrModule, fn_fp: &[u64], tree: ConfigTree) -> ConfigPla
         }
         h.finish()
     };
-    let lane_ii = match lane.kind {
-        ParKind::Seq => lane.subtree_instrs().max(1) as f64,
-        _ => 1.0,
-    };
     let par_lanes = if root.kind == ParKind::Par { root.children.len() as u64 } else { 1 };
-    ConfigPlan { nodes, lane_start, lane_len, lane_replicas, lane_fp, lane_ii, par_lanes, tree }
+    ConfigPlan { nodes, lane_start, lane_len, lane_replicas, lane_fp, par_lanes, tree }
 }
 
 /// A design variant as a copy-on-write delta over a shared
@@ -680,11 +668,7 @@ mod tests {
             assert_eq!(outer as u64 + replicas * plan.lane_len as u64, count(&tree.root));
             // Lane subtree fingerprint equals the schedule memo key the
             // tree path computes.
-            let lane = if tree.root.kind == ParKind::Par {
-                tree.root.children.first().unwrap_or(&tree.root)
-            } else {
-                &tree.root
-            };
+            let lane = tree.root.lane();
             assert_eq!(plan.lane_fp, fingerprint_subtree(a.template(), lane));
             assert_eq!(plan.lane_nodes().len(), plan.lane_len);
             assert_eq!(plan.lane_nodes()[0].kind, lane.kind);

@@ -43,6 +43,27 @@ impl ConfigNode {
         self.n_instrs + self.children.iter().map(ConfigNode::subtree_instrs).sum::<u64>()
     }
 
+    /// The subtree one lane executes: a `par` root's first child (lanes
+    /// are replicas by construction), else the root itself.
+    pub fn lane(&self) -> &ConfigNode {
+        match self.children.first() {
+            Some(first) if self.kind == ParKind::Par => first,
+            _ => self,
+        }
+    }
+
+    /// Initiation interval of this node as a lane, in cycles between
+    /// successive work-items (the paper's `NTO · NI`): a `seq` lane
+    /// re-uses its functional units, one instruction per cycle, so it
+    /// takes its subtree's instruction count (at least 1); every other
+    /// kind accepts one work-item per cycle once full.
+    pub fn ii(&self) -> f64 {
+        match self.kind {
+            ParKind::Seq => self.subtree_instrs().max(1) as f64,
+            _ => 1.0,
+        }
+    }
+
     /// Depth of the subtree (a lone node has depth 1).
     pub fn depth(&self) -> usize {
         1 + self.children.iter().map(ConfigNode::depth).max().unwrap_or(0)
@@ -325,6 +346,8 @@ mod tests {
         assert_eq!(t.lanes, 4);
         assert_eq!(t.root.children.len(), 4);
         assert_eq!(t.root.count_kind(ParKind::Pipe), 4);
+        assert_eq!(t.root.lane(), &t.root.children[0]);
+        assert_eq!(t.root.lane().ii(), 1.0);
     }
 
     #[test]
@@ -495,7 +518,11 @@ mod tests {
     fn seq_root_classifies_c4() {
         let mut s = IrFunction::new("s0", ParKind::Seq);
         s.body.push(instr("a"));
+        s.body.push(instr("b"));
         let m = module_with(vec![s, main_dispatching("s0", ParKind::Seq)]);
-        assert_eq!(extract(&m).unwrap().class, ConfigClass::C4Sequential);
+        let t = extract(&m).unwrap();
+        assert_eq!(t.class, ConfigClass::C4Sequential);
+        assert_eq!(t.root.lane(), &t.root, "a root that is not `par` is its own lane");
+        assert_eq!(t.root.ii(), 2.0, "one instruction per cycle");
     }
 }

@@ -9,9 +9,9 @@
 //! * [`TybecError`] — the structured, categorized error every later
 //!   stage (estimator, simulator, search, CLI) speaks. It carries an
 //!   [`ErrorCategory`] (which the CLI maps to a distinct exit code), an
-//!   optional source [`Span`], a message, and an optional chained cause
-//!   (`From`-chained: `?` on an `IrError` inside an estimator pass
-//!   produces a `TybecError` with the span and category preserved).
+//!   optional source [`Span`] and a message (`?` on an `IrError` inside
+//!   an estimator pass produces a `TybecError` with the span and
+//!   category preserved).
 
 use crate::diag::Span;
 use std::fmt;
@@ -146,7 +146,7 @@ impl fmt::Display for ErrorCategory {
 }
 
 /// The pipeline-wide structured error: category + optional span +
-/// message + optional chained cause.
+/// message.
 ///
 /// Constructed directly by estimator/simulator/search code, or via
 /// `From<IrError>` (which preserves parse positions as spans), so any
@@ -159,19 +159,12 @@ pub struct TybecError {
     pub span: Option<Span>,
     /// Human-readable description.
     pub message: String,
-    /// The upstream error this one wraps, if any.
-    pub cause: Option<Box<TybecError>>,
 }
 
 impl TybecError {
-    /// A new error in `category` with no span or cause.
+    /// A new error in `category` with no span.
     pub fn new(category: ErrorCategory, message: impl Into<String>) -> TybecError {
-        TybecError { category, span: None, message: message.into(), cause: None }
-    }
-
-    /// Shorthand constructors for the common categories.
-    pub fn estimate(message: impl Into<String>) -> TybecError {
-        TybecError::new(ErrorCategory::Estimate, message)
+        TybecError { category, span: None, message: message.into() }
     }
 
     /// A simulator-stage error.
@@ -179,36 +172,10 @@ impl TybecError {
         TybecError::new(ErrorCategory::Sim, message)
     }
 
-    /// A search-stage error.
-    pub fn search(message: impl Into<String>) -> TybecError {
-        TybecError::new(ErrorCategory::Search, message)
-    }
-
-    /// An internal-invariant violation (caught panic, impossible state).
-    pub fn internal(message: impl Into<String>) -> TybecError {
-        TybecError::new(ErrorCategory::Internal, message)
-    }
-
     /// Attach a source span.
     pub fn with_span(mut self, span: Span) -> TybecError {
         self.span = Some(span);
         self
-    }
-
-    /// Chain an upstream cause (keeps the receiver's category and span).
-    pub fn caused_by(mut self, cause: TybecError) -> TybecError {
-        self.cause = Some(Box::new(cause));
-        self
-    }
-
-    /// The error chain, outermost first.
-    pub fn chain(&self) -> impl Iterator<Item = &TybecError> {
-        std::iter::successors(Some(self), |e| e.cause.as_deref())
-    }
-
-    /// The innermost error in the chain (the root cause).
-    pub fn root_cause(&self) -> &TybecError {
-        self.chain().last().expect("chain is never empty")
     }
 }
 
@@ -218,11 +185,7 @@ impl fmt::Display for TybecError {
         if let Some(s) = self.span {
             write!(f, " at {s}")?;
         }
-        write!(f, ": {}", self.message)?;
-        if let Some(cause) = &self.cause {
-            write!(f, " (caused by: {cause})")?;
-        }
-        Ok(())
+        write!(f, ": {}", self.message)
     }
 }
 
@@ -286,15 +249,6 @@ mod tests {
         assert_eq!(e.category, ErrorCategory::Parse);
         assert_eq!(e.span, Some(Span { line: 4, col: 9 }));
         assert_eq!(e.to_string(), "parse error at 4:9: bad");
-    }
-
-    #[test]
-    fn tybec_error_chains_and_roots() {
-        let root: TybecError = IrError::Validate("no main".into()).into();
-        let outer = TybecError::estimate("cannot cost an invalid module").caused_by(root.clone());
-        assert_eq!(outer.chain().count(), 2);
-        assert_eq!(outer.root_cause(), &root);
-        assert!(outer.to_string().contains("caused by: validate error: no main"));
     }
 
     #[test]

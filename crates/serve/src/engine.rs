@@ -16,12 +16,14 @@
 //! target, whatever engine, connection or cache state produced it.
 
 use crate::protocol::{
-    parse_request, render_err, render_ok, MetricsFormat, RequestError, RequestKind,
+    parse_request, render_err, render_ok, MetricsFormat, Request, RequestError, RequestKind,
 };
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::str::Utf8Error;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Instant;
 use tytra_cost::EstimatorSession;
 use tytra_device::TargetFn;
 use tytra_dse::{render_search_leaderboard, search_with, ExplorationConfig, SearchConfig};
@@ -116,10 +118,10 @@ pub fn prepare(kind: &RequestKind) -> Result<(Work, Option<CacheKey>), TybecErro
 /// Source-level fast-path key: request flavour tag, raw target string,
 /// raw design text. Identical source bytes parse to the identical
 /// module, so this maps straight to a [`CacheKey`] without re-parsing.
-pub type FastKey = (u8, String, String);
+type FastKey = (u8, String, String);
 
 /// The fast-path key for a request, if its flavour has one.
-pub fn fast_key(kind: &RequestKind) -> Option<FastKey> {
+fn fast_key(kind: &RequestKind) -> Option<FastKey> {
     match kind {
         RequestKind::Estimate { design, target } => {
             Some((TAG_ESTIMATE, target.clone(), design.clone()))
@@ -141,14 +143,14 @@ pub type Outcome = Result<String, (TybecError, Option<String>)>;
 /// outcome once; requests that missed the cache on the same key meanwhile
 /// wait for it instead of computing again.
 #[derive(Default)]
-pub(crate) struct Flight {
+struct Flight {
     outcome: Mutex<Option<Outcome>>,
     landed: Condvar,
 }
 
 impl Flight {
     /// Block until the leader publishes, then return its outcome.
-    pub(crate) fn wait(&self) -> Outcome {
+    fn wait(&self) -> Outcome {
         let mut slot = self.outcome.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(o) = slot.as_ref() {
@@ -160,7 +162,7 @@ impl Flight {
 }
 
 /// How a request that missed the cache on a key proceeds.
-pub(crate) enum Claim {
+enum Claim {
     /// The payload landed in the cache meanwhile.
     Hit(String),
     /// Another request is computing it: wait on its flight.
@@ -261,7 +263,7 @@ impl Shared {
     /// Single-flight admission after a cache miss on `key`: follow the
     /// flight already computing it, or take the payload if it landed in
     /// the cache since the miss, or lead a new flight.
-    pub(crate) fn claim(&self, key: &CacheKey) -> Claim {
+    fn claim(&self, key: &CacheKey) -> Claim {
         let mut inflight = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
         if let Some((flight, followers)) = inflight.get_mut(key) {
             *followers += 1;
@@ -280,7 +282,7 @@ impl Shared {
     /// Publish a led flight's outcome to its followers and retire it,
     /// recording how many requests it answered. A successful payload must
     /// already be in the cache.
-    pub(crate) fn land(&self, key: &CacheKey, flight: &Flight, outcome: &Outcome) {
+    fn land(&self, key: &CacheKey, flight: &Flight, outcome: &Outcome) {
         *flight.outcome.lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome.clone());
         flight.landed.notify_all();
         let retired = self.inflight.lock().unwrap_or_else(|e| e.into_inner()).remove(key);
@@ -290,17 +292,137 @@ impl Shared {
     /// Fast-path probe: the cached payload for this exact request text,
     /// if both the source memo and the response cache hold it. No TIRL
     /// parsing happens on this path.
-    pub fn fast_get(&self, key: &FastKey) -> Option<String> {
+    fn fast_get(&self, key: &FastKey) -> Option<String> {
         let cache_key = self.fast.lock().unwrap_or_else(|e| e.into_inner()).get(key).cloned()?;
         self.cache_get(&cache_key)
     }
 
     /// Remember which structural class this exact request text maps to.
-    pub fn fast_put(&self, key: FastKey, cache_key: CacheKey) {
+    fn fast_put(&self, key: FastKey, cache_key: CacheKey) {
         // Evictions here are bookkeeping-only (the memo is re-derivable
         // by parsing), so they don't count toward `cache_evictions`.
         self.fast.lock().unwrap_or_else(|e| e.into_inner()).insert(key, cache_key);
     }
+
+    /// The per-request path for one request line, up to the response
+    /// line it returns: decode the line (one that is not UTF-8 gets a
+    /// `parse` error), answer a repeat of request text already answered
+    /// from the exact-text fast path, else prepare the request, probe
+    /// the cache with single flight and let `compute` (a guarded
+    /// computation on some engine) answer a miss. Records the line's
+    /// decode, prepare and compute timings. A request `fault_inject`
+    /// matches skips the fast path, the cache and single flight, so it
+    /// reaches `compute` with the fault flag set and nobody waits on it.
+    pub(crate) fn serve_line(
+        &self,
+        line: Result<&str, Utf8Error>,
+        fault_inject: Option<fn(&Request) -> bool>,
+        compute: impl FnOnce(&Work, bool) -> Outcome,
+    ) -> String {
+        self.requests.incr();
+        recorder::mark("serve.request", 1);
+        let (id, outcome) = self.answer(line, fault_inject, |work, fault| {
+            let t = Instant::now();
+            let outcome = compute(work, fault);
+            self.compute_ns.record(elapsed_ns(t));
+            outcome
+        });
+        match &outcome {
+            Ok(payload) => render_ok(id, payload),
+            Err((e, dump)) => {
+                self.errors.incr();
+                render_err(id, e, dump.as_deref())
+            }
+        }
+    }
+
+    /// One request line's id and outcome (see
+    /// [`serve_line`][Shared::serve_line]).
+    fn answer(
+        &self,
+        line: Result<&str, Utf8Error>,
+        fault_inject: Option<fn(&Request) -> bool>,
+        compute: impl FnOnce(&Work, bool) -> Outcome,
+    ) -> (u64, Outcome) {
+        let t = Instant::now();
+        let decoded = line
+            .map_err(|e| RequestError {
+                id: 0,
+                error: TybecError::new(
+                    ErrorCategory::Parse,
+                    format!("request line is not UTF-8: {e}"),
+                ),
+            })
+            .and_then(parse_request);
+        self.decode_ns.record(elapsed_ns(t));
+        let req = match decoded {
+            Ok(r) => r,
+            Err(RequestError { id, error }) => return (id, Err((error, None))),
+        };
+        let fast = if fault_inject.is_none() { fast_key(&req.kind) } else { None };
+        if let Some(hit) = fast.as_ref().and_then(|k| self.fast_get(k)) {
+            self.cache_hits.incr();
+            return (req.id, Ok(hit));
+        }
+        let t = Instant::now();
+        let prepared = prepare(&req.kind);
+        self.prepare_ns.record(elapsed_ns(t));
+        let (work, key) = match prepared {
+            Ok(p) => p,
+            Err(e) => return (req.id, Err((e, None))),
+        };
+        if let (Some(fk), Some(key)) = (fast, &key) {
+            self.fast_put(fk, key.clone());
+        }
+        let fault = fault_inject.is_some_and(|pred| pred(&req));
+        let outcome = match &key {
+            Some(key) if !fault => self.cached_or_computed(&work, key, compute),
+            _ => compute(&work, fault),
+        };
+        (req.id, outcome)
+    }
+
+    /// The payload for a cacheable request: from the cache, from another
+    /// request's computation of the same key (single flight), or
+    /// computed by `compute` and cached.
+    fn cached_or_computed(
+        &self,
+        work: &Work,
+        key: &CacheKey,
+        compute: impl FnOnce(&Work, bool) -> Outcome,
+    ) -> Outcome {
+        let claim = match self.cache_get(key) {
+            Some(hit) => Claim::Hit(hit),
+            None => self.claim(key),
+        };
+        match claim {
+            Claim::Hit(hit) => {
+                self.cache_hits.incr();
+                Ok(hit)
+            }
+            Claim::Follow(flight) => {
+                let outcome = flight.wait();
+                if outcome.is_ok() {
+                    self.cache_hits.incr();
+                }
+                outcome
+            }
+            Claim::Lead(flight) => {
+                let outcome = compute(work, false);
+                if let Ok(payload) = &outcome {
+                    self.cache_misses.incr();
+                    self.cache_put(key.clone(), payload.clone());
+                }
+                self.land(key, &flight, &outcome);
+                outcome
+            }
+        }
+    }
+}
+
+/// Nanoseconds since `since`.
+pub(crate) fn elapsed_ns(since: Instant) -> u64 {
+    since.elapsed().as_nanos() as u64
 }
 
 fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
@@ -404,49 +526,40 @@ impl Engine {
         }
     }
 
-    /// Full in-process round-trip for one request line: parse → prepare
-    /// → cache probe → guarded compute → render. This is the path a
-    /// daemon connection runs per request, minus the socket, the
-    /// exact-text fast path and single flight; the fuzz
-    /// `serve-equivalence` oracle and perfbench drive it directly.
+    /// Full in-process round-trip for one request line: the daemon's
+    /// per-request path (`Shared::serve_line`) minus the socket, with
+    /// this engine computing. The fuzz `serve-equivalence` oracle and
+    /// perfbench drive it directly.
     pub fn respond(&mut self, line: &str, shared: &Shared) -> String {
-        let t0 = std::time::Instant::now();
-        shared.requests.incr();
-        let req = match parse_request(line) {
-            Ok(r) => r,
-            Err(RequestError { id, error }) => {
-                shared.errors.incr();
-                return render_err(id, &error, None);
-            }
-        };
-        let (work, key) = match prepare(&req.kind) {
-            Ok(p) => p,
-            Err(e) => {
-                shared.errors.incr();
-                return render_err(req.id, &e, None);
-            }
-        };
-        if let Some(key) = &key {
-            if let Some(hit) = shared.cache_get(key) {
-                shared.cache_hits.incr();
-                shared.request_ns.record(t0.elapsed().as_nanos() as u64);
-                return render_ok(req.id, &hit);
-            }
-        }
-        let out = match self.compute_guarded(&work, shared, false) {
-            Ok(payload) => {
-                if let Some(key) = key {
-                    shared.cache_misses.incr();
-                    shared.cache_put(key, payload.clone());
-                }
-                render_ok(req.id, &payload)
-            }
-            Err((e, dump)) => {
-                shared.errors.incr();
-                render_err(req.id, &e, dump.as_deref())
-            }
-        };
-        shared.request_ns.record(t0.elapsed().as_nanos() as u64);
+        let t0 = Instant::now();
+        let out = shared
+            .serve_line(Ok(line), None, |work, fault| self.compute_guarded(work, shared, fault));
+        shared.request_ns.record(elapsed_ns(t0));
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tytra_kernels::Sor;
+    use tytra_transform::Variant;
+
+    #[test]
+    fn respond_answers_a_repeated_line_from_the_exact_text_fast_path() {
+        let m = Sor::default().lower_variant(&Variant::baseline()).expect("lowerable variant");
+        let line = format!(
+            "{{\"id\":1,\"kind\":\"estimate\",\"design\":\"{}\",\"target\":\"eval-small\"}}",
+            tytra_trace::json::escape(&tytra_ir::print(&m))
+        );
+        let (mut engine, shared) = (Engine::new(), Shared::new(16));
+        let cold = engine.respond(&line, &shared);
+        assert!(cold.starts_with("{\"id\":1,\"ok\":true,"), "{cold}");
+        assert_eq!(shared.prepare_ns.summary().count, 1, "the first line is prepared");
+        let hits = shared.cache_hits.get();
+        let warm = engine.respond(&line, &shared);
+        assert_eq!(warm, cold);
+        assert_eq!(shared.cache_hits.get(), hits + 1);
+        assert_eq!(shared.prepare_ns.summary().count, 1, "the repeat is not prepared again");
     }
 }

@@ -18,21 +18,18 @@
 //! client that sends one request and hangs up still lands on warm
 //! estimator sessions.
 
-use crate::engine::{fast_key, prepare, CacheKey, Claim, Engine, Outcome, Shared, Work};
-use crate::protocol::{parse_request, render_err, render_ok, Request, RequestError};
+use crate::engine::{elapsed_ns, Engine, Outcome, Shared, Work};
+use crate::protocol::Request;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 #[cfg(unix)]
 use std::path::{Path, PathBuf};
-use std::str::Utf8Error;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
-use tytra_ir::{ErrorCategory, TybecError};
-use tytra_trace::recorder;
 
 /// Daemon settings.
 #[derive(Clone)]
@@ -211,10 +208,6 @@ fn split_unix(s: UnixStream) -> Option<Halves> {
     Some((Box::new(BufReader::new(r)), Box::new(s)))
 }
 
-fn elapsed_ns(since: Instant) -> u64 {
-    since.elapsed().as_nanos() as u64
-}
-
 impl Daemon {
     /// Answer one connection's requests in order until its client hangs
     /// up. Lines are read as bytes, so a line that is not UTF-8 gets a
@@ -239,105 +232,20 @@ impl Daemon {
                 continue;
             }
             let t0 = Instant::now();
-            shared.requests.incr();
-            recorder::mark("serve.request", 1);
-            let (id, outcome) = self.answer(line);
-            let t_write = Instant::now();
-            let response = match &outcome {
-                Ok(payload) => render_ok(id, payload),
-                Err((e, dump)) => {
-                    shared.errors.incr();
-                    render_err(id, e, dump.as_deref())
+            let response = shared.serve_line(line, self.fault_inject, |work, fault| {
+                let outcome = self.compute(work, fault);
+                if matches!(work, Work::Shutdown) {
+                    // `compute` set the flag; unblock the accept loop.
+                    // This connection is still served until its client
+                    // hangs up.
+                    self.endpoint.poke();
                 }
-            };
+                outcome
+            });
+            let t_write = Instant::now();
             let _ = writer.write_all(response.as_bytes()).and_then(|()| writer.flush());
             shared.write_ns.record(elapsed_ns(t_write));
             shared.request_ns.record(elapsed_ns(t0));
-        }
-    }
-
-    /// One request line's id and outcome.
-    fn answer(&self, line: Result<&str, Utf8Error>) -> (u64, Outcome) {
-        let shared = &self.shared;
-        let t = Instant::now();
-        let decoded = line
-            .map_err(|e| RequestError {
-                id: 0,
-                error: TybecError::new(
-                    ErrorCategory::Parse,
-                    format!("request line is not UTF-8: {e}"),
-                ),
-            })
-            .and_then(parse_request);
-        shared.decode_ns.record(elapsed_ns(t));
-        let req = match decoded {
-            Ok(r) => r,
-            Err(RequestError { id, error }) => return (id, Err((error, None))),
-        };
-        // Exact-text fast path: a repeat of request bytes the daemon has
-        // already answered skips parsing and fingerprinting. It is off
-        // while fault injection is armed, so every matched request
-        // reaches the guarded compute and panics.
-        let fast = if self.fault_inject.is_none() { fast_key(&req.kind) } else { None };
-        if let Some(hit) = fast.as_ref().and_then(|k| shared.fast_get(k)) {
-            shared.cache_hits.incr();
-            return (req.id, Ok(hit));
-        }
-        let t = Instant::now();
-        let prepared = prepare(&req.kind);
-        shared.prepare_ns.record(elapsed_ns(t));
-        let (work, key) = match prepared {
-            Ok(p) => p,
-            Err(e) => return (req.id, Err((e, None))),
-        };
-        if let (Some(fk), Some(key)) = (fast, &key) {
-            shared.fast_put(fk, key.clone());
-        }
-        // Injected faults skip the cache and the single-flight table, so
-        // the fault actually fires and nobody waits on it.
-        let fault = self.fault_inject.is_some_and(|pred| pred(&req));
-        let outcome = match &key {
-            Some(key) if !fault => self.cached_or_computed(&work, key),
-            _ => self.compute(&work, fault),
-        };
-        if matches!(work, Work::Shutdown) {
-            // `compute` set the flag; unblock the accept loop. This
-            // connection is still served until its client hangs up.
-            self.endpoint.poke();
-        }
-        (req.id, outcome)
-    }
-
-    /// The payload for a cacheable request: from the cache, from another
-    /// connection's computation of the same key (single flight), or
-    /// computed here and cached.
-    fn cached_or_computed(&self, work: &Work, key: &CacheKey) -> Outcome {
-        let shared = &self.shared;
-        let claim = match shared.cache_get(key) {
-            Some(hit) => Claim::Hit(hit),
-            None => shared.claim(key),
-        };
-        match claim {
-            Claim::Hit(hit) => {
-                shared.cache_hits.incr();
-                Ok(hit)
-            }
-            Claim::Follow(flight) => {
-                let outcome = flight.wait();
-                if outcome.is_ok() {
-                    shared.cache_hits.incr();
-                }
-                outcome
-            }
-            Claim::Lead(flight) => {
-                let outcome = self.compute(work, false);
-                if let Ok(payload) = &outcome {
-                    shared.cache_misses.incr();
-                    shared.cache_put(key.clone(), payload.clone());
-                }
-                shared.land(key, &flight, &outcome);
-                outcome
-            }
         }
     }
 
@@ -345,9 +253,7 @@ impl Daemon {
     fn compute(&self, work: &Work, fault: bool) -> Outcome {
         let pooled = self.engines.lock().unwrap_or_else(|e| e.into_inner()).pop();
         let mut engine = pooled.unwrap_or_default();
-        let t = Instant::now();
         let outcome = engine.compute_guarded(work, &self.shared, fault);
-        self.shared.compute_ns.record(elapsed_ns(t));
         self.engines.lock().unwrap_or_else(|e| e.into_inner()).push(engine);
         outcome
     }

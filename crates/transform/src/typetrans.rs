@@ -43,29 +43,19 @@ impl Variant {
 
     /// Short tag used in design names: `l4_v1_pipe_B`.
     pub fn tag(&self) -> String {
-        self.tag_buf().as_str().to_string()
+        let mut s = String::new();
+        self.write_tag(&mut s);
+        s
     }
 
-    /// The tag formatted into a stack buffer — no heap allocation. The
-    /// DSE hot path (per-variant trace fields, leaderboard tie-break
-    /// comparisons) goes through this instead of [`tag`][Variant::tag].
-    pub fn tag_buf(&self) -> TagBuf {
+    /// Append the tag to an existing string.
+    pub fn write_tag(&self, out: &mut String) {
         let inner = match self.inner {
             InnerKind::Pipe => "pipe",
             InnerKind::Seq => "seq",
         };
-        let mut b = TagBuf::default();
-        // `MemForm`'s `Display` writes the letter forms without
-        // allocating; a TagBuf never overflows (see its docs), so the
-        // write cannot fail.
-        let _ = write!(b, "l{}_v{}_{}_{}", self.lanes, self.vect, inner, self.form);
-        b
-    }
-
-    /// Append the tag to an existing string (one buffer reserve at
-    /// most, no intermediate allocation).
-    pub fn write_tag(&self, out: &mut String) {
-        out.push_str(self.tag_buf().as_str());
+        // Writing to a `String` cannot fail.
+        let _ = write!(out, "l{}_v{}_{}_{}", self.lanes, self.vect, inner, self.form);
     }
 
     /// Is the reshape legal for this NDRange (order/size preservation
@@ -76,42 +66,6 @@ impl Variant {
             && self.vect > 0
             && ngs.is_multiple_of(self.lanes)
             && (ngs / self.lanes).is_multiple_of(u64::from(self.vect))
-    }
-}
-
-/// A variant tag on the stack: `l{lanes}_v{vect}_{inner}_{form}` peaks
-/// at 50 bytes (20-digit lane count, 10-digit vector degree, `pipe`,
-/// 11-byte tiled form), so the 64-byte buffer always suffices.
-#[derive(Debug, Clone, Copy)]
-pub struct TagBuf {
-    buf: [u8; 64],
-    len: u8,
-}
-
-impl Default for TagBuf {
-    fn default() -> TagBuf {
-        TagBuf { buf: [0; 64], len: 0 }
-    }
-}
-
-impl TagBuf {
-    /// The formatted tag.
-    pub fn as_str(&self) -> &str {
-        // Only `write_str` fills the buffer, so it holds valid UTF-8.
-        std::str::from_utf8(&self.buf[..usize::from(self.len)]).unwrap_or("")
-    }
-}
-
-impl std::fmt::Write for TagBuf {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        let start = usize::from(self.len);
-        let end = start + s.len();
-        if end > self.buf.len() {
-            return Err(std::fmt::Error);
-        }
-        self.buf[start..end].copy_from_slice(s.as_bytes());
-        self.len = end as u8;
-        Ok(())
     }
 }
 
@@ -199,7 +153,7 @@ mod tests {
     }
 
     #[test]
-    fn tag_buf_matches_tag() {
+    fn write_tag_appends_the_tag() {
         let vs = enumerate_variants(
             1 << 12,
             &[1, 2, 4, 8, 16, 32],
@@ -207,11 +161,12 @@ mod tests {
             &[MemForm::A, MemForm::B, MemForm::C, MemForm::Tiled { tiles: 12 }],
         );
         for a in &vs {
-            assert_eq!(a.tag_buf().as_str(), a.tag());
             let mut s = String::from("sor_");
             a.write_tag(&mut s);
             assert_eq!(s, format!("sor_{}", a.tag()));
         }
+        let v = Variant { lanes: 4, vect: 2, inner: InnerKind::Seq, form: MemForm::C };
+        assert_eq!(v.tag(), "l4_v2_seq_C");
     }
 
     #[test]
