@@ -39,7 +39,7 @@ use tytra_dse::{lane_sweep_with, search_with, tune_with, ExplorationConfig, Sear
 use tytra_ir::{ArenaModule, ErrorCategory, IrError, TybecError};
 use tytra_kernels::EvalKernel;
 use tytra_sim::run_application;
-use tytra_trace::prometheus::render_prometheus;
+use tytra_trace::metrics::MetricsFormat;
 use tytra_trace::{profile, recorder, sink};
 use tytra_transform::Variant;
 
@@ -355,8 +355,8 @@ fn has_flag(args: &[String], name: &str) -> bool {
 }
 
 fn target_of(args: &[String]) -> Result<TargetDevice, String> {
-    let (_, device) =
-        tytra_device::target_by_name(flag_value(args, "--target").unwrap_or("stratix-v-gsd8"))?;
+    let name = flag_value(args, "--target").unwrap_or(tytra_device::DEFAULT_TARGET);
+    let (_, device) = tytra_device::target_by_name(name)?;
     Ok(device())
 }
 
@@ -677,30 +677,16 @@ fn cmd_exec(input: Option<&str>, args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// How `--metrics` / `--metrics-out` render the merged snapshot.
-#[derive(Debug, Clone, Copy)]
-enum MetricsFormat {
-    /// The aligned human-readable table.
-    Table,
-    /// Prometheus text exposition format (scrape-ready).
-    Prometheus,
-}
-
 fn cmd_dse(input: Option<&str>, args: &[String]) -> Result<(), CliError> {
     let kernel = kernel_of(input)?;
     let dev = target_of(args)?;
     let lanes = lanes_flag(args)?;
     let show_stats = has_flag(args, "--stats");
     let show_metrics = has_flag(args, "--metrics");
-    let metrics_format = match flag_value(args, "--metrics-format").unwrap_or("table") {
-        "table" => MetricsFormat::Table,
-        "prometheus" => MetricsFormat::Prometheus,
-        other => {
-            return Err(
-                format!("unknown --metrics-format `{other}` (expected table|prometheus)").into()
-            )
-        }
-    };
+    let format_name = flag_value(args, "--metrics-format").unwrap_or("table");
+    let metrics_format = MetricsFormat::from_name(format_name).ok_or_else(|| {
+        format!("unknown --metrics-format `{format_name}` (expected table|prometheus)")
+    })?;
     let metrics_out = flag_value(args, "--metrics-out");
 
     // One variant factory serves the sweep, the search and the tuning run,
@@ -763,16 +749,12 @@ fn cmd_dse(input: Option<&str>, args: &[String]) -> Result<(), CliError> {
         println!("{}", tytra_dse::render_search_stats_line(&outcome.stats));
         println!("{}", tytra_dse::render_latency_stats_line(&session.metrics_snapshot()));
     }
-    let render_metrics = |snap: &tytra_trace::metrics::Snapshot| match metrics_format {
-        MetricsFormat::Table => snap.render_table(),
-        MetricsFormat::Prometheus => render_prometheus(snap),
-    };
     if show_metrics {
         println!("\n== metrics ==");
-        print!("{}", render_metrics(&merged()));
+        print!("{}", merged().render(metrics_format));
     }
     if let Some(path) = metrics_out {
-        std::fs::write(path, render_metrics(&merged()))
+        std::fs::write(path, merged().render(metrics_format))
             .map_err(|e| format!("writing metrics {path}: {e}"))?;
         eprintln!("metrics: snapshot written to {path}");
     }

@@ -10,7 +10,7 @@ use crate::resource::ResourceEstimate;
 use crate::throughput::ThroughputEstimate;
 use std::fmt;
 use tytra_device::resources::Utilization;
-use tytra_ir::{ConfigClass, ConfigTree};
+use tytra_ir::ConfigClass;
 
 /// Full cost-model output for one design variant on one target.
 #[derive(Debug, Clone)]
@@ -128,38 +128,5 @@ impl CostReport {
 impl fmt::Display for CostReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.render())
-    }
-}
-
-/// Internal helper carrying the pieces into the report (keeps
-/// [`crate::estimate`] tidy).
-#[allow(clippy::too_many_arguments)] // one field per report section
-pub(crate) fn assemble(
-    design: String,
-    target: String,
-    params: CostParams,
-    tree: &ConfigTree,
-    resources: ResourceEstimate,
-    utilization: Utilization,
-    fits: bool,
-    clock: ClockEstimate,
-    bandwidth: BandwidthBreakdown,
-    throughput: ThroughputEstimate,
-    limiter: Limiter,
-    power_w: f64,
-) -> CostReport {
-    CostReport {
-        design,
-        target,
-        params,
-        class: tree.class,
-        resources,
-        utilization,
-        fits,
-        clock,
-        bandwidth,
-        throughput,
-        limiter,
-        power_w,
     }
 }

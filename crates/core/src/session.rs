@@ -48,7 +48,7 @@ use crate::bandwidth::{self, BandwidthBreakdown};
 use crate::bound::CostBound;
 use crate::frequency;
 use crate::params::CostParams;
-use crate::report::{assemble, CostReport};
+use crate::report::CostReport;
 use crate::resource::{self, ResourceBreakdown};
 use crate::schedule::{self, PipelineSchedule};
 use crate::{bottleneck, throughput, CostOptions};
@@ -338,20 +338,20 @@ impl EstimatorSession {
                 crate::estimate::exercised_gbytes(params.total_bytes(), tput.t_instance);
             let power_w =
                 self.dev.power.delta_watts(&resources.total, clock.freq_mhz, exercised_gbytes);
-            assemble(
-                d.name.to_string(),
-                self.dev.name.clone(),
+            CostReport {
+                design: d.name.to_string(),
+                target: self.dev.name.clone(),
                 params,
-                &plan.tree,
+                class: plan.tree.class,
                 resources,
                 utilization,
                 fits,
                 clock,
-                bw,
-                tput,
+                bandwidth: bw,
+                throughput: tput,
                 limiter,
                 power_w,
-            )
+            }
         };
 
         self.memo_entries.set(self.memo_len() as f64);

@@ -40,7 +40,9 @@ pub mod target;
 pub use bandwidth::BandwidthModel;
 pub use calibration::OpCostModel;
 pub use interp::{PiecewiseLinear, PolyFit};
-pub use library::{eval_small, stratix_v_gsd8, target_by_name, virtex7_adm7v3, TargetFn};
+pub use library::{
+    eval_small, stratix_v_gsd8, target_by_name, virtex7_adm7v3, TargetFn, DEFAULT_TARGET,
+};
 pub use power::PowerModel;
 pub use resources::ResourceVector;
 pub use target::{LinkSpec, TargetDevice};

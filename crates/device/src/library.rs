@@ -77,6 +77,10 @@ pub fn eval_small() -> TargetDevice {
     }
 }
 
+/// The target `tybec --target` and a served request use when they name
+/// none.
+pub const DEFAULT_TARGET: &str = "stratix-v-gsd8";
+
 /// A built-in target's constructor, such as [`stratix_v_gsd8`].
 pub type TargetFn = fn() -> TargetDevice;
 

@@ -21,6 +21,10 @@
 //! Tracing: each estimate carries a `dse.variant` span, nested under the
 //! caller's span.
 //!
+//! Faults: each estimate runs under [`tytra_trace::catch_panic`], so a
+//! variant that fails to build, errors or panics is counted as faulted
+//! and skipped, and the walk goes on.
+//!
 //! Observability: the search leaves a `dse.variant` breadcrumb per
 //! variant in the always-on [flight recorder][tytra_trace::recorder]
 //! (so a crashed or faulted variant ships a post-mortem trace — see
@@ -29,7 +33,6 @@
 //! counters and a `dse.points_per_sec` gauge written once from
 //! [`SearchStats`] after the walk.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 use tytra_cost::{CostReport, EstimatorSession};
 use tytra_device::TargetDevice;
@@ -209,17 +212,6 @@ struct Run {
     estimate_ns: Histogram,
 }
 
-/// Human-readable description of a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Record one faulted variant: counted, traced as a `dse.fault` span,
 /// stamped into the flight recorder, and shipped with a post-mortem dump
 /// of this thread's lane — then skipped; the sweep continues.
@@ -238,12 +230,12 @@ fn record_fault(run: &mut Run, index: u64, variant: &Variant, why: &str) {
 /// Estimate one design point and file it on the board or in the
 /// infeasible set.
 ///
-/// The estimate runs inside `catch_unwind`, so one faulting variant (an
-/// `Err` *or* a panic deep in a pass) is skipped and counted instead of
-/// tearing down the whole sweep. The session is treated as unwind-safe:
-/// its memo tables are keyed by structural fingerprint, so the worst a
-/// mid-pass panic leaves behind is an absent entry for the faulted
-/// module, never a wrong one for a healthy module.
+/// The estimate runs inside [`trace::catch_panic`], so one faulting
+/// variant (an `Err` *or* a panic deep in a pass) is skipped and counted
+/// instead of tearing down the whole sweep. The session is treated as
+/// unwind-safe: its memo tables are keyed by structural fingerprint, so
+/// the worst a mid-pass panic leaves behind is an absent entry for the
+/// faulted module, never a wrong one for a healthy module.
 fn cost_variant(
     factory: &VariantFactory,
     index: u64,
@@ -267,7 +259,7 @@ fn cost_variant(
 
     recorder::mark("dse.variant", index);
     let e0 = Instant::now();
-    let estimated = catch_unwind(AssertUnwindSafe(|| {
+    let estimated = trace::catch_panic(|| {
         let _sp =
             trace::enabled().then(|| trace::span("dse.variant").with("variant", variant.tag()));
         if let Some(faulty) = cfg.fault_inject {
@@ -276,7 +268,7 @@ fn cost_variant(
             }
         }
         session.estimate_design(&design.patched())
-    }));
+    });
     run.estimate_ns.record(e0.elapsed().as_nanos() as u64);
     let report = match estimated {
         Ok(Ok(report)) => report,
@@ -284,8 +276,8 @@ fn cost_variant(
             record_fault(run, index, &variant, &e.to_string());
             return;
         }
-        Err(payload) => {
-            record_fault(run, index, &variant, &panic_message(payload.as_ref()));
+        Err(message) => {
+            record_fault(run, index, &variant, &message);
             return;
         }
     };

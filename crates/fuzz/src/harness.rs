@@ -8,9 +8,11 @@ use crate::corpus::{self, CorpusEntry};
 use crate::gen::TirlGen;
 use crate::oracle::{self, ToleranceBands, Verdict};
 use std::collections::BTreeMap;
-use std::panic::{self, AssertUnwindSafe};
+use std::panic;
 use std::path::PathBuf;
-use tytra_trace::recorder;
+use tytra_device::{eval_small, stratix_v_gsd8};
+use tytra_ir::IrModule;
+use tytra_trace::{catch_panic, recorder};
 
 /// Harness configuration.
 #[derive(Debug, Clone)]
@@ -142,14 +144,33 @@ impl FuzzReport {
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+/// The oracles that check one parsed module, in the order
+/// [`replay_source`] runs them.
+const MODULE_ORACLES: [OracleKind; 5] = [
+    OracleKind::EstimatorVsSim,
+    OracleKind::SessionDeterminism,
+    OracleKind::ArenaEquivalence,
+    OracleKind::AnalyzeCongruence,
+    OracleKind::ServeEquivalence,
+];
+
+/// Run the module oracle `kind` on `m`, a panic becoming
+/// [`Verdict::Panic`]. Estimator-vs-sim judges against Stratix-V GSD8,
+/// the other oracles that take a device against eval-small.
+fn check_module(kind: OracleKind, m: &IrModule, bands: &ToleranceBands) -> Verdict {
+    catch_panic(|| match kind {
+        OracleKind::EstimatorVsSim => oracle::estimator_vs_sim(m, &stratix_v_gsd8(), bands),
+        OracleKind::SessionDeterminism => oracle::session_determinism(m, &eval_small()),
+        OracleKind::ArenaEquivalence => oracle::arena_equivalence(m, &eval_small()),
+        OracleKind::AnalyzeCongruence => oracle::analyze_congruence(m, &eval_small()),
+        OracleKind::ServeEquivalence => oracle::serve_equivalence(m),
+        OracleKind::RoundtripMutated
+        | OracleKind::RoundtripClean
+        | OracleKind::SearchEquivalence => {
+            unreachable!("`{}` checks no module", kind.label())
+        }
+    })
+    .unwrap_or_else(Verdict::Panic)
 }
 
 /// Derive the per-case generator. Mixing with a large odd constant keeps
@@ -183,8 +204,8 @@ pub fn run_case(seed: u64, case_id: u64, bands: &ToleranceBands) -> CaseResult {
     // post-mortem lane names the case that died.
     recorder::mark("fuzz.case", case_id);
     let mut g = case_gen(seed, case_id);
-    // Materialize the input *outside* catch_unwind where possible so a
-    // generator bug is distinguishable from a pipeline bug; sources are
+    // Materialize the input *outside* the panic catch where possible so
+    // a generator bug is distinguishable from a pipeline bug; sources are
     // plain text and always survive.
     let (verdict, source) = match oracle {
         OracleKind::RoundtripMutated | OracleKind::RoundtripClean => {
@@ -193,54 +214,16 @@ pub fn run_case(seed: u64, case_id: u64, bands: &ToleranceBands) -> CaseResult {
             } else {
                 g.valid_source()
             };
-            let v = panic::catch_unwind(AssertUnwindSafe(|| oracle::roundtrip(&src)))
-                .unwrap_or_else(|p| Verdict::Panic(panic_message(p.as_ref())));
-            (v, Some(src))
+            (catch_panic(|| oracle::roundtrip(&src)).unwrap_or_else(Verdict::Panic), Some(src))
         }
-        OracleKind::EstimatorVsSim => {
+        OracleKind::SearchEquivalence => (
+            catch_panic(|| oracle::search_equivalence(&mut g)).unwrap_or_else(Verdict::Panic),
+            None,
+        ),
+        kind => {
             let m = g.valid_module();
             let src = tytra_ir::print(&m);
-            let dev = tytra_device::stratix_v_gsd8();
-            let v =
-                panic::catch_unwind(AssertUnwindSafe(|| oracle::estimator_vs_sim(&m, &dev, bands)))
-                    .unwrap_or_else(|p| Verdict::Panic(panic_message(p.as_ref())));
-            (v, Some(src))
-        }
-        OracleKind::SessionDeterminism => {
-            let m = g.valid_module();
-            let src = tytra_ir::print(&m);
-            let dev = tytra_device::eval_small();
-            let v = panic::catch_unwind(AssertUnwindSafe(|| oracle::session_determinism(&m, &dev)))
-                .unwrap_or_else(|p| Verdict::Panic(panic_message(p.as_ref())));
-            (v, Some(src))
-        }
-        OracleKind::ArenaEquivalence => {
-            let m = g.valid_module();
-            let src = tytra_ir::print(&m);
-            let dev = tytra_device::eval_small();
-            let v = panic::catch_unwind(AssertUnwindSafe(|| oracle::arena_equivalence(&m, &dev)))
-                .unwrap_or_else(|p| Verdict::Panic(panic_message(p.as_ref())));
-            (v, Some(src))
-        }
-        OracleKind::AnalyzeCongruence => {
-            let m = g.valid_module();
-            let src = tytra_ir::print(&m);
-            let dev = tytra_device::eval_small();
-            let v = panic::catch_unwind(AssertUnwindSafe(|| oracle::analyze_congruence(&m, &dev)))
-                .unwrap_or_else(|p| Verdict::Panic(panic_message(p.as_ref())));
-            (v, Some(src))
-        }
-        OracleKind::SearchEquivalence => {
-            let v = panic::catch_unwind(AssertUnwindSafe(|| oracle::search_equivalence(&mut g)))
-                .unwrap_or_else(|p| Verdict::Panic(panic_message(p.as_ref())));
-            (v, None)
-        }
-        OracleKind::ServeEquivalence => {
-            let m = g.valid_module();
-            let src = tytra_ir::print(&m);
-            let v = panic::catch_unwind(AssertUnwindSafe(|| oracle::serve_equivalence(&m)))
-                .unwrap_or_else(|p| Verdict::Panic(panic_message(p.as_ref())));
-            (v, Some(src))
+            (check_module(kind, &m, bands), Some(src))
         }
     };
     finish_case(case_id, oracle, verdict, source)
@@ -252,35 +235,13 @@ pub fn run_case(seed: u64, case_id: u64, bands: &ToleranceBands) -> CaseResult {
 fn reproduces(case: &CaseResult, bands: &ToleranceBands, candidate: &str) -> bool {
     let verdict = match case.oracle {
         OracleKind::RoundtripMutated | OracleKind::RoundtripClean => {
-            panic::catch_unwind(AssertUnwindSafe(|| oracle::roundtrip(candidate)))
-                .unwrap_or_else(|p| Verdict::Panic(panic_message(p.as_ref())))
-        }
-        OracleKind::EstimatorVsSim
-        | OracleKind::SessionDeterminism
-        | OracleKind::ArenaEquivalence
-        | OracleKind::AnalyzeCongruence
-        | OracleKind::ServeEquivalence => {
-            let m = match tytra_ir::parse(candidate) {
-                Ok(m) => m,
-                Err(_) => return false,
-            };
-            let run = || match case.oracle {
-                OracleKind::EstimatorVsSim => {
-                    oracle::estimator_vs_sim(&m, &tytra_device::stratix_v_gsd8(), bands)
-                }
-                OracleKind::ArenaEquivalence => {
-                    oracle::arena_equivalence(&m, &tytra_device::eval_small())
-                }
-                OracleKind::AnalyzeCongruence => {
-                    oracle::analyze_congruence(&m, &tytra_device::eval_small())
-                }
-                OracleKind::ServeEquivalence => oracle::serve_equivalence(&m),
-                _ => oracle::session_determinism(&m, &tytra_device::eval_small()),
-            };
-            panic::catch_unwind(AssertUnwindSafe(run))
-                .unwrap_or_else(|p| Verdict::Panic(panic_message(p.as_ref())))
+            catch_panic(|| oracle::roundtrip(candidate)).unwrap_or_else(Verdict::Panic)
         }
         OracleKind::SearchEquivalence => return false,
+        kind => match tytra_ir::parse(candidate) {
+            Ok(m) => check_module(kind, &m, bands),
+            Err(_) => return false,
+        },
     };
     verdict.label() == case.verdict.label()
 }
@@ -345,28 +306,10 @@ pub fn run(cfg: &FuzzConfig) -> FuzzReport {
 pub fn replay_source(src: &str, bands: &ToleranceBands) -> Vec<(OracleKind, Verdict)> {
     let prev_hook = panic::take_hook();
     panic::set_hook(Box::new(|_| {}));
-    let mut out = Vec::new();
-    let v = panic::catch_unwind(AssertUnwindSafe(|| oracle::roundtrip(src)))
-        .unwrap_or_else(|p| Verdict::Panic(panic_message(p.as_ref())));
-    out.push((OracleKind::RoundtripClean, v));
+    let roundtrip = catch_panic(|| oracle::roundtrip(src)).unwrap_or_else(Verdict::Panic);
+    let mut out = vec![(OracleKind::RoundtripClean, roundtrip)];
     if let Ok(m) = tytra_ir::parse(src) {
-        let dev = tytra_device::stratix_v_gsd8();
-        let v = panic::catch_unwind(AssertUnwindSafe(|| oracle::estimator_vs_sim(&m, &dev, bands)))
-            .unwrap_or_else(|p| Verdict::Panic(panic_message(p.as_ref())));
-        out.push((OracleKind::EstimatorVsSim, v));
-        let dev = tytra_device::eval_small();
-        let v = panic::catch_unwind(AssertUnwindSafe(|| oracle::session_determinism(&m, &dev)))
-            .unwrap_or_else(|p| Verdict::Panic(panic_message(p.as_ref())));
-        out.push((OracleKind::SessionDeterminism, v));
-        let v = panic::catch_unwind(AssertUnwindSafe(|| oracle::arena_equivalence(&m, &dev)))
-            .unwrap_or_else(|p| Verdict::Panic(panic_message(p.as_ref())));
-        out.push((OracleKind::ArenaEquivalence, v));
-        let v = panic::catch_unwind(AssertUnwindSafe(|| oracle::analyze_congruence(&m, &dev)))
-            .unwrap_or_else(|p| Verdict::Panic(panic_message(p.as_ref())));
-        out.push((OracleKind::AnalyzeCongruence, v));
-        let v = panic::catch_unwind(AssertUnwindSafe(|| oracle::serve_equivalence(&m)))
-            .unwrap_or_else(|p| Verdict::Panic(panic_message(p.as_ref())));
-        out.push((OracleKind::ServeEquivalence, v));
+        out.extend(MODULE_ORACLES.map(|kind| (kind, check_module(kind, &m, bands))));
     }
     panic::set_hook(prev_hook);
     out
@@ -411,9 +354,9 @@ mod tests {
         recorder::mark("fuzz.case", 42);
         let prev = panic::take_hook();
         panic::set_hook(Box::new(|_| {}));
-        let verdict = panic::catch_unwind(|| panic!("pipeline died"))
+        let verdict = catch_panic(|| panic!("pipeline died"))
             .map(|()| Verdict::Pass)
-            .unwrap_or_else(|p| Verdict::Panic(panic_message(p.as_ref())));
+            .unwrap_or_else(Verdict::Panic);
         panic::set_hook(prev);
         let case = finish_case(42, OracleKind::RoundtripClean, verdict, None);
         let dump = case.flight_dump.expect("panic case must carry a dump");

@@ -3,9 +3,9 @@
 //! Each oracle takes an input (a TIRL source, a validated module, or a
 //! drawn search-space shape) and returns a [`Verdict`]. Oracles never
 //! catch panics themselves — the harness wraps every case in
-//! `catch_unwind` and classifies an escaped panic as [`Verdict::Panic`],
-//! which is itself a finding: the hardened pipeline must never panic on
-//! any input, well-formed or not.
+//! [`tytra_trace::catch_panic`] and classifies an escaped panic as
+//! [`Verdict::Panic`], which is itself a finding: the hardened pipeline
+//! must never panic on any input, well-formed or not.
 
 use crate::gen::TirlGen;
 use tytra_cost::EstimatorSession;

@@ -10,7 +10,7 @@
 //! several synthesis corners, legalises the packing, and walks the
 //! schedule at fine grain. This module reproduces that *kind* of work —
 //! no artificial sleeps — so the speed comparison against
-//! [`tytra_cost::estimate()`][tytra_cost::estimate::estimate] is honest: both sides compute their answer.
+//! `tytra_cost::estimate()` is honest: both sides compute their answer.
 
 use tytra_device::{ResourceVector, TargetDevice};
 use tytra_ir::{IrModule, TybecError};

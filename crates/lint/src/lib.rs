@@ -19,6 +19,10 @@
 //! | TL1007 | unreachable-range | min/max clamps whose bound lies outside the operand's derived range |
 //! | TL1008 | stream-deadlock   | memory objects both read and written through the same kernel's streams |
 //!
+//! [`PASSES`] is this table as code: one [`Pass`] per row, holding the
+//! code, the name and the plain function that runs the pass, in the
+//! order [`lint`] runs them.
+//!
 //! TL1001/TL1002 are phrased over the dataflow facts `tytra_analyze`
 //! derives (effect summaries, solver reachability); TL1007/TL1008 render
 //! the findings of its value-range and stream-dependence analyses
@@ -35,7 +39,7 @@
 //! that does not type-check — so every `TL1xxx` diagnostic can assume a
 //! structurally valid module.
 
-pub mod passes;
+mod passes;
 pub mod render;
 
 pub use render::{render_json, render_text};
@@ -66,30 +70,27 @@ pub struct LintContext<'a> {
 
 /// One lint pass. Passes are pure readers: they may only emit into the
 /// sink, never mutate the module.
-pub trait Pass {
+pub struct Pass {
     /// The stable diagnostic code this pass emits (`TL1xxx`).
-    fn code(&self) -> &'static str;
-    /// Short machine-friendly pass name (used in `--json` output and docs).
-    fn name(&self) -> &'static str;
-    /// One-line description of what the pass reports.
-    fn summary(&self) -> &'static str;
-    /// Run the pass over `cx`, emitting diagnostics into `sink`.
-    fn run(&self, cx: &LintContext<'_>, sink: &mut DiagSink);
+    pub code: &'static str,
+    /// Short machine-friendly pass name (the `pass` field of its
+    /// `lint.pass` span).
+    pub name: &'static str,
+    /// Run the pass over a context, emitting diagnostics into the sink.
+    pub run: fn(&LintContext<'_>, &mut DiagSink),
 }
 
-/// The full registry, in execution (and documentation) order.
-pub fn registry() -> Vec<Box<dyn Pass>> {
-    vec![
-        Box::new(passes::Liveness),
-        Box::new(passes::DeadCode),
-        Box::new(passes::OffsetBounds),
-        Box::new(passes::ReductionInit),
-        Box::new(passes::Feasibility),
-        Box::new(passes::ThroughputWall),
-        Box::new(passes::UnreachableRange),
-        Box::new(passes::StreamDeadlock),
-    ]
-}
+/// Every pass, in execution (and documentation) order.
+pub const PASSES: [Pass; 8] = [
+    Pass { code: "TL1001", name: "liveness", run: passes::liveness },
+    Pass { code: "TL1002", name: "dead-code", run: passes::dead_code },
+    Pass { code: "TL1003", name: "offset-bounds", run: passes::offset_bounds },
+    Pass { code: "TL1004", name: "reduction-init", run: passes::reduction_init },
+    Pass { code: "TL1005", name: "feasibility", run: passes::feasibility },
+    Pass { code: "TL1006", name: "throughput-wall", run: passes::throughput_wall },
+    Pass { code: "TL1007", name: "unreachable-range", run: passes::unreachable_range },
+    Pass { code: "TL1008", name: "stream-deadlock", run: passes::stream_deadlock },
+];
 
 /// The outcome of linting one module.
 #[derive(Debug, Clone)]
@@ -130,7 +131,7 @@ impl LintReport {
     }
 }
 
-/// Lint `m` against `dev`: validate, then run every registered pass.
+/// Lint `m` against `dev`: validate, then run every pass in [`PASSES`].
 /// Each pass runs under a `lint.pass` span carrying its code and name
 /// (`docs/observability.md`); validation traces itself as `ir.validate`.
 pub fn lint(m: &IrModule, dev: &TargetDevice) -> LintReport {
@@ -152,11 +153,11 @@ pub fn lint(m: &IrModule, dev: &TargetDevice) -> LintReport {
             reachable: tytra_analyze::reachable(m).0,
             summaries: tytra_analyze::summaries(m),
         };
-        for pass in registry() {
+        for pass in &PASSES {
             let mut sp =
-                tytra_trace::span("lint.pass").with("code", pass.code()).with("pass", pass.name());
+                tytra_trace::span("lint.pass").with("code", pass.code).with("pass", pass.name);
             let before = sink.diagnostics().len();
-            pass.run(&cx, &mut sink);
+            (pass.run)(&cx, &mut sink);
             sp.record("diagnostics", (sink.diagnostics().len() - before) as u64);
         }
     }
@@ -175,7 +176,7 @@ mod tests {
 
     #[test]
     fn registry_codes_are_unique_and_ordered() {
-        let codes: Vec<&str> = registry().iter().map(|p| p.code()).collect();
+        let codes: Vec<&str> = PASSES.iter().map(|p| p.code).collect();
         assert_eq!(
             codes,
             vec!["TL1001", "TL1002", "TL1003", "TL1004", "TL1005", "TL1006", "TL1007", "TL1008"]

@@ -40,7 +40,7 @@ pub fn render_text(report: &LintReport, path: &str) -> String {
     let errors = report.errors();
     let warnings = report.warnings();
     if report.diagnostics.is_empty() {
-        let _ = writeln!(out, "{path}: clean ({} passes, no diagnostics)", crate::registry().len());
+        let _ = writeln!(out, "{path}: clean ({} passes, no diagnostics)", crate::PASSES.len());
     } else {
         let _ = writeln!(
             out,

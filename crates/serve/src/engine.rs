@@ -19,7 +19,6 @@ use crate::protocol::{
     parse_request, render_err, render_ok, MetricsFormat, Request, RequestError, RequestKind,
 };
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::str::Utf8Error;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -31,7 +30,6 @@ use tytra_ir::{fingerprint_module, ArenaModule, ErrorCategory, IrModule, TybecEr
 use tytra_kernels::EvalKernel;
 use tytra_trace::bounded::BoundedMap;
 use tytra_trace::metrics::{Counter, Histogram, Registry, Snapshot};
-use tytra_trace::prometheus::render_prometheus;
 use tytra_trace::recorder;
 
 /// Cross-request cache key: request flavour tag, canonical device name
@@ -425,16 +423,6 @@ pub(crate) fn elapsed_ns(since: Instant) -> u64 {
     since.elapsed().as_nanos() as u64
 }
 
-fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Execution state for one computation at a time: an estimator session
 /// per target device, kept warm across requests.
 #[derive(Default)]
@@ -486,13 +474,7 @@ impl Engine {
                 let outcome = search_with(&factory, self.session(dev)?, &cfg);
                 Ok(render_search_leaderboard(&outcome, *top))
             }
-            Work::Metrics { format } => {
-                let snap = shared.snapshot();
-                Ok(match format {
-                    MetricsFormat::Table => snap.render_table(),
-                    MetricsFormat::Prometheus => render_prometheus(&snap),
-                })
-            }
+            Work::Metrics { format } => Ok(shared.snapshot().render(*format)),
             Work::Shutdown => {
                 shared.shutdown.store(true, Ordering::SeqCst);
                 Ok("shutting down".to_string())
@@ -500,26 +482,27 @@ impl Engine {
         }
     }
 
-    /// [`compute`][Engine::compute] behind a panic fence. A panicking
-    /// request — injected via `fault` or a genuine bug — becomes a
-    /// categorized internal error plus this thread's flight-recorder
-    /// breadcrumbs; the engine (and the daemon) live on.
+    /// [`compute`][Engine::compute] behind a panic fence
+    /// ([`tytra_trace::catch_panic`]). A panicking request — injected via
+    /// `fault` or a genuine bug — becomes a categorized internal error
+    /// plus this thread's flight-recorder breadcrumbs; the engine (and
+    /// the daemon) live on.
     pub fn compute_guarded(&mut self, work: &Work, shared: &Shared, fault: bool) -> Outcome {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let outcome = tytra_trace::catch_panic(|| {
             if fault {
                 recorder::mark("serve.fault_inject", 1);
                 panic!("injected fault");
             }
             self.compute(work, shared)
-        }));
+        });
         match outcome {
             Ok(r) => r.map_err(|e| (e, None)),
-            Err(p) => {
+            Err(message) => {
                 let dump =
                     recorder::dump_current_thread().map(|lane| recorder::render_dump(&[lane]));
                 let err = TybecError::new(
                     ErrorCategory::Internal,
-                    format!("request panicked: {}", panic_message(p.as_ref())),
+                    format!("request panicked: {message}"),
                 );
                 Err((err, dump))
             }

@@ -20,17 +20,10 @@
 //! `category` label and `exit_code` are exactly what the offline CLI
 //! would print and exit with for the same input.
 
+use tytra_dse::SearchConfig;
 use tytra_ir::{ErrorCategory, Span, TybecError};
 use tytra_trace::json::{self, Json};
-
-/// How a `metrics` request wants the registry rendered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricsFormat {
-    /// The aligned human-readable table.
-    Table,
-    /// Prometheus text exposition format (scrape-ready).
-    Prometheus,
-}
+pub use tytra_trace::metrics::MetricsFormat;
 
 /// A decoded request body.
 #[derive(Debug, Clone, PartialEq)]
@@ -136,7 +129,7 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
                 .as_str()
                 .map(str::to_string)
                 .ok_or_else(|| parse_error(id, "`target` must be a string")),
-            None => Ok("stratix-v-gsd8".to_string()),
+            None => Ok(tytra_device::DEFAULT_TARGET.to_string()),
         }
     };
     let bool_field = |name: &str, default: bool| -> Result<bool, RequestError> {
@@ -164,6 +157,7 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
             RequestKind::Analyze { design: take_design()?, json: bool_field("json", false)? }
         }
         "dse" => {
+            let defaults = SearchConfig::default();
             let lanes = match obj.get("lanes") {
                 Some(j) => {
                     let arr = j
@@ -185,26 +179,23 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
                     }
                     lanes
                 }
-                None => vec![1, 2, 4, 8, 16, 32],
+                None => defaults.space.lanes,
             };
             RequestKind::Dse {
                 kernel: str_field("kernel")?,
                 target: target()?,
                 lanes,
-                top: uint_field("top", 10)? as usize,
+                top: uint_field("top", defaults.top_k as u64)? as usize,
             }
         }
         "metrics" => {
-            let format = match obj.get("format").and_then(Json::as_str).unwrap_or("table") {
-                "table" => MetricsFormat::Table,
-                "prometheus" => MetricsFormat::Prometheus,
-                other => {
-                    return Err(parse_error(
-                        id,
-                        format!("unknown metrics format `{other}` (expected table|prometheus)"),
-                    ))
-                }
-            };
+            let name = obj.get("format").and_then(Json::as_str).unwrap_or("table");
+            let format = MetricsFormat::from_name(name).ok_or_else(|| {
+                parse_error(
+                    id,
+                    format!("unknown metrics format `{name}` (expected table|prometheus)"),
+                )
+            })?;
             RequestKind::Metrics { format }
         }
         "shutdown" => RequestKind::Shutdown,

@@ -21,6 +21,9 @@
 //!   lane per thread). All three are pure functions over
 //!   `&[SpanRecord]`, so they are trivially testable and never touch
 //!   global state.
+//! * **panic fences** — [`catch_panic`] turns a panic into its message;
+//!   the DSE search, the serve daemon and the fuzz harness isolate a
+//!   faulting variant, request or case with it.
 //!
 //! Completed spans accumulate in a global buffer; the owner of the
 //! process (the `tybec` CLI, a bench binary, a test) calls
@@ -359,6 +362,24 @@ pub fn span(name: &'static str) -> Span {
     }
 }
 
+/// Run `f`, turning a panic that escapes it into `Err` with the panic's
+/// message: the payload's `&str` or `String`, else `"non-string panic
+/// payload"`. `f` is treated as unwind-safe; each caller documents why
+/// the state it shares with `f` stays sound after a panic. The flight
+/// [`recorder`] lane of this thread still holds the panic's breadcrumbs
+/// when `Err` returns, so a caller can dump it as the post-mortem.
+pub fn catch_panic<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+        if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,6 +387,18 @@ mod tests {
     /// The global collector is process-wide; tests that toggle it run
     /// under one lock so parallel test threads cannot interleave.
     pub(crate) static GLOBAL_TEST_LOCK: Mutex<()> = Mutex::new(());
+
+    #[test]
+    fn catch_panic_reads_every_payload_kind() {
+        let literal: Result<(), String> = catch_panic(|| panic!("a literal"));
+        assert_eq!(literal, Err("a literal".to_string()));
+        let n = 3;
+        let formatted: Result<(), String> = catch_panic(|| panic!("formatted {n}"));
+        assert_eq!(formatted, Err("formatted 3".to_string()));
+        let other: Result<(), String> = catch_panic(|| std::panic::panic_any(7u8));
+        assert_eq!(other, Err("non-string panic payload".to_string()));
+        assert_eq!(catch_panic(|| n * 14), Ok(42));
+    }
 
     #[test]
     fn disabled_spans_are_inert() {

@@ -347,6 +347,27 @@ fn fmt_ns(ns: f64) -> String {
     }
 }
 
+/// How a [`Snapshot`] renders: what `tybec dse --metrics-format` and a
+/// served `metrics` request's `format` name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MetricsFormat {
+    /// The aligned human-readable table.
+    Table,
+    /// Prometheus text exposition format (scrape-ready).
+    Prometheus,
+}
+
+impl MetricsFormat {
+    /// The format called `name`: `table` or `prometheus`.
+    pub fn from_name(name: &str) -> Option<MetricsFormat> {
+        match name {
+            "table" => Some(MetricsFormat::Table),
+            "prometheus" => Some(MetricsFormat::Prometheus),
+            _ => None,
+        }
+    }
+}
+
 /// Sorted point-in-time view of a registry; mergeable across registries.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
@@ -408,6 +429,15 @@ impl Snapshot {
             out.push_str(&format!("  {name:<width$}  {value}\n"));
         }
         out
+    }
+
+    /// Render in `format`: [`render_table`][Snapshot::render_table] or
+    /// [`render_prometheus`][crate::prometheus::render_prometheus].
+    pub fn render(&self, format: MetricsFormat) -> String {
+        match format {
+            MetricsFormat::Table => self.render_table(),
+            MetricsFormat::Prometheus => crate::prometheus::render_prometheus(self),
+        }
     }
 }
 
