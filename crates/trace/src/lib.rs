@@ -364,10 +364,11 @@ pub fn span(name: &'static str) -> Span {
 
 /// Run `f`, turning a panic that escapes it into `Err` with the panic's
 /// message: the payload's `&str` or `String`, else `"non-string panic
-/// payload"`. `f` is treated as unwind-safe; each caller documents why
-/// the state it shares with `f` stays sound after a panic. The flight
-/// [`recorder`] lane of this thread still holds the panic's breadcrumbs
-/// when `Err` returns, so a caller can dump it as the post-mortem.
+/// payload"`. `f` runs as if unwind-safe (`AssertUnwindSafe`), so a
+/// caller that reuses state `f` mutated must know a panic leaves that
+/// state sound. The flight [`recorder`] lane of this thread still holds
+/// the panic's breadcrumbs when `Err` returns, so a caller can dump it
+/// as the post-mortem.
 pub fn catch_panic<R>(f: impl FnOnce() -> R) -> Result<R, String> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
         if let Some(s) = payload.downcast_ref::<&str>() {
